@@ -16,9 +16,12 @@
 // exposed as RouteStep: per-node budgets of n·PairWords words instead of
 // per-pair budgets, charged as LenzenRounds rounds.
 //
-// As in the mpc package, accounting (rounds, words, budget violations) is
-// the point: the quantities the theory bounds are metered on every run, and
-// execution is deterministic regardless of goroutine scheduling.
+// A Cluster is the mpc superstep engine configured with one machine per
+// vertex: the worker pool, fault recovery, spans, tracing, cancellation and
+// transport are the mpc package's, and step closures receive an mpc.Ctx
+// whose Machine is the node. Only the budget policy is the clique's own
+// (see meter), so accounting is metered and execution is deterministic
+// exactly as in the MPC simulator.
 package clique
 
 import (
@@ -26,11 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/trace"
@@ -46,7 +44,9 @@ type Config struct {
 	// PairWords is the per-ordered-pair per-round bandwidth in words;
 	// default 1 (one O(log n)-bit message).
 	PairWords int
-	// Strict makes violations errors instead of recorded statistics.
+	// Strict makes violations errors instead of recorded statistics. A
+	// strict violation aborts the offending round cleanly: nothing is
+	// delivered.
 	Strict bool
 	// Faults, when non-nil and enabled, injects the same deterministic
 	// fault schedule as the MPC simulator (see mpc.FaultPlan): node crashes
@@ -62,15 +62,12 @@ type Config struct {
 	Tracer trace.Tracer
 	// Context, when non-nil, is checked at every round barrier: once it is
 	// done, Step/RouteStep return a *CancelError wrapping mpc.ErrCanceled or
-	// mpc.ErrDeadline with the committed round and full Stats. See
-	// RunContext.
+	// mpc.ErrDeadline with the committed round and full Stats.
 	Context context.Context
 	// Transport, when non-nil, carries every committed round's sorted
 	// per-destination message boxes, exactly as in the MPC simulator (the
-	// shared mpc.Transport interface; Message is an alias of mpc.Message, so
-	// one transport implementation serves both simulators). nil is the
-	// in-memory router. A failed exchange aborts the round cleanly with a
-	// *TransportError.
+	// shared mpc.Transport interface). nil is the in-memory router. A failed
+	// exchange aborts the round cleanly with a *TransportError.
 	Transport mpc.Transport
 	// Parallelism bounds the worker pool executing node step closures within
 	// one round: 0 (the default) means GOMAXPROCS, 1 forces the serial
@@ -144,6 +141,10 @@ var ErrBandwidth = errors.New("clique: bandwidth budget exceeded")
 // Transport implementation (see Config.Transport).
 type Message = mpc.Message
 
+// Ctx is one node's view within a step: the mpc engine's per-machine
+// context, with Machine the node id.
+type Ctx = mpc.Ctx
+
 // TransportError reports a round whose message exchange failed (see
 // mpc.TransportError — this is the clique-model counterpart, carrying clique
 // Stats). The round was not committed and nothing was delivered.
@@ -166,29 +167,10 @@ func (e *TransportError) Unwrap() error { return e.Err }
 
 // Cluster is a simulated congested clique on n nodes.
 type Cluster struct {
-	cfg     Config
-	n       int
-	stats   Stats
-	inboxes [][]Message
-
-	// mu guards the sticky late-send error; message sends never touch it
-	// (each worker buffers its block's sends in its own stepOutbox).
-	mu      sync.Mutex
-	lateErr error
-
-	// fired records crash events already injected, so the re-executed round
-	// does not crash again (a fault fires once per (round, node)).
-	fired map[[2]int]struct{}
-
-	// Observability state: the registered tracer, the active span label
-	// (atomic: drivers may switch spans while a round's workers still run —
-	// each barrier pins the label once, see step), and reusable per-node
-	// scratch buffers so skew accounting allocates nothing per round.
-	tracer  trace.Tracer
-	span    atomic.Pointer[string]
-	sentW   []int
-	recvW   []int
-	sortBuf []int
+	cfg        Config
+	n          int
+	eng        *mpc.Cluster
+	violations []Violation
 }
 
 // NewCluster creates an n-node congested clique.
@@ -202,52 +184,77 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if cfg.PairWords < 0 {
 		return nil, fmt.Errorf("clique: pair bandwidth %d < 0", cfg.PairWords)
 	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("clique: parallelism %d < 0", cfg.Parallelism)
+	c := &Cluster{cfg: cfg, n: n}
+	eng, err := mpc.NewClusterBudget(mpc.Config{
+		Machines:    n,
+		Regime:      mpc.RegimeExplicit,
+		MemoryWords: n * cfg.PairWords,
+		Strict:      cfg.Strict,
+		Faults:      cfg.Faults,
+		Tracer:      cfg.Tracer,
+		Context:     cfg.Context,
+		Transport:   cfg.Transport,
+		Parallelism: cfg.Parallelism,
+	}, n, c.meter)
+	if err != nil {
+		return nil, err
 	}
-	c := &Cluster{
-		cfg:     cfg,
-		n:       n,
-		inboxes: make([][]Message, n),
-		tracer:  cfg.Tracer,
-		sentW:   make([]int, n),
-		recvW:   make([]int, n),
-		sortBuf: make([]int, n),
-	}
-	setup := "setup"
-	c.span.Store(&setup)
+	c.eng = eng
 	return c, nil
 }
 
-// parallelism resolves the configured worker-pool size: 0 means GOMAXPROCS.
-func (c *Cluster) parallelism() int {
-	if p := c.cfg.Parallelism; p > 0 {
-		return p
+// meter is the congested clique's budget policy. Destination by
+// destination, it flags each ordered pair carrying more than PairWords words
+// (once per pair per round; not for Lenzen-routed exchanges) and the node's
+// receive against n·PairWords; a routed exchange then checks every node's
+// send against n·PairWords.
+func (c *Cluster) meter(round int, routed bool, sent, recv []int, boxes [][]Message) error {
+	var firstErr error
+	violate := func(v Violation) {
+		c.violations = append(c.violations, v)
+		if c.cfg.Strict && firstErr == nil {
+			firstErr = fmt.Errorf("%w: %s", ErrBandwidth, v)
+		}
 	}
-	return runtime.GOMAXPROCS(0)
+	nodeLimit := c.n * c.cfg.PairWords
+	for dst, box := range boxes {
+		if !routed {
+			pairWords, prevSrc := 0, -1
+			for _, msg := range box {
+				if msg.Src != prevSrc {
+					pairWords, prevSrc = 0, msg.Src
+				}
+				pairWords += len(msg.Payload)
+				if pairWords > c.cfg.PairWords {
+					violate(Violation{Round: round, Src: msg.Src, Dst: dst, Kind: "pair", Words: pairWords, Limit: c.cfg.PairWords})
+					pairWords = -1 << 30 // flag once per pair per round
+				}
+			}
+		}
+		if recv[dst] > nodeLimit {
+			violate(Violation{Round: round, Src: dst, Dst: -1, Kind: "received", Words: recv[dst], Limit: nodeLimit})
+		}
+	}
+	if routed {
+		for v, words := range sent {
+			if words > nodeLimit {
+				violate(Violation{Round: round, Src: v, Dst: -1, Kind: "routed", Words: words, Limit: nodeLimit})
+			}
+		}
+	}
+	return firstErr
 }
 
 // SetTracer registers (or, with nil, removes) the round tracer.
-func (c *Cluster) SetTracer(t trace.Tracer) { c.tracer = t }
+func (c *Cluster) SetTracer(t trace.Tracer) { c.eng.SetTracer(t) }
 
 // Span sets the active trace-span label; subsequent rounds are attributed to
-// it in Stats.Spans and emitted trace events (same labels as the MPC
-// simulator: "sparsify", "seed-search", "gather", "finish"; default "setup").
-// A tracer implementing trace.SpanObserver is notified immediately, so live
-// introspection sees the phase change before its first round commits.
-//
-// Safe to call concurrently with a running step: the label is stored
-// atomically and pinned once per barrier, so a mid-step switch attributes
-// the in-flight round entirely to the old label.
-func (c *Cluster) Span(name string) {
-	c.span.Store(&name)
-	if o, ok := c.tracer.(trace.SpanObserver); ok {
-		o.SpanChange(name)
-	}
-}
+// it in Stats.Spans and emitted trace events (same labels and semantics as
+// mpc.Cluster.Span; default "setup").
+func (c *Cluster) Span(name string) { c.eng.Span(name) }
 
 // CurrentSpan returns the active trace-span label.
-func (c *Cluster) CurrentSpan() string { return *c.span.Load() }
+func (c *Cluster) CurrentSpan() string { return c.eng.CurrentSpan() }
 
 // N returns the node count.
 func (c *Cluster) N() int { return c.n }
@@ -257,633 +264,110 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cluster) Stats() Stats {
-	out := c.stats
-	out.Violations = append([]Violation(nil), c.stats.Violations...)
-	out.Spans = append([]mpc.SpanStat(nil), c.stats.Spans...)
-	return out
-}
-
-// ChargeRounds accounts for k analytically modeled rounds.
-func (c *Cluster) ChargeRounds(k int) {
-	span := c.CurrentSpan()
-	for i := 0; i < k; i++ {
-		c.stats.Rounds++
-		c.bumpSpan(span, 1, 0, 0, 0, 0, 0, 0)
-		if c.tracer != nil {
-			c.tracer.Superstep(trace.Event{
-				Round:   c.stats.Rounds,
-				Step:    "charged",
-				Span:    span,
-				Charged: true,
-			})
-		}
+	st := c.eng.Stats()
+	return Stats{
+		Rounds:           st.Rounds,
+		Messages:         st.Messages,
+		Words:            st.Words,
+		PeakRecv:         st.PeakRecv,
+		Violations:       append([]Violation(nil), c.violations...),
+		Spans:            st.Spans,
+		SkewSent:         st.SkewSent,
+		SkewRecv:         st.SkewRecv,
+		GiniSent:         st.GiniSent,
+		GiniRecv:         st.GiniRecv,
+		RecoveredCrashes: st.RecoveredCrashes,
+		RecoveryRounds:   st.RecoveryRounds,
+		ReplayedWords:    st.ReplayedWords,
+		DroppedMessages:  st.DroppedMessages,
+		DupMessages:      st.DupMessages,
+		StallRounds:      st.StallRounds,
 	}
-}
-
-// findSpan returns the (possibly new) aggregate for the named span; the
-// last entry is checked first so consecutive rounds in one phase are O(1).
-func (c *Cluster) findSpan(span string) *mpc.SpanStat {
-	if n := len(c.stats.Spans); n > 0 && c.stats.Spans[n-1].Span == span {
-		return &c.stats.Spans[n-1]
-	}
-	for i := range c.stats.Spans {
-		if c.stats.Spans[i].Span == span {
-			return &c.stats.Spans[i]
-		}
-	}
-	c.stats.Spans = append(c.stats.Spans, mpc.SpanStat{Span: span})
-	return &c.stats.Spans[len(c.stats.Spans)-1]
-}
-
-// bumpSpan folds one committed round (or several, for Lenzen-routed and
-// charged steps) into the named span's aggregate. Runs single-threaded at
-// the barrier, with the span label pinned by the caller.
-func (c *Cluster) bumpSpan(span string, rounds int, messages, words int64, maxSent, maxRecv int, giniSent, giniRecv float64) {
-	sp := c.findSpan(span)
-	sp.Rounds += rounds
-	sp.Messages += messages
-	sp.Words += words
-	if maxSent > sp.MaxSent {
-		sp.MaxSent = maxSent
-	}
-	if maxRecv > sp.MaxRecv {
-		sp.MaxRecv = maxRecv
-	}
-	if giniSent > sp.GiniSent {
-		sp.GiniSent = giniSent
-	}
-	if giniRecv > sp.GiniRecv {
-		sp.GiniRecv = giniRecv
-	}
-}
-
-// Ctx is one node's view within a step.
-//
-// A Ctx is valid only for the duration of its step: once the step commits
-// (or aborts) the context is invalidated, and late Send calls are dropped
-// and surfaced as an error (wrapping mpc.ErrStaleCtx) from the next step,
-// instead of corrupting the next round's traffic.
-type Ctx struct {
-	Node int
-
-	c     *Cluster
-	round int
-	inbox []Message
-	ob    *stepOutbox
-
-	crashed  bool
-	panicked any
-	stack    []byte
-}
-
-// stepOutbox buffers the sends of one worker's contiguous node block during
-// one round attempt — the same per-worker buffering-and-merge discipline as
-// the MPC simulator (see mpc.Cluster and DESIGN.md §8). The mutex serves
-// step closures that spawn their own joined sender goroutines, and the seal
-// at the barrier, which turns late sends into mpc.ErrStaleCtx.
-type stepOutbox struct {
-	mu     sync.Mutex
-	sealed bool
-	boxes  [][]Message // indexed by destination node
-}
-
-// Inbox returns the messages delivered at the end of the previous step,
-// ordered by sender.
-func (x *Ctx) Inbox() []Message { return x.inbox }
-
-// Send queues payload words to node dst for delivery at the end of the
-// step. The payload is copied. Sending on an invalidated context (after its
-// step completed) drops the payload and records mpc.ErrStaleCtx, returned by
-// the cluster's next step.
-func (x *Ctx) Send(dst int, payload ...uint64) {
-	cp := make([]uint64, len(payload))
-	copy(cp, payload)
-	ob := x.ob
-	ob.mu.Lock()
-	if ob.sealed {
-		ob.mu.Unlock()
-		x.c.noteLateSend(x.Node, x.round, len(cp))
-		return
-	}
-	ob.boxes[dst] = append(ob.boxes[dst], Message{Src: x.Node, Payload: cp})
-	ob.mu.Unlock()
-}
-
-// noteLateSend records the sticky stale-context error surfaced by the next
-// step.
-func (c *Cluster) noteLateSend(node, round, words int) {
-	c.mu.Lock()
-	if c.lateErr == nil {
-		c.lateErr = fmt.Errorf("clique: node %d sent %d words after its round (%d) completed: %w",
-			node, words, round, mpc.ErrStaleCtx)
-	}
-	c.mu.Unlock()
-}
-
-// takeLateErr returns and clears the sticky late-send error.
-func (c *Cluster) takeLateErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	err := c.lateErr
-	c.lateErr = nil
-	return err
 }
 
 // Step executes one synchronous round under the per-pair bandwidth budget.
 func (c *Cluster) Step(name string, f func(x *Ctx)) error {
-	return c.step(name, f, false)
+	return c.modelErr(c.eng.Step(name, f))
 }
 
 // RouteStep executes one Lenzen-routed exchange: per-node send/receive
 // budgets of n·PairWords words, charged as LenzenRounds rounds.
 func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error {
-	return c.step(name, f, true)
+	return c.modelErr(c.eng.RouteStep(name, LenzenRounds, f))
 }
 
-// crashNow consumes one injected crash for (round, v); a fault fires only
-// once, so the round's re-execution after recovery does not crash again.
-func (c *Cluster) crashNow(round, v int) bool {
-	if !c.cfg.Faults.CrashesAt(round, v) {
-		return false
+// modelErr turns the engine's barrier errors, which carry mpc.Stats, into
+// their clique counterparts carrying clique Stats.
+func (c *Cluster) modelErr(err error) error {
+	switch e := err.(type) {
+	case *mpc.CancelError:
+		return newCancelError(e, c.Stats())
+	case *mpc.TransportError:
+		return &TransportError{Round: e.Round, Stats: c.Stats(), Err: e.Err}
 	}
-	key := [2]int{round, v}
-	if _, ok := c.fired[key]; ok {
-		return false
-	}
-	if c.fired == nil {
-		c.fired = make(map[[2]int]struct{})
-	}
-	c.fired[key] = struct{}{}
-	return true
-}
-
-// attempt is the transient state of one round execution attempt: the
-// per-node contexts and the per-worker outbox buffers they fed. The buffers
-// live and die with the attempt, so an aborted attempt can never leak
-// traffic into the next round.
-type attempt struct {
-	ctxs    []*Ctx
-	outs    []*stepOutbox // one per worker, in ascending node-block order
-	crashed []int
-	merr    *mpc.MachineError
-}
-
-// seal closes every outbox of a finished (or aborted) attempt so late sends
-// error instead of leaking into the next round.
-func (at *attempt) seal() {
-	for _, ob := range at.outs {
-		ob.mu.Lock()
-		ob.sealed = true
-		ob.mu.Unlock()
-	}
-}
-
-// mergeOutboxes concatenates the per-worker buffers destination by
-// destination, workers in ascending node-block order — the canonical
-// (sender id, send order) sequence at every parallelism level, identical to
-// what the serial path produces. The order is verified (and, for step
-// closures whose joined goroutines interleaved sends across nodes of one
-// block, restored by a stable sort) before the boxes reach the transport,
-// which assumes it.
-func (at *attempt) mergeOutboxes(n int) [][]Message {
-	boxes := make([][]Message, n)
-	for dst := 0; dst < n; dst++ {
-		total := 0
-		for _, ob := range at.outs {
-			total += len(ob.boxes[dst])
-		}
-		if total == 0 {
-			continue
-		}
-		box := make([]Message, 0, total)
-		for _, ob := range at.outs {
-			box = append(box, ob.boxes[dst]...)
-		}
-		for i := 1; i < len(box); i++ {
-			if box[i].Src < box[i-1].Src {
-				sort.SliceStable(box, func(i, j int) bool { return box[i].Src < box[j].Src })
-				break
-			}
-		}
-		boxes[dst] = box
-	}
-	return boxes
-}
-
-// chargeDiscarded charges the aborted attempt's buffered traffic to
-// ReplayedWords (it is re-sent by the re-execution).
-func (at *attempt) chargeDiscarded(c *Cluster) {
-	for _, ob := range at.outs {
-		for _, box := range ob.boxes {
-			for _, msg := range box {
-				c.stats.ReplayedWords += int64(len(msg.Payload))
-			}
-		}
-	}
-}
-
-// runAttempt executes one attempt of a round: f runs on every non-crashed
-// node via a bounded worker pool (Config.Parallelism workers; 1 runs every
-// node inline on the calling goroutine, in node order), panics recovered per
-// node. Crash decisions (which consume once-only fault events) are taken
-// sequentially before any worker starts.
-func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
-	at := &attempt{ctxs: make([]*Ctx, c.n)}
-	for v := 0; v < c.n; v++ {
-		at.ctxs[v] = &Ctx{Node: v, c: c, round: round, inbox: c.inboxes[v]}
-		if c.crashNow(round, v) {
-			at.ctxs[v].crashed = true
-			at.crashed = append(at.crashed, v)
-		}
-	}
-	run := func(x *Ctx) {
-		defer func() {
-			if r := recover(); r != nil {
-				x.panicked = r
-				x.stack = debug.Stack()
-			}
-		}()
-		f(x)
-	}
-	// Bounded worker pool: n can be thousands of nodes.
-	workers := c.parallelism()
-	if workers > c.n {
-		workers = c.n
-	}
-	var wg sync.WaitGroup
-	per := (c.n + workers - 1) / workers
-	for w := 0; w*per < c.n; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > c.n {
-			hi = c.n
-		}
-		ob := &stepOutbox{boxes: make([][]Message, c.n)}
-		at.outs = append(at.outs, ob)
-		for v := lo; v < hi; v++ {
-			at.ctxs[v].ob = ob
-		}
-		block := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !at.ctxs[v].crashed {
-					run(at.ctxs[v])
-				}
-			}
-		}
-		if workers == 1 {
-			block(lo, hi)
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			block(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	for v := 0; v < c.n; v++ {
-		if at.ctxs[v].panicked != nil {
-			at.merr = &mpc.MachineError{Machine: v, Round: round, Panic: at.ctxs[v].panicked, Stack: at.ctxs[v].stack}
-			break
-		}
-	}
-	return at
-}
-
-func (c *Cluster) step(name string, f func(x *Ctx), routed bool) error {
-	if err := c.takeLateErr(); err != nil {
-		return err
-	}
-	if err := c.barrierErr(); err != nil {
-		return err
-	}
-	round := c.stats.Rounds + 1
-	// Pin the span label once per barrier: a driver switching spans while
-	// workers still run attributes this round entirely to the old label.
-	span := c.CurrentSpan()
-	preCrashes := c.stats.RecoveredCrashes
-	preRecovery := c.stats.RecoveryRounds
-	preReplayed := c.stats.ReplayedWords
-	preDropped := c.stats.DroppedMessages
-	preDups := c.stats.DupMessages
-	preStalls := c.stats.StallRounds
-	preMsgs := c.stats.Messages
-	preWords := c.stats.Words
-	var at *attempt
-	for {
-		at = c.runAttempt(round, f)
-		at.seal()
-		if at.merr != nil {
-			return at.merr
-		}
-		if len(at.crashed) == 0 {
-			break
-		}
-		// Crashed nodes restart from the barrier-committed state of the
-		// previous round and the round re-executes (node computation is
-		// deterministic, so the re-execution reproduces the fault-free
-		// messages exactly). The aborted attempt's buffers die with it;
-		// their word count is charged as replay.
-		c.stats.RecoveredCrashes += len(at.crashed)
-		c.stats.RecoveryRounds++
-		at.chargeDiscarded(c)
-	}
-	if p := c.cfg.Faults; p != nil {
-		for v := 0; v < c.n; v++ {
-			if p.StallsAt(round, v) {
-				c.stats.StallRounds++
-			}
-		}
-	}
-
-	// Canonicalize the exchange: merge the per-worker buffers in fixed node
-	// order (see mergeOutboxes) and, when a transport is configured, hand
-	// all boxes to it before any accounting — exactly the MPC simulator's
-	// contract, so one transport implementation serves both models. A failed
-	// exchange aborts before the round commits.
-	boxes := at.mergeOutboxes(c.n)
-	if c.cfg.Transport != nil {
-		exchanged, err := c.cfg.Transport.Exchange(round, boxes)
-		if err != nil {
-			return &TransportError{Round: c.stats.Rounds, Stats: c.Stats(), Err: err}
-		}
-		boxes = exchanged
-	}
-
-	if routed {
-		c.stats.Rounds += LenzenRounds
-	} else {
-		c.stats.Rounds++
-	}
-
-	var firstErr error
-	droppedThisRound := false
-	sentByNode := c.sentW
-	clear(sentByNode)
-	maxRecv := 0
-	for dst := 0; dst < c.n; dst++ {
-		box := boxes[dst]
-		recv := 0
-		pairWords := 0
-		prevSrc := -1
-		seq := 0
-		for _, msg := range box {
-			if msg.Src != prevSrc {
-				pairWords = 0
-				seq = 0
-				prevSrc = msg.Src
-			}
-			// Transport faults, decided on the sorted (schedule-independent)
-			// order: drops are retransmitted, duplicates deduplicated, so
-			// the delivered box is always exactly the sent messages.
-			if pf := c.cfg.Faults; pf != nil {
-				if pf.DropsMessage(round, msg.Src, dst, seq) {
-					c.stats.DroppedMessages++
-					c.stats.ReplayedWords += int64(len(msg.Payload))
-					droppedThisRound = true
-				}
-				if pf.DupsMessage(round, msg.Src, dst, seq) {
-					c.stats.DupMessages++
-				}
-			}
-			seq++
-			pairWords += len(msg.Payload)
-			recv += len(msg.Payload)
-			sentByNode[msg.Src] += len(msg.Payload)
-			c.stats.Messages++
-			c.stats.Words += int64(len(msg.Payload))
-			if !routed && pairWords > c.cfg.PairWords {
-				if err := c.violate(Violation{
-					Round: c.stats.Rounds, Src: msg.Src, Dst: dst,
-					Kind: "pair", Words: pairWords, Limit: c.cfg.PairWords,
-				}); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				pairWords = -1 << 30 // flag once per pair per round
-			}
-		}
-		c.recvW[dst] = recv
-		if recv > maxRecv {
-			maxRecv = recv
-		}
-		if recv > c.stats.PeakRecv {
-			c.stats.PeakRecv = recv
-		}
-		nodeLimit := c.n * c.cfg.PairWords
-		if recv > nodeLimit {
-			if err := c.violate(Violation{
-				Round: c.stats.Rounds, Src: dst, Dst: -1,
-				Kind: "received", Words: recv, Limit: nodeLimit,
-			}); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		c.inboxes[dst] = box
-	}
-	if routed {
-		nodeLimit := c.n * c.cfg.PairWords
-		for v, sent := range sentByNode {
-			if sent > nodeLimit {
-				if err := c.violate(Violation{
-					Round: c.stats.Rounds, Src: v, Dst: -1,
-					Kind: "routed", Words: sent, Limit: nodeLimit,
-				}); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
-	if droppedThisRound {
-		c.stats.RecoveryRounds++
-	}
-	// Skew accounting across nodes: max/mean ratios and Gini coefficients
-	// (computed on the reusable scratch buffer — no allocation per round).
-	maxSent := 0
-	for _, s := range sentByNode {
-		if s > maxSent {
-			maxSent = s
-		}
-	}
-	roundMsgs := c.stats.Messages - preMsgs
-	roundWords := c.stats.Words - preWords
-	copy(c.sortBuf, sentByNode)
-	giniSent := trace.Gini(c.sortBuf)
-	copy(c.sortBuf, c.recvW)
-	giniRecv := trace.Gini(c.sortBuf)
-	if roundWords > 0 {
-		mean := float64(roundWords) / float64(c.n)
-		if s := float64(maxSent) / mean; s > c.stats.SkewSent {
-			c.stats.SkewSent = s
-		}
-		if s := float64(maxRecv) / mean; s > c.stats.SkewRecv {
-			c.stats.SkewRecv = s
-		}
-	}
-	if giniSent > c.stats.GiniSent {
-		c.stats.GiniSent = giniSent
-	}
-	if giniRecv > c.stats.GiniRecv {
-		c.stats.GiniRecv = giniRecv
-	}
-	charged := 1
-	if routed {
-		charged = LenzenRounds
-	}
-	c.bumpSpan(span, charged, roundMsgs, roundWords, maxSent, maxRecv, giniSent, giniRecv)
-	if c.tracer != nil {
-		// Event slices are freshly allocated: sinks may retain them. The
-		// clique model has no memory budget, so Resident stays nil.
-		c.tracer.Superstep(trace.Event{
-			Round:          c.stats.Rounds,
-			Step:           name,
-			Span:           span,
-			Sent:           append([]int(nil), sentByNode...),
-			Recv:           append([]int(nil), c.recvW...),
-			Messages:       int(roundMsgs),
-			Words:          int(roundWords),
-			MaxSent:        maxSent,
-			MaxRecv:        maxRecv,
-			GiniSent:       giniSent,
-			GiniRecv:       giniRecv,
-			Crashes:        c.stats.RecoveredCrashes - preCrashes,
-			RecoveryRounds: c.stats.RecoveryRounds - preRecovery,
-			ReplayedWords:  c.stats.ReplayedWords - preReplayed,
-			Dropped:        c.stats.DroppedMessages - preDropped,
-			Duplicated:     c.stats.DupMessages - preDups,
-			Stalls:         c.stats.StallRounds - preStalls,
-		})
-	}
-	return firstErr
-}
-
-func (c *Cluster) violate(v Violation) error {
-	c.stats.Violations = append(c.stats.Violations, v)
-	if c.cfg.Strict {
-		return fmt.Errorf("%w: %s", ErrBandwidth, v)
-	}
-	return nil
+	return err
 }
 
 // Drain empties and returns node v's inbox — the node-local consumption of
 // delivered messages between steps.
-func (c *Cluster) Drain(v int) []Message {
-	box := c.inboxes[v]
-	c.inboxes[v] = nil
-	return box
-}
+func (c *Cluster) Drain(v int) []Message { return c.eng.Drain(v) }
 
 // SumToZero has every node contribute one word, summed at node 0 in one
 // round (each contribution travels a distinct pair link). Returns the sum.
 func (c *Cluster) SumToZero(name string, local func(v int) uint64) (uint64, error) {
-	if err := c.Step(name, func(x *Ctx) {
-		x.Send(0, local(x.Node))
-	}); err != nil {
-		return 0, err
-	}
-	var sum uint64
-	for _, msg := range c.Drain(0) {
-		for _, w := range msg.Payload {
-			sum += w
-		}
-	}
-	return sum, nil
+	return c.reduceToZero(name, local, func(a, b uint64) uint64 { return a + b })
 }
 
 // MaxToZero is SumToZero with max instead of sum.
 func (c *Cluster) MaxToZero(name string, local func(v int) uint64) (uint64, error) {
-	if err := c.Step(name, func(x *Ctx) {
-		x.Send(0, local(x.Node))
-	}); err != nil {
-		return 0, err
+	return c.reduceToZero(name, local, func(a, b uint64) uint64 { return max(a, b) })
+}
+
+// reduceToZero gathers one word per node at node 0 in one round and folds
+// them with op, starting from 0.
+func (c *Cluster) reduceToZero(name string, local func(v int) uint64, op func(a, b uint64) uint64) (uint64, error) {
+	parts, err := c.eng.Gather(name, func(x *Ctx) []uint64 { return []uint64{local(x.Machine)} })
+	if err != nil {
+		return 0, c.modelErr(err)
 	}
-	var best uint64
-	for _, msg := range c.Drain(0) {
-		for _, w := range msg.Payload {
-			if w > best {
-				best = w
-			}
+	var acc uint64
+	for _, words := range parts {
+		for _, w := range words {
+			acc = op(acc, w)
 		}
 	}
-	return best, nil
+	return acc, nil
 }
 
 // BroadcastWord has node 0 send one word to every node in one round.
 func (c *Cluster) BroadcastWord(name string, word uint64) error {
-	if err := c.Step(name, func(x *Ctx) {
-		if x.Node != 0 {
-			return
-		}
-		for dst := 1; dst < c.n; dst++ {
-			x.Send(dst, word)
-		}
-	}); err != nil {
-		return err
-	}
-	for v := 1; v < c.n; v++ {
-		c.inboxes[v] = nil
-	}
-	return nil
+	_, err := c.eng.Broadcast(name, []uint64{word})
+	return c.modelErr(err)
 }
 
-// ScatterAggregate is the congested clique's O(1)-round vector reduction:
-// every node holds nExt values (nExt <= n); coordinate e is summed at
-// aggregator node e — every contribution rides a distinct pair link as a
-// single word — and the aggregated vector is collected at node 0, each
-// aggregator's sum again one word on its own link. Two rounds total,
-// independent of nExt.
+// ScatterAggregateFloat is the congested clique's O(1)-round vector
+// reduction: every node holds nExt float64 values (nExt <= n); coordinate e
+// is summed at aggregator node e — every contribution rides a distinct pair
+// link as a single word (an IEEE-754 bit pattern) — and the aggregated
+// vector is collected at node 0, each aggregator's sum again one word on its
+// own link. Two rounds total, independent of nExt.
 //
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
 // in the clique for any chunk width up to log₂ n — the collective the MPC
 // simulator must pay ⌈·⌉ gathers for.
-func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v, e int) uint64) ([]uint64, error) {
-	if nExt > c.n {
-		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
-	}
-	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		for e := 0; e < nExt; e++ {
-			x.Send(e, local(x.Node, e))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	// Aggregators sum their coordinate locally, then forward to node 0; the
-	// sender id identifies the coordinate.
-	partial := make([]uint64, nExt)
-	for agg := 0; agg < nExt; agg++ {
-		for _, msg := range c.Drain(agg) {
-			for _, w := range msg.Payload {
-				partial[agg] += w
-			}
-		}
-	}
-	if err := c.Step(name+"/collect", func(x *Ctx) {
-		if x.Node < nExt {
-			x.Send(0, partial[x.Node])
-		}
-	}); err != nil {
-		return nil, err
-	}
-	sums := make([]uint64, nExt)
-	for _, msg := range c.Drain(0) {
-		if msg.Src < nExt && len(msg.Payload) == 1 {
-			sums[msg.Src] = msg.Payload[0]
-		}
-	}
-	return sums, nil
-}
-
-// ScatterAggregateFloat is ScatterAggregate for float64 contributions
-// (transported as IEEE-754 bit patterns, summed as floats at aggregators).
 func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v, e int) float64) ([]float64, error) {
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
 		for e := 0; e < nExt; e++ {
-			x.Send(e, math.Float64bits(local(x.Node, e)))
+			x.Send(e, math.Float64bits(local(x.Machine, e)))
 		}
 	}); err != nil {
 		return nil, err
 	}
+	// Aggregators sum their coordinate locally, then forward to node 0; the
+	// sender id identifies the coordinate.
 	partial := make([]float64, nExt)
 	for agg := 0; agg < nExt; agg++ {
 		for _, msg := range c.Drain(agg) {
@@ -893,8 +377,8 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v, e i
 		}
 	}
 	if err := c.Step(name+"/collect", func(x *Ctx) {
-		if x.Node < nExt {
-			x.Send(0, math.Float64bits(partial[x.Node]))
+		if x.Machine < nExt {
+			x.Send(0, math.Float64bits(partial[x.Machine]))
 		}
 	}); err != nil {
 		return nil, err

@@ -10,22 +10,23 @@ import (
 
 func TestCliqueCancelAtBarrier(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	stats, err := RunContext(ctx, Config{}, 6, func(c *Cluster) error {
-		for r := 0; r < 10; r++ {
-			if r == 2 {
-				cancel()
-			}
-			if err := c.Step("ring", func(x *Ctx) {
-				x.Send((x.Node+1)%6, uint64(x.Node))
-			}); err != nil {
-				return err
-			}
-			for v := 0; v < 6; v++ {
-				c.Drain(v)
-			}
+	defer cancel()
+	c, err := NewCluster(Config{Context: ctx}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 10 && err == nil; r++ {
+		if r == 2 {
+			cancel()
 		}
-		return nil
-	})
+		err = c.Step("ring", func(x *Ctx) {
+			x.Send((x.Machine+1)%6, uint64(x.Machine))
+		})
+		for v := 0; v < 6; v++ {
+			c.Drain(v)
+		}
+	}
+	stats := c.Stats()
 	// The sentinels are shared with mpc — one errors.Is works for both
 	// simulators.
 	if !errors.Is(err, mpc.ErrCanceled) {
@@ -42,7 +43,7 @@ func TestCliqueCancelAtBarrier(t *testing.T) {
 		t.Fatalf("CancelError round = %d, stats = %+v, want 2 committed rounds", ce.Round, ce.Stats)
 	}
 	if stats.Rounds != 2 {
-		t.Fatalf("RunContext stats = %+v", stats)
+		t.Fatalf("cluster stats = %+v", stats)
 	}
 	want := "clique: run canceled after 2 committed rounds"
 	if got := ce.Error(); len(got) < len(want) || got[:len(want)] != want {

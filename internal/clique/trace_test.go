@@ -24,7 +24,7 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		if err := c.Step("work", func(x *Ctx) {
 			// Every node sends one word to node 0: receive-skewed on purpose.
-			x.Send(0, uint64(x.Node))
+			x.Send(0, uint64(x.Machine))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -77,33 +77,33 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 func TestCliqueTraceRoutedAndCharged(t *testing.T) {
 	c, ring := newTracedClique(t, Config{PairWords: 1}, 4)
 	c.Span("gather")
-	if err := c.RouteStep("route", func(x *Ctx) { x.Send((x.Node+1)%4, 7) }); err != nil {
+	if err := c.RouteStep("route", func(x *Ctx) { x.Send((x.Machine+1)%4, 7) }); err != nil {
 		t.Fatal(err)
 	}
 	c.Span("finish")
-	c.ChargeRounds(2)
+	if err := c.Step("notify", func(x *Ctx) {}); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Stats()
-	if st.Rounds != LenzenRounds+2 {
-		t.Fatalf("rounds %d, want %d", st.Rounds, LenzenRounds+2)
+	if st.Rounds != LenzenRounds+1 {
+		t.Fatalf("rounds %d, want %d", st.Rounds, LenzenRounds+1)
 	}
 	evs := ring.Events()
-	if len(evs) != 3 {
-		t.Fatalf("%d events, want 3 (1 routed + 2 charged)", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want 2 (1 routed + 1 plain)", len(evs))
 	}
 	if evs[0].Step != "route" || evs[0].Round != LenzenRounds {
 		t.Fatalf("routed event %+v", evs[0])
 	}
-	for i, ev := range evs[1:] {
-		if !ev.Charged || ev.Span != "finish" || ev.Sent != nil || ev.Words != 0 {
-			t.Fatalf("charged event %d = %+v", i, ev)
-		}
+	if ev := evs[1]; ev.Round != LenzenRounds+1 || ev.Span != "finish" || ev.Words != 0 {
+		t.Fatalf("plain event = %+v", ev)
 	}
 	// Span accounting: the routed exchange bills LenzenRounds to "gather",
-	// the charged rounds bill to "finish" with no traffic.
+	// the silent round bills one round to "finish" with no traffic.
 	if len(st.Spans) != 2 || st.Spans[0].Span != "gather" || st.Spans[0].Rounds != LenzenRounds {
 		t.Fatalf("spans %+v", st.Spans)
 	}
-	if st.Spans[1].Span != "finish" || st.Spans[1].Rounds != 2 || st.Spans[1].Words != 0 {
+	if st.Spans[1].Span != "finish" || st.Spans[1].Rounds != 1 || st.Spans[1].Words != 0 {
 		t.Fatalf("spans %+v", st.Spans)
 	}
 }
@@ -112,7 +112,7 @@ func TestCliqueTraceRecoveryDeltas(t *testing.T) {
 	plan := &mpc.FaultPlan{Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}
 	c, ring := newTracedClique(t, Config{PairWords: 4, Faults: plan}, 3)
 	for r := 0; r < 3; r++ {
-		if err := c.Step("s", func(x *Ctx) { x.Send(0, uint64(x.Node)) }); err != nil {
+		if err := c.Step("s", func(x *Ctx) { x.Send(0, uint64(x.Machine)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestCliqueStepNoAllocWithoutTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := func() {
-		if err := c.Step("bench", func(x *Ctx) { x.Send((x.Node+1)%4, 1, 2) }); err != nil {
+		if err := c.Step("bench", func(x *Ctx) { x.Send((x.Machine+1)%4, 1, 2) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Cooperative cancellation. A cluster built with Config.Context checks the
-// context at every superstep barrier — the top of Step and of ChargeRounds —
-// and, once the context is done, refuses to start the next superstep.
+// context at every superstep barrier — the top of Step, RouteStep and
+// ChargeRounds — and, once the context is done, refuses to start the next
+// superstep.
 // Nothing is interrupted mid-round: the machine goroutines of the current
 // superstep always run to the barrier (runAttempt waits on all of them), so
 // cancellation can never leak a goroutine or tear driver state. The returned
@@ -64,20 +65,4 @@ func (c *Cluster) barrierErr() error {
 	default:
 		return nil
 	}
-}
-
-// RunContext builds a cluster wired to ctx and executes driver on it,
-// returning the accumulated Stats alongside driver's error. When ctx is
-// canceled (or its deadline passes), the driver's next Step or ChargeRounds
-// returns a *CancelError wrapping ErrCanceled/ErrDeadline with the committed
-// round — the structured-degradation entry point the CLIs use for deadlines
-// and SIGINT.
-func RunContext(ctx context.Context, cfg Config, n int, driver func(*Cluster) error) (Stats, error) {
-	cfg.Context = ctx
-	c, err := NewCluster(cfg, n)
-	if err != nil {
-		return Stats{}, err
-	}
-	err = driver(c)
-	return c.Stats(), err
 }

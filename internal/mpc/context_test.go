@@ -10,17 +10,18 @@ import (
 
 func TestCancelAtBarrierReturnsStructuredError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	stats, err := RunContext(ctx, Config{Machines: 4}, 16, func(c *Cluster) error {
-		for r := 0; r < 10; r++ {
-			if r == 3 {
-				cancel() // external cancellation lands between supersteps
-			}
-			if err := c.Step("work", echoStep); err != nil {
-				return err
-			}
+	defer cancel()
+	c, err := NewCluster(Config{Machines: 4, Context: ctx}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 10 && err == nil; r++ {
+		if r == 3 {
+			cancel() // external cancellation lands between supersteps
 		}
-		return nil
-	})
+		err = c.Step("work", echoStep)
+	}
+	stats := c.Stats()
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -40,7 +41,7 @@ func TestCancelAtBarrierReturnsStructuredError(t *testing.T) {
 		t.Fatalf("CancelError round = %d, stats rounds = %d, want 3", ce.Round, ce.Stats.Rounds)
 	}
 	if stats.Rounds != 3 || stats.Words != ce.Stats.Words {
-		t.Fatalf("RunContext stats %+v disagree with CancelError stats %+v", stats, ce.Stats)
+		t.Fatalf("cluster stats %+v disagree with CancelError stats %+v", stats, ce.Stats)
 	}
 }
 
@@ -48,9 +49,11 @@ func TestDeadlineAtBarrierReturnsErrDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
 	<-ctx.Done() // already expired; wait to make the test deterministic
-	_, err := RunContext(ctx, Config{Machines: 2}, 8, func(c *Cluster) error {
-		return c.Step("never", echoStep)
-	})
+	c, err := NewCluster(Config{Machines: 2, Context: ctx}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Step("never", echoStep)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -86,18 +89,18 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunContext(ctx, Config{Machines: 8}, 64, func(c *Cluster) error {
-			for r := 0; ; r++ {
-				if r == 2 {
-					cancel()
-				}
-				if err := c.Step("work", func(x *Ctx) {
-					x.Send((x.Machine+1)%8, uint64(x.Machine))
-				}); err != nil {
-					return err
-				}
+		c, err := NewCluster(Config{Machines: 8, Context: ctx}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; err == nil; r++ {
+			if r == 2 {
+				cancel()
 			}
-		})
+			err = c.Step("work", func(x *Ctx) {
+				x.Send((x.Machine+1)%8, uint64(x.Machine))
+			})
+		}
 		cancel()
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("run %d: err = %v", i, err)

@@ -10,6 +10,12 @@
 // per round, and peak resident memory per machine, checking them against the
 // regime's budget S.
 //
+// Cluster is the one superstep engine of the repository. The congested
+// clique (package clique) is the same engine configured with one machine per
+// vertex and its own budget policy (NewClusterBudget): only the budget check
+// differs between the two models, everything else — the worker pool, fault
+// recovery, spans, tracing, cancellation and transport — is shared.
+//
 // Execution is bit-for-bit deterministic regardless of goroutine scheduling
 // and of the parallelism level: each worker buffers the sends of its
 // contiguous machine block locally, the buffers are merged in fixed machine
@@ -94,10 +100,10 @@ type Config struct {
 	// (per-machine words sent/received, resident memory, recovery activity).
 	// Tracing is deterministic and costs nothing when nil.
 	Tracer trace.Tracer
-	// Context, when non-nil, is checked at every superstep barrier (Step and
-	// ChargeRounds): once it is done, the call returns a *CancelError
-	// wrapping ErrCanceled or ErrDeadline with the committed round and full
-	// Stats. See RunContext.
+	// Context, when non-nil, is checked at every superstep barrier (Step,
+	// RouteStep and ChargeRounds): once it is done, the call returns a
+	// *CancelError wrapping ErrCanceled or ErrDeadline with the committed
+	// round and full Stats. The CLIs wire deadlines and SIGINT through it.
 	Context context.Context
 	// Sink, when non-nil (together with CheckpointEvery > 0 and a registered
 	// Checkpointer), persists every in-memory checkpoint durably; written
@@ -247,12 +253,22 @@ type Message struct {
 	Payload []uint64
 }
 
+// BudgetPolicy meters one committed superstep against a model's budgets:
+// round is the committed round count the violations are stamped with,
+// routed marks a RouteStep exchange, sent[m] and recv[m] are machine m's
+// words this superstep, and boxes are the delivered per-destination boxes
+// (sorted by sender). It records violations in its own model's Stats and
+// returns the first strict-mode error, which aborts the superstep before
+// delivery. It runs single-threaded at the barrier.
+type BudgetPolicy func(round int, routed bool, sent, recv []int, boxes [][]Message) error
+
 // Cluster is a simulated MPC cluster over a ground set of n items
 // (vertices), block-partitioned across machines.
 type Cluster struct {
 	cfg     Config
 	n       int
 	budget  int
+	meter   BudgetPolicy
 	stats   Stats
 	inboxes [][]Message
 
@@ -269,11 +285,13 @@ type Cluster struct {
 	inStep      bool
 	pendingViol [][]Violation
 
-	// Superstep recovery state (see fault.go and checkpoint.go).
+	// Superstep recovery state (see fault.go and checkpoint.go). fired
+	// records the (round, machine) crashes already injected, so the
+	// re-executed superstep does not crash again.
 	ckpt          Checkpointer
 	snapshots     [][]uint64
 	ckptRound     int
-	fired         map[uint64]struct{}
+	fired         map[[2]int]struct{}
 	resumeApplied bool
 
 	// Observability state: the registered tracer, the active span label
@@ -289,8 +307,25 @@ type Cluster struct {
 }
 
 // NewCluster creates a cluster for a ground set of n items. The memory
-// budget S is derived from cfg.Regime and n.
+// budget S is derived from cfg.Regime and n, and every superstep is metered
+// by the MPC budget policy: each machine's sent and received words against
+// S, plus the resident memory reported through SetResident/AddResident.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
+	c, err := NewClusterBudget(cfg, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.resident = make([]int, c.cfg.Machines)
+	c.meter = c.meterSendRecv
+	return c, nil
+}
+
+// NewClusterBudget creates a cluster whose supersteps are metered by meter
+// instead of the MPC send/receive budgets; it is how package clique runs the
+// congested clique on this engine. Such a cluster has no resident-memory
+// model: SetResident/AddResident must not be called, and trace events carry
+// no Resident vector.
+func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("mpc: machines %d < 1", cfg.Machines)
 	}
@@ -338,15 +373,15 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		n:        n,
-		budget:   budget,
-		resident: make([]int, cfg.Machines),
-		inboxes:  make([][]Message, cfg.Machines),
-		tracer:   cfg.Tracer,
-		sentW:    make([]int, cfg.Machines),
-		recvW:    make([]int, cfg.Machines),
-		sortBuf:  make([]int, cfg.Machines),
+		cfg:     cfg,
+		n:       n,
+		budget:  budget,
+		meter:   meter,
+		inboxes: make([][]Message, cfg.Machines),
+		tracer:  cfg.Tracer,
+		sentW:   make([]int, cfg.Machines),
+		recvW:   make([]int, cfg.Machines),
+		sortBuf: make([]int, cfg.Machines),
 	}
 	setup := "setup"
 	c.span.Store(&setup)
@@ -553,7 +588,7 @@ func (c *Cluster) ChargeRounds(name string, k int) error {
 		c.stats.Rounds++
 		info := RoundInfo{Name: name, Span: span}
 		c.stats.Log = append(c.stats.Log, info)
-		c.bumpSpan(info)
+		c.bumpSpan(info, 1)
 		if c.tracer != nil {
 			c.tracer.Superstep(trace.Event{
 				Round:   c.stats.Rounds,
@@ -582,10 +617,11 @@ func (c *Cluster) findSpan(name string) *SpanStat {
 	return &c.stats.Spans[len(c.stats.Spans)-1]
 }
 
-// bumpSpan folds one committed round into its span aggregate.
-func (c *Cluster) bumpSpan(info RoundInfo) {
+// bumpSpan folds one committed superstep, charged as rounds model rounds,
+// into its span aggregate.
+func (c *Cluster) bumpSpan(info RoundInfo, rounds int) {
 	sp := c.findSpan(info.Span)
-	sp.Rounds++
+	sp.Rounds += rounds
 	sp.Messages += int64(info.Messages)
 	sp.Words += int64(info.Words)
 	sp.MaxSent = maxInt(sp.MaxSent, info.MaxSent)
@@ -676,7 +712,8 @@ func mergeSpans(a, b []SpanStat) []SpanStat {
 
 // Ctx is the per-machine view inside one Step: the machine id, its item
 // range, the messages delivered at the end of the previous step, and a Send
-// primitive for the current step.
+// primitive for the current step. In the congested clique the machine is
+// the vertex's node (one machine per vertex, Lo = Machine, Hi = Machine+1).
 //
 // A Ctx is valid only for the duration of its step: once the step commits
 // (or aborts), the context is invalidated and late Send calls are dropped
@@ -686,15 +723,11 @@ type Ctx struct {
 	Machine int
 	Lo, Hi  int
 
-	c     *Cluster
-	round int
-	inbox []Message
-	sent  int
-	ob    *stepOutbox
-
-	crashed  bool
-	panicked any
-	stack    []byte
+	inbox   []Message
+	sent    int
+	ob      *stepOutbox
+	crashed bool
+	merr    *MachineError
 }
 
 // stepOutbox buffers the sends of one worker's contiguous machine block
@@ -707,6 +740,8 @@ type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
 	boxes  [][]Message // indexed by destination machine
+	c      *Cluster
+	round  int
 }
 
 // Inbox returns the messages delivered to this machine at the end of the
@@ -729,7 +764,7 @@ func (x *Ctx) SendOwned(dst int, payload []uint64) {
 	ob.mu.Lock()
 	if ob.sealed {
 		ob.mu.Unlock()
-		x.c.noteLateSend(x.Machine, x.round, len(payload))
+		ob.c.noteLateSend(x.Machine, ob.round, len(payload))
 		return
 	}
 	x.sent += len(payload)
@@ -762,11 +797,12 @@ func (c *Cluster) takeLateErr() error {
 }
 
 // attempt is the transient state of one superstep execution attempt: the
-// per-machine contexts and the per-worker outbox buffers they fed. The
-// buffers live and die with the attempt — a crash retry starts from fresh
-// ones — so an aborted attempt can never leak traffic into the next round.
+// per-machine contexts (one allocation for all M) and the per-worker outbox
+// buffers they fed. The buffers live and die with the attempt — a crash
+// retry starts from fresh ones — so an aborted attempt can never leak
+// traffic into the next round.
 type attempt struct {
-	ctxs    []*Ctx
+	ctxs    []Ctx
 	outs    []*stepOutbox // one per worker, in ascending machine-block order
 	crashed []int
 	merr    *MachineError
@@ -837,12 +873,12 @@ func (c *Cluster) crashNow(round, m int) bool {
 	if !c.cfg.Faults.CrashesAt(round, m) {
 		return false
 	}
-	key := eventID(faultCrash, round, m, 0, 0)
+	key := [2]int{round, m}
 	if _, ok := c.fired[key]; ok {
 		return false
 	}
 	if c.fired == nil {
-		c.fired = make(map[uint64]struct{})
+		c.fired = make(map[[2]int]struct{})
 	}
 	c.fired[key] = struct{}{}
 	return true
@@ -858,20 +894,20 @@ func (c *Cluster) crashNow(round, m int) bool {
 // panicked.
 func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 	M := c.cfg.Machines
-	at := &attempt{ctxs: make([]*Ctx, M)}
-	for m := 0; m < M; m++ {
-		lo, hi := c.Range(m)
-		at.ctxs[m] = &Ctx{Machine: m, Lo: lo, Hi: hi, c: c, round: round, inbox: c.inboxes[m]}
+	at := &attempt{ctxs: make([]Ctx, M)}
+	for m := range at.ctxs {
+		x := &at.ctxs[m]
+		x.Machine, x.inbox = m, c.inboxes[m]
+		x.Lo, x.Hi = c.Range(m)
 		if c.crashNow(round, m) {
-			at.ctxs[m].crashed = true
+			x.crashed = true
 			at.crashed = append(at.crashed, m)
 		}
 	}
 	run := func(x *Ctx) {
 		defer func() {
 			if r := recover(); r != nil {
-				x.panicked = r
-				x.stack = debug.Stack()
+				x.merr = &MachineError{Machine: x.Machine, Round: round, Panic: r, Stack: debug.Stack()}
 			}
 		}()
 		f(x)
@@ -887,7 +923,7 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		if hi > M {
 			hi = M
 		}
-		ob := &stepOutbox{boxes: make([][]Message, M)}
+		ob := &stepOutbox{boxes: make([][]Message, M), c: c, round: round}
 		at.outs = append(at.outs, ob)
 		for m := lo; m < hi; m++ {
 			at.ctxs[m].ob = ob
@@ -895,7 +931,7 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		block := func(lo, hi int) {
 			for m := lo; m < hi; m++ {
 				if !at.ctxs[m].crashed {
-					run(at.ctxs[m])
+					run(&at.ctxs[m])
 				}
 			}
 		}
@@ -910,9 +946,8 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		}(lo, hi)
 	}
 	wg.Wait()
-	for m := 0; m < M; m++ {
-		if at.ctxs[m].panicked != nil {
-			at.merr = &MachineError{Machine: m, Round: round, Panic: at.ctxs[m].panicked, Stack: at.ctxs[m].stack}
+	for m := range at.ctxs {
+		if at.merr = at.ctxs[m].merr; at.merr != nil {
 			break
 		}
 	}
@@ -937,6 +972,21 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 //   - In Strict mode a budget violation aborts the step cleanly: the error
 //     is returned, nothing is delivered, and the contexts are invalidated.
 func (c *Cluster) Step(name string, f func(x *Ctx)) error {
+	return c.step(name, 1, false, f)
+}
+
+// RouteStep is Step for an exchange scheduled by a routing protocol that
+// costs rounds model rounds (the congested clique's Lenzen routing): the
+// superstep is charged rounds rounds, and the budget policy meters it as
+// routed. The MPC policy meters a routed exchange exactly like a Step.
+func (c *Cluster) RouteStep(name string, rounds int, f func(x *Ctx)) error {
+	if rounds < 1 {
+		return fmt.Errorf("mpc: routed step %q charged %d rounds < 1", name, rounds)
+	}
+	return c.step(name, rounds, true, f)
+}
+
+func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) error {
 	if err := c.takeLateErr(); err != nil {
 		return err
 	}
@@ -997,47 +1047,27 @@ func (c *Cluster) Step(name string, f func(x *Ctx)) error {
 		boxes = exchanged
 	}
 
-	c.stats.Rounds++
+	c.stats.Rounds += rounds
 	info := RoundInfo{Name: name, Span: span}
-	var firstErr error
+	droppedThisRound := false
 	for m := 0; m < M; m++ {
 		sent := at.ctxs[m].sent
 		c.sentW[m] = sent
-		if sent > info.MaxSent {
-			info.MaxSent = sent
-		}
-		if sent > c.stats.PeakSent {
-			c.stats.PeakSent = sent
-		}
-		if sent > c.budget {
-			if err := c.violate(Violation{Round: c.stats.Rounds, Machine: m, Kind: "send", Words: sent, Budget: c.budget}); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	droppedThisRound := false
-	for m := 0; m < M; m++ {
+		info.MaxSent = maxInt(info.MaxSent, sent)
+		c.stats.PeakSent = maxInt(c.stats.PeakSent, sent)
 		box := boxes[m]
 		c.transportFaults(round, m, box, &droppedThisRound)
 		recv := 0
 		for _, msg := range box {
 			recv += len(msg.Payload)
-			info.Messages++
-			info.Words += len(msg.Payload)
 		}
+		info.Messages += len(box)
+		info.Words += recv
 		c.recvW[m] = recv
-		if recv > info.MaxRecv {
-			info.MaxRecv = recv
-		}
-		if recv > c.stats.PeakRecv {
-			c.stats.PeakRecv = recv
-		}
-		if recv > c.budget {
-			if err := c.violate(Violation{Round: c.stats.Rounds, Machine: m, Kind: "recv", Words: recv, Budget: c.budget}); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+		info.MaxRecv = maxInt(info.MaxRecv, recv)
+		c.stats.PeakRecv = maxInt(c.stats.PeakRecv, recv)
 	}
+	firstErr := c.meter(c.stats.Rounds, routed, c.sentW, c.recvW, boxes)
 	if droppedThisRound {
 		c.stats.RecoveryRounds++
 	}
@@ -1057,10 +1087,11 @@ func (c *Cluster) Step(name string, f func(x *Ctx)) error {
 	c.stats.Messages += int64(info.Messages)
 	c.stats.Words += int64(info.Words)
 	c.stats.Log = append(c.stats.Log, info)
-	c.bumpSpan(info)
+	c.bumpSpan(info, rounds)
 	if c.tracer != nil {
 		// Event slices are freshly allocated: sinks may retain them. Machine
-		// goroutines are quiesced at this point, so c.resident is stable.
+		// goroutines are quiesced at this point, so c.resident is stable (nil
+		// without a resident-memory model).
 		c.tracer.Superstep(trace.Event{
 			Round:          c.stats.Rounds,
 			Step:           name,
@@ -1087,10 +1118,35 @@ func (c *Cluster) Step(name string, f func(x *Ctx)) error {
 		// returned, nothing reaches the next round's inboxes.
 		return firstErr
 	}
-	for m := 0; m < M; m++ {
-		c.inboxes[m] = boxes[m]
-	}
+	copy(c.inboxes, boxes)
 	return nil
+}
+
+// meterSendRecv is the MPC budget policy: every machine's sent words, then
+// every machine's received words, against S. (Resident-memory violations
+// are recorded as they are reported, see SetResident.)
+func (c *Cluster) meterSendRecv(round int, _ bool, sent, recv []int, _ [][]Message) error {
+	var firstErr error
+	check := func(kind string, words []int) {
+		for m, w := range words {
+			if w > c.budget {
+				if err := c.violate(Violation{Round: round, Machine: m, Kind: kind, Words: w, Budget: c.budget}); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
+	}
+	check("send", sent)
+	check("recv", recv)
+	return firstErr
+}
+
+// Drain empties and returns machine m's inbox — the coordinator-side
+// consumption of delivered messages between steps.
+func (c *Cluster) Drain(m int) []Message {
+	box := c.inboxes[m]
+	c.inboxes[m] = nil
+	return box
 }
 
 // transportFaults applies the plan's message-level faults to one sorted

@@ -129,10 +129,10 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 		// neighbors (one word per incident pair).
 		cand.Union(marks)
 		if err := c.Step("dominate", func(x *clique.Ctx) {
-			if !marks.Contains(x.Node) {
+			if !marks.Contains(x.Machine) {
 				return
 			}
-			for _, u := range g.Neighbors(x.Node) {
+			for _, u := range g.Neighbors(x.Machine) {
 				if active.Contains(int(u)) {
 					x.Send(int(u), 1)
 				}
@@ -188,10 +188,10 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 func cliqueActiveView(c *clique.Cluster, g *graph.Graph, active *bitset.Set) ([][]int32, error) {
 	n := g.N()
 	if err := c.Step("view", func(x *clique.Ctx) {
-		if !active.Contains(x.Node) {
+		if !active.Contains(x.Machine) {
 			return
 		}
-		for _, u := range g.Neighbors(x.Node) {
+		for _, u := range g.Neighbors(x.Machine) {
 			x.Send(int(u), 1)
 		}
 	}); err != nil {
@@ -327,10 +327,10 @@ func cliqueSolveResidual(c *clique.Cluster, g *graph.Graph, cand *bitset.Set) ([
 	c.Span("gather")
 	// Announce: candidates tell their neighbors (one word per pair).
 	if err := c.Step("residual/announce", func(x *clique.Ctx) {
-		if !cand.Contains(x.Node) {
+		if !cand.Contains(x.Machine) {
 			return
 		}
-		for _, u := range g.Neighbors(x.Node) {
+		for _, u := range g.Neighbors(x.Machine) {
 			x.Send(int(u), 1)
 		}
 	}); err != nil {
@@ -349,12 +349,12 @@ func cliqueSolveResidual(c *clique.Cluster, g *graph.Graph, cand *bitset.Set) ([
 	// Route: each candidate ships its candidate-incident edges (smaller
 	// endpoint owns) to node 0 under Lenzen's per-node budgets.
 	if err := c.RouteStep("residual/route", func(x *clique.Ctx) {
-		if !cand.Contains(x.Node) {
+		if !cand.Contains(x.Machine) {
 			return
 		}
-		for _, u := range candNbrs[x.Node] {
-			if int(u) > x.Node {
-				x.Send(0, uint64(uint32(x.Node))<<32|uint64(uint32(u)))
+		for _, u := range candNbrs[x.Machine] {
+			if int(u) > x.Machine {
+				x.Send(0, uint64(uint32(x.Machine))<<32|uint64(uint32(u)))
 			}
 		}
 	}); err != nil {
@@ -392,7 +392,7 @@ func cliqueSolveResidual(c *clique.Cluster, g *graph.Graph, cand *bitset.Set) ([
 	// Notify members individually (one word per pair from node 0).
 	c.Span("finish")
 	if err := c.Step("residual/notify", func(x *clique.Ctx) {
-		if x.Node != 0 {
+		if x.Machine != 0 {
 			return
 		}
 		inMIS.ForEach(func(v int) bool {
