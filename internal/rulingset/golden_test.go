@@ -38,19 +38,21 @@ var goldenCliqueRuns = map[string]func(*graph.Graph, Options) (CliqueResult, err
 }
 
 // goldenRun executes one configuration of a and returns the members, the
-// canonical Stats as JSON and the JSONL trace bytes.
-func goldenRun(t *testing.T, a algo, g *graph.Graph, o Options) (members []int32, stats, tr []byte) {
+// canonical Stats as JSON, the JSONL trace bytes and the per-phase records
+// (estimator trajectory included) as JSON.
+func goldenRun(t *testing.T, a algo, g *graph.Graph, o Options) (members []int32, stats, tr, phases []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	jl := trace.NewJSONL(&buf)
 	o.Tracer = jl
 	var st any
+	var ps []PhaseStat
 	if raw, ok := goldenCliqueRuns[a.name]; ok {
 		res, err := raw(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		members, st = res.Members, res.Stats
+		members, st, ps = res.Members, res.Stats, res.Phases
 	} else {
 		if strings.HasPrefix(a.name, "Clique") {
 			t.Fatalf("clique algorithm %s has no raw driver in goldenCliqueRuns", a.name)
@@ -59,7 +61,7 @@ func goldenRun(t *testing.T, a algo, g *graph.Graph, o Options) (members []int32
 		if err != nil {
 			t.Fatal(err)
 		}
-		members, st = res.Members, normalizedStats(res.Stats)
+		members, st, ps = res.Members, normalizedStats(res.Stats), res.Phases
 	}
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
@@ -68,7 +70,11 @@ func goldenRun(t *testing.T, a algo, g *graph.Graph, o Options) (members []int32
 	if err != nil {
 		t.Fatal(err)
 	}
-	return members, stats, buf.Bytes()
+	phases, err = json.Marshal(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return members, stats, buf.Bytes(), phases
 }
 
 // encodingSink records the exact bytes a durable checkpoint store writes for
@@ -92,17 +98,19 @@ func membersBytes(members []int32) []byte {
 	return b.Bytes()
 }
 
-// TestOracleGolden pins members, canonical Stats and trace bytes of every
+// TestOracleGolden pins members, canonical Stats, trace bytes and per-phase
+// records (SeedSteps and the estimator's initial and final values) of every
 // equivAlgorithms entry with and without faultTestPlan, the persisted
 // checkpoint bytes of a checkpointed faulty run, and a clique run that
 // records budget violations (so their order and round stamps are pinned).
 func TestOracleGolden(t *testing.T) {
 	g := gen.MustBuild("gnp:n=300,p=0.02", 17)
 	got := map[string]string{}
-	record := func(name string, members []int32, stats, tr []byte) {
+	record := func(name string, members []int32, stats, tr, phases []byte) {
 		got[name+"/members"] = digest(membersBytes(members))
 		got[name+"/stats"] = digest(stats)
 		got[name+"/trace"] = digest(tr)
+		got[name+"/phases"] = digest(phases)
 	}
 	for _, a := range equivAlgorithms() {
 		for _, faulty := range []bool{false, true} {
@@ -112,19 +120,19 @@ func TestOracleGolden(t *testing.T) {
 				name += "/faults"
 				opts.Faults = faultTestPlan()
 			}
-			members, stats, tr := goldenRun(t, a, g, opts)
-			record(name, members, stats, tr)
+			members, stats, tr, phases := goldenRun(t, a, g, opts)
+			record(name, members, stats, tr, phases)
 		}
 	}
 
 	// Durable checkpoint bytes of a checkpointed run under faults.
 	sink := &encodingSink{}
 	ck := algo{name: "DetRuling2", run: DetRuling2}
-	members, stats, tr := goldenRun(t, ck, g, Options{Seed: 5, Faults: faultTestPlan(), CheckpointEvery: 2, CheckpointSink: sink})
+	members, stats, tr, phases := goldenRun(t, ck, g, Options{Seed: 5, Faults: faultTestPlan(), CheckpointEvery: 2, CheckpointSink: sink})
 	if sink.buf.Len() == 0 {
 		t.Fatal("checkpointed run persisted nothing")
 	}
-	record("DetRuling2/checkpointed", members, stats, tr)
+	record("DetRuling2/checkpointed", members, stats, tr, phases)
 	got["DetRuling2/checkpointed/checkpoints"] = digest(sink.buf.Bytes())
 
 	// MPC runs that record budget violations: a send overflow on the star
@@ -136,11 +144,11 @@ func TestOracleGolden(t *testing.T) {
 	} {
 		vg := gen.MustBuild(v.spec, 1)
 		opts := Options{Seed: 1, Machines: 8, ChunkBits: 4}
-		members, stats, tr := goldenRun(t, algo{name: "DetRuling2", run: DetRuling2}, vg, opts)
+		members, stats, tr, phases := goldenRun(t, algo{name: "DetRuling2", run: DetRuling2}, vg, opts)
 		if !bytes.Contains(stats, []byte(`"Kind":`)) {
 			t.Fatalf("%s recorded no violations", v.name)
 		}
-		record(v.name, members, stats, tr)
+		record(v.name, members, stats, tr, phases)
 	}
 
 	// The clique drivers stay within their budgets, so the clique budget
