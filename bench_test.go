@@ -292,8 +292,10 @@ func BenchmarkCliqueScatterAggregate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ScatterAggregateFloat("bench", 256, func(v, e int) float64 {
-			return float64(v ^ e)
+		if _, err := c.ScatterAggregateFloat("bench", 256, func(v int, vals []float64) {
+			for e := range vals {
+				vals[e] = float64(v ^ e)
+			}
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -346,22 +346,25 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 }
 
 // ScatterAggregateFloat is the congested clique's O(1)-round vector
-// reduction: every node holds nExt float64 values (nExt <= n); coordinate e
-// is summed at aggregator node e — every contribution rides a distinct pair
-// link as a single word (an IEEE-754 bit pattern) — and the aggregated
-// vector is collected at node 0, each aggregator's sum again one word on its
-// own link. Two rounds total, independent of nExt.
+// reduction: every node v holds nExt float64 values (nExt <= n), which
+// local(v, vals) writes into vals; coordinate e is summed at aggregator node
+// e — every contribution rides a distinct pair link as a single word (an
+// IEEE-754 bit pattern) — and the aggregated vector is collected at node 0,
+// each aggregator's sum again one word on its own link. Two rounds total,
+// independent of nExt.
 //
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
 // in the clique for any chunk width up to log₂ n — the collective the MPC
 // simulator must pay ⌈·⌉ gathers for.
-func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v, e int) float64) ([]float64, error) {
+func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int, vals []float64)) ([]float64, error) {
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		for e := 0; e < nExt; e++ {
-			x.Send(e, math.Float64bits(local(x.Machine, e)))
+		vals := make([]float64, nExt)
+		local(x.Machine, vals)
+		for e, val := range vals {
+			x.Send(e, math.Float64bits(val))
 		}
 	}); err != nil {
 		return nil, err

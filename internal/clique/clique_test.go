@@ -188,8 +188,10 @@ func TestBroadcastWord(t *testing.T) {
 func TestScatterAggregateFloat(t *testing.T) {
 	const n, nExt = 9, 4
 	c := newTestClique(t, n)
-	sums, err := c.ScatterAggregateFloat("sa", nExt, func(v, e int) float64 {
-		return 0.5 * float64(e)
+	sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+		for e := range vals {
+			vals[e] = 0.5 * float64(e)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +209,7 @@ func TestScatterAggregateFloat(t *testing.T) {
 	if len(st.Violations) != 0 {
 		t.Fatalf("violations: %v", st.Violations)
 	}
-	if _, err := c.ScatterAggregateFloat("too-wide", n+1, func(v, e int) float64 { return 0 }); err == nil {
+	if _, err := c.ScatterAggregateFloat("too-wide", n+1, func(int, []float64) {}); err == nil {
 		t.Fatal("over-capacity scatter accepted")
 	}
 }

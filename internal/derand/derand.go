@@ -7,22 +7,28 @@
 // seed bit-chunk by bit-chunk: for each candidate extension of the next z
 // bits, every machine computes its local contribution to the conditional
 // expectation E[Φ | prefix, extension] exactly (the hash package provides
-// closed-form conditional laws); contributions are summed by a gather, the
-// coordinator keeps the best extension, and broadcasts it. By induction the
-// fully fixed seed satisfies Φ(seed) ≤ E[Φ] (for minimization) — a per-phase
-// guarantee that holds with certainty, not merely with high probability.
+// closed-form conditional laws); the model's Reduction sums the
+// contributions per extension, the coordinator keeps the best extension, and
+// the Reduction distributes it. By induction the fully fixed seed satisfies
+// Φ(seed) ≤ E[Φ] (for minimization) — a per-phase guarantee that holds with
+// certainty, not merely with high probability.
 //
-// The chunk width z trades rounds for local work and bandwidth: a seed of L
-// bits is fixed in ⌈L/z⌉ gather/broadcast pairs, while each machine
-// evaluates 2^z conditional expectations per chunk. With z = Θ(log n) the
-// whole seed is fixed in O(1) collective steps in the near-linear-memory
-// regime — the observation behind the paper's round bounds.
+// SelectSeed is the one seed search for both models; only the Reduction
+// differs. In MPC (see MPC) a chunk is a gather of 2^z words per machine
+// plus a broadcast, so a seed of L bits costs ⌈L/z⌉ gather/broadcast pairs
+// while each machine evaluates 2^z conditional expectations per chunk; with
+// z = Θ(log n) the whole seed is fixed in O(1) collective steps in the
+// near-linear-memory regime — the observation behind the paper's round
+// bounds. In the congested clique (see Clique) a chunk of any width up to
+// log₂ n is summed in O(1) rounds, one aggregator node per extension.
 package derand
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -51,8 +57,8 @@ func (o Objective) String() string {
 
 // Config tunes the seed-selection procedure.
 type Config struct {
-	// ChunkBits is z, the number of seed bits fixed per gather/broadcast
-	// step (1 <= z <= 20). Default 8.
+	// ChunkBits is z, the number of seed bits fixed per chunk (1 <= z <= 20,
+	// after the model's Reduction.MaxChunkBits clamp). Default 8.
 	ChunkBits int
 	// Objective selects the optimization direction; default Minimize.
 	Objective Objective
@@ -67,9 +73,14 @@ type Config struct {
 	OnChunk func(s *hash.Seed, start, width int)
 }
 
-func (cfg Config) withDefaults() (Config, error) {
+// withDefaults fills in defaults, clamps ChunkBits to the model's bound
+// (when positive) and validates the result.
+func (cfg Config) withDefaults(maxChunkBits int) (Config, error) {
 	if cfg.ChunkBits == 0 {
 		cfg.ChunkBits = 8
+	}
+	if maxChunkBits > 0 && cfg.ChunkBits > maxChunkBits {
+		cfg.ChunkBits = maxChunkBits
 	}
 	if cfg.ChunkBits < 1 || cfg.ChunkBits > 20 {
 		return cfg, fmt.Errorf("derand: chunk bits %d out of [1,20]", cfg.ChunkBits)
@@ -85,10 +96,10 @@ func (cfg Config) withDefaults() (Config, error) {
 
 // LocalEval computes a machine's exact local contribution to the conditional
 // expectation E[Φ | seed state], i.e. the sum of the estimator terms owned by
-// the machine (its vertices/edges), conditioned on the seed's fixed prefix
-// plus the provisional chunk currently written in s. Implementations must
-// only read state belonging to the machine described by x.
-type LocalEval func(x *mpc.Ctx, s *hash.Seed) float64
+// the machine's items [lo, hi) (its vertices/edges), conditioned on the
+// seed's fixed prefix plus the provisional chunk currently written in s.
+// Implementations must only read state belonging to those items.
+type LocalEval func(lo, hi int, s *hash.Seed) float64
 
 // Trace records the conditional-expectation trajectory of one seed
 // selection; the conditional expectations are non-increasing (Minimize) or
@@ -100,7 +111,7 @@ type Trace struct {
 	// Values[i] is E[Φ | first i chunks fixed]; the last entry is the exact
 	// realized Φ of the selected seed.
 	Values []float64
-	// Steps is the number of gather/broadcast pairs used.
+	// Steps is the number of chunks fixed (one reduction and one pick each).
 	Steps int
 }
 
@@ -112,25 +123,43 @@ func (t Trace) Final() float64 {
 	return t.Values[len(t.Values)-1]
 }
 
+// Reduction is the one thing the seed search needs from a model: how the
+// machines' local estimator values are summed and how the chosen extension
+// reaches every machine. MPC and Clique are its two implementations.
+type Reduction interface {
+	// Span and CurrentSpan label the rounds that follow (see mpc.Cluster.Span).
+	Span(name string)
+	CurrentSpan() string
+	// MaxChunkBits bounds the chunk width z; 0 means no model bound.
+	MaxChunkBits() int
+	// Expect returns E[Φ | s], the sum of eval over all machines.
+	Expect(s *hash.Seed, eval LocalEval) (float64, error)
+	// Extensions returns, for each extension e < 2^width of the chunk at
+	// [start, start+width), the sum of eval over all machines with the chunk
+	// fixed to e.
+	Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error)
+	// Pick distributes the chosen extension to every machine.
+	Pick(e int) error
+}
+
 // SelectSeed deterministically fixes all free bits of s by the method of
 // conditional expectations, using eval as the machine-local estimator and
-// the cluster's collectives for coordination. On return s is fully fixed and
-// the realized Φ(s) is at least as good as the initial expectation.
-func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace, error) {
-	cfg, err := cfg.withDefaults()
+// r's collectives for coordination. On return s is fully fixed and the
+// realized Φ(s) is at least as good as the initial expectation.
+func SelectSeed(r Reduction, s *hash.Seed, cfg Config, eval LocalEval) (Trace, error) {
+	cfg, err := cfg.withDefaults(r.MaxChunkBits())
 	if err != nil {
 		return Trace{}, err
 	}
 	// Seed selection is its own observable phase: attribute its collectives
 	// to the "seed-search" span, restoring the caller's span on return.
-	caller := c.CurrentSpan()
-	c.Span("seed-search")
-	defer c.Span(caller)
+	caller := r.CurrentSpan()
+	r.Span("seed-search")
+	defer r.Span(caller)
 	var trace Trace
 
-	// Initial expectation: one extra collective, kept for the guarantee
-	// check; each machine evaluates the unconditioned expectation locally.
-	init, err := sumEval(c, "derand/init", s, eval)
+	// Initial expectation, kept for the guarantee check.
+	init, err := r.Expect(s, eval)
 	if err != nil {
 		return Trace{}, err
 	}
@@ -147,43 +176,20 @@ func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace
 				width = toBoundary
 			}
 		}
-		nExt := 1 << uint(width)
 		if cfg.OnChunk != nil {
 			cfg.OnChunk(s, start, width)
 		}
-
-		parts, err := c.Gather("derand/eval", func(x *mpc.Ctx) []uint64 {
-			local := s.Clone()
-			local.SetFixed(start + width)
-			out := make([]uint64, nExt)
-			for e := 0; e < nExt; e++ {
-				local.SetChunk(start, width, uint64(e))
-				out[e] = math.Float64bits(eval(x, local))
-			}
-			return out
-		})
+		totals, err := r.Extensions(s, start, width, eval)
 		if err != nil {
 			return trace, err
 		}
-		totals := make([]float64, nExt)
-		for m, part := range parts {
-			if part == nil {
-				continue
-			}
-			if len(part) != nExt {
-				return trace, fmt.Errorf("derand: machine %d sent %d values, want %d", m, len(part), nExt)
-			}
-			for e, w := range part {
-				totals[e] += math.Float64frombits(w)
-			}
-		}
 		best := 0
-		for e := 1; e < nExt; e++ {
+		for e := 1; e < len(totals); e++ {
 			if better(cfg.Objective, totals[e], totals[best]) {
 				best = e
 			}
 		}
-		if _, err := c.Broadcast("derand/pick", []uint64{uint64(best)}); err != nil {
+		if err := r.Pick(best); err != nil {
 			return trace, err
 		}
 		s.SetChunk(start, width, uint64(best))
@@ -194,23 +200,101 @@ func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace
 	return trace, nil
 }
 
-// sumEval runs one gather summing eval across machines under the current
-// seed state.
-func sumEval(c *mpc.Cluster, name string, s *hash.Seed, eval LocalEval) (float64, error) {
-	parts, err := c.Gather(name, func(x *mpc.Ctx) []uint64 {
-		return []uint64{math.Float64bits(eval(x, s.Clone()))}
-	})
+// MPC returns the MPC reduction: every machine's values are gathered at the
+// coordinator (derand/init, then one derand/eval of 2^z words per chunk) and
+// the chosen extension is broadcast (derand/pick).
+func MPC(c *mpc.Cluster) Reduction { return mpcReduction{c} }
+
+type mpcReduction struct{ *mpc.Cluster }
+
+func (mpcReduction) MaxChunkBits() int { return 0 }
+
+// Expect spends one gather on the unconditioned expectation: a chunk of
+// width 0.
+func (r mpcReduction) Expect(s *hash.Seed, eval LocalEval) (float64, error) {
+	sums, err := r.sums("derand/init", s, s.Fixed(), 0, eval)
 	if err != nil {
 		return 0, err
 	}
-	sum := 0.0
-	for _, part := range parts {
-		for _, w := range part {
-			sum += math.Float64frombits(w)
+	return sums[0], nil
+}
+
+func (r mpcReduction) Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+	return r.sums("derand/eval", s, start, width, eval)
+}
+
+// sums gathers every machine's 2^width values at the coordinator and adds
+// them up per extension, in machine order.
+func (r mpcReduction) sums(name string, s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+	nExt := 1 << uint(width)
+	parts, err := r.Gather(name, func(x *mpc.Ctx) []uint64 {
+		local := s.Clone()
+		local.SetFixed(start + width)
+		out := make([]uint64, nExt)
+		for e := 0; e < nExt; e++ {
+			local.SetChunk(start, width, uint64(e))
+			out[e] = math.Float64bits(eval(x.Lo, x.Hi, local))
 		}
+		return out
+	})
+	if err != nil {
+		return nil, err
+	}
+	totals := make([]float64, nExt)
+	for m, part := range parts {
+		if part == nil {
+			continue
+		}
+		if len(part) != nExt {
+			return nil, fmt.Errorf("derand: machine %d sent %d values, want %d", m, len(part), nExt)
+		}
+		for e, w := range part {
+			totals[e] += math.Float64frombits(w)
+		}
+	}
+	return totals, nil
+}
+
+func (r mpcReduction) Pick(e int) error {
+	_, err := r.Broadcast("derand/pick", []uint64{uint64(e)})
+	return err
+}
+
+// Clique returns the congested-clique reduction on a cluster with one node
+// per item: each chunk is one ScatterAggregateFloat ("chunk", two rounds
+// for any width) and the pick is one BroadcastWord ("chunk/pick"). The chunk
+// width is clamped to ⌊log₂ n⌋ so that an aggregator node exists for every
+// extension.
+func Clique(c *clique.Cluster) Reduction { return cliqueReduction{c} }
+
+type cliqueReduction struct{ *clique.Cluster }
+
+func (r cliqueReduction) MaxChunkBits() int { return bits.Len(uint(r.N())) - 1 }
+
+// Expect costs no round: the search never reads E[Φ], it is recorded only
+// for the guarantee check, and node 0 could derive it from the first chunk's
+// sums (E[Φ] is their mean over the equally likely extensions). So it is
+// computed here, as the sum of the node terms in node order.
+func (r cliqueReduction) Expect(s *hash.Seed, eval LocalEval) (float64, error) {
+	sum := 0.0
+	for v := 0; v < r.N(); v++ {
+		sum += eval(v, v+1, s)
 	}
 	return sum, nil
 }
+
+func (r cliqueReduction) Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+	return r.ScatterAggregateFloat("chunk", 1<<uint(width), func(v int, vals []float64) {
+		local := s.Clone()
+		local.SetFixed(start + width)
+		for e := range vals {
+			local.SetChunk(start, width, uint64(e))
+			vals[e] = eval(v, v+1, local)
+		}
+	})
+}
+
+func (r cliqueReduction) Pick(e int) error { return r.BroadcastWord("chunk/pick", uint64(e)) }
 
 // better reports whether candidate improves on incumbent under obj, with
 // strict improvement required so ties resolve to the smallest extension.

@@ -2,8 +2,10 @@ package derand
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -23,11 +25,11 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(x *mpc.Ctx, s *hash.Seed) float64 { return 0 }
-	if _, err := SelectSeed(c, fam.NewSeed(), Config{ChunkBits: 99}, eval); err == nil {
+	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
+	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{ChunkBits: 99}, eval); err == nil {
 		t.Error("chunk bits 99 accepted")
 	}
-	if _, err := SelectSeed(c, fam.NewSeed(), Config{Objective: Objective(9)}, eval); err == nil {
+	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{Objective: Objective(9)}, eval); err == nil {
 		t.Error("bad objective accepted")
 	}
 }
@@ -45,14 +47,14 @@ func TestMaximizeMarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			seed := fam.NewSeed()
-			eval := func(x *mpc.Ctx, s *hash.Seed) float64 {
+			eval := func(lo, hi int, s *hash.Seed) float64 {
 				sum := 0.0
-				for v := x.Lo; v < x.Hi; v++ {
+				for v := lo; v < hi; v++ {
 					sum += fam.MarkProb(s, v)
 				}
 				return sum
 			}
-			trace, err := SelectSeed(c, seed, Config{ChunkBits: chunk, Objective: Maximize}, eval)
+			trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: chunk, Objective: Maximize}, eval)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,14 +96,14 @@ func TestMinimizePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := fam.NewSeed()
-	eval := func(x *mpc.Ctx, s *hash.Seed) float64 {
+	eval := func(lo, hi int, s *hash.Seed) float64 {
 		sum := 0.0
-		for v := x.Lo; v < x.Hi && v < n-1; v++ {
+		for v := lo; v < hi && v < n-1; v++ {
 			sum += fam.PairMarkProb(s, v, v+1)
 		}
 		return sum
 	}
-	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +143,14 @@ func TestAlignToKeepsChunksInsideSegments(t *testing.T) {
 			}
 		},
 	}
-	eval := func(x *mpc.Ctx, s *hash.Seed) float64 {
+	eval := func(lo, hi int, s *hash.Seed) float64 {
 		sum := 0.0
-		for v := x.Lo; v < x.Hi; v++ {
+		for v := lo; v < hi; v++ {
 			sum += fam.MarkProb(s, v)
 		}
 		return sum
 	}
-	if _, err := SelectSeed(c, seed, cfg, eval); err != nil {
+	if _, err := SelectSeed(MPC(c), seed, cfg, eval); err != nil {
 		t.Fatal(err)
 	}
 	if len(boundaries) == 0 {
@@ -176,14 +178,14 @@ func TestSelectSeedDeterministicAcrossMachineCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		seed := fam.NewSeed()
-		eval := func(x *mpc.Ctx, s *hash.Seed) float64 {
+		eval := func(lo, hi int, s *hash.Seed) float64 {
 			sum := 0.0
-			for v := x.Lo; v < x.Hi; v++ {
+			for v := lo; v < hi; v++ {
 				sum += float64(v+1) * fam.MarkProb(s, v)
 			}
 			return sum
 		}
-		if _, err := SelectSeed(c, seed, Config{ChunkBits: 5, Objective: Maximize}, eval); err != nil {
+		if _, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 5, Objective: Maximize}, eval); err != nil {
 			t.Fatal(err)
 		}
 		bitsOut := make([]uint64, seed.Total())
@@ -211,8 +213,8 @@ func TestTraceStepsAndRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := fam.NewSeed()
-	eval := func(x *mpc.Ctx, s *hash.Seed) float64 { return 0 }
-	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
+	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +225,45 @@ func TestTraceStepsAndRounds(t *testing.T) {
 	// Rounds: 1 init gather + 2 per chunk (gather + broadcast).
 	if got := c.Stats().Rounds; got != 1+2*wantSteps {
 		t.Fatalf("rounds = %d, want %d", got, 1+2*wantSteps)
+	}
+}
+
+// TestCliqueReductionMatchesMPC runs one seed search on both reductions. On
+// an MPC cluster with one item per machine, both sum the same terms in the
+// same order, so the traces match bit for bit; the clique clamps the chunk
+// width to ⌊log₂ n⌋ and charges two rounds per chunk plus the pick, with no
+// round for the initial expectation.
+func TestCliqueReductionMatchesMPC(t *testing.T) {
+	const n, j = 40, 3 // ⌊log₂ 40⌋ = 5
+	fam, err := hash.NewBits(n, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(lo, hi int, s *hash.Seed) float64 {
+		sum := 0.0
+		for v := lo; v < hi; v++ {
+			sum += float64(v%7+1) * fam.MarkProb(s, v)
+		}
+		return sum
+	}
+	run := func(r Reduction, chunk int) Trace {
+		trace, err := SelectSeed(r, fam.NewSeed(), Config{ChunkBits: chunk, Objective: Maximize}, eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	cc, err := clique.NewCluster(clique.Config{}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(Clique(cc), 8)
+	want := run(MPC(newCluster(t, n, n)), 5)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clique trace %+v, MPC trace %+v", got, want)
+	}
+	if rounds := cc.Stats().Rounds; rounds != 3*got.Steps {
+		t.Fatalf("clique rounds = %d, want %d (scatter, collect, pick per chunk)", rounds, 3*got.Steps)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/rulingset/mprs/internal/gen"
+	"github.com/rulingset/mprs/internal/hash"
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 func TestSeedPolicyString(t *testing.T) {
@@ -24,29 +26,85 @@ func TestSeedPolicyString(t *testing.T) {
 	}
 }
 
+// TestSeedPolicyRandomFamily runs the random-family ablation of both
+// seed-policy drivers: equal seeds reproduce the output, and no seed-search
+// step runs.
 func TestSeedPolicyRandomFamily(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.02", 13)
-	a, err := DetRuling2(g, Options{SeedPolicy: SeedRandomFamily, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range []algo{
+		{name: "DetRuling2", run: DetRuling2},
+		{name: "DetLubyMIS", run: DetLubyMIS},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			first, err := a.run(g, Options{SeedPolicy: SeedRandomFamily, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Check(g, first); err != nil {
+				t.Fatal(err)
+			}
+			// Reproducible for equal seeds...
+			second, err := a.run(g, Options{SeedPolicy: SeedRandomFamily, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first.Members, second.Members) {
+				t.Fatal("same seed, different outputs under random-family policy")
+			}
+			// ...but no conditional-expectation trajectory guarantee is
+			// claimed: the run must still record estimator values for the
+			// ablation reports.
+			for _, ps := range first.Phases {
+				if ps.SeedSteps != 0 {
+					t.Fatal("random-family policy must not run seed-search steps")
+				}
+			}
+		})
 	}
-	if err := Check(g, a); err != nil {
-		t.Fatal(err)
+}
+
+// TestSeedPolicyBroadcastsSeed checks that a seed fixed without a search is
+// charged as what it is: the first phase's seed broadcast carries all
+// ⌈L/64⌉ words of its L-bit seed to every other machine, for both drivers.
+func TestSeedPolicyBroadcastsSeed(t *testing.T) {
+	g := gen.MustBuild("gnp:n=1000,p=0.1", 3)
+	delta := 0
+	for v := 0; v < g.N(); v++ {
+		delta = max(delta, g.Degree(v))
 	}
-	// Reproducible for equal seeds...
-	b, err := DetRuling2(g, Options{SeedPolicy: SeedRandomFamily, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Members, b.Members) {
-		t.Fatal("same seed, different outputs under random-family policy")
-	}
-	// ...but no conditional-expectation trajectory guarantee is claimed:
-	// the run must still record estimator values for the ablation reports.
-	for _, ps := range a.Phases {
-		if ps.SeedSteps != 0 {
-			t.Fatal("random-family policy must not run seed-search steps")
-		}
+	for _, tc := range []struct {
+		a    algo
+		step string
+		j    int // the first phase's marking exponent
+	}{
+		{algo{name: "DetRuling2", run: DetRuling2}, "sparsify/seed", schedule(delta)[0]},
+		{algo{name: "DetLubyMIS", run: DetLubyMIS}, "luby/seed", lubyJ(delta)},
+	} {
+		t.Run(tc.a.name, func(t *testing.T) {
+			fam, err := hash.NewBits(g.N(), tc.j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := (fam.NewSeed().Total() + 63) / 64
+			if words < 2 {
+				t.Fatalf("seed of %d bits fits one word; the check needs a longer one", fam.NewSeed().Total())
+			}
+			ring := trace.NewRing(1 << 12)
+			const machines = 8
+			if _, err := tc.a.run(g, Options{Machines: machines, SeedPolicy: SeedRandomFamily, Seed: 2, Tracer: ring}); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range ring.Events() {
+				if ev.Step != tc.step {
+					continue
+				}
+				if want := (machines - 1) * words; ev.Sent[0] != want {
+					t.Fatalf("%s sent %d words from the coordinator, want %d (%d seed words to %d machines)", tc.step, ev.Sent[0], want, words, machines-1)
+				}
+				return
+			}
+			t.Fatalf("no %s step traced", tc.step)
+		})
 	}
 }
 

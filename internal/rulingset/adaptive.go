@@ -54,6 +54,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 			return Result{}, err
 		}
 		c := d.Cluster()
+		m := newMPCModel(d, "sparsify")
 		budget := opts.ResidualBudget
 		if budget <= 0 {
 			budget = c.Budget()
@@ -64,7 +65,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 			// Ship the whole current instance and solve it exactly.
 			st := newSparsifyState(cur.N())
 			st.absorbActive()
-			members, residual, err := solveResidual(d, st, opts)
+			members, residual, err := solveResidual(m, st.candidates)
 			if err != nil {
 				return Result{}, err
 			}
@@ -91,7 +92,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 		if err := registerCheckpoint(c, opts, st.active, st.candidates); err != nil {
 			return Result{}, err
 		}
-		if err := runPhases(d, opts, st, schedule(int(delta)), deterministic, rng); err != nil {
+		if err := runPhases(m, opts, st, schedule(int(delta)), deterministic, rng); err != nil {
 			return Result{}, err
 		}
 		st.absorbActive()

@@ -76,13 +76,14 @@ func rulingBeta(g *graph.Graph, beta int, o Options, deterministic bool) (Result
 		if err := registerCheckpoint(c, opts, st.active, st.candidates); err != nil {
 			return Result{}, err
 		}
-		if err := runPhases(d, opts, st, groups[level], deterministic, rng); err != nil {
+		m := newMPCModel(d, "sparsify")
+		if err := runPhases(m, opts, st, groups[level], deterministic, rng); err != nil {
 			return Result{}, err
 		}
 		st.absorbActive()
 
 		if level == beta-2 {
-			members, residual, err = solveResidual(d, st, opts)
+			members, residual, err = solveResidual(m, st.candidates)
 			if err != nil {
 				return Result{}, err
 			}

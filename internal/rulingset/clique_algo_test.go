@@ -2,6 +2,7 @@ package rulingset
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/gen"
@@ -138,5 +139,38 @@ func TestCliqueMatchesMPCPhases(t *testing.T) {
 	}
 	if len(cliqueRes.Phases) != len(mpcRes.Phases) {
 		t.Fatalf("phase counts differ: clique %d vs mpc %d", len(cliqueRes.Phases), len(mpcRes.Phases))
+	}
+}
+
+// TestCliqueRejectsSeedPolicy checks that the clique drivers refuse the
+// seed-policy ablations instead of silently running the full search: the
+// clique has no multi-word seed broadcast.
+func TestCliqueRejectsSeedPolicy(t *testing.T) {
+	g := gen.MustBuild("gnp:n=100,p=0.05", 1)
+	for _, run := range []func(*graph.Graph, Options) (CliqueResult, error){CliqueRandRuling2, CliqueDetRuling2} {
+		for _, p := range []SeedPolicy{SeedRandomFamily, SeedZero} {
+			_, err := run(g, Options{SeedPolicy: p})
+			if err == nil || !strings.Contains(err.Error(), "clique") || !strings.Contains(err.Error(), p.String()) {
+				t.Errorf("seed policy %v: err = %v, want a rejection naming the clique and the policy", p, err)
+			}
+		}
+	}
+}
+
+// TestCliqueMaxPhases checks that the clique drivers honor Options.MaxPhases
+// like the MPC drivers do.
+func TestCliqueMaxPhases(t *testing.T) {
+	g := gen.MustBuild("gnp:n=400,p=0.05", 2)
+	full, err := CliqueDetRuling2(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Phases) < 2 {
+		t.Fatalf("only %d phases; the cap check needs at least two", len(full.Phases))
+	}
+	for _, run := range []func(*graph.Graph, Options) (CliqueResult, error){CliqueRandRuling2, CliqueDetRuling2} {
+		if _, err := run(g, Options{MaxPhases: 1}); err == nil || !strings.Contains(err.Error(), "phase cap 1") {
+			t.Errorf("MaxPhases 1: err = %v, want the phase cap error", err)
+		}
 	}
 }

@@ -42,6 +42,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		return Result{}, err
 	}
 	c := d.Cluster()
+	m := newMPCModel(d, "luby")
 	n := g.N()
 
 	active := bitset.New(n)
@@ -59,7 +60,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		if iter > o.MaxIterations {
 			return Result{}, fmt.Errorf("rulingset: luby iteration cap %d exceeded with %d active vertices", o.MaxIterations, remaining)
 		}
-		view, _, err := d.ExchangeActive("luby/view", active, nil)
+		view, err := m.view(active)
 		if err != nil {
 			return Result{}, err
 		}
@@ -108,11 +109,11 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		if maxDeg > 0 {
 			switch {
 			case deterministic && o.LubyExactThresholds:
-				if err := detLubyValuesMarks(c, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
+				if err := detLubyValuesMarks(m, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
 					return Result{}, err
 				}
 			case deterministic:
-				if err := detLubyMarks(c, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
+				if err := detLubyMarks(m, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
 					return Result{}, err
 				}
 			default:
@@ -159,19 +160,9 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		active.Subtract(joiners)
 		active.Subtract(touched)
 
-		counts, err := c.AllReduceSumUint("luby/active", func(x *mpc.Ctx) []uint64 {
-			var local uint64
-			for v := x.Lo; v < x.Hi; v++ {
-				if active.Contains(v) {
-					local++
-				}
-			}
-			return []uint64{local}
-		})
-		if err != nil {
+		if remaining, err = m.countActive(active); err != nil {
 			return Result{}, err
 		}
-		remaining = int(counts[0])
 		ps.ActiveAfter = remaining
 		phases = append(phases, ps)
 	}
@@ -198,7 +189,7 @@ func lubyJ(d int) int {
 
 // detLubyMarks runs one derandomized Luby marking step with the AND-family
 // (per-vertex power-of-two probabilities), honoring Options.SeedPolicy.
-func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+func detLubyMarks(m model, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	n := active.Len()
 	maxJ := lubyJ(maxDeg)
 	fam, err := hash.NewBits(n, maxJ)
@@ -228,37 +219,9 @@ func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg []
 		return psi
 	}
 
-	switch o.SeedPolicy {
-	case SeedConditionalExpectations:
-		trace, err := derand.SelectSeed(c, seed, derand.Config{
-			ChunkBits: o.ChunkBits,
-			Objective: derand.Maximize,
-			AlignTo:   fam.SegWidth(),
-			OnChunk:   func(s *hash.Seed, _, _ int) { ms.sync(s) },
-		}, func(x *mpc.Ctx, s *hash.Seed) float64 { return evalRange(x.Lo, x.Hi, s) })
-		if err != nil {
-			return err
-		}
-		ps.SeedSteps = trace.Steps
-		ps.EstimatorInitial = trace.Initial
-		ps.EstimatorFinal = trace.Final()
-	case SeedRandomFamily, SeedZero:
-		ps.EstimatorInitial = evalRange(0, n, seed)
-		if o.SeedPolicy == SeedRandomFamily {
-			seed.Randomize(rng)
-		} else {
-			seed.SetFixed(seed.Total())
-		}
-		if _, err := c.Broadcast("luby/seed", []uint64{0}); err != nil {
-			return err
-		}
-		ms.sync(seed)
-		ps.EstimatorFinal = evalRange(0, n, seed)
-	default:
-		return fmt.Errorf("rulingset: unknown seed policy %v", o.SeedPolicy)
+	if err := fixSeed(m, o, derand.Maximize, ms, seed, evalRange, ps, rng); err != nil {
+		return err
 	}
-
-	ms.sync(seed)
 	active.ForEach(func(v int) bool {
 		if deg[v] > 0 && ms.marked(v, lubyJ(int(deg[v]))) {
 			marks.Add(v)
@@ -275,7 +238,7 @@ func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg []
 // estimator is the same Ψ, with conditional probabilities from the value
 // family's digit DP (exact, but O(ℓ) per term instead of O(1): the ablation
 // quantifies what the AND-family's speed costs in marking fidelity).
-func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
+func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	ell := lubyJ(maxDeg) + 2 // enough resolution for the smallest threshold
 	fam, err := hash.NewValues(n, ell)
@@ -292,9 +255,9 @@ func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbr
 		return t
 	}
 
-	eval := func(x *mpc.Ctx, s *hash.Seed) float64 {
+	eval := func(lo, hi int, s *hash.Seed) float64 {
 		var psi float64
-		for v := x.Lo; v < x.Hi; v++ {
+		for v := lo; v < hi; v++ {
 			if !active.Contains(v) || deg[v] == 0 {
 				continue
 			}
@@ -311,7 +274,7 @@ func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbr
 		return psi
 	}
 
-	trace, err := derand.SelectSeed(c, seed, derand.Config{
+	trace, err := derand.SelectSeed(r, seed, derand.Config{
 		ChunkBits: o.ChunkBits,
 		Objective: derand.Maximize,
 		AlignTo:   fam.SegWidth(),

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -43,12 +44,13 @@ func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	// The rng drives randomized sampling, and — for the SeedRandomFamily
 	// ablation — random family draws inside deterministic runs.
 	rng := rand.New(rand.NewSource(o.Seed))
-	if err := runPhases(d, o, st, schedule(int(delta)), deterministic, rng); err != nil {
+	m := newMPCModel(d, "sparsify")
+	if err := runPhases(m, o, st, schedule(int(delta)), deterministic, rng); err != nil {
 		return Result{}, err
 	}
 	st.absorbActive()
 
-	members, residual, err := solveResidual(d, st, o)
+	members, residual, err := solveResidual(m, st.candidates)
 	if err != nil {
 		return Result{}, err
 	}
@@ -77,27 +79,24 @@ func maxDegree(d *mpc.DistGraph) (uint64, error) {
 	})
 }
 
-// solveResidual ships the candidate-induced subgraph to one machine,
-// computes its MIS greedily there, and broadcasts the membership. The MIS of
+// solveResidual ships the candidate-induced subgraph to one place in m,
+// computes its MIS greedily there, and announces the membership. The MIS of
 // G[C] is independent in G and dominates C within one hop, so together with
 // the sparsifier's invariant (every vertex in C or adjacent to it) the
 // result is a 2-ruling set.
-func solveResidual(d *mpc.DistGraph, st *sparsifyState, o Options) ([]int32, *graph.Graph, error) {
-	c := d.Cluster()
-	c.Span("gather")
-	sub, toOrig, err := d.GatherSubgraph("residual", st.candidates)
+func solveResidual(m model, cand *bitset.Set) ([]int32, *graph.Graph, error) {
+	m.Span("gather")
+	sub, toOrig, err := m.gatherResidual(cand)
 	if err != nil {
 		return nil, nil, err
 	}
 	mis := GreedyMIS(sub)
 	members := make([]int32, len(mis))
-	payload := make([]uint64, len(mis))
 	for i, v := range mis {
 		members[i] = toOrig[v]
-		payload[i] = uint64(uint32(toOrig[v]))
 	}
-	c.Span("finish")
-	if _, err := c.Broadcast("residual/members", payload); err != nil {
+	m.Span("finish")
+	if err := m.announceMembers(members); err != nil {
 		return nil, nil, err
 	}
 	slices.Sort(members)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/derand"
+	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -48,7 +49,89 @@ func newSparsifyState(n int) *sparsifyState {
 	return s
 }
 
-// runPhases executes the sampling phases for the given exponents js on d,
+// model is the seam between the drivers and the model they run in. The
+// marking loops (sample-and-sparsify, Luby's iterations), their estimators
+// and seed search, and the residual stage are shared; a model supplies only
+// its collectives, each under its own step names, so traces stay
+// model-specific. Exactly two implementations: mpcModel and cliqueModel.
+type model interface {
+	// Reduction sums a seed-search chunk and distributes the pick.
+	derand.Reduction
+	// view returns every active vertex's active neighbors in ascending
+	// order (nil for inactive vertices).
+	view(active *bitset.Set) ([][]int32, error)
+	// dominate notifies the active neighbors of the marked vertices and
+	// returns the vertices reached.
+	dominate(marks, active *bitset.Set) (*bitset.Set, error)
+	// countActive counts the active vertices by communication, so the
+	// loop condition is driven by what the machines report.
+	countActive(active *bitset.Set) (int, error)
+	// broadcastSeed distributes the words of a seed fixed without a search
+	// (the seed-policy ablations) in one broadcast.
+	broadcastSeed(words []uint64) error
+	// gatherResidual collects the subgraph induced by cand at one place and
+	// returns it with the original id of each of its vertices.
+	gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error)
+	// announceMembers tells the residual solution's members they joined.
+	announceMembers(members []int32) error
+}
+
+// mpcModel runs a driver on a distributed graph in MPC. Its loop steps are
+// named prefix/view, prefix/dominate, prefix/active and prefix/seed.
+type mpcModel struct {
+	derand.Reduction
+	d      *mpc.DistGraph
+	prefix string
+}
+
+func newMPCModel(d *mpc.DistGraph, prefix string) mpcModel {
+	return mpcModel{Reduction: derand.MPC(d.Cluster()), d: d, prefix: prefix}
+}
+
+func (m mpcModel) view(active *bitset.Set) ([][]int32, error) {
+	view, _, err := m.d.ExchangeActive(m.prefix+"/view", active, nil)
+	return view, err
+}
+
+func (m mpcModel) dominate(marks, active *bitset.Set) (*bitset.Set, error) {
+	return m.d.NotifyNeighbors(m.prefix+"/dominate", marks, active)
+}
+
+func (m mpcModel) countActive(active *bitset.Set) (int, error) {
+	counts, err := m.d.Cluster().AllReduceSumUint(m.prefix+"/active", func(x *mpc.Ctx) []uint64 {
+		var local uint64
+		for v := x.Lo; v < x.Hi; v++ {
+			if active.Contains(v) {
+				local++
+			}
+		}
+		return []uint64{local}
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int(counts[0]), nil
+}
+
+func (m mpcModel) broadcastSeed(words []uint64) error {
+	_, err := m.d.Cluster().Broadcast(m.prefix+"/seed", words)
+	return err
+}
+
+func (m mpcModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error) {
+	return m.d.GatherSubgraph("residual", cand)
+}
+
+func (m mpcModel) announceMembers(members []int32) error {
+	payload := make([]uint64, len(members))
+	for i, v := range members {
+		payload[i] = uint64(uint32(v))
+	}
+	_, err := m.d.Cluster().Broadcast("residual/members", payload)
+	return err
+}
+
+// runPhases executes the sampling phases for the given exponents js in m,
 // updating st. Deterministic phases derandomize the sampling with the method
 // of conditional expectations; randomized phases draw marks from rng with
 // the same power-of-two probabilities, so the two variants are directly
@@ -56,11 +139,9 @@ func newSparsifyState(n int) *sparsifyState {
 //
 // Phase contract (verified by tests): after each phase, every vertex that
 // left the active set is either in the candidate set or adjacent to it.
-func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, deterministic bool, rng *rand.Rand) error {
-	g := d.Graph()
-	c := d.Cluster()
-	n := g.N()
-	c.Span("sparsify")
+func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bool, rng *rand.Rand) error {
+	n := st.active.Len()
+	m.Span("sparsify")
 	for _, j := range js {
 		if st.active.Count() == 0 {
 			return nil
@@ -68,7 +149,7 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 		if len(st.phases) >= o.MaxPhases {
 			return fmt.Errorf("rulingset: phase cap %d exceeded", o.MaxPhases)
 		}
-		view, _, err := d.ExchangeActive("sparsify/view", st.active, nil)
+		view, err := m.view(st.active)
 		if err != nil {
 			return err
 		}
@@ -93,7 +174,7 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 
 		marks := bitset.New(n)
 		if deterministic {
-			if err := detMarks(c, o, st.active, view, j, marks, &ps, rng); err != nil {
+			if err := detMarks(m, o, st.active, view, j, marks, &ps, rng); err != nil {
 				return err
 			}
 		} else {
@@ -116,29 +197,19 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 			return true
 		})
 
+		// Marked vertices join the candidate set and knock out their active
+		// neighbors.
 		st.candidates.Union(marks)
-		touched, err := d.NotifyNeighbors("sparsify/dominate", marks, st.active)
+		touched, err := m.dominate(marks, st.active)
 		if err != nil {
 			return err
 		}
 		st.active.Subtract(marks)
 		st.active.Subtract(touched)
 
-		// Termination check: machines report local active counts (the
-		// coordinator's loop condition is driven by real communication).
-		counts, err := c.AllReduceSumUint("sparsify/active", func(x *mpc.Ctx) []uint64 {
-			var local uint64
-			for v := x.Lo; v < x.Hi; v++ {
-				if st.active.Contains(v) {
-					local++
-				}
-			}
-			return []uint64{local}
-		})
-		if err != nil {
+		if ps.ActiveAfter, err = m.countActive(st.active); err != nil {
 			return err
 		}
-		ps.ActiveAfter = int(counts[0])
 		st.phases = append(st.phases, ps)
 	}
 	return nil
@@ -169,7 +240,7 @@ func (st *sparsifyState) absorbActive() {
 //
 // The ablation knobs (Options.SeedPolicy, EstimatorAlpha, BenefitCap) vary
 // the construction; their defaults are the paper's choices.
-func detMarks(c *mpc.Cluster, o Options, active *bitset.Set, view [][]int32, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+func detMarks(m model, o Options, active *bitset.Set, view [][]int32, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	alpha := o.EstimatorAlpha
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
@@ -221,44 +292,9 @@ func detMarks(c *mpc.Cluster, o Options, active *bitset.Set, view [][]int32, j i
 		return alpha*cost - benefit
 	}
 
-	switch o.SeedPolicy {
-	case SeedConditionalExpectations:
-		trace, err := derand.SelectSeed(c, seed, derand.Config{
-			ChunkBits: o.ChunkBits,
-			Objective: derand.Minimize,
-			AlignTo:   fam.SegWidth(),
-			OnChunk:   func(s *hash.Seed, _, _ int) { ms.sync(s) },
-		}, func(x *mpc.Ctx, s *hash.Seed) float64 { return evalRange(x.Lo, x.Hi, s) })
-		if err != nil {
-			return err
-		}
-		ps.SeedSteps = trace.Steps
-		ps.EstimatorInitial = trace.Initial
-		ps.EstimatorFinal = trace.Final()
-	case SeedRandomFamily, SeedZero:
-		// Ablations: record the unconditioned expectation, then fix the seed
-		// without searching. A real deployment still spends one broadcast
-		// distributing the seed.
-		ps.EstimatorInitial = evalRange(0, n, seed)
-		if o.SeedPolicy == SeedRandomFamily {
-			seed.Randomize(rng)
-		} else {
-			seed.SetFixed(seed.Total())
-		}
-		seedWords := make([]uint64, (seed.Total()+63)/64)
-		for i := 0; i < seed.Total(); i++ {
-			seedWords[i/64] |= seed.Bit(i) << uint(i%64)
-		}
-		if _, err := c.Broadcast("sparsify/seed", seedWords); err != nil {
-			return err
-		}
-		ms.sync(seed)
-		ps.EstimatorFinal = evalRange(0, n, seed)
-	default:
-		return fmt.Errorf("rulingset: unknown seed policy %v", o.SeedPolicy)
+	if err := fixSeed(m, o, derand.Minimize, ms, seed, evalRange, ps, rng); err != nil {
+		return err
 	}
-
-	ms.sync(seed)
 	active.ForEach(func(v int) bool {
 		if ms.marked(v, j) {
 			marks.Add(v)
@@ -266,4 +302,50 @@ func detMarks(c *mpc.Cluster, o Options, active *bitset.Set, view [][]int32, j i
 		return true
 	})
 	return nil
+}
+
+// fixSeed fixes every free bit of seed as o.SeedPolicy says and records the
+// estimator trajectory in ps. The paper's policy runs the conditional-
+// expectation search on m's reduction, keeping ms synced chunk by chunk; the
+// ablations record the unconditioned expectation and then fix the seed at
+// random or to all zeros without a search. A real deployment still spends
+// one broadcast distributing that seed, so its words are broadcast. On
+// return ms is synced to the fully fixed seed.
+func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.LocalEval, ps *PhaseStat, rng *rand.Rand) error {
+	switch o.SeedPolicy {
+	case SeedConditionalExpectations:
+		trace, err := derand.SelectSeed(m, seed, derand.Config{
+			ChunkBits: o.ChunkBits,
+			Objective: obj,
+			AlignTo:   ms.fam.SegWidth(),
+			OnChunk:   func(s *hash.Seed, _, _ int) { ms.sync(s) },
+		}, eval)
+		if err != nil {
+			return err
+		}
+		ms.sync(seed)
+		ps.SeedSteps = trace.Steps
+		ps.EstimatorInitial = trace.Initial
+		ps.EstimatorFinal = trace.Final()
+		return nil
+	case SeedRandomFamily, SeedZero:
+		n := len(ms.firstZero)
+		ps.EstimatorInitial = eval(0, n, seed)
+		if o.SeedPolicy == SeedRandomFamily {
+			seed.Randomize(rng)
+		} else {
+			seed.SetFixed(seed.Total())
+		}
+		words := make([]uint64, (seed.Total()+63)/64)
+		for i := 0; i < seed.Total(); i++ {
+			words[i/64] |= seed.Bit(i) << uint(i%64)
+		}
+		if err := m.broadcastSeed(words); err != nil {
+			return err
+		}
+		ms.sync(seed)
+		ps.EstimatorFinal = eval(0, n, seed)
+		return nil
+	}
+	return fmt.Errorf("rulingset: unknown seed policy %v", o.SeedPolicy)
 }
