@@ -50,38 +50,21 @@ func (d *DistGraph) Graph() *graph.Graph { return d.g }
 // machine pair. restrict, when non-nil, limits the notified neighbors to
 // members of restrict (used to confine a phase to the active subgraph).
 func (d *DistGraph) NotifyNeighbors(name string, marked, restrict *bitset.Set) (*bitset.Set, error) {
-	touched := bitset.New(d.g.N())
 	err := d.c.Step(name, func(x *Ctx) {
-		buckets := make([][]uint64, d.c.Machines())
-		for v := x.Lo; v < x.Hi; v++ {
-			if !marked.Contains(v) {
-				continue
-			}
-			for _, u := range d.g.Neighbors(v) {
-				if restrict != nil && !restrict.Contains(int(u)) {
-					continue
-				}
-				dst := d.c.Owner(int(u))
-				buckets[dst] = append(buckets[dst], uint64(u))
-			}
-		}
-		for dst, payload := range buckets {
-			if len(payload) > 0 {
-				x.SendOwned(dst, payload)
-			}
-		}
+		d.scatter(x, d.g, marked, restrict, recVertex, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
+	touched := bitset.New(d.g.N())
+	for _, box := range d.c.inboxes {
+		for _, msg := range box {
 			for _, w := range msg.Payload {
 				touched.Add(int(w))
 			}
 		}
-		d.c.inboxes[m] = nil
 	}
+	clear(d.c.inboxes)
 	return touched, nil
 }
 
@@ -96,17 +79,14 @@ func (d *DistGraph) NotifyNeighbors(name string, marked, restrict *bitset.Set) (
 // their neighbors, then each edge with both endpoints included is sent to
 // machine 0 by the owner of its smaller endpoint.
 func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Graph, []int32, error) {
-	nbrs, _, err := d.ExchangeActive(name+"/announce", include, nil)
+	nbrs, err := d.ExchangeActive(name+"/announce", include, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	parts, err := d.c.Gather(name+"/ship", func(x *Ctx) []uint64 {
 		var payload []uint64
 		for v := x.Lo; v < x.Hi; v++ {
-			if !include.Contains(v) {
-				continue
-			}
-			for _, u := range nbrs[v] {
+			for _, u := range nbrs.Row(v) {
 				if int(u) > v {
 					payload = append(payload, uint64(uint32(v))<<32|uint64(uint32(u)))
 				}
@@ -129,9 +109,7 @@ func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Gra
 		return true
 	})
 	var edges []graph.Edge
-	words := 0
 	for _, part := range parts {
-		words += len(part)
 		for _, w := range part {
 			u := int32(w >> 32)
 			v := int32(uint32(w))
@@ -151,65 +129,175 @@ func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Gra
 
 // ExchangeActive performs the per-phase neighborhood exchange: the owner of
 // every active vertex u announces u (and, when vals is non-nil, vals[u]) to
-// the owners of all of u's neighbors. It returns, for every active vertex v,
-// the ascending list of v's active neighbors and — when vals is non-nil —
-// the aligned list of their announced values. One round; one or two words
-// per (active vertex, neighbor) pair, batched per machine pair.
+// the owners of all of u's neighbors. It returns the view whose row v is the
+// ascending list of v's active neighbors for every active v (empty for
+// inactive v) and, when vals is non-nil, whose Vals(v) are their announced
+// values. One round; one or two words per (active vertex, neighbor) pair,
+// batched per machine pair.
 //
-// Both returned structures are deterministic: inboxes are ordered by sender
-// machine, senders scan their vertices and adjacency lists in ascending
-// order, and vertex ownership is monotone in the vertex id.
-func (d *DistGraph) ExchangeActive(name string, active *bitset.Set, vals []int32) (nbrs, nbrVals [][]int32, err error) {
-	withVals := vals != nil
-	err = d.c.Step(name, func(x *Ctx) {
-		buckets := make([][]uint64, d.c.Machines())
+// The view is deterministic: inboxes are ordered by sender machine, senders
+// scan their vertices and adjacency lists in ascending order, and vertex
+// ownership is monotone in the vertex id.
+func (d *DistGraph) ExchangeActive(name string, active *bitset.Set, vals []int32) (Adjacency, error) {
+	rec := recEdge
+	if vals != nil {
+		rec = recEdgeVal
+	}
+	err := d.c.Step(name, func(x *Ctx) {
+		d.scatter(x, d.g, active, nil, rec, vals)
+	})
+	if err != nil {
+		return Adjacency{}, err
+	}
+	return d.collectRows(active, vals != nil), nil
+}
+
+// Adjacency is a flat (CSR) neighbour view keyed by vertex: row v is
+// Nbr[Off[v]:Off[v+1]], and Val, when values were exchanged, is aligned
+// with Nbr. Rows are contiguous: row v ends exactly where row v+1 starts.
+type Adjacency struct {
+	Off []int32 // len n+1
+	Nbr []int32
+	Val []int32 // nil unless values were exchanged
+}
+
+// Row returns v's neighbours in ascending order (empty for a vertex the
+// exchange did not keep).
+func (a Adjacency) Row(v int) []int32 { return a.Nbr[a.Off[v]:a.Off[v+1]] }
+
+// Vals returns the values announced by v's neighbours, aligned with Row(v).
+func (a Adjacency) Vals(v int) []int32 { return a.Val[a.Off[v]:a.Off[v+1]] }
+
+// record selects what a vertex-keyed exchange sends for one (u, v) pair, u a
+// sending vertex and v one of its neighbours.
+type record uint8
+
+const (
+	recVertex  record = iota // v
+	recEdge                  // v<<32 | u
+	recEdgeVal               // v<<32 | u, then vals[u]
+)
+
+// scatter is the sender half of the vertex-keyed exchanges, run by machine x
+// in a step closure: for every local vertex u in from (nil: every vertex)
+// and every neighbour v of u in adj that is in to (nil: every neighbour), it
+// sends one rec record to v's owner, batched into one message per
+// destination in (u, v) order.
+//
+// A count pass sizes every destination exactly, so the machine allocates one
+// slab and hands each destination a capacity-clipped sub-slice of it. Both
+// passes walk each ascending adjacency list against the next block boundary
+// instead of dividing per edge: ownership is monotone in the vertex id.
+func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec record, vals []int32) {
+	stride := 1
+	if rec == recEdgeVal {
+		stride = 2
+	}
+	per := d.c.per
+	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors
+	var slab []uint64
+	for pass := 0; pass < 2; pass++ {
 		for u := x.Lo; u < x.Hi; u++ {
-			if !active.Contains(u) {
+			if from != nil && !from.Contains(u) {
 				continue
 			}
-			for _, v := range d.g.Neighbors(u) {
-				dst := d.c.Owner(int(v))
-				word := uint64(uint32(v))<<32 | uint64(uint32(u))
-				if withVals {
-					buckets[dst] = append(buckets[dst], word, uint64(uint32(vals[u])))
-				} else {
-					buckets[dst] = append(buckets[dst], word)
+			nb := adj.Neighbors(u)
+			if len(nb) == 0 {
+				continue
+			}
+			dst := d.c.Owner(int(nb[0]))
+			next := (dst + 1) * per // first vertex past dst's block
+			for _, v := range nb {
+				if to != nil && !to.Contains(int(v)) {
+					continue
+				}
+				for int(v) >= next {
+					dst++
+					next += per
+				}
+				i := pos[dst]
+				pos[dst] = i + stride
+				if pass == 0 {
+					continue
+				}
+				switch rec {
+				case recVertex:
+					slab[i] = uint64(v)
+				case recEdge:
+					slab[i] = uint64(uint32(v))<<32 | uint64(uint32(u))
+				case recEdgeVal:
+					slab[i] = uint64(uint32(v))<<32 | uint64(uint32(u))
+					slab[i+1] = uint64(uint32(vals[u]))
 				}
 			}
 		}
-		for dst, payload := range buckets {
-			if len(payload) > 0 {
-				x.SendOwned(dst, payload)
+		if pass == 0 {
+			total := 0
+			for dst, words := range pos {
+				pos[dst] = total
+				total += words
 			}
+			slab = make([]uint64, total)
 		}
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	nbrs = make([][]int32, d.g.N())
-	if withVals {
-		nbrVals = make([][]int32, d.g.N())
+	lo := 0
+	for dst, hi := range pos {
+		if hi > lo {
+			x.SendOwned(dst, slab[lo:hi:hi])
+		}
+		lo = hi
 	}
+}
+
+// collectRows is the receiver half of a recEdge or recEdgeVal exchange: it
+// decodes every delivered record into a CSR keyed by the addressee v,
+// keeping only v in keep (nil: every vertex), and empties the inboxes. A
+// count pass sizes the rows and a fill pass writes them, so the view costs
+// three allocations whatever the traffic. Rows come out in delivery order:
+// by sender machine, then sender vertex, which is ascending.
+func (d *DistGraph) collectRows(keep *bitset.Set, withVals bool) Adjacency {
 	stride := 1
 	if withVals {
 		stride = 2
 	}
-	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
-			for i := 0; i+stride-1 < len(msg.Payload); i += stride {
-				word := msg.Payload[i]
-				v := int32(word >> 32)
-				u := int32(uint32(word))
-				if !active.Contains(int(v)) {
-					continue
-				}
-				nbrs[v] = append(nbrs[v], u)
-				if withVals {
-					nbrVals[v] = append(nbrVals[v], int32(uint32(msg.Payload[i+1])))
+	a := Adjacency{Off: make([]int32, d.c.N()+1)}
+	off := a.Off
+	for pass := 0; pass < 2; pass++ {
+		for _, box := range d.c.inboxes {
+			for _, msg := range box {
+				p := msg.Payload
+				for i := 0; i+stride <= len(p); i += stride {
+					v := int32(p[i] >> 32)
+					if keep != nil && !keep.Contains(int(v)) {
+						continue
+					}
+					if pass == 0 {
+						off[v+1]++
+						continue
+					}
+					// off[v+1] is row v's fill cursor; once row v is
+					// full it is row v's end, i.e. row v+1's start.
+					j := off[v+1]
+					off[v+1] = j + 1
+					a.Nbr[j] = int32(uint32(p[i]))
+					if withVals {
+						a.Val[j] = int32(uint32(p[i+1]))
+					}
 				}
 			}
 		}
-		d.c.inboxes[m] = nil
+		if pass == 0 {
+			// Shift the counts to row starts: off[v+1] = Σ_{w<v} |row w|.
+			var total int32
+			for v := 1; v < len(off); v++ {
+				total, off[v] = total+off[v], total
+			}
+			a.Nbr = make([]int32, total)
+			if withVals {
+				a.Val = make([]int32, total)
+			}
+		}
 	}
-	return nbrs, nbrVals, nil
+	clear(d.c.inboxes)
+	return a
 }

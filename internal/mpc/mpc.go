@@ -267,6 +267,7 @@ type BudgetPolicy func(round int, routed bool, sent, recv []int, boxes [][]Messa
 type Cluster struct {
 	cfg     Config
 	n       int
+	per     int // block size ⌈n/M⌉ of the partition (Owner, Range)
 	budget  int
 	meter   BudgetPolicy
 	stats   Stats
@@ -375,6 +376,7 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		n:       n,
+		per:     (n + cfg.Machines - 1) / cfg.Machines,
 		budget:  budget,
 		meter:   meter,
 		inboxes: make([][]Message, cfg.Machines),
@@ -438,26 +440,12 @@ func (c *Cluster) Owner(v int) int {
 	if c.n == 0 {
 		return 0
 	}
-	per := (c.n + c.cfg.Machines - 1) / c.cfg.Machines
-	m := v / per
-	if m >= c.cfg.Machines {
-		m = c.cfg.Machines - 1
-	}
-	return m
+	return min(v/c.per, c.cfg.Machines-1)
 }
 
 // Range returns the half-open item range [lo, hi) owned by machine m.
 func (c *Cluster) Range(m int) (lo, hi int) {
-	per := (c.n + c.cfg.Machines - 1) / c.cfg.Machines
-	lo = m * per
-	hi = lo + per
-	if lo > c.n {
-		lo = c.n
-	}
-	if hi > c.n {
-		hi = c.n
-	}
-	return lo, hi
+	return min(m*c.per, c.n), min((m+1)*c.per, c.n)
 }
 
 // SetResident records machine m's current resident memory in words; the
@@ -757,8 +745,12 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 }
 
 // SendOwned queues payload without copying; the caller must not reuse it.
-// Sending on an invalidated context (after its step completed) drops the
-// payload and records ErrStaleCtx, returned by the cluster's next Step.
+// payload may be a capacity-clipped sub-slice (slab[a:b:b]) of one slab the
+// sender shares across destinations: the engine, transportFaults, the MPRW
+// codec, checkpointing and every receiver only read delivered payloads, and
+// never append to or write into them (DESIGN.md §8). Sending on an
+// invalidated context (after its step completed) drops the payload and
+// records ErrStaleCtx, returned by the cluster's next Step.
 func (x *Ctx) SendOwned(dst int, payload []uint64) {
 	ob := x.ob
 	ob.mu.Lock()

@@ -64,34 +64,13 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 	n := d.g.N()
 	// Round 1: every u announces itself to the owners of its A-neighbors,
 	// so the owner of x learns the set {u : u ~_A x}.
-	aNbrs := make([][]int32, n)
 	err := d.c.Step("power/announce", func(x *Ctx) {
-		buckets := make([][]uint64, d.c.Machines())
-		for u := x.Lo; u < x.Hi; u++ {
-			for _, v := range a.Neighbors(u) {
-				dst := d.c.Owner(int(v))
-				buckets[dst] = append(buckets[dst], uint64(uint32(v))<<32|uint64(uint32(u)))
-			}
-		}
-		for dst, payload := range buckets {
-			if len(payload) > 0 {
-				x.SendOwned(dst, payload)
-			}
-		}
+		d.scatter(x, a, nil, nil, recEdge, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
-			for _, w := range msg.Payload {
-				x := int32(w >> 32)
-				u := int32(uint32(w))
-				aNbrs[x] = append(aNbrs[x], u)
-			}
-		}
-		d.c.inboxes[m] = nil
-	}
+	aNbrs := d.collectRows(nil, false)
 	// Round 2: the owner of x emits every composed pair (u, w) with u ~_A x
 	// and w ~_B x to the owner of the smaller endpoint; A and B edges ride
 	// along so the result is the union closure.
@@ -109,7 +88,7 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 			buckets[dst] = append(buckets[dst], uint64(uint32(u))<<32|uint64(uint32(w)))
 		}
 		for x := xc.Lo; x < xc.Hi; x++ {
-			for _, u := range aNbrs[x] {
+			for _, u := range aNbrs.Row(x) {
 				emit(u, int32(x)) // the A edge itself
 				for _, w := range b.Neighbors(x) {
 					emit(u, w) // the composed edge

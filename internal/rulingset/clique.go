@@ -9,6 +9,7 @@ import (
 	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/derand"
 	"github.com/rulingset/mprs/internal/graph"
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 // CliqueResult is the outcome of a congested-clique algorithm run.
@@ -108,7 +109,7 @@ type cliqueModel struct {
 	g *graph.Graph
 }
 
-func (m cliqueModel) view(active *bitset.Set) ([][]int32, error) {
+func (m cliqueModel) view(active *bitset.Set) (mpc.Adjacency, error) {
 	return m.neighborsIn("view", active)
 }
 
@@ -150,8 +151,9 @@ func (cliqueModel) broadcastSeed([]uint64) error { return errCliqueSeedBroadcast
 
 // neighborsIn is a one-round neighborhood exchange: the nodes in set
 // announce themselves to their neighbors (one word per pair), and each node
-// in set collects the ascending list of its neighbors in set.
-func (m cliqueModel) neighborsIn(name string, set *bitset.Set) ([][]int32, error) {
+// in set collects the ascending list of its neighbors in set. Nodes drain
+// in ascending order, so the rows are laid out in one pass.
+func (m cliqueModel) neighborsIn(name string, set *bitset.Set) (mpc.Adjacency, error) {
 	if err := m.c.Step(name, func(x *clique.Ctx) {
 		if !set.Contains(x.Machine) {
 			return
@@ -160,17 +162,23 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set) ([][]int32, error
 			x.Send(int(u), 1)
 		}
 	}); err != nil {
-		return nil, err
+		return mpc.Adjacency{}, err
 	}
-	nbrs := make([][]int32, m.g.N())
-	for v := range nbrs {
+	n := m.g.N()
+	total := 0 // bounds the rows: a node hears at most from its neighbours
+	set.ForEach(func(v int) bool {
+		total += m.g.Degree(v)
+		return true
+	})
+	nbrs := mpc.Adjacency{Off: make([]int32, n+1), Nbr: make([]int32, 0, total)}
+	for v := 0; v < n; v++ {
 		msgs := m.c.Drain(v)
-		if !set.Contains(v) {
-			continue
+		if set.Contains(v) {
+			for _, msg := range msgs {
+				nbrs.Nbr = append(nbrs.Nbr, int32(msg.Src))
+			}
 		}
-		for _, msg := range msgs {
-			nbrs[v] = append(nbrs[v], int32(msg.Src))
-		}
+		nbrs.Off[v+1] = int32(len(nbrs.Nbr))
 	}
 	return nbrs, nil
 }
@@ -185,7 +193,7 @@ func (m cliqueModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, er
 		return nil, nil, err
 	}
 	if err := m.c.RouteStep("residual/route", func(x *clique.Ctx) {
-		for _, u := range candNbrs[x.Machine] {
+		for _, u := range candNbrs.Row(x.Machine) {
 			if int(u) > x.Machine {
 				x.Send(0, uint64(uint32(x.Machine))<<32|uint64(uint32(u)))
 			}

@@ -31,14 +31,14 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 	// Independence: members announce themselves; a member that hears from a
 	// member neighbor is a conflict. ExchangeActive returns, per member, the
 	// member neighbors only.
-	nbrs, _, err := d.ExchangeActive("verify/independence", inSet, nil)
+	nbrs, err := d.ExchangeActive("verify/independence", inSet, nil)
 	if err != nil {
 		return 0, err
 	}
 	for _, v := range members {
-		if len(nbrs[v]) > 0 {
+		if row := nbrs.Row(int(v)); len(row) > 0 {
 			return c.Stats().Rounds - before,
-				fmt.Errorf("rulingset: members %d and %d are adjacent", v, nbrs[v][0])
+				fmt.Errorf("rulingset: members %d and %d are adjacent", v, row[0])
 		}
 	}
 

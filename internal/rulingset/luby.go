@@ -68,11 +68,12 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		joiners := bitset.New(n) // MIS joiners this iteration
 		activeEdges := 0
 		active.ForEach(func(v int) bool {
-			deg[v] = int32(len(view[v]))
+			row := view.Row(v)
+			deg[v] = int32(len(row))
 			if deg[v] == 0 {
 				joiners.Add(v) // isolated in the active graph: joins unconditionally
 			}
-			for _, u := range view[v] {
+			for _, u := range row {
 				if int(u) > v {
 					activeEdges++
 				}
@@ -86,8 +87,9 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 
 		// Share active degrees with neighbors (needed for conflict priority
-		// and, in the deterministic variant, for neighbor thresholds).
-		_, nbrDeg, err := d.ExchangeActive("luby/degrees", active, deg)
+		// and, in the deterministic variant, for neighbor thresholds). Its
+		// rows are view's rows: both exchanges run on the same active set.
+		nbrDeg, err := d.ExchangeActive("luby/degrees", active, deg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -109,11 +111,11 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		if maxDeg > 0 {
 			switch {
 			case deterministic && o.LubyExactThresholds:
-				if err := detLubyValuesMarks(m, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
+				if err := detLubyValuesMarks(m, o, active, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
 					return Result{}, err
 				}
 			case deterministic:
-				if err := detLubyMarks(m, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
+				if err := detLubyMarks(m, o, active, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
 					return Result{}, err
 				}
 			default:
@@ -133,14 +135,15 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		// Conflict resolution: marked vertices exchange (id, degree); the
 		// lexicographically larger (degree, id) endpoint of each marked edge
 		// survives.
-		mNbrs, mDegs, err := d.ExchangeActive("luby/resolve", marks, deg)
+		resolve, err := d.ExchangeActive("luby/resolve", marks, deg)
 		if err != nil {
 			return Result{}, err
 		}
 		marks.ForEach(func(v int) bool {
 			wins := true
-			for i, w := range mNbrs[v] {
-				dw := mDegs[v][i]
+			mDegs := resolve.Vals(v)
+			for i, w := range resolve.Row(v) {
+				dw := mDegs[i]
 				if dw > deg[v] || (dw == deg[v] && w > int32(v)) {
 					wins = false
 					break
@@ -189,7 +192,8 @@ func lubyJ(d int) int {
 
 // detLubyMarks runs one derandomized Luby marking step with the AND-family
 // (per-vertex power-of-two probabilities), honoring Options.SeedPolicy.
-func detLubyMarks(m model, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+// nbrDeg's row v lists v's active neighbors and its Vals(v) their degrees.
+func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	n := active.Len()
 	maxJ := lubyJ(maxDeg)
 	fam, err := hash.NewBits(n, maxJ)
@@ -210,8 +214,9 @@ func detLubyMarks(m model, o Options, active *bitset.Set, view, nbrDeg [][]int32
 			pv := ec.markProb(v, jv)
 			term := pv
 			if pv != 0 {
-				for i, u := range view[v] {
-					term -= ec.pairProb(v, int(u), jv, lubyJ(int(nbrDeg[v][i])))
+				du := nbrDeg.Vals(v)
+				for i, u := range nbrDeg.Row(v) {
+					term -= ec.pairProb(v, int(u), jv, lubyJ(int(du[i])))
 				}
 			}
 			psi += float64(deg[v]) * term
@@ -238,7 +243,7 @@ func detLubyMarks(m model, o Options, active *bitset.Set, view, nbrDeg [][]int32
 // estimator is the same Ψ, with conditional probabilities from the value
 // family's digit DP (exact, but O(ℓ) per term instead of O(1): the ablation
 // quantifies what the AND-family's speed costs in marking fidelity).
-func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
+func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	ell := lubyJ(maxDeg) + 2 // enough resolution for the smallest threshold
 	fam, err := hash.NewValues(n, ell)
@@ -265,8 +270,9 @@ func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, view,
 			pv := fam.BelowProb(s, v, tv)
 			term := pv
 			if pv != 0 {
-				for i, u := range view[v] {
-					term -= fam.PairBelowProb(s, v, int(u), tv, threshold(nbrDeg[v][i]))
+				du := nbrDeg.Vals(v)
+				for i, u := range nbrDeg.Row(v) {
+					term -= fam.PairBelowProb(s, v, int(u), tv, threshold(du[i]))
 				}
 			}
 			psi += float64(deg[v]) * term

@@ -58,8 +58,8 @@ type model interface {
 	// Reduction sums a seed-search chunk and distributes the pick.
 	derand.Reduction
 	// view returns every active vertex's active neighbors in ascending
-	// order (nil for inactive vertices).
-	view(active *bitset.Set) ([][]int32, error)
+	// order (an empty row for inactive vertices).
+	view(active *bitset.Set) (mpc.Adjacency, error)
 	// dominate notifies the active neighbors of the marked vertices and
 	// returns the vertices reached.
 	dominate(marks, active *bitset.Set) (*bitset.Set, error)
@@ -88,9 +88,8 @@ func newMPCModel(d *mpc.DistGraph, prefix string) mpcModel {
 	return mpcModel{Reduction: derand.MPC(d.Cluster()), d: d, prefix: prefix}
 }
 
-func (m mpcModel) view(active *bitset.Set) ([][]int32, error) {
-	view, _, err := m.d.ExchangeActive(m.prefix+"/view", active, nil)
-	return view, err
+func (m mpcModel) view(active *bitset.Set) (mpc.Adjacency, error) {
+	return m.d.ExchangeActive(m.prefix+"/view", active, nil)
 }
 
 func (m mpcModel) dominate(marks, active *bitset.Set) (*bitset.Set, error) {
@@ -160,7 +159,7 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 		}
 		capSize := 1 << uint(j)
 		st.active.ForEach(func(v int) bool {
-			nb := view[v]
+			nb := view.Row(v)
 			if len(nb) >= capSize {
 				ps.HighDegBefore++
 			}
@@ -189,7 +188,7 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 
 		ps.Marked = marks.Count()
 		marks.ForEach(func(v int) bool {
-			for _, u := range view[v] {
+			for _, u := range view.Row(v) {
 				if int(u) > v && marks.Contains(int(u)) {
 					ps.CandidateEdges++
 				}
@@ -240,7 +239,7 @@ func (st *sparsifyState) absorbActive() {
 //
 // The ablation knobs (Options.SeedPolicy, EstimatorAlpha, BenefitCap) vary
 // the construction; their defaults are the paper's choices.
-func detMarks(m model, o Options, active *bitset.Set, view [][]int32, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	alpha := o.EstimatorAlpha
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
@@ -265,7 +264,7 @@ func detMarks(m model, o Options, active *bitset.Set, view [][]int32, j int, mar
 			if !active.Contains(v) {
 				continue
 			}
-			nb := view[v]
+			nb := view.Row(v)
 			vAlive := int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j)
 			if vAlive {
 				for _, u := range nb {
