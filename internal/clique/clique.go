@@ -363,8 +363,13 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
 		vals := make([]float64, nExt)
 		local(x.Machine, vals)
+		// One payload slab per node, sent as single-word sub-slices: nExt
+		// times fewer heap objects than a copy per Send, which keeps the
+		// peak heap of this allocation-bound round steady.
+		words := make([]uint64, nExt)
 		for e, val := range vals {
-			x.Send(e, math.Float64bits(val))
+			words[e] = math.Float64bits(val)
+			x.SendOwned(e, words[e:e+1:e+1])
 		}
 	}); err != nil {
 		return nil, err

@@ -15,12 +15,19 @@
 //
 // SelectSeed is the one seed search for both models; only the Reduction
 // differs. In MPC (see MPC) a chunk is a gather of 2^z words per machine
-// plus a broadcast, so a seed of L bits costs ⌈L/z⌉ gather/broadcast pairs
-// while each machine evaluates 2^z conditional expectations per chunk; with
-// z = Θ(log n) the whole seed is fixed in O(1) collective steps in the
+// plus a broadcast, so a seed of L bits costs ⌈L/z⌉ gather/broadcast pairs;
+// with z = Θ(log n) the whole seed is fixed in O(1) collective steps in the
 // near-linear-memory regime — the observation behind the paper's round
 // bounds. In the congested clique (see Clique) a chunk of any width up to
 // log₂ n is summed in O(1) rounds, one aggregator node per extension.
+//
+// A machine scores all 2^z extensions of a chunk in one call (ChunkEval).
+// The mark-tracking estimators do it in one pass over their items plus one
+// Walsh–Hadamard transform (see Walsh): every conditional probability they
+// sum is an affine combination of characters χ_S(e) of the chunk value e,
+// so a pass accumulates the coefficients and the transform evaluates them
+// at every e, in O(items + z·2^z) instead of O(items·2^z). Direct is the
+// per-extension loop, for estimators without that structure.
 package derand
 
 import (
@@ -94,12 +101,49 @@ func (cfg Config) withDefaults(maxChunkBits int) (Config, error) {
 	return cfg, nil
 }
 
-// LocalEval computes a machine's exact local contribution to the conditional
-// expectation E[Φ | seed state], i.e. the sum of the estimator terms owned by
-// the machine's items [lo, hi) (its vertices/edges), conditioned on the
-// seed's fixed prefix plus the provisional chunk currently written in s.
-// Implementations must only read state belonging to those items.
+// ChunkEval computes a machine's exact local contributions to the
+// conditional expectations of one chunk: for each extension e < 2^width =
+// len(out) it writes to out[e] the sum of the estimator terms owned by the
+// machine's items [lo, hi) (its vertices/edges), conditioned on the seed's
+// committed prefix (which ends at start) plus the chunk [start,
+// start+width) fixed to e. Width 0 asks for E[Φ | prefix] alone. s is
+// shared and read-only; implementations must only read state belonging to
+// their items.
+type ChunkEval func(lo, hi int, s *hash.Seed, start, width int, out []float64)
+
+// LocalEval computes a machine's exact local contribution to E[Φ | s], the
+// seed's fixed prefix; Direct turns it into a ChunkEval.
 type LocalEval func(lo, hi int, s *hash.Seed) float64
+
+// Direct returns the ChunkEval that calls eval once per extension, on a
+// private copy of s with the chunk written and counted as fixed — 2^width
+// passes over the items. It serves estimators with no spectral form (the
+// value family's digit DP) and tests.
+func Direct(eval LocalEval) ChunkEval {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+		local := s.Clone()
+		local.SetFixed(start + width)
+		for e := range out {
+			local.SetChunk(start, width, uint64(e))
+			out[e] = eval(lo, hi, local)
+		}
+	}
+}
+
+// Walsh applies the unnormalized Walsh–Hadamard transform to x in place:
+// afterwards x[e] = Σ_S x_old[S]·(−1)^{|S∧e|}. len(x) must be a power of
+// two. Given the character coefficients of a function of the chunk value,
+// it yields the function's value at every chunk value in O(z·2^z).
+func Walsh(x []float64) {
+	for h := 1; h < len(x); h <<= 1 {
+		for i := 0; i < len(x); i += h << 1 {
+			for k := i; k < i+h; k++ {
+				a, b := x[k], x[k+h]
+				x[k], x[k+h] = a+b, a-b
+			}
+		}
+	}
+}
 
 // Trace records the conditional-expectation trajectory of one seed
 // selection; the conditional expectations are non-increasing (Minimize) or
@@ -132,12 +176,12 @@ type Reduction interface {
 	CurrentSpan() string
 	// MaxChunkBits bounds the chunk width z; 0 means no model bound.
 	MaxChunkBits() int
-	// Expect returns E[Φ | s], the sum of eval over all machines.
-	Expect(s *hash.Seed, eval LocalEval) (float64, error)
+	// Expect returns E[Φ | s], the sum over all machines of eval at
+	// width 0.
+	Expect(s *hash.Seed, eval ChunkEval) (float64, error)
 	// Extensions returns, for each extension e < 2^width of the chunk at
-	// [start, start+width), the sum of eval over all machines with the chunk
-	// fixed to e.
-	Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error)
+	// [start, start+width), the sum over all machines of eval's value for e.
+	Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]float64, error)
 	// Pick distributes the chosen extension to every machine.
 	Pick(e int) error
 }
@@ -146,7 +190,7 @@ type Reduction interface {
 // conditional expectations, using eval as the machine-local estimator and
 // r's collectives for coordination. On return s is fully fixed and the
 // realized Φ(s) is at least as good as the initial expectation.
-func SelectSeed(r Reduction, s *hash.Seed, cfg Config, eval LocalEval) (Trace, error) {
+func SelectSeed(r Reduction, s *hash.Seed, cfg Config, eval ChunkEval) (Trace, error) {
 	cfg, err := cfg.withDefaults(r.MaxChunkBits())
 	if err != nil {
 		return Trace{}, err
@@ -203,15 +247,22 @@ func SelectSeed(r Reduction, s *hash.Seed, cfg Config, eval LocalEval) (Trace, e
 // MPC returns the MPC reduction: every machine's values are gathered at the
 // coordinator (derand/init, then one derand/eval of 2^z words per chunk) and
 // the chosen extension is broadcast (derand/pick).
-func MPC(c *mpc.Cluster) Reduction { return mpcReduction{c} }
+func MPC(c *mpc.Cluster) Reduction {
+	return &mpcReduction{Cluster: c, scratch: make([][]float64, c.Machines())}
+}
 
-type mpcReduction struct{ *mpc.Cluster }
+type mpcReduction struct {
+	*mpc.Cluster
+	// scratch[m] is machine m's ChunkEval output, reused across chunks. It
+	// is copied into each gather's fresh payload, never sent itself.
+	scratch [][]float64
+}
 
-func (mpcReduction) MaxChunkBits() int { return 0 }
+func (*mpcReduction) MaxChunkBits() int { return 0 }
 
 // Expect spends one gather on the unconditioned expectation: a chunk of
 // width 0.
-func (r mpcReduction) Expect(s *hash.Seed, eval LocalEval) (float64, error) {
+func (r *mpcReduction) Expect(s *hash.Seed, eval ChunkEval) (float64, error) {
 	sums, err := r.sums("derand/init", s, s.Fixed(), 0, eval)
 	if err != nil {
 		return 0, err
@@ -219,21 +270,25 @@ func (r mpcReduction) Expect(s *hash.Seed, eval LocalEval) (float64, error) {
 	return sums[0], nil
 }
 
-func (r mpcReduction) Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+func (r *mpcReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]float64, error) {
 	return r.sums("derand/eval", s, start, width, eval)
 }
 
 // sums gathers every machine's 2^width values at the coordinator and adds
 // them up per extension, in machine order.
-func (r mpcReduction) sums(name string, s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+func (r *mpcReduction) sums(name string, s *hash.Seed, start, width int, eval ChunkEval) ([]float64, error) {
 	nExt := 1 << uint(width)
 	parts, err := r.Gather(name, func(x *mpc.Ctx) []uint64 {
-		local := s.Clone()
-		local.SetFixed(start + width)
+		vals := r.scratch[x.Machine]
+		if cap(vals) < nExt {
+			vals = make([]float64, nExt)
+			r.scratch[x.Machine] = vals
+		}
+		vals = vals[:nExt]
+		eval(x.Lo, x.Hi, s, start, width, vals)
 		out := make([]uint64, nExt)
-		for e := 0; e < nExt; e++ {
-			local.SetChunk(start, width, uint64(e))
-			out[e] = math.Float64bits(eval(x.Lo, x.Hi, local))
+		for e, v := range vals {
+			out[e] = math.Float64bits(v)
 		}
 		return out
 	})
@@ -255,7 +310,7 @@ func (r mpcReduction) sums(name string, s *hash.Seed, start, width int, eval Loc
 	return totals, nil
 }
 
-func (r mpcReduction) Pick(e int) error {
+func (r *mpcReduction) Pick(e int) error {
 	_, err := r.Broadcast("derand/pick", []uint64{uint64(e)})
 	return err
 }
@@ -275,22 +330,19 @@ func (r cliqueReduction) MaxChunkBits() int { return bits.Len(uint(r.N())) - 1 }
 // for the guarantee check, and node 0 could derive it from the first chunk's
 // sums (E[Φ] is their mean over the equally likely extensions). So it is
 // computed here, as the sum of the node terms in node order.
-func (r cliqueReduction) Expect(s *hash.Seed, eval LocalEval) (float64, error) {
+func (r cliqueReduction) Expect(s *hash.Seed, eval ChunkEval) (float64, error) {
+	var val [1]float64
 	sum := 0.0
 	for v := 0; v < r.N(); v++ {
-		sum += eval(v, v+1, s)
+		eval(v, v+1, s, s.Fixed(), 0, val[:])
+		sum += val[0]
 	}
 	return sum, nil
 }
 
-func (r cliqueReduction) Extensions(s *hash.Seed, start, width int, eval LocalEval) ([]float64, error) {
+func (r cliqueReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]float64, error) {
 	return r.ScatterAggregateFloat("chunk", 1<<uint(width), func(v int, vals []float64) {
-		local := s.Clone()
-		local.SetFixed(start + width)
-		for e := range vals {
-			local.SetChunk(start, width, uint64(e))
-			vals[e] = eval(v, v+1, local)
-		}
+		eval(v, v+1, s, start, width, vals)
 	})
 }
 

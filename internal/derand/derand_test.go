@@ -2,6 +2,7 @@ package derand
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -26,10 +27,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
-	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{ChunkBits: 99}, eval); err == nil {
+	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{ChunkBits: 99}, Direct(eval)); err == nil {
 		t.Error("chunk bits 99 accepted")
 	}
-	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{Objective: Objective(9)}, eval); err == nil {
+	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{Objective: Objective(9)}, Direct(eval)); err == nil {
 		t.Error("bad objective accepted")
 	}
 }
@@ -54,7 +55,7 @@ func TestMaximizeMarks(t *testing.T) {
 				}
 				return sum
 			}
-			trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: chunk, Objective: Maximize}, eval)
+			trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: chunk, Objective: Maximize}, Direct(eval))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestMinimizePairs(t *testing.T) {
 		}
 		return sum
 	}
-	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, Direct(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestAlignToKeepsChunksInsideSegments(t *testing.T) {
 		}
 		return sum
 	}
-	if _, err := SelectSeed(MPC(c), seed, cfg, eval); err != nil {
+	if _, err := SelectSeed(MPC(c), seed, cfg, Direct(eval)); err != nil {
 		t.Fatal(err)
 	}
 	if len(boundaries) == 0 {
@@ -185,7 +186,7 @@ func TestSelectSeedDeterministicAcrossMachineCounts(t *testing.T) {
 			}
 			return sum
 		}
-		if _, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 5, Objective: Maximize}, eval); err != nil {
+		if _, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 5, Objective: Maximize}, Direct(eval)); err != nil {
 			t.Fatal(err)
 		}
 		bitsOut := make([]uint64, seed.Total())
@@ -214,7 +215,7 @@ func TestTraceStepsAndRounds(t *testing.T) {
 	}
 	seed := fam.NewSeed()
 	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
-	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, Direct(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCliqueReductionMatchesMPC(t *testing.T) {
 		return sum
 	}
 	run := func(r Reduction, chunk int) Trace {
-		trace, err := SelectSeed(r, fam.NewSeed(), Config{ChunkBits: chunk, Objective: Maximize}, eval)
+		trace, err := SelectSeed(r, fam.NewSeed(), Config{ChunkBits: chunk, Objective: Maximize}, Direct(eval))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,5 +279,39 @@ func TestCheckMonotone(t *testing.T) {
 	}
 	if CheckMonotone(Maximize, Trace{Initial: 1, Values: []float64{2, 1.5}}, 1e-12) != 1 {
 		t.Error("maximizing regression not flagged")
+	}
+}
+
+// TestWalsh: the transform of the delta at S is the character row
+// e ↦ (−1)^{|S∧e|}, and transforming twice multiplies by 2^z.
+func TestWalsh(t *testing.T) {
+	for z := 0; z <= 6; z++ {
+		size := 1 << uint(z)
+		for s := 0; s < size; s++ {
+			x := make([]float64, size)
+			x[s] = 1
+			Walsh(x)
+			for e, got := range x {
+				want := 1.0
+				if bits.OnesCount(uint(s&e))%2 == 1 {
+					want = -1
+				}
+				if got != want {
+					t.Fatalf("z=%d: Walsh(δ_%d)[%d] = %v, want %v", z, s, e, got, want)
+				}
+			}
+		}
+		orig := make([]float64, size)
+		for i := range orig {
+			orig[i] = float64(i*i%7) - 2.5
+		}
+		x := append([]float64(nil), orig...)
+		Walsh(x)
+		Walsh(x)
+		for i := range x {
+			if x[i] != float64(size)*orig[i] {
+				t.Fatalf("z=%d: Walsh twice [%d] = %v, want %v", z, i, x[i], float64(size)*orig[i])
+			}
+		}
 	}
 }

@@ -294,7 +294,8 @@ func T2Families(cfg Config) (Report, error) {
 
 // T3ChunkSize measures the derandomizer's chunk-width tradeoff on a fixed
 // graph. Predicted shape: seed-search steps fall like seedbits/z (hyperbola)
-// while the per-chunk collective payload (and local work) grows like 2^z.
+// while the per-chunk collective payload grows like 2^z per machine (local
+// work like items + z·2^z).
 func T3ChunkSize(cfg Config) (Report, error) {
 	n := 2048
 	if cfg.Quick {

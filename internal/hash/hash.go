@@ -213,9 +213,10 @@ func (f *Family) SegWidth() int { return f.k + 1 }
 // NewSeed allocates a zeroed seed of the right length for this family.
 func (f *Family) NewSeed() *Seed { return NewSeed(f.SeedBits()) }
 
-// coeff returns the coefficient vector a_v = (enc(v), 1): bit i < k is bit i
-// of v+1, bit k is the constant term.
-func (f *Family) coeff(v int) uint64 {
+// Coeff returns the coefficient vector a_v = (enc(v), 1): bit i < k is bit
+// i of v+1, bit k is the constant term. The XOR of two of them is the
+// vector of X(u) ⊕ X(v).
+func (f *Family) Coeff(v int) uint64 {
 	return uint64(v+1) | 1<<uint(f.k)
 }
 
@@ -242,13 +243,13 @@ func (f *Family) bitLaw(s *Seed, t int, a uint64) BitProb {
 
 // BitLaw returns the conditional law of linear bit t at vertex v.
 func (f *Family) BitLaw(s *Seed, t, v int) BitProb {
-	return f.bitLaw(s, t, f.coeff(v))
+	return f.bitLaw(s, t, f.Coeff(v))
 }
 
 // PairLaw returns the exact conditional joint law of linear bit t at the
 // distinct vertices u and v. O(1).
 func (f *Family) PairLaw(s *Seed, t, u, v int) PairProb {
-	au, av := f.coeff(u), f.coeff(v)
+	au, av := f.Coeff(u), f.Coeff(v)
 	lu := f.bitLaw(s, t, au)
 	lv := f.bitLaw(s, t, av)
 	var p PairProb
@@ -275,76 +276,38 @@ func (f *Family) PairLaw(s *Seed, t, u, v int) PairProb {
 	return p
 }
 
-// SegState is the precomputed conditional state of one linear bit's seed
-// segment: the segment's current bit values and the count of fixed
-// coordinates. Extracting it once per segment lets hot loops evaluate
-// per-vertex and per-pair conditional laws with two popcounts instead of
-// repeated seed-chunk extraction (see P1Seg / P11Seg).
-type SegState struct {
-	Seg       uint64 // the segment's k+1 seed bits
-	FixedMask uint64 // mask over the fixed coordinates
-	Ft        int    // number of fixed coordinates
+// ChunkState is the view of one linear bit's seed segment while a chunk of
+// it is provisional: coordinates [0, Ft) are committed with values Pre, the
+// chunk holds coordinates [Ft, Ft+Z), and the rest are free. It gives the
+// law of ⟨segment, a⟩ as a function of the chunk value e, which lets a seed
+// search score all 2^Z extensions at once (see Lin).
+type ChunkState struct {
+	Pre uint64 // the committed coordinates' values (bits ≥ Ft are zero)
+	Ft  int    // number of committed coordinates
+	Z   int    // chunk width
 }
 
-// SegState extracts the conditional state of linear bit t under s.
-func (f *Family) SegState(s *Seed, t int) SegState {
-	width := f.k + 1
-	at := t * width
-	ft := s.fixed - at
-	if ft < 0 {
-		ft = 0
-	} else if ft > width {
-		ft = width
-	}
-	return SegState{
-		Seg:       s.chunk(at, width),
-		FixedMask: uint64(1)<<uint(ft) - 1,
-		Ft:        ft,
+// ChunkState returns linear bit t's view for the chunk [start, start+width)
+// of s, which must lie inside t's segment and begin at its committed
+// frontier; seed bits from start on are not read.
+func (f *Family) ChunkState(s *Seed, t, start, width int) ChunkState {
+	ft := start - t*(f.k+1)
+	return ChunkState{
+		Pre: s.chunk(t*(f.k+1), f.k+1) & (uint64(1)<<uint(ft) - 1),
+		Ft:  ft,
+		Z:   width,
 	}
 }
 
-// P1Seg returns P[X_t(v) = 1] for the segment state, for vertex v.
-func (f *Family) P1Seg(st SegState, v int) float64 {
-	a := f.coeff(v)
-	if a>>uint(st.Ft) != 0 {
-		return 0.5
+// Lin returns the law of the linear form ⟨segment, a⟩ for chunk value e:
+// free (det false, uniform whatever e is) when a has a coordinate beyond
+// the chunk, else determined as par ⊕ ⟨e, m⟩, where par is the committed
+// coordinates' parity against a and m is a's slice over the chunk.
+func (c ChunkState) Lin(a uint64) (det bool, par, m uint64) {
+	if a>>uint(c.Ft+c.Z) != 0 {
+		return false, 0, 0
 	}
-	return float64(uint64(bits.OnesCount64(st.Seg&a&st.FixedMask)) & 1)
-}
-
-// P11Seg returns P[X_t(u) = 1 ∧ X_t(v) = 1] for the segment state, for
-// distinct vertices u and v.
-func (f *Family) P11Seg(st SegState, u, v int) float64 {
-	au, av := f.coeff(u), f.coeff(v)
-	freeU := au>>uint(st.Ft) != 0
-	freeV := av>>uint(st.Ft) != 0
-	switch {
-	case !freeU && !freeV:
-		both := st.Seg & st.FixedMask
-		pu := uint64(bits.OnesCount64(both&au)) & 1
-		pv := uint64(bits.OnesCount64(both&av)) & 1
-		return float64(pu & pv)
-	case freeU && !freeV:
-		if uint64(bits.OnesCount64(st.Seg&av&st.FixedMask))&1 == 1 {
-			return 0.5
-		}
-		return 0
-	case !freeU:
-		if uint64(bits.OnesCount64(st.Seg&au&st.FixedMask))&1 == 1 {
-			return 0.5
-		}
-		return 0
-	default:
-		x := au ^ av
-		if x>>uint(st.Ft) != 0 {
-			return 0.25 // independent uniform bits
-		}
-		// Coupled: X_t(u) ⊕ X_t(v) is determined.
-		if uint64(bits.OnesCount64(st.Seg&x&st.FixedMask))&1 == 0 {
-			return 0.5
-		}
-		return 0
-	}
+	return true, uint64(bits.OnesCount64(c.Pre&a)) & 1, a >> uint(c.Ft)
 }
 
 // Bits is the j-fold AND family: mark(v) has probability exactly 2^{-j} and
@@ -550,23 +513,4 @@ func transition(state int, x, tb uint64) int {
 	default:
 		return 2
 	}
-}
-
-// JFromProb returns the smallest j with 2^-j <= p, clamped to [1, maxJ].
-// Sampling probabilities in the algorithms are rounded down to powers of two
-// so the Bits family applies.
-func JFromProb(p float64, maxJ int) int {
-	j := 1
-	for float64EXP(j) > p && j < maxJ {
-		j++
-	}
-	return j
-}
-
-func float64EXP(j int) float64 {
-	v := 1.0
-	for i := 0; i < j; i++ {
-		v /= 2
-	}
-	return v
 }

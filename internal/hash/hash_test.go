@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -325,26 +326,6 @@ func TestValuesUniformAndPairwiseIndependent(t *testing.T) {
 	}
 }
 
-func TestJFromProb(t *testing.T) {
-	tests := []struct {
-		p    float64
-		maxJ int
-		want int
-	}{
-		{p: 0.5, maxJ: 30, want: 1},
-		{p: 0.51, maxJ: 30, want: 1},
-		{p: 0.25, maxJ: 30, want: 2},
-		{p: 0.3, maxJ: 30, want: 2},
-		{p: 0.1, maxJ: 30, want: 4},
-		{p: 1e-9, maxJ: 10, want: 10}, // clamped
-	}
-	for _, tt := range tests {
-		if got := JFromProb(tt.p, tt.maxJ); got != tt.want {
-			t.Errorf("JFromProb(%v,%d) = %d, want %d", tt.p, tt.maxJ, got, tt.want)
-		}
-	}
-}
-
 func TestNewFamilyErrors(t *testing.T) {
 	if _, err := NewBits(10, 0); err == nil {
 		t.Error("NewBits with 0 bits must fail")
@@ -372,6 +353,141 @@ func TestRandomizeFixesAllBits(t *testing.T) {
 		}
 		if (p == 1) != fam.Marked(s, v) {
 			t.Fatalf("MarkProb and Marked disagree at %d", v)
+		}
+	}
+}
+
+func TestPairLawIsDistribution(t *testing.T) {
+	const n, nbits = 11, 2
+	fam, err := NewFamily(n, nbits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 100; trial++ {
+		s := fam.NewSeed()
+		prefix := rng.Intn(s.Total() + 1)
+		for i := 0; i < prefix; i++ {
+			s.SetChunk(i, 1, uint64(rng.Intn(2)))
+		}
+		s.SetFixed(prefix)
+		tt := rng.Intn(nbits)
+		u := rng.Intn(n)
+		v := rng.Intn(n - 1)
+		if v >= u {
+			v++
+		}
+		law := fam.PairLaw(s, tt, u, v)
+		sum := 0.0
+		for a := 0; a < 2; a++ {
+			for b := 0; b < 2; b++ {
+				if law[a][b] < 0 || law[a][b] > 1 {
+					t.Fatalf("probability out of range: %v", law)
+				}
+				sum += law[a][b]
+			}
+		}
+		if math.Abs(sum-1) > 1e-15 {
+			t.Fatalf("pair law sums to %v: %v", sum, law)
+		}
+		// Marginals must match BitLaw.
+		mu := law[1][0] + law[1][1]
+		if want := fam.BitLaw(s, tt, u).P1(); math.Abs(mu-want) > 1e-15 {
+			t.Fatalf("marginal %v != BitLaw %v", mu, want)
+		}
+	}
+}
+
+func TestBitProbValues(t *testing.T) {
+	if (BitProb{Determined: true, Value: 1}).P1() != 1 {
+		t.Error("determined-1 law wrong")
+	}
+	if (BitProb{Determined: true, Value: 0}).P1() != 0 {
+		t.Error("determined-0 law wrong")
+	}
+	if (BitProb{}).P1() != 0.5 {
+		t.Error("free law wrong")
+	}
+}
+
+func TestFamilyAccessors(t *testing.T) {
+	fam, err := NewFamily(100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fam.K() != EncodeBits(100) {
+		t.Errorf("K = %d", fam.K())
+	}
+	if fam.NBits() != 4 {
+		t.Errorf("NBits = %d", fam.NBits())
+	}
+	if fam.SegWidth() != fam.K()+1 {
+		t.Errorf("SegWidth = %d", fam.SegWidth())
+	}
+	if fam.SeedBits() != 4*fam.SegWidth() {
+		t.Errorf("SeedBits = %d", fam.SeedBits())
+	}
+	if _, err := NewFamily(1<<62, 1); err == nil {
+		t.Error("oversized encoding accepted")
+	}
+}
+
+func TestSeedReset(t *testing.T) {
+	s := NewSeed(70)
+	s.SetChunk(0, 60, ^uint64(0)>>4)
+	s.Commit(60)
+	s.Reset()
+	if s.Fixed() != 0 {
+		t.Fatalf("reset left fixed = %d", s.Fixed())
+	}
+	for i := 0; i < 70; i++ {
+		if s.Bit(i) != 0 {
+			t.Fatalf("reset left bit %d set", i)
+		}
+	}
+}
+
+// TestChunkStateMatchesBitLaw: for every chunk value e, the chunk-relative
+// law from ChunkState.Lin must be the law BitLaw gives once the chunk is
+// written as e and counted as fixed — for vertex vectors and pair XORs.
+func TestChunkStateMatchesBitLaw(t *testing.T) {
+	const n, nbits = 37, 3
+	fam, err := NewFamily(n, nbits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segW := fam.SegWidth()
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 100; trial++ {
+		s := fam.NewSeed()
+		tt := rng.Intn(nbits)
+		start := tt*segW + rng.Intn(segW)
+		width := rng.Intn(tt*segW + segW - start + 1)
+		for i := 0; i < start; i++ {
+			s.SetChunk(i, 1, uint64(rng.Intn(2)))
+		}
+		s.SetFixed(start)
+		cs := fam.ChunkState(s, tt, start, width)
+		prov := s.Clone()
+		prov.SetFixed(start + width)
+		for e := uint64(0); e < 1<<uint(width); e++ {
+			prov.SetChunk(start, width, e)
+			for p := 0; p < 10; p++ {
+				a := fam.Coeff(rng.Intn(n))
+				if p%2 == 1 {
+					a ^= fam.Coeff(rng.Intn(n))
+				}
+				want := fam.bitLaw(prov, tt, a)
+				det, par, m := cs.Lin(a)
+				got := BitProb{Determined: det}
+				if det {
+					got.Value = par ^ uint64(bits.OnesCount64(e&m))&1
+				}
+				if got != want {
+					t.Fatalf("trial %d t=%d chunk [%d,%d) e=%d a=%b: Lin gives %+v, BitLaw %+v",
+						trial, tt, start, start+width, e, a, got, want)
+				}
+			}
 		}
 	}
 }

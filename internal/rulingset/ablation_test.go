@@ -182,6 +182,19 @@ func TestLubyExactThresholds(t *testing.T) {
 	}
 }
 
+// TestLubyExactThresholdsSeedPolicy: the exact-threshold ablation runs
+// only the paper's seed search, so every other seed policy — the two
+// ablations and an unknown value — is rejected rather than silently run as
+// conditional expectations.
+func TestLubyExactThresholdsSeedPolicy(t *testing.T) {
+	g := gen.MustBuild("gnp:n=100,p=0.05", 18)
+	for _, p := range []SeedPolicy{SeedRandomFamily, SeedZero, SeedPolicy(99)} {
+		if _, err := DetLubyMIS(g, Options{LubyExactThresholds: true, SeedPolicy: p}); err == nil {
+			t.Errorf("seed policy %v accepted with exact thresholds", p)
+		}
+	}
+}
+
 func TestUnknownSeedPolicyRejected(t *testing.T) {
 	g := gen.MustBuild("gnp:n=100,p=0.05", 18)
 	if _, err := DetRuling2(g, Options{SeedPolicy: SeedPolicy(99)}); err == nil {

@@ -41,6 +41,9 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if deterministic && o.LubyExactThresholds && o.SeedPolicy != SeedConditionalExpectations {
+		return Result{}, fmt.Errorf("rulingset: LubyExactThresholds does not support seed policy %v (only %v)", o.SeedPolicy, SeedConditionalExpectations)
+	}
 	c := d.Cluster()
 	m := newMPCModel(d, "luby")
 	n := g.N()
@@ -203,28 +206,11 @@ func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, 
 	seed := fam.NewSeed()
 	ms := newMarkState(fam, n)
 
-	evalRange := func(lo, hi int, s *hash.Seed) float64 {
-		ec := ms.ctx(s)
-		var psi float64
-		for v := lo; v < hi; v++ {
-			if !active.Contains(v) || deg[v] == 0 {
-				continue
-			}
-			jv := lubyJ(int(deg[v]))
-			pv := ec.markProb(v, jv)
-			term := pv
-			if pv != 0 {
-				du := nbrDeg.Vals(v)
-				for i, u := range nbrDeg.Row(v) {
-					term -= ec.pairProb(v, int(u), jv, lubyJ(int(du[i])))
-				}
-			}
-			psi += float64(deg[v]) * term
-		}
-		return psi
+	eval, err := lubyEstimator(ms, active, nbrDeg, deg, maxJ)
+	if err != nil {
+		return err
 	}
-
-	if err := fixSeed(m, o, derand.Maximize, ms, seed, evalRange, ps, rng); err != nil {
+	if err := fixSeed(m, o, derand.Maximize, ms, seed, eval, ps, rng); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -236,13 +222,52 @@ func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, 
 	return nil
 }
 
+// lubyEstimator returns detLubyMarks' progress bound Ψ as a ChunkEval on
+// ms, one spectrum per machine: v's term deg_A(v)·(P[mark v] −
+// Σ_u P[mark u ∧ mark v]) enters with heterogeneous exponents lubyJ(deg).
+// maxJ bounds the exponents.
+func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxJ int) (derand.ChunkEval, error) {
+	terms := 0
+	active.ForEach(func(v int) bool {
+		if deg[v] > 0 {
+			terms += 1 + int(deg[v])
+		}
+		return true
+	})
+	if err := checkExact(maxJ, terms); err != nil {
+		return nil, err
+	}
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+		clear(out)
+		cs := ms.chunk(s, start, width)
+		for v := lo; v < hi; v++ {
+			if !active.Contains(v) || deg[v] == 0 {
+				continue
+			}
+			jv := lubyJ(int(deg[v]))
+			if !ms.alive(v, jv) {
+				continue
+			}
+			dv := float64(deg[v])
+			ms.addMark(out, cs, v, jv, dv)
+			du := nbrDeg.Vals(v)
+			for i, u := range nbrDeg.Row(v) {
+				ms.addPair(out, cs, v, int(u), jv, lubyJ(int(du[i])), -dv)
+			}
+		}
+		derand.Walsh(out)
+	}, nil
+}
+
 // detLubyValuesMarks is the exact-threshold ablation of the marking step: it
 // draws ℓ-bit pairwise-independent uniform values H(v) and marks v iff
 // H(v) < ⌊2^ℓ/(2·deg v)⌋ — marking probabilities within one part in 2^ℓ/(2d)
 // of Luby's exact 1/(2d), instead of rounding down to a power of two. The
 // estimator is the same Ψ, with conditional probabilities from the value
-// family's digit DP (exact, but O(ℓ) per term instead of O(1): the ablation
-// quantifies what the AND-family's speed costs in marking fidelity).
+// family's digit DP (exact, but O(ℓ) per term instead of O(1), and
+// evaluated once per extension through derand.Direct rather than as one
+// spectrum: the ablation quantifies what the AND-family's speed costs in
+// marking fidelity). It runs only the paper's seed policy.
 func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	ell := lubyJ(maxDeg) + 2 // enough resolution for the smallest threshold
@@ -284,7 +309,7 @@ func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, nbrDe
 		ChunkBits: o.ChunkBits,
 		Objective: derand.Maximize,
 		AlignTo:   fam.SegWidth(),
-	}, eval)
+	}, derand.Direct(eval))
 	if err != nil {
 		return err
 	}

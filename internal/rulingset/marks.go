@@ -1,6 +1,7 @@
 package rulingset
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/rulingset/mprs/internal/hash"
@@ -16,8 +17,8 @@ import (
 //     (every fixed segment evaluated to 1), summarized per vertex by the
 //     index of its first zero segment;
 //   - at most one segment is partially fixed at any time (chunks are aligned
-//     to segment boundaries), and its conditional law comes from
-//     hash.Family in O(1);
+//     to segment boundaries), and its law as a function of the provisional
+//     chunk comes from hash.ChunkState in O(1);
 //   - fully free segments contribute exactly 1/2 per marginal bit and 1/4
 //     per pairwise-joint bit.
 //
@@ -70,102 +71,124 @@ func (ms *markState) sync(s *hash.Seed) {
 	ms.fixedSegs = newFull
 }
 
-// evalCtx binds a markState to one concrete seed state (fixed prefix plus
-// provisional chunk) with the partial segment's SegState extracted once, so
-// the per-pair probabilities in estimator hot loops avoid repeated seed
-// decoding. Create one per estimator evaluation with ms.ctx(s).
-type evalCtx struct {
-	ms         *markState
-	seg        hash.SegState
-	hasPartial bool
+// chunk returns the partially fixed segment's view for the chunk [start,
+// start+width), which begins at the committed frontier ms is synced to; it
+// is the zero view when every segment is fixed (only width 0 is then
+// possible).
+func (ms *markState) chunk(s *hash.Seed, start, width int) hash.ChunkState {
+	if ms.fixedSegs >= ms.fam.NBits() {
+		return hash.ChunkState{}
+	}
+	return ms.fam.ChunkState(s, ms.fixedSegs, start, width)
 }
 
-// ctx prepares an evaluation context for the seed state s (which may carry a
-// provisional chunk inside the partial segment).
-func (ms *markState) ctx(s *hash.Seed) evalCtx {
-	ec := evalCtx{ms: ms, hasPartial: ms.fixedSegs < ms.fam.NBits()}
-	if ec.hasPartial {
-		ec.seg = ms.fam.SegState(s, ms.fixedSegs)
-	}
-	return ec
+// alive reports whether v's first j linear bits can still all be 1: none of
+// the fully fixed ones among them evaluated to 0. A dead vertex's mark and
+// pair probabilities are 0 whatever the chunk value.
+func (ms *markState) alive(v, j int) bool {
+	return int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j)
 }
 
-// markProb returns P[mark(v)] where mark(v) is the AND of the first j linear
-// bits, conditioned on the context's seed state.
-func (ec evalCtx) markProb(v, j int) float64 {
-	ms := ec.ms
-	full := ms.fixedSegs
-	if full > j {
-		full = j
+// The spectral methods below add c times a conditional probability to a
+// spectrum w of length 2^Z, where the probability is taken given the
+// committed prefix plus chunk value e: w[S] gains the coefficient of the
+// character χ_S(e) = (−1)^{|S∧e|}, so derand.Walsh(w) turns the spectrum
+// into the values at every e. The case split follows the segment
+// structure: fully fixed segments contribute 1 (for alive vertices), fully
+// free ones 1/2 per marginal bit and 1/4 per pairwise-joint bit, and only
+// the partial segment depends on e, through its chunk view cs.
+
+// addMark adds c·P[mark(v)], where mark(v) is the AND of the first j
+// linear bits.
+func (ms *markState) addMark(w []float64, cs hash.ChunkState, v, j int, c float64) {
+	if !ms.alive(v, j) {
+		return
 	}
-	if int(ms.firstZero[v]) < full {
-		return 0
+	f := ms.fixedSegs
+	if f >= j {
+		w[0] += c
+		return
 	}
-	if ms.fixedSegs >= j {
-		return 1
-	}
-	// Partial segment (index fixedSegs) plus fully free segments.
-	p := ms.fam.P1Seg(ec.seg, v)
-	return p * pow2neg(j-ms.fixedSegs-1)
+	// Partial segment f plus j-f-1 fully free segments.
+	addOne(w, cs, ms.fam.Coeff(v), c*pow2neg(j-f-1))
 }
 
-// pairProb returns P[mark(u) ∧ mark(w)] for distinct u, w with per-vertex
-// exponents ju, jw, conditioned on the context's seed state.
-func (ec evalCtx) pairProb(u, w, ju, jw int) float64 {
-	ms := ec.ms
-	if int(ms.firstZero[u]) < minInt(ms.fixedSegs, ju) ||
-		int(ms.firstZero[w]) < minInt(ms.fixedSegs, jw) {
-		return 0
+// addPair adds c·P[mark(u) ∧ mark(x)] for distinct u, x with per-vertex
+// exponents ju, jx.
+func (ms *markState) addPair(w []float64, cs hash.ChunkState, u, x, ju, jx int, c float64) {
+	if !ms.alive(u, ju) || !ms.alive(x, jx) {
+		return
 	}
-	a, b := ju, jw
-	long := w
+	a, b := ju, jx
+	long := x
 	if a > b {
 		a, b = b, a
 		long = u
 	}
-	p := 1.0
-	ps := ms.fixedSegs // partial segment index, if one exists
-
-	// Joint head: segments [0, a). Fully fixed ones contribute 1 (both alive
-	// there, checked above); the partial one needs the exact pair law; fully
-	// free ones contribute 1/4 each.
-	fullHead := minInt(ms.fixedSegs, a)
-	partialInHead := ec.hasPartial && ps < a
-	freeHead := a - fullHead
-	if partialInHead {
-		freeHead--
-		p = ms.fam.P11Seg(ec.seg, u, w)
-		if p == 0 {
-			return 0
-		}
+	switch f := ms.fixedSegs; {
+	case f < a:
+		// Partial segment in the joint head [0, a): the pair law there,
+		// 1/4 per free head segment, 1/2 per tail segment [a, b).
+		addBoth(w, cs, ms.fam.Coeff(u), ms.fam.Coeff(x), c*pow2neg(2*(a-f-1)+(b-a)))
+	case f < b:
+		// Head fully fixed (both alive there); the partial segment is in
+		// the tail, which involves only the vertex with the larger exponent.
+		addOne(w, cs, ms.fam.Coeff(long), c*pow2neg(b-f-1))
+	default:
+		w[0] += c
 	}
-	p *= pow2neg(2 * freeHead)
-
-	// Tail: segments [a, b) involve only the vertex with the larger j.
-	if b > a {
-		fullTail := minInt(ms.fixedSegs, b) - a
-		if fullTail < 0 {
-			fullTail = 0
-		}
-		partialInTail := ec.hasPartial && ps >= a && ps < b
-		freeTail := (b - a) - fullTail
-		if partialInTail {
-			freeTail--
-			p *= ms.fam.P1Seg(ec.seg, long)
-		}
-		p *= pow2neg(freeTail)
-	}
-	return p
 }
 
-// markProb is the convenience form used outside hot loops (and by tests).
-func (ms *markState) markProb(s *hash.Seed, v, j int) float64 {
-	return ms.ctx(s).markProb(v, j)
+// addOne adds c·[X = 1] for the partial segment's linear bit X with
+// coefficient vector a: c/2 if X is free, else c·(1 − (−1)^par·χ_m)/2.
+func addOne(w []float64, cs hash.ChunkState, a uint64, c float64) {
+	h := c / 2
+	w[0] += h
+	if det, par, m := cs.Lin(a); det {
+		w[m] -= signed(h, par)
+	}
 }
 
-// pairProb is the convenience form used outside hot loops (and by tests).
-func (ms *markState) pairProb(s *hash.Seed, u, w, ju, jw int) float64 {
-	return ms.ctx(s).pairProb(u, w, ju, jw)
+// addBoth adds c·[X(u) = 1 ∧ X(x) = 1] for the partial segment's linear
+// bits with vertex coefficient vectors au, ax. Both vectors hold the
+// constant coordinate, the segment's last, so the two bits are determined
+// together or uniform together.
+func addBoth(w []float64, cs hash.ChunkState, au, ax uint64, c float64) {
+	q := c / 4
+	w[0] += q
+	if det, pu, mu := cs.Lin(au); det { // ¼(1 − su·χ_mu)(1 − sx·χ_mx)
+		_, px, mx := cs.Lin(ax)
+		w[mu] -= signed(q, pu)
+		w[mx] -= signed(q, px)
+		w[mu^mx] += signed(signed(q, pu), px)
+	} else if det, pd, md := cs.Lin(au ^ ax); det {
+		// Uniform but coupled: ½·[X(u) ⊕ X(x) = 0].
+		w[md] += signed(q, pd)
+	}
+}
+
+// signed returns (−1)^par·q.
+func signed(q float64, par uint64) float64 {
+	if par != 0 {
+		return -q
+	}
+	return q
+}
+
+// checkExact returns an error unless an estimator of terms mark and pair
+// terms with exponents at most maxJ, each weighted by at most 2^(j−1) for
+// its vertex's exponent j, is summed exactly in float64. With f segments
+// fixed, every spectral coefficient is a multiple of 2^−2(maxJ−f), and in
+// those units each term's coefficients sum in absolute value to at most
+// 2^(2·maxJ). So while 2·maxJ + log₂(terms) ≤ 53, every partial sum — of a
+// spectrum, of its Walsh transform, and of the per-extension evaluation —
+// is exact: the spectral values equal the direct ones bit for bit, in any
+// summation order.
+func checkExact(maxJ, terms int) error {
+	if float64(terms) > math.Ldexp(1, 53-2*maxJ) {
+		return fmt.Errorf("rulingset: %d estimator terms at exponent %d exceed float64's exact range (2·j + log₂ terms > 53)", terms, maxJ)
+	}
+	return nil
 }
 
 // _pow2neg[i] = 2^-i for the exponent range the families can produce.

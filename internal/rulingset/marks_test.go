@@ -5,7 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/bitset"
+	"github.com/rulingset/mprs/internal/derand"
+	"github.com/rulingset/mprs/internal/gen"
+	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/hash"
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 // bruteMarkProb enumerates all completions of the seed's free suffix and
@@ -55,10 +60,19 @@ func brutePairProb(fam *hash.Bits, s *hash.Seed, u, w, ju, jw int) float64 {
 	return float64(hit) / float64(count)
 }
 
+// spectrum runs add on a fresh spectrum of the given chunk width and
+// returns its Walsh transform: the added quantity at every chunk value.
+func spectrum(width int, add func(w []float64)) []float64 {
+	w := make([]float64, 1<<uint(width))
+	add(w)
+	derand.Walsh(w)
+	return w
+}
+
 // TestMarkStateMatchesBruteForce drives markState exactly the way the
-// derandomizer does — commit segment-aligned chunks, sync, then evaluate
-// with a provisional chunk — and compares every probability against
-// enumeration of the free seed suffix.
+// derandomizer does — commit segment-aligned chunks, sync, then score a
+// provisional chunk — and compares every chunk value's spectral mark and
+// pair probability against enumeration of the free seed suffix.
 func TestMarkStateMatchesBruteForce(t *testing.T) {
 	const n, nbits = 7, 3
 	fam, err := hash.NewBits(n, nbits)
@@ -67,7 +81,6 @@ func TestMarkStateMatchesBruteForce(t *testing.T) {
 	}
 	segW := fam.SegWidth()
 	rng := rand.New(rand.NewSource(21))
-	const tol = 1e-12
 
 	for trial := 0; trial < 40; trial++ {
 		seed := fam.NewSeed()
@@ -90,43 +103,50 @@ func TestMarkStateMatchesBruteForce(t *testing.T) {
 		ms.sync(seed)
 
 		// Provisional chunk within the current segment (as SelectSeed does).
-		prov := seed.Clone()
+		width := 0
 		if rem := seed.Total() - committed; rem > 0 {
-			width := 1 + rng.Intn(segW)
+			width = 1 + rng.Intn(segW)
 			if b := segW - committed%segW; width > b {
 				width = b
 			}
 			if width > rem {
 				width = rem
 			}
-			prov.SetChunk(committed, width, uint64(rng.Intn(1<<uint(width))))
-			prov.SetFixed(committed + width)
 		}
+		cs := ms.chunk(seed, committed, width)
+		prov := seed.Clone()
+		prov.SetFixed(committed + width)
 		if prov.Total()-prov.Fixed() > 20 {
 			continue // keep enumeration tractable
 		}
 
-		for v := 0; v < n; v++ {
-			for j := 1; j <= nbits; j++ {
-				want := bruteMarkProb(fam, prov, v, j)
-				if got := ms.markProb(prov, v, j); math.Abs(got-want) > tol {
-					t.Fatalf("trial %d: markProb(v=%d,j=%d) = %v, brute = %v (committed=%d prov=%d)",
-						trial, v, j, got, want, committed, prov.Fixed())
-				}
-			}
-		}
-		for p := 0; p < 8; p++ {
+		type pair struct{ u, w, ju, jw int }
+		pairs := make([]pair, 8)
+		for i := range pairs {
 			u := rng.Intn(n)
 			w := rng.Intn(n - 1)
 			if w >= u {
 				w++
 			}
-			ju := 1 + rng.Intn(nbits)
-			jw := 1 + rng.Intn(nbits)
-			want := brutePairProb(fam, prov, u, w, ju, jw)
-			if got := ms.pairProb(prov, u, w, ju, jw); math.Abs(got-want) > tol {
-				t.Fatalf("trial %d: pairProb(u=%d,w=%d,ju=%d,jw=%d) = %v, brute = %v (committed=%d prov=%d)",
-					trial, u, w, ju, jw, got, want, committed, prov.Fixed())
+			pairs[i] = pair{u, w, 1 + rng.Intn(nbits), 1 + rng.Intn(nbits)}
+		}
+		for e := 0; e < 1<<uint(width); e++ {
+			prov.SetChunk(committed, width, uint64(e))
+			for v := 0; v < n; v++ {
+				for j := 1; j <= nbits; j++ {
+					got := spectrum(width, func(w []float64) { ms.addMark(w, cs, v, j, 1) })[e]
+					if want := bruteMarkProb(fam, prov, v, j); got != want {
+						t.Fatalf("trial %d e=%d: P[mark v=%d, j=%d] = %v, brute = %v (committed=%d width=%d)",
+							trial, e, v, j, got, want, committed, width)
+					}
+				}
+			}
+			for _, p := range pairs {
+				got := spectrum(width, func(w []float64) { ms.addPair(w, cs, p.u, p.w, p.ju, p.jw, 1) })[e]
+				if want := brutePairProb(fam, prov, p.u, p.w, p.ju, p.jw); got != want {
+					t.Fatalf("trial %d e=%d: P[pair %+v] = %v, brute = %v (committed=%d width=%d)",
+						trial, e, p, got, want, committed, width)
+				}
 			}
 		}
 	}
@@ -143,16 +163,213 @@ func TestMarkStateFullyFixed(t *testing.T) {
 	seed.Randomize(rng)
 	ms := newMarkState(fam, n)
 	ms.sync(seed)
+	cs := ms.chunk(seed, seed.Fixed(), 0)
 	for v := 0; v < n; v++ {
 		for j := 1; j <= nbits; j++ {
-			p := ms.markProb(seed, v, j)
+			p := spectrum(0, func(w []float64) { ms.addMark(w, cs, v, j, 1) })[0]
 			if p != 0 && p != 1 {
-				t.Fatalf("fully fixed markProb = %v", p)
+				t.Fatalf("fully fixed P[mark] = %v", p)
 			}
 			if (p == 1) != ms.marked(v, j) {
-				t.Fatalf("marked() disagrees with markProb at v=%d j=%d", v, j)
+				t.Fatalf("marked() disagrees with P[mark] at v=%d j=%d", v, j)
 			}
 		}
+	}
+}
+
+// estimatorInstance is a random active subgraph on n vertex ids (spread
+// over the whole id range, so coefficient vectors vary in every bit) with
+// a few hubs, giving heterogeneous Luby exponents.
+type estimatorInstance struct {
+	active *bitset.Set
+	view   mpc.Adjacency // active rows, with the neighbours' active degrees
+	deg    []int32
+	maxDeg int
+}
+
+func newEstimatorInstance(rng *rand.Rand, n, k int) estimatorInstance {
+	ids := rng.Perm(n)[:k]
+	var edges []graph.Edge
+	for i := 0; i < k; i++ {
+		for l := i + 1; l < k; l++ {
+			if rng.Intn(k) < 4 || (i < 3 && rng.Intn(2) == 0) {
+				edges = append(edges, graph.Edge{U: int32(ids[i]), V: int32(ids[l])})
+			}
+		}
+	}
+	g := graph.MustNew(n, edges)
+	inst := estimatorInstance{active: bitset.New(n), deg: make([]int32, n)}
+	for _, v := range ids[:k-2] { // two isolated-by-inactivity vertices
+		inst.active.Add(v)
+	}
+	view := mpc.Adjacency{Off: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		if inst.active.Contains(v) {
+			for _, u := range g.Neighbors(v) {
+				if inst.active.Contains(int(u)) {
+					view.Nbr = append(view.Nbr, u)
+					inst.deg[v]++
+				}
+			}
+		}
+		view.Off[v+1] = int32(len(view.Nbr))
+		if int(inst.deg[v]) > inst.maxDeg {
+			inst.maxDeg = int(inst.deg[v])
+		}
+	}
+	for _, u := range view.Nbr {
+		view.Val = append(view.Val, inst.deg[u])
+	}
+	inst.view = view
+	return inst
+}
+
+// directSparsify is detMarks' potential evaluated the direct way, one seed
+// state at a time, from hash.Bits' closed-form conditional laws.
+func directSparsify(fam *hash.Bits, inst estimatorInstance, j, capSize int, alpha float64) derand.LocalEval {
+	return func(lo, hi int, s *hash.Seed) float64 {
+		var cost, benefit float64
+		for v := lo; v < hi; v++ {
+			if !inst.active.Contains(v) {
+				continue
+			}
+			nb := inst.view.Row(v)
+			for _, u := range nb {
+				if int(u) > v {
+					cost += fam.PairMarkProb(s, v, int(u))
+				}
+			}
+			if len(nb) < 1<<uint(j) {
+				continue
+			}
+			nn := nb[:capSize]
+			for i, u := range nn {
+				benefit += fam.MarkProb(s, int(u))
+				for _, w := range nn[i+1:] {
+					benefit -= fam.PairMarkProb(s, int(u), int(w))
+				}
+			}
+		}
+		return alpha*cost - benefit
+	}
+}
+
+// directLuby is detLubyMarks' progress bound evaluated the direct way. The
+// family of j bits gives P[mark v] for exponent j; a pair with exponents
+// a ≤ b is the a-bit pair law times the longer vertex's bits [a, b).
+func directLuby(fams []*hash.Bits, inst estimatorInstance) derand.LocalEval {
+	pair := func(s *hash.Seed, u, w, ju, jw int) float64 {
+		a, b, long := ju, jw, w
+		if a > b {
+			a, b, long = b, a, u
+		}
+		p := fams[a].PairMarkProb(s, u, w)
+		for t := a; t < b; t++ {
+			p *= fams[b].BitLaw(s, t, long).P1()
+		}
+		return p
+	}
+	return func(lo, hi int, s *hash.Seed) float64 {
+		var psi float64
+		for v := lo; v < hi; v++ {
+			if !inst.active.Contains(v) || inst.deg[v] == 0 {
+				continue
+			}
+			jv := lubyJ(int(inst.deg[v]))
+			term := fams[jv].MarkProb(s, v)
+			du := inst.view.Vals(v)
+			for i, u := range inst.view.Row(v) {
+				term -= pair(s, v, int(u), jv, lubyJ(int(du[i])))
+			}
+			psi += float64(inst.deg[v]) * term
+		}
+		return psi
+	}
+}
+
+// TestSpectralEstimatorsMatchDirect is the spectral evaluation's contract:
+// on random instances, committed prefixes ending inside a segment and chunk
+// widths 1–12, both estimators' one-pass values equal the per-extension
+// direct evaluation bit for bit, for every extension and item range.
+func TestSpectralEstimatorsMatchDirect(t *testing.T) {
+	const n = 2048 // 12-bit encodings: 13-bit segments hold a 12-bit chunk
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 24; trial++ {
+		inst := newEstimatorInstance(rng, n, 24+rng.Intn(24))
+		width := 1 + trial%12
+		lo, hi := rng.Intn(n/2), n/2+rng.Intn(n/2+1)
+
+		// prefix commits f whole segments and ft bits of the next, leaving
+		// room for the chunk, and returns a synced markState.
+		prefix := func(fam *hash.Bits) (*hash.Seed, *markState, int) {
+			segW := fam.SegWidth()
+			seed := fam.NewSeed()
+			start := rng.Intn(fam.NBits())*segW + rng.Intn(segW-width+1)
+			for i := 0; i < start; i++ {
+				seed.SetChunk(i, 1, uint64(rng.Intn(2)))
+			}
+			seed.SetFixed(start)
+			ms := newMarkState(fam, n)
+			ms.sync(seed)
+			return seed, ms, start
+		}
+		compare := func(name string, spectral derand.ChunkEval, direct derand.LocalEval, seed *hash.Seed, start int) {
+			got := make([]float64, 1<<uint(width))
+			want := make([]float64, len(got))
+			spectral(lo, hi, seed, start, width, got)
+			derand.Direct(direct)(lo, hi, seed, start, width, want)
+			for e := range got {
+				if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+					t.Fatalf("trial %d %s: width %d start %d e=%d: spectral %v, direct %v",
+						trial, name, width, start, e, got[e], want[e])
+				}
+			}
+		}
+
+		j := 1 + rng.Intn(3)
+		fam, err := hash.NewBits(n, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capSize := 1 << uint(j)
+		if trial%3 == 0 {
+			capSize = 1 + rng.Intn(capSize)
+		}
+		alpha := []float64{2, 1.3, 0.7}[trial%3]
+		seed, ms, start := prefix(fam)
+		eval, err := sparsifyEstimator(ms, inst.active, inst.view, j, capSize, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare("sparsify", eval, directSparsify(fam, inst, j, capSize, alpha), seed, start)
+
+		maxJ := lubyJ(inst.maxDeg)
+		fams := make([]*hash.Bits, maxJ+1)
+		for jj := 1; jj <= maxJ; jj++ {
+			if fams[jj], err = hash.NewBits(n, jj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seed, ms, start = prefix(fams[maxJ])
+		eval, err = lubyEstimator(ms, inst.active, inst.view, inst.deg, maxJ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare("luby", eval, directLuby(fams, inst), seed, start)
+	}
+}
+
+// TestCheckExact pins the float64 exactness bound: 2·maxJ + log₂(terms)
+// may reach 53 but not exceed it.
+func TestCheckExact(t *testing.T) {
+	if err := checkExact(10, 1<<33); err != nil {
+		t.Errorf("bound 53 rejected: %v", err)
+	}
+	if err := checkExact(10, 1<<33+1); err == nil {
+		t.Error("bound above 53 accepted")
+	}
+	if err := checkExact(27, 1); err == nil {
+		t.Error("exponent 27 accepted")
 	}
 }
 
@@ -175,5 +392,67 @@ func TestLubyJ(t *testing.T) {
 		if p > 1/(2*float64(tt.d)) || 2*p <= 1/(2*float64(tt.d)) {
 			t.Errorf("lubyJ(%d) = %d violates tightness", tt.d, j)
 		}
+	}
+}
+
+// seedSearchAllocs returns the allocations of one MPC chunk scoring (z=8,
+// four machines, serial) with detMarks' estimator on gnp(n, 16/n).
+func seedSearchAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	g, err := gen.GNP(n, 16/float64(n), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := mpc.NewCluster(mpc.Config{Machines: 4, Parallelism: 1}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mpc.Distribute(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := bitset.New(n)
+	active.Fill()
+	view, err := d.ExchangeActive("view", active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const j, z = 3, 8
+	fam, err := hash.NewBits(n, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := newMarkState(fam, n)
+	eval, err := sparsifyEstimator(ms, active, view, j, 1<<j, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := fam.NewSeed()
+	r := derand.MPC(c)
+	return testing.AllocsPerRun(20, func() {
+		if _, err := r.Extensions(seed, 0, z, eval); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSeedSearchAllocs pins that scoring a chunk allocates per machine, not
+// per item or per extension, and no more than the per-extension search did
+// (a seed clone and a payload per machine): the estimator's spectra live on
+// the stack and the reduction reuses one output buffer per machine.
+func TestSeedSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// The per-extension search cloned the seed on every machine: 33
+	// allocations in this setup. A fresh output, cost and benefit slice per
+	// machine would cost 37.
+	const perExtensionSearch = 33
+	small, large := seedSearchAllocs(t, 1024), seedSearchAllocs(t, 8192)
+	if small != large {
+		t.Errorf("%v allocations at n=1024, %v at n=8192", small, large)
+	}
+	if small > perExtensionSearch {
+		t.Errorf("%v allocations per chunk, more than the per-extension search's %d", small, perExtensionSearch)
 	}
 }

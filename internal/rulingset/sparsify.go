@@ -240,7 +240,6 @@ func (st *sparsifyState) absorbActive() {
 // The ablation knobs (Options.SeedPolicy, EstimatorAlpha, BenefitCap) vary
 // the construction; their defaults are the paper's choices.
 func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
-	alpha := o.EstimatorAlpha
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
 	if err != nil {
@@ -248,50 +247,15 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 	}
 	seed := fam.NewSeed()
 	ms := newMarkState(fam, n)
-	// highDeg is the qualification threshold ⌊1/p⌋ for the benefit term;
-	// capSize truncates the Bonferroni neighborhood N'(v) (equal to highDeg
-	// in the paper's construction; smaller only under the A2 ablation).
-	highDeg := 1 << uint(j)
-	capSize := highDeg
+	capSize := 1 << uint(j)
 	if o.BenefitCap > 0 && o.BenefitCap < capSize {
 		capSize = o.BenefitCap
 	}
-
-	evalRange := func(lo, hi int, s *hash.Seed) float64 {
-		ec := ms.ctx(s)
-		var cost, benefit float64
-		for v := lo; v < hi; v++ {
-			if !active.Contains(v) {
-				continue
-			}
-			nb := view.Row(v)
-			vAlive := int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j)
-			if vAlive {
-				for _, u := range nb {
-					if int(u) > v {
-						cost += ec.pairProb(v, int(u), j, j)
-					}
-				}
-			}
-			if len(nb) < highDeg {
-				continue
-			}
-			nn := nb[:capSize]
-			for i, u := range nn {
-				pu := ec.markProb(int(u), j)
-				if pu == 0 {
-					continue
-				}
-				benefit += pu
-				for _, w := range nn[i+1:] {
-					benefit -= ec.pairProb(int(u), int(w), j, j)
-				}
-			}
-		}
-		return alpha*cost - benefit
+	eval, err := sparsifyEstimator(ms, active, view, j, capSize, o.EstimatorAlpha)
+	if err != nil {
+		return err
 	}
-
-	if err := fixSeed(m, o, derand.Minimize, ms, seed, evalRange, ps, rng); err != nil {
+	if err := fixSeed(m, o, derand.Minimize, ms, seed, eval, ps, rng); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -303,6 +267,78 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 	return nil
 }
 
+// sparsifyEstimator returns detMarks' potential Φ as a ChunkEval on ms.
+// highDeg = 2^j is the qualification threshold ⌊1/p⌋ for the benefit term;
+// capSize truncates the Bonferroni neighborhood N'(v) (equal to highDeg in
+// the paper's construction; smaller only under the A2 ablation). One pass
+// accumulates the cost and benefit spectra; they are transformed and
+// combined per extension, so α·cost − benefit rounds exactly as a direct
+// evaluation would, for any α.
+func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) (derand.ChunkEval, error) {
+	highDeg := 1 << uint(j)
+	terms := 0
+	active.ForEach(func(v int) bool {
+		nb := view.Row(v)
+		for _, u := range nb {
+			if int(u) > v {
+				terms++
+			}
+		}
+		if len(nb) >= highDeg {
+			terms += capSize * (capSize + 1) / 2
+		}
+		return true
+	})
+	if err := checkExact(j, terms); err != nil {
+		return nil, err
+	}
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+		// Up to z = 8 the cost spectrum lives on the stack, so scoring a
+		// chunk allocates nothing per machine.
+		var costBuf [256]float64
+		var cost []float64
+		if len(out) <= len(costBuf) {
+			cost = costBuf[:len(out)]
+		} else {
+			cost = make([]float64, len(out))
+		}
+		benefit := out
+		clear(benefit)
+		cs := ms.chunk(s, start, width)
+		for v := lo; v < hi; v++ {
+			if !active.Contains(v) {
+				continue
+			}
+			nb := view.Row(v)
+			if ms.alive(v, j) {
+				for _, u := range nb {
+					if int(u) > v {
+						ms.addPair(cost, cs, v, int(u), j, j, 1)
+					}
+				}
+			}
+			if len(nb) < highDeg {
+				continue
+			}
+			nn := nb[:capSize]
+			for i, u := range nn {
+				if !ms.alive(int(u), j) {
+					continue
+				}
+				ms.addMark(benefit, cs, int(u), j, 1)
+				for _, w := range nn[i+1:] {
+					ms.addPair(benefit, cs, int(u), int(w), j, j, -1)
+				}
+			}
+		}
+		derand.Walsh(cost)
+		derand.Walsh(benefit)
+		for e := range out {
+			out[e] = alpha*cost[e] - benefit[e]
+		}
+	}, nil
+}
+
 // fixSeed fixes every free bit of seed as o.SeedPolicy says and records the
 // estimator trajectory in ps. The paper's policy runs the conditional-
 // expectation search on m's reduction, keeping ms synced chunk by chunk; the
@@ -310,7 +346,7 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 // random or to all zeros without a search. A real deployment still spends
 // one broadcast distributing that seed, so its words are broadcast. On
 // return ms is synced to the fully fixed seed.
-func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.LocalEval, ps *PhaseStat, rng *rand.Rand) error {
+func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.ChunkEval, ps *PhaseStat, rng *rand.Rand) error {
 	switch o.SeedPolicy {
 	case SeedConditionalExpectations:
 		trace, err := derand.SelectSeed(m, seed, derand.Config{
@@ -328,8 +364,12 @@ func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash
 		ps.EstimatorFinal = trace.Final()
 		return nil
 	case SeedRandomFamily, SeedZero:
-		n := len(ms.firstZero)
-		ps.EstimatorInitial = eval(0, n, seed)
+		var val [1]float64
+		expect := func() float64 {
+			eval(0, len(ms.firstZero), seed, seed.Fixed(), 0, val[:])
+			return val[0]
+		}
+		ps.EstimatorInitial = expect()
 		if o.SeedPolicy == SeedRandomFamily {
 			seed.Randomize(rng)
 		} else {
@@ -343,7 +383,7 @@ func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash
 			return err
 		}
 		ms.sync(seed)
-		ps.EstimatorFinal = eval(0, n, seed)
+		ps.EstimatorFinal = expect()
 		return nil
 	}
 	return fmt.Errorf("rulingset: unknown seed policy %v", o.SeedPolicy)
