@@ -360,16 +360,20 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
+	// One vals slab and one payload slab per round, node v owning
+	// [v·nExt, (v+1)·nExt) of each; every contribution is sent as a
+	// single-word sub-slice. A crash retry re-runs a node on its own
+	// (cleared) range, so the slabs are per round, not per attempt.
+	vals := make([]float64, c.n*nExt)
+	words := make([]uint64, c.n*nExt)
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		vals := make([]float64, nExt)
-		local(x.Machine, vals)
-		// One payload slab per node, sent as single-word sub-slices: nExt
-		// times fewer heap objects than a copy per Send, which keeps the
-		// peak heap of this allocation-bound round steady.
-		words := make([]uint64, nExt)
-		for e, val := range vals {
-			words[e] = math.Float64bits(val)
-			x.SendOwned(e, words[e:e+1:e+1])
+		lo, hi := x.Machine*nExt, (x.Machine+1)*nExt
+		mine, out := vals[lo:hi:hi], words[lo:hi:hi]
+		clear(mine)
+		local(x.Machine, mine)
+		for e, val := range mine {
+			out[e] = math.Float64bits(val)
+			x.SendOwned(e, out[e:e+1:e+1])
 		}
 	}); err != nil {
 		return nil, err

@@ -190,7 +190,7 @@ func (c *Cluster) applyResume(r *ResumeState) error {
 // Snapshot/Restore hooks (see Checkpointer), the replay distance back to the
 // last checkpoint is charged to RecoveryRounds, and the restored state plus
 // the aborted attempt's discarded traffic are charged to ReplayedWords. The
-// attempt's buffered outboxes die with the attempt; only their word count
+// attempt's buffered sends are never delivered; only their word count
 // survives, as the replay charge.
 func (c *Cluster) recoverCrashes(round int, at *attempt) {
 	c.stats.RecoveredCrashes += len(at.crashed)

@@ -12,7 +12,7 @@ import (
 // MPC abstraction stands in for:
 //
 //   - A CRASH kills a machine for the duration of one superstep. The
-//     superstep aborts at the barrier (its partial outboxes are discarded),
+//     superstep aborts at the barrier (its partial send logs are discarded),
 //     the machine is restarted — restoring its state from the last checkpoint
 //     when a Checkpointer is registered, or from the barrier-committed state
 //     otherwise — and the superstep re-executes. Because machine-local

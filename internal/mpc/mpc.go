@@ -305,6 +305,12 @@ type Cluster struct {
 	sentW   []int
 	recvW   []int
 	sortBuf []int
+
+	// Message-plane scratch reused across supersteps: one send-log header
+	// slice per worker slot (handed to that slot's next attempt emptied and
+	// cleared, see stepOutbox) and the merge's M+1 destination counters.
+	logs     [][]sentMsg
+	mergeCnt []int
 }
 
 // NewCluster creates a cluster for a ground set of n items. The memory
@@ -384,6 +390,8 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 		sentW:   make([]int, cfg.Machines),
 		recvW:   make([]int, cfg.Machines),
 		sortBuf: make([]int, cfg.Machines),
+
+		mergeCnt: make([]int, cfg.Machines+1),
 	}
 	setup := "setup"
 	c.span.Store(&setup)
@@ -719,29 +727,57 @@ type Ctx struct {
 }
 
 // stepOutbox buffers the sends of one worker's contiguous machine block
-// during one step attempt. Workers never share a buffer, so appends are
-// uncontended in the common case; the mutex exists for step closures that
-// spawn their own sender goroutines (documented as legal as long as they are
-// joined before the closure returns) and for the seal at the barrier, which
-// turns late sends into ErrStaleCtx instead of next-round corruption.
+// during one step attempt, as an append-only send log in send order. Workers
+// never share a buffer, so appends are uncontended in the common case; the
+// mutex exists for step closures that spawn their own sender goroutines
+// (documented as legal as long as they are joined before the closure
+// returns) and for the seal at the barrier, which turns late sends into
+// ErrStaleCtx instead of next-round corruption.
+//
+// The log holds only headers: the merge copies them into the delivered
+// boxes and nothing else retains them, so the Cluster hands a worker slot's
+// log to the slot's next attempt emptied and cleared (it pins no payload).
+// Its capacity is bounded by the largest superstep the slot has buffered.
+// Payload words copied by Send live in words, this attempt's own chunks;
+// they are never reused.
 type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
-	boxes  [][]Message // indexed by destination machine
+	log    []sentMsg
+	words  []uint64 // the current Send copy chunk: filled prefix, free tail
 	c      *Cluster
 	round  int
 }
+
+// sentMsg is one send-log entry: 32 bytes, in send order.
+type sentMsg struct {
+	dst, src int32
+	payload  []uint64
+}
+
+// Send copy chunks grow geometrically from minSendChunk to maxSendChunk
+// words per attempt; a payload longer than maxSendChunk gets its own
+// exact-size chunk. A filled chunk is never reallocated, so sub-slices
+// already sent stay valid.
+const (
+	minSendChunk = 8
+	maxSendChunk = 1024
+)
 
 // Inbox returns the messages delivered to this machine at the end of the
 // previous step, ordered by sender id (and send order within a sender).
 func (x *Ctx) Inbox() []Message { return x.inbox }
 
 // Send queues a message of machine words to machine dst, delivered at the
-// end of the step. The payload is copied.
+// end of the step. The payload is copied into a word chunk of the sending
+// worker's attempt, and the message carries a capacity-clipped sub-slice of
+// it (see SendOwned for the read-only rule that makes sharing safe). A dst
+// outside [0, M) panics in the sender's closure, which the step returns as
+// the sender's *MachineError.
 func (x *Ctx) Send(dst int, payload ...uint64) {
-	cp := make([]uint64, len(payload))
-	copy(cp, payload)
-	x.SendOwned(dst, cp)
+	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
+		x.logSend(ob, dst, ob.copyWords(payload))
+	}
 }
 
 // SendOwned queues payload without copying; the caller must not reuse it.
@@ -750,18 +786,58 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 // codec, checkpointing and every receiver only read delivered payloads, and
 // never append to or write into them (DESIGN.md §8). Sending on an
 // invalidated context (after its step completed) drops the payload and
-// records ErrStaleCtx, returned by the cluster's next Step.
+// records ErrStaleCtx, returned by the cluster's next Step. A dst outside
+// [0, M) panics as in Send.
 func (x *Ctx) SendOwned(dst int, payload []uint64) {
+	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
+		x.logSend(ob, dst, payload)
+	}
+}
+
+// lockOutbox takes the sender's outbox mutex for one send and returns the
+// outbox, or returns nil with the mutex released after recording a late
+// send on a sealed outbox. An out-of-range dst panics here, inside the
+// sender's closure. Send and SendOwned share it but append separately, so
+// Send's variadic payload never escapes and costs its caller no allocation.
+func (x *Ctx) lockOutbox(dst, words int) *stepOutbox {
 	ob := x.ob
 	ob.mu.Lock()
 	if ob.sealed {
 		ob.mu.Unlock()
-		ob.c.noteLateSend(x.Machine, ob.round, len(payload))
-		return
+		ob.c.noteLateSend(x.Machine, ob.round, words)
+		return nil
 	}
+	if M := ob.c.cfg.Machines; dst < 0 || dst >= M {
+		ob.mu.Unlock()
+		panic(fmt.Sprintf("mpc: machine %d sent to machine %d outside [0, %d)", x.Machine, dst, M))
+	}
+	return ob
+}
+
+// logSend appends one send to the locked outbox's log and unlocks it.
+func (x *Ctx) logSend(ob *stepOutbox, dst int, payload []uint64) {
 	x.sent += len(payload)
-	ob.boxes[dst] = append(ob.boxes[dst], Message{Src: x.Machine, Payload: payload})
+	ob.log = append(ob.log, sentMsg{dst: int32(dst), src: int32(x.Machine), payload: payload})
 	ob.mu.Unlock()
+}
+
+// copyWords returns a capacity-clipped copy of p carved from the attempt's
+// current word chunk, starting a new chunk when p does not fit.
+func (ob *stepOutbox) copyWords(p []uint64) []uint64 {
+	n := len(p)
+	if n == 0 {
+		return []uint64{}
+	}
+	if n > maxSendChunk {
+		return slices.Clone(p)
+	}
+	if len(ob.words)+n > cap(ob.words) {
+		size := min(max(2*cap(ob.words), minSendChunk), maxSendChunk)
+		ob.words = make([]uint64, 0, max(size, n))
+	}
+	a := len(ob.words)
+	ob.words = append(ob.words, p...)
+	return ob.words[a : a+n : a+n]
 }
 
 // noteLateSend records the sticky ErrStaleCtx surfaced by the next Step.
@@ -790,9 +866,10 @@ func (c *Cluster) takeLateErr() error {
 
 // attempt is the transient state of one superstep execution attempt: the
 // per-machine contexts (one allocation for all M) and the per-worker outbox
-// buffers they fed. The buffers live and die with the attempt — a crash
-// retry starts from fresh ones — so an aborted attempt can never leak
-// traffic into the next round.
+// buffers they fed. The outboxes and their Send word chunks live and die
+// with the attempt; only the header logs return to the Cluster once the
+// attempt is merged or discarded (release), emptied, so a crash retry or the
+// next superstep starts from empty logs and can never deliver stale traffic.
 type attempt struct {
 	ctxs    []Ctx
 	outs    []*stepOutbox // one per worker, in ascending machine-block order
@@ -812,49 +889,70 @@ func (at *attempt) seal() {
 	}
 }
 
-// mergeOutboxes concatenates the per-worker buffers destination by
-// destination, workers in ascending machine-block order. Each worker runs its
-// block sequentially and blocks ascend with worker index, so the
-// concatenation is already in the canonical total order — by sender id, then
-// per-sender send order — for every parallelism level, with no sort and no
-// comparison against a shared structure. The order is verified (and, for the
-// pathological-but-legal case of a step closure whose joined goroutines
-// interleaved sends across machines of one block, restored) before the boxes
-// are handed to the transport, which assumes it.
-func (at *attempt) mergeOutboxes(M int) [][]Message {
+// release hands each sealed outbox's log back to its worker slot, cleared so
+// it pins no payload and emptied so the next attempt appends from zero.
+func (at *attempt) release(c *Cluster) {
+	for w, ob := range at.outs {
+		clear(ob.log)
+		c.logs[w] = ob.log[:0]
+	}
+}
+
+// mergeOutboxes turns the per-worker send logs into the per-destination
+// boxes with one exact-size allocation: a count pass sizes every destination
+// (c.mergeCnt, prefix-summed into box offsets), then a fill pass copies the
+// headers into one flat []Message, workers in ascending machine-block order,
+// and box d is flat[a:b:b]. Each worker runs its block sequentially and
+// blocks ascend with worker index, so every box is already in the canonical
+// total order — by sender id, then per-sender send order — for every
+// parallelism level, with no sort and no comparison against a shared
+// structure. The order is verified (and, for the pathological-but-legal
+// case of a step closure whose joined goroutines interleaved sends across
+// machines of one block, restored) before the boxes are handed to the
+// transport, which assumes it.
+func (at *attempt) mergeOutboxes(c *Cluster) [][]Message {
+	M := c.cfg.Machines
+	off := c.mergeCnt
+	clear(off)
+	for _, ob := range at.outs {
+		for _, s := range ob.log {
+			off[s.dst+1]++
+		}
+	}
+	for d := 1; d <= M; d++ {
+		off[d] += off[d-1]
+	}
+	flat := make([]Message, off[M])
 	boxes := make([][]Message, M)
-	for dst := 0; dst < M; dst++ {
-		total := 0
-		for _, ob := range at.outs {
-			total += len(ob.boxes[dst])
+	for d := 0; d < M; d++ {
+		if a, b := off[d], off[d+1]; a < b {
+			boxes[d] = flat[a:b:b]
 		}
-		if total == 0 {
-			continue
+	}
+	for _, ob := range at.outs {
+		for _, s := range ob.log {
+			flat[off[s.dst]] = Message{Src: int(s.src), Payload: s.payload}
+			off[s.dst]++
 		}
-		box := make([]Message, 0, total)
-		for _, ob := range at.outs {
-			box = append(box, ob.boxes[dst]...)
-		}
+	}
+	for _, box := range boxes {
 		for i := 1; i < len(box); i++ {
 			if box[i].Src < box[i-1].Src {
 				stableSortBySrc(box)
 				break
 			}
 		}
-		boxes[dst] = box
 	}
 	return boxes
 }
 
 // chargeDiscarded charges the aborted attempt's buffered traffic to
-// ReplayedWords (it is re-sent by the retry). The buffers themselves are
-// simply dropped with the attempt.
+// ReplayedWords (it is re-sent by the retry). The log itself is released
+// with the attempt.
 func (at *attempt) chargeDiscarded(c *Cluster) {
 	for _, ob := range at.outs {
-		for _, box := range ob.boxes {
-			for _, msg := range box {
-				c.stats.ReplayedWords += int64(len(msg.Payload))
-			}
+		for _, s := range ob.log {
+			c.stats.ReplayedWords += int64(len(s.payload))
 		}
 	}
 }
@@ -915,7 +1013,10 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		if hi > M {
 			hi = M
 		}
-		ob := &stepOutbox{boxes: make([][]Message, M), c: c, round: round}
+		if w == len(c.logs) {
+			c.logs = append(c.logs, nil)
+		}
+		ob := &stepOutbox{log: c.logs[w], c: c, round: round}
 		at.outs = append(at.outs, ob)
 		for m := lo; m < hi; m++ {
 			at.ctxs[m].ob = ob
@@ -1001,6 +1102,7 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 		at = c.runAttempt(round, f)
 		at.seal()
 		if at.merr != nil {
+			at.release(c)
 			c.flushResidentViolations()
 			c.setInStep(false)
 			return at.merr
@@ -1010,6 +1112,7 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 		}
 		c.flushResidentViolations()
 		c.recoverCrashes(round, at)
+		at.release(c)
 	}
 	c.flushResidentViolations()
 	c.setInStep(false)
@@ -1021,11 +1124,12 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 		}
 	}
 
-	// Merge the per-worker outboxes in fixed machine order — the canonical
+	// Merge the per-worker send logs in fixed machine order — the canonical
 	// (sender id, send order) sequence at every parallelism level, identical
 	// to what the serial path produces. Transport faults are decided on this
 	// order, so they too are schedule-independent.
-	boxes := at.mergeOutboxes(M)
+	boxes := at.mergeOutboxes(c)
+	at.release(c)
 	// The merged boxes are the canonical exchange: hand them to the
 	// configured transport (the multi-process backend ships and verifies
 	// them here); the nil transport delivers them as-is. A failed exchange

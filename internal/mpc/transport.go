@@ -3,10 +3,11 @@ package mpc
 import "fmt"
 
 // Transport hooks the superstep message exchange. At every committed Step,
-// after the per-destination outboxes have been stable-sorted by sender (the
-// schedule-independent canonical order), the cluster hands all M boxes to the
-// transport and delivers whatever it returns. The nil transport is the
-// in-memory router: boxes are delivered as-is inside this address space.
+// after the per-worker send logs have been merged into per-destination boxes
+// sorted by sender (the schedule-independent canonical order), the cluster
+// hands all M boxes to the transport and delivers whatever it returns. The
+// nil transport is the in-memory router: boxes are delivered as-is inside
+// this address space.
 //
 // A transport implementation must preserve the delivery contract exactly —
 // the returned slice has one box per destination machine, each box sorted by
