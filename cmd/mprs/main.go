@@ -14,7 +14,7 @@
 //	          [-trace file.jsonl] write the superstep trace as JSONL (with run header)
 //	          [-profile prefix]  capture CPU/heap profiles (inproc only)
 //	          [-debug-addr host:port] serve live telemetry over HTTP: /metrics
-//	                             (Prometheus text), /telemetry.json, expvar, pprof;
+//	                             (Prometheus text), /telemetry.json, pprof;
 //	                             on -backend multiproc the supervisor serves the
 //	                             merged per-worker fleet view
 //	          [-flight-dir dir]  write mprs-flight/1 crash post-mortems (recent
@@ -58,8 +58,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -68,8 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -225,7 +221,7 @@ func cmdRun(args []string) (retErr error) {
 
 		traceFile = fs.String("trace", "", "write a deterministic JSONL superstep trace to this file")
 		profile   = fs.String("profile", "", "capture CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
-		debugAddr = fs.String("debug-addr", "", "serve live telemetry (/metrics, /telemetry.json, expvar, pprof) on this host:port; on -backend multiproc the supervisor serves the merged fleet view")
+		debugAddr = fs.String("debug-addr", "", "serve live telemetry (/metrics, /telemetry.json, pprof) on this host:port; on -backend multiproc the supervisor serves the merged fleet view")
 		flightDir = fs.String("flight-dir", "", "write mprs-flight/1 crash post-mortems (the recent supersteps of a failed run or killed worker) into this directory")
 
 		faults = fs.String("faults", "", "fault spec, e.g. crash=0.02,drop=0.01,dup=0.005,stall=0.05,crash@3:1 (empty = off)")
@@ -244,7 +240,6 @@ func cmdRun(args []string) (retErr error) {
 		heartbeat   = fs.Duration("heartbeat", 10*time.Second, "multiproc liveness deadline; a worker silent this long is killed and restarted")
 		maxRestarts = fs.Int("max-restarts", 2, "multiproc per-worker restart budget (0 = fail-fast)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "multiproc hard wall-clock cap on the whole job (0 = none)")
-		killWorker  = fs.String("kill-worker", "", "multiproc fault injection: kill worker w once its frame for round r arrives, w@r[,w@r...]")
 		lifecycle   = fs.String("lifecycle-trace", "", "write the supervisor lifecycle events (starts, kills, backoffs, restarts) as JSONL to this file")
 
 		chaosSpec        = fs.String("chaos", "", "deterministic substrate fault plan, e.g. wire:corrupt@6:1,disk:torn@8:0,proc:kill@10:1 (empty = off; inproc accepts disk: events only)")
@@ -296,7 +291,7 @@ func cmdRun(args []string) (retErr error) {
 		case *resume:
 			return fmt.Errorf("-backend multiproc: -resume is owned by the supervisor (it restarts crashed workers from their checkpoints itself)")
 		case *dieAt > 0:
-			return fmt.Errorf("-backend multiproc: use -kill-worker w@r instead of -die-at")
+			return fmt.Errorf("-backend multiproc: use -chaos proc:kill@r:w instead of -die-at")
 		case *profile != "":
 			return fmt.Errorf("-backend multiproc: -profile captures one process's CPU/heap and would miss the workers; run it on -backend inproc (-debug-addr works here: the supervisor serves the fleet view)")
 		}
@@ -330,7 +325,6 @@ func cmdRun(args []string) (retErr error) {
 			heartbeat:        *heartbeat,
 			maxRestarts:      *maxRestarts,
 			jobTimeout:       *jobTimeout,
-			killWorker:       *killWorker,
 			lifecycle:        *lifecycle,
 			debugAddr:        *debugAddr,
 			flightDir:        *flightDir,
@@ -394,7 +388,7 @@ func cmdRun(args []string) (retErr error) {
 		if err != nil {
 			return err
 		}
-		store.SetBuildStamp(buildStamp())
+		store.SetBuildStamp(buildinfo.JSON())
 		opts.CheckpointSink = store
 		if *resume {
 			meta, state, err := store.LoadLatest()
@@ -407,8 +401,8 @@ func cmdRun(args []string) (retErr error) {
 		}
 	}
 
-	// Compose the tracer: an optional JSONL file sink plus an optional live
-	// view for the debug endpoint. Both observe the same committed supersteps.
+	// Compose the tracer: an optional JSONL file sink, the -die-at hook and
+	// the telemetry collector all observe the same committed supersteps.
 	var sinks trace.Multi
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -425,7 +419,7 @@ func cmdRun(args []string) (retErr error) {
 			Spec:        src.describe(),
 			Seed:        *algoSeed,
 			Machines:    machines,
-			Build:       buildStamp(),
+			Build:       buildinfo.JSON(),
 			ResumedFrom: resumedFrom,
 		}); err != nil {
 			f.Close()
@@ -479,14 +473,12 @@ func cmdRun(args []string) (retErr error) {
 		}()
 	}
 	if *debugAddr != "" {
-		live := trace.NewLive()
-		sinks = append(sinks, live)
-		ln, err := startDebugServer(*debugAddr, live, col)
+		ln, err := startDebugServer(*debugAddr, col)
 		if err != nil {
 			return err
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /telemetry.json, /debug/vars, /debug/pprof/)\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /telemetry.json, /debug/pprof/)\n", ln.Addr())
 	}
 	if len(sinks) > 0 {
 		opts.Tracer = sinks
@@ -622,46 +614,15 @@ func renderSpans(spans []mpc.SpanStat) error {
 	return st.Render(os.Stdout)
 }
 
-// buildStamp renders the binary's build info for trace headers. The stamp is
-// a pure function of the binary, so it never breaks trace byte-determinism
-// across runs of the same build.
-func buildStamp() json.RawMessage {
-	data, err := json.Marshal(buildinfo.Get())
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// liveState is the expvar indirection: expvar.Publish panics on duplicate
-// names, so the published Func closes over an atomic pointer that each run
-// (re)points at its live view. Tests exercising multiple runs in one process
-// stay safe.
-var (
-	liveState   atomic.Pointer[trace.Live]
-	publishOnce sync.Once
-)
-
 // startDebugServer exposes the live run state over HTTP: Prometheus metrics
-// under /metrics and the JSON snapshot under /telemetry.json (from g), expvar
-// — including the "mprs" variable with the tracer's current round/span/
-// counters — under /debug/vars, and net/http/pprof under /debug/pprof/. live
-// may be nil (multiproc: the fleet gatherer carries the state instead). It
-// returns the bound listener so callers can report the address (and tests can
-// use port 0). Each run gets a fresh mux, so repeated runs in one process
-// never fight over global handler registration.
-func startDebugServer(addr string, live *trace.Live, g telemetry.Gatherer) (net.Listener, error) {
-	liveState.Store(live)
-	publishOnce.Do(func() {
-		expvar.Publish("mprs", expvar.Func(func() any {
-			if l := liveState.Load(); l != nil {
-				return l.Snapshot()
-			}
-			return nil
-		}))
-	})
+// under /metrics and the JSON snapshot under /telemetry.json (from g: the
+// run's Collector in-process, the supervisor's Fleet on multiproc), and
+// net/http/pprof under /debug/pprof/. It returns the bound listener so
+// callers can report the address (and tests can use port 0). Each run gets a
+// fresh mux, so repeated runs in one process never fight over global handler
+// registration.
+func startDebugServer(addr string, g telemetry.Gatherer) (net.Listener, error) {
 	mux := telemetry.Handler(g)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)

@@ -277,11 +277,11 @@ func TestTraceFileHasHeader(t *testing.T) {
 }
 
 // TestDebugServer drives the live-introspection endpoint end to end: start
-// on an ephemeral port, feed the live tracer, and read the expvar snapshot
-// plus the pprof index over HTTP. Starting twice must not panic (expvar
-// re-publication is guarded).
+// on an ephemeral port, feed the collector a span change and a committed
+// round, and read them back from /metrics, plus the JSON snapshot and the
+// pprof index. The legacy expvar route is gone.
 func TestDebugServer(t *testing.T) {
-	get := func(url string) string {
+	get := func(url string, want int) string {
 		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
@@ -291,50 +291,33 @@ func TestDebugServer(t *testing.T) {
 		if _, err := b.ReadFrom(resp.Body); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", url, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", url, resp.StatusCode, want)
 		}
 		return b.String()
 	}
-	live := trace.NewLive()
-	live.SpanChange("sparsify")
-	ev := trace.Event{Round: 3, Step: "mark", Span: "sparsify", Words: 12, Sent: []int{12}, Recv: []int{12}}
-	live.Superstep(ev)
 	col := telemetry.NewCollector(telemetry.CollectorOptions{})
-	col.Superstep(ev)
-	ln, err := startDebugServer("127.0.0.1:0", live, col)
+	col.SpanChange("sparsify")
+	col.Superstep(trace.Event{Round: 3, Step: "mark", Span: "sparsify", Words: 12, Sent: []int{12}, Recv: []int{12}})
+	ln, err := startDebugServer("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	base := "http://" + ln.Addr().String()
-	vars := get(base + "/debug/vars")
-	if !strings.Contains(vars, `"mprs"`) || !strings.Contains(vars, `"round":3`) || !strings.Contains(vars, `"span":"sparsify"`) {
-		t.Errorf("expvar snapshot missing live state:\n%s", vars)
-	}
-	if idx := get(base + "/debug/pprof/"); !strings.Contains(idx, "goroutine") {
-		t.Errorf("pprof index not served:\n%s", idx)
-	}
-	if prom := get(base + "/metrics"); !strings.Contains(prom, "mprs_committed_round 3") ||
+	if prom := get(base+"/metrics", http.StatusOK); !strings.Contains(prom, "mprs_committed_round 3") ||
+		!strings.Contains(prom, `mprs_current_span{span="sparsify"} 1`) ||
 		!strings.Contains(prom, "# TYPE mprs_words_total counter") {
 		t.Errorf("prometheus exposition missing series:\n%s", prom)
 	}
-	if snap := get(base + "/telemetry.json"); !strings.Contains(snap, `"schema":"mprs-telemetry/1"`) ||
+	if snap := get(base+"/telemetry.json", http.StatusOK); !strings.Contains(snap, `"schema":"mprs-telemetry/1"`) ||
 		!strings.Contains(snap, `"mprs_committed_round"`) {
 		t.Errorf("telemetry snapshot missing series:\n%s", snap)
 	}
-
-	// A second run in the same process re-points the published variable.
-	live2 := trace.NewLive()
-	live2.Superstep(trace.Event{Round: 9, Span: "gather", Words: 1, Sent: []int{1}, Recv: []int{1}})
-	ln2, err := startDebugServer("127.0.0.1:0", live2, telemetry.NewCollector(telemetry.CollectorOptions{}))
-	if err != nil {
-		t.Fatal(err)
+	if idx := get(base+"/debug/pprof/", http.StatusOK); !strings.Contains(idx, "goroutine") {
+		t.Errorf("pprof index not served:\n%s", idx)
 	}
-	defer ln2.Close()
-	if vars := get("http://" + ln2.Addr().String() + "/debug/vars"); !strings.Contains(vars, `"round":9`) {
-		t.Errorf("second run's live state not published:\n%s", vars)
-	}
+	get(base+"/debug/vars", http.StatusNotFound)
 }
 
 // TestRunDebugAddrFlag exercises the -debug-addr flag through the CLI path.

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/rulingset/mprs/internal/chaos"
@@ -45,7 +43,6 @@ type multiProcFlags struct {
 	heartbeat   time.Duration
 	maxRestarts int
 	jobTimeout  time.Duration
-	killWorker  string
 	lifecycle   string
 	debugAddr   string
 	flightDir   string
@@ -60,16 +57,11 @@ type multiProcFlags struct {
 // self-contained JobSpec, supervise the worker fleet, and report the result
 // exactly as the in-process path does.
 func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) error {
-	kills, err := parseKillSchedule(mp.killWorker)
-	if err != nil {
-		return err
-	}
 	cfg := supervise.Config{
 		Workers:          mp.workers,
 		Heartbeat:        mp.heartbeat,
 		MaxRestarts:      mp.maxRestarts,
 		Timeout:          mp.jobTimeout,
-		KillAt:           kills,
 		FlightDir:        mp.flightDir,
 		Chaos:            mp.chaos,
 		FlapLimit:        mp.flapLimit,
@@ -91,7 +83,7 @@ func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) erro
 		// supervisor's own lifecycle gauges.
 		fleet := telemetry.NewFleet()
 		cfg.Telemetry = fleet
-		ln, err := startDebugServer(mp.debugAddr, nil, fleet)
+		ln, err := startDebugServer(mp.debugAddr, fleet)
 		if err != nil {
 			return err
 		}
@@ -126,33 +118,6 @@ func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) erro
 	rep.res = res
 	rep.wall = time.Since(start)
 	return reportResult(rep)
-}
-
-// parseKillSchedule parses -kill-worker "w@r[,w@r...]" into KillAt entries.
-func parseKillSchedule(s string) ([]supervise.KillAt, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var kills []supervise.KillAt
-	for _, part := range strings.Split(s, ",") {
-		w, r, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return nil, fmt.Errorf("-kill-worker: %q is not worker@round", part)
-		}
-		wi, err := strconv.Atoi(w)
-		if err != nil {
-			return nil, fmt.Errorf("-kill-worker: worker %q: %w", w, err)
-		}
-		ri, err := strconv.Atoi(r)
-		if err != nil {
-			return nil, fmt.Errorf("-kill-worker: round %q: %w", r, err)
-		}
-		if wi < 0 || ri < 1 {
-			return nil, fmt.Errorf("-kill-worker: %q: worker must be >= 0 and round >= 1", part)
-		}
-		kills = append(kills, supervise.KillAt{Worker: wi, Round: ri})
-	}
-	return kills, nil
 }
 
 // runReport is everything the shared result-reporting block needs; both

@@ -17,9 +17,9 @@ func TestRunMultiprocFlagValidation(t *testing.T) {
 		"unknown backend":  {[]string{"-backend", "threads"}, "unknown backend"},
 		"unsupported algo": {[]string{"-backend", "multiproc", "-algo", "detbeta"}, "not supported on the multi-process backend"},
 		"resume":           {[]string{"-backend", "multiproc", "-checkpoint-dir", t.TempDir(), "-resume"}, "owned by the supervisor"},
-		"die-at":           {[]string{"-backend", "multiproc", "-die-at", "5"}, "-kill-worker"},
+		"die-at":           {[]string{"-backend", "multiproc", "-die-at", "5"}, "-chaos proc:kill@r:w"},
 		"profile":          {[]string{"-backend", "multiproc", "-profile", "p"}, "-backend inproc"},
-		"bad kill spec":    {[]string{"-backend", "multiproc", "-kill-worker", "1:5"}, "worker@round"},
+		"bad kill spec":    {[]string{"-backend", "multiproc", "-chaos", "proc:kill@5"}, "OP@ROUND:WORKER"},
 		"too many workers": {[]string{"-backend", "multiproc", "-machines", "4", "-workers", "8"}, "must own at least one machine"},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -58,7 +58,7 @@ func TestRunMultiprocSubprocess(t *testing.T) {
 	cmd = hardenedCommand(t, bin, append(base,
 		"-backend", "multiproc", "-workers", "3", "-heartbeat", "5s",
 		"-checkpoint-dir", filepath.Join(dir, "ck-mp"),
-		"-kill-worker", "1@10", "-max-restarts", "2",
+		"-chaos", "proc:kill@10:1", "-max-restarts", "2",
 		"-lifecycle-trace", lifecycle,
 		"-members-out", mpMembers, "-stats-out", mpStats, "-trace", mpTrace)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -97,7 +97,7 @@ func TestRunMultiprocFailFastSubprocess(t *testing.T) {
 	g := genTestGraph(t)
 	cmd := hardenedCommand(t, bin, "run", "-algo", "det2", "-in", g, "-chunk", "4",
 		"-backend", "multiproc", "-workers", "2", "-heartbeat", "5s",
-		"-kill-worker", "1@8", "-max-restarts", "0")
+		"-chaos", "proc:kill@8:1", "-max-restarts", "0")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("fail-fast kill exited 0:\n%s", out)

@@ -11,6 +11,7 @@
 package buildinfo
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -54,6 +55,17 @@ func Get() Stamp {
 		}
 	}
 	return s
+}
+
+// JSON renders the running binary's stamp for trace headers and checkpoint
+// files. Both backends embed these bytes, so replicated workers of one build
+// stamp identical headers; nil only if encoding fails.
+func JSON() json.RawMessage {
+	data, err := json.Marshal(Get())
+	if err != nil {
+		return nil
+	}
+	return data
 }
 
 // String renders the stamp on one line, the form the -version flags print:

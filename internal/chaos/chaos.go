@@ -26,7 +26,7 @@
 //	disk:manifesttorn@R:W the manifest update after installing the round-R
 //	                   checkpoint is silently torn
 //	proc:kill@R:W      SIGKILL worker W when its round-R frame arrives (the
-//	                   supervisor's KillAt, in plan grammar)
+//	                   supervisor's injected-kill schedule)
 //	proc:flap@R:W      kill worker W every time it reaches round R — on
 //	                   every restart too — modeling a deterministic crash
 //	                   loop the quarantine machinery must catch
@@ -101,7 +101,7 @@ type ProcOp uint8
 
 const (
 	// ProcKill kills the worker once when its frame for a round >= the
-	// target arrives (the supervisor's KillAt in plan grammar).
+	// target arrives (the supervisor's injected-kill schedule).
 	ProcKill ProcOp = iota + 1
 	// ProcFlap kills the worker every time its frame for a round >= the
 	// target arrives, before the frame is processed — a deterministic crash
@@ -178,8 +178,8 @@ func (p *Plan) HasDisk(worker int) bool {
 	return false
 }
 
-// Kills returns the proc:kill events (the supervisor merges them into its
-// KillAt schedule).
+// Kills returns the proc:kill events: the supervisor's whole injected-kill
+// schedule.
 func (p *Plan) Kills() []ProcEvent {
 	if p == nil {
 		return nil

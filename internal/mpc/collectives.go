@@ -1,9 +1,6 @@
 package mpc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Collectives: the standard O(1)-round coordination primitives of
 // near-linear-memory MPC / congested-clique algorithms ("every machine
@@ -77,45 +74,6 @@ func (c *Cluster) AllReduceSumUint(name string, local func(x *Ctx) []uint64) ([]
 		}
 	}
 	if _, err := c.Broadcast(name+"/bcast", sum); err != nil {
-		return nil, err
-	}
-	return sum, nil
-}
-
-// AllReduceSumFloat is AllReduceSumUint for float64 vectors (transported as
-// IEEE-754 bit patterns).
-func (c *Cluster) AllReduceSumFloat(name string, local func(x *Ctx) []float64) ([]float64, error) {
-	parts, err := c.Gather(name+"/gather", func(x *Ctx) []uint64 {
-		fs := local(x)
-		words := make([]uint64, len(fs))
-		for i, f := range fs {
-			words[i] = math.Float64bits(f)
-		}
-		return words
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sum []float64
-	for m, part := range parts {
-		if part == nil {
-			continue
-		}
-		if sum == nil {
-			sum = make([]float64, len(part))
-		}
-		if len(part) != len(sum) {
-			return nil, fmt.Errorf("mpc: allreduce %q: machine %d sent %d words, want %d", name, m, len(part), len(sum))
-		}
-		for i, w := range part {
-			sum[i] += math.Float64frombits(w)
-		}
-	}
-	out := make([]uint64, len(sum))
-	for i, f := range sum {
-		out[i] = math.Float64bits(f)
-	}
-	if _, err := c.Broadcast(name+"/bcast", out); err != nil {
 		return nil, err
 	}
 	return sum, nil

@@ -71,19 +71,6 @@ func TestAllReduceSumUint(t *testing.T) {
 	}
 }
 
-func TestAllReduceSumFloat(t *testing.T) {
-	c := newTestCluster(t, 3, 9)
-	sum, err := c.AllReduceSumFloat("f", func(x *Ctx) []float64 {
-		return []float64{0.5, float64(x.Machine)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[0] != 1.5 || sum[1] != 3 {
-		t.Fatalf("sum = %v", sum)
-	}
-}
-
 func TestAllReduceMaxUint(t *testing.T) {
 	c := newTestCluster(t, 5, 25)
 	maxVal, err := c.AllReduceMaxUint("m", func(x *Ctx) uint64 {

@@ -553,11 +553,6 @@ func (c *Cluster) Stats() Stats {
 	return out
 }
 
-// ResetStats clears accumulated statistics (but not machine state).
-func (c *Cluster) ResetStats() {
-	c.stats = Stats{}
-}
-
 // ChargeRounds accounts for k rounds of a step that is modeled analytically
 // rather than simulated message-by-message (e.g. standard graph
 // exponentiation). It adds k rounds to the statistics under the given name

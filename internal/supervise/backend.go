@@ -9,21 +9,16 @@ import (
 	"github.com/rulingset/mprs/internal/trace"
 )
 
-// Backend executes a JobSpec. The two implementations — InProc and
-// MultiProc — are bit-identical on deterministic outputs: same Members,
-// same Stats (modulo the documented host/run-dependent columns), same trace
-// bytes. That equivalence is the package's core contract and is enforced by
-// tests and the CI multiproc-smoke job.
-type Backend interface {
-	Run(spec JobSpec) (rulingset.Result, error)
-}
-
 // InProc runs the job in this process — the classic single-process path,
 // composed from exactly the same spec helpers the worker processes use, so
-// the two backends cannot drift apart.
+// the two backends cannot drift apart. InProc and MultiProc are
+// bit-identical on deterministic outputs: same Members, same Stats (modulo
+// the documented host/run-dependent columns), same trace bytes. That
+// equivalence is the package's core contract and is enforced by tests and
+// the CI multiproc-smoke job.
 type InProc struct{}
 
-// Run implements Backend.
+// Run executes spec in this process.
 func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
 	if err := spec.Validate(); err != nil {
 		return rulingset.Result{}, err
@@ -70,7 +65,7 @@ type MultiProc struct {
 	Config Config
 }
 
-// Run implements Backend.
+// Run executes spec across supervised worker processes.
 func (m MultiProc) Run(spec JobSpec) (rulingset.Result, error) {
 	return Run(spec, m.Config)
 }

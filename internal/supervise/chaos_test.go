@@ -199,9 +199,8 @@ func TestChaosDiskENOSPCRetryableOracle(t *testing.T) {
 	}
 }
 
-// TestChaosProcKillOracle: proc:kill@R:W is the chaos-grammar spelling of
-// the KillAt schedule — a real SIGKILL at deterministic progress, restarted
-// and bit-identical.
+// TestChaosProcKillOracle: proc:kill@R:W is a real SIGKILL at deterministic
+// progress, restarted and bit-identical.
 func TestChaosProcKillOracle(t *testing.T) {
 	inRes, err := InProc{}.Run(testSpec(t, "det2"))
 	if err != nil {

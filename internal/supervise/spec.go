@@ -20,7 +20,6 @@
 package supervise
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,17 +186,6 @@ func runAlgo(algo string, g *graph.Graph, o rulingset.Options) (rulingset.Result
 	return rulingset.Result{}, fmt.Errorf("supervise: unknown algorithm %q", algo)
 }
 
-// buildStamp renders the binary's build info exactly as the CLI does for its
-// trace headers; a pure function of the binary, so replicated workers of the
-// same build stamp identical bytes.
-func buildStamp() json.RawMessage {
-	data, err := json.Marshal(buildinfo.Get())
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
 // traceHeader is the job's trace header — field-for-field what the CLI's
 // in-process path writes, which is what makes the trace files byte-
 // comparable across backends.
@@ -207,7 +195,7 @@ func (s JobSpec) traceHeader() trace.Header {
 		Spec:     s.SpecLabel(),
 		Seed:     s.AlgoSeed,
 		Machines: s.Machines,
-		Build:    buildStamp(),
+		Build:    buildinfo.JSON(),
 	}
 }
 
@@ -224,7 +212,7 @@ func (s JobSpec) openStoreFS(dir string, fsys durable.FS) (*durable.Store, error
 	if err != nil {
 		return nil, err
 	}
-	st.SetBuildStamp(buildStamp())
+	st.SetBuildStamp(buildinfo.JSON())
 	return st, nil
 }
 

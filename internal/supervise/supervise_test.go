@@ -128,11 +128,11 @@ func TestMultiProcKillRestart(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		kills []KillAt
+		kills string
 	}{
-		{"follower", []KillAt{{Worker: 1, Round: 10}}},
-		{"trace-writer", []KillAt{{Worker: 0, Round: 12}}},
-		{"two-workers", []KillAt{{Worker: 1, Round: 6}, {Worker: 2, Round: 14}}},
+		{"follower", "proc:kill@10:1"},
+		{"trace-writer", "proc:kill@12:0"},
+		{"two-workers", "proc:kill@6:1,proc:kill@14:2"},
 	} {
 		kills := tc.kills
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,10 +143,9 @@ func TestMultiProcKillRestart(t *testing.T) {
 			spec.TraceFile = filepath.Join(sub, "mp.trace")
 
 			var lifecycle bytes.Buffer
-			cfg := testConfig(3)
+			cfg := chaosConfig(t, 3, kills)
 			cfg.MaxRestarts = 2
 			cfg.BackoffInitial = 20 * time.Millisecond
-			cfg.KillAt = kills
 			cfg.Lifecycle = &lifecycle
 
 			res, err := Run(spec, cfg)
@@ -173,10 +172,9 @@ func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	cfg := testConfig(2)
+	cfg := chaosConfig(t, 2, "proc:kill@8:1")
 	cfg.MaxRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
-	cfg.KillAt = []KillAt{{Worker: 1, Round: 8}}
 	res, err := Run(testSpec(t, "det2"), cfg)
 	if err != nil {
 		t.Fatalf("multiproc: %v", err)
@@ -188,9 +186,8 @@ func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
 // structured SupervisorError carrying the committed round and harvested
 // Stats from a surviving worker.
 func TestMultiProcFailFast(t *testing.T) {
-	cfg := testConfig(3)
+	cfg := chaosConfig(t, 3, "proc:kill@10:1")
 	cfg.MaxRestarts = 0
-	cfg.KillAt = []KillAt{{Worker: 1, Round: 10}}
 	_, err := Run(testSpec(t, "det2"), cfg)
 	var serr *SupervisorError
 	if !errors.As(err, &serr) {
@@ -210,10 +207,9 @@ func TestMultiProcFailFast(t *testing.T) {
 // TestMultiProcRestartBudgetExhausted: more kills than restarts aborts with
 // the failing worker's attempt count.
 func TestMultiProcRestartBudgetExhausted(t *testing.T) {
-	cfg := testConfig(2)
+	cfg := chaosConfig(t, 2, "proc:kill@6:1,proc:kill@10:1")
 	cfg.MaxRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
-	cfg.KillAt = []KillAt{{Worker: 1, Round: 6}, {Worker: 1, Round: 10}}
 	_, err := Run(testSpec(t, "det2"), cfg)
 	var serr *SupervisorError
 	if !errors.As(err, &serr) {

@@ -46,15 +46,6 @@ func SelfExec(args ...string) SpawnFunc {
 	}
 }
 
-// KillAt injects a real SIGKILL: the supervisor kills Worker's process group
-// as soon as its authoritative frame for a round >= Round arrives. Because
-// the trigger is deterministic superstep progress (never wall clock), test
-// and CI kill schedules reproduce.
-type KillAt struct {
-	Worker int
-	Round  int
-}
-
 // Config tunes the supervisor.
 type Config struct {
 	// Workers is the worker-process count (>= 1); more workers than
@@ -76,8 +67,6 @@ type Config struct {
 	// expiry every worker process group is killed and Run returns a
 	// SupervisorError. The CI/test safety net against wedged workers.
 	Timeout time.Duration
-	// KillAt is the injected-kill schedule (tests, CI smoke).
-	KillAt []KillAt
 	// Lifecycle, when non-nil, receives the JSONL lifecycle stream (see
 	// LifecycleSchema).
 	Lifecycle io.Writer
@@ -97,7 +86,10 @@ type Config struct {
 	// Chaos, when non-nil, is the deterministic substrate fault-injection
 	// plan (see internal/chaos): wire events interpose on the worker pipes,
 	// disk events ride into the worker processes via their env, and proc
-	// events merge into the kill schedule. Deliberately NOT part of the
+	// events are the injected-kill schedule: proc:kill@R:W SIGKILLs worker
+	// W's process group as soon as its authoritative frame for a round >= R
+	// arrives. The trigger is deterministic superstep progress (never wall
+	// clock), so test and CI kill schedules reproduce. Deliberately NOT part of the
 	// job's Fingerprint — chaos attacks the substrate, not the computation,
 	// so checkpoints written under chaos stay resumable by clean runs (the
 	// degraded fallback depends on exactly that).
@@ -284,7 +276,7 @@ type supervisor struct {
 	// worker can still need (older rounds it replays locally).
 	retained      [][]byte
 	retainedRound []int
-	killAt        []KillAt
+	kills         []chaos.ProcEvent
 	killFired     []bool
 
 	// wire is the chaos frame interposer (nil without wire events).
@@ -355,14 +347,9 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 		procs:         make([]*proc, cfg.Workers),
 		retained:      make([][]byte, cfg.Workers),
 		retainedRound: make([]int, cfg.Workers),
-		killAt:        cfg.KillAt,
+		kills:         cfg.Chaos.Kills(),
 	}
-	// proc:kill chaos events are exactly KillAt in plan grammar; merge them
-	// so one latch array covers both sources.
-	for _, k := range cfg.Chaos.Kills() {
-		s.killAt = append(s.killAt, KillAt{Worker: k.Worker, Round: k.Round})
-	}
-	s.killFired = make([]bool, len(s.killAt))
+	s.killFired = make([]bool, len(s.kills))
 	// Wire chaos interposes on the worker pipes; fired events surface on the
 	// lifecycle stream via note events (non-blocking: dropping a note loses
 	// an observability line, never supervision).
@@ -617,7 +604,7 @@ func (s *supervisor) handle(ev event, now time.Time) {
 				s.enqueue(q, f)
 			}
 		}
-		s.checkKillAt(p, f.Round)
+		s.checkKills(p, f.Round)
 	case transport.FrameResult:
 		p.result = f.Payload
 		p.state = procDone
@@ -658,10 +645,10 @@ func (s *supervisor) handle(ev event, now time.Time) {
 	}
 }
 
-// checkKillAt fires pending injected kills triggered by p's deterministic
+// checkKills fires pending proc:kill events triggered by p's deterministic
 // superstep progress.
-func (s *supervisor) checkKillAt(p *proc, round int) {
-	for i, k := range s.killAt {
+func (s *supervisor) checkKills(p *proc, round int) {
+	for i, k := range s.kills {
 		if !s.killFired[i] && k.Worker == p.id && round >= k.Round {
 			s.killFired[i] = true
 			s.life.emit(LifecycleEvent{Kind: "kill", Worker: p.id, Round: round, Attempt: p.attempts})

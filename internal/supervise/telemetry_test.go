@@ -88,11 +88,10 @@ func TestMultiProcFlightArtifact(t *testing.T) {
 	flightDir := filepath.Join(dir, "flights")
 	spec := testSpec(t, "det2")
 
-	cfg := testConfig(3)
+	cfg := chaosConfig(t, 3, "proc:kill@10:1")
 	cfg.Heartbeat = 400 * time.Millisecond
 	cfg.MaxRestarts = 2
 	cfg.BackoffInitial = 20 * time.Millisecond
-	cfg.KillAt = []KillAt{{Worker: 1, Round: 10}}
 	cfg.FlightDir = flightDir
 	// No Config.Telemetry: FlightDir alone must switch the heartbeat payload
 	// machinery on.

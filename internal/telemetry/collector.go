@@ -29,12 +29,12 @@ type CollectorOptions struct {
 	Now func() time.Time
 }
 
-// Collector is the per-run telemetry source: a trace.Tracer plus
-// trace.SpanObserver that folds the committed superstep stream into registry
-// series and retains a bounded ring of recent events for the flight
-// recorder. Register it alongside the other tracer sinks via trace.Multi;
-// it never mutates the events it observes, so enabling it cannot perturb
-// trace bytes or Stats.
+// Collector is the per-run telemetry source and the run's only live view: a
+// trace.Tracer plus trace.SpanObserver that folds the committed superstep
+// stream into registry series, tracks the active algorithm phase, and
+// retains a bounded ring of recent events for the flight recorder. Register
+// it alongside the other tracer sinks via trace.Multi; it never mutates the
+// events it observes, so enabling it cannot perturb trace bytes or Stats.
 type Collector struct {
 	reg *Registry
 	now func() time.Time
@@ -57,11 +57,12 @@ type Collector struct {
 	stalls    Counter
 	ckptBytes Counter
 
+	// mu guards the phase state and the ring, and orders span transitions
+	// so the mprs_current_span state set always ends on the newest phase.
 	mu        sync.Mutex
 	span      string
 	spanStart time.Time
-	ring      []trace.Event
-	ringStart int
+	ring      *trace.Ring
 }
 
 // NewCollector creates a collector with its own registry.
@@ -93,7 +94,7 @@ func NewCollector(opts CollectorOptions) *Collector {
 		dup:       reg.Counter("mprs_duplicated_messages_total", "Messages duplicated by the fault layer."),
 		stalls:    reg.Counter("mprs_stall_rounds_total", "Rounds stretched by simulated stragglers."),
 		ckptBytes: reg.Counter("mprs_checkpoint_bytes_total", "Bytes persisted to durable checkpoints by this process."),
-		ring:      make([]trace.Event, 0, opts.FlightCap),
+		ring:      trace.NewRing(opts.FlightCap),
 	}
 	return c
 }
@@ -122,29 +123,38 @@ func (c *Collector) Superstep(ev trace.Event) {
 	c.stalls.Add(float64(ev.Stalls))
 
 	c.mu.Lock()
-	if len(c.ring) < cap(c.ring) {
-		c.ring = append(c.ring, ev)
-	} else {
-		c.ring[c.ringStart] = ev
-		c.ringStart = (c.ringStart + 1) % cap(c.ring)
-	}
+	c.ring.Superstep(ev)
 	c.mu.Unlock()
 }
 
-// SpanChange implements trace.SpanObserver: the wall-clock residence time of
-// the phase that just ended is observed into the per-span latency histogram.
-// Latencies are advisory (they vary run to run); only their existence is
-// deterministic.
+// SpanChange implements trace.SpanObserver. The mprs_current_span state set
+// moves to the new phase at once, before the phase commits its first round,
+// and the wall-clock residence time of the phase that just ended is observed
+// into the per-span latency histogram. Latencies are advisory (they vary run
+// to run); only their existence is deterministic.
 func (c *Collector) SpanChange(span string) {
 	now := c.now()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	prev, start := c.span, c.spanStart
 	c.span, c.spanStart = span, now
-	c.mu.Unlock()
-	if prev != "" && prev != span {
+	if prev == span {
+		return
+	}
+	if prev != "" {
+		c.currentSpan(prev).Set(0)
 		c.reg.Histogram("mprs_span_seconds", "Wall-clock residence time per algorithm phase.",
 			spanBounds, Label{Name: "span", Value: prev}).Observe(now.Sub(start).Seconds())
 	}
+	if span != "" {
+		c.currentSpan(span).Set(1)
+	}
+}
+
+// currentSpan is span's series of the mprs_current_span state set.
+func (c *Collector) currentSpan(span string) Gauge {
+	return c.reg.Gauge("mprs_current_span", "Algorithm phase the run is in (1 on the active phase's series, 0 on phases it has left).",
+		Label{Name: "span", Value: span})
 }
 
 // Gather implements Gatherer.
@@ -154,10 +164,7 @@ func (c *Collector) Gather() []Point { return c.reg.Gather() }
 func (c *Collector) Recent() []trace.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]trace.Event, 0, len(c.ring))
-	out = append(out, c.ring[c.ringStart:]...)
-	out = append(out, c.ring[:c.ringStart]...)
-	return out
+	return c.ring.Events()
 }
 
 // WirePayload is the telemetry body a worker attaches to its heartbeat

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,6 +119,107 @@ func TestCollectorSpanLatency(t *testing.T) {
 	}
 }
 
+// TestCollectorCurrentSpan pins the mprs_current_span state set: the active
+// phase reads 1, a phase the run has left reads 0, and repeating the active
+// phase adds no series.
+func TestCollectorCurrentSpan(t *testing.T) {
+	c := NewCollector(CollectorOptions{})
+	c.SpanChange("a")
+	c.SpanChange("b")
+	c.SpanChange("b")
+	got := make(map[string]float64)
+	for _, p := range points(c)["mprs_current_span"] {
+		if len(p.Labels) != 1 || p.Labels[0].Name != "span" || p.Kind != KindGauge {
+			t.Fatalf("unexpected series %+v", p)
+		}
+		got[p.Labels[0].Value] = p.Value
+	}
+	if len(got) != 2 || got["a"] != 0 || got["b"] != 1 {
+		t.Errorf("mprs_current_span = %v, want a=0 b=1", got)
+	}
+}
+
+// TestCollectorConcurrentReaders races scraper-style readers (Gather and
+// Recent) against the simulation goroutine's commits and span transitions.
+// Under -race this proves the locks cover every path; the invariant check
+// catches torn reads even without the race detector: the ring must always
+// hold consecutive rounds, and the committed round never moves backwards.
+func TestCollectorConcurrentReaders(t *testing.T) {
+	const rounds = 500
+	c := NewCollector(CollectorOptions{FlightCap: 8})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	torn := make(chan string, 1)
+	report := func(msg string) {
+		select {
+		case torn <- msg:
+		default:
+		}
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0.0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				evs := c.Recent()
+				for j := 1; j < len(evs); j++ {
+					if evs[j].Round != evs[j-1].Round+1 {
+						report(fmt.Sprintf("ring not consecutive: %d then %d", evs[j-1].Round, evs[j].Round))
+						return
+					}
+				}
+				for _, p := range c.Gather() {
+					if p.Name == "mprs_committed_round" {
+						if p.Value < last {
+							report(fmt.Sprintf("committed round went back from %v to %v", last, p.Value))
+							return
+						}
+						last = p.Value
+					}
+				}
+			}
+		}()
+	}
+	for r := 1; r <= rounds; r++ {
+		if r%50 == 0 {
+			c.SpanChange(fmt.Sprintf("phase%d", r/50))
+		}
+		c.Superstep(trace.Event{Round: r, Words: 1, Sent: []int{1}, Recv: []int{1}})
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-torn:
+		t.Fatal(msg)
+	default:
+	}
+	m := points(c)
+	if got := value(t, m, "mprs_committed_round"); got != rounds {
+		t.Errorf("committed round = %v, want %d", got, rounds)
+	}
+	if evs := c.Recent(); len(evs) != 8 || evs[7].Round != rounds {
+		t.Errorf("final ring %+v", evs)
+	}
+	active := 0
+	for _, p := range m["mprs_current_span"] {
+		if p.Value == 1 {
+			active++
+			if p.Labels[0].Value != "phase10" {
+				t.Errorf("active span %q, want phase10", p.Labels[0].Value)
+			}
+		}
+	}
+	if active != 1 {
+		t.Errorf("%d active spans, want 1", active)
+	}
+}
+
 // TestCollectorRing pins the flight ring's bound and emission order across
 // wraparound.
 func TestCollectorRing(t *testing.T) {
@@ -139,8 +241,12 @@ func TestCollectorRing(t *testing.T) {
 // TestWireRoundTrip pins the heartbeat payload: points and the ring survive
 // encode/decode, and the same version-skew tolerance as snapshots applies.
 func TestWireRoundTrip(t *testing.T) {
-	c := NewCollector(CollectorOptions{FlightCap: 2})
+	clk := newFakeClock()
+	c := NewCollector(CollectorOptions{FlightCap: 2, Now: clk.now})
+	c.SpanChange("sparsify")
 	c.Superstep(trace.Event{Round: 1, Words: 10})
+	clk.tick(30 * time.Millisecond)
+	c.SpanChange("gather") // a span histogram must not break the encoding
 	c.Superstep(trace.Event{Round: 2, Words: 20})
 	data, err := c.Wire()
 	if err != nil {
@@ -156,8 +262,12 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(p.Recent) != 2 || p.Recent[1].Round != 2 {
 		t.Errorf("wire recent = %+v", p.Recent)
 	}
-	if got := value(t, indexPoints(p.Points), "mprs_words_total"); got != 30 {
-		t.Errorf("wire words_total = %v, want 30", got)
+	got := indexPoints(p.Points)
+	if v := value(t, got, "mprs_words_total"); v != 30 {
+		t.Errorf("wire words_total = %v, want 30", v)
+	}
+	if h := got["mprs_span_seconds"]; len(h) != 1 || h[0].Count != 1 || len(h[0].Buckets) != len(spanBounds) {
+		t.Errorf("wire span histogram = %+v", h)
 	}
 	if _, err := DecodeWire([]byte(`{"schema":"mprs-telemetry/3","future":1}`)); err != nil {
 		t.Errorf("future wire schema rejected: %v", err)

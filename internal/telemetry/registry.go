@@ -42,7 +42,9 @@ type Label struct {
 }
 
 // Bucket is one cumulative histogram bucket: the count of observations with
-// value <= LE. The terminal +Inf bucket equals Count.
+// value <= LE. Points carry the finite bounds only; the terminal +Inf bucket
+// is the Point's Count, left implicit because encoding/json rejects
+// infinities and would fail every JSON snapshot and heartbeat payload.
 type Bucket struct {
 	LE    float64 `json:"le"`
 	Count uint64  `json:"count"`
@@ -258,11 +260,10 @@ func (r *Registry) Gather() []Point {
 			switch f.kind {
 			case KindHistogram:
 				p.Sum, p.Count = s.sum, s.count
-				p.Buckets = make([]Bucket, 0, len(f.bounds)+1)
+				p.Buckets = make([]Bucket, 0, len(f.bounds))
 				for i, ub := range f.bounds {
 					p.Buckets = append(p.Buckets, Bucket{LE: ub, Count: s.buckets[i]})
 				}
-				p.Buckets = append(p.Buckets, Bucket{LE: math.Inf(1), Count: s.count})
 			default:
 				p.Value = s.value
 			}
@@ -302,13 +303,12 @@ func writeSeries(w io.Writer, p Point) error {
 		return err
 	}
 	for _, b := range p.Buckets {
-		le := "+Inf"
-		if !math.IsInf(b.LE, 1) {
-			le = formatValue(b.LE)
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", p.Name, renderLabels(p.Labels, "le", le), b.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", p.Name, renderLabels(p.Labels, "le", formatValue(b.LE)), b.Count); err != nil {
 			return err
 		}
+	}
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", p.Name, renderLabels(p.Labels, "le", "+Inf"), p.Count); err != nil {
+		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", p.Name, renderLabels(p.Labels, "", ""), formatValue(p.Sum)); err != nil {
 		return err

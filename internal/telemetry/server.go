@@ -9,7 +9,7 @@ import (
 //	/metrics         Prometheus text exposition (version 0.0.4)
 //	/telemetry.json  the JSON snapshot document (schema mprs-telemetry/1)
 //
-// Callers mount extra routes (expvar, pprof) on the returned mux; a fresh
+// Callers mount extra routes (pprof) on the returned mux; a fresh
 // mux per run keeps repeated in-process runs (tests) away from the global
 // DefaultServeMux registration panics.
 func Handler(g Gatherer) *http.ServeMux {

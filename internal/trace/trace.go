@@ -70,6 +70,14 @@ type Tracer interface {
 	Superstep(ev Event)
 }
 
+// SpanObserver is implemented by tracers that want to learn of algorithm
+// phase changes the moment they happen, rather than at the next superstep
+// barrier. The simulators notify the registered tracer on every Span call
+// when it implements this interface; Multi fans the notification out.
+type SpanObserver interface {
+	SpanChange(span string)
+}
+
 // JSONL is a Tracer writing one JSON object per line. Encoding is
 // deterministic (fixed field order, no timestamps), so two identical runs
 // produce byte-identical output.
@@ -194,6 +202,16 @@ func (m Multi) Superstep(ev Event) {
 	for _, t := range m {
 		if t != nil {
 			t.Superstep(ev)
+		}
+	}
+}
+
+// SpanChange implements SpanObserver, forwarding to every tracer that
+// observes spans.
+func (m Multi) SpanChange(span string) {
+	for _, t := range m {
+		if o, ok := t.(SpanObserver); ok {
+			o.SpanChange(span)
 		}
 	}
 }

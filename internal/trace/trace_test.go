@@ -112,6 +112,21 @@ func TestMulti(t *testing.T) {
 	}
 }
 
+// spanLog records the spans it is notified of.
+type spanLog struct{ spans []string }
+
+func (l *spanLog) Superstep(Event)        {}
+func (l *spanLog) SpanChange(span string) { l.spans = append(l.spans, span) }
+
+func TestMultiForwardsSpanChange(t *testing.T) {
+	a, b := &spanLog{}, &spanLog{}
+	m := Multi{a, NewRing(1), nil, b}
+	m.SpanChange("seed-search")
+	if len(a.spans) != 1 || a.spans[0] != "seed-search" || len(b.spans) != 1 || b.spans[0] != "seed-search" {
+		t.Fatalf("Multi did not fan SpanChange out to observers: %v, %v", a.spans, b.spans)
+	}
+}
+
 func TestGini(t *testing.T) {
 	tests := []struct {
 		name string
