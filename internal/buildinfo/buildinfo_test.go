@@ -66,6 +66,32 @@ func TestJSONOmitsEmptyFields(t *testing.T) {
 	}
 }
 
+// Both backends embed JSON() in trace headers and checkpoint files, so the
+// bytes must be the encoded Get() and identical on every call.
+func TestJSONEncodesGet(t *testing.T) {
+	a, b := JSON(), JSON()
+	if a == nil {
+		t.Fatal("JSON returned nil")
+	}
+	if string(a) != string(b) {
+		t.Fatalf("JSON is not stable across calls: %s vs %s", a, b)
+	}
+	want, err := json.Marshal(Get())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(want) {
+		t.Errorf("JSON = %s, want %s", a, want)
+	}
+	var back Stamp
+	if err := json.Unmarshal(a, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != Get() {
+		t.Errorf("JSON decodes to %+v, want %+v", back, Get())
+	}
+}
+
 func TestCLIVersionMentionsCommand(t *testing.T) {
 	if got := CLIVersion("mprs-bench"); !strings.HasPrefix(got, "mprs-bench ") {
 		t.Errorf("CLIVersion = %q", got)
