@@ -64,11 +64,6 @@ type Config struct {
 	// done, Step/RouteStep return a *CancelError wrapping mpc.ErrCanceled or
 	// mpc.ErrDeadline with the committed round and full Stats.
 	Context context.Context
-	// Transport, when non-nil, carries every committed round's sorted
-	// per-destination message boxes, exactly as in the MPC simulator (the
-	// shared mpc.Transport interface). nil is the in-memory router. A failed
-	// exchange aborts the round cleanly with a *TransportError.
-	Transport mpc.Transport
 	// Parallelism bounds the worker pool executing node step closures within
 	// one round: 0 (the default) means GOMAXPROCS, 1 forces the serial
 	// reference path (every node runs on the calling goroutine, in node
@@ -137,33 +132,12 @@ type Stats struct {
 var ErrBandwidth = errors.New("clique: bandwidth budget exceeded")
 
 // Message is a payload received from node Src. It is an alias of
-// mpc.Message so both simulators share one message shape — and therefore one
-// Transport implementation (see Config.Transport).
+// mpc.Message so both simulators share one message shape.
 type Message = mpc.Message
 
 // Ctx is one node's view within a step: the mpc engine's per-machine
 // context, with Machine the node id.
 type Ctx = mpc.Ctx
-
-// TransportError reports a round whose message exchange failed (see
-// mpc.TransportError — this is the clique-model counterpart, carrying clique
-// Stats). The round was not committed and nothing was delivered.
-type TransportError struct {
-	// Round is the number of committed rounds when the exchange failed.
-	Round int
-	// Stats is the full accumulated statistics at the failure barrier.
-	Stats Stats
-	// Err is the underlying transport failure.
-	Err error
-}
-
-// Error implements error.
-func (e *TransportError) Error() string {
-	return fmt.Sprintf("clique: transport failed after %d committed rounds: %v", e.Round, e.Err)
-}
-
-// Unwrap exposes the underlying transport failure.
-func (e *TransportError) Unwrap() error { return e.Err }
 
 // Cluster is a simulated congested clique on n nodes.
 type Cluster struct {
@@ -193,7 +167,6 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 		Faults:      cfg.Faults,
 		Tracer:      cfg.Tracer,
 		Context:     cfg.Context,
-		Transport:   cfg.Transport,
 		Parallelism: cfg.Parallelism,
 	}, n, c.meter)
 	if err != nil {
@@ -296,14 +269,11 @@ func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error {
 	return c.modelErr(c.eng.RouteStep(name, LenzenRounds, f))
 }
 
-// modelErr turns the engine's barrier errors, which carry mpc.Stats, into
-// their clique counterparts carrying clique Stats.
+// modelErr turns the engine's barrier cancellation, which carries
+// mpc.Stats, into its clique counterpart carrying clique Stats.
 func (c *Cluster) modelErr(err error) error {
-	switch e := err.(type) {
-	case *mpc.CancelError:
+	if e, ok := err.(*mpc.CancelError); ok {
 		return newCancelError(e, c.Stats())
-	case *mpc.TransportError:
-		return &TransportError{Round: e.Round, Stats: c.Stats(), Err: e.Err}
 	}
 	return err
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Schema is the checkpoint file format version, written as the file magic
@@ -41,9 +42,8 @@ const Schema = "mprs-ckpt/1"
 // magic is the fixed first line of every checkpoint file.
 const magic = Schema + "\n"
 
-// maxRecordBytes bounds one record payload so a corrupt length prefix cannot
-// drive a multi-gigabyte allocation. 1 GiB of state words per machine is far
-// beyond any simulated scale.
+// maxRecordBytes bounds one record payload. 1 GiB of state words per
+// machine is far beyond any simulated scale.
 const maxRecordBytes = 1 << 30
 
 // Sentinel errors. ErrCorrupt (and ErrNoCheckpoint) are recoverable — the
@@ -109,14 +109,33 @@ func readRecord(r io.Reader) ([]byte, error) {
 	if n > maxRecordBytes {
 		return nil, fmt.Errorf("%w: record length %d exceeds limit", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readN(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated record payload: %v", ErrCorrupt, err)
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: record CRC mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
 	return payload, nil
+}
+
+// readStep bounds each allocation readN makes ahead of the bytes it has read.
+const readStep = 1 << 20
+
+// readN reads exactly n bytes, growing the buffer at most readStep bytes
+// ahead of what has arrived: a torn record whose length prefix claims far
+// more than the file holds costs only the bytes actually present.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		step := min(n-len(buf), readStep)
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
 }
 
 // Encode writes one checkpoint: magic, a meta record, then one state record

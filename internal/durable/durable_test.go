@@ -2,9 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -91,6 +93,25 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	// Trailing garbage after a valid checkpoint is also corruption.
 	if _, _, err := Decode(bytes.NewReader(append(append([]byte(nil), good...), 0))); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("trailing byte not detected")
+	}
+}
+
+// TestReadRecordBoundedAlloc: a torn record whose length prefix claims
+// 512 MiB but whose file holds 3 payload bytes fails as ErrCorrupt without
+// allocating the claimed size.
+func TestReadRecordBoundedAlloc(t *testing.T) {
+	rec := binary.LittleEndian.AppendUint32(nil, 512<<20)
+	rec = binary.LittleEndian.AppendUint32(rec, 0)
+	rec = append(rec, 1, 2, 3)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := readRecord(bytes.NewReader(rec))
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("torn record: %v, want ErrCorrupt", err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("torn record allocated %d bytes, want < 8 MiB", alloc)
 	}
 }
 

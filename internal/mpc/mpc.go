@@ -116,10 +116,10 @@ type Config struct {
 	// mismatch), restores through the Checkpointer, and records the replay
 	// in Stats.ResumeReplayRounds.
 	Resume *ResumeState
-	// Transport, when non-nil, carries every committed superstep's sorted
-	// per-destination message boxes (see the Transport interface); nil is
-	// the in-memory router. A failed exchange aborts the step cleanly with
-	// a *TransportError.
+	// Transport, when non-nil, is handed every committed superstep's sorted
+	// per-destination message boxes before delivery (see the Transport
+	// interface); nil is the in-memory router. A failed exchange aborts the
+	// step cleanly with a *TransportError.
 	Transport Transport
 	// Parallelism bounds the worker pool executing machine step closures
 	// within one superstep: 0 (the default) means GOMAXPROCS, 1 forces the
@@ -777,9 +777,9 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 
 // SendOwned queues payload without copying; the caller must not reuse it.
 // payload may be a capacity-clipped sub-slice (slab[a:b:b]) of one slab the
-// sender shares across destinations: the engine, transportFaults, the MPRW
-// codec, checkpointing and every receiver only read delivered payloads, and
-// never append to or write into them (DESIGN.md §8). Sending on an
+// sender shares across destinations: the engine, transportFaults, the
+// Transport, checkpointing and every receiver only read delivered payloads,
+// and never append to or write into them (DESIGN.md §8). Sending on an
 // invalidated context (after its step completed) drops the payload and
 // records ErrStaleCtx, returned by the cluster's next Step. A dst outside
 // [0, M) panics as in Send.
@@ -1126,16 +1126,14 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	boxes := at.mergeOutboxes(c)
 	at.release(c)
 	// The merged boxes are the canonical exchange: hand them to the
-	// configured transport (the multi-process backend ships and verifies
-	// them here); the nil transport delivers them as-is. A failed exchange
-	// aborts before the round commits — nothing below has run, so the
-	// carried Stats are exactly the committed prefix.
+	// configured transport (the multi-process backend checks them against
+	// its peers' replicas here). A failed exchange aborts before the round
+	// commits — nothing below has run, so the carried Stats are exactly the
+	// committed prefix.
 	if c.cfg.Transport != nil {
-		exchanged, err := c.cfg.Transport.Exchange(round, boxes)
-		if err != nil {
+		if err := c.cfg.Transport.Exchange(round, boxes); err != nil {
 			return &TransportError{Round: c.stats.Rounds, Stats: c.Stats(), Err: err}
 		}
-		boxes = exchanged
 	}
 
 	c.stats.Rounds += rounds

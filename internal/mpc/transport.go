@@ -5,18 +5,14 @@ import "fmt"
 // Transport hooks the superstep message exchange. At every committed Step,
 // after the per-worker send logs have been merged into per-destination boxes
 // sorted by sender (the schedule-independent canonical order), the cluster
-// hands all M boxes to the transport and delivers whatever it returns. The
-// nil transport is the in-memory router: boxes are delivered as-is inside
-// this address space.
+// hands all M boxes to the transport, then delivers them itself. The nil
+// transport is the in-memory router: nothing crosses a process boundary.
 //
-// A transport implementation must preserve the delivery contract exactly —
-// the returned slice has one box per destination machine, each box sorted by
-// sender with per-sender send order intact, and message payloads
-// word-identical to what was sent. Everything downstream (fault accounting,
-// budget metering, skew statistics, trace events) runs on the returned boxes,
-// so a conforming transport is invisible in every deterministic output: that
-// is the cross-backend bit-identity contract the multi-process backend is
-// tested against.
+// Exchange only reads boxes: it must neither modify them nor retain them
+// past the call. A non-nil error aborts the round before it commits, so a
+// transport can veto delivery (a peer died, a replica diverged) but can
+// never change what is delivered, and every deterministic output is the same
+// with or without it.
 //
 // round is the model round about to commit (the value Stats.Rounds will take
 // once the step commits). Rounds consumed by ChargeRounds create gaps in the
@@ -26,7 +22,7 @@ import "fmt"
 // Exchange is called from the barrier (single-goroutine) phase of Step; it
 // never races with machine code.
 type Transport interface {
-	Exchange(round int, boxes [][]Message) ([][]Message, error)
+	Exchange(round int, boxes [][]Message) error
 }
 
 // TransportError reports a superstep whose message exchange failed — a peer

@@ -58,10 +58,13 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 	if err := o.durableUnsupported("CliqueRuling2"); err != nil {
 		return CliqueResult{}, err
 	}
+	if o.Transport != nil {
+		return CliqueResult{}, fmt.Errorf("rulingset: CliqueRuling2: %w", errCliqueTransport)
+	}
 	if o.SeedPolicy != SeedConditionalExpectations {
 		return CliqueResult{}, fmt.Errorf("rulingset: CliqueRuling2 does not support seed policy %v (only %v): %w", o.SeedPolicy, SeedConditionalExpectations, errCliqueSeedBroadcast)
 	}
-	c, err := clique.NewCluster(clique.Config{Strict: o.Strict, Faults: o.Faults, Tracer: o.Tracer, Context: o.Context, Transport: o.Transport, Parallelism: o.Parallelism}, n)
+	c, err := clique.NewCluster(clique.Config{Strict: o.Strict, Faults: o.Faults, Tracer: o.Tracer, Context: o.Context, Parallelism: o.Parallelism}, n)
 	if err != nil {
 		return CliqueResult{}, err
 	}
@@ -99,6 +102,10 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 // seed search: the seed-policy ablations distribute a multi-word seed,
 // which the clique has no collective for.
 var errCliqueSeedBroadcast = errors.New("the congested clique has no multi-word seed broadcast")
+
+// errCliqueTransport rejects Options.Transport for the clique drivers: the
+// multi-process backend runs only the MPC algorithms.
+var errCliqueTransport = errors.New("the congested clique has no multi-process transport")
 
 // cliqueModel is the congested clique behind the model seam, one node per
 // vertex: plain steps send at most one word per pair, and the residual

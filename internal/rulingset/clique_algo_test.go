@@ -1,12 +1,14 @@
 package rulingset
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 func TestCliqueRuling2Valid(t *testing.T) {
@@ -154,6 +156,20 @@ func TestCliqueRejectsSeedPolicy(t *testing.T) {
 				t.Errorf("seed policy %v: err = %v, want a rejection naming the clique and the policy", p, err)
 			}
 		}
+	}
+}
+
+// nopTransport accepts every exchange.
+type nopTransport struct{}
+
+func (nopTransport) Exchange(int, [][]mpc.Message) error { return nil }
+
+// TestCliqueRejectsTransport checks that the clique drivers refuse a
+// multi-process transport instead of running without it.
+func TestCliqueRejectsTransport(t *testing.T) {
+	g := gen.MustBuild("gnp:n=100,p=0.05", 1)
+	if _, err := CliqueDetRuling2(g, Options{Transport: nopTransport{}}); !errors.Is(err, errCliqueTransport) {
+		t.Fatalf("err = %v, want errCliqueTransport", err)
 	}
 }
 

@@ -114,10 +114,9 @@ type Options struct {
 	// Resume, when non-nil, resumes from a durable checkpoint (same
 	// single-cluster restriction); see mpc.Config.Resume.
 	Resume *mpc.ResumeState
-	// Transport, when non-nil, carries every committed superstep's message
+	// Transport, when non-nil, checks every committed superstep's message
 	// exchange (see mpc.Transport); nil is the in-memory router. The
-	// congested-clique drivers hand the same transport to their clique
-	// cluster (the simulators share one message shape).
+	// congested-clique drivers reject a non-nil Transport.
 	Transport mpc.Transport
 	// Parallelism bounds the worker pool that executes machine (or clique
 	// node) step closures within one superstep: 0 means GOMAXPROCS, 1 forces

@@ -1,22 +1,23 @@
 // Package transport implements the multi-process message exchange behind the
 // mpc.Transport interface: workers running replicated deterministic
-// simulations swap each superstep's message boxes as length-prefixed,
-// CRC-framed records over byte pipes, with each worker authoritative for the
-// messages sent by the machines it owns.
+// simulations check each superstep's message boxes against each other with
+// length-prefixed, CRC-framed records over byte pipes, each worker
+// authoritative for the machines it owns.
 //
-// The execution model is SPMD replication with authoritative exchange. Every
-// worker process runs the full deterministic driver (the driver programming
-// model holds global state that per-machine step closures fill in, so
-// machine-partitioned computation is impossible without rewriting every
-// algorithm). What the wire adds is not partitioned compute but physical
-// fault isolation and cross-process verification: at every committed
-// superstep each worker ships the messages produced by its owned machine
-// block, and every receiver checks the authoritative bytes word-for-word
-// against its local replica before delivering. A diverged worker — cosmic
-// ray, bad memory, heterogeneous build — is detected at the very barrier
-// where it diverged instead of corrupting the output silently, and a crashed
-// worker is a real OS process the supervisor can kill and restart (see
-// internal/supervise).
+// The execution model is SPMD replication. Every worker process runs the
+// full deterministic driver (the driver programming model holds global state
+// that per-machine step closures fill in, so machine-partitioned computation
+// is impossible without rewriting every algorithm), so every worker already
+// holds every box. What the wire adds is physical fault isolation and
+// cross-process verification: at every committed superstep each worker ships
+// one SHA-256 digest per owned machine of that machine's canonical outbox,
+// and every receiver compares them with the digests of its own replica
+// before delivering its local boxes. The check is collision-resistant rather
+// than word for word; the supervisor's end-of-job comparison of the workers'
+// results stays exact. A diverged worker — cosmic ray, bad memory,
+// heterogeneous build — is detected at the very barrier where it diverged
+// instead of corrupting the output silently, and a crashed worker is a real
+// OS process the supervisor can kill and restart (see internal/supervise).
 package transport
 
 import (
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -64,8 +66,7 @@ var frameMagic = [4]byte{'M', 'P', 'R', 'W'}
 // headerLen is magic(4) + type(1) + worker(4) + round(8) + paylen(4) + crc(4).
 const headerLen = 25
 
-// MaxFramePayload bounds one frame body so a corrupt length prefix cannot
-// drive an allocation by itself.
+// MaxFramePayload bounds one frame body.
 const MaxFramePayload = 1 << 30
 
 // castagnoli is the CRC-32C table, matching internal/durable's framing.
@@ -131,16 +132,36 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if paylen > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFraming, paylen, MaxFramePayload)
 	}
-	f.Payload = make([]byte, paylen)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
+	payload, err := readN(r, int(paylen))
+	if err != nil {
 		return Frame{}, fmt.Errorf("%w: torn payload: %v", ErrFraming, err)
 	}
+	f.Payload = payload
 	crc := crc32.Update(0, castagnoli, hdr[4:21])
 	crc = crc32.Update(crc, castagnoli, f.Payload)
 	if crc != wantCRC {
 		return Frame{}, fmt.Errorf("%w: checksum mismatch", ErrFraming)
 	}
 	return f, nil
+}
+
+// readStep bounds each allocation readN makes ahead of the bytes it has read.
+const readStep = 1 << 20
+
+// readN reads exactly n bytes, growing the buffer at most readStep bytes
+// ahead of what has arrived: a torn frame whose length field claims far
+// more than the stream holds costs only the bytes actually present.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		step := min(n-len(buf), readStep)
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
 }
 
 // Conn is one worker's frame connection: a buffered single-goroutine reader

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -94,39 +96,56 @@ func TestFrameOversizeRejected(t *testing.T) {
 	}
 }
 
-func TestOwnerOf(t *testing.T) {
+// TestReadFrameBoundedAlloc: a torn frame whose header claims 512 MiB but
+// whose stream holds 3 payload bytes fails as ErrFraming without allocating
+// the claimed size.
+func TestReadFrameBoundedAlloc(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, Frame{Type: FrameMessages, Worker: 1, Round: 2, Payload: []byte{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[17:21], 512<<20)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := ReadFrame(bytes.NewReader(b))
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrFraming) {
+		t.Fatalf("torn frame: %v, want ErrFraming", err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("torn frame allocated %d bytes, want < 8 MiB", alloc)
+	}
+}
+
+func TestOwnedRange(t *testing.T) {
 	for _, tc := range []struct {
 		total, workers int
 	}{
 		{1, 1}, {8, 1}, {8, 2}, {8, 3}, {9, 3}, {10, 3}, {7, 7}, {100, 16},
 	} {
 		per := (tc.total + tc.workers - 1) / tc.workers
-		counts := make([]int, tc.workers)
-		prev := 0
-		for m := 0; m < tc.total; m++ {
-			o := OwnerOf(m, tc.total, tc.workers)
-			if o < 0 || o >= tc.workers {
-				t.Fatalf("OwnerOf(%d, %d, %d) = %d out of range", m, tc.total, tc.workers, o)
+		next := 0
+		for w := 0; w < tc.workers; w++ {
+			lo, hi := ownedRange(w, tc.total, tc.workers)
+			// Blocks are contiguous, in worker order, and cover every
+			// machine exactly once.
+			if lo != next || hi < lo {
+				t.Fatalf("worker %d owns [%d, %d), want a block from %d (total=%d workers=%d)", w, lo, hi, next, tc.total, tc.workers)
 			}
-			if o < prev {
-				t.Fatalf("OwnerOf not monotone at m=%d (total=%d workers=%d)", m, tc.total, tc.workers)
+			next = hi
+			if hi-lo > per {
+				t.Fatalf("worker %d owns %d > %d machines (total=%d workers=%d)", w, hi-lo, per, tc.total, tc.workers)
 			}
-			prev = o
-			counts[o]++
+			// Every worker the supervisor would spawn must own at least
+			// one machine whenever workers <= total (the supervisor
+			// enforces that).
+			if tc.workers <= tc.total && hi == lo {
+				t.Fatalf("worker %d owns no machines (total=%d workers=%d)", w, tc.total, tc.workers)
+			}
 		}
-		for w, n := range counts {
-			if n > per {
-				t.Fatalf("worker %d owns %d > %d machines (total=%d workers=%d)", w, n, per, tc.total, tc.workers)
-			}
-		}
-		// Every worker the supervisor would spawn must own at least one
-		// machine whenever workers <= total (the supervisor enforces that).
-		if tc.workers <= tc.total {
-			for w, n := range counts {
-				if n == 0 {
-					t.Fatalf("worker %d owns no machines (total=%d workers=%d)", w, tc.total, tc.workers)
-				}
-			}
+		if next != tc.total {
+			t.Fatalf("blocks cover %d of %d machines (workers=%d)", next, tc.total, tc.workers)
 		}
 	}
 }

@@ -23,27 +23,29 @@ var ErrStopped = errors.New("transport: stopped by supervisor")
 // must stay bounded even against a peer with a garbage round counter.
 const maxStashAhead = 2
 
-// OwnerOf maps machine id m to its owning worker: contiguous balanced blocks
-// over total machines, the first total%workers workers owning one extra. The
-// balanced split guarantees every worker owns at least one machine whenever
-// workers <= total (a ceil-division split can leave trailing workers empty).
-// Every worker and the supervisor compute the identical partition from
-// (total, workers) alone.
-func OwnerOf(m, total, workers int) int {
+// ownedRange returns the machines [lo, hi) worker p owns: contiguous
+// balanced blocks over total machines, the first total%workers workers
+// owning one extra. The balanced split guarantees every worker owns at least
+// one machine whenever workers <= total (a ceil-division split can leave
+// trailing workers empty). Every worker computes the identical partition
+// from (total, workers) alone.
+func ownedRange(p, total, workers int) (lo, hi int) {
 	if workers <= 1 {
-		return 0
+		return 0, total
 	}
 	q, r := total/workers, total%workers
-	if m < r*(q+1) {
-		return m / (q + 1)
+	lo = p*q + min(p, r)
+	hi = lo + q
+	if p < r {
+		hi++
 	}
-	return r + (m-r*(q+1))/q
+	return lo, hi
 }
 
 // Worker is the worker-process side of the multi-process backend: an
-// mpc.Transport that, at every exchanged superstep, ships the messages sent
-// by this worker's owned machine block and verifies every peer's
-// authoritative frame against the local replica before delivering.
+// mpc.Transport that, at every exchanged superstep, ships the outbox digests
+// of this worker's owned machine block and checks every peer's digests
+// against the ones its own replica produced.
 //
 // Rounds at or below the join round exchange locally (identity): a restarted
 // worker deterministically replays the committed prefix the surviving
@@ -65,6 +67,8 @@ type Worker struct {
 	// is still collecting r, so frames one exchange ahead are normal; the
 	// barrier lockstep bounds the stash at two live rounds.
 	pending map[int]map[int][]byte
+
+	digests digester
 }
 
 // NewWorker builds the transport for worker id of workers, owning its block
@@ -90,21 +94,20 @@ func NewWorker(conn *Conn, id, workers, total, joinAfter int) (*Worker, error) {
 // heartbeats carry. Safe for concurrent use.
 func (w *Worker) LastRound() int { return int(w.lastRound.Load()) }
 
-// owns reports whether this worker owns machine src.
-func (w *Worker) owns(src int) bool { return OwnerOf(src, w.total, w.workers) == w.id }
-
-// Exchange implements mpc.Transport: ship owned messages, collect every
-// peer's frame for the round, verify each against the local replica, and
-// deliver the (verified-identical) local boxes.
-func (w *Worker) Exchange(round int, boxes [][]mpc.Message) ([][]mpc.Message, error) {
+// Exchange implements mpc.Transport: ship the digests of the owned
+// machines' outboxes, collect every peer's frame for the round, and check
+// each against the local replica's digests. It only reads boxes.
+func (w *Worker) Exchange(round int, boxes [][]mpc.Message) error {
 	w.lastRound.Store(int64(round))
 	if round <= w.joinAfter {
 		// Replayed prefix: the group already exchanged this round; the
 		// local replica is authoritative by deterministic replay.
-		return boxes, nil
+		return nil
 	}
-	if err := w.conn.Write(Frame{Type: FrameMessages, Worker: w.id, Round: round, Payload: encodeOwned(boxes, w.owns)}); err != nil {
-		return nil, err
+	local := w.digests.digest(boxes)
+	lo, hi := ownedRange(w.id, w.total, w.workers)
+	if err := w.conn.Write(Frame{Type: FrameMessages, Worker: w.id, Round: round, Payload: local[lo*DigestSize : hi*DigestSize]}); err != nil {
+		return err
 	}
 	//detlint:ok maporder -- order-independent: deletes every key below round, no output depends on visit order
 	for r := range w.pending {
@@ -120,17 +123,17 @@ func (w *Worker) Exchange(round int, boxes [][]mpc.Message) ([][]mpc.Message, er
 	for len(got) < w.workers-1 {
 		f, err := w.conn.Read()
 		if err != nil {
-			return nil, fmt.Errorf("transport: worker %d waiting on round %d: %w", w.id, round, err)
+			return fmt.Errorf("transport: worker %d waiting on round %d: %w", w.id, round, err)
 		}
 		switch f.Type {
 		case FrameStop:
-			return nil, fmt.Errorf("%w (worker %d at round %d)", ErrStopped, w.id, round)
+			return fmt.Errorf("%w (worker %d at round %d)", ErrStopped, w.id, round)
 		case FrameMessages:
 			if f.Worker == w.id {
-				return nil, fmt.Errorf("transport: worker %d received its own frame for round %d", w.id, f.Round)
+				return fmt.Errorf("transport: worker %d received its own frame for round %d", w.id, f.Round)
 			}
 			if f.Worker < 0 || f.Worker >= w.workers {
-				return nil, fmt.Errorf("transport: frame from unknown worker %d", f.Worker)
+				return fmt.Errorf("transport: frame from unknown worker %d", f.Worker)
 			}
 			if f.Round < round {
 				continue // stale re-delivery from a supervisor restart; already replayed locally
@@ -140,7 +143,7 @@ func (w *Worker) Exchange(round int, boxes [][]mpc.Message) ([][]mpc.Message, er
 				// maxStashAhead); anything further is a corrupt or hostile
 				// round counter, and stashing it would let a single bad
 				// frame grow the pending map without limit.
-				return nil, fmt.Errorf("%w: worker %d at round %d received frame for round %d, beyond lookahead %d",
+				return fmt.Errorf("%w: worker %d at round %d received frame for round %d, beyond lookahead %d",
 					ErrFraming, w.id, round, f.Round, maxStashAhead)
 			}
 			stash := got
@@ -153,21 +156,20 @@ func (w *Worker) Exchange(round int, boxes [][]mpc.Message) ([][]mpc.Message, er
 			}
 			stash[f.Worker] = f.Payload
 		default:
-			return nil, fmt.Errorf("transport: worker %d: unexpected frame type %d", w.id, f.Type)
+			return fmt.Errorf("transport: worker %d: unexpected frame type %d", w.id, f.Type)
 		}
 	}
-	// Verify every peer's authoritative frame word-for-word against the
-	// local replica, in worker order so a multi-peer divergence reports
-	// deterministically.
+	// Check every peer's digests against the local replica's, in worker
+	// order so a multi-peer divergence reports deterministically.
 	for p := 0; p < w.workers; p++ {
 		if p == w.id {
 			continue
 		}
-		peerOwns := func(src int) bool { return OwnerOf(src, w.total, w.workers) == p }
-		if err := verifyOwned(boxes, peerOwns, got[p]); err != nil {
-			return nil, fmt.Errorf("round %d, worker %d vs peer %d: %w", round, w.id, p, err)
+		lo, hi := ownedRange(p, w.total, w.workers)
+		if err := checkDigests(local, got[p], lo, hi); err != nil {
+			return fmt.Errorf("round %d, worker %d vs peer %d: %w", round, w.id, p, err)
 		}
 	}
 	delete(w.pending, round)
-	return boxes, nil
+	return nil
 }

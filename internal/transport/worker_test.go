@@ -21,14 +21,14 @@ func scriptConn(t *testing.T, fs ...Frame) *Conn {
 }
 
 // peerFrame renders peer's authoritative Messages frame for round over the
-// replicated boxes.
+// replicated boxes: the digests of the machines peer owns.
 func peerFrame(peer, total, workers, round int) Frame {
-	owns := func(src int) bool { return OwnerOf(src, total, workers) == peer }
+	lo, hi := ownedRange(peer, total, workers)
 	return Frame{
 		Type:    FrameMessages,
 		Worker:  peer,
 		Round:   round,
-		Payload: encodeOwned(testBoxes(total, round), owns),
+		Payload: digestsOf(testBoxes(total, round))[lo*DigestSize : hi*DigestSize],
 	}
 }
 
@@ -45,7 +45,7 @@ func TestExchangeStashesFutureFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Exchange(1, testBoxes(total, 1)); err != nil {
+	if err := w.Exchange(1, testBoxes(total, 1)); err != nil {
 		t.Fatalf("round 1: %v", err)
 	}
 	if len(w.pending[2]) != 1 {
@@ -53,7 +53,7 @@ func TestExchangeStashesFutureFrame(t *testing.T) {
 	}
 	// Round 2 must complete purely from the stash — the script has no more
 	// frames, so any read would fail with EOF-as-ErrFraming.
-	if _, err := w.Exchange(2, testBoxes(total, 2)); err != nil {
+	if err := w.Exchange(2, testBoxes(total, 2)); err != nil {
 		t.Fatalf("round 2 from stash: %v", err)
 	}
 	if len(w.pending) != 0 {
@@ -77,11 +77,11 @@ func TestExchangeSkipsStaleFrame(t *testing.T) {
 	}
 	for r := 1; r <= 4; r++ {
 		// Replayed prefix: local, no wire.
-		if _, err := w.Exchange(r, testBoxes(total, r)); err != nil {
+		if err := w.Exchange(r, testBoxes(total, r)); err != nil {
 			t.Fatalf("replay round %d: %v", r, err)
 		}
 	}
-	if _, err := w.Exchange(5, testBoxes(total, 5)); err != nil {
+	if err := w.Exchange(5, testBoxes(total, 5)); err != nil {
 		t.Fatalf("round 5: %v", err)
 	}
 }
@@ -100,7 +100,7 @@ func TestExchangeDupFrameIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Exchange(1, testBoxes(total, 1)); err != nil {
+	if err := w.Exchange(1, testBoxes(total, 1)); err != nil {
 		t.Fatalf("round 1 with dup: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestExchangeBoundsStash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.Exchange(1, testBoxes(total, 1))
+	err = w.Exchange(1, testBoxes(total, 1))
 	if !errors.Is(err, ErrFraming) {
 		t.Fatalf("err = %v, want ErrFraming", err)
 	}
@@ -131,7 +131,7 @@ func TestExchangeBoundsStash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Exchange(1, testBoxes(total, 1)); err != nil {
+	if err := w2.Exchange(1, testBoxes(total, 1)); err != nil {
 		t.Fatalf("lookahead %d rejected: %v", maxStashAhead, err)
 	}
 }
@@ -141,13 +141,27 @@ func TestExchangeBoundsStash(t *testing.T) {
 func TestExchangeRejectsOwnAndUnknownWorkers(t *testing.T) {
 	const total, workers = 6, 2
 	own := peerFrame(0, total, workers, 1)
-	if _, err := mustWorker(t, scriptConn(t, own), workers, total).Exchange(1, testBoxes(total, 1)); err == nil {
+	if err := mustWorker(t, scriptConn(t, own), workers, total).Exchange(1, testBoxes(total, 1)); err == nil {
 		t.Fatal("own frame accepted")
 	}
 	unknown := peerFrame(1, total, workers, 1)
 	unknown.Worker = workers + 3
-	if _, err := mustWorker(t, scriptConn(t, unknown), workers, total).Exchange(1, testBoxes(total, 1)); err == nil {
+	if err := mustWorker(t, scriptConn(t, unknown), workers, total).Exchange(1, testBoxes(total, 1)); err == nil {
 		t.Fatal("unknown worker accepted")
+	}
+}
+
+// TestExchangeRejectsMalformedDigests: a peer frame whose payload is not
+// exactly one digest per machine the peer owns is malformed.
+func TestExchangeRejectsMalformedDigests(t *testing.T) {
+	const total, workers = 6, 2
+	short, long := peerFrame(1, total, workers, 1), peerFrame(1, total, workers, 1)
+	short.Payload = short.Payload[:len(short.Payload)-1]
+	long.Payload = append(long.Payload, 0)
+	for _, f := range []Frame{short, long} {
+		if err := mustWorker(t, scriptConn(t, f), workers, total).Exchange(1, testBoxes(total, 1)); !errors.Is(err, ErrCodec) {
+			t.Fatalf("%d-byte payload: %v, want ErrCodec", len(f.Payload), err)
+		}
 	}
 }
 
