@@ -143,6 +143,30 @@ func (s *Set) ForEach(f func(i int) bool) {
 	}
 }
 
+// Next returns the smallest element >= i, or -1 if there is none. A negative
+// i starts from 0. It skips empty words a word at a time, so a scan
+// `for v := s.Next(lo); v >= 0 && v < hi; v = s.Next(v + 1)` visits only the
+// members of [lo, hi).
+func (s *Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	wi := i / wordBits
+	w := s.words[wi] >> uint(i%wordBits)
+	if w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Elements returns the elements in ascending order.
 func (s *Set) Elements() []int {
 	out := make([]int, 0, s.Count())

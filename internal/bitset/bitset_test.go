@@ -218,3 +218,48 @@ func TestPackUnpackRange(t *testing.T) {
 		t.Fatalf("unpack with empty payload left %d bits", s.Count())
 	}
 }
+
+// TestNextMatchesContainsScan checks Next against a brute-force Contains
+// scan for every start i in [-3, n+3): sizes with and without a partial last
+// word, empty sets, sets whose members are far apart (whole empty words in
+// between), dense and full sets, and the zero value.
+func TestNextMatchesContainsScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130, 200, 257} {
+		for trial := 0; trial < 12; trial++ {
+			s := New(n)
+			switch trial % 4 {
+			case 1: // sparse: most words empty
+				for k := 0; k < 3; k++ {
+					s.Add(rng.Intn(n + 1))
+				}
+			case 2:
+				for i := 0; i < n; i++ {
+					if rng.Intn(2) == 0 {
+						s.Add(i)
+					}
+				}
+			case 3:
+				s.Fill()
+			}
+			for i := -3; i < n+3; i++ {
+				want := -1
+				for j := max(i, 0); j < n; j++ {
+					if s.Contains(j) {
+						want = j
+						break
+					}
+				}
+				if got := s.Next(i); got != want {
+					t.Fatalf("n=%d trial %d: Next(%d) = %d, want %d (set %v)", n, trial, i, got, want, s.Elements())
+				}
+			}
+		}
+	}
+	var zero Set
+	for _, i := range []int{-1, 0, 5} {
+		if got := zero.Next(i); got != -1 {
+			t.Fatalf("zero value: Next(%d) = %d, want -1", i, got)
+		}
+	}
+}

@@ -9,7 +9,9 @@ import (
 // sharedwrite flags writes to captured state from inside step closures — the
 // function literals handed to Cluster.Step/RouteStep, which the simulators
 // run concurrently on a worker pool (one goroutine per machine block, see
-// mpc.Config.Parallelism). A write to a variable captured from the enclosing
+// mpc.Config.Parallelism) — and inside the block closures handed to the
+// pool itself (Cluster.runBlocks, which also runs the receiver half of the
+// vertex-keyed exchanges). A write to a variable captured from the enclosing
 // driver races between workers, and even when protected it would commit in
 // scheduling order, breaking the bit-identity contract.
 //
@@ -17,7 +19,8 @@ import (
 //
 //   - element writes into a captured slice/array whose index depends on an
 //     identifier declared inside the closure (the per-machine partition
-//     pattern: out[x.Machine] = …, or marks[v] for v in [x.Lo, x.Hi));
+//     pattern: out[x.Machine] = …, or marks[v] for v in [x.Lo, x.Hi), or
+//     out[m] for m in a block closure's [lo, hi));
 //   - any write dominated by an equality guard on the closure parameter
 //     (the single-writer gather pattern: if x.Machine == 0 { total = … }).
 //
@@ -28,9 +31,13 @@ import (
 // annotation with the justification.
 var sharedwriteAnalyzer = &Analyzer{
 	Name: "sharedwrite",
-	Doc:  "flag writes to captured state inside Step/RouteStep closures",
+	Doc:  "flag writes to captured state inside Step/RouteStep/runBlocks closures",
 	Run:  runSharedwrite,
 }
+
+// poolMethods names the methods whose function-literal arguments run
+// concurrently on the worker pool.
+var poolMethods = map[string]bool{"Step": true, "RouteStep": true, "runBlocks": true}
 
 func runSharedwrite(p *Pass) {
 	for _, f := range p.Files {
@@ -40,7 +47,7 @@ func runSharedwrite(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Step" && sel.Sel.Name != "RouteStep") {
+			if !ok || !poolMethods[sel.Sel.Name] {
 				return true
 			}
 			for _, arg := range call.Args {

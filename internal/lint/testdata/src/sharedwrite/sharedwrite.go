@@ -13,11 +13,12 @@ type Ctx struct {
 func (x *Ctx) Send(dst int, words ...uint64) {}
 
 // Cluster stands in for a simulator cluster: the analyzer keys on the
-// Step/RouteStep method names.
+// Step/RouteStep/runBlocks method names.
 type Cluster struct{ rounds int }
 
 func (c *Cluster) Step(name string, f func(x *Ctx)) error      { f(&Ctx{}); return nil }
 func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error { f(&Ctx{}); return nil }
+func (c *Cluster) runBlocks(f func(lo, hi int))                { f(0, 1) }
 
 type acc struct {
 	total int
@@ -94,6 +95,32 @@ func soleWriter(c *Cluster) {
 		}
 	})
 	_ = total
+}
+
+// blockShared: a pool block closure writing driver state races between the
+// blocks exactly like a step closure.
+func blockShared(c *Cluster) {
+	total := 0
+	counts := make([]int, 8)
+	c.runBlocks(func(lo, hi int) {
+		total += hi - lo // want `step closure writes captured variable "total"`
+		counts[0]++      // want `step closure writes captured slice "counts" at an index captured from outside`
+	})
+	_ = total
+}
+
+// blockOwned is the receiver-half pattern: each block writes only the slots
+// of its own machines, or slots derived from them.
+func blockOwned(c *Cluster) {
+	perM := make([]int, 8)
+	rows := make([]int32, 64)
+	c.runBlocks(func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			perM[m] = hi - lo
+			v := 8 * m
+			rows[v+1]++
+		}
+	})
 }
 
 // notAStep: writes inside closures passed to other methods are out of scope.

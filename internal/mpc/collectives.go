@@ -1,6 +1,9 @@
 package mpc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Collectives: the standard O(1)-round coordination primitives of
 // near-linear-memory MPC / congested-clique algorithms ("every machine
@@ -10,7 +13,10 @@ import "fmt"
 // computation is the simulated machine 0.
 
 // Gather runs one round in which every machine sends local(x) to machine 0,
-// and returns the payloads indexed by source machine.
+// and returns the payloads indexed by source machine (nil for a machine that
+// sent no words). A source that sent one message gets that delivered payload
+// itself, not a copy: payloads are read-only (DESIGN.md §8), and so is the
+// result.
 func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, error) {
 	err := c.Step(name, func(x *Ctx) {
 		payload := local(x)
@@ -23,7 +29,15 @@ func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, 
 	}
 	out := make([][]uint64, c.Machines())
 	for _, msg := range c.inboxes[0] {
-		out[msg.Src] = append(out[msg.Src], msg.Payload...)
+		switch {
+		case len(msg.Payload) == 0:
+		case out[msg.Src] == nil:
+			out[msg.Src] = msg.Payload
+		default:
+			// Clipped, so the append copies instead of writing into
+			// the first payload's spare capacity.
+			out[msg.Src] = append(slices.Clip(out[msg.Src]), msg.Payload...)
+		}
 	}
 	c.inboxes[0] = nil
 	return out, nil

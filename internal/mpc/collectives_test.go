@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -33,6 +34,43 @@ func TestGather(t *testing.T) {
 	}
 	if c.Stats().Rounds != 1 {
 		t.Fatalf("gather cost %d rounds", c.Stats().Rounds)
+	}
+}
+
+// TestGatherReturnsDeliveredPayload pins Gather's result: a source that sent
+// one message gets that delivered payload itself, not a copy; a source that
+// sent two gets their concatenation in a fresh slice, leaving the first
+// payload's spare capacity untouched; a source that sent no words gets nil.
+func TestGatherReturnsDeliveredPayload(t *testing.T) {
+	c := newTestCluster(t, 4, 16)
+	one := []uint64{10, 11, 0, 0}[:2]
+	first := []uint64{20, 0, 0, 0}[:1]
+	parts, err := c.Gather("g", func(x *Ctx) []uint64 {
+		switch x.Machine {
+		case 1:
+			return one
+		case 2:
+			x.SendOwned(0, first)
+			return []uint64{21, 22}
+		case 3:
+			return []uint64{}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts[1]) != 2 || &parts[1][0] != &one[0] {
+		t.Fatalf("single-message source: got %v, want the delivered payload %v itself", parts[1], one)
+	}
+	if !slices.Equal(parts[2], []uint64{20, 21, 22}) {
+		t.Fatalf("two-message source: got %v, want [20 21 22]", parts[2])
+	}
+	if !slices.Equal(first[:cap(first)], []uint64{20, 0, 0, 0}) {
+		t.Fatalf("concatenation wrote into the first payload's spare capacity: %v", first[:cap(first)])
+	}
+	if parts[0] != nil || parts[3] != nil {
+		t.Fatalf("sources without words: got %v and %v, want nil", parts[0], parts[3])
 	}
 }
 

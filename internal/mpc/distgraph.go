@@ -14,6 +14,10 @@ import (
 type DistGraph struct {
 	c *Cluster
 	g *graph.Graph
+
+	// slabs[m] is machine m's send slab, reused by m's next vertex-keyed
+	// exchange (see scatter).
+	slabs [][]uint64
 }
 
 // Distribute places g on the cluster and charges each machine's resident
@@ -23,7 +27,7 @@ func Distribute(c *Cluster, g *graph.Graph) (*DistGraph, error) {
 	if c.N() != g.N() {
 		return nil, fmt.Errorf("mpc: cluster ground set %d != graph order %d", c.N(), g.N())
 	}
-	d := &DistGraph{c: c, g: g}
+	d := &DistGraph{c: c, g: g, slabs: make([][]uint64, c.Machines())}
 	for m := 0; m < c.Machines(); m++ {
 		lo, hi := c.Range(m)
 		words := 0
@@ -184,10 +188,16 @@ const (
 // sends one rec record to v's owner, batched into one message per
 // destination in (u, v) order.
 //
-// A count pass sizes every destination exactly, so the machine allocates one
-// slab and hands each destination a capacity-clipped sub-slice of it. Both
-// passes walk each ascending adjacency list against the next block boundary
-// instead of dividing per edge: ownership is monotone in the vertex id.
+// A count pass sizes every destination exactly, so the machine fills one
+// slab and hands each destination a capacity-clipped sub-slice of it. The
+// slab is d.slabs[x.Machine], grown only when this exchange needs more
+// words than it holds and otherwise overwritten. That is safe because every
+// DistGraph exchange drains and clears the inboxes it filled before it
+// returns, so no delivered sub-slice of the slab outlives its exchange
+// (DESIGN.md §8). Both passes visit only the members of from, skipping
+// empty bitset words whole, and walk each ascending adjacency list against
+// the next block boundary instead of dividing per edge: ownership is
+// monotone in the vertex id.
 func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec record, vals []int32) {
 	stride := 1
 	if rec == recEdgeVal {
@@ -195,12 +205,9 @@ func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec 
 	}
 	per := d.c.per
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors
-	var slab []uint64
+	slab := d.slabs[x.Machine]
 	for pass := 0; pass < 2; pass++ {
-		for u := x.Lo; u < x.Hi; u++ {
-			if from != nil && !from.Contains(u) {
-				continue
-			}
+		for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
 			nb := adj.Neighbors(u)
 			if len(nb) == 0 {
 				continue
@@ -237,7 +244,11 @@ func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec 
 				pos[dst] = total
 				total += words
 			}
-			slab = make([]uint64, total)
+			if cap(slab) < total {
+				slab = make([]uint64, total)
+				d.slabs[x.Machine] = slab
+			}
+			slab = slab[:total]
 		}
 	}
 	lo := 0
@@ -249,12 +260,30 @@ func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec 
 	}
 }
 
+// nextIn returns the smallest u >= i in from (nil: every u >= i), or hi when
+// there is none below hi.
+func nextIn(from *bitset.Set, i, hi int) int {
+	if from == nil {
+		return i
+	}
+	if u := from.Next(i); u >= 0 && u < hi {
+		return u
+	}
+	return hi
+}
+
 // collectRows is the receiver half of a recEdge or recEdgeVal exchange: it
 // decodes every delivered record into a CSR keyed by the addressee v,
 // keeping only v in keep (nil: every vertex), and empties the inboxes. A
 // count pass sizes the rows and a fill pass writes them, so the view costs
 // three allocations whatever the traffic. Rows come out in delivery order:
 // by sender machine, then sender vertex, which is ascending.
+//
+// Each machine decodes its own inbox, as in the model: both passes run per
+// receiving machine on the cluster's worker pool, with a serial prefix sum
+// between them. Every record for v was sent to Owner(v), so machine m
+// writes only the Off entries and rows of its own vertices, and no two
+// machines write the same word.
 func (d *DistGraph) collectRows(keep *bitset.Set, withVals bool) Adjacency {
 	stride := 1
 	if withVals {
@@ -263,29 +292,31 @@ func (d *DistGraph) collectRows(keep *bitset.Set, withVals bool) Adjacency {
 	a := Adjacency{Off: make([]int32, d.c.N()+1)}
 	off := a.Off
 	for pass := 0; pass < 2; pass++ {
-		for _, box := range d.c.inboxes {
-			for _, msg := range box {
-				p := msg.Payload
-				for i := 0; i+stride <= len(p); i += stride {
-					v := int32(p[i] >> 32)
-					if keep != nil && !keep.Contains(int(v)) {
-						continue
-					}
-					if pass == 0 {
-						off[v+1]++
-						continue
-					}
-					// off[v+1] is row v's fill cursor; once row v is
-					// full it is row v's end, i.e. row v+1's start.
-					j := off[v+1]
-					off[v+1] = j + 1
-					a.Nbr[j] = int32(uint32(p[i]))
-					if withVals {
-						a.Val[j] = int32(uint32(p[i+1]))
+		d.c.runBlocks(func(lo, hi int) {
+			for m := lo; m < hi; m++ {
+				for _, msg := range d.c.inboxes[m] {
+					p := msg.Payload
+					for i := 0; i+stride <= len(p); i += stride {
+						v := int32(p[i] >> 32)
+						if keep != nil && !keep.Contains(int(v)) {
+							continue
+						}
+						if pass == 0 {
+							off[v+1]++
+							continue
+						}
+						// off[v+1] is row v's fill cursor; once row v is
+						// full it is row v's end, i.e. row v+1's start.
+						j := off[v+1]
+						off[v+1] = j + 1
+						a.Nbr[j] = int32(uint32(p[i]))
+						if withVals {
+							a.Val[j] = int32(uint32(p[i+1]))
+						}
 					}
 				}
 			}
-		}
+		})
 		if pass == 0 {
 			// Shift the counts to row starts: off[v+1] = Σ_{w<v} |row w|.
 			var total int32

@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -24,8 +26,12 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func distTestGraph(t *testing.T, machines int) *DistGraph {
 	t.Helper()
-	g := testGraph(t)
-	c, err := NewCluster(Config{Machines: machines}, g.N())
+	return distribute(t, testGraph(t), Config{Machines: machines})
+}
+
+func distribute(t *testing.T, g *graph.Graph, cfg Config) *DistGraph {
+	t.Helper()
+	c, err := NewCluster(cfg, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +208,7 @@ func randomSet(rng *rand.Rand, n int) *bitset.Set {
 		s.Fill()
 		return s
 	}
-	for v := 0; v < n; v++ {
-		if rng.Intn(2) == 0 {
-			s.Add(v)
-		}
-	}
-	return s
+	return halfSet(rng, n)
 }
 
 // checkRows fails unless a's rows are laid out back to back (row v ends
@@ -255,40 +256,20 @@ func TestExchangeActiveProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, machines := range []int{1, 3, 8} {
-			c, err := NewCluster(Config{Machines: machines}, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := Distribute(c, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := distribute(t, g, Config{Machines: machines})
+			c := d.Cluster()
 			active := randomSet(rng, n)
-			activeNbrs := func(v int) []int32 {
-				var row []int32
-				if active.Contains(v) {
-					for _, u := range g.Neighbors(v) {
-						if active.Contains(int(u)) {
-							row = append(row, u)
-						}
-					}
-				}
-				return row
-			}
 			for _, withVals := range []bool{false, true} {
 				var vals []int32
 				if withVals {
-					vals = make([]int32, n)
-					for i := range vals {
-						vals[i] = rng.Int31() - 1<<30
-					}
+					vals = randomVals(rng, n)
 				}
 				before := c.Stats().Words
 				a, err := d.ExchangeActive("x", active, vals)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkRows(t, a, n, activeNbrs, vals)
+				checkRows(t, a, n, activeRows(g, active), vals)
 				stride := int64(1)
 				if vals != nil {
 					stride = 2
@@ -326,7 +307,9 @@ func TestExchangeActiveProperty(t *testing.T) {
 
 // TestExchangeActiveAllocs pins that an exchange allocates per machine, not
 // per vertex or edge: the same number of allocations on graphs of 1024 and
-// 8192 vertices at a fixed machine count.
+// 8192 vertices at a fixed machine count. It also pins that a repeated
+// exchange of the same size reuses every machine's send slab: the bytes it
+// allocates beyond its view stay far below the bytes it sends.
 func TestExchangeActiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -336,30 +319,273 @@ func TestExchangeActiveAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewCluster(Config{Machines: 4, Parallelism: 1}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Distribute(c, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := distribute(t, g, Config{Machines: 4, Parallelism: 1})
 		active := bitset.New(n)
 		active.Fill()
 		var deg []int32
+		stride := 1
 		if vals {
 			deg = make([]int32, n)
+			stride = 2
 		}
-		return testing.AllocsPerRun(20, func() {
+		exchange := func() {
 			if _, err := d.ExchangeActive("x", active, deg); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		count := testing.AllocsPerRun(20, exchange)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			exchange()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := int64(after.TotalAlloc-before.TotalAlloc) / runs
+		view := int64(4 * (n + 1 + stride*2*g.M()))
+		sent := int64(8 * stride * 2 * g.M())
+		if extra := perRun - view; extra > sent/2 {
+			t.Errorf("n=%d vals=%v: a repeated exchange allocates %d bytes beyond its %d-byte view, against %d bytes sent: the send slabs were not reused",
+				n, vals, extra, view, sent)
+		}
+		return count
 	}
 	for _, vals := range []bool{false, true} {
 		small, large := allocs(1024, vals), allocs(8192, vals)
 		if small != large {
 			t.Errorf("vals=%v: %v allocations at n=1024, %v at n=8192", vals, small, large)
 		}
+	}
+}
+
+// activeRows is the brute-force view of an exchange on active: row v is v's
+// ascending active neighbourhood for active v, empty otherwise.
+func activeRows(g *graph.Graph, active *bitset.Set) func(v int) []int32 {
+	return func(v int) []int32 {
+		var row []int32
+		if active.Contains(v) {
+			for _, u := range g.Neighbors(v) {
+				if active.Contains(int(u)) {
+					row = append(row, u)
+				}
+			}
+		}
+		return row
+	}
+}
+
+// halfSet returns a subset of [0, n) holding each vertex with probability
+// 1/2.
+func halfSet(rng *rand.Rand, n int) *bitset.Set {
+	s := bitset.New(n)
+	for v := 0; v < n; v++ {
+		if rng.Intn(2) == 0 {
+			s.Add(v)
+		}
+	}
+	return s
+}
+
+// randomVals returns n random values, negative ones included.
+func randomVals(rng *rand.Rand, n int) []int32 {
+	vals := make([]int32, n)
+	for i := range vals {
+		vals[i] = rng.Int31() - 1<<30
+	}
+	return vals
+}
+
+// exchangeN is the vertex count of the slab and pool tests: a multiple of
+// neither 64 nor any machine count they use, so machine blocks split bitset
+// words and CSR rows.
+const exchangeN = 203
+
+func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
+	t.Helper()
+	g, err := gen.GNP(exchangeN, 0.06, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestVertexExchangesParallelismInvariant runs one sequence of vertex-keyed
+// exchanges (ExchangeActive with and without values, NotifyNeighbors
+// restricted and not, Power) on one DistGraph at Parallelism 1, 2, 3 and 8:
+// the views, touched sets, closures and Stats must be identical at every
+// level, and the serial views must match brute force. The senders reuse
+// their slabs across the sequence and the receivers decode on the worker
+// pool, so this is also the pool's race test.
+func TestVertexExchangesParallelismInvariant(t *testing.T) {
+	g := exchangeGraph(t, 11)
+	rng := rand.New(rand.NewSource(12))
+	active, restrict := halfSet(rng, exchangeN), halfSet(rng, exchangeN)
+	vals := randomVals(rng, exchangeN)
+	type result struct {
+		Views   []Adjacency
+		Touched []*bitset.Set
+		Power   *graph.Graph
+		Stats   Stats
+	}
+	run := func(machines, par int) result {
+		d := distribute(t, g, Config{Machines: machines, Parallelism: par})
+		var r result
+		for _, v := range [][]int32{nil, vals} {
+			a, err := d.ExchangeActive("x", active, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Views = append(r.Views, a)
+		}
+		for _, rs := range []*bitset.Set{nil, restrict} {
+			touched, err := d.NotifyNeighbors("n", active, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Touched = append(r.Touched, touched)
+		}
+		p, err := d.Power(3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Power = p
+		r.Stats = d.Cluster().Stats()
+		return r
+	}
+	for _, machines := range []int{3, 8} {
+		ref := run(machines, 1)
+		checkRows(t, ref.Views[0], exchangeN, activeRows(g, active), nil)
+		checkRows(t, ref.Views[1], exchangeN, activeRows(g, active), vals)
+		for _, par := range []int{2, 3, 8} {
+			if got := run(machines, par); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("machines=%d: parallelism %d diverged from the serial run", machines, par)
+			}
+		}
+	}
+}
+
+// cloneAdjacency returns a deep copy of a.
+func cloneAdjacency(a Adjacency) Adjacency {
+	return Adjacency{Off: slices.Clone(a.Off), Nbr: slices.Clone(a.Nbr), Val: slices.Clone(a.Val)}
+}
+
+// TestSlabReuseKeepsEarlierViews checks that an Adjacency returned by one
+// exchange is unchanged by later exchanges on the same DistGraph, which
+// overwrite the send slabs the first exchange's words travelled in.
+func TestSlabReuseKeepsEarlierViews(t *testing.T) {
+	g := exchangeGraph(t, 21)
+	rng := rand.New(rand.NewSource(22))
+	for _, par := range []int{1, 3} {
+		d := distribute(t, g, Config{Machines: 5, Parallelism: par})
+		full := bitset.New(exchangeN)
+		full.Fill()
+		vals := randomVals(rng, exchangeN)
+		first, err := d.ExchangeActive("x", full, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := cloneAdjacency(first)
+		if _, err := d.ExchangeActive("x", halfSet(rng, exchangeN), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.NotifyNeighbors("n", full, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Power(2, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ExchangeActive("x", full, randomVals(rng, exchangeN)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, kept) {
+			t.Fatalf("parallelism %d: a later exchange changed an earlier view", par)
+		}
+		checkRows(t, first, exchangeN, activeRows(g, full), vals)
+	}
+}
+
+// slabSequence is a large → small → large sequence of active sets (plus
+// values for the exchanges that carry them): the send slabs grow on the
+// first exchange, are overwritten in part by the small ones and in full by
+// the last.
+func slabSequence(rng *rand.Rand) (sets []*bitset.Set, vals [][]int32) {
+	full := bitset.New(exchangeN)
+	full.Fill()
+	sparse := bitset.New(exchangeN)
+	for v := 0; v < exchangeN; v += 9 {
+		sparse.Add(v)
+	}
+	sets = []*bitset.Set{full, sparse, bitset.New(exchangeN), halfSet(rng, exchangeN), full}
+	vals = [][]int32{randomVals(rng, exchangeN), nil, nil, randomVals(rng, exchangeN), randomVals(rng, exchangeN)}
+	return sets, vals
+}
+
+// runSlabSequence runs the exchanges of slabSequence on d, checking each
+// view against brute force and its traffic against one or two words per
+// (active vertex, neighbour) pair, and returns the views.
+func runSlabSequence(t *testing.T, d *DistGraph, sets []*bitset.Set, vals [][]int32) []Adjacency {
+	t.Helper()
+	g, c := d.Graph(), d.Cluster()
+	var views []Adjacency
+	for i, active := range sets {
+		before := c.Stats().Words
+		a, err := d.ExchangeActive("x", active, vals[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, a, exchangeN, activeRows(g, active), vals[i])
+		stride := int64(1)
+		if vals[i] != nil {
+			stride = 2
+		}
+		var want int64
+		active.ForEach(func(u int) bool {
+			want += stride * int64(g.Degree(u))
+			return true
+		})
+		if got := c.Stats().Words - before; got != want {
+			t.Fatalf("exchange %d moved %d words, want %d", i, got, want)
+		}
+		views = append(views, a)
+	}
+	return views
+}
+
+// TestSlabReuseLargeSmallLarge checks a large → small → large sequence of
+// active sets on one DistGraph against brute force.
+func TestSlabReuseLargeSmallLarge(t *testing.T) {
+	g := exchangeGraph(t, 31)
+	for _, par := range []int{1, 3} {
+		sets, vals := slabSequence(rand.New(rand.NewSource(32)))
+		runSlabSequence(t, distribute(t, g, Config{Machines: 5, Parallelism: par}), sets, vals)
+	}
+}
+
+// TestSlabReuseCrashRetry injects crashes into the exchange rounds of the
+// large → small → large sequence: into the first exchange, where the slabs
+// grow, and into the last, where they are reused. The retried attempt
+// rewrites the slabs its discarded predecessor filled, so the views and
+// every Stats field but the recovery counters must equal the fault-free
+// run's.
+func TestSlabReuseCrashRetry(t *testing.T) {
+	g := exchangeGraph(t, 41)
+	run := func(plan *FaultPlan) ([]Adjacency, Stats) {
+		sets, vals := slabSequence(rand.New(rand.NewSource(42)))
+		d := distribute(t, g, Config{Machines: 5, Parallelism: 3, Faults: plan})
+		views := runSlabSequence(t, d, sets, vals)
+		return views, d.Cluster().Stats()
+	}
+	base, baseStats := run(nil)
+	plan := &FaultPlan{Seed: 1, Crashes: []FaultEvent{{Round: 1, Machine: 2}, {Round: 5, Machine: 0}, {Round: 5, Machine: 4}}}
+	views, st := run(plan)
+	if !reflect.DeepEqual(views, base) {
+		t.Fatal("views differ under crashes")
+	}
+	if st.RecoveredCrashes != 3 || st.ReplayedWords == 0 {
+		t.Fatalf("crashes not injected: %+v", st)
+	}
+	st.RecoveredCrashes, st.RecoveryRounds, st.ReplayedWords = 0, 0, 0
+	if !reflect.DeepEqual(st, baseStats) {
+		t.Fatalf("stats differ under crashes:\n%+v\nvs\n%+v", st, baseStats)
 	}
 }

@@ -734,7 +734,9 @@ type Ctx struct {
 // log to the slot's next attempt emptied and cleared (it pins no payload).
 // Its capacity is bounded by the largest superstep the slot has buffered.
 // Payload words copied by Send live in words, this attempt's own chunks;
-// they are never reused.
+// they are never reused. SendOwned payloads are the sender's: only
+// DistGraph reuses them, one send slab per machine, under the ownership
+// rule of DESIGN.md §8.
 type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
@@ -775,14 +777,17 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 	}
 }
 
-// SendOwned queues payload without copying; the caller must not reuse it.
-// payload may be a capacity-clipped sub-slice (slab[a:b:b]) of one slab the
-// sender shares across destinations: the engine, transportFaults, the
-// Transport, checkpointing and every receiver only read delivered payloads,
-// and never append to or write into them (DESIGN.md §8). Sending on an
-// invalidated context (after its step completed) drops the payload and
-// records ErrStaleCtx, returned by the cluster's next Step. A dst outside
-// [0, M) panics as in Send.
+// SendOwned queues payload without copying. payload may be a
+// capacity-clipped sub-slice (slab[a:b:b]) of one slab the sender shares
+// across destinations: the engine, transportFaults, the Transport,
+// checkpointing and every receiver only read delivered payloads, and never
+// append to or write into them (DESIGN.md §8). The caller must not write
+// the payload again while anything can still reference it. In practice
+// that means never, except for DistGraph's exchanges: they decode and clear
+// their inboxes before returning, so each machine's next exchange may
+// overwrite its slab. Sending on an invalidated context (after its step
+// completed) drops the payload and records ErrStaleCtx, returned by the
+// cluster's next Step. A dst outside [0, M) panics as in Send.
 func (x *Ctx) SendOwned(dst int, payload []uint64) {
 	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
 		x.logSend(ob, dst, payload)
@@ -969,9 +974,43 @@ func (c *Cluster) crashNow(round, m int) bool {
 	return true
 }
 
+// poolBlocks returns the worker pool's split of the M machines into
+// contiguous blocks: per machines per block (the last may be shorter), one
+// block per worker, Config.Parallelism workers at most.
+func (c *Cluster) poolBlocks() (workers, per int) {
+	M := c.cfg.Machines
+	P := min(c.parallelism(), M)
+	per = (M + P - 1) / P
+	return (M + per - 1) / per, per
+}
+
+// runBlocks runs f(lo, hi) for every worker block of machines [lo, hi) on
+// the cluster's worker pool: one goroutine per block, joined before it
+// returns, or inline on the calling goroutine in block order when the pool
+// has one worker (Parallelism 1). Blocks run concurrently, so f must write
+// only state owned by the machines of its block (detlint's sharedwrite
+// checks these closures like step closures).
+func (c *Cluster) runBlocks(f func(lo, hi int)) {
+	M := c.cfg.Machines
+	workers, per := c.poolBlocks()
+	if workers == 1 {
+		f(0, M)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w*per, min((w+1)*per, M))
+		}()
+	}
+	wg.Wait()
+}
+
 // runAttempt executes one attempt of a superstep: f runs on every non-crashed
-// machine via a bounded worker pool (Config.Parallelism workers; 1 runs every
-// machine inline on the calling goroutine, in machine order), with panics
+// machine on the worker pool (runBlocks; one outbox per worker block, with
+// Parallelism 1 every machine runs inline in machine order), with panics
 // recovered per machine. Crash decisions (which consume once-only fault
 // events) are taken sequentially before any worker starts. The returned
 // attempt carries the contexts, the per-worker outboxes, the machines crashed
@@ -997,43 +1036,25 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		}()
 		f(x)
 	}
-	P := c.parallelism()
-	if P > M {
-		P = M
+	workers, per := c.poolBlocks()
+	for len(c.logs) < workers {
+		c.logs = append(c.logs, nil)
 	}
-	per := (M + P - 1) / P
-	var wg sync.WaitGroup
-	for w := 0; w*per < M; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > M {
-			hi = M
-		}
-		if w == len(c.logs) {
-			c.logs = append(c.logs, nil)
-		}
+	at.outs = make([]*stepOutbox, workers)
+	for w := range at.outs {
 		ob := &stepOutbox{log: c.logs[w], c: c, round: round}
-		at.outs = append(at.outs, ob)
-		for m := lo; m < hi; m++ {
+		at.outs[w] = ob
+		for m := w * per; m < min((w+1)*per, M); m++ {
 			at.ctxs[m].ob = ob
 		}
-		block := func(lo, hi int) {
-			for m := lo; m < hi; m++ {
-				if !at.ctxs[m].crashed {
-					run(&at.ctxs[m])
-				}
+	}
+	c.runBlocks(func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			if !at.ctxs[m].crashed {
+				run(&at.ctxs[m])
 			}
 		}
-		if P == 1 {
-			block(lo, hi)
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			block(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	for m := range at.ctxs {
 		if at.merr = at.ctxs[m].merr; at.merr != nil {
 			break
