@@ -145,6 +145,14 @@ type Cluster struct {
 	n          int
 	eng        *mpc.Cluster
 	violations []Violation
+
+	// ScatterAggregateFloat's slabs, kept across calls and grown only when
+	// n·nExt grows: vals and payload words, node v owning [v·nExt,
+	// (v+1)·nExt) of each, and ends[e] = e+1, the range ends of one node's
+	// single-word sends.
+	scatterVals  []float64
+	scatterWords []uint64
+	scatterEnds  []int
 }
 
 // NewCluster creates an n-node congested clique.
@@ -279,7 +287,9 @@ func (c *Cluster) modelErr(err error) error {
 }
 
 // Drain empties and returns node v's inbox — the node-local consumption of
-// delivered messages between steps.
+// delivered messages between steps. The returned slice is valid only until
+// the next round's merge (mpc.Cluster.Drain): consume it before the next
+// Step or RouteStep.
 func (c *Cluster) Drain(v int) []Message { return c.eng.Drain(v) }
 
 // SumToZero has every node contribute one word, summed at node 0 in one
@@ -326,16 +336,28 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
 // in the clique for any chunk width up to log₂ n — the collective the MPC
 // simulator must pay ⌈·⌉ gathers for.
+//
+// local must not keep vals past its call: the slab behind it, like the
+// payload slab, is the cluster's and is reused by the next call. That is
+// safe because the aggregators drain their inboxes before this call
+// returns, so no delivered payload outlives it.
 func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int, vals []float64)) ([]float64, error) {
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
-	// One vals slab and one payload slab per round, node v owning
-	// [v·nExt, (v+1)·nExt) of each; every contribution is sent as a
-	// single-word sub-slice. A crash retry re-runs a node on its own
-	// (cleared) range, so the slabs are per round, not per attempt.
-	vals := make([]float64, c.n*nExt)
-	words := make([]uint64, c.n*nExt)
+	// One vals slab and one payload slab, node v owning [v·nExt,
+	// (v+1)·nExt) of each; node v's contributions are nExt single-word
+	// ranges of its payload range, sent in one SendOwnedRanges call. A
+	// crash retry re-runs a node on its own (cleared) range, so the slabs
+	// need not be per attempt.
+	if size := c.n * nExt; size > len(c.scatterVals) {
+		c.scatterVals = make([]float64, size)
+		c.scatterWords = make([]uint64, size)
+	}
+	for e := len(c.scatterEnds); e < nExt; e++ {
+		c.scatterEnds = append(c.scatterEnds, e+1)
+	}
+	vals, words, ends := c.scatterVals, c.scatterWords, c.scatterEnds[:nExt]
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
 		lo, hi := x.Machine*nExt, (x.Machine+1)*nExt
 		mine, out := vals[lo:hi:hi], words[lo:hi:hi]
@@ -343,8 +365,8 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 		local(x.Machine, mine)
 		for e, val := range mine {
 			out[e] = math.Float64bits(val)
-			x.SendOwned(e, out[e:e+1:e+1])
 		}
+		x.SendOwnedRanges(out, ends)
 	}); err != nil {
 		return nil, err
 	}

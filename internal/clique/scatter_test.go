@@ -3,6 +3,8 @@ package clique
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/mpc"
@@ -102,5 +104,111 @@ func TestScatterAggregateFloatAllocs(t *testing.T) {
 	}
 	if small, large := allocs(1024), allocs(4096); small != large {
 		t.Fatalf("%v allocations per scatter at n=1024, %v at n=4096", small, large)
+	}
+}
+
+// scatterTerm is node v's contribution to coordinate e in the scatter
+// tests: distinct magnitudes, so a lost, doubled or misrouted term shows.
+func scatterTerm(call, v, e int) float64 {
+	return float64(call+1)*1e6 + float64(v)*1e3 + float64(e) + 0.25
+}
+
+// scatterCalls runs ScatterAggregateFloat once per width on c and returns
+// every call's sums.
+func scatterCalls(t *testing.T, c *Cluster, widths []int) [][]float64 {
+	t.Helper()
+	var out [][]float64
+	for call, nExt := range widths {
+		sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+			for e := range vals {
+				vals[e] += scatterTerm(call, v, e)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sums)
+	}
+	return out
+}
+
+// TestScatterAggregateFloatWidthChanges: the kept slabs serve a small
+// width, then a larger one that grows them, then a smaller one again, and
+// every call sums exactly its own contributions.
+func TestScatterAggregateFloatWidthChanges(t *testing.T) {
+	const n = 16
+	widths := []int{2, 16, 3, 16}
+	c, err := NewCluster(Config{Parallelism: 2}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call, sums := range scatterCalls(t, c, widths) {
+		if len(sums) != widths[call] {
+			t.Fatalf("call %d: %d sums, want %d", call, len(sums), widths[call])
+		}
+		for e, got := range sums {
+			want := 0.0
+			for v := 0; v < n; v++ {
+				want += scatterTerm(call, v, e)
+			}
+			if got != want {
+				t.Fatalf("call %d (nExt=%d): sums[%d] = %v, want %v", call, widths[call], e, got, want)
+			}
+		}
+	}
+}
+
+// TestScatterAggregateFloatCrashOnReusedSlab: a crash on the scatter round
+// of a later call, which runs on slabs an earlier call filled, returns the
+// same sums bit for bit as the fault-free run.
+func TestScatterAggregateFloatCrashOnReusedSlab(t *testing.T) {
+	const n = 12
+	widths := []int{8, 8, 4}
+	run := func(plan *mpc.FaultPlan) ([][]float64, Stats) {
+		c, err := NewCluster(Config{Faults: plan, Parallelism: 3}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scatterCalls(t, c, widths), c.Stats()
+	}
+	want, _ := run(nil)
+	// Rounds 3 and 5 are the second and third calls' scatter rounds.
+	got, st := run(&mpc.FaultPlan{Crashes: []mpc.FaultEvent{{Round: 3, Machine: 5}, {Round: 5, Machine: 0}}})
+	if st.RecoveredCrashes != 2 {
+		t.Fatalf("crashes not injected: %+v", st)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sums under crashes = %v, want %v", got, want)
+	}
+}
+
+// TestScatterAggregateFloatKeepsSlabs: a second call of the same width
+// allocates no new slab — its bytes stay far below the slabs' bytes.
+func TestScatterAggregateFloatKeepsSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n, nExt = 1024, 128
+	c, err := NewCluster(Config{Parallelism: 1}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		if _, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+			for e := range vals {
+				vals[e] = float64(v ^ e)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	call()
+	runtime.ReadMemStats(&after)
+	slabs := int64(n * nExt * 16) // vals and payload words, 8 bytes each
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > slabs/4 {
+		t.Fatalf("a repeated scatter allocates %d bytes against %d bytes of slabs: the slabs were not kept", got, slabs)
 	}
 }

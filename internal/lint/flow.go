@@ -884,7 +884,7 @@ func (ff *funcFlow) sinkCallee(fn *types.Func) (string, bool) {
 		return "", false
 	}
 	switch name := fn.Name(); name {
-	case "Send", "SendOwned":
+	case "Send", "SendOwned", "SendOwnedRanges":
 		return fmt.Sprintf("the %s message payload", calleeLabel(fn)), true
 	case "Superstep":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {

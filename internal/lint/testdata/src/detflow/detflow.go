@@ -22,6 +22,13 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 	x.out = append(x.out, payload...)
 }
 
+// SendOwnedRanges sends one range of slab per destination: the batched
+// message payload sink.
+func (x *Ctx) SendOwnedRanges(slab []uint64, end []int) {
+	_ = end
+	x.out = append(x.out, slab...)
+}
+
 // Stats mimics the simulator's deterministic columns.
 type Stats struct {
 	Rounds int
@@ -103,4 +110,19 @@ func seededClean(x *Ctx) {
 func constClean(x *Ctx, st *Stats) {
 	x.Send(9, 7)
 	st.Rounds = 3
+}
+
+// batchedClock: a wall-clock stamp written into a slab reaches the batched
+// send as its payload.
+func batchedClock(x *Ctx) {
+	slab := make([]uint64, 2)
+	slab[1] = helper.Stamp()
+	x.SendOwnedRanges(slab, []int{1, 2}) // want `wall-clock read \(time\.Now\).*via helper\.Stamp.*flows into the Ctx\.SendOwnedRanges message payload`
+}
+
+// batchedSeeded: the seeded draw written into the slab stays clean.
+func batchedSeeded(x *Ctx) {
+	slab := make([]uint64, 2)
+	slab[1] = helper.SeededDraw(42)
+	x.SendOwnedRanges(slab, []int{1, 2})
 }

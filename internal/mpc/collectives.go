@@ -44,15 +44,17 @@ func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, 
 }
 
 // Broadcast runs one round in which machine 0 sends payload to every other
-// machine. The payload is returned for convenience so coordinator code can
-// chain on it.
+// machine. The payload is copied once and that one read-only copy is sent
+// to every destination. The payload is returned for convenience so
+// coordinator code can chain on it.
 func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
+	own := append(make([]uint64, 0, len(payload)), payload...)
 	err := c.Step(name, func(x *Ctx) {
 		if x.Machine != 0 {
 			return
 		}
 		for dst := 1; dst < c.Machines(); dst++ {
-			x.Send(dst, payload...)
+			x.SendOwned(dst, own)
 		}
 	})
 	if err != nil {

@@ -189,7 +189,8 @@ const (
 // destination in (u, v) order.
 //
 // A count pass sizes every destination exactly, so the machine fills one
-// slab and hands each destination a capacity-clipped sub-slice of it. The
+// slab and hands each destination a capacity-clipped sub-slice of it, all
+// with one SendOwnedRanges call: the fill cursors end at the range ends. The
 // slab is d.slabs[x.Machine], grown only when this exchange needs more
 // words than it holds and otherwise overwritten. That is safe because every
 // DistGraph exchange drains and clears the inboxes it filled before it
@@ -204,7 +205,7 @@ func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec 
 		stride = 2
 	}
 	per := d.c.per
-	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors
+	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
 	slab := d.slabs[x.Machine]
 	for pass := 0; pass < 2; pass++ {
 		for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
@@ -251,13 +252,7 @@ func (d *DistGraph) scatter(x *Ctx, adj *graph.Graph, from, to *bitset.Set, rec 
 			slab = slab[:total]
 		}
 	}
-	lo := 0
-	for dst, hi := range pos {
-		if hi > lo {
-			x.SendOwned(dst, slab[lo:hi:hi])
-		}
-		lo = hi
-	}
+	x.SendOwnedRanges(slab, pos)
 }
 
 // nextIn returns the smallest u >= i in from (nil: every u >= i), or hi when

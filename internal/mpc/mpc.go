@@ -84,7 +84,8 @@ type Config struct {
 	LinearSlack int
 	// Strict makes budget violations errors instead of recorded statistics.
 	// A strict violation aborts the offending step cleanly: nothing is
-	// delivered and the step's contexts are invalidated.
+	// delivered, every inbox is left empty and the step's contexts are
+	// invalidated.
 	Strict bool
 	// Faults, when non-nil and enabled, injects the deterministic fault
 	// schedule described in fault.go (machine crashes, message drops and
@@ -308,9 +309,11 @@ type Cluster struct {
 
 	// Message-plane scratch reused across supersteps: one send-log header
 	// slice per worker slot (handed to that slot's next attempt emptied and
-	// cleared, see stepOutbox) and the merge's M+1 destination counters.
+	// cleared, see stepOutbox), the merge's M+1 destination counters, and
+	// the delivery arena every round's boxes (inboxes) are carved from.
 	logs     [][]sentMsg
 	mergeCnt []int
+	arena    []Message
 }
 
 // NewCluster creates a cluster for a ground set of n items. The memory
@@ -735,8 +738,9 @@ type Ctx struct {
 // Its capacity is bounded by the largest superstep the slot has buffered.
 // Payload words copied by Send live in words, this attempt's own chunks;
 // they are never reused. SendOwned payloads are the sender's: only
-// DistGraph reuses them, one send slab per machine, under the ownership
-// rule of DESIGN.md §8.
+// DistGraph (one send slab per machine) and the clique's
+// ScatterAggregateFloat reuse them, under the ownership rule of DESIGN.md
+// §8.
 type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
@@ -763,6 +767,9 @@ const (
 
 // Inbox returns the messages delivered to this machine at the end of the
 // previous step, ordered by sender id (and send order within a sender).
+// The slice is a window of the cluster's delivery arena, which the next
+// superstep's merge overwrites: it is valid only until this step's closures
+// return, and must not be kept past them (DESIGN.md §8, "Inbox lifetime").
 func (x *Ctx) Inbox() []Message { return x.inbox }
 
 // Send queues a message of machine words to machine dst, delivered at the
@@ -783,21 +790,54 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 // checkpointing and every receiver only read delivered payloads, and never
 // append to or write into them (DESIGN.md §8). The caller must not write
 // the payload again while anything can still reference it. In practice
-// that means never, except for DistGraph's exchanges: they decode and clear
-// their inboxes before returning, so each machine's next exchange may
-// overwrite its slab. Sending on an invalidated context (after its step
-// completed) drops the payload and records ErrStaleCtx, returned by the
-// cluster's next Step. A dst outside [0, M) panics as in Send.
+// that means never, except for DistGraph's exchanges and the clique's
+// ScatterAggregateFloat: they decode and clear their inboxes before
+// returning, so their next call may overwrite the slab. Sending on an
+// invalidated context (after its step completed) drops the payload and
+// records ErrStaleCtx, returned by the cluster's next Step. A dst outside
+// [0, M) panics as in Send.
 func (x *Ctx) SendOwned(dst int, payload []uint64) {
 	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
 		x.logSend(ob, dst, payload)
 	}
 }
 
+// SendOwnedRanges queues one message per destination from one slab under a
+// single outbox lock: machine d receives slab[end[d-1]:end[d]:end[d]] (with
+// end[-1] = 0) for every d < len(end) whose range is non-empty, in
+// ascending d. It is the SendOwned loop over those ranges, delivered,
+// counted and traced identically, and follows SendOwned's read-only rule.
+// A len(end) > M, or an end that decreases or runs past the slab, panics in
+// the sender's closure as in Send; a call on an invalidated context drops
+// every range and records ErrStaleCtx with their total word count.
+func (x *Ctx) SendOwnedRanges(slab []uint64, end []int) {
+	if len(end) == 0 {
+		return
+	}
+	total := end[len(end)-1]
+	ob := x.lockOutbox(len(end)-1, total)
+	if ob == nil {
+		return
+	}
+	lo := 0
+	for d, hi := range end {
+		if hi < lo || hi > len(slab) {
+			ob.mu.Unlock()
+			panic(fmt.Sprintf("mpc: machine %d sent range [%d, %d) to machine %d of a %d-word slab", x.Machine, lo, hi, d, len(slab)))
+		}
+		if hi > lo {
+			ob.log = append(ob.log, sentMsg{dst: int32(d), src: int32(x.Machine), payload: slab[lo:hi:hi]})
+		}
+		lo = hi
+	}
+	x.sent += total
+	ob.mu.Unlock()
+}
+
 // lockOutbox takes the sender's outbox mutex for one send and returns the
 // outbox, or returns nil with the mutex released after recording a late
 // send on a sealed outbox. An out-of-range dst panics here, inside the
-// sender's closure. Send and SendOwned share it but append separately, so
+// sender's closure. The senders share it but append separately, so
 // Send's variadic payload never escapes and costs its caller no allocation.
 func (x *Ctx) lockOutbox(dst, words int) *stepOutbox {
 	ob := x.ob
@@ -899,17 +939,20 @@ func (at *attempt) release(c *Cluster) {
 }
 
 // mergeOutboxes turns the per-worker send logs into the per-destination
-// boxes with one exact-size allocation: a count pass sizes every destination
+// boxes, written into c.inboxes: a count pass sizes every destination
 // (c.mergeCnt, prefix-summed into box offsets), then a fill pass copies the
-// headers into one flat []Message, workers in ascending machine-block order,
-// and box d is flat[a:b:b]. Each worker runs its block sequentially and
-// blocks ascend with worker index, so every box is already in the canonical
-// total order — by sender id, then per-sender send order — for every
-// parallelism level, with no sort and no comparison against a shared
-// structure. The order is verified (and, for the pathological-but-legal
-// case of a step closure whose joined goroutines interleaved sends across
-// machines of one block, restored) before the boxes are handed to the
-// transport, which assumes it.
+// headers into the cluster's delivery arena, workers in ascending
+// machine-block order, and box d is arena[a:b:b]. The arena grows only when
+// a round needs more headers than it holds and is otherwise overwritten, so
+// every box of the previous round is dead from here on (the inbox-lifetime
+// rule of DESIGN.md §8); its surplus tail is cleared so it pins no payload.
+// Each worker runs its block sequentially and blocks ascend with worker
+// index, so every box is already in the canonical total order — by sender
+// id, then per-sender send order — for every parallelism level, with no
+// sort and no comparison against a shared structure. The order is verified
+// (and, for the pathological-but-legal case of a step closure whose joined
+// goroutines interleaved sends across machines of one block, restored)
+// before the boxes are handed to the transport, which assumes it.
 func (at *attempt) mergeOutboxes(c *Cluster) [][]Message {
 	M := c.cfg.Machines
 	off := c.mergeCnt
@@ -922,9 +965,17 @@ func (at *attempt) mergeOutboxes(c *Cluster) [][]Message {
 	for d := 1; d <= M; d++ {
 		off[d] += off[d-1]
 	}
-	flat := make([]Message, off[M])
-	boxes := make([][]Message, M)
+	if n := off[M]; n > cap(c.arena) {
+		c.arena = make([]Message, n)
+	} else {
+		if n < len(c.arena) {
+			clear(c.arena[n:])
+		}
+		c.arena = c.arena[:n]
+	}
+	flat, boxes := c.arena, c.inboxes
 	for d := 0; d < M; d++ {
+		boxes[d] = nil
 		if a, b := off[d], off[d+1]; a < b {
 			boxes[d] = flat[a:b:b]
 		}
@@ -1079,7 +1130,9 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 //     receiver dedup, so delivered inboxes are always exactly the sent
 //     messages; only the fault accounting records that anything happened.
 //   - In Strict mode a budget violation aborts the step cleanly: the error
-//     is returned, nothing is delivered, and the contexts are invalidated.
+//     is returned, nothing is delivered, every inbox is left empty (the
+//     merge already overwrote the previous round's), and the contexts are
+//     invalidated. A transport veto leaves the inboxes empty the same way.
 func (c *Cluster) Step(name string, f func(x *Ctx)) error {
 	return c.step(name, 1, false, f)
 }
@@ -1143,7 +1196,9 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	// Merge the per-worker send logs in fixed machine order — the canonical
 	// (sender id, send order) sequence at every parallelism level, identical
 	// to what the serial path produces. Transport faults are decided on this
-	// order, so they too are schedule-independent.
+	// order, so they too are schedule-independent. The merge overwrites the
+	// previous round's inboxes, so an abort from here on leaves every inbox
+	// empty.
 	boxes := at.mergeOutboxes(c)
 	at.release(c)
 	// The merged boxes are the canonical exchange: hand them to the
@@ -1153,6 +1208,7 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	// committed prefix.
 	if c.cfg.Transport != nil {
 		if err := c.cfg.Transport.Exchange(round, boxes); err != nil {
+			clear(c.inboxes)
 			return &TransportError{Round: c.stats.Rounds, Stats: c.Stats(), Err: err}
 		}
 	}
@@ -1226,9 +1282,9 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	if firstErr != nil {
 		// Strict mode: abort cleanly — the violation is recorded and
 		// returned, nothing reaches the next round's inboxes.
+		clear(c.inboxes)
 		return firstErr
 	}
-	copy(c.inboxes, boxes)
 	return nil
 }
 
@@ -1252,7 +1308,9 @@ func (c *Cluster) meterSendRecv(round int, _ bool, sent, recv []int, _ [][]Messa
 }
 
 // Drain empties and returns machine m's inbox — the coordinator-side
-// consumption of delivered messages between steps.
+// consumption of delivered messages between steps. The returned slice is a
+// window of the delivery arena: it is valid only until the next superstep's
+// merge, so it must be consumed before the next Step or RouteStep.
 func (c *Cluster) Drain(m int) []Message {
 	box := c.inboxes[m]
 	c.inboxes[m] = nil
