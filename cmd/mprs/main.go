@@ -19,16 +19,17 @@
 //	                             merged per-worker fleet view
 //	          [-flight-dir dir]  write mprs-flight/1 crash post-mortems (recent
 //	                             supersteps of a failed run or killed worker)
-//	          [-faults crash=0.02,drop=0.01,crash@3:1] [-fault-seed 1] [-checkpoint-every 4]
+//	          [-checkpoint-every 4] snapshot driver state every k supersteps
 //	          [-checkpoint-dir dir]  persist durable checkpoints for crash-restart resume
 //	          [-resume]          resume from the newest valid checkpoint in -checkpoint-dir
 //	          [-checkpoint-retain k] durable checkpoints kept on disk (0 = default 3)
 //	          [-members-out file] write the ruling-set member ids, one per line
 //	          [-die-at N]        crash-test hook: exit with status 7 once round N commits
-//	          [-chaos plan] [-chaos-seed 1] deterministic substrate fault injection
-//	                             (wire:OP@round:worker, disk:OP@round:worker,
+//	          [-chaos plan] [-chaos-seed 1] deterministic fault injection
+//	                             (machine:crash=0.02, machine:OP@round:machine,
+//	                             wire:OP@round:worker, disk:OP@round:worker,
 //	                             proc:OP@round:worker — see internal/chaos); inproc
-//	                             accepts disk: events only
+//	                             accepts machine: and disk: events only
 //	          [-flap-limit 3] [-max-fleet-restarts 0] [-degraded-fallback]
 //	                             multiproc supervision hardening: quarantine flapping
 //	                             workers, cap fleet-wide restarts, and degrade to an
@@ -224,10 +225,7 @@ func cmdRun(args []string) (retErr error) {
 		debugAddr = fs.String("debug-addr", "", "serve live telemetry (/metrics, /telemetry.json, pprof) on this host:port; on -backend multiproc the supervisor serves the merged fleet view")
 		flightDir = fs.String("flight-dir", "", "write mprs-flight/1 crash post-mortems (the recent supersteps of a failed run or killed worker) into this directory")
 
-		faults = fs.String("faults", "", "fault spec, e.g. crash=0.02,drop=0.01,dup=0.005,stall=0.05,crash@3:1 (empty = off)")
-		fseed  = fs.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
-		ckpt   = fs.Int("checkpoint-every", 0, "snapshot driver state every k supersteps for crash recovery (0 = barrier recovery)")
-
+		ckpt       = fs.Int("checkpoint-every", 0, "snapshot driver state every k supersteps for crash recovery (0 = barrier recovery)")
 		ckptDir    = fs.String("checkpoint-dir", "", "persist durable checkpoints to this directory (single-cluster algorithms; implies -checkpoint-every 8 when unset)")
 		resume     = fs.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
 		ckptRetain = fs.Int("checkpoint-retain", 0, "durable checkpoints kept in -checkpoint-dir (0 = default 3)")
@@ -242,7 +240,7 @@ func cmdRun(args []string) (retErr error) {
 		jobTimeout  = fs.Duration("job-timeout", 0, "multiproc hard wall-clock cap on the whole job (0 = none)")
 		lifecycle   = fs.String("lifecycle-trace", "", "write the supervisor lifecycle events (starts, kills, backoffs, restarts) as JSONL to this file")
 
-		chaosSpec        = fs.String("chaos", "", "deterministic substrate fault plan, e.g. wire:corrupt@6:1,disk:torn@8:0,proc:kill@10:1 (empty = off; inproc accepts disk: events only)")
+		chaosSpec        = fs.String("chaos", "", "deterministic fault plan, e.g. machine:crash=0.02,machine:drop@5:0>2,wire:corrupt@6:1,disk:torn@8:0,proc:kill@10:1 (empty = off; inproc accepts machine: and disk: events only)")
 		chaosSeed        = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos schedule")
 		flapLimit        = fs.Int("flap-limit", supervise.DefaultFlapLimit, "multiproc: quarantine a worker after this many consecutive crashes at one round (negative = never)")
 		maxFleetRestarts = fs.Int("max-fleet-restarts", 0, "multiproc: restart budget across the whole fleet (0 = unlimited)")
@@ -252,10 +250,6 @@ func cmdRun(args []string) (retErr error) {
 		return err
 	}
 	g, err := src.load()
-	if err != nil {
-		return err
-	}
-	plan, err := mpc.ParseFaultPlan(*faults, *fseed)
 	if err != nil {
 		return err
 	}
@@ -271,7 +265,7 @@ func cmdRun(args []string) (retErr error) {
 		ChunkBits:       *chunk,
 		Seed:            *algoSeed,
 		Strict:          *strict,
-		Faults:          plan,
+		Faults:          chaosPlan.MachineFaults(),
 		CheckpointEvery: *ckpt,
 		Parallelism:     *par,
 	}
@@ -312,8 +306,8 @@ func cmdRun(args []string) (retErr error) {
 			ChunkBits:        *chunk,
 			AlgoSeed:         *algoSeed,
 			Strict:           *strict,
-			Faults:           *faults,
-			FaultSeed:        *fseed,
+			Chaos:            *chaosSpec,
+			ChaosSeed:        *chaosSeed,
 			CheckpointEvery:  ckptEvery,
 			CheckpointDir:    *ckptDir,
 			CheckpointRetain: *ckptRetain,
@@ -328,7 +322,6 @@ func cmdRun(args []string) (retErr error) {
 			lifecycle:        *lifecycle,
 			debugAddr:        *debugAddr,
 			flightDir:        *flightDir,
-			chaos:            chaosPlan,
 			flapLimit:        *flapLimit,
 			maxFleetRestarts: *maxFleetRestarts,
 			degradedFallback: *degraded,
@@ -342,16 +335,17 @@ func cmdRun(args []string) (retErr error) {
 			verify:     *verify,
 			membersOut: *membersOut,
 			statsOut:   *statsOut,
-			faults:     plan,
+			faults:     opts.Faults,
 		})
 	} else if *backend != "inproc" {
 		return fmt.Errorf("unknown backend %q (want inproc or multiproc)", *backend)
 	}
 
 	// The in-process backend has no wire or worker processes to attack: only
-	// disk: chaos events (against worker 0's store, the only store) apply.
+	// machine: faults and disk: events (against worker 0's store, the only
+	// store) apply.
 	if chaosPlan.Enabled() && (chaosPlan.HasWire() || len(chaosPlan.Proc) > 0 || chaosPlan.MaxWorker() > 0) {
-		return fmt.Errorf("-chaos: backend inproc accepts disk: events for worker 0 only (wire: and proc: need -backend multiproc)")
+		return fmt.Errorf("-chaos: backend inproc accepts machine: events and disk: events for worker 0 only (wire: and proc: need -backend multiproc)")
 	}
 	if chaosPlan.HasDisk(0) && *ckptDir == "" {
 		return fmt.Errorf("-chaos: disk: events need -checkpoint-dir (they attack the durable checkpoint store)")
@@ -381,7 +375,7 @@ func cmdRun(args []string) (retErr error) {
 		if opts.CheckpointEvery <= 0 {
 			opts.CheckpointEvery = defaultCheckpointEvery
 		}
-		fp := runFingerprint(*algo, src.describe(), *src.seed, opts, *faults, *fseed)
+		fp := runFingerprint(*algo, src.describe(), *src.seed, opts, chaos.FingerprintTerm(*chaosSpec, *chaosSeed))
 		// Chaos disk events (if any) interpose at the durable.FS seam; the
 		// in-process run is "worker 0, attempt 0" of the chaos schedule.
 		store, err = durable.OpenFS(*ckptDir, fp, *ckptRetain, chaos.NewDiskFS(chaosPlan, 0, 0))
@@ -564,11 +558,12 @@ const defaultCheckpointEvery = 8
 // every durable checkpoint. Resume refuses a checkpoint whose fingerprint
 // differs — replaying a different configuration would silently break the
 // bit-identity contract. Every knob that feeds the deterministic replay is
-// included; observability flags (-trace, -phases, …) are not.
-func runFingerprint(algo, spec string, genSeed int64, o rulingset.Options, faults string, fseed int64) string {
-	return fmt.Sprintf("mprs-run/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s fault-seed=%d checkpoint-every=%d",
+// included (faults is chaos.FingerprintTerm of -chaos); observability flags
+// (-trace, -phases, …) are not.
+func runFingerprint(algo, spec string, genSeed int64, o rulingset.Options, faults string) string {
+	return fmt.Sprintf("mprs-run/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
 		algo, spec, genSeed, o.Machines, o.Regime, o.Epsilon, o.MemoryWords,
-		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, fseed, o.CheckpointEvery)
+		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, o.CheckpointEvery)
 }
 
 // dieAtSink is the -die-at crash-test hook: a tracer that kills the process

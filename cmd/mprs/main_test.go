@@ -24,7 +24,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{name: "run bad regime", args: []string{"run", "-regime", "weird", "-spec", "path:n=4"}},
 		{name: "run spec and in", args: []string{"run", "-spec", "path:n=4", "-in", "x"}},
 		{name: "gen bad spec", args: []string{"gen", "-spec", "nosuch:n=4"}},
-		{name: "run bad faults", args: []string{"run", "-spec", "path:n=4", "-faults", "what=1"}},
+		{name: "run bad faults", args: []string{"run", "-spec", "path:n=4", "-chaos", "machine:what=1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

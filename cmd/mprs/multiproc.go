@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/graph"
@@ -47,7 +46,6 @@ type multiProcFlags struct {
 	debugAddr   string
 	flightDir   string
 
-	chaos            *chaos.Plan
 	flapLimit        int
 	maxFleetRestarts int
 	degradedFallback bool
@@ -63,7 +61,6 @@ func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) erro
 		MaxRestarts:      mp.maxRestarts,
 		Timeout:          mp.jobTimeout,
 		FlightDir:        mp.flightDir,
-		Chaos:            mp.chaos,
 		FlapLimit:        mp.flapLimit,
 		MaxFleetRestarts: mp.maxFleetRestarts,
 		DegradedFallback: mp.degradedFallback,

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/chaos"
+	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/trace"
 )
 
@@ -86,6 +88,60 @@ func TestRunDurableResumeInProcess(t *testing.T) {
 	err = run(append(base, "-algo-seed", "99", "-resume"))
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("fingerprint mismatch not rejected: %v", err)
+	}
+}
+
+// TestRunFingerprintFaults: only -chaos's machine: part, with its seed,
+// enters the checkpoint fingerprint, so a checkpoint refuses a different
+// model-fault schedule but not different wire, disk or proc chaos.
+func TestRunFingerprintFaults(t *testing.T) {
+	fp := func(spec string, seed int64) string {
+		return runFingerprint("det2", "gnp:n=300,p=0.02", 3, rulingset.Options{Machines: 8, CheckpointEvery: 4}, chaos.FingerprintTerm(spec, seed))
+	}
+	base := fp("machine:crash=0.01,machine:crash@2:1,disk:torn@4:0", 7)
+	for _, tc := range []struct {
+		spec string
+		seed int64
+		same bool
+	}{
+		{"machine:crash=0.01,machine:crash@2:1,disk:torn@8:0", 7, true},
+		{" machine:crash=0.01, wire:dup@5:1,machine:crash@2:1,proc:kill@6:0", 7, true},
+		{"machine:crash=0.01,machine:crash@3:1,disk:torn@4:0", 7, false},
+		{"machine:crash=0.01,machine:crash@2:1,disk:torn@4:0", 8, false},
+		{"disk:torn@4:0", 7, false},
+	} {
+		if got := fp(tc.spec, tc.seed); (got == base) != tc.same {
+			t.Errorf("-chaos %q -chaos-seed %d: fingerprint %q, same as base = %t, want %t", tc.spec, tc.seed, got, got == base, tc.same)
+		}
+	}
+	// Without machine: parts the seed is not part of the fingerprint.
+	if a, b := fp("disk:torn@4:0", 7), fp("", 1); a != b {
+		t.Errorf("substrate-only plan changed the fingerprint: %q vs %q", a, b)
+	}
+}
+
+// TestRunChaosInProcLayers: the in-process backend applies -chaos machine:
+// faults (machine ids are simulated machines, not workers) and rejects the
+// layers it cannot honour.
+func TestRunChaosInProcLayers(t *testing.T) {
+	g := genTestGraph(t)
+	stats := filepath.Join(t.TempDir(), "stats.json")
+	if err := run([]string{"run", "-algo", "det2", "-in", g, "-chunk", "4", "-checkpoint-every", "4",
+		"-chaos", "machine:crash@2:5,machine:drop@3:1>0", "-chaos-seed", "7", "-stats-out", stats}); err != nil {
+		t.Fatalf("machine: faults in-process: %v", err)
+	}
+	b, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"RecoveredCrashes": 1,`) {
+		t.Errorf("machine:crash@2:5 not applied:\n%s", b)
+	}
+	for _, plan := range []string{"wire:dup@2:0", "proc:kill@3:0", "disk:torn@4:1"} {
+		err := run([]string{"run", "-algo", "det2", "-in", g, "-chaos", plan})
+		if err == nil || !strings.Contains(err.Error(), "backend inproc accepts") {
+			t.Errorf("-chaos %s in-process: err = %v", plan, err)
+		}
 	}
 }
 

@@ -25,8 +25,9 @@ type Workload struct {
 	Slack int
 	// Beta/Alpha parameterize the beta/alpha-beta algorithms.
 	Beta, Alpha int
-	// Faults, when non-empty, is an mpc.ParseFaultPlan spec injected into
-	// every run of the workload (the R1 recovery regime).
+	// Faults, when non-empty, is a fault spec of machine: parts (the
+	// internal/chaos grammar) injected into every run of the workload (the
+	// R1 recovery regime).
 	Faults string
 	// CheckpointEvery enables periodic snapshots under faults.
 	CheckpointEvery int
@@ -109,7 +110,7 @@ func Registry() []Workload {
 			QuickSpec:       "gnp:n=512,p=0.023",
 			Machines:        8,
 			ChunkBits:       4,
-			Faults:          "drop=0.02,dup=0.01,crash@1:0,crash@3:2",
+			Faults:          "machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2",
 			CheckpointEvery: 4,
 			Algos:           []string{"rand2", "det2"},
 		},

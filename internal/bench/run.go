@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
-	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
 )
 
@@ -133,7 +133,7 @@ func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := mpc.ParseFaultPlan(w.Faults, cfg.Seed)
+	plan, err := chaos.ParseMachine(w.Faults, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,15 @@
 // (internal/transport), the durable checkpoint store (internal/durable) and
 // the supervisor's process fleet (internal/supervise).
 //
-// A Plan is parsed from a compact spec in the same grammar family as
-// mpc.ParseFaultPlan, with every part prefixed by the substrate it attacks:
+// A Plan is parsed from a compact spec. It is the run's one fault language:
+// every part is prefixed by the layer it attacks, and the machine: layer
+// states the simulated model faults the engine itself injects and recovers
+// from (see mpc.FaultPlan):
 //
+//	machine:crash@R:M  simulated machine M crashes at superstep R
+//	machine:stall@R:M  machine M straggles at superstep R
+//	machine:drop@R:S>D machine S's first round-R message to D is lost
+//	machine:crash=P    seeded fault rate P in [0,1]; likewise stall, drop, dup
 //	wire:corrupt@R:W   flip a seeded byte of worker W's round-R frame, then
 //	                   sever its uplink (the supervisor sees ErrFraming)
 //	wire:trunc@R:W     truncate that frame at a seeded offset and sever
@@ -32,22 +38,25 @@
 //	                   loop the quarantine machinery must catch
 //
 // Every decision is a pure function of (plan, seed, event identity): byte
-// offsets and garble bytes derive from the seed via SplitMix64, wire and
-// disk events fire once (disk events only on a worker's first incarnation,
-// so a restarted worker's retry is clean), and nothing reads the wall clock
-// or draws ambient randomness. The package's contract is the repo's
+// offsets and garble bytes derive from the seed via SplitMix64, the machine:
+// part becomes an mpc.FaultPlan keyed by the same seed, wire and disk events
+// fire once (disk events only on a worker's first incarnation, so a
+// restarted worker's retry is clean), and nothing reads the wall clock or
+// draws ambient randomness. The package's contract is the repo's
 // bit-identity oracle: every survivable plan yields members, canonical
 // Stats and trace bytes identical to the fault-free run; every
 // non-survivable plan yields a structured error, never a panic or a
-// silently wrong answer. Simulated algorithm-level faults (machine crashes,
-// message drops inside the model) are deliberately out of scope — that is
-// mpc.FaultPlan's grammar, composed separately via -faults.
+// silently wrong answer. Machine ids are simulated machines, not worker
+// processes: machine: events are replayed by every worker and never count
+// against the fleet size.
 package chaos
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 // WireOp enumerates frame-level events applied by the supervisor-side
@@ -137,11 +146,13 @@ type ProcEvent struct {
 // plan) injects nothing. A Plan is stateless and may be shared; once-only
 // firing state lives in the runtime objects built from it (Wire, DiskFS).
 type Plan struct {
-	// Spec is the canonical input string, re-serialized into worker
-	// processes so both sides of the pipe parse the identical schedule.
-	Spec string
-	// Seed keys the byte-offset and junk-byte choices.
+	// Seed keys the byte-offset and junk-byte choices and the machine
+	// fault schedule.
 	Seed int64
+
+	// Machine is built from the machine: parts; nil when there are none.
+	// A zero-rate part still sets it, enabling checkpoints as before.
+	Machine *mpc.FaultPlan
 
 	Wire []WireEvent
 	Disk []DiskEvent
@@ -150,7 +161,16 @@ type Plan struct {
 
 // Enabled reports whether the plan injects anything at all.
 func (p *Plan) Enabled() bool {
-	return p != nil && (len(p.Wire) > 0 || len(p.Disk) > 0 || len(p.Proc) > 0)
+	return p != nil && (p.Machine.Enabled() || len(p.Wire) > 0 || len(p.Disk) > 0 || len(p.Proc) > 0)
+}
+
+// MachineFaults returns the machine: part (nil for a nil plan or one
+// without machine: parts): the plan for rulingset.Options.Faults.
+func (p *Plan) MachineFaults() *mpc.FaultPlan {
+	if p == nil {
+		return nil
+	}
+	return p.Machine
 }
 
 // String implements fmt.Stringer.
@@ -208,7 +228,8 @@ func (p *Plan) FlapsAt(worker, round int) bool {
 	return false
 }
 
-// MaxWorker returns the largest worker id any event targets (-1 when none).
+// MaxWorker returns the largest worker id any event targets (-1 when none);
+// machine: events name simulated machines, not workers.
 func (p *Plan) MaxWorker() int {
 	maxW := -1
 	if p == nil {
@@ -258,18 +279,16 @@ var procOps = map[string]ProcOp{
 
 // Parse builds a Plan from a compact spec such as
 //
-//	"wire:dup@6:1,disk:torn@4:1,proc:kill@10:2"
+//	"machine:crash=0.02,machine:crash@3:1,wire:dup@6:1,disk:torn@4:1,proc:kill@10:2"
 //
-// Every comma-separated part must carry a wire:, disk: or proc: prefix;
-// simulated model-level faults belong to mpc.ParseFaultPlan's unprefixed
-// grammar and are rejected here with a pointer to -faults. An empty spec
-// (or "off"/"none") returns a disabled (nil) plan.
+// Every comma-separated part must carry a machine:, wire:, disk: or proc:
+// prefix. An empty spec (or "off"/"none") returns a disabled (nil) plan.
 func Parse(spec string, seed int64) (*Plan, error) {
 	trimmed := strings.TrimSpace(spec)
 	if trimmed == "" || trimmed == "off" || trimmed == "none" {
 		return nil, nil
 	}
-	p := &Plan{Spec: trimmed, Seed: seed}
+	p := &Plan{Seed: seed}
 	for _, part := range strings.Split(trimmed, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -277,72 +296,141 @@ func Parse(spec string, seed int64) (*Plan, error) {
 		}
 		layer, rest, ok := strings.Cut(part, ":")
 		if !ok || strings.ContainsAny(layer, "@=") {
-			// "crash=0.02" or "kill@5:1" is mpc.FaultPlan's unprefixed
-			// grammar, not a substrate layer.
-			return nil, fmt.Errorf("chaos: spec %q: want layer:op@ROUND:WORKER with layer wire, disk or proc (simulated model faults go to -faults)", part)
+			return nil, fmt.Errorf("chaos: spec %q: want layer:op@ROUND:ID with layer machine, wire, disk or proc (model faults are machine:crash=0.02 or machine:crash@3:1)", part)
+		}
+		target := "worker"
+		if layer == "machine" {
+			target = "machine"
+			if p.Machine == nil {
+				p.Machine = &mpc.FaultPlan{Seed: seed}
+			}
+			if key, val, ok := strings.Cut(rest, "="); ok {
+				m := p.Machine
+				r, ok := map[string]*float64{"crash": &m.CrashRate, "drop": &m.DropRate, "dup": &m.DupRate, "stall": &m.StallRate}[strings.TrimSpace(key)]
+				if !ok {
+					return nil, fmt.Errorf("chaos: spec %q: unknown machine rate (want crash, drop, dup or stall)", part)
+				}
+				rate, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+				if err != nil || !(rate >= 0 && rate <= 1) {
+					return nil, fmt.Errorf("chaos: spec %q: want a rate in [0,1]", part)
+				}
+				*r = rate
+				continue
+			}
 		}
 		op, tail, ok := strings.Cut(rest, "@")
 		if !ok {
-			return nil, fmt.Errorf("chaos: spec %q: want %s:OP@ROUND:WORKER", part, layer)
+			return nil, fmt.Errorf("chaos: spec %q: want %s:OP@ROUND:%s", part, layer, strings.ToUpper(target))
 		}
-		round, worker, err := parseRoundWorker(part, tail)
+		dst := ""
+		if layer == "machine" && op == "drop" {
+			if tail, dst, ok = strings.Cut(tail, ">"); !ok {
+				return nil, fmt.Errorf("chaos: spec %q: want machine:drop@ROUND:SRC>DST", part)
+			}
+		}
+		round, id, err := parseRoundID(part, tail, target)
 		if err != nil {
 			return nil, err
 		}
+		// Disk rounds key on Persist barriers, which include the round-0
+		// baseline. Supersteps, Messages rounds and heartbeat ordinals are
+		// 1-based, so a round-0 event on any other layer could never fire.
+		if round < 1 && layer != "disk" {
+			return nil, fmt.Errorf("chaos: spec %q: %s round must be >= 1", part, layer)
+		}
 		switch layer {
+		case "machine":
+			ev := mpc.FaultEvent{Round: round, Machine: id}
+			switch op {
+			case "crash":
+				p.Machine.Crashes = append(p.Machine.Crashes, ev)
+			case "stall":
+				p.Machine.Stalls = append(p.Machine.Stalls, ev)
+			case "drop":
+				d, err := strconv.Atoi(dst)
+				if err != nil || d < 0 {
+					return nil, fmt.Errorf("chaos: spec %q: bad destination machine %q", part, dst)
+				}
+				p.Machine.Drops = append(p.Machine.Drops, mpc.DropEvent{Round: round, Src: id, Dst: d})
+			default:
+				return nil, fmt.Errorf("chaos: spec %q: unknown machine op %q (want crash, stall or drop)", part, op)
+			}
 		case "wire":
 			wop, ok := wireOps[op]
 			if !ok {
 				return nil, fmt.Errorf("chaos: spec %q: unknown wire op %q (want corrupt, trunc, dup, delay, reorder, hbdrop or hbgarble)", part, op)
 			}
-			p.Wire = append(p.Wire, WireEvent{Op: wop, Round: round, Worker: worker})
+			p.Wire = append(p.Wire, WireEvent{Op: wop, Round: round, Worker: id})
 		case "disk":
 			dop, ok := diskOps[op]
 			if !ok {
 				return nil, fmt.Errorf("chaos: spec %q: unknown disk op %q (want torn, enospc, fsyncerr, renamecrash or manifesttorn)", part, op)
 			}
-			// Disk rounds key on Persist barriers, which include the round-0
-			// baseline — so round 0 is legal here, unlike proc events.
-			p.Disk = append(p.Disk, DiskEvent{Op: dop, Round: round, Worker: worker})
+			p.Disk = append(p.Disk, DiskEvent{Op: dop, Round: round, Worker: id})
 		case "proc":
 			pop, ok := procOps[op]
 			if !ok {
 				return nil, fmt.Errorf("chaos: spec %q: unknown proc op %q (want kill or flap)", part, op)
 			}
-			if round < 1 {
-				return nil, fmt.Errorf("chaos: spec %q: proc round must be >= 1", part)
-			}
-			p.Proc = append(p.Proc, ProcEvent{Op: pop, Round: round, Worker: worker})
+			p.Proc = append(p.Proc, ProcEvent{Op: pop, Round: round, Worker: id})
 		default:
-			return nil, fmt.Errorf("chaos: spec %q: unknown layer %q (want wire, disk or proc; simulated model faults go to -faults)", part, layer)
+			return nil, fmt.Errorf("chaos: spec %q: unknown layer %q (want machine, wire, disk or proc)", part, layer)
 		}
 	}
-	if !p.Enabled() {
+	if p.Machine == nil && !p.Enabled() {
 		return nil, nil
 	}
 	return p, nil
 }
 
-// parseRoundWorker parses the "R:W" tail shared by every event. Disk events
-// allow round 0 (the Persist baseline); wire heartbeat ordinals are 1-based
-// but share the >= 0 floor here, with op-specific floors checked by callers.
-func parseRoundWorker(part, tail string) (round, worker int, err error) {
-	rw := strings.SplitN(tail, ":", 2)
-	if len(rw) != 2 {
-		return 0, 0, fmt.Errorf("chaos: spec %q: want OP@ROUND:WORKER", part)
+// parseRoundID parses the "R:ID" tail shared by every event, where ID names
+// a worker or, for machine: events, a simulated machine.
+func parseRoundID(part, tail, target string) (round, id int, err error) {
+	r, t, ok := strings.Cut(tail, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("chaos: spec %q: want OP@ROUND:%s", part, strings.ToUpper(target))
 	}
-	round, err = strconv.Atoi(rw[0])
+	round, err = strconv.Atoi(r)
 	if err != nil {
 		return 0, 0, fmt.Errorf("chaos: spec %q: bad round: %v", part, err)
 	}
-	worker, err = strconv.Atoi(rw[1])
+	id, err = strconv.Atoi(t)
 	if err != nil {
-		return 0, 0, fmt.Errorf("chaos: spec %q: bad worker: %v", part, err)
+		return 0, 0, fmt.Errorf("chaos: spec %q: bad %s: %v", part, target, err)
 	}
-	if round < 0 || worker < 0 {
-		return 0, 0, fmt.Errorf("chaos: spec %q: round and worker must be >= 0", part)
+	if round < 0 || id < 0 {
+		return 0, 0, fmt.Errorf("chaos: spec %q: round and %s must be >= 0", part, target)
 	}
-	return round, worker, nil
+	return round, id, nil
+}
+
+// ParseMachine parses a spec of machine: parts only — the model-fault plan
+// of an in-process run — and rejects every other layer.
+func ParseMachine(spec string, seed int64) (*mpc.FaultPlan, error) {
+	p, err := Parse(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil && len(p.Wire)+len(p.Disk)+len(p.Proc) > 0 {
+		return nil, fmt.Errorf("chaos: spec %q: only machine: parts apply here", spec)
+	}
+	return p.MachineFaults(), nil
+}
+
+// FingerprintTerm renders spec's machine: parts, trimmed and comma-joined,
+// plus the seed ("" when there are none): the part of a fault plan that
+// changes what a durable checkpoint replays.
+func FingerprintTerm(spec string, seed int64) string {
+	var parts []string
+	for _, part := range strings.Split(spec, ",") {
+		if part = strings.TrimSpace(part); strings.HasPrefix(part, "machine:") {
+			parts = append(parts, part)
+		}
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%s seed=%d", strings.Join(parts, ","), seed)
 }
 
 // ValidateWorkers rejects plans targeting workers outside [0, workers).
@@ -356,17 +444,8 @@ func (p *Plan) ValidateWorkers(workers int) error {
 	return nil
 }
 
-// splitmix64 is the SplitMix64 finalizer (matching internal/mpc's): the
-// full-avalanche mixer behind every seeded choice in this package.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // mix derives a deterministic 64-bit value from the plan seed and an event
 // identity; callers reduce it to offsets or junk bytes.
 func (p *Plan) mix(kind, round, worker uint64) uint64 {
-	return splitmix64(splitmix64(uint64(p.Seed)) ^ kind<<48 ^ round<<16 ^ worker)
+	return mpc.SplitMix64(mpc.SplitMix64(uint64(p.Seed)) ^ kind<<48 ^ round<<16 ^ worker)
 }

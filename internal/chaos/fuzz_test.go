@@ -1,15 +1,23 @@
 package chaos
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse asserts the plan parser never panics and that accepted specs are
-// stable: re-parsing the canonical Spec yields the same schedule.
+// stable: re-parsing the spec yields the same schedule, machine plan
+// included (reflect.DeepEqual over the whole Plan).
 func FuzzParse(f *testing.F) {
 	f.Add("wire:corrupt@8:1,disk:torn@4:0,proc:kill@10:2", int64(42))
 	f.Add("wire:hbdrop@1:0,wire:hbgarble@2:1", int64(0))
 	f.Add("proc:flap@6:1", int64(-1))
 	f.Add("disk:manifesttorn@0:3", int64(7))
 	f.Add("crash=0.02,drop@4:1>2", int64(1))
+	f.Add("machine:crash=0.02,machine:drop=0.01,machine:dup=0.005,machine:stall=0.05", int64(9))
+	f.Add("machine:crash@3:1,machine:stall@4:2,machine:drop@5:0>2,wire:dup@6:1", int64(11))
+	f.Add("machine:crash=0", int64(5))
+	f.Add("machine:drop@5:0>>2,machine:crash=1e-3", int64(2))
 	f.Add("wire:@:,::@", int64(3))
 	f.Add("off", int64(0))
 	f.Fuzz(func(t *testing.T, spec string, seed int64) {
@@ -23,12 +31,14 @@ func FuzzParse(f *testing.F) {
 		if p == nil {
 			return // disabled
 		}
-		p2, err := Parse(p.Spec, seed)
+		// Surrounding blanks and empty parts are insignificant.
+		padded := " " + spec + " ,"
+		p2, err := Parse(padded, seed)
 		if err != nil {
-			t.Fatalf("canonical spec %q rejected on re-parse: %v", p.Spec, err)
+			t.Fatalf("padded spec %q rejected on re-parse: %v", padded, err)
 		}
-		if len(p2.Wire) != len(p.Wire) || len(p2.Disk) != len(p.Disk) || len(p2.Proc) != len(p.Proc) {
-			t.Fatalf("re-parse of %q changed the schedule: %v vs %v", p.Spec, p2, p)
+		if !reflect.DeepEqual(p2, p) {
+			t.Fatalf("re-parse of %q changed the schedule: %#v vs %#v", padded, p2, p)
 		}
 		// Helpers must be total on any accepted plan.
 		_ = p.Enabled()

@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 func TestParseGrammar(t *testing.T) {
@@ -52,8 +55,8 @@ func TestParseErrors(t *testing.T) {
 		spec string
 		want string // substring of the error
 	}{
-		{"crash=0.02", "-faults"},         // unprefixed model fault
-		{"kill@5:1", "-faults"},           // unprefixed proc-ish spelling
+		{"crash=0.02", "machine:"},        // unprefixed model fault
+		{"kill@5:1", "machine:"},          // unprefixed proc-ish spelling
 		{"net:drop@5:1", "unknown layer"}, // unknown layer
 		{"wire:zap@5:1", "unknown wire op"},
 		{"disk:melt@5:1", "unknown disk op"},
@@ -64,7 +67,9 @@ func TestParseErrors(t *testing.T) {
 		{"wire:corrupt@5:y", "bad worker"},
 		{"wire:corrupt@-1:1", ">= 0"},
 		{"wire:corrupt@5:-1", ">= 0"},
-		{"proc:kill@0:1", ">= 1"}, // proc rounds are 1-based
+		{"proc:kill@0:1", ">= 1"},    // proc rounds are 1-based
+		{"wire:corrupt@0:1", ">= 1"}, // Messages rounds are 1-based
+		{"wire:hbdrop@0:0", ">= 1"},  // heartbeat ordinals are 1-based
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec, 0)
@@ -79,7 +84,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestPlanHelpers(t *testing.T) {
-	p, err := Parse("wire:dup@6:1,disk:enospc@4:3,proc:kill@10:0,proc:flap@8:2", 7)
+	// Machine 9 is a simulated machine, not a worker: MaxWorker and
+	// ValidateWorkers ignore it.
+	p, err := Parse("wire:dup@6:1,disk:enospc@4:3,proc:kill@10:0,proc:flap@8:2,machine:crash@2:9,machine:drop@3:9>8", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +112,104 @@ func TestPlanHelpers(t *testing.T) {
 	}
 	if s := p.String(); !strings.Contains(s, "wire=1") || !strings.Contains(s, "disk=1") || !strings.Contains(s, "proc=2") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestParseMachine pins the machine: layer to the model-fault parser it
+// replaced: each want is the mpc.FaultPlan that parser built from the same
+// spec without the machine: prefixes.
+func TestParseMachine(t *testing.T) {
+	cases := []struct {
+		spec string
+		seed int64
+		want *mpc.FaultPlan
+	}{
+		{"machine:crash=0.02, machine:drop=0.01, machine:dup=0.005, machine:stall=0.05, machine:crash@3:1", 9,
+			&mpc.FaultPlan{Seed: 9, CrashRate: 0.02, DropRate: 0.01, DupRate: 0.005, StallRate: 0.05,
+				Crashes: []mpc.FaultEvent{{Round: 3, Machine: 1}}}},
+		{"machine:stall@4:2, machine:drop@5:0>2, machine:crash@3:1, machine:stall@3:1", 11,
+			&mpc.FaultPlan{Seed: 11, Crashes: []mpc.FaultEvent{{Round: 3, Machine: 1}},
+				Stalls: []mpc.FaultEvent{{Round: 4, Machine: 2}, {Round: 3, Machine: 1}},
+				Drops:  []mpc.DropEvent{{Round: 5, Src: 0, Dst: 2}}}},
+		{"  machine:crash = 0.5 ,, machine:stall@2:0  ", 3,
+			&mpc.FaultPlan{Seed: 3, CrashRate: 0.5, Stalls: []mpc.FaultEvent{{Round: 2, Machine: 0}}}},
+		// A zero-rate plan stays non-nil (it still turns on checkpointing).
+		{"machine:crash=0", 5, &mpc.FaultPlan{Seed: 5}},
+		// The r1-faults bench row.
+		{"machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2", 1,
+			&mpc.FaultPlan{Seed: 1, DropRate: 0.02, DupRate: 0.01,
+				Crashes: []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 3, Machine: 2}}}},
+		// Other layers around it leave the machine plan alone.
+		{"wire:dup@6:1,machine:drop@2:1>0,disk:torn@4:0", 4,
+			&mpc.FaultPlan{Seed: 4, Drops: []mpc.DropEvent{{Round: 2, Src: 1, Dst: 0}}}},
+		// Boundary rates; a repeated key keeps the last value.
+		{"machine:drop=1,machine:dup=0,machine:crash=0.3,machine:crash=0.1", -2,
+			&mpc.FaultPlan{Seed: -2, CrashRate: 0.1, DropRate: 1}},
+		{"", 1, nil},
+		{"off", 1, nil},
+		{"none", 1, nil},
+		{"wire:dup@6:1", 1, nil},
+	}
+	for _, tc := range cases {
+		p, err := Parse(tc.spec, tc.seed)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.spec, err)
+			continue
+		}
+		if got := p.MachineFaults(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Parse(%q).MachineFaults() = %#v, want %#v", tc.spec, got, tc.want)
+		}
+	}
+
+	p, err := Parse("machine:stall@4:2, machine:drop@5:0>2, machine:crash@3:1, machine:stall@3:1", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := p.MachineFaults()
+	if !fp.StallsAt(4, 2) || !fp.StallsAt(3, 1) || fp.StallsAt(4, 1) {
+		t.Error("StallsAt ignores explicit events")
+	}
+	if !fp.DropsMessage(5, 0, 2, 0) || fp.DropsMessage(5, 0, 2, 1) || fp.DropsMessage(5, 2, 0, 0) {
+		t.Error("DropsMessage ignores explicit events or over-matches")
+	}
+	if !p.Enabled() || !fp.Enabled() || !strings.Contains(fp.String(), "explicit=4") {
+		t.Errorf("plan with only explicit events: enabled=%t stringer=%q", fp.Enabled(), fp.String())
+	}
+	if p.MaxWorker() != -1 {
+		t.Errorf("MaxWorker = %d, want -1 (machine ids are not workers)", p.MaxWorker())
+	}
+	if zero, err := Parse("machine:crash=0", 5); err != nil || zero == nil || zero.Enabled() {
+		t.Errorf("zero-rate plan = %+v, %v; want non-nil and disabled", zero, err)
+	}
+}
+
+func TestParseMachineErrors(t *testing.T) {
+	for _, spec := range []string{
+		"machine:crash", "machine:crash=2", "machine:crash=-0.1", "machine:crash=NaN", "machine:crash=x",
+		"machine:warp=0.1", "machine:", "machine:zap@3:1",
+		"machine:crash@3", "machine:crash@x:1", "machine:crash@0:0", "machine:crash@3:-1",
+		"machine:stall@4", "machine:stall@x:1", "machine:stall@0:0",
+		"machine:drop@5", "machine:drop@5:0", "machine:drop@5:x>2", "machine:drop@5:0>x",
+		"machine:drop@0:0>1", "machine:drop@5:-1>2", "machine:drop@5:0>-2",
+	} {
+		if p, err := Parse(spec, 0); err == nil {
+			t.Errorf("Parse(%q) accepted: %+v", spec, p.MachineFaults())
+		}
+	}
+}
+
+func TestParseMachineOnly(t *testing.T) {
+	fp, err := ParseMachine("machine:crash@2:1", 3)
+	if err != nil || !reflect.DeepEqual(fp, &mpc.FaultPlan{Seed: 3, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}) {
+		t.Fatalf("ParseMachine = %#v, %v", fp, err)
+	}
+	if fp, err := ParseMachine("off", 3); fp != nil || err != nil {
+		t.Fatalf("ParseMachine(off) = %#v, %v", fp, err)
+	}
+	for _, spec := range []string{"machine:crash@2:1,wire:dup@6:1", "disk:torn@4:0", "proc:kill@5:0"} {
+		if _, err := ParseMachine(spec, 3); err == nil {
+			t.Errorf("ParseMachine(%q) accepted", spec)
+		}
 	}
 }
 

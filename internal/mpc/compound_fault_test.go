@@ -2,45 +2,14 @@ package mpc
 
 import (
 	"slices"
-	"strings"
 	"testing"
 )
 
-// Satellite coverage for targeted fault events (stall@R:M, drop@R:S>D) and
+// Coverage for targeted fault events (explicit stalls and drops) and
 // compound faults — multiple fault classes hitting the same machine in the
 // same round, and crashes landing on the checkpoint-write round. In every
 // case the delivered inboxes (and so the algorithm's output) must be
 // bit-identical to the fault-free run; only the recovery meters may move.
-
-func TestParseFaultPlanTargetedEvents(t *testing.T) {
-	p, err := ParseFaultPlan("stall@4:2, drop@5:0>2, crash@3:1, stall@3:1", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []FaultEvent{{Round: 4, Machine: 2}, {Round: 3, Machine: 1}}; !slices.Equal(p.Stalls, want) {
-		t.Fatalf("explicit stalls = %v, want %v", p.Stalls, want)
-	}
-	if want := []DropEvent{{Round: 5, Src: 0, Dst: 2}}; !slices.Equal(p.Drops, want) {
-		t.Fatalf("explicit drops = %v, want %v", p.Drops, want)
-	}
-	if !p.StallsAt(4, 2) || !p.StallsAt(3, 1) || p.StallsAt(4, 1) {
-		t.Fatal("StallsAt ignores explicit events")
-	}
-	if !p.DropsMessage(5, 0, 2, 0) || p.DropsMessage(5, 0, 2, 1) || p.DropsMessage(5, 2, 0, 0) {
-		t.Fatal("DropsMessage ignores explicit events or over-matches")
-	}
-	if !p.Enabled() {
-		t.Fatal("plan with only explicit events reports disabled")
-	}
-	if !strings.Contains(p.String(), "explicit=4") {
-		t.Fatalf("stringer = %q, want explicit=4", p.String())
-	}
-	for _, bad := range []string{"stall@4", "stall@x:1", "stall@0:0", "drop@5", "drop@5:0", "drop@5:x>2", "drop@5:0>x", "drop@0:0>1", "drop@5:-1>2"} {
-		if _, err := ParseFaultPlan(bad, 0); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted", bad)
-		}
-	}
-}
 
 func TestTargetedStallCharged(t *testing.T) {
 	plan := &FaultPlan{Seed: 2, Stalls: []FaultEvent{{Round: 2, Machine: 1}}}

@@ -1,10 +1,6 @@
 package mpc
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Fault injection: a seeded, deterministic schedule of machine crashes,
 // message drops/duplications and straggler stalls, applied by Step at the
@@ -66,8 +62,8 @@ type FaultEvent struct {
 // DropEvent pins one explicit in-transit message loss: the first message
 // (send-order sequence 0) from Src to Dst at Round is dropped and
 // retransmitted by the reliable layer. Targeted drops let incident
-// reproductions pin a loss to an exact edge and round, the way crash@R:M
-// already pins crashes.
+// reproductions pin a loss to an exact edge and round, the way a
+// FaultEvent pins a crash.
 type DropEvent struct {
 	Round int
 	Src   int
@@ -133,8 +129,9 @@ func eventID(kind faultKind, round, a, b, seq int) uint64 {
 		uint64(seq)&0x3FFF
 }
 
-// splitmix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mixer.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mixer,
+// shared with internal/chaos's seeded choices.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -153,10 +150,10 @@ func (p *FaultPlan) roll(kind faultKind, round, a, b, seq int, rate float64) boo
 	if rate >= 1 {
 		return true
 	}
-	s := splitmix64(uint64(p.Seed))
-	mulA := splitmix64(s) | 1
-	addB := splitmix64(s + 1)
-	h := mulA*splitmix64(eventID(kind, round, a, b, seq)) + addB
+	s := SplitMix64(uint64(p.Seed))
+	mulA := SplitMix64(s) | 1
+	addB := SplitMix64(s + 1)
+	h := mulA*SplitMix64(eventID(kind, round, a, b, seq)) + addB
 	return float64(h>>11)/float64(1<<53) < rate
 }
 
@@ -208,125 +205,6 @@ func (p *FaultPlan) DropsMessage(round, src, dst, seq int) bool {
 // DupsMessage reports whether that message is duplicated in transit.
 func (p *FaultPlan) DupsMessage(round, src, dst, seq int) bool {
 	return p.roll(faultDup, round, src, dst, seq, p.DupRate)
-}
-
-// ParseFaultPlan builds a FaultPlan from a compact spec such as
-//
-//	"crash=0.02,drop=0.01,dup=0.005,stall=0.05,crash@3:1,stall@3:1,drop@5:0>2"
-//
-// where rate keys are crash, drop, dup and stall, and the targeted one-shot
-// events are "crash@R:M" (machine M crashes at round R), "stall@R:M"
-// (machine M straggles at round R) and "drop@R:S>D" (the first message from
-// machine S to machine D at round R is lost in transit). seed keys the
-// schedule hash. An empty spec returns a disabled (nil) plan.
-func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" || spec == "none" {
-		return nil, nil
-	}
-	p := &FaultPlan{Seed: seed}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, "crash@"); ok {
-			ev, err := parseRoundMachine(part, rest, "crash@ROUND:MACHINE")
-			if err != nil {
-				return nil, err
-			}
-			p.Crashes = append(p.Crashes, ev)
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, "stall@"); ok {
-			ev, err := parseRoundMachine(part, rest, "stall@ROUND:MACHINE")
-			if err != nil {
-				return nil, err
-			}
-			p.Stalls = append(p.Stalls, ev)
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, "drop@"); ok {
-			ev, err := parseDropEvent(part, rest)
-			if err != nil {
-				return nil, err
-			}
-			p.Drops = append(p.Drops, ev)
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("mpc: fault spec %q: want key=rate or crash@R:M", part)
-		}
-		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: fault spec %q: bad rate: %v", part, err)
-		}
-		if rate < 0 || rate > 1 {
-			return nil, fmt.Errorf("mpc: fault spec %q: rate %g out of [0,1]", part, rate)
-		}
-		switch strings.TrimSpace(kv[0]) {
-		case "crash":
-			p.CrashRate = rate
-		case "drop":
-			p.DropRate = rate
-		case "dup":
-			p.DupRate = rate
-		case "stall", "straggle":
-			p.StallRate = rate
-		default:
-			return nil, fmt.Errorf("mpc: fault spec %q: unknown key (want crash, drop, dup or stall)", part)
-		}
-	}
-	return p, nil
-}
-
-// parseRoundMachine parses the "R:M" tail shared by crash@ and stall@.
-func parseRoundMachine(part, rest, want string) (FaultEvent, error) {
-	rm := strings.SplitN(rest, ":", 2)
-	if len(rm) != 2 {
-		return FaultEvent{}, fmt.Errorf("mpc: fault spec %q: want %s", part, want)
-	}
-	round, err := strconv.Atoi(rm[0])
-	if err != nil {
-		return FaultEvent{}, fmt.Errorf("mpc: fault spec %q: bad round: %v", part, err)
-	}
-	machine, err := strconv.Atoi(rm[1])
-	if err != nil {
-		return FaultEvent{}, fmt.Errorf("mpc: fault spec %q: bad machine: %v", part, err)
-	}
-	if round < 1 || machine < 0 {
-		return FaultEvent{}, fmt.Errorf("mpc: fault spec %q: round < 1 or machine < 0", part)
-	}
-	return FaultEvent{Round: round, Machine: machine}, nil
-}
-
-// parseDropEvent parses the "R:S>D" tail of drop@.
-func parseDropEvent(part, rest string) (DropEvent, error) {
-	rm := strings.SplitN(rest, ":", 2)
-	if len(rm) != 2 {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: want drop@ROUND:SRC>DST", part)
-	}
-	round, err := strconv.Atoi(rm[0])
-	if err != nil {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: bad round: %v", part, err)
-	}
-	sd := strings.SplitN(rm[1], ">", 2)
-	if len(sd) != 2 {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: want drop@ROUND:SRC>DST", part)
-	}
-	src, err := strconv.Atoi(sd[0])
-	if err != nil {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: bad source machine: %v", part, err)
-	}
-	dst, err := strconv.Atoi(sd[1])
-	if err != nil {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: bad destination machine: %v", part, err)
-	}
-	if round < 1 || src < 0 || dst < 0 {
-		return DropEvent{}, fmt.Errorf("mpc: fault spec %q: round < 1 or machine < 0", part)
-	}
-	return DropEvent{Round: round, Src: src, Dst: dst}, nil
 }
 
 // MachineError is a panic from one machine's step function, recovered at the

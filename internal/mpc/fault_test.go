@@ -246,33 +246,6 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
-func TestParseFaultPlan(t *testing.T) {
-	for _, spec := range []string{"", "off", "none"} {
-		p, err := ParseFaultPlan(spec, 1)
-		if err != nil || p != nil {
-			t.Fatalf("ParseFaultPlan(%q) = %v, %v", spec, p, err)
-		}
-	}
-	p, err := ParseFaultPlan("crash=0.02, drop=0.01, dup=0.005, stall=0.05, crash@3:1", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Seed != 9 || p.CrashRate != 0.02 || p.DropRate != 0.01 || p.DupRate != 0.005 || p.StallRate != 0.05 {
-		t.Fatalf("parsed plan = %+v", p)
-	}
-	if len(p.Crashes) != 1 || p.Crashes[0] != (FaultEvent{Round: 3, Machine: 1}) {
-		t.Fatalf("explicit crashes = %v", p.Crashes)
-	}
-	if !p.Enabled() || !strings.Contains(p.String(), "crash=0.02") {
-		t.Fatalf("plan stringer = %q", p.String())
-	}
-	for _, bad := range []string{"crash", "crash=2", "crash=x", "crash@3", "crash@x:1", "crash@0:0", "warp=0.1"} {
-		if _, err := ParseFaultPlan(bad, 0); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted", bad)
-		}
-	}
-}
-
 func TestStallAccounting(t *testing.T) {
 	plan := &FaultPlan{Seed: 5, StallRate: 1}
 	c, err := NewCluster(Config{Machines: 3, Faults: plan}, 9)

@@ -15,7 +15,9 @@ import (
 // bit-identical on deterministic outputs: same Members, same Stats (modulo
 // the documented host/run-dependent columns), same trace bytes. That
 // equivalence is the package's core contract and is enforced by tests and
-// the CI multiproc-smoke job.
+// the CI multiproc-smoke job. InProc applies the spec's machine: faults;
+// its wire:, disk: and proc: events attack the multi-process substrate and
+// do not apply here.
 type InProc struct{}
 
 // Run executes spec in this process.
@@ -27,7 +29,7 @@ func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
 	if err != nil {
 		return rulingset.Result{}, err
 	}
-	opts, err := spec.options()
+	opts, _, err := spec.options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}

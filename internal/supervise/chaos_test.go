@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/rulingset/mprs/internal/chaos"
 )
 
 // The chaos oracle: every survivable fault schedule must yield Members,
@@ -16,16 +14,10 @@ import (
 // every non-survivable one must yield a structured error — never a panic,
 // never a silently wrong answer.
 
-// chaosConfig builds a test supervisor config carrying the parsed plan.
-func chaosConfig(t *testing.T, workers int, plan string) Config {
-	t.Helper()
-	cfg := testConfig(workers)
-	p, err := chaos.Parse(plan, 7)
-	if err != nil {
-		t.Fatalf("chaos plan %q: %v", plan, err)
-	}
-	cfg.Chaos = p
-	return cfg
+// withChaos returns spec carrying the fault plan, under a fixed seed.
+func withChaos(spec JobSpec, plan string) JobSpec {
+	spec.Chaos, spec.ChaosSeed = plan, 7
+	return spec
 }
 
 // TestChaosWireBenignOracle: wire faults the transport absorbs without any
@@ -49,11 +41,11 @@ func TestChaosWireBenignOracle(t *testing.T) {
 			sub := t.TempDir()
 			spec := testSpec(t, "det2")
 			spec.TraceFile = filepath.Join(sub, "mp.trace")
-			cfg := chaosConfig(t, 3, plan)
+			cfg := testConfig(3)
 			cfg.MaxRestarts = 0 // benign faults must not need the restart machinery
 			var lifecycle bytes.Buffer
 			cfg.Lifecycle = &lifecycle
-			res, err := Run(spec, cfg)
+			res, err := Run(withChaos(spec, plan), cfg)
 			if err != nil {
 				t.Fatalf("chaos %q: %v\nlifecycle:\n%s", plan, err, lifecycle.String())
 			}
@@ -93,12 +85,12 @@ func TestChaosWireSeverOracle(t *testing.T) {
 			spec.CheckpointEvery = 4
 			spec.CheckpointDir = filepath.Join(sub, "ck")
 			spec.TraceFile = filepath.Join(sub, "mp.trace")
-			cfg := chaosConfig(t, 3, tc.plan)
+			cfg := testConfig(3)
 			cfg.MaxRestarts = 2
 			cfg.BackoffInitial = 20 * time.Millisecond
 			var lifecycle bytes.Buffer
 			cfg.Lifecycle = &lifecycle
-			res, err := Run(spec, cfg)
+			res, err := Run(withChaos(spec, tc.plan), cfg)
 			if err != nil {
 				t.Fatalf("chaos %q: %v\nlifecycle:\n%s", tc.plan, err, lifecycle.String())
 			}
@@ -122,10 +114,10 @@ func TestChaosHeartbeatOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	cfg := chaosConfig(t, 2, "wire:hbdrop@1:1,wire:hbgarble@2:1")
+	cfg := testConfig(2)
 	cfg.MaxRestarts = 0
 	cfg.Heartbeat = 600 * time.Millisecond // fast beats so the attacked ordinals actually occur
-	res, err := Run(testSpec(t, "det2"), cfg)
+	res, err := Run(withChaos(testSpec(t, "det2"), "wire:hbdrop@1:1,wire:hbgarble@2:1"), cfg)
 	if err != nil {
 		t.Fatalf("heartbeat chaos: %v", err)
 	}
@@ -150,12 +142,12 @@ func TestChaosDiskTornCheckpointOracle(t *testing.T) {
 	spec.CheckpointEvery = 4
 	spec.CheckpointDir = filepath.Join(dir, "ck-mp")
 	spec.TraceFile = filepath.Join(dir, "mp.trace")
-	cfg := chaosConfig(t, 2, "disk:torn@8:0,proc:kill@12:0")
+	cfg := testConfig(2)
 	cfg.MaxRestarts = 2
 	cfg.BackoffInitial = 20 * time.Millisecond
 	var lifecycle bytes.Buffer
 	cfg.Lifecycle = &lifecycle
-	res, err := Run(spec, cfg)
+	res, err := Run(withChaos(spec, "disk:torn@8:0,proc:kill@12:0"), cfg)
 	if err != nil {
 		t.Fatalf("torn-checkpoint chaos: %v\nlifecycle:\n%s", err, lifecycle.String())
 	}
@@ -182,12 +174,12 @@ func TestChaosDiskENOSPCRetryableOracle(t *testing.T) {
 			spec := testSpec(t, "det2")
 			spec.CheckpointEvery = 4
 			spec.CheckpointDir = filepath.Join(sub, "ck")
-			cfg := chaosConfig(t, 2, plan)
+			cfg := testConfig(2)
 			cfg.MaxRestarts = 2
 			cfg.BackoffInitial = 20 * time.Millisecond
 			var lifecycle bytes.Buffer
 			cfg.Lifecycle = &lifecycle
-			res, err := Run(spec, cfg)
+			res, err := Run(withChaos(spec, plan), cfg)
 			if err != nil {
 				t.Fatalf("chaos %q: %v\nlifecycle:\n%s", plan, err, lifecycle.String())
 			}
@@ -206,10 +198,10 @@ func TestChaosProcKillOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	cfg := chaosConfig(t, 3, "proc:kill@10:1")
+	cfg := testConfig(3)
 	cfg.MaxRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
-	res, err := Run(testSpec(t, "det2"), cfg)
+	res, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@10:1"), cfg)
 	if err != nil {
 		t.Fatalf("proc:kill chaos: %v", err)
 	}
@@ -238,13 +230,13 @@ func TestChaosFlapQuarantineDegrades(t *testing.T) {
 	spec.CheckpointEvery = 4
 	spec.CheckpointDir = filepath.Join(dir, "ck-mp")
 	spec.TraceFile = filepath.Join(dir, "mp.trace")
-	cfg := chaosConfig(t, 3, "proc:flap@10:1")
+	cfg := testConfig(3)
 	cfg.MaxRestarts = 5
 	cfg.BackoffInitial = 20 * time.Millisecond
 	cfg.DegradedFallback = true
 	var lifecycle bytes.Buffer
 	cfg.Lifecycle = &lifecycle
-	res, err := Run(spec, cfg)
+	res, err := Run(withChaos(spec, "proc:flap@10:1"), cfg)
 	var derr *DegradedError
 	if !errors.As(err, &derr) {
 		t.Fatalf("want *DegradedError, got %v\nlifecycle:\n%s", err, lifecycle.String())
@@ -280,13 +272,13 @@ func TestChaosFlapQuarantineDegrades(t *testing.T) {
 // of one even though neither worker hit MaxRestarts, and without
 // DegradedFallback that is a structured abort.
 func TestChaosFleetBudgetAborts(t *testing.T) {
-	cfg := chaosConfig(t, 3, "proc:kill@6:0,proc:kill@10:1")
+	cfg := testConfig(3)
 	cfg.MaxRestarts = 5
 	cfg.MaxFleetRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
 	var lifecycle bytes.Buffer
 	cfg.Lifecycle = &lifecycle
-	_, err := Run(testSpec(t, "det2"), cfg)
+	_, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@6:0,proc:kill@10:1"), cfg)
 	var serr *SupervisorError
 	if !errors.As(err, &serr) {
 		t.Fatalf("want *SupervisorError, got %v\nlifecycle:\n%s", err, lifecycle.String())
@@ -306,8 +298,8 @@ func TestChaosFleetBudgetAborts(t *testing.T) {
 // is a configuration error before any process spawns.
 func TestChaosPlanValidation(t *testing.T) {
 	for _, plan := range []string{"wire:dup@5:7", "disk:torn@4:3", "proc:kill@5:2"} {
-		cfg := chaosConfig(t, 2, plan)
-		if _, err := Run(testSpec(t, "det2"), cfg); err == nil {
+		cfg := testConfig(2)
+		if _, err := Run(withChaos(testSpec(t, "det2"), plan), cfg); err == nil {
 			t.Errorf("plan %q accepted with 2 workers", plan)
 		}
 	}

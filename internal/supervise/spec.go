@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 
 	"github.com/rulingset/mprs/internal/buildinfo"
+	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
@@ -58,11 +59,14 @@ type JobSpec struct {
 	AlgoSeed    int64   `json:"algo_seed"`
 	Strict      bool    `json:"strict,omitempty"`
 
-	// Faults and FaultSeed reproduce the simulated fault schedule (the
-	// mpc.FaultPlan spec string); independent of the physical crash
-	// tolerance this package adds.
-	Faults    string `json:"faults,omitempty"`
-	FaultSeed int64  `json:"fault_seed,omitempty"`
+	// Chaos and ChaosSeed are the job's fault plan (internal/chaos
+	// grammar), parsed by Run and by every worker. Only its machine: part,
+	// the simulated model faults every worker replays, enters Fingerprint:
+	// wire:, disk: and proc: events attack the substrate at deterministic
+	// superstep progress, so checkpoints written under them stay resumable
+	// by clean runs (the degraded fallback depends on exactly that).
+	Chaos     string `json:"chaos,omitempty"`
+	ChaosSeed int64  `json:"chaos_seed,omitempty"`
 
 	// CheckpointEvery and CheckpointDir enable durable checkpoints; each
 	// worker persists under its own w<id> subdirectory of CheckpointDir, and
@@ -144,17 +148,18 @@ func (s JobSpec) BuildGraph() (*graph.Graph, error) {
 // workers' durable checkpoints, so a restarted worker refuses to resume a
 // different configuration's state.
 func (s JobSpec) Fingerprint() string {
-	return fmt.Sprintf("mprs-multiproc/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s fault-seed=%d checkpoint-every=%d",
+	return fmt.Sprintf("mprs-multiproc/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
 		s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
-		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, s.Faults, s.FaultSeed, s.CheckpointEvery)
+		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
 }
 
-// options builds the rulingset.Options the spec describes (transport, trace
-// and durable wiring are added by the caller).
-func (s JobSpec) options() (rulingset.Options, error) {
-	plan, err := mpc.ParseFaultPlan(s.Faults, s.FaultSeed)
+// options builds the rulingset.Options the spec describes and returns the
+// parsed fault plan, whose machine: part it applies (transport, trace and
+// durable wiring are added by the caller).
+func (s JobSpec) options() (rulingset.Options, *chaos.Plan, error) {
+	plan, err := chaos.Parse(s.Chaos, s.ChaosSeed)
 	if err != nil {
-		return rulingset.Options{}, err
+		return rulingset.Options{}, nil, err
 	}
 	return rulingset.Options{
 		Machines:        s.Machines,
@@ -165,10 +170,10 @@ func (s JobSpec) options() (rulingset.Options, error) {
 		ChunkBits:       s.ChunkBits,
 		Seed:            s.AlgoSeed,
 		Strict:          s.Strict,
-		Faults:          plan,
+		Faults:          plan.MachineFaults(),
 		CheckpointEvery: s.CheckpointEvery,
 		Parallelism:     s.Parallelism,
-	}, nil
+	}, plan, nil
 }
 
 // runAlgo dispatches to the single-cluster MPC drivers.

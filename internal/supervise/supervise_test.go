@@ -79,6 +79,55 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
+// TestJobSpecFingerprintFaults: only the machine: part of Chaos, with its
+// seed, enters the fingerprint, so a worker's checkpoint refuses a different
+// model-fault schedule but not different wire, disk or proc chaos.
+func TestJobSpecFingerprintFaults(t *testing.T) {
+	fp := func(plan string, seed int64) string {
+		s := testSpec(t, "det2")
+		s.Chaos, s.ChaosSeed = plan, seed
+		return s.Fingerprint()
+	}
+	base := fp("machine:drop=0.02,machine:crash@1:0,disk:torn@4:1", 7)
+	for _, tc := range []struct {
+		plan string
+		seed int64
+		same bool
+	}{
+		{"machine:drop=0.02,machine:crash@1:0,disk:torn@8:1", 7, true},
+		{"machine:drop=0.02,machine:crash@1:0,proc:kill@10:1,wire:dup@6:0", 7, true},
+		{"machine:drop=0.02,machine:crash@2:0,disk:torn@4:1", 7, false},
+		{"machine:drop=0.02,machine:crash@1:0,disk:torn@4:1", 8, false},
+		{"disk:torn@4:1", 7, false},
+	} {
+		if got := fp(tc.plan, tc.seed); (got == base) != tc.same {
+			t.Errorf("Chaos %q seed %d: fingerprint %q, same as base = %t, want %t", tc.plan, tc.seed, got, got == base, tc.same)
+		}
+	}
+	if a, b := fp("proc:kill@10:1", 7), fp("", 0); a != b {
+		t.Errorf("substrate-only plan changed the fingerprint: %q vs %q", a, b)
+	}
+}
+
+// TestMultiProcMachineFaults: the workers replay the spec's machine: faults
+// exactly as the in-process backend does, recovery counters included.
+func TestMultiProcMachineFaults(t *testing.T) {
+	spec := withChaos(testSpec(t, "det2"), "machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2")
+	spec.CheckpointEvery = 4
+	inRes, err := InProc{}.Run(spec)
+	if err != nil {
+		t.Fatalf("inproc: %v", err)
+	}
+	if inRes.Stats.RecoveredCrashes != 2 || inRes.Stats.DroppedMessages == 0 {
+		t.Fatalf("machine faults not applied: %+v", inRes.Stats)
+	}
+	res, err := Run(spec, testConfig(2))
+	if err != nil {
+		t.Fatalf("multiproc: %v", err)
+	}
+	requireSameResult(t, inRes, res)
+}
+
 // TestMultiProcEquivalence is the backend bit-identity contract: for each
 // supported algorithm, the multi-process backend's Members, canonical Stats
 // and trace bytes equal the in-process backend's exactly. The in-process
@@ -143,12 +192,12 @@ func TestMultiProcKillRestart(t *testing.T) {
 			spec.TraceFile = filepath.Join(sub, "mp.trace")
 
 			var lifecycle bytes.Buffer
-			cfg := chaosConfig(t, 3, kills)
+			cfg := testConfig(3)
 			cfg.MaxRestarts = 2
 			cfg.BackoffInitial = 20 * time.Millisecond
 			cfg.Lifecycle = &lifecycle
 
-			res, err := Run(spec, cfg)
+			res, err := Run(withChaos(spec, kills), cfg)
 			if err != nil {
 				t.Fatalf("multiproc with kills %v: %v\nlifecycle:\n%s", kills, err, lifecycle.String())
 			}
@@ -172,10 +221,10 @@ func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	cfg := chaosConfig(t, 2, "proc:kill@8:1")
+	cfg := testConfig(2)
 	cfg.MaxRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
-	res, err := Run(testSpec(t, "det2"), cfg)
+	res, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@8:1"), cfg)
 	if err != nil {
 		t.Fatalf("multiproc: %v", err)
 	}
@@ -186,9 +235,9 @@ func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
 // structured SupervisorError carrying the committed round and harvested
 // Stats from a surviving worker.
 func TestMultiProcFailFast(t *testing.T) {
-	cfg := chaosConfig(t, 3, "proc:kill@10:1")
+	cfg := testConfig(3)
 	cfg.MaxRestarts = 0
-	_, err := Run(testSpec(t, "det2"), cfg)
+	_, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@10:1"), cfg)
 	var serr *SupervisorError
 	if !errors.As(err, &serr) {
 		t.Fatalf("want *SupervisorError, got %v", err)
@@ -207,10 +256,10 @@ func TestMultiProcFailFast(t *testing.T) {
 // TestMultiProcRestartBudgetExhausted: more kills than restarts aborts with
 // the failing worker's attempt count.
 func TestMultiProcRestartBudgetExhausted(t *testing.T) {
-	cfg := chaosConfig(t, 2, "proc:kill@6:1,proc:kill@10:1")
+	cfg := testConfig(2)
 	cfg.MaxRestarts = 1
 	cfg.BackoffInitial = 20 * time.Millisecond
-	_, err := Run(testSpec(t, "det2"), cfg)
+	_, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@6:1,proc:kill@10:1"), cfg)
 	var serr *SupervisorError
 	if !errors.As(err, &serr) {
 		t.Fatalf("want *SupervisorError, got %v", err)

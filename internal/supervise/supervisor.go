@@ -83,17 +83,6 @@ type Config struct {
 	// supervisor at the moment it declares the worker dead — the
 	// post-mortem a SIGKILL would otherwise destroy.
 	FlightDir string
-	// Chaos, when non-nil, is the deterministic substrate fault-injection
-	// plan (see internal/chaos): wire events interpose on the worker pipes,
-	// disk events ride into the worker processes via their env, and proc
-	// events are the injected-kill schedule: proc:kill@R:W SIGKILLs worker
-	// W's process group as soon as its authoritative frame for a round >= R
-	// arrives. The trigger is deterministic superstep progress (never wall
-	// clock), so test and CI kill schedules reproduce. Deliberately NOT part of the
-	// job's Fingerprint — chaos attacks the substrate, not the computation,
-	// so checkpoints written under chaos stay resumable by clean runs (the
-	// degraded fallback depends on exactly that).
-	Chaos *chaos.Plan
 	// FlapLimit quarantines a flapping worker: a worker that crashes
 	// FlapLimit consecutive times at the same committed round is making no
 	// progress (a deterministic crasher the restart loop cannot fix) and is
@@ -276,8 +265,10 @@ type supervisor struct {
 	// worker can still need (older rounds it replays locally).
 	retained      [][]byte
 	retainedRound []int
-	kills         []chaos.ProcEvent
-	killFired     []bool
+	// plan is the job's parsed fault plan; kills are its proc:kill events.
+	plan      *chaos.Plan
+	kills     []chaos.ProcEvent
+	killFired []bool
 
 	// wire is the chaos frame interposer (nil without wire events).
 	wire *chaos.Wire
@@ -331,7 +322,11 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 	if cfg.Spawn == nil {
 		return rulingset.Result{}, fmt.Errorf("supervise: Config.Spawn is required (see SelfExec)")
 	}
-	if err := cfg.Chaos.ValidateWorkers(cfg.Workers); err != nil {
+	plan, err := chaos.Parse(spec.Chaos, spec.ChaosSeed)
+	if err != nil {
+		return rulingset.Result{}, err
+	}
+	if err := plan.ValidateWorkers(cfg.Workers); err != nil {
 		return rulingset.Result{}, err
 	}
 	fleet := cfg.Telemetry
@@ -347,13 +342,14 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 		procs:         make([]*proc, cfg.Workers),
 		retained:      make([][]byte, cfg.Workers),
 		retainedRound: make([]int, cfg.Workers),
-		kills:         cfg.Chaos.Kills(),
+		plan:          plan,
+		kills:         plan.Kills(),
 	}
 	s.killFired = make([]bool, len(s.kills))
 	// Wire chaos interposes on the worker pipes; fired events surface on the
 	// lifecycle stream via note events (non-blocking: dropping a note loses
 	// an observability line, never supervision).
-	s.wire = chaos.NewWire(cfg.Chaos, func(worker int, note string) {
+	s.wire = chaos.NewWire(plan, func(worker int, note string) {
 		select {
 		case s.events <- event{worker: worker, note: note}:
 		default:
@@ -416,13 +412,6 @@ func (s *supervisor) spawn(p *proc, joinAfter int, resume bool) error {
 		Attempt:     p.attempts,
 		HeartbeatMS: s.cfg.Heartbeat.Milliseconds(),
 		Telemetry:   s.fleet != nil,
-	}
-	if s.cfg.Chaos != nil {
-		// Disk events execute inside the worker process (the durable.FS seam
-		// lives there); ship the plan through the env so both sides parse the
-		// identical schedule.
-		env.Chaos = s.cfg.Chaos.Spec
-		env.ChaosSeed = s.cfg.Chaos.Seed
 	}
 	cmd, err := s.cfg.Spawn(env)
 	if err != nil {
@@ -575,7 +564,7 @@ func (s *supervisor) handle(ev event, now time.Time) {
 			}
 		}
 	case transport.FrameMessages:
-		if s.cfg.Chaos.FlapsAt(p.id, f.Round) {
+		if s.plan.FlapsAt(p.id, f.Round) {
 			// The flap kill discards the triggering frame BEFORE any relay
 			// or retention: the worker's committed round stays pinned, so
 			// every restarted incarnation replays to the same round and dies
@@ -933,7 +922,7 @@ func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom i
 	if err != nil {
 		return rulingset.Result{}, resumedFrom, err
 	}
-	opts, err := spec.options()
+	opts, _, err := spec.options()
 	if err != nil {
 		return rulingset.Result{}, resumedFrom, err
 	}

@@ -88,7 +88,7 @@ func TestMultiProcFlightArtifact(t *testing.T) {
 	flightDir := filepath.Join(dir, "flights")
 	spec := testSpec(t, "det2")
 
-	cfg := chaosConfig(t, 3, "proc:kill@10:1")
+	cfg := testConfig(3)
 	cfg.Heartbeat = 400 * time.Millisecond
 	cfg.MaxRestarts = 2
 	cfg.BackoffInitial = 20 * time.Millisecond
@@ -100,7 +100,7 @@ func TestMultiProcFlightArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	res, err := Run(spec, cfg)
+	res, err := Run(withChaos(spec, "proc:kill@10:1"), cfg)
 	if err != nil {
 		t.Fatalf("multiproc with flight recorder: %v", err)
 	}

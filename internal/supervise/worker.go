@@ -41,11 +41,6 @@ type WorkerEnv struct {
 	// Chaos disk events fire only at attempt 0: they model transient
 	// environment failures, so a retry must run clean.
 	Attempt int `json:"attempt,omitempty"`
-	// Chaos and ChaosSeed carry the supervisor's chaos plan (internal/chaos
-	// grammar) so the disk events execute inside this process, at the
-	// durable.FS seam, against the real checkpoint store.
-	Chaos     string `json:"chaos,omitempty"`
-	ChaosSeed int64  `json:"chaos_seed,omitempty"`
 	// HeartbeatMS is the supervisor's liveness deadline; the worker sends
 	// heartbeats at a quarter of it.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
@@ -117,7 +112,8 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 	if err != nil {
 		return rulingset.Result{}, err
 	}
-	opts, err := spec.options()
+	// An invalid fault spec is a deterministic config error.
+	opts, chaosPlan, err := spec.options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}
@@ -173,13 +169,7 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 	}()
 
 	// Chaos disk events (if any) interpose on this worker's checkpoint
-	// store at the durable.FS seam; an invalid plan string is a
-	// deterministic config error.
-	chaosPlan, err := chaos.Parse(env.Chaos, env.ChaosSeed)
-	if err != nil {
-		return rulingset.Result{}, err
-	}
-
+	// store at the durable.FS seam.
 	if spec.CheckpointDir != "" {
 		store, err := spec.openStoreFS(spec.workerCheckpointDir(env.Worker), chaos.NewDiskFS(chaosPlan, env.Worker, env.Attempt))
 		if err != nil {

@@ -32,6 +32,7 @@ package mprs
 import (
 	"io"
 
+	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
@@ -109,11 +110,12 @@ func NewJSONLTrace(w io.Writer) *JSONLTracer { return trace.NewJSONL(w) }
 // NewTraceRing returns an in-memory Tracer retaining the last n events.
 func NewTraceRing(n int) *TraceRing { return trace.NewRing(n) }
 
-// ParseFaultPlan builds a FaultPlan from a compact spec such as
-// "crash=0.02,drop=0.01,dup=0.005,stall=0.05,crash@3:1"; an empty spec
-// returns a disabled (nil) plan.
+// ParseFaultPlan builds a FaultPlan from the machine: parts of a fault spec
+// such as "machine:crash=0.02,machine:drop=0.01,machine:crash@3:1" (the
+// -chaos grammar); any other layer is rejected, and an empty spec returns a
+// disabled (nil) plan.
 func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
-	return mpc.ParseFaultPlan(spec, seed)
+	return chaos.ParseMachine(spec, seed)
 }
 
 // Cooperative cancellation. Setting Options.Context makes a run check the
