@@ -123,6 +123,11 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
+// CSR returns the flat adjacency behind Neighbors: v's sorted neighbour list
+// is adj[off[v]:off[v+1]]. Both slices alias internal storage and must not
+// be modified.
+func (g *Graph) CSR() (off, adj []int32) { return g.offsets, g.adj }
+
 // HasEdge reports whether {u, v} is an edge, by binary search.
 func (g *Graph) HasEdge(u, v int) bool {
 	list := g.Neighbors(u)

@@ -66,6 +66,40 @@ func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
 	return payload, nil
 }
 
+// ScatterToOwners runs one round in which machine 0 sends every item v to
+// Owner(v): one word per item, batched into one message per destination in
+// items order, so the round costs len(items) words in total. It hands a
+// coordinator's per-vertex result (the residual solution's members) to the
+// machines that own the vertices.
+func (c *Cluster) ScatterToOwners(name string, items []int32) error {
+	err := c.Step(name, func(x *Ctx) {
+		if x.Machine != 0 {
+			return
+		}
+		end := make([]int, c.Machines()) // items per owner, then fill cursors, then range ends
+		for _, v := range items {
+			end[c.Owner(int(v))]++
+		}
+		total := 0
+		for dst, k := range end {
+			end[dst] = total
+			total += k
+		}
+		slab := make([]uint64, total)
+		for _, v := range items {
+			dst := c.Owner(int(v))
+			slab[end[dst]] = uint64(uint32(v))
+			end[dst]++
+		}
+		x.SendOwnedRanges(slab, end)
+	})
+	if err != nil {
+		return err
+	}
+	clear(c.inboxes)
+	return nil
+}
+
 // AllReduceSumUint gathers a uint64 vector from every machine, sums them
 // coordinate-wise at the coordinator and broadcasts the result. Costs two
 // rounds. All machines must return vectors of equal length.

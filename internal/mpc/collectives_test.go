@@ -93,6 +93,31 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// TestScatterToOwners checks that every item travels once, to its owner:
+// one round of len(items) words, one message per owning machine, and the
+// largest owner receiving its whole share.
+func TestScatterToOwners(t *testing.T) {
+	c := newTestCluster(t, 4, 16) // machine m owns [4m, 4m+4)
+	if err := c.ScatterToOwners("s", []int32{13, 0, 5, 2, 14, 3}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	want := RoundInfo{Name: "s", MaxSent: 6, MaxRecv: 3, Messages: 3, Words: 6}
+	if st.Rounds != 1 || len(st.Log) != 1 {
+		t.Fatalf("scatter cost %d rounds", st.Rounds)
+	}
+	got := st.Log[0]
+	got.Span, got.GiniSent, got.GiniRecv = "", 0, 0
+	if got != want {
+		t.Fatalf("scatter round %+v, want %+v", got, want)
+	}
+	for m := range c.inboxes {
+		if len(c.inboxes[m]) != 0 {
+			t.Fatalf("machine %d kept %d messages", m, len(c.inboxes[m]))
+		}
+	}
+}
+
 func TestAllReduceSumUint(t *testing.T) {
 	c := newTestCluster(t, 6, 60)
 	sum, err := c.AllReduceSumUint("s", func(x *Ctx) []uint64 {

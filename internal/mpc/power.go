@@ -65,12 +65,12 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 	// Round 1: every u announces itself to the owners of its A-neighbors,
 	// so the owner of x learns the set {u : u ~_A x}.
 	err := d.c.Step("power/announce", func(x *Ctx) {
-		d.scatter(x, a, nil, nil, recEdge, nil)
+		d.scatter(x, rowsOf(a), nil, nil, recEdge, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	aNbrs := d.collectRows(nil, false)
+	aNbrs := d.collectRows(nil)
 	// Round 2: the owner of x emits every composed pair (u, w) with u ~_A x
 	// and w ~_B x to the owner of the smaller endpoint; A and B edges ride
 	// along so the result is the union closure.

@@ -31,7 +31,7 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 	// Independence: members announce themselves; a member that hears from a
 	// member neighbor is a conflict. ExchangeActive returns, per member, the
 	// member neighbors only.
-	nbrs, err := d.ExchangeActive("verify/independence", inSet, nil)
+	nbrs, err := d.ExchangeActive("verify/independence", inSet)
 	if err != nil {
 		return 0, err
 	}

@@ -90,9 +90,10 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 
 		// Share active degrees with neighbors (needed for conflict priority
-		// and, in the deterministic variant, for neighbor thresholds). Its
-		// rows are view's rows: both exchanges run on the same active set.
-		nbrDeg, err := d.ExchangeActive("luby/degrees", active, deg)
+		// and, in the deterministic variant, for neighbor thresholds). The
+		// senders walk their view rows, so only the degrees travel: Vals(v)
+		// lines up with view.Row(v).
+		nbrDeg, err := d.ExchangeAlong("luby/degrees", active, view, deg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -135,24 +136,16 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 		ps.Marked = marks.Count()
 
-		// Conflict resolution: marked vertices exchange (id, degree); the
-		// lexicographically larger (degree, id) endpoint of each marked edge
-		// survives.
-		resolve, err := d.ExchangeActive("luby/resolve", marks, deg)
+		// Conflict resolution: marked vertices announce themselves along
+		// their view rows; the lexicographically larger (degree, id)
+		// endpoint of each marked edge survives, the degree looked up in
+		// the receiver's nbrDeg row.
+		resolve, err := d.ExchangeWithin("luby/resolve", marks, view)
 		if err != nil {
 			return Result{}, err
 		}
 		marks.ForEach(func(v int) bool {
-			wins := true
-			mDegs := resolve.Vals(v)
-			for i, w := range resolve.Row(v) {
-				dw := mDegs[i]
-				if dw > deg[v] || (dw == deg[v] && w > int32(v)) {
-					wins = false
-					break
-				}
-			}
-			if wins {
+			if lubyWins(v, deg[v], resolve.Row(v), nbrDeg) {
 				joiners.Add(v)
 			}
 			return true
@@ -185,6 +178,23 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		Stats:   c.Stats(),
 		Phases:  phases,
 	}, nil
+}
+
+// lubyWins reports whether marked v with active degree dv beats every
+// marked neighbour in rivals (ascending, a subset of nbrDeg.Row(v)) on
+// (degree, id), reading each rival's degree from v's nbrDeg row.
+func lubyWins(v int, dv int32, rivals []int32, nbrDeg mpc.Adjacency) bool {
+	row, degs := nbrDeg.Row(v), nbrDeg.Vals(v)
+	i := 0
+	for _, w := range rivals {
+		for row[i] != w {
+			i++
+		}
+		if dw := degs[i]; dw > dv || (dw == dv && w > int32(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // lubyJ returns the marking exponent for active degree d >= 1: the smallest

@@ -413,7 +413,7 @@ func seedSearchAllocs(t *testing.T, n int) float64 {
 	}
 	active := bitset.New(n)
 	active.Fill()
-	view, err := d.ExchangeActive("view", active, nil)
+	view, err := d.ExchangeActive("view", active)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func newMPCModel(d *mpc.DistGraph, prefix string) mpcModel {
 }
 
 func (m mpcModel) view(active *bitset.Set) (mpc.Adjacency, error) {
-	return m.d.ExchangeActive(m.prefix+"/view", active, nil)
+	return m.d.ExchangeActive(m.prefix+"/view", active)
 }
 
 func (m mpcModel) dominate(marks, active *bitset.Set) (*bitset.Set, error) {
@@ -122,12 +122,7 @@ func (m mpcModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error
 }
 
 func (m mpcModel) announceMembers(members []int32) error {
-	payload := make([]uint64, len(members))
-	for i, v := range members {
-		payload[i] = uint64(uint32(v))
-	}
-	_, err := m.d.Cluster().Broadcast("residual/members", payload)
-	return err
+	return m.d.Cluster().ScatterToOwners("residual/members", members)
 }
 
 // runPhases executes the sampling phases for the given exponents js in m,
