@@ -341,14 +341,8 @@ func cmdRun(args []string) (retErr error) {
 		return fmt.Errorf("unknown backend %q (want inproc or multiproc)", *backend)
 	}
 
-	// The in-process backend has no wire or worker processes to attack: only
-	// machine: faults and disk: events (against worker 0's store, the only
-	// store) apply.
-	if chaosPlan.Enabled() && (chaosPlan.HasWire() || len(chaosPlan.Proc) > 0 || chaosPlan.MaxWorker() > 0) {
-		return fmt.Errorf("-chaos: backend inproc accepts machine: events and disk: events for worker 0 only (wire: and proc: need -backend multiproc)")
-	}
-	if chaosPlan.HasDisk(0) && *ckptDir == "" {
-		return fmt.Errorf("-chaos: disk: events need -checkpoint-dir (they attack the durable checkpoint store)")
+	if err := supervise.CheckInProcChaos(chaosPlan, *ckptDir); err != nil {
+		return err
 	}
 
 	// Cooperative cancellation: an interrupt cancels the run at the next
@@ -561,9 +555,7 @@ const defaultCheckpointEvery = 8
 // included (faults is chaos.FingerprintTerm of -chaos); observability flags
 // (-trace, -phases, …) are not.
 func runFingerprint(algo, spec string, genSeed int64, o rulingset.Options, faults string) string {
-	return fmt.Sprintf("mprs-run/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
-		algo, spec, genSeed, o.Machines, o.Regime, o.Epsilon, o.MemoryWords,
-		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, o.CheckpointEvery)
+	return "mprs-run/1 " + supervise.FingerprintBody(algo, spec, genSeed, o, faults)
 }
 
 // dieAtSink is the -die-at crash-test hook: a tracer that kills the process

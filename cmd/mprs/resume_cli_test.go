@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"github.com/rulingset/mprs/internal/chaos"
+	"github.com/rulingset/mprs/internal/durable"
+	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
+	"github.com/rulingset/mprs/internal/supervise"
 	"github.com/rulingset/mprs/internal/trace"
 )
 
@@ -117,6 +120,54 @@ func TestRunFingerprintFaults(t *testing.T) {
 	// Without machine: parts the seed is not part of the fingerprint.
 	if a, b := fp("disk:torn@4:0", 7), fp("", 1); a != b {
 		t.Errorf("substrate-only plan changed the fingerprint: %q vs %q", a, b)
+	}
+}
+
+// TestRunFingerprintMatchesJobSpec: the CLI's in-process checkpoints and
+// the multi-process workers' stamp one fingerprint body under their own
+// prefixes. A checkpointed CLI run with every replay knob off its default
+// writes the body JobSpec.Fingerprint renders for the same job.
+func TestRunFingerprintMatchesJobSpec(t *testing.T) {
+	g := genTestGraph(t)
+	dir := filepath.Join(t.TempDir(), "ck")
+	if err := run([]string{"run", "-algo", "det2", "-in", g, "-seed", "3", "-machines", "6",
+		"-regime", "explicit", "-epsilon", "0.25", "-memory", "4000", "-slack", "6", "-chunk", "4",
+		"-algo-seed", "9", "-strict", "-chaos", "machine:crash@2:5", "-chaos-seed", "7",
+		"-checkpoint-every", "4", "-checkpoint-dir", dir, "-verify=false"}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta durable.Meta
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".ckpt") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _, err = durable.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	cli, ok := strings.CutPrefix(meta.Fingerprint, "mprs-run/1 ")
+	if !ok {
+		t.Fatalf("CLI checkpoint fingerprint %q lacks the mprs-run/1 prefix", meta.Fingerprint)
+	}
+	spec := supervise.JobSpec{
+		Algo: "det2", GraphFile: g, GenSeed: 3, Machines: 6, Regime: int(mpc.RegimeExplicit),
+		Epsilon: 0.25, MemoryWords: 4000, LinearSlack: 6, ChunkBits: 4, AlgoSeed: 9, Strict: true,
+		Chaos: "machine:crash@2:5", ChaosSeed: 7, CheckpointEvery: 4,
+	}
+	mp, ok := strings.CutPrefix(spec.Fingerprint(), "mprs-multiproc/1 ")
+	if !ok || mp != cli {
+		t.Fatalf("fingerprint bodies differ:\nCLI      %q\nJobSpec  %q", cli, mp)
 	}
 }
 

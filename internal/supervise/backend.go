@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/trace"
 )
@@ -15,9 +16,10 @@ import (
 // bit-identical on deterministic outputs: same Members, same Stats (modulo
 // the documented host/run-dependent columns), same trace bytes. That
 // equivalence is the package's core contract and is enforced by tests and
-// the CI multiproc-smoke job. InProc applies the spec's machine: faults;
-// its wire:, disk: and proc: events attack the multi-process substrate and
-// do not apply here.
+// the CI multiproc-smoke job. InProc applies the CLI's in-process fault
+// rule (CheckInProcChaos): the spec's machine: faults, and its disk: events
+// for worker 0 against the checkpoint store; a spec with wire: or proc:
+// events, or events for another worker, is rejected.
 type InProc struct{}
 
 // Run executes spec in this process.
@@ -29,12 +31,17 @@ func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
 	if err != nil {
 		return rulingset.Result{}, err
 	}
-	opts, _, err := spec.options()
+	opts, plan, err := spec.options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}
+	if err := CheckInProcChaos(plan, spec.CheckpointDir); err != nil {
+		return rulingset.Result{}, err
+	}
 	if spec.CheckpointDir != "" {
-		store, err := spec.openStore(spec.CheckpointDir)
+		// Disk events interpose at the durable.FS seam; the run is
+		// "worker 0, attempt 0" of the chaos schedule.
+		store, err := spec.openStoreFS(spec.CheckpointDir, chaos.NewDiskFS(plan, 0, 0))
 		if err != nil {
 			return rulingset.Result{}, err
 		}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/rulingset/mprs/internal/chaos"
 )
 
 // The chaos oracle: every survivable fault schedule must yield Members,
@@ -303,4 +305,53 @@ func TestChaosPlanValidation(t *testing.T) {
 			t.Errorf("plan %q accepted with 2 workers", plan)
 		}
 	}
+}
+
+// TestInProcChaosRule: InProc applies the CLI's in-process fault rule. It
+// rejects wire: and proc: events and events for workers other than 0 with
+// the CLI's error text, rejects disk: events without a checkpoint dir, and
+// applies machine: faults and worker 0's disk: events.
+func TestInProcChaosRule(t *testing.T) {
+	const layers = "-chaos: backend inproc accepts machine: events and disk: events for worker 0 only (wire: and proc: need -backend multiproc)"
+	const noDir = "-chaos: disk: events need -checkpoint-dir (they attack the durable checkpoint store)"
+	for _, tc := range []struct{ plan, dir, want string }{
+		{"wire:dup@2:0", "", layers},
+		{"proc:kill@3:0", "", layers},
+		{"disk:torn@4:1", t.TempDir(), layers},
+		{"machine:crash@2:1,wire:corrupt@6:0", "", layers},
+		{"disk:torn@4:0", "", noDir},
+	} {
+		spec := withChaos(testSpec(t, "det2"), tc.plan)
+		if tc.dir != "" {
+			spec.CheckpointEvery, spec.CheckpointDir = 4, tc.dir
+		}
+		if _, err := (InProc{}).Run(spec); err == nil || err.Error() != tc.want {
+			t.Errorf("-chaos %s: err = %v, want %q", tc.plan, err, tc.want)
+		}
+		if got := CheckInProcChaos(mustParseChaos(t, tc.plan), tc.dir); got == nil || got.Error() != tc.want {
+			t.Errorf("CheckInProcChaos(%s) = %v, want %q", tc.plan, got, tc.want)
+		}
+	}
+
+	spec := withChaos(testSpec(t, "det2"), "disk:enospc@8:0")
+	spec.CheckpointEvery, spec.CheckpointDir = 4, t.TempDir()
+	if _, err := (InProc{}).Run(spec); err == nil || !strings.Contains(err.Error(), "no space left on device") {
+		t.Errorf("disk:enospc@8:0 in-process: err = %v, want the injected persist failure", err)
+	}
+	res, err := InProc{}.Run(withChaos(testSpec(t, "det2"), "machine:crash@2:5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.RecoveredCrashes != 1 {
+		t.Errorf("machine:crash@2:5 in-process: %d crashes recovered, want 1", res.Stats.RecoveredCrashes)
+	}
+}
+
+func mustParseChaos(t *testing.T, spec string) *chaos.Plan {
+	t.Helper()
+	plan, err := chaos.Parse(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

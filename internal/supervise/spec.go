@@ -148,9 +148,35 @@ func (s JobSpec) BuildGraph() (*graph.Graph, error) {
 // workers' durable checkpoints, so a restarted worker refuses to resume a
 // different configuration's state.
 func (s JobSpec) Fingerprint() string {
-	return fmt.Sprintf("mprs-multiproc/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
-		s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
-		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
+	return "mprs-multiproc/1 " + FingerprintBody(s.Algo, s.SpecLabel(), s.GenSeed, s.modelOptions(), chaos.FingerprintTerm(s.Chaos, s.ChaosSeed))
+}
+
+// FingerprintBody renders every knob of a run that feeds its deterministic
+// replay (faults is chaos.FingerprintTerm of the job's fault spec);
+// observability settings and Parallelism are left out. Both checkpoint
+// fingerprints are this body under their own prefix: JobSpec.Fingerprint's
+// "mprs-multiproc/1" and the CLI's in-process "mprs-run/1".
+func FingerprintBody(algo, spec string, genSeed int64, o rulingset.Options, faults string) string {
+	return fmt.Sprintf("algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
+		algo, spec, genSeed, o.Machines, o.Regime, o.Epsilon, o.MemoryWords,
+		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, o.CheckpointEvery)
+}
+
+// modelOptions builds the rulingset.Options the spec describes, without
+// its fault plan.
+func (s JobSpec) modelOptions() rulingset.Options {
+	return rulingset.Options{
+		Machines:        s.Machines,
+		Regime:          mpc.Regime(s.Regime),
+		Epsilon:         s.Epsilon,
+		MemoryWords:     s.MemoryWords,
+		LinearSlack:     s.LinearSlack,
+		ChunkBits:       s.ChunkBits,
+		Seed:            s.AlgoSeed,
+		Strict:          s.Strict,
+		CheckpointEvery: s.CheckpointEvery,
+		Parallelism:     s.Parallelism,
+	}
 }
 
 // options builds the rulingset.Options the spec describes and returns the
@@ -161,19 +187,23 @@ func (s JobSpec) options() (rulingset.Options, *chaos.Plan, error) {
 	if err != nil {
 		return rulingset.Options{}, nil, err
 	}
-	return rulingset.Options{
-		Machines:        s.Machines,
-		Regime:          mpc.Regime(s.Regime),
-		Epsilon:         s.Epsilon,
-		MemoryWords:     s.MemoryWords,
-		LinearSlack:     s.LinearSlack,
-		ChunkBits:       s.ChunkBits,
-		Seed:            s.AlgoSeed,
-		Strict:          s.Strict,
-		Faults:          plan.MachineFaults(),
-		CheckpointEvery: s.CheckpointEvery,
-		Parallelism:     s.Parallelism,
-	}, plan, nil
+	o := s.modelOptions()
+	o.Faults = plan.MachineFaults()
+	return o, plan, nil
+}
+
+// CheckInProcChaos rejects the fault events an in-process run cannot
+// apply. It has no wire and no worker processes, so only machine: events
+// and disk: events against worker 0's checkpoint store apply, and those
+// need a checkpoint dir. The CLI's inproc backend and InProc share it.
+func CheckInProcChaos(plan *chaos.Plan, checkpointDir string) error {
+	if plan.Enabled() && (plan.HasWire() || len(plan.Proc) > 0 || plan.MaxWorker() > 0) {
+		return fmt.Errorf("-chaos: backend inproc accepts machine: events and disk: events for worker 0 only (wire: and proc: need -backend multiproc)")
+	}
+	if plan.HasDisk(0) && checkpointDir == "" {
+		return fmt.Errorf("-chaos: disk: events need -checkpoint-dir (they attack the durable checkpoint store)")
+	}
+	return nil
 }
 
 // runAlgo dispatches to the single-cluster MPC drivers.
