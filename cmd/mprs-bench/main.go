@@ -6,15 +6,13 @@
 //	mprs-bench run                      # full registry -> BENCH_<stamp>.json
 //	mprs-bench run -quick -out ci.json  # CI tier, explicit output
 //	mprs-bench run -workloads t2-star   # subset of the registry
-//	mprs-bench run -strip-host          # zero wall-clock (baseline artifact)
 //	mprs-bench list                     # registry workloads
 //	mprs-bench diff OLD NEW             # compare two artifacts (or traces)
 //	mprs-bench -version
 //
 // `diff` accepts either two BENCH_*.json artifacts or two JSONL trace files
-// (detected by content). Deterministic columns must match exactly; wall-clock
-// is advisory unless -wall-ratio arms a band. Exit status is 2 when a hard
-// regression is found.
+// (detected by content). Every column must match exactly; exit status is 2
+// when any delta is found.
 package main
 
 import (
@@ -65,7 +63,6 @@ func runBench(args []string, out *os.File) (int, error) {
 		workloads = fs.String("workloads", "", "comma-separated workload names (default: all)")
 		seed      = fs.Int64("seed", 1, "workload/algorithm seed")
 		outPath   = fs.String("out", "", "output path (default BENCH_<stamp>.json)")
-		stripHost = fs.Bool("strip-host", false, "zero host-dependent columns (baseline artifact)")
 		quiet     = fs.Bool("q", false, "suppress per-row progress")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -74,7 +71,7 @@ func runBench(args []string, out *os.File) (int, error) {
 	if fs.NArg() != 0 {
 		return 1, fmt.Errorf("run takes no positional arguments")
 	}
-	cfg := bench.RunConfig{Quick: *quick, Seed: *seed, StripHost: *stripHost}
+	cfg := bench.RunConfig{Quick: *quick, Seed: *seed}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
 			cfg.Workloads = append(cfg.Workloads, strings.TrimSpace(w))
@@ -113,15 +110,11 @@ func runList(args []string, out *os.File) (int, error) {
 
 func runDiff(args []string, out *os.File) (int, error) {
 	fs := flag.NewFlagSet("mprs-bench diff", flag.ContinueOnError)
-	var (
-		wallRatio    = fs.Float64("wall-ratio", 0, "arm the wall-clock band: drift beyond [1/r, r] is a regression (0 = advisory)")
-		allowMissing = fs.Bool("allow-missing", false, "rows present in only one artifact are advisory, not regressions")
-	)
 	if err := fs.Parse(args); err != nil {
 		return 1, err
 	}
 	if fs.NArg() != 2 {
-		return 1, fmt.Errorf("usage: mprs-bench diff [flags] OLD NEW")
+		return 1, fmt.Errorf("usage: mprs-bench diff OLD NEW")
 	}
 	oldPath, newPath := fs.Arg(0), fs.Arg(1)
 	oldKind, err := sniff(oldPath)
@@ -143,7 +136,7 @@ func runDiff(args []string, out *os.File) (int, error) {
 		var oldF, newF *bench.File
 		if oldF, err = bench.ReadFile(oldPath); err == nil {
 			if newF, err = bench.ReadFile(newPath); err == nil {
-				deltas = bench.Diff(oldF, newF, bench.DiffOptions{WallRatio: *wallRatio, AllowMissing: *allowMissing})
+				deltas = bench.Diff(oldF, newF)
 			}
 		}
 	}
@@ -153,11 +146,11 @@ func runDiff(args []string, out *os.File) (int, error) {
 	for _, d := range deltas {
 		fmt.Fprintln(out, d)
 	}
-	if bench.HasRegression(deltas) {
+	if len(deltas) > 0 {
 		fmt.Fprintf(out, "FAIL: %s -> %s\n", oldPath, newPath)
 		return 2, nil
 	}
-	fmt.Fprintf(out, "OK: %s matches %s on all deterministic columns\n", newPath, oldPath)
+	fmt.Fprintf(out, "OK: %s matches %s on every column\n", newPath, oldPath)
 	return 0, nil
 }
 

@@ -27,12 +27,12 @@ func capture(t *testing.T, args []string) (string, int, error) {
 }
 
 // TestBaselineStillHolds is the regression gate's own regression test: a
-// fresh quick-tier run must diff clean (exact match on every deterministic
-// column) against the checked-in BENCH_baseline.json. If this fails, either
-// a simulator/algorithm change altered the measured quantities — regenerate
+// fresh quick-tier run must diff clean (exact match on every column) against
+// the checked-in BENCH_baseline.json. If this fails, either a
+// simulator/algorithm change altered the measured quantities — regenerate
 // the baseline deliberately with
 //
-//	go run ./cmd/mprs-bench run -quick -strip-host -out BENCH_baseline.json
+//	go run ./cmd/mprs-bench run -quick -q -out BENCH_baseline.json
 //
 // and justify the delta in the PR — or a real nondeterminism crept in.
 func TestBaselineStillHolds(t *testing.T) {
@@ -41,7 +41,7 @@ func TestBaselineStillHolds(t *testing.T) {
 		t.Fatalf("checked-in baseline missing: %v", err)
 	}
 	fresh := filepath.Join(t.TempDir(), "fresh.json")
-	if _, code, err := capture(t, []string{"run", "-quick", "-strip-host", "-q", "-out", fresh}); err != nil || code != 0 {
+	if _, code, err := capture(t, []string{"run", "-quick", "-q", "-out", fresh}); err != nil || code != 0 {
 		t.Fatalf("run: code %d, err %v", code, err)
 	}
 	out, code, err := capture(t, []string{"diff", baseline, fresh})
@@ -60,7 +60,7 @@ func TestBaselineStillHolds(t *testing.T) {
 func TestDiffExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	orig := filepath.Join(dir, "a.json")
-	if _, code, err := capture(t, []string{"run", "-quick", "-strip-host", "-q", "-workloads", "t2-star", "-out", orig}); err != nil || code != 0 {
+	if _, code, err := capture(t, []string{"run", "-quick", "-q", "-workloads", "t2-star", "-out", orig}); err != nil || code != 0 {
 		t.Fatalf("run: code %d, err %v", code, err)
 	}
 	f, err := bench.ReadFile(orig)

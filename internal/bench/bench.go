@@ -3,15 +3,15 @@
 // (EXPERIMENTS.md T1/T2/T8/O1/R1), a runner executing each workload across
 // its algorithm set on both simulators (MPC and congested clique), and a
 // schema-versioned JSON artifact (`BENCH_<stamp>.json`) pinning per-workload
-// rounds, phases, words, skew, memory peaks, recovery counters and
-// wall-clock per commit.
+// rounds, phases, words, skew, memory peaks and recovery counters per
+// commit.
 //
-// Every column except wall-clock is bit-deterministic — a pure function of
-// (workload, algorithm, seed) — so regressions in the quantities the paper's
-// theorems bound (rounds, phases, per-phase words, seed-search cost) are
-// detected by exact comparison against a checked-in baseline, while
-// wall-clock is flagged host-dependent and gated only by an opt-in ratio
-// band. See cmd/mprs-bench for the CLI and the diff gate.
+// Every column is bit-deterministic — a pure function of (workload,
+// algorithm, seed) — so regressions in the quantities the paper's theorems
+// bound (rounds, phases, per-phase words, seed-search cost) are detected by
+// exact comparison against a checked-in baseline. Host cost (wall time,
+// allocations, RSS) is measured by cmd/perfbench instead. See cmd/mprs-bench
+// for the CLI and the diff gate.
 package bench
 
 import (
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"github.com/rulingset/mprs/internal/buildinfo"
 )
@@ -27,13 +26,6 @@ import (
 // Schema is the bench artifact format version. Bump only for changes that
 // break existing readers; adding fields is backward compatible.
 const Schema = "mprs-bench/1"
-
-// HostDependentFields names the Result columns that are a function of the
-// host rather than of (workload, algorithm, seed). They are excluded from
-// exact-match diffing and from the byte-determinism contract. speedup_x is
-// a ratio of wall-clocks, so it inherits wall_ms's host-dependence even
-// though every deterministic column is identical across parallelism levels.
-var HostDependentFields = []string{"wall_ms", "speedup_x"}
 
 // Manifest records the provenance of one bench run: what produced it and
 // under which knobs, so two artifacts can be compared meaningfully.
@@ -43,21 +35,12 @@ type Manifest struct {
 	// Build stamps the producing binary (module version, VCS revision, go
 	// toolchain).
 	Build buildinfo.Stamp `json:"build"`
-	// GOOS/GOARCH/GOMAXPROCS describe the host. They do not influence any
-	// deterministic column (proven by the byte-determinism test), but they
-	// contextualize the wall-clock ones.
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Quick marks the reduced CI tier.
 	Quick bool `json:"quick"`
 	// Seed is the workload/algorithm seed every run used.
 	Seed int64 `json:"seed"`
 	// Workloads lists the executed workload names in order.
 	Workloads []string `json:"workloads"`
-	// HostDependent names the result columns excluded from determinism
-	// guarantees (see HostDependentFields).
-	HostDependent []string `json:"host_dependent"`
 }
 
 // Result is one (workload, algorithm) measurement row.
@@ -106,52 +89,20 @@ type Result struct {
 	StallRounds      int   `json:"stall_rounds,omitempty"`
 
 	// Durable-checkpoint overhead (non-zero only when the run persisted
-	// checkpoints or resumed from one). Like wall_ms these describe the
-	// harness, not the algorithm, but unlike wall_ms they are deterministic
-	// for a fixed (workload, checkpoint-every, resume-round) configuration.
+	// checkpoints or resumed from one). These describe the harness, not the
+	// algorithm, and are deterministic for a fixed (workload,
+	// checkpoint-every, resume-round) configuration.
 	CheckpointBytes    int64 `json:"checkpoint_bytes,omitempty"`
 	ResumeReplayRounds int   `json:"resume_replay_rounds,omitempty"`
-
-	// Parallelism is the step-execution worker-pool size the run used (0 =
-	// simulator default, GOMAXPROCS). Part of the row key: workloads with a
-	// parallelism dimension emit one row per level, and every deterministic
-	// column above is identical across them — the bench artifact doubles as
-	// an equivalence check.
-	Parallelism int `json:"parallelism,omitempty"`
-
-	// WallMS is the run's wall-clock in milliseconds — host-dependent (see
-	// Manifest.HostDependent). Zero when the runner was configured to strip
-	// host-dependent values.
-	WallMS float64 `json:"wall_ms"`
-	// SpeedupX is WallMS(parallelism=1) / WallMS for rows of a workload's
-	// parallelism sweep (0 elsewhere) — the scaling column for the T8/O1
-	// large-graph regimes. Host-dependent like wall_ms, and stripped with it.
-	SpeedupX float64 `json:"speedup_x"`
 }
 
-// Key identifies a result row across artifacts. Rows from a parallelism
-// sweep are disambiguated by an explicit @p<level> suffix.
-func (r Result) Key() string {
-	key := r.Workload + "/" + r.Algo
-	if r.Parallelism > 0 {
-		key += fmt.Sprintf("@p%d", r.Parallelism)
-	}
-	return key
-}
+// Key identifies a result row across artifacts.
+func (r Result) Key() string { return r.Workload + "/" + r.Algo }
 
 // File is one bench artifact.
 type File struct {
 	Manifest Manifest `json:"manifest"`
 	Results  []Result `json:"results"`
-}
-
-// StripHost zeroes the host-dependent columns, leaving a fully deterministic
-// artifact (used for the checked-in baseline and the byte-determinism test).
-func (f *File) StripHost() {
-	for i := range f.Results {
-		f.Results[i].WallMS = 0
-		f.Results[i].SpeedupX = 0
-	}
 }
 
 // Encode writes the artifact as indented JSON, newline-terminated. The
@@ -206,17 +157,13 @@ func ReadFile(path string) (*File, error) {
 	return f, nil
 }
 
-// newManifest assembles the run manifest for the current binary and host.
+// newManifest assembles the run manifest for the current binary.
 func newManifest(quick bool, seed int64, workloads []string) Manifest {
 	return Manifest{
-		Schema:        Schema,
-		Build:         buildinfo.Get(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Quick:         quick,
-		Seed:          seed,
-		Workloads:     workloads,
-		HostDependent: HostDependentFields,
+		Schema:    Schema,
+		Build:     buildinfo.Get(),
+		Quick:     quick,
+		Seed:      seed,
+		Workloads: workloads,
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// quickRun executes the full quick registry once, host-stripped.
+// quickRun executes the full quick registry once.
 func quickRun(t *testing.T) *File {
 	t.Helper()
-	f, err := Run(RunConfig{Quick: true, StripHost: true})
+	f, err := Run(RunConfig{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func quickRun(t *testing.T) *File {
 
 // TestQuickRunByteDeterministic is the bench half of the bit-determinism
 // contract: two full quick-tier runs in the same process must encode to
-// byte-identical artifacts once host-dependent columns are stripped.
+// byte-identical artifacts.
 func TestQuickRunByteDeterministic(t *testing.T) {
 	encode := func(f *File) []byte {
 		var b bytes.Buffer
@@ -45,11 +45,7 @@ func TestRunCoversRegistry(t *testing.T) {
 	f := quickRun(t)
 	wantRows := 0
 	for _, w := range Registry() {
-		levels := len(w.Parallelism)
-		if levels == 0 {
-			levels = 1
-		}
-		wantRows += len(w.Algos) * levels
+		wantRows += len(w.Algos)
 	}
 	if len(f.Results) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(f.Results), wantRows)
@@ -60,16 +56,10 @@ func TestRunCoversRegistry(t *testing.T) {
 	if f.Manifest.Schema != Schema || !f.Manifest.Quick {
 		t.Errorf("manifest misconfigured: %+v", f.Manifest)
 	}
-	if !reflect.DeepEqual(f.Manifest.HostDependent, HostDependentFields) {
-		t.Errorf("manifest host-dependent = %v", f.Manifest.HostDependent)
-	}
 	sawFaults, sawClique := false, false
 	for _, r := range f.Results {
 		if r.Rounds <= 0 || r.Words <= 0 || r.Members <= 0 || r.N <= 0 {
 			t.Errorf("%s: degenerate row %+v", r.Key(), r)
-		}
-		if r.WallMS != 0 {
-			t.Errorf("%s: StripHost left wall_ms=%v", r.Key(), r.WallMS)
 		}
 		if r.Model == "clique" {
 			sawClique = true
@@ -89,36 +79,34 @@ func TestRunCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestParallelismSweepRowsIdentical is the bench half of the parallel-engine
-// equivalence contract: within one workload's parallelism sweep, rows of the
-// same algorithm must agree on every column except the parallelism key and
-// the host-dependent ones. A divergence here means the worker-pool commit
-// path broke bit-identity for that workload's regime.
-func TestParallelismSweepRowsIdentical(t *testing.T) {
-	f := quickRun(t)
-	base := map[string]Result{} // workload/algo -> first sweep row, normalized
-	swept := 0
-	for _, r := range f.Results {
-		if r.Parallelism == 0 {
-			continue
+// TestRunAlgoParallelismIdentical is the bench half of the parallel-engine
+// equivalence contract: on the t8-clique and o1-skew quick graphs, every
+// algorithm's row must be identical at parallelism 1 and 4. A divergence
+// here means the worker-pool commit path broke bit-identity for that
+// workload's regime.
+func TestRunAlgoParallelismIdentical(t *testing.T) {
+	for _, name := range []string{"t8-clique", "o1-skew"} {
+		w, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		swept++
-		norm := r
-		norm.Parallelism = 0
-		norm.WallMS = 0
-		norm.SpeedupX = 0
-		key := r.Workload + "/" + r.Algo
-		first, ok := base[key]
-		if !ok {
-			base[key] = norm
-			continue
+		g, opts, err := prepare(w, RunConfig{Quick: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(first, norm) {
-			t.Errorf("%s: deterministic columns differ across parallelism levels:\n%+v\nvs\n%+v", r.Key(), first, norm)
+		for _, algo := range w.Algos {
+			var rows [2]Result
+			for i, p := range []int{1, 4} {
+				o := opts
+				o.Parallelism = p
+				if rows[i], err = runAlgo(g, w, algo, o); err != nil {
+					t.Fatalf("%s/%s at parallelism %d: %v", name, algo, p, err)
+				}
+			}
+			if !reflect.DeepEqual(rows[0], rows[1]) {
+				t.Errorf("%s/%s: rows differ across parallelism 1 and 4:\n%+v\nvs\n%+v", name, algo, rows[0], rows[1])
+			}
 		}
-	}
-	if swept == 0 {
-		t.Fatal("no parallelism-sweep rows in the registry run")
 	}
 }
 
@@ -139,10 +127,7 @@ var budgetExceptions = map[string]string{
 // budgetExceptions rows must still violate, so a fix that clears them also
 // clears their exception.
 func TestLinearRegimeZeroViolations(t *testing.T) {
-	f, err := Run(RunConfig{Quick: true, StripHost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := quickRun(t)
 	for _, r := range f.Results {
 		cause, excepted := budgetExceptions[r.Workload]
 		switch {
@@ -156,7 +141,7 @@ func TestLinearRegimeZeroViolations(t *testing.T) {
 
 // TestRunWorkloadFilter checks -workloads style selection.
 func TestRunWorkloadFilter(t *testing.T) {
-	f, err := Run(RunConfig{Quick: true, StripHost: true, Workloads: []string{"t2-star"}})
+	f, err := Run(RunConfig{Quick: true, Workloads: []string{"t2-star"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,31 +158,20 @@ func TestRunWorkloadFilter(t *testing.T) {
 	}
 }
 
-// TestDiffCleanOnIdenticalRuns: a run diffed against itself has no deltas at
-// all, and against a re-run only (possibly) advisory wall-clock ones.
+// TestDiffCleanOnIdenticalRuns: a run diffed against itself or against a
+// re-run has no deltas at all.
 func TestDiffCleanOnIdenticalRuns(t *testing.T) {
 	f := quickRun(t)
-	if deltas := Diff(f, f, DiffOptions{}); len(deltas) != 0 {
+	if deltas := Diff(f, f); len(deltas) != 0 {
 		t.Fatalf("self-diff produced deltas: %v", deltas)
 	}
-	g, err := Run(RunConfig{Quick: true}) // wall-clock retained
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := Diff(f, g, DiffOptions{})
-	if HasRegression(deltas) {
-		t.Fatalf("re-run flagged as regression: %v", deltas)
-	}
-	for _, d := range deltas {
-		if !hostDependent(d.Field) {
-			t.Errorf("non-host-dependent delta between identical runs: %v", d)
-		}
+	if deltas := Diff(f, quickRun(t)); len(deltas) != 0 {
+		t.Fatalf("re-run produced deltas: %v", deltas)
 	}
 }
 
-// TestDiffDetectsRegressions: changes to deterministic columns, missing rows
-// and manifest mismatches are hard; wall-clock drift is advisory unless the
-// ratio band is armed.
+// TestDiffDetectsRegressions: changes to any column, missing rows and
+// manifest mismatches are deltas.
 func TestDiffDetectsRegressions(t *testing.T) {
 	base := quickRun(t)
 	find := func(deltas []Delta, field string) *Delta {
@@ -212,60 +186,38 @@ func TestDiffDetectsRegressions(t *testing.T) {
 	mut := *base
 	mut.Results = append([]Result(nil), base.Results...)
 	mut.Results[0].Rounds += 3
-	deltas := Diff(base, &mut, DiffOptions{})
-	d := find(deltas, "rounds")
-	if d == nil || !d.Hard || !HasRegression(deltas) {
-		t.Errorf("rounds bump not a hard regression: %v", deltas)
+	deltas := Diff(base, &mut)
+	if len(deltas) != 1 || find(deltas, "rounds") == nil {
+		t.Errorf("rounds bump not one rounds delta: %v", deltas)
 	}
 
 	mut = *base
 	mut.Results = append([]Result(nil), base.Results...)
 	mut.Results[2].GiniRecv += 1e-9 // even 1 ulp of skew drift must trip
-	if deltas := Diff(base, &mut, DiffOptions{}); !HasRegression(deltas) {
+	if deltas := Diff(base, &mut); len(deltas) == 0 {
 		t.Errorf("float column drift not detected: %v", deltas)
 	}
 
 	mut = *base
 	mut.Results = base.Results[1:]
-	deltas = Diff(base, &mut, DiffOptions{})
-	if d := find(deltas, "(row)"); d == nil || !d.Hard {
-		t.Errorf("dropped row not a hard regression: %v", deltas)
+	if deltas := Diff(base, &mut); find(deltas, "(row)") == nil {
+		t.Errorf("dropped row not detected: %v", deltas)
 	}
-	if deltas := Diff(base, &mut, DiffOptions{AllowMissing: true}); HasRegression(deltas) {
-		t.Errorf("AllowMissing still hard: %v", deltas)
-	}
-
-	mut = *base
-	mut.Results = append([]Result(nil), base.Results...)
-	mut.Results[0].WallMS = 100
-	baseWall := *base
-	baseWall.Results = append([]Result(nil), base.Results...)
-	baseWall.Results[0].WallMS = 10
-	deltas = Diff(&baseWall, &mut, DiffOptions{})
-	if d := find(deltas, "wall_ms"); d == nil || d.Hard {
-		t.Errorf("unarmed wall-clock drift should be advisory: %v", deltas)
-	}
-	deltas = Diff(&baseWall, &mut, DiffOptions{WallRatio: 2})
-	if d := find(deltas, "wall_ms"); d == nil || !d.Hard || !HasRegression(deltas) {
-		t.Errorf("10x wall drift inside a 2x band: %v", deltas)
-	}
-	mut.Results[0].WallMS = 15
-	deltas = Diff(&baseWall, &mut, DiffOptions{WallRatio: 2})
-	if d := find(deltas, "wall_ms"); d == nil || d.Hard {
-		t.Errorf("1.5x wall drift outside a 2x band: %v", deltas)
+	if deltas := Diff(&mut, base); find(deltas, "(row)") == nil {
+		t.Errorf("added row not detected: %v", deltas)
 	}
 
 	mut = *base
 	mut.Manifest.Quick = !base.Manifest.Quick
-	if deltas := Diff(base, &mut, DiffOptions{}); !HasRegression(deltas) {
+	if deltas := Diff(base, &mut); find(deltas, "quick") == nil {
 		t.Errorf("tier mismatch not detected: %v", deltas)
 	}
 }
 
 // TestDiffRowCoversNewColumns guards the reflection walk: every exported
-// Result field with a JSON name is either diffed exactly or declared
-// host-dependent. A field added without a json tag would silently escape the
-// regression gate — this test makes that a failure.
+// Result field has a JSON name and is diffed exactly. A field added without a
+// json tag would silently escape the regression gate — this test makes that
+// a failure.
 func TestDiffRowCoversNewColumns(t *testing.T) {
 	typ := reflect.TypeOf(Result{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -274,14 +226,13 @@ func TestDiffRowCoversNewColumns(t *testing.T) {
 			t.Errorf("Result.%s has no json column name; it would escape diffing", f.Name)
 		}
 	}
-	// And the sensitivity holds mechanically for every deterministic column:
-	// perturb each field in turn and require a hard delta.
+	// And the sensitivity holds mechanically for every column: perturb each
+	// field in turn and require a delta.
 	base := Result{Workload: "w", Algo: "a"}
-	v := reflect.ValueOf(&base).Elem()
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		name := jsonName(f)
-		if hostDependent(name) || f.Name == "Workload" || f.Name == "Algo" {
+		if f.Name == "Workload" || f.Name == "Algo" {
 			continue // key fields define row identity, not row content
 		}
 		mut := base
@@ -296,11 +247,10 @@ func TestDiffRowCoversNewColumns(t *testing.T) {
 		default:
 			t.Fatalf("Result.%s: unhandled kind %s — extend the diff test", f.Name, mv.Kind())
 		}
-		deltas := diffRow(base, mut, DiffOptions{})
-		if len(deltas) != 1 || !deltas[0].Hard || deltas[0].Field != name {
-			t.Errorf("perturbing Result.%s: deltas = %v, want one hard %q delta", f.Name, deltas, name)
+		deltas := diffRow(base, mut)
+		if len(deltas) != 1 || deltas[0].Field != name {
+			t.Errorf("perturbing Result.%s: deltas = %v, want one %q delta", f.Name, deltas, name)
 		}
-		_ = v
 	}
 }
 
@@ -350,7 +300,7 @@ func TestRegistryValid(t *testing.T) {
 // TestFileRoundTrip: WriteFile/ReadFile preserve the artifact; schema
 // mismatches are rejected.
 func TestFileRoundTrip(t *testing.T) {
-	f, err := Run(RunConfig{Quick: true, StripHost: true, Workloads: []string{"t2-star"}})
+	f, err := Run(RunConfig{Quick: true, Workloads: []string{"t2-star"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +357,7 @@ func TestDiffTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !HasRegression(deltas) {
+	if len(deltas) == 0 {
 		t.Errorf("missing event not a regression: %v", deltas)
 	}
 
@@ -416,7 +366,7 @@ func TestDiffTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !HasRegression(deltas) {
+	if len(deltas) == 0 {
 		t.Errorf("event field drift not a regression: %v", deltas)
 	}
 
@@ -425,13 +375,11 @@ func TestDiffTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard := map[string]bool{}
+	fields := map[string]bool{}
 	for _, dl := range deltas {
-		if dl.Hard {
-			hard[dl.Field] = true
-		}
+		fields[dl.Field] = true
 	}
-	if !hard["algo"] || !hard["seed"] {
+	if !fields["algo"] || !fields["seed"] {
 		t.Errorf("header parameter mismatch not flagged: %v", deltas)
 	}
 }

@@ -7,19 +7,6 @@ import (
 	"github.com/rulingset/mprs/internal/trace"
 )
 
-// DiffOptions tunes artifact comparison.
-type DiffOptions struct {
-	// WallRatio, when > 0, turns wall-clock drift beyond the band
-	// [1/WallRatio, WallRatio] into a hard regression. Zero (the default)
-	// reports wall-clock drift as advisory only, so baselines diff cleanly
-	// across hosts.
-	WallRatio float64
-	// AllowMissing downgrades rows present in only one artifact to advisory
-	// deltas (useful while the registry is mid-migration). By default a
-	// missing or extra row is a hard regression.
-	AllowMissing bool
-}
-
 // Delta is one detected difference between two artifacts.
 type Delta struct {
 	// Key is the result row ("workload/algo"), or "manifest" for run-level
@@ -29,36 +16,27 @@ type Delta struct {
 	Field string
 	// Old and New are the rendered values.
 	Old, New string
-	// Hard marks deltas that constitute a regression (non-zero exit in the
-	// CLI); soft deltas are advisory.
-	Hard bool
 }
 
 func (d Delta) String() string {
-	sev := "ADVISORY"
-	if d.Hard {
-		sev = "REGRESSION"
-	}
-	return fmt.Sprintf("%-10s %s %s: %s -> %s", sev, d.Key, d.Field, d.Old, d.New)
+	return fmt.Sprintf("REGRESSION %s %s: %s -> %s", d.Key, d.Field, d.Old, d.New)
 }
 
-// Diff compares two artifacts. Deterministic columns must match exactly;
-// wall-clock is compared by ratio band (see DiffOptions). Rows are matched by
-// Key; ordering differences alone are not deltas.
-func Diff(old, new *File, opt DiffOptions) []Delta {
+// Diff compares two artifacts. Every column must match exactly, and every
+// delta is a regression. Rows are matched by Key; ordering differences alone
+// are not deltas.
+func Diff(old, new *File) []Delta {
 	var deltas []Delta
 	if old.Manifest.Quick != new.Manifest.Quick {
 		deltas = append(deltas, Delta{
 			Key: "manifest", Field: "quick",
 			Old: fmt.Sprint(old.Manifest.Quick), New: fmt.Sprint(new.Manifest.Quick),
-			Hard: true,
 		})
 	}
 	if old.Manifest.Seed != new.Manifest.Seed {
 		deltas = append(deltas, Delta{
 			Key: "manifest", Field: "seed",
 			Old: fmt.Sprint(old.Manifest.Seed), New: fmt.Sprint(new.Manifest.Seed),
-			Hard: true,
 		})
 	}
 	oldRows := make(map[string]Result, len(old.Results))
@@ -71,51 +49,24 @@ func Diff(old, new *File, opt DiffOptions) []Delta {
 		seen[key] = true
 		or, ok := oldRows[key]
 		if !ok {
-			deltas = append(deltas, Delta{
-				Key: key, Field: "(row)", Old: "absent", New: "present",
-				Hard: !opt.AllowMissing,
-			})
+			deltas = append(deltas, Delta{Key: key, Field: "(row)", Old: "absent", New: "present"})
 			continue
 		}
-		deltas = append(deltas, diffRow(or, nr, opt)...)
+		deltas = append(deltas, diffRow(or, nr)...)
 	}
 	// Preserve old-artifact order for rows that vanished.
 	for _, or := range old.Results {
 		if !seen[or.Key()] {
-			deltas = append(deltas, Delta{
-				Key: or.Key(), Field: "(row)", Old: "present", New: "absent",
-				Hard: !opt.AllowMissing,
-			})
+			deltas = append(deltas, Delta{Key: or.Key(), Field: "(row)", Old: "present", New: "absent"})
 		}
 	}
 	return deltas
 }
 
-// HasRegression reports whether any delta is hard.
-func HasRegression(deltas []Delta) bool {
-	for _, d := range deltas {
-		if d.Hard {
-			return true
-		}
-	}
-	return false
-}
-
-// hostDependent reports whether a JSON column is exempt from exact matching.
-func hostDependent(field string) bool {
-	for _, f := range HostDependentFields {
-		if f == field {
-			return true
-		}
-	}
-	return false
-}
-
 // diffRow compares one matched row pair field by field via reflection, so
 // columns added to Result later are diffed automatically (mirroring how the
-// simulators' MergeStats is kept honest). Exact match for every deterministic
-// column; ratio band for the host-dependent ones.
-func diffRow(old, new Result, opt DiffOptions) []Delta {
+// simulators' MergeStats is kept honest). Exact match for every column.
+func diffRow(old, new Result) []Delta {
 	var deltas []Delta
 	ot, nt := reflect.ValueOf(old), reflect.ValueOf(new)
 	typ := ot.Type()
@@ -125,53 +76,14 @@ func diffRow(old, new Result, opt DiffOptions) []Delta {
 			continue
 		}
 		ov, nv := ot.Field(i).Interface(), nt.Field(i).Interface()
-		if hostDependent(field) {
-			deltas = append(deltas, diffWall(old.Key(), field, ov, nv, opt)...)
-			continue
-		}
 		if !reflect.DeepEqual(ov, nv) {
 			deltas = append(deltas, Delta{
 				Key: old.Key(), Field: field,
 				Old: fmt.Sprint(ov), New: fmt.Sprint(nv),
-				Hard: true,
 			})
 		}
 	}
 	return deltas
-}
-
-// diffWall applies the opt-in ratio band to a host-dependent column. A zero
-// value on either side (stripped artifact, sub-resolution run) disables the
-// band for that row — there is no meaningful ratio to take.
-func diffWall(key, field string, ov, nv interface{}, opt DiffOptions) []Delta {
-	o, okO := toFloat(ov)
-	n, okN := toFloat(nv)
-	if !okO || !okN || o == n {
-		return nil
-	}
-	d := Delta{
-		Key: key, Field: field,
-		Old: fmt.Sprintf("%.2f", o), New: fmt.Sprintf("%.2f", n),
-	}
-	if opt.WallRatio > 1 && o > 0 && n > 0 {
-		ratio := n / o
-		if ratio > opt.WallRatio || ratio < 1/opt.WallRatio {
-			d.Hard = true
-		}
-	}
-	return []Delta{d}
-}
-
-func toFloat(v interface{}) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	}
-	return 0, false
 }
 
 // jsonName extracts the JSON column name of a struct field ("" = skip).
@@ -190,7 +102,7 @@ func jsonName(f reflect.StructField) string {
 
 // DiffTraces compares two JSONL trace files event by event. Traces are the
 // finest-grained determinism artifact: any divergence — count, ordering, or
-// any field of any event — is a hard regression. Headers are compared on
+// any field of any event — is a regression. Headers are compared on
 // their deterministic run parameters (algo, spec, seed, machines) but not on
 // build stamps, so traces from different commits remain comparable.
 func DiffTraces(oldPath, newPath string) ([]Delta, error) {
@@ -205,7 +117,7 @@ func DiffTraces(oldPath, newPath string) ([]Delta, error) {
 	var deltas []Delta
 	hdrField := func(field, o, n string) {
 		if o != n {
-			deltas = append(deltas, Delta{Key: "header", Field: field, Old: o, New: n, Hard: true})
+			deltas = append(deltas, Delta{Key: "header", Field: field, Old: o, New: n})
 		}
 	}
 	hdrField("algo", oldHdr.Algo, newHdr.Algo)
@@ -216,7 +128,6 @@ func DiffTraces(oldPath, newPath string) ([]Delta, error) {
 		deltas = append(deltas, Delta{
 			Key: "events", Field: "count",
 			Old: fmt.Sprint(len(oldEvs)), New: fmt.Sprint(len(newEvs)),
-			Hard: true,
 		})
 	}
 	limit := len(oldEvs)
@@ -228,12 +139,11 @@ func DiffTraces(oldPath, newPath string) ([]Delta, error) {
 			deltas = append(deltas, Delta{
 				Key: fmt.Sprintf("event %d", i), Field: "event",
 				Old: fmt.Sprintf("%+v", oldEvs[i]), New: fmt.Sprintf("%+v", newEvs[i]),
-				Hard: true,
 			})
 			if len(deltas) > 20 { // enough to diagnose; avoid drowning the report
 				deltas = append(deltas, Delta{
 					Key: "events", Field: "(truncated)",
-					Old: "", New: "further event deltas omitted", Hard: true,
+					Old: "", New: "further event deltas omitted",
 				})
 				break
 			}

@@ -31,13 +31,6 @@ type Workload struct {
 	Faults string
 	// CheckpointEvery enables periodic snapshots under faults.
 	CheckpointEvery int
-	// Parallelism, when non-empty, sweeps the step-execution worker-pool
-	// size: each algorithm runs once per level, rows keyed with an @p<level>
-	// suffix. Every deterministic column must be identical across levels (the
-	// simulators' bit-identity contract), so the sweep doubles as an
-	// equivalence regression while its wall-clock ratio feeds the speedup_x
-	// column. Empty means one run at the simulator default (GOMAXPROCS).
-	Parallelism []int
 	// Algos is the algorithm set to run (names from Algorithms).
 	Algos []string
 }
@@ -79,28 +72,26 @@ func Registry() []Workload {
 			Algos:      []string{"rand2", "det2"},
 		},
 		{
-			Name:        "t8-clique",
-			Experiment:  "T8",
-			Doc:         "congested-clique regime: one node per vertex, Lenzen-routed residual",
-			Spec:        "gnp:n=2048,p=0.0059",
-			QuickSpec:   "gnp:n=256,p=0.05",
-			Machines:    8,
-			ChunkBits:   4,
-			Parallelism: []int{1, 4},
-			Algos:       []string{"clique2", "cliquedet2"},
+			Name:       "t8-clique",
+			Experiment: "T8",
+			Doc:        "congested-clique regime: one node per vertex, Lenzen-routed residual",
+			Spec:       "gnp:n=2048,p=0.0059",
+			QuickSpec:  "gnp:n=256,p=0.05",
+			Machines:   8,
+			ChunkBits:  4,
+			Algos:      []string{"clique2", "cliquedet2"},
 		},
 		{
-			Name:        "o1-skew",
-			Experiment:  "O1",
-			Doc:         "communication-skew regime: per-span words/Gini under budget",
-			Spec:        "gnp:n=8192,p=0.002",
-			QuickSpec:   "gnp:n=1024,p=0.016",
-			Machines:    8,
-			ChunkBits:   4,
-			Slack:       16,
-			Beta:        3,
-			Parallelism: []int{1, 4},
-			Algos:       []string{"det2", "detbeta"},
+			Name:       "o1-skew",
+			Experiment: "O1",
+			Doc:        "communication-skew regime: per-span words/Gini under budget",
+			Spec:       "gnp:n=8192,p=0.002",
+			QuickSpec:  "gnp:n=1024,p=0.016",
+			Machines:   8,
+			ChunkBits:  4,
+			Slack:      16,
+			Beta:       3,
+			Algos:      []string{"det2", "detbeta"},
 		},
 		{
 			Name:            "r1-faults",

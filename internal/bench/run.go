@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/gen"
@@ -20,9 +19,6 @@ type RunConfig struct {
 	// Seed drives workload generation and the randomized algorithms.
 	// Results are a pure function of (registry, Quick, Seed).
 	Seed int64
-	// StripHost zeroes host-dependent columns (wall-clock) in the output,
-	// producing a fully deterministic, byte-reproducible artifact.
-	StripHost bool
 	// Progress, when non-nil, receives one line per completed (workload,
 	// algorithm) pair.
 	Progress func(string)
@@ -113,80 +109,68 @@ func Run(cfg RunConfig) (*File, error) {
 		}
 		file.Results = append(file.Results, rows...)
 	}
-	if cfg.StripHost {
-		file.StripHost()
-	}
 	return file, nil
 }
 
 // runWorkload executes every algorithm of one workload.
 func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
+	g, opts, err := prepare(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Result
+	for _, name := range w.Algos {
+		row, err := runAlgo(g, w, name, opts)
+		if err != nil {
+			return nil, fmt.Errorf("algo %s: %w", name, err)
+		}
+		row.Workload = w.Name
+		row.Experiment = w.Experiment
+		row.Algo = name
+		row.N = g.N()
+		row.M = g.M()
+		rows = append(rows, row)
+		if cfg.Progress != nil {
+			cfg.Progress(fmt.Sprintf("%s: rounds=%d words=%d", row.Key(), row.Rounds, row.Words))
+		}
+	}
+	return rows, nil
+}
+
+// prepare builds a workload's input graph at cfg's tier and the simulator
+// options every one of its algorithms runs with.
+func prepare(w Workload, cfg RunConfig) (*graph.Graph, rulingset.Options, error) {
 	spec := w.Spec
 	if cfg.Quick && w.QuickSpec != "" {
 		spec = w.QuickSpec
 	}
 	s, err := gen.ParseSpec(spec)
 	if err != nil {
-		return nil, err
+		return nil, rulingset.Options{}, err
 	}
 	g, err := s.Build(cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, rulingset.Options{}, err
 	}
 	plan, err := chaos.ParseMachine(w.Faults, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, rulingset.Options{}, err
 	}
-	opts := rulingset.Options{
+	return g, rulingset.Options{
 		Machines:        w.Machines,
 		ChunkBits:       w.ChunkBits,
 		LinearSlack:     w.Slack,
 		Seed:            cfg.Seed,
 		Faults:          plan,
 		CheckpointEvery: w.CheckpointEvery,
-	}
-	levels := w.Parallelism
-	if len(levels) == 0 {
-		levels = []int{0} // one run at the simulator default (GOMAXPROCS)
-	}
-	var rows []Result
-	for _, name := range w.Algos {
-		baseWall := 0.0 // wall-clock of the p=1 row, the speedup denominator
-		for _, p := range levels {
-			o := opts
-			o.Parallelism = p
-			row, err := runAlgo(g, w, name, o)
-			if err != nil {
-				return nil, fmt.Errorf("algo %s (parallelism %d): %w", name, p, err)
-			}
-			row.Workload = w.Name
-			row.Experiment = w.Experiment
-			row.Algo = name
-			row.N = g.N()
-			row.M = g.M()
-			row.Parallelism = p
-			if p == 1 {
-				baseWall = row.WallMS
-			} else if p > 1 && baseWall > 0 && row.WallMS > 0 {
-				row.SpeedupX = baseWall / row.WallMS
-			}
-			rows = append(rows, row)
-			if cfg.Progress != nil {
-				cfg.Progress(fmt.Sprintf("%s: rounds=%d words=%d wall=%.1fms",
-					row.Key(), row.Rounds, row.Words, row.WallMS))
-			}
-		}
-	}
-	return rows, nil
+	}, nil
 }
 
 // runAlgo executes one (graph, algorithm) pair on the simulator that hosts
 // it and flattens the measurements into a Result row.
 func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (Result, error) {
 	if run, ok := cliqueAlgos[name]; ok {
-		start := time.Now() // host-dependent column; see Manifest.HostDependent
 		res, err := run(g, opts)
-		wall := time.Since(start)
 		if err != nil {
 			return Result{}, err
 		}
@@ -212,7 +196,6 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 			DroppedMessages:  res.Stats.DroppedMessages,
 			DupMessages:      res.Stats.DupMessages,
 			StallRounds:      res.Stats.StallRounds,
-			WallMS:           float64(wall.Microseconds()) / 1000,
 		}
 		if !rulingset.IsRulingSet(g, res.Members, res.Beta) {
 			return Result{}, fmt.Errorf("output failed verification")
@@ -223,9 +206,7 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 		if a.name != name {
 			continue
 		}
-		start := time.Now() // host-dependent column; see Manifest.HostDependent
 		res, err := a.run(g, w, opts)
-		wall := time.Since(start)
 		if err != nil {
 			return Result{}, err
 		}
@@ -256,8 +237,6 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 
 			CheckpointBytes:    res.Stats.CheckpointBytes,
 			ResumeReplayRounds: res.Stats.ResumeReplayRounds,
-
-			WallMS: float64(wall.Microseconds()) / 1000,
 		}
 		if err := rulingset.Check(g, res); err != nil {
 			return Result{}, fmt.Errorf("output failed verification: %w", err)

@@ -178,11 +178,10 @@ var criticalPkgs = map[string]bool{
 }
 
 // wallclockExempt reports whether the package at the module-relative path
-// may read the wall clock: the measurement harnesses (experiments, bench) and
-// the binaries, where timing is the point, not a hazard. The bench harness
-// keeps wall-clock quarantined in its explicitly host-dependent columns (see
-// bench.HostDependentFields), so the exemption does not weaken the
-// determinism contract of its other measurements. internal/supervise is
+// may read the wall clock: the experiments harness and the binaries, where
+// timing is the point, not a hazard. The bench harness (internal/bench) is
+// not exempt: every column of its artifact is deterministic, and host cost
+// is measured by cmd/perfbench. internal/supervise is
 // exempt because failure detection is wall-clock by nature (heartbeat
 // deadlines, restart backoff); its timers only decide WHEN workers run, never
 // WHAT they compute, so committed outputs stay bit-deterministic.
@@ -193,7 +192,6 @@ var criticalPkgs = map[string]bool{
 // exemption: framing and exchange must be timing-free.
 func wallclockExempt(rel string) bool {
 	return rel == "internal/experiments" ||
-		rel == "internal/bench" ||
 		rel == "internal/supervise" ||
 		rel == "internal/telemetry" ||
 		rel == "cmd" || strings.HasPrefix(rel, "cmd/") ||
