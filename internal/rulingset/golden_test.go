@@ -101,8 +101,9 @@ func membersBytes(members []int32) []byte {
 // TestOracleGolden pins members, canonical Stats, trace bytes and per-phase
 // records (SeedSteps and the estimator's initial and final values) of every
 // equivAlgorithms entry with and without faultTestPlan, the persisted
-// checkpoint bytes of a checkpointed faulty run, and a clique run that
-// records budget violations (so their order and round stamps are pinned).
+// checkpoint bytes of a checkpointed faulty run, and scripted clique and MPC
+// runs that record budget violations (so their order and round stamps are
+// pinned).
 func TestOracleGolden(t *testing.T) {
 	g := gen.MustBuild("gnp:n=300,p=0.02", 17)
 	got := map[string]string{}
@@ -165,6 +166,16 @@ func TestOracleGolden(t *testing.T) {
 	}
 	got["clique-script/stats"] = digest(stats)
 	got["clique-script/trace"] = digest(tr)
+
+	// The MPC budget policy's send and receive kinds, which no driver run
+	// above records, and in-step resident overflows flushed in machine order,
+	// pinned the same way on a scripted cluster.
+	stats, tr = mpcViolationScript(t)
+	if !bytes.Contains(stats, []byte(`"send"`)) || !bytes.Contains(stats, []byte(`"recv"`)) || !bytes.Contains(stats, []byte(`"resident"`)) {
+		t.Fatalf("scripted MPC run misses a violation kind: %s", stats)
+	}
+	got["mpc-script/stats"] = digest(stats)
+	got["mpc-script/trace"] = digest(tr)
 
 	checkGolden(t, got)
 }
@@ -251,6 +262,62 @@ func cliqueViolationScript(t *testing.T) (stats, tr []byte) {
 		if x.Machine >= 2 {
 			for i := 0; i < n+x.Machine; i++ {
 				x.Send((x.Machine+i)%n, uint64(i))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err = json.Marshal(c.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, buf.Bytes()
+}
+
+// mpcViolationScript runs a fixed sequence of MPC steps that breach every
+// per-machine budget (send, receive and resident memory) and returns the
+// Stats JSON and trace bytes.
+func mpcViolationScript(t *testing.T) (stats, tr []byte) {
+	t.Helper()
+	const machines = 4
+	var buf bytes.Buffer
+	jl := trace.NewJSONL(&buf)
+	plan := &mpc.FaultPlan{Seed: 3, DropRate: 0.2, DupRate: 0.2, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}
+	c, err := mpc.NewCluster(mpc.Config{Machines: machines, Regime: mpc.RegimeExplicit, MemoryWords: 4, Faults: plan, Tracer: jl}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Span("scatter")
+	if err := c.Step("scatter", func(x *mpc.Ctx) {
+		// Machine 0 sends two words to each peer: six sent words, a send
+		// overflow, while every peer receives only two.
+		if x.Machine == 0 {
+			for d := 1; d < machines; d++ {
+				x.Send(d, uint64(d), uint64(2*d))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Span("fanin")
+	if err := c.Step("fanin", func(x *mpc.Ctx) {
+		// Every peer sends two words to machine 0: a receive overflow.
+		if x.Machine > 0 {
+			x.Send(0, uint64(x.Machine), 7)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Span("resident")
+	if err := c.Step("resident", func(x *mpc.Ctx) {
+		// Machines 1 and 3 grow past the budget from inside the step; the
+		// overflows are flushed in machine order at the barrier.
+		if x.Machine%2 == 1 {
+			if err := c.AddResident(x.Machine, 4+x.Machine); err != nil {
+				panic(err)
 			}
 		}
 	}); err != nil {
