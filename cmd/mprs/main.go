@@ -126,14 +126,6 @@ func graphFlags(fs *flag.FlagSet) graphSource {
 	}
 }
 
-// describe renders the input source for trace headers and table titles.
-func (s graphSource) describe() string {
-	if *s.spec != "" {
-		return *s.spec
-	}
-	return "file:" + *s.in
-}
-
 func (s graphSource) load() (*graph.Graph, error) {
 	switch {
 	case *s.spec != "" && *s.in != "":
@@ -253,31 +245,47 @@ func cmdRun(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	chaosPlan, err := chaos.Parse(*chaosSpec, *chaosSeed)
-	if err != nil {
-		return err
-	}
-	opts := rulingset.Options{
-		Machines:        *machines,
-		Epsilon:         *epsilon,
-		MemoryWords:     *memory,
-		LinearSlack:     *slack,
-		ChunkBits:       *chunk,
-		Seed:            *algoSeed,
-		Strict:          *strict,
-		Faults:          chaosPlan.MachineFaults(),
-		CheckpointEvery: *ckpt,
-		Parallelism:     *par,
-	}
+	var regimeVal mpc.Regime
 	switch *regime {
 	case "linear":
-		opts.Regime = mpc.RegimeLinear
+		regimeVal = mpc.RegimeLinear
 	case "sublinear":
-		opts.Regime = mpc.RegimeSublinear
+		regimeVal = mpc.RegimeSublinear
 	case "explicit":
-		opts.Regime = mpc.RegimeExplicit
+		regimeVal = mpc.RegimeExplicit
 	default:
 		return fmt.Errorf("unknown regime %q", *regime)
+	}
+	// The one job description both backends run: multiproc ships it to the
+	// workers, and the in-process run takes its Options and checkpoint
+	// fingerprint from it.
+	spec := supervise.JobSpec{
+		Algo:             *algo,
+		GraphSpec:        *src.spec,
+		GraphFile:        *src.in,
+		GenSeed:          *src.seed,
+		Machines:         *machines,
+		Regime:           int(regimeVal),
+		Epsilon:          *epsilon,
+		MemoryWords:      *memory,
+		LinearSlack:      *slack,
+		ChunkBits:        *chunk,
+		AlgoSeed:         *algoSeed,
+		Strict:           *strict,
+		Chaos:            *chaosSpec,
+		ChaosSeed:        *chaosSeed,
+		CheckpointEvery:  *ckpt,
+		CheckpointDir:    *ckptDir,
+		CheckpointRetain: *ckptRetain,
+		TraceFile:        *traceFile,
+		Parallelism:      *par,
+	}
+	if spec.CheckpointDir != "" && spec.CheckpointEvery <= 0 {
+		spec.CheckpointEvery = defaultCheckpointEvery
+	}
+	opts, chaosPlan, err := spec.Options()
+	if err != nil {
+		return err
 	}
 
 	if *backend == "multiproc" {
@@ -288,31 +296,6 @@ func cmdRun(args []string) (retErr error) {
 			return fmt.Errorf("-backend multiproc: use -chaos proc:kill@r:w instead of -die-at")
 		case *profile != "":
 			return fmt.Errorf("-backend multiproc: -profile captures one process's CPU/heap and would miss the workers; run it on -backend inproc (-debug-addr works here: the supervisor serves the fleet view)")
-		}
-		ckptEvery := opts.CheckpointEvery
-		if *ckptDir != "" && ckptEvery <= 0 {
-			ckptEvery = defaultCheckpointEvery
-		}
-		spec := supervise.JobSpec{
-			Algo:             *algo,
-			GraphSpec:        *src.spec,
-			GraphFile:        *src.in,
-			GenSeed:          *src.seed,
-			Machines:         *machines,
-			Regime:           int(opts.Regime),
-			Epsilon:          *epsilon,
-			MemoryWords:      *memory,
-			LinearSlack:      *slack,
-			ChunkBits:        *chunk,
-			AlgoSeed:         *algoSeed,
-			Strict:           *strict,
-			Chaos:            *chaosSpec,
-			ChaosSeed:        *chaosSeed,
-			CheckpointEvery:  ckptEvery,
-			CheckpointDir:    *ckptDir,
-			CheckpointRetain: *ckptRetain,
-			TraceFile:        *traceFile,
-			Parallelism:      *par,
 		}
 		return runMultiProc(spec, multiProcFlags{
 			workers:          *workers,
@@ -366,13 +349,9 @@ func cmdRun(args []string) (retErr error) {
 		if !durableAlgos[*algo] {
 			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (single-cluster only: luby, detluby, rand2, det2)", *algo)
 		}
-		if opts.CheckpointEvery <= 0 {
-			opts.CheckpointEvery = defaultCheckpointEvery
-		}
-		fp := runFingerprint(*algo, src.describe(), *src.seed, opts, chaos.FingerprintTerm(*chaosSpec, *chaosSeed))
 		// Chaos disk events (if any) interpose at the durable.FS seam; the
 		// in-process run is "worker 0, attempt 0" of the chaos schedule.
-		store, err = durable.OpenFS(*ckptDir, fp, *ckptRetain, chaos.NewDiskFS(chaosPlan, 0, 0))
+		store, err = durable.OpenFS(*ckptDir, spec.RunFingerprint(), *ckptRetain, chaos.NewDiskFS(chaosPlan, 0, 0))
 		if err != nil {
 			return err
 		}
@@ -404,7 +383,7 @@ func cmdRun(args []string) (retErr error) {
 		}
 		if err := tr.WriteHeader(trace.Header{
 			Algo:        *algo,
-			Spec:        src.describe(),
+			Spec:        spec.SpecLabel(),
 			Seed:        *algoSeed,
 			Machines:    machines,
 			Build:       buildinfo.JSON(),
@@ -454,7 +433,7 @@ func cmdRun(args []string) (retErr error) {
 			}
 			if _, err := telemetry.WriteFlightFile(dir, telemetry.FlightHeader{
 				Worker: -1, Round: round, Kind: "error", Reason: retErr.Error(),
-				Algo: *algo, Spec: src.describe(),
+				Algo: *algo, Spec: spec.SpecLabel(),
 			}, evs); err != nil {
 				fmt.Fprintf(os.Stderr, "mprs: flight recorder: %v\n", err)
 			}
@@ -547,16 +526,6 @@ var durableAlgos = map[string]bool{
 // defaultCheckpointEvery is the checkpoint cadence -checkpoint-dir implies
 // when -checkpoint-every is unset.
 const defaultCheckpointEvery = 8
-
-// runFingerprint renders the canonical run-configuration string stamped into
-// every durable checkpoint. Resume refuses a checkpoint whose fingerprint
-// differs — replaying a different configuration would silently break the
-// bit-identity contract. Every knob that feeds the deterministic replay is
-// included (faults is chaos.FingerprintTerm of -chaos); observability flags
-// (-trace, -phases, …) are not.
-func runFingerprint(algo, spec string, genSeed int64, o rulingset.Options, faults string) string {
-	return "mprs-run/1 " + supervise.FingerprintBody(algo, spec, genSeed, o, faults)
-}
 
 // dieAtSink is the -die-at crash-test hook: a tracer that kills the process
 // with exit status 7 once the given round commits. Because durable

@@ -9,10 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/mpc"
-	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/supervise"
 	"github.com/rulingset/mprs/internal/trace"
 )
@@ -99,7 +97,7 @@ func TestRunDurableResumeInProcess(t *testing.T) {
 // model-fault schedule but not different wire, disk or proc chaos.
 func TestRunFingerprintFaults(t *testing.T) {
 	fp := func(spec string, seed int64) string {
-		return runFingerprint("det2", "gnp:n=300,p=0.02", 3, rulingset.Options{Machines: 8, CheckpointEvery: 4}, chaos.FingerprintTerm(spec, seed))
+		return supervise.JobSpec{Algo: "det2", GraphSpec: "gnp:n=300,p=0.02", GenSeed: 3, Machines: 8, CheckpointEvery: 4, Chaos: spec, ChaosSeed: seed}.RunFingerprint()
 	}
 	base := fp("machine:crash=0.01,machine:crash@2:1,disk:torn@4:0", 7)
 	for _, tc := range []struct {

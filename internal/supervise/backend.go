@@ -31,7 +31,7 @@ func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
 	if err != nil {
 		return rulingset.Result{}, err
 	}
-	opts, plan, err := spec.options()
+	opts, plan, err := spec.Options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}

@@ -147,24 +147,29 @@ func (s JobSpec) BuildGraph() (*graph.Graph, error) {
 // Fingerprint renders the canonical configuration string stamped into the
 // workers' durable checkpoints, so a restarted worker refuses to resume a
 // different configuration's state.
-func (s JobSpec) Fingerprint() string {
-	return "mprs-multiproc/1 " + FingerprintBody(s.Algo, s.SpecLabel(), s.GenSeed, s.modelOptions(), chaos.FingerprintTerm(s.Chaos, s.ChaosSeed))
-}
+func (s JobSpec) Fingerprint() string { return "mprs-multiproc/1 " + s.fingerprintBody() }
 
-// FingerprintBody renders every knob of a run that feeds its deterministic
-// replay (faults is chaos.FingerprintTerm of the job's fault spec);
-// observability settings and Parallelism are left out. Both checkpoint
-// fingerprints are this body under their own prefix: JobSpec.Fingerprint's
-// "mprs-multiproc/1" and the CLI's in-process "mprs-run/1".
-func FingerprintBody(algo, spec string, genSeed int64, o rulingset.Options, faults string) string {
+// RunFingerprint is the same configuration string under the prefix the
+// CLI's in-process `mprs run` stamps into its durable checkpoints.
+func (s JobSpec) RunFingerprint() string { return "mprs-run/1 " + s.fingerprintBody() }
+
+// fingerprintBody renders every knob of the job that feeds its
+// deterministic replay (the fault term is chaos.FingerprintTerm of the
+// job's fault spec); observability settings and Parallelism are left out.
+func (s JobSpec) fingerprintBody() string {
 	return fmt.Sprintf("algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
-		algo, spec, genSeed, o.Machines, o.Regime, o.Epsilon, o.MemoryWords,
-		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, o.CheckpointEvery)
+		s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
+		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
 }
 
-// modelOptions builds the rulingset.Options the spec describes, without
-// its fault plan.
-func (s JobSpec) modelOptions() rulingset.Options {
+// Options builds the rulingset.Options the spec describes and returns the
+// parsed fault plan, whose machine: part it applies (transport, trace and
+// durable wiring are added by the caller).
+func (s JobSpec) Options() (rulingset.Options, *chaos.Plan, error) {
+	plan, err := chaos.Parse(s.Chaos, s.ChaosSeed)
+	if err != nil {
+		return rulingset.Options{}, nil, err
+	}
 	return rulingset.Options{
 		Machines:        s.Machines,
 		Regime:          mpc.Regime(s.Regime),
@@ -174,22 +179,10 @@ func (s JobSpec) modelOptions() rulingset.Options {
 		ChunkBits:       s.ChunkBits,
 		Seed:            s.AlgoSeed,
 		Strict:          s.Strict,
+		Faults:          plan.MachineFaults(),
 		CheckpointEvery: s.CheckpointEvery,
 		Parallelism:     s.Parallelism,
-	}
-}
-
-// options builds the rulingset.Options the spec describes and returns the
-// parsed fault plan, whose machine: part it applies (transport, trace and
-// durable wiring are added by the caller).
-func (s JobSpec) options() (rulingset.Options, *chaos.Plan, error) {
-	plan, err := chaos.Parse(s.Chaos, s.ChaosSeed)
-	if err != nil {
-		return rulingset.Options{}, nil, err
-	}
-	o := s.modelOptions()
-	o.Faults = plan.MachineFaults()
-	return o, plan, nil
+	}, plan, nil
 }
 
 // CheckInProcChaos rejects the fault events an in-process run cannot

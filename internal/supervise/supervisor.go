@@ -922,7 +922,7 @@ func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom i
 	if err != nil {
 		return rulingset.Result{}, resumedFrom, err
 	}
-	opts, _, err := spec.options()
+	opts, _, err := spec.Options()
 	if err != nil {
 		return rulingset.Result{}, resumedFrom, err
 	}

@@ -113,7 +113,7 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 		return rulingset.Result{}, err
 	}
 	// An invalid fault spec is a deterministic config error.
-	opts, chaosPlan, err := spec.options()
+	opts, chaosPlan, err := spec.Options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}
