@@ -232,10 +232,10 @@ type Stats struct {
 	StallRounds int
 
 	// CheckpointBytes counts bytes persisted to durable checkpoint storage
-	// (Config.Sink); 0 without a sink. Like wall_ms in bench artifacts it is
-	// host/run-dependent rather than part of the bit-identity contract: a
-	// resumed run skips re-persisting checkpoints its directory already
-	// holds, so its CheckpointBytes is lower than an uninterrupted run's.
+	// (Config.Sink); 0 without a sink. It is run-dependent rather than part
+	// of the bit-identity contract: a resumed run skips re-persisting
+	// checkpoints its directory already holds, so its CheckpointBytes is
+	// lower than an uninterrupted run's.
 	CheckpointBytes int64
 	// ResumeReplayRounds counts supersteps deterministically replayed to
 	// reach the durable checkpoint a resumed run restored from

@@ -67,9 +67,8 @@ func singleClusterAlgos() []algo {
 }
 
 // normalizedStats strips the resume-overhead counters (CheckpointBytes,
-// ResumeReplayRounds) which — like wall_ms in bench — describe the harness,
-// not the committed computation, and legitimately differ between a fresh and
-// a resumed run.
+// ResumeReplayRounds), which describe the harness, not the committed
+// computation, and legitimately differ between a fresh and a resumed run.
 func normalizedStats(s mpc.Stats) mpc.Stats {
 	s.CheckpointBytes = 0
 	s.ResumeReplayRounds = 0
