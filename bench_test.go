@@ -132,7 +132,6 @@ func BenchmarkFaultedDetRuling2(b *testing.B) {
 	plan := &mprs.FaultPlan{
 		Seed:      1,
 		CrashRate: 0.001,
-		DropRate:  0.01,
 		Crashes:   []mprs.FaultEvent{{Round: 1, Machine: 0}},
 	}
 	b.ResetTimer()

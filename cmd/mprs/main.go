@@ -26,7 +26,7 @@
 //	          [-members-out file] write the ruling-set member ids, one per line
 //	          [-die-at N]        crash-test hook: exit with status 7 once round N commits
 //	          [-chaos plan] [-chaos-seed 1] deterministic fault injection
-//	                             (machine:crash=0.02, machine:OP@round:machine,
+//	                             (machine:crash=0.02, machine:crash@round:machine,
 //	                             wire:OP@round:worker, disk:OP@round:worker,
 //	                             proc:OP@round:worker — see internal/chaos); inproc
 //	                             accepts machine: and disk: events only
@@ -232,7 +232,7 @@ func cmdRun(args []string) (retErr error) {
 		jobTimeout  = fs.Duration("job-timeout", 0, "multiproc hard wall-clock cap on the whole job (0 = none)")
 		lifecycle   = fs.String("lifecycle-trace", "", "write the supervisor lifecycle events (starts, kills, backoffs, restarts) as JSONL to this file")
 
-		chaosSpec        = fs.String("chaos", "", "deterministic fault plan, e.g. machine:crash=0.02,machine:drop@5:0>2,wire:corrupt@6:1,disk:torn@8:0,proc:kill@10:1 (empty = off; inproc accepts machine: and disk: events only)")
+		chaosSpec        = fs.String("chaos", "", "deterministic fault plan, e.g. machine:crash=0.02,machine:crash@5:2,wire:corrupt@6:1,disk:torn@8:0,proc:kill@10:1 (empty = off; inproc accepts machine: and disk: events only)")
 		chaosSeed        = fs.Int64("chaos-seed", 1, "seed for the deterministic chaos schedule")
 		flapLimit        = fs.Int("flap-limit", supervise.DefaultFlapLimit, "multiproc: quarantine a worker after this many consecutive crashes at one round (negative = never)")
 		maxFleetRestarts = fs.Int("max-fleet-restarts", 0, "multiproc: restart budget across the whole fleet (0 = unlimited)")
@@ -664,9 +664,8 @@ func runClique(g *graph.Graph, algo string, opts rulingset.Options, verify, span
 	}
 	if opts.Faults.Enabled() {
 		ft := metrics.NewTable(fmt.Sprintf("recovery under %s", opts.Faults),
-			"recovered crashes", "recovery rounds", "replayed words", "dropped", "duplicated", "stall rounds")
-		ft.AddRow(res.Stats.RecoveredCrashes, res.Stats.RecoveryRounds, res.Stats.ReplayedWords,
-			res.Stats.DroppedMessages, res.Stats.DupMessages, res.Stats.StallRounds)
+			"recovered crashes", "recovery rounds", "replayed words")
+		ft.AddRow(res.Stats.RecoveredCrashes, res.Stats.RecoveryRounds, res.Stats.ReplayedWords)
 		fmt.Println()
 		if err := ft.Render(os.Stdout); err != nil {
 			return err

@@ -205,9 +205,9 @@ func reportResult(r runReport) error {
 	}
 	if r.faults.Enabled() {
 		ft := metrics.NewTable(fmt.Sprintf("recovery under %s", r.faults),
-			"recovered crashes", "recovery rounds", "replayed words", "checkpoint words", "dropped", "duplicated", "stall rounds")
+			"recovered crashes", "recovery rounds", "replayed words", "checkpoint words")
 		ft.AddRow(res.Stats.RecoveredCrashes, res.Stats.RecoveryRounds, res.Stats.ReplayedWords,
-			res.Stats.CheckpointWords, res.Stats.DroppedMessages, res.Stats.DupMessages, res.Stats.StallRounds)
+			res.Stats.CheckpointWords)
 		fmt.Println()
 		if err := ft.Render(os.Stdout); err != nil {
 			return err

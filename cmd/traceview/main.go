@@ -145,9 +145,6 @@ type RecoveryStat struct {
 	Crashes        int   `json:"crashes,omitempty"`
 	RecoveryRounds int   `json:"recovery_rounds,omitempty"`
 	ReplayedWords  int64 `json:"replayed_words,omitempty"`
-	Dropped        int   `json:"dropped,omitempty"`
-	Duplicated     int   `json:"duplicated,omitempty"`
-	Stalls         int   `json:"stalls,omitempty"`
 }
 
 func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
@@ -163,9 +160,6 @@ func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
 		rep.Recovery.Crashes += ev.Crashes
 		rep.Recovery.RecoveryRounds += ev.RecoveryRounds
 		rep.Recovery.ReplayedWords += ev.ReplayedWords
-		rep.Recovery.Dropped += ev.Dropped
-		rep.Recovery.Duplicated += ev.Duplicated
-		rep.Recovery.Stalls += ev.Stalls
 
 		i, ok := spanIdx[ev.Span]
 		if !ok {
@@ -279,9 +273,8 @@ func render(w io.Writer, rep Report) error {
 		fmt.Fprintf(w, "worst skew: gini_sent=%.4f in span %q (gini_recv max %.4f)\n", rep.MaxGiniS, rep.WorstSkew, rep.MaxGiniR)
 	}
 	if rep.Recovery != (RecoveryStat{}) {
-		fmt.Fprintf(w, "recovery: crashes=%d recovery_rounds=%d replayed_words=%d dropped=%d duplicated=%d stalls=%d\n",
-			rep.Recovery.Crashes, rep.Recovery.RecoveryRounds, rep.Recovery.ReplayedWords,
-			rep.Recovery.Dropped, rep.Recovery.Duplicated, rep.Recovery.Stalls)
+		fmt.Fprintf(w, "recovery: crashes=%d recovery_rounds=%d replayed_words=%d\n",
+			rep.Recovery.Crashes, rep.Recovery.RecoveryRounds, rep.Recovery.ReplayedWords)
 	}
 	fmt.Fprintln(w)
 

@@ -68,7 +68,7 @@ func TestFixtureJSON(t *testing.T) {
 	if total != rep.Words {
 		t.Errorf("span words %d do not sum to total %d", total, rep.Words)
 	}
-	if rep.Recovery.Crashes == 0 || rep.Recovery.Dropped == 0 {
+	if rep.Recovery.Crashes == 0 || rep.Recovery.RecoveryRounds == 0 {
 		t.Errorf("fixture's fault activity missing from report: %+v", rep.Recovery)
 	}
 }

@@ -84,9 +84,6 @@ type Result struct {
 	RecoveredCrashes int   `json:"recovered_crashes,omitempty"`
 	RecoveryRounds   int   `json:"recovery_rounds,omitempty"`
 	ReplayedWords    int64 `json:"replayed_words,omitempty"`
-	DroppedMessages  int   `json:"dropped_messages,omitempty"`
-	DupMessages      int   `json:"dup_messages,omitempty"`
-	StallRounds      int   `json:"stall_rounds,omitempty"`
 
 	// Durable-checkpoint overhead (non-zero only when the run persisted
 	// checkpoints or resumed from one). These describe the harness, not the

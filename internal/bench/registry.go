@@ -96,12 +96,12 @@ func Registry() []Workload {
 		{
 			Name:            "r1-faults",
 			Experiment:      "R1",
-			Doc:             "recovery regime: drops+dups+pinned crashes, checkpoint every 4",
+			Doc:             "recovery regime: pinned crashes, checkpoint every 4",
 			Spec:            "gnp:n=2048,p=0.0059",
 			QuickSpec:       "gnp:n=512,p=0.023",
 			Machines:        8,
 			ChunkBits:       4,
-			Faults:          "machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2",
+			Faults:          "machine:crash@1:0,machine:crash@3:2",
 			CheckpointEvery: 4,
 			Algos:           []string{"rand2", "det2"},
 		},

@@ -193,9 +193,6 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 			RecoveredCrashes: res.Stats.RecoveredCrashes,
 			RecoveryRounds:   res.Stats.RecoveryRounds,
 			ReplayedWords:    res.Stats.ReplayedWords,
-			DroppedMessages:  res.Stats.DroppedMessages,
-			DupMessages:      res.Stats.DupMessages,
-			StallRounds:      res.Stats.StallRounds,
 		}
 		if !rulingset.IsRulingSet(g, res.Members, res.Beta) {
 			return Result{}, fmt.Errorf("output failed verification")
@@ -231,9 +228,6 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 			RecoveredCrashes: res.Stats.RecoveredCrashes,
 			RecoveryRounds:   res.Stats.RecoveryRounds,
 			ReplayedWords:    res.Stats.ReplayedWords,
-			DroppedMessages:  res.Stats.DroppedMessages,
-			DupMessages:      res.Stats.DupMessages,
-			StallRounds:      res.Stats.StallRounds,
 
 			CheckpointBytes:    res.Stats.CheckpointBytes,
 			ResumeReplayRounds: res.Stats.ResumeReplayRounds,

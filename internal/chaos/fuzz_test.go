@@ -13,11 +13,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("wire:hbdrop@1:0,wire:hbgarble@2:1", int64(0))
 	f.Add("proc:flap@6:1", int64(-1))
 	f.Add("disk:manifesttorn@0:3", int64(7))
-	f.Add("crash=0.02,drop@4:1>2", int64(1))
-	f.Add("machine:crash=0.02,machine:drop=0.01,machine:dup=0.005,machine:stall=0.05", int64(9))
-	f.Add("machine:crash@3:1,machine:stall@4:2,machine:drop@5:0>2,wire:dup@6:1", int64(11))
+	f.Add("machine:crash=0.02,machine:crash@4:1", int64(1))
+	f.Add("machine:crash=0.05,machine:crash=0.02", int64(9))
+	f.Add("machine:crash@3:1,machine:crash@4:2,wire:delay@5:0,wire:dup@6:1", int64(11))
 	f.Add("machine:crash=0", int64(5))
-	f.Add("machine:drop@5:0>>2,machine:crash=1e-3", int64(2))
+	f.Add("machine:crash@5:0,machine:crash=1e-3", int64(2))
 	f.Add("wire:@:,::@", int64(3))
 	f.Add("off", int64(0))
 	f.Fuzz(func(t *testing.T, spec string, seed int64) {

@@ -86,7 +86,7 @@ func TestParseErrors(t *testing.T) {
 func TestPlanHelpers(t *testing.T) {
 	// Machine 9 is a simulated machine, not a worker: MaxWorker and
 	// ValidateWorkers ignore it.
-	p, err := Parse("wire:dup@6:1,disk:enospc@4:3,proc:kill@10:0,proc:flap@8:2,machine:crash@2:9,machine:drop@3:9>8", 7)
+	p, err := Parse("wire:dup@6:1,disk:enospc@4:3,proc:kill@10:0,proc:flap@8:2,machine:crash@2:9,machine:crash@3:8", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,27 +124,24 @@ func TestParseMachine(t *testing.T) {
 		seed int64
 		want *mpc.FaultPlan
 	}{
-		{"machine:crash=0.02, machine:drop=0.01, machine:dup=0.005, machine:stall=0.05, machine:crash@3:1", 9,
-			&mpc.FaultPlan{Seed: 9, CrashRate: 0.02, DropRate: 0.01, DupRate: 0.005, StallRate: 0.05,
-				Crashes: []mpc.FaultEvent{{Round: 3, Machine: 1}}}},
-		{"machine:stall@4:2, machine:drop@5:0>2, machine:crash@3:1, machine:stall@3:1", 11,
-			&mpc.FaultPlan{Seed: 11, Crashes: []mpc.FaultEvent{{Round: 3, Machine: 1}},
-				Stalls: []mpc.FaultEvent{{Round: 4, Machine: 2}, {Round: 3, Machine: 1}},
-				Drops:  []mpc.DropEvent{{Round: 5, Src: 0, Dst: 2}}}},
-		{"  machine:crash = 0.5 ,, machine:stall@2:0  ", 3,
-			&mpc.FaultPlan{Seed: 3, CrashRate: 0.5, Stalls: []mpc.FaultEvent{{Round: 2, Machine: 0}}}},
+		{"machine:crash=0.02, machine:crash@3:1", 9,
+			&mpc.FaultPlan{Seed: 9, CrashRate: 0.02, Crashes: []mpc.FaultEvent{{Round: 3, Machine: 1}}}},
+		{"machine:crash@4:2, machine:crash@3:1, machine:crash@5:0", 11,
+			&mpc.FaultPlan{Seed: 11, Crashes: []mpc.FaultEvent{{Round: 4, Machine: 2}, {Round: 3, Machine: 1}, {Round: 5, Machine: 0}}}},
+		{"  machine:crash = 0.5 ,, machine:crash@2:0  ", 3,
+			&mpc.FaultPlan{Seed: 3, CrashRate: 0.5, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 0}}}},
 		// A zero-rate plan stays non-nil (it still turns on checkpointing).
 		{"machine:crash=0", 5, &mpc.FaultPlan{Seed: 5}},
 		// The r1-faults bench row.
-		{"machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2", 1,
-			&mpc.FaultPlan{Seed: 1, DropRate: 0.02, DupRate: 0.01,
-				Crashes: []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 3, Machine: 2}}}},
+		{"machine:crash@1:0,machine:crash@3:2", 1,
+			&mpc.FaultPlan{Seed: 1, Crashes: []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 3, Machine: 2}}}},
 		// Other layers around it leave the machine plan alone.
-		{"wire:dup@6:1,machine:drop@2:1>0,disk:torn@4:0", 4,
-			&mpc.FaultPlan{Seed: 4, Drops: []mpc.DropEvent{{Round: 2, Src: 1, Dst: 0}}}},
+		{"wire:dup@6:1,machine:crash@2:1,disk:torn@4:0", 4,
+			&mpc.FaultPlan{Seed: 4, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}},
 		// Boundary rates; a repeated key keeps the last value.
-		{"machine:drop=1,machine:dup=0,machine:crash=0.3,machine:crash=0.1", -2,
-			&mpc.FaultPlan{Seed: -2, CrashRate: 0.1, DropRate: 1}},
+		{"machine:crash=1", -2, &mpc.FaultPlan{Seed: -2, CrashRate: 1}},
+		{"machine:crash=0,machine:crash=0.3,machine:crash=0.1", -2,
+			&mpc.FaultPlan{Seed: -2, CrashRate: 0.1}},
 		{"", 1, nil},
 		{"off", 1, nil},
 		{"none", 1, nil},
@@ -161,18 +158,15 @@ func TestParseMachine(t *testing.T) {
 		}
 	}
 
-	p, err := Parse("machine:stall@4:2, machine:drop@5:0>2, machine:crash@3:1, machine:stall@3:1", 11)
+	p, err := Parse("machine:crash@4:2, machine:crash@3:1, machine:crash@5:0", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := p.MachineFaults()
-	if !fp.StallsAt(4, 2) || !fp.StallsAt(3, 1) || fp.StallsAt(4, 1) {
-		t.Error("StallsAt ignores explicit events")
+	if !fp.CrashesAt(4, 2) || !fp.CrashesAt(3, 1) || fp.CrashesAt(4, 1) {
+		t.Error("CrashesAt ignores explicit events or over-matches")
 	}
-	if !fp.DropsMessage(5, 0, 2, 0) || fp.DropsMessage(5, 0, 2, 1) || fp.DropsMessage(5, 2, 0, 0) {
-		t.Error("DropsMessage ignores explicit events or over-matches")
-	}
-	if !p.Enabled() || !fp.Enabled() || !strings.Contains(fp.String(), "explicit=4") {
+	if !p.Enabled() || !fp.Enabled() || !strings.Contains(fp.String(), "explicit=3") {
 		t.Errorf("plan with only explicit events: enabled=%t stringer=%q", fp.Enabled(), fp.String())
 	}
 	if p.MaxWorker() != -1 {
@@ -188,12 +182,30 @@ func TestParseMachineErrors(t *testing.T) {
 		"machine:crash", "machine:crash=2", "machine:crash=-0.1", "machine:crash=NaN", "machine:crash=x",
 		"machine:warp=0.1", "machine:", "machine:zap@3:1",
 		"machine:crash@3", "machine:crash@x:1", "machine:crash@0:0", "machine:crash@3:-1",
-		"machine:stall@4", "machine:stall@x:1", "machine:stall@0:0",
-		"machine:drop@5", "machine:drop@5:0", "machine:drop@5:x>2", "machine:drop@5:0>x",
-		"machine:drop@0:0>1", "machine:drop@5:-1>2", "machine:drop@5:0>-2",
+		"machine:crash@3:1>0",
 	} {
 		if p, err := Parse(spec, 0); err == nil {
 			t.Errorf("Parse(%q) accepted: %+v", spec, p.MachineFaults())
+		}
+	}
+	// The simulated drop, dup and stall faults are gone; each former form
+	// is rejected with the wire: event that injects it on the real
+	// transport.
+	for _, tc := range []struct{ spec, wire string }{
+		{"machine:drop=0.01", "wire:delay@"},
+		{"machine:dup=0.01", "wire:dup@"},
+		{"machine:stall=0.01", "wire:delay@"},
+		{"machine:stall@2:0", "wire:delay@"},
+		{"machine:drop@3:1>0", "wire:delay@"},
+		{"machine:crash@1:0, machine:dup@4:2", "wire:dup@"},
+	} {
+		p, err := Parse(tc.spec, 0)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted: %+v", tc.spec, p.MachineFaults())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.wire) {
+			t.Errorf("Parse(%q) = %v, want it to name %s", tc.spec, err, tc.wire)
 		}
 	}
 }

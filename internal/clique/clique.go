@@ -49,12 +49,11 @@ type Config struct {
 	// delivered.
 	Strict bool
 	// Faults, when non-nil and enabled, injects the same deterministic
-	// fault schedule as the MPC simulator (see mpc.FaultPlan): node crashes
-	// abort and re-execute the round from the barrier-committed state,
-	// message drops are retransmitted, duplicates deduplicated, stragglers
-	// stall the barrier — all recovered, so delivered inboxes (and the
-	// algorithm's output) stay bit-identical to the fault-free run, with the
-	// robustness cost metered in the fault fields of Stats.
+	// crash schedule as the MPC simulator (see mpc.FaultPlan): node crashes
+	// abort and re-execute the round from the barrier-committed state, so
+	// delivered inboxes (and the algorithm's output) stay bit-identical to
+	// the fault-free run, with the robustness cost metered in the fault
+	// fields of Stats.
 	Faults *mpc.FaultPlan
 	// Tracer, when non-nil, receives one trace.Event per committed round
 	// (per-node words sent/received, recovery activity). Deterministic; costs
@@ -115,17 +114,10 @@ type Stats struct {
 
 	// RecoveredCrashes counts injected node crashes recovered at the barrier.
 	RecoveredCrashes int
-	// RecoveryRounds counts extra rounds spent on crash re-execution and
-	// drop retransmission.
+	// RecoveryRounds counts extra rounds spent on crash re-execution.
 	RecoveryRounds int
 	// ReplayedWords counts words re-sent during recovery.
 	ReplayedWords int64
-	// DroppedMessages counts transit losses repaired by retransmission.
-	DroppedMessages int
-	// DupMessages counts transit duplicates removed by receiver dedup.
-	DupMessages int
-	// StallRounds counts barrier rounds lost to straggler stalls.
-	StallRounds int
 }
 
 // ErrBandwidth is wrapped by errors returned in Strict mode.
@@ -260,9 +252,6 @@ func (c *Cluster) Stats() Stats {
 		RecoveredCrashes: st.RecoveredCrashes,
 		RecoveryRounds:   st.RecoveryRounds,
 		ReplayedWords:    st.ReplayedWords,
-		DroppedMessages:  st.DroppedMessages,
-		DupMessages:      st.DupMessages,
-		StallRounds:      st.StallRounds,
 	}
 }
 

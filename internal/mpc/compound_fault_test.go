@@ -5,55 +5,15 @@ import (
 	"testing"
 )
 
-// Coverage for targeted fault events (explicit stalls and drops) and
-// compound faults — multiple fault classes hitting the same machine in the
-// same round, and crashes landing on the checkpoint-write round. In every
-// case the delivered inboxes (and so the algorithm's output) must be
+// Coverage for compound crashes — several machines crashing in the same
+// round, and crashes landing on the checkpoint-write round. In every case
+// the delivered inboxes (and so the algorithm's output) must be
 // bit-identical to the fault-free run; only the recovery meters may move.
 
-func TestTargetedStallCharged(t *testing.T) {
-	plan := &FaultPlan{Seed: 2, Stalls: []FaultEvent{{Round: 2, Machine: 1}}}
-	c, err := NewCluster(Config{Machines: 3, Faults: plan}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		if err := c.Step("tick", echoStep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.StallRounds != 1 {
-		t.Fatalf("StallRounds = %d, want 1 (one targeted straggler)", st.StallRounds)
-	}
-	if got := inboxWords(c.inboxes[0]); len(got) != 3 {
-		t.Fatalf("delivery under targeted stall = %v", got)
-	}
-}
-
-func TestTargetedDropRetransmitted(t *testing.T) {
-	plan := &FaultPlan{Seed: 2, Drops: []DropEvent{{Round: 1, Src: 2, Dst: 0}}}
-	c, err := NewCluster(Config{Machines: 3, Faults: plan}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Step("echo", echoStep); err != nil {
-		t.Fatal(err)
-	}
-	// The reliable transport retransmits the targeted loss: full delivery.
-	if got := inboxWords(c.inboxes[0]); !slices.Equal(got, []uint64{0, 1, 2}) {
-		t.Fatalf("delivery under targeted drop = %v", got)
-	}
-	st := c.Stats()
-	if st.DroppedMessages != 1 || st.RecoveryRounds != 1 || st.ReplayedWords != 1 {
-		t.Fatalf("targeted-drop accounting = %+v", st)
-	}
-}
-
-// TestCompoundCrashStallSameRound injects a crash AND a stall on the same
-// machine at the same round: the machine straggles, crashes, is restored and
-// replayed — and the delivery is still bit-identical to fault-free.
-func TestCompoundCrashStallSameRound(t *testing.T) {
+// TestCompoundCrashesSameRound crashes two machines in the same round: both
+// are restored in one recovery and the superstep is replayed once — and the
+// delivery is still bit-identical to fault-free.
+func TestCompoundCrashesSameRound(t *testing.T) {
 	run := func(plan *FaultPlan) ([]uint64, Stats) {
 		c, err := NewCluster(Config{Machines: 4, Faults: plan, CheckpointEvery: 2}, 16)
 		if err != nil {
@@ -85,15 +45,15 @@ func TestCompoundCrashStallSameRound(t *testing.T) {
 	base, baseStats := run(nil)
 	plan := &FaultPlan{
 		Seed:    13,
-		Crashes: []FaultEvent{{Round: 3, Machine: 1}},
-		Stalls:  []FaultEvent{{Round: 3, Machine: 1}},
+		Crashes: []FaultEvent{{Round: 3, Machine: 1}, {Round: 3, Machine: 2}},
 	}
 	faulty, st := run(plan)
 
 	if !slices.Equal(base, faulty) {
 		t.Fatalf("delivery differs under compound fault: %v vs %v", base, faulty)
 	}
-	if st.RecoveredCrashes != 1 || st.StallRounds != 1 {
+	// Both crashes abort the same attempt: one replay recovers them.
+	if st.RecoveredCrashes != 2 || st.RecoveryRounds != 1 {
 		t.Fatalf("compound accounting = %+v", st)
 	}
 	// Committed work is bit-identical; only the recovery meters moved.
@@ -152,10 +112,11 @@ func TestCrashDuringCheckpointRound(t *testing.T) {
 	}
 }
 
-// TestCompoundCrashStallDropSameMachine piles all three fault classes onto
-// one machine in one round and still demands bit-identical delivery.
-func TestCompoundCrashStallDropSameMachine(t *testing.T) {
-	run := func(plan *FaultPlan) []uint64 {
+// TestCompoundCrashesCheckpointRound crashes two machines on a checkpoint
+// round and one of them again in the next round, and still demands
+// bit-identical delivery and driver state.
+func TestCompoundCrashesCheckpointRound(t *testing.T) {
+	run := func(plan *FaultPlan) ([]uint64, []uint64, Stats) {
 		c, err := NewCluster(Config{Machines: 3, Faults: plan, CheckpointEvery: 2}, 9)
 		if err != nil {
 			t.Fatal(err)
@@ -175,17 +136,27 @@ func TestCompoundCrashStallDropSameMachine(t *testing.T) {
 				state[m]++
 			}
 		}
-		return inboxWords(c.inboxes[0])
+		return slices.Clone(state), inboxWords(c.inboxes[0]), c.Stats()
 	}
 
-	base := run(nil)
+	baseState, base, baseStats := run(nil)
+	// Round 3 is a checkpoint round: (3-1)%2 == 0.
 	plan := &FaultPlan{
 		Seed:    23,
-		Crashes: []FaultEvent{{Round: 2, Machine: 1}},
-		Stalls:  []FaultEvent{{Round: 2, Machine: 1}},
-		Drops:   []DropEvent{{Round: 2, Src: 1, Dst: 0}},
+		Crashes: []FaultEvent{{Round: 3, Machine: 0}, {Round: 3, Machine: 1}, {Round: 4, Machine: 1}},
 	}
-	if faulty := run(plan); !slices.Equal(base, faulty) {
+	state, faulty, st := run(plan)
+	if !slices.Equal(baseState, state) {
+		t.Fatalf("driver state diverged: %v vs %v", baseState, state)
+	}
+	if !slices.Equal(base, faulty) {
 		t.Fatalf("delivery differs: %v vs %v", base, faulty)
+	}
+	if st.RecoveredCrashes != 3 {
+		t.Fatalf("crashes not recovered: %+v", st)
+	}
+	if st.Rounds != baseStats.Rounds || st.Words != baseStats.Words ||
+		st.Messages != baseStats.Messages || st.CheckpointWords != baseStats.CheckpointWords {
+		t.Fatalf("committed stats diverged: %+v vs %+v", st, baseStats)
 	}
 }

@@ -112,7 +112,7 @@ func TestSinkErrorSurfacesFromStep(t *testing.T) {
 // and must produce byte-identical final state and identical deterministic
 // stats, with only the resume-overhead counters differing.
 func TestResumeReproducesRun(t *testing.T) {
-	for _, faults := range []*FaultPlan{nil, {Seed: 5, Crashes: []FaultEvent{{Round: 3, Machine: 1}}, Stalls: []FaultEvent{{Round: 2, Machine: 0}}}} {
+	for _, faults := range []*FaultPlan{nil, {Seed: 5, Crashes: []FaultEvent{{Round: 3, Machine: 1}, {Round: 2, Machine: 0}}}} {
 		name := "fault-free"
 		if faults != nil {
 			name = "under-faults"

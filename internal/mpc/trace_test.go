@@ -232,8 +232,7 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		}},
 		SkewSent: 1.5, SkewRecv: 2.5, GiniSent: 0.25, GiniRecv: 0.5,
 		RecoveredCrashes: 1, RecoveryRounds: 2, ReplayedWords: 3,
-		CheckpointWords: 4, DroppedMessages: 5, DupMessages: 6, StallRounds: 7,
-		CheckpointBytes: 8, ResumeReplayRounds: 9,
+		CheckpointWords: 4, CheckpointBytes: 8, ResumeReplayRounds: 9,
 	}
 	b := Stats{
 		Rounds: 3, Messages: 20, Words: 50,
@@ -249,8 +248,7 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		},
 		SkewSent: 1.25, SkewRecv: 3.5, GiniSent: 0.75, GiniRecv: 0.25,
 		RecoveredCrashes: 10, RecoveryRounds: 20, ReplayedWords: 30,
-		CheckpointWords: 40, DroppedMessages: 50, DupMessages: 60, StallRounds: 70,
-		CheckpointBytes: 80, ResumeReplayRounds: 90,
+		CheckpointWords: 40, CheckpointBytes: 80, ResumeReplayRounds: 90,
 	}
 	m := MergeStats(a, b)
 
@@ -281,9 +279,6 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		"RecoveryRounds":     func() bool { return m.RecoveryRounds == 22 },
 		"ReplayedWords":      func() bool { return m.ReplayedWords == 33 },
 		"CheckpointWords":    func() bool { return m.CheckpointWords == 44 },
-		"DroppedMessages":    func() bool { return m.DroppedMessages == 55 },
-		"DupMessages":        func() bool { return m.DupMessages == 66 },
-		"StallRounds":        func() bool { return m.StallRounds == 77 },
 		"CheckpointBytes":    func() bool { return m.CheckpointBytes == 88 },
 		"ResumeReplayRounds": func() bool { return m.ResumeReplayRounds == 99 },
 	}

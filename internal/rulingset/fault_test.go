@@ -13,14 +13,11 @@ import (
 
 // faultTestPlan is a non-empty recoverable schedule: two pinned crashes early
 // in the run (guaranteeing RecoveryRounds > 0 on every algorithm, all of
-// which run well past two supersteps) plus seeded drop/dup/stall noise.
+// which run well past two supersteps).
 func faultTestPlan() *mpc.FaultPlan {
 	return &mpc.FaultPlan{
-		Seed:      11,
-		DropRate:  0.05,
-		DupRate:   0.03,
-		StallRate: 0.02,
-		Crashes:   []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 2, Machine: 1}},
+		Seed:    11,
+		Crashes: []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 2, Machine: 1}},
 	}
 }
 
@@ -128,12 +125,12 @@ func TestFaultPanicSurfaces(t *testing.T) {
 // identical (graph, Options, FaultPlan) produce identical members, rounds
 // and violation logs — and the members match the fault-free run's.
 func FuzzFaultDeterminism(f *testing.F) {
-	f.Add(int64(1), uint8(40), float64(0.05), float64(0.04), uint8(1), uint8(0))
-	f.Add(int64(7), uint8(80), float64(0.3), float64(0.0), uint8(2), uint8(2))
-	f.Add(int64(42), uint8(15), float64(0.0), float64(0.5), uint8(0), uint8(3))
-	f.Add(int64(-3), uint8(60), float64(1.0), float64(1.0), uint8(3), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, crashRate, dropRate float64, algoPick, ckptRaw uint8) {
-		if crashRate < 0 || crashRate > 1 || dropRate < 0 || dropRate > 1 {
+	f.Add(int64(1), uint8(40), float64(0.05), uint8(1), uint8(0))
+	f.Add(int64(7), uint8(80), float64(0.3), uint8(2), uint8(2))
+	f.Add(int64(42), uint8(15), float64(0.0), uint8(0), uint8(3))
+	f.Add(int64(-3), uint8(60), float64(1.0), uint8(3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, crashRate float64, algoPick, ckptRaw uint8) {
+		if crashRate < 0 || crashRate > 1 {
 			t.Skip()
 		}
 		n := int(nRaw)%60 + 2
@@ -141,7 +138,6 @@ func FuzzFaultDeterminism(f *testing.F) {
 		plan := &mpc.FaultPlan{
 			Seed:      seed,
 			CrashRate: crashRate / 4, // keep retry loops short
-			DropRate:  dropRate,
 			Crashes:   []mpc.FaultEvent{{Round: 1, Machine: 0}},
 		}
 		algos := allAlgorithms()

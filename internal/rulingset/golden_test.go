@@ -233,7 +233,7 @@ func cliqueViolationScript(t *testing.T) (stats, tr []byte) {
 	const n = 6
 	var buf bytes.Buffer
 	jl := trace.NewJSONL(&buf)
-	plan := &mpc.FaultPlan{Seed: 3, DropRate: 0.2, DupRate: 0.2, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 4}}}
+	plan := &mpc.FaultPlan{Seed: 3, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 4}}}
 	c, err := clique.NewCluster(clique.Config{PairWords: 1, Faults: plan, Tracer: jl}, n)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func mpcViolationScript(t *testing.T) (stats, tr []byte) {
 	const machines = 4
 	var buf bytes.Buffer
 	jl := trace.NewJSONL(&buf)
-	plan := &mpc.FaultPlan{Seed: 3, DropRate: 0.2, DupRate: 0.2, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}
+	plan := &mpc.FaultPlan{Seed: 3, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}
 	c, err := mpc.NewCluster(mpc.Config{Machines: machines, Regime: mpc.RegimeExplicit, MemoryWords: 4, Faults: plan, Tracer: jl}, 16)
 	if err != nil {
 		t.Fatal(err)

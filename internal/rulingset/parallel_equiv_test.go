@@ -50,8 +50,7 @@ func cliqueAsResult(run func(*graph.Graph, Options) (CliqueResult, error)) func(
 				SkewSent: res.Stats.SkewSent, SkewRecv: res.Stats.SkewRecv,
 				GiniSent: res.Stats.GiniSent, GiniRecv: res.Stats.GiniRecv,
 				RecoveredCrashes: res.Stats.RecoveredCrashes, RecoveryRounds: res.Stats.RecoveryRounds,
-				ReplayedWords: res.Stats.ReplayedWords, DroppedMessages: res.Stats.DroppedMessages,
-				DupMessages: res.Stats.DupMessages, StallRounds: res.Stats.StallRounds,
+				ReplayedWords: res.Stats.ReplayedWords,
 			}}, nil
 	}
 }
@@ -222,9 +221,7 @@ func FuzzParallelDeterminism(f *testing.F) {
 		if faulty {
 			opts.Faults = &mpc.FaultPlan{
 				Seed:      seed + 1,
-				DropRate:  0.05,
-				DupRate:   0.03,
-				StallRate: 0.02,
+				CrashRate: 0.02,
 				Crashes:   []mpc.FaultEvent{{Round: 1, Machine: 0}},
 			}
 		}

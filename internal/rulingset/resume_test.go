@@ -282,7 +282,7 @@ func TestCancellationIsStructured(t *testing.T) {
 }
 
 // FuzzResumeDeterminism is the tentpole fuzzer: for arbitrary (seed, size,
-// algorithm, checkpoint cadence, interruption point, fault rates), resuming
+// algorithm, checkpoint cadence, interruption point, crash rate), resuming
 // from any persisted checkpoint reproduces the uninterrupted run's members
 // and deterministic stats exactly.
 func FuzzResumeDeterminism(f *testing.F) {
@@ -290,8 +290,8 @@ func FuzzResumeDeterminism(f *testing.F) {
 	f.Add(int64(9), uint8(70), uint8(1), uint8(1), uint8(1), float64(0.1))
 	f.Add(int64(-4), uint8(25), uint8(2), uint8(3), uint8(2), float64(0.05))
 	f.Add(int64(33), uint8(55), uint8(3), uint8(2), uint8(5), float64(0))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, algoPick, ckptRaw, resumePick uint8, dropRate float64) {
-		if dropRate < 0 || dropRate > 1 {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, algoPick, ckptRaw, resumePick uint8, crashRate float64) {
+		if crashRate < 0 || crashRate > 1 {
 			t.Skip()
 		}
 		n := int(nRaw)%60 + 2
@@ -299,8 +299,9 @@ func FuzzResumeDeterminism(f *testing.F) {
 		algos := singleClusterAlgos()
 		a := algos[int(algoPick)%len(algos)]
 		var plan *mpc.FaultPlan
-		if dropRate > 0 {
-			plan = &mpc.FaultPlan{Seed: seed, DropRate: dropRate, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 0}}}
+		if crashRate > 0 {
+			// Scaled down to keep retry loops short.
+			plan = &mpc.FaultPlan{Seed: seed, CrashRate: crashRate / 4, Crashes: []mpc.FaultEvent{{Round: 2, Machine: 0}}}
 		}
 		opts := Options{Seed: seed, Machines: 4, CheckpointEvery: int(ckptRaw)%3 + 1, Faults: plan}
 

@@ -88,16 +88,17 @@ func TestJobSpecFingerprintFaults(t *testing.T) {
 		s.Chaos, s.ChaosSeed = plan, seed
 		return s.Fingerprint()
 	}
-	base := fp("machine:drop=0.02,machine:crash@1:0,disk:torn@4:1", 7)
+	base := fp("machine:crash=0.02,machine:crash@1:0,disk:torn@4:1", 7)
 	for _, tc := range []struct {
 		plan string
 		seed int64
 		same bool
 	}{
-		{"machine:drop=0.02,machine:crash@1:0,disk:torn@8:1", 7, true},
-		{"machine:drop=0.02,machine:crash@1:0,proc:kill@10:1,wire:dup@6:0", 7, true},
-		{"machine:drop=0.02,machine:crash@2:0,disk:torn@4:1", 7, false},
-		{"machine:drop=0.02,machine:crash@1:0,disk:torn@4:1", 8, false},
+		{"machine:crash=0.02,machine:crash@1:0,disk:torn@8:1", 7, true},
+		{"machine:crash=0.02,machine:crash@1:0,proc:kill@10:1,wire:dup@6:0", 7, true},
+		{"machine:crash=0.02,machine:crash@2:0,disk:torn@4:1", 7, false},
+		{"machine:crash=0.02,machine:crash@1:0,disk:torn@4:1", 8, false},
+		{"machine:crash=0.03,machine:crash@1:0,disk:torn@4:1", 7, false},
 		{"disk:torn@4:1", 7, false},
 	} {
 		if got := fp(tc.plan, tc.seed); (got == base) != tc.same {
@@ -112,13 +113,13 @@ func TestJobSpecFingerprintFaults(t *testing.T) {
 // TestMultiProcMachineFaults: the workers replay the spec's machine: faults
 // exactly as the in-process backend does, recovery counters included.
 func TestMultiProcMachineFaults(t *testing.T) {
-	spec := withChaos(testSpec(t, "det2"), "machine:drop=0.02,machine:dup=0.01,machine:crash@1:0,machine:crash@3:2")
+	spec := withChaos(testSpec(t, "det2"), "machine:crash=0.05,machine:crash@1:0,machine:crash@3:2")
 	spec.CheckpointEvery = 4
 	inRes, err := InProc{}.Run(spec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	if inRes.Stats.RecoveredCrashes != 2 || inRes.Stats.DroppedMessages == 0 {
+	if inRes.Stats.RecoveredCrashes <= 2 {
 		t.Fatalf("machine faults not applied: %+v", inRes.Stats)
 	}
 	res, err := Run(spec, testConfig(2))

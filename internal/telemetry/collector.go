@@ -52,9 +52,6 @@ type Collector struct {
 	crashes   Counter
 	recRounds Counter
 	replayed  Counter
-	dropped   Counter
-	dup       Counter
-	stalls    Counter
 	ckptBytes Counter
 
 	// mu guards the phase state and the ring, and orders span transitions
@@ -90,9 +87,6 @@ func NewCollector(opts CollectorOptions) *Collector {
 		crashes:   reg.Counter("mprs_recovered_crashes_total", "Simulated machine crashes recovered by the fault layer."),
 		recRounds: reg.Counter("mprs_recovery_rounds_total", "Extra rounds spent in barrier recovery."),
 		replayed:  reg.Counter("mprs_replayed_words_total", "Words replayed during recovery."),
-		dropped:   reg.Counter("mprs_dropped_messages_total", "Messages dropped by the fault layer."),
-		dup:       reg.Counter("mprs_duplicated_messages_total", "Messages duplicated by the fault layer."),
-		stalls:    reg.Counter("mprs_stall_rounds_total", "Rounds stretched by simulated stragglers."),
 		ckptBytes: reg.Counter("mprs_checkpoint_bytes_total", "Bytes persisted to durable checkpoints by this process."),
 		ring:      trace.NewRing(opts.FlightCap),
 	}
@@ -118,9 +112,6 @@ func (c *Collector) Superstep(ev trace.Event) {
 	c.crashes.Add(float64(ev.Crashes))
 	c.recRounds.Add(float64(ev.RecoveryRounds))
 	c.replayed.Add(float64(ev.ReplayedWords))
-	c.dropped.Add(float64(ev.Dropped))
-	c.dup.Add(float64(ev.Duplicated))
-	c.stalls.Add(float64(ev.Stalls))
 
 	c.mu.Lock()
 	c.ring.Superstep(ev)

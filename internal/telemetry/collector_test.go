@@ -47,27 +47,24 @@ func TestCollectorSeries(t *testing.T) {
 		Round: 2, Step: "b", Span: "phase1", Messages: 5, Words: 10,
 		MaxSent: 4, MaxRecv: 3, GiniSent: 0.5, GiniRecv: 0.05,
 		Sent: []int{5, 5}, Recv: []int{5, 5}, Resident: []int{80, 120},
-		Crashes: 1, RecoveryRounds: 2, ReplayedWords: 7, Dropped: 3, Duplicated: 4, Stalls: 5,
+		Crashes: 1, RecoveryRounds: 2, ReplayedWords: 7,
 	})
 	m := points(c)
 	for name, want := range map[string]float64{
-		"mprs_committed_round":           2,
-		"mprs_supersteps_total":          2,
-		"mprs_messages_total":            15,
-		"mprs_words_total":               50,
-		"mprs_peak_sent_words":           9,
-		"mprs_peak_recv_words":           8,
-		"mprs_mean_sent_words":           5, // latest round: 10 words / 2 machines
-		"mprs_gini_sent":                 0.5,
-		"mprs_gini_recv":                 0.1,
-		"mprs_peak_resident_words":       120,
-		"mprs_recovered_crashes_total":   1,
-		"mprs_recovery_rounds_total":     2,
-		"mprs_replayed_words_total":      7,
-		"mprs_dropped_messages_total":    3,
-		"mprs_duplicated_messages_total": 4,
-		"mprs_stall_rounds_total":        5,
-		"mprs_checkpoint_bytes_total":    0,
+		"mprs_committed_round":         2,
+		"mprs_supersteps_total":        2,
+		"mprs_messages_total":          15,
+		"mprs_words_total":             50,
+		"mprs_peak_sent_words":         9,
+		"mprs_peak_recv_words":         8,
+		"mprs_mean_sent_words":         5, // latest round: 10 words / 2 machines
+		"mprs_gini_sent":               0.5,
+		"mprs_gini_recv":               0.1,
+		"mprs_peak_resident_words":     120,
+		"mprs_recovered_crashes_total": 1,
+		"mprs_recovery_rounds_total":   2,
+		"mprs_replayed_words_total":    7,
+		"mprs_checkpoint_bytes_total":  0,
 	} {
 		if got := value(t, m, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

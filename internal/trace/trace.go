@@ -57,9 +57,6 @@ type Event struct {
 	Crashes        int   `json:"crashes,omitempty"`
 	RecoveryRounds int   `json:"recovery_rounds,omitempty"`
 	ReplayedWords  int64 `json:"replayed_words,omitempty"`
-	Dropped        int   `json:"dropped,omitempty"`
-	Duplicated     int   `json:"duplicated,omitempty"`
-	Stalls         int   `json:"stalls,omitempty"`
 }
 
 // Tracer receives one event per committed superstep. Implementations must

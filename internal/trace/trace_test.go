@@ -12,7 +12,7 @@ func TestJSONLDeterministicAndShape(t *testing.T) {
 	evs := []Event{
 		{Round: 1, Step: "a", Span: "setup", Sent: []int{3, 0}, Recv: []int{0, 3}, Messages: 1, Words: 3, MaxSent: 3, MaxRecv: 3, GiniSent: 0.5, GiniRecv: 0.5},
 		{Round: 2, Step: "b", Span: "sparsify", Charged: true},
-		{Round: 3, Step: "c", Span: "finish", Crashes: 1, RecoveryRounds: 2, ReplayedWords: 7, Dropped: 1, Duplicated: 2, Stalls: 3},
+		{Round: 3, Step: "c", Span: "finish", Crashes: 1, RecoveryRounds: 2, ReplayedWords: 7},
 	}
 	render := func() string {
 		var b bytes.Buffer
@@ -41,7 +41,7 @@ func TestJSONLDeterministicAndShape(t *testing.T) {
 	if strings.Contains(lines[1], "crashes") || strings.Contains(lines[1], `"sent"`) {
 		t.Errorf("charged event carries empty fields: %s", lines[1])
 	}
-	for _, want := range []string{`"crashes":1`, `"recovery_rounds":2`, `"replayed_words":7`, `"dropped":1`, `"duplicated":2`, `"stalls":3`} {
+	for _, want := range []string{`"crashes":1`, `"recovery_rounds":2`, `"replayed_words":7`} {
 		if !strings.Contains(lines[2], want) {
 			t.Errorf("line 3 missing %s: %s", lines[2], want)
 		}

@@ -66,11 +66,10 @@ type Stats = mpc.Stats
 // Regime selects how the per-machine memory budget is derived.
 type Regime = mpc.Regime
 
-// FaultPlan is a seeded deterministic fault schedule (machine crashes,
-// message drops/duplications, straggler stalls) for Options.Faults. Every
-// injected fault is recovered at the superstep barrier, so algorithm outputs
-// stay bit-identical to the fault-free run while the recovery cost is
-// metered in the fault fields of Stats.
+// FaultPlan is a seeded deterministic schedule of machine crashes for
+// Options.Faults. Every injected crash is recovered at the superstep
+// barrier, so algorithm outputs stay bit-identical to the fault-free run
+// while the recovery cost is metered in the fault fields of Stats.
 type FaultPlan = mpc.FaultPlan
 
 // FaultEvent pins one explicit crash to a (round, machine) pair in a
@@ -111,7 +110,7 @@ func NewJSONLTrace(w io.Writer) *JSONLTracer { return trace.NewJSONL(w) }
 func NewTraceRing(n int) *TraceRing { return trace.NewRing(n) }
 
 // ParseFaultPlan builds a FaultPlan from the machine: parts of a fault spec
-// such as "machine:crash=0.02,machine:drop=0.01,machine:crash@3:1" (the
+// such as "machine:crash=0.02,machine:crash@3:1" (the
 // -chaos grammar); any other layer is rejected, and an empty spec returns a
 // disabled (nil) plan.
 func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
