@@ -246,16 +246,6 @@ func BenchmarkGNPGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkGraphPower2(b *testing.B) {
-	g := gen.MustBuild("grid:rows=48,cols=48", 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Power(2, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkVerifyRulingSet(b *testing.B) {
 	g := benchGraph(b, 4096)
 	res, err := mprs.RulingSet2(g, mprs.Options{Seed: 1})

@@ -7,7 +7,7 @@
 //	mprs info -spec ... | -in graph.txt
 //	mprs run  -algo det2 -spec gnp:n=4096,p=0.004 [-machines 8] [-regime linear]
 //	          [-epsilon 0.5] [-memory words] [-slack 16] [-chunk 8] [-algo-seed 1]
-//	          [-beta 3] [-alpha 3] [-strict] [-verify]
+//	          [-beta 3] [-strict] [-verify]
 //	          [-phases]          print the per-phase trace table
 //	          [-rounds]          print the per-round communication log
 //	          [-spans]           print the per-span (algorithm phase) skew table
@@ -36,12 +36,11 @@
 //	                             in-process run instead of aborting
 //	mprs -version
 //
-// Algorithms: luby, detluby, rand2, det2, randbeta, detbeta, randab, detab,
-// clique2, cliquedet2 (congested clique), greedy.
+// Algorithms: luby, detluby, rand2, det2, randbeta, detbeta, clique2,
+// cliquedet2 (congested clique), greedy.
 //
 // -slack widens the linear-regime budget to S = slack·n words per machine
-// (0 = the simulator default of 4·n); the beta/alpha-beta algorithms at small
-// quick-tier sizes typically need -slack 16.
+// (0 = the simulator default of 4·n).
 //
 // Durable checkpoints: -checkpoint-dir persists driver state through
 // internal/durable (CRC-framed, atomically renamed files keyed by a canonical
@@ -195,7 +194,7 @@ func cmdRun(args []string) (retErr error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	src := graphFlags(fs)
 	var (
-		algo     = fs.String("algo", "det2", "luby|detluby|rand2|det2|randbeta|detbeta|randab|detab|clique2|cliquedet2|greedy")
+		algo     = fs.String("algo", "det2", "luby|detluby|rand2|det2|randbeta|detbeta|clique2|cliquedet2|greedy")
 		machines = fs.Int("machines", 8, "simulated machine count")
 		regime   = fs.String("regime", "linear", "memory regime: linear|sublinear|explicit")
 		epsilon  = fs.Float64("epsilon", 0.5, "sublinear memory exponent")
@@ -204,8 +203,7 @@ func cmdRun(args []string) (retErr error) {
 		chunk    = fs.Int("chunk", 8, "derandomizer chunk width z")
 		algoSeed = fs.Int64("algo-seed", 1, "seed for randomized algorithms")
 		par      = fs.Int("parallelism", 0, "step-execution worker pool size (0 = GOMAXPROCS, 1 = serial); results are bit-identical at every level")
-		beta     = fs.Int("beta", 3, "beta for randbeta/detbeta/randab/detab")
-		alpha    = fs.Int("alpha", 3, "alpha for randab/detab")
+		beta     = fs.Int("beta", 3, "beta for randbeta/detbeta")
 		strict   = fs.Bool("strict", false, "fail on budget violations")
 		phases   = fs.Bool("phases", false, "print the per-phase trace")
 		rounds   = fs.Bool("rounds", false, "print the per-round communication log")
@@ -487,10 +485,6 @@ func cmdRun(args []string) (retErr error) {
 		res, err = rulingset.RandRulingBeta(g, *beta, opts)
 	case "detbeta":
 		res, err = rulingset.DetRulingBeta(g, *beta, opts)
-	case "randab":
-		res, err = rulingset.RandRulingAlphaBeta(g, *alpha, *beta, opts)
-	case "detab":
-		res, err = rulingset.DetRulingAlphaBeta(g, *alpha, *beta, opts)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}

@@ -34,7 +34,7 @@ func TestRunDurableFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "-resume requires -checkpoint-dir") {
 		t.Errorf("-resume without -checkpoint-dir: err = %v", err)
 	}
-	for _, algo := range []string{"detbeta", "detab", "clique2", "greedy"} {
+	for _, algo := range []string{"detbeta", "randbeta", "clique2", "greedy"} {
 		err := run([]string{"run", "-algo", algo, "-in", g, "-checkpoint-dir", dir})
 		if err == nil || !strings.Contains(err.Error(), "does not support durable") {
 			t.Errorf("-checkpoint-dir with %s: err = %v", algo, err)

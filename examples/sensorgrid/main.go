@@ -40,16 +40,4 @@ func main() {
 	fmt.Println("tradeoff: larger beta -> fewer leaders (less coordination energy),")
 	fmt.Println("longer worst-case route to a leader (higher latency), and a smaller")
 	fmt.Println("residual instance for the final local solve.")
-
-	// An (α,β)-ruling set spaces leaders at pairwise distance >= α — useful
-	// when leaders carry interfering radios.
-	spaced, err := mprs.DetRulingSetAlphaBeta(g, 3, 2, mprs.Options{Machines: 8, ChunkBits: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := mprs.Check(g, spaced); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n(3,2)-ruling set: %d leaders, pairwise distance >= 3, coverage radius <= %d\n",
-		len(spaced.Members), spaced.Beta)
 }

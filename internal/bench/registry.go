@@ -21,10 +21,8 @@ type Workload struct {
 	Machines int
 	// ChunkBits is the derandomizer chunk width z.
 	ChunkBits int
-	// Slack is the linear-regime budget multiplier (0 = simulator default).
-	Slack int
-	// Beta/Alpha parameterize the beta/alpha-beta algorithms.
-	Beta, Alpha int
+	// Beta parameterizes the beta algorithms.
+	Beta int
 	// Faults, when non-empty, is a fault spec of machine: parts (the
 	// internal/chaos grammar) injected into every run of the workload (the
 	// R1 recovery regime).
@@ -89,7 +87,6 @@ func Registry() []Workload {
 			QuickSpec:  "gnp:n=1024,p=0.016",
 			Machines:   8,
 			ChunkBits:  4,
-			Slack:      16,
 			Beta:       3,
 			Algos:      []string{"det2", "detbeta"},
 		},

@@ -49,24 +49,11 @@ var mpcAlgos = []mpcAlgo{
 	{"detbeta", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
 		return rulingset.DetRulingBeta(g, beta(w), o)
 	}},
-	{"randab", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRulingAlphaBeta(g, alpha(w), beta(w), o)
-	}},
-	{"detab", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRulingAlphaBeta(g, alpha(w), beta(w), o)
-	}},
 }
 
 func beta(w Workload) int {
 	if w.Beta > 0 {
 		return w.Beta
-	}
-	return 3
-}
-
-func alpha(w Workload) int {
-	if w.Alpha > 0 {
-		return w.Alpha
 	}
 	return 3
 }
@@ -159,7 +146,6 @@ func prepare(w Workload, cfg RunConfig) (*graph.Graph, rulingset.Options, error)
 	return g, rulingset.Options{
 		Machines:        w.Machines,
 		ChunkBits:       w.ChunkBits,
-		LinearSlack:     w.Slack,
 		Seed:            cfg.Seed,
 		Faults:          plan,
 		CheckpointEvery: w.CheckpointEvery,

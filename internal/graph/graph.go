@@ -206,54 +206,6 @@ func (g *Graph) InducedSubgraph(keep func(v int) bool) (sub *Graph, toSub []int3
 	return sub, toSub, toOrig
 }
 
-// Power returns the k-th power graph G^k: vertices of G, with an edge between
-// u and v iff 1 <= dist(u,v) <= k. maxEdges bounds the output size: if the
-// power graph would exceed it, Power returns an error (this models the
-// memory budget a real MPC implementation must respect when exponentiating).
-// maxEdges <= 0 means unbounded.
-func (g *Graph) Power(k int, maxEdges int) (*Graph, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("graph: power exponent %d < 1", k)
-	}
-	n := g.N()
-	var edges []Edge
-	// BFS from every vertex, truncated to depth k.
-	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	for s := 0; s < n; s++ {
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		dist[s] = 0
-		visited := []int32{int32(s)}
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			if dist[v] == int32(k) {
-				continue
-			}
-			for _, u := range g.Neighbors(int(v)) {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-					visited = append(visited, u)
-				}
-			}
-		}
-		for _, v := range visited {
-			if int(v) > s {
-				edges = append(edges, Edge{U: int32(s), V: v})
-				if maxEdges > 0 && len(edges) > maxEdges {
-					return nil, fmt.Errorf("graph: G^%d exceeds edge budget %d", k, maxEdges)
-				}
-			}
-			dist[v] = -1
-		}
-	}
-	return New(n, edges)
-}
-
 // BFSFrom computes hop distances from the source set. dist[v] == -1 means v
 // is unreachable from every source.
 func (g *Graph) BFSFrom(sources []int32) []int32 {

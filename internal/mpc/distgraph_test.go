@@ -426,11 +426,11 @@ func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
 
 // TestVertexExchangesParallelismInvariant runs one sequence of vertex-keyed
 // exchanges (ExchangeActive alone and followed by ExchangeAlong, NotifyNeighbors
-// restricted and not, Power) on one DistGraph at Parallelism 1, 2, 3 and 8:
-// the views, touched sets, closures and Stats must be identical at every
-// level, and the serial views must match brute force. The senders reuse
-// their slabs across the sequence and the receivers decode on the worker
-// pool, so this is also the pool's race test.
+// restricted and not) on one DistGraph at Parallelism 1, 2, 3 and 8: the
+// views, touched sets and Stats must be identical at every level, and the
+// serial views must match brute force. The senders reuse their slabs across
+// the sequence and the receivers decode on the worker pool, so this is also
+// the pool's race test.
 func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	g := exchangeGraph(t, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -439,7 +439,6 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	type result struct {
 		Views   []Adjacency
 		Touched []*bitset.Set
-		Power   *graph.Graph
 		Stats   Stats
 	}
 	run := func(machines, par int) result {
@@ -455,11 +454,6 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 			}
 			r.Touched = append(r.Touched, touched)
 		}
-		p, err := d.Power(3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Power = p
 		r.Stats = d.Cluster().Stats()
 		return r
 	}
@@ -512,9 +506,6 @@ func TestSlabReuseKeepsEarlierViews(t *testing.T) {
 		kept := cloneAdjacency(first)
 		exchangeView(t, d, halfSet(rng, exchangeN), nil)
 		if _, err := d.NotifyNeighbors("n", full, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Power(2, 0); err != nil {
 			t.Fatal(err)
 		}
 		exchangeView(t, d, full, randomVals(rng, exchangeN))

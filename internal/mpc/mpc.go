@@ -553,9 +553,9 @@ func (c *Cluster) Stats() Stats {
 }
 
 // ChargeRounds accounts for k rounds of a step that is modeled analytically
-// rather than simulated message-by-message (e.g. standard graph
-// exponentiation). It adds k rounds to the statistics under the given name
-// with no bandwidth attributed.
+// rather than simulated message-by-message (e.g. relabeling the candidates of
+// a β-ruling level onto the next level's cluster). It adds k rounds to the
+// statistics under the given name with no bandwidth attributed.
 //
 // A negative k is a caller bug (it would silently under-count the model's
 // central quantity): it is recorded as a "rounds" violation and, consistent

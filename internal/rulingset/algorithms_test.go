@@ -327,45 +327,6 @@ func TestBetaOneIsMIS(t *testing.T) {
 	}
 }
 
-func TestAlphaBeta(t *testing.T) {
-	g := gen.MustBuild("grid:rows=14,cols=14", 0)
-	for _, a := range []struct {
-		name string
-		run  func(*graph.Graph, int, int, Options) (Result, error)
-	}{
-		{name: "det", run: DetRulingAlphaBeta},
-		{name: "rand", run: RandRulingAlphaBeta},
-	} {
-		t.Run(a.name, func(t *testing.T) {
-			res, err := a.run(g, 3, 2, Options{Seed: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Beta != 4 { // (alpha-1)*beta = 2*2
-				t.Fatalf("advertised radius %d, want 4", res.Beta)
-			}
-			if err := Check(g, res); err != nil {
-				t.Fatal(err)
-			}
-			// Pairwise distance >= alpha = 3 in g.
-			for i, u := range res.Members {
-				dist := g.BFSFrom([]int32{u})
-				for _, w := range res.Members[i+1:] {
-					if dist[w] >= 0 && dist[w] < 3 {
-						t.Fatalf("members %d and %d at distance %d < alpha", u, w, dist[w])
-					}
-				}
-			}
-		})
-	}
-	if _, err := DetRulingAlphaBeta(g, 1, 2, Options{}); err == nil {
-		t.Error("alpha 1 accepted")
-	}
-	if _, err := DetRulingAlphaBeta(g, 3, 0, Options{}); err == nil {
-		t.Error("beta 0 accepted")
-	}
-}
-
 // TestLinearRegimeNoViolations: on an appropriately sized instance, the
 // near-linear-memory regime must run every algorithm without any budget
 // violations (experiment T5's pass criterion).

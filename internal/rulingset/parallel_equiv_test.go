@@ -14,18 +14,12 @@ import (
 )
 
 // equivAlgorithms is the full algorithm surface for the serial-vs-parallel
-// equivalence matrix: every MPC driver (including the recursive β/(α,β)
-// levels and the adaptive escalation, which chain fresh clusters) plus both
+// equivalence matrix: every MPC driver (including the recursive β levels
+// and the adaptive escalation, which chain fresh clusters) plus both
 // congested-clique ports, each adapted to one common signature.
 func equivAlgorithms() []algo {
 	algos := allAlgorithms()
 	algos = append(algos,
-		algo{name: "RandRulingAlphaBeta", beta: 3, run: func(g *graph.Graph, o Options) (Result, error) {
-			return RandRulingAlphaBeta(g, 2, 3, o)
-		}},
-		algo{name: "DetRulingAlphaBeta", beta: 3, run: func(g *graph.Graph, o Options) (Result, error) {
-			return DetRulingAlphaBeta(g, 2, 3, o)
-		}},
 		algo{name: "DetRulingAdaptive", beta: 2, run: DetRulingAdaptive},
 		algo{name: "CliqueRandRuling2", beta: 2, run: cliqueAsResult(CliqueRandRuling2)},
 		algo{name: "CliqueDetRuling2", beta: 2, run: cliqueAsResult(CliqueDetRuling2)},

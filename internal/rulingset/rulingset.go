@@ -20,7 +20,6 @@
 //   - RandRulingBeta / DetRulingBeta: β-ruling sets by recursive
 //     sparsification — each extra unit of domination radius shrinks the
 //     problem before the next level runs.
-//   - RulingAlphaBeta: (α,β)-ruling sets via power graphs.
 //
 // All algorithms execute on the internal/mpc simulator, so every result
 // carries the model measurements (rounds, bandwidth, memory residency) that

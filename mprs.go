@@ -226,18 +226,6 @@ func DetRulingSet(g *Graph, beta int, o Options) (Result, error) {
 	return rulingset.DetRulingBeta(g, beta, o)
 }
 
-// RulingSetAlphaBeta computes an (α,β)-ruling set — members pairwise at
-// distance >= α, every vertex within (α−1)·β hops — via power graphs,
-// randomized.
-func RulingSetAlphaBeta(g *Graph, alpha, beta int, o Options) (Result, error) {
-	return rulingset.RandRulingAlphaBeta(g, alpha, beta, o)
-}
-
-// DetRulingSetAlphaBeta is the deterministic (α,β)-ruling set.
-func DetRulingSetAlphaBeta(g *Graph, alpha, beta int, o Options) (Result, error) {
-	return rulingset.DetRulingAlphaBeta(g, alpha, beta, o)
-}
-
 // RulingSetAdaptive computes a ruling set whose radius is chosen at runtime:
 // the smallest β such that the final residual instance fits the per-machine
 // memory budget (Options.ResidualBudget; the cluster's S by default).
