@@ -51,11 +51,20 @@ func (d *DistGraph) Graph() *graph.Graph { return d.g }
 // vertex in marked informs the owners of all its neighbors. It returns the
 // set of vertices that have at least one marked neighbor. Bandwidth is one
 // word per (marked vertex, neighbor) pair, batched into one message per
-// machine pair. restrict, when non-nil, limits the notified neighbors to
-// members of restrict (used to confine a phase to the active subgraph).
-func (d *DistGraph) NotifyNeighbors(name string, marked, restrict *bitset.Set) (*bitset.Set, error) {
+// machine pair.
+func (d *DistGraph) NotifyNeighbors(name string, marked *bitset.Set) (*bitset.Set, error) {
+	return d.NotifyWithin(name, marked, GraphRows(d.g))
+}
+
+// NotifyWithin is NotifyNeighbors with the senders walking view's rows
+// instead of the graph's adjacency lists: the owner of every marked u
+// informs the owner of every w in view.Row(u). On a view of an active set
+// that holds marked (an ExchangeActive result), that notifies exactly the
+// active neighbours of the marked vertices. One round; one word per
+// (marked u, w in view.Row(u)).
+func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency) (*bitset.Set, error) {
 	err := d.c.Step(name, func(x *Ctx) {
-		d.scatter(x, rowsOf(d.g), marked, restrict, recVertex, nil)
+		d.scatter(x, view, marked, recVertex, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -141,7 +150,7 @@ func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Gra
 // scan their vertices and adjacency lists in ascending order, and vertex
 // ownership is monotone in the vertex id.
 func (d *DistGraph) ExchangeActive(name string, active *bitset.Set) (Adjacency, error) {
-	return d.ExchangeWithin(name, active, rowsOf(d.g))
+	return d.ExchangeWithin(name, active, GraphRows(d.g))
 }
 
 // ExchangeWithin is ExchangeActive with the senders walking view's rows
@@ -150,9 +159,14 @@ func (d *DistGraph) ExchangeActive(name string, active *bitset.Set) (Adjacency, 
 // lists, for active v, the active u with v in view.Row(u), ascending; on a
 // symmetric view (any ExchangeActive result) that is view.Row(v) restricted
 // to active. One round; one word per (active u, w in view.Row(u)).
+//
+// An active set only shrinks within a marking loop, so the loop refreshes
+// its view along the last one: when active is a subset of the set last's
+// rows were exchanged for, the result is exactly ExchangeActive(active),
+// while only the edges the last view kept carry a word.
 func (d *DistGraph) ExchangeWithin(name string, active *bitset.Set, view Adjacency) (Adjacency, error) {
 	err := d.c.Step(name, func(x *Ctx) {
-		d.scatter(x, view, active, nil, recEdge, nil)
+		d.scatter(x, view, active, recEdge, nil)
 	})
 	if err != nil {
 		return Adjacency{}, err
@@ -178,7 +192,7 @@ func (d *DistGraph) ExchangeAlong(name string, active *bitset.Set, view Adjacenc
 		return Adjacency{}, fmt.Errorf("mpc: %s: view has %d row offsets, want %d", name, len(view.Off), d.c.N()+1)
 	}
 	err := d.c.Step(name, func(x *Ctx) {
-		d.scatter(x, view, active, nil, recValue, vals)
+		d.scatter(x, view, active, recValue, vals)
 	})
 	if err != nil {
 		return Adjacency{}, err
@@ -206,9 +220,11 @@ func (a Adjacency) Row(v int) []int32 { return a.Nbr[a.Off[v]:a.Off[v+1]] }
 // Vals returns the values announced by v's neighbours, aligned with Row(v).
 func (a Adjacency) Vals(v int) []int32 { return a.Val[a.Off[v]:a.Off[v+1]] }
 
-// rowsOf returns g's adjacency lists as an Adjacency (sharing g's storage),
-// the rows the graph-wide exchanges send along.
-func rowsOf(g *graph.Graph) Adjacency {
+// GraphRows returns g's adjacency lists as an Adjacency (sharing g's
+// storage): the rows the graph-wide exchanges send along, and the view of
+// the full vertex set, which a marking loop starts from without an
+// exchange.
+func GraphRows(g *graph.Graph) Adjacency {
 	off, nbr := g.CSR()
 	return Adjacency{Off: off, Nbr: nbr}
 }
@@ -225,9 +241,8 @@ const (
 
 // scatter is the sender half of the vertex-keyed exchanges, run by machine x
 // in a step closure: for every local vertex u in from and every neighbour v
-// in adj.Row(u) that is in to (nil: every neighbour), it sends one rec
-// record to v's owner, batched into one message per destination in (u, v)
-// order.
+// in adj.Row(u), it sends one rec record to v's owner, batched into one
+// message per destination in (u, v) order.
 //
 // A count pass sizes every destination exactly, so the machine fills one
 // slab and hands each destination a capacity-clipped sub-slice of it, all
@@ -240,7 +255,7 @@ const (
 // empty bitset words whole, and walk each ascending row against the next
 // block boundary instead of dividing per edge: ownership is monotone in the
 // vertex id.
-func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from, to *bitset.Set, rec record, vals []int32) {
+func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record, vals []int32) {
 	per := d.c.per
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
 	slab := d.slabs[x.Machine]
@@ -253,9 +268,6 @@ func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from, to *bitset.Set, rec rec
 			dst := d.c.Owner(int(nb[0]))
 			next := (dst + 1) * per // first vertex past dst's block
 			for _, v := range nb {
-				if to != nil && !to.Contains(int(v)) {
-					continue
-				}
 				for int(v) >= next {
 					dst++
 					next += per

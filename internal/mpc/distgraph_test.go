@@ -72,7 +72,7 @@ func TestNotifyNeighbors(t *testing.T) {
 		d := distTestGraph(t, machines)
 		marked := bitset.New(5)
 		marked.Add(1)
-		touched, err := d.NotifyNeighbors("n", marked, nil)
+		touched, err := d.NotifyNeighbors("n", marked)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,18 +88,23 @@ func TestNotifyNeighbors(t *testing.T) {
 	}
 }
 
-func TestNotifyNeighborsRestricted(t *testing.T) {
+func TestNotifyWithin(t *testing.T) {
 	d := distTestGraph(t, 3)
 	marked := bitset.New(5)
 	marked.Add(1)
-	restrict := bitset.New(5)
-	restrict.Add(2) // only 2 may be notified
-	touched, err := d.NotifyNeighbors("n", marked, restrict)
+	active := bitset.New(5)
+	active.Add(1)
+	active.Add(2) // of 1's neighbours, only 2 is active
+	view, err := d.ExchangeActive("x", active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched, err := d.NotifyWithin("n", marked, view)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if touched.Count() != 1 || !touched.Contains(2) {
-		t.Fatalf("restricted touched = %v", touched.Elements())
+		t.Fatalf("touched along the view = %v", touched.Elements())
 	}
 }
 
@@ -246,13 +251,13 @@ func checkRows(t *testing.T, a Adjacency, n int, want func(v int) []int32, vals 
 	}
 }
 
-// TestExchangeActiveProperty checks ExchangeActive, ExchangeAlong and
-// NotifyNeighbors against brute force on random graphs, machine counts and
-// active sets: rows are the ascending active neighbourhoods (empty for
-// inactive vertices) with aligned values, the traffic is one word per
-// (active vertex, neighbour) pair for the view and one per active edge end
-// for the values, and the notified set is the marked vertices'
-// neighbourhood, restricted or not.
+// TestExchangeActiveProperty checks ExchangeActive, ExchangeAlong,
+// NotifyNeighbors and NotifyWithin against brute force on random graphs,
+// machine counts and active sets: rows are the ascending active
+// neighbourhoods (empty for inactive vertices) with aligned values, the
+// traffic is one word per (active vertex, neighbour) pair for the view and
+// one per active edge end for the values, and the notified set is the
+// marked vertices' neighbourhood, or along the view its active part.
 func TestExchangeActiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -289,21 +294,29 @@ func TestExchangeActiveProperty(t *testing.T) {
 			if got, want := c.Stats().Words-before, int64(len(view.Nbr)); got != want {
 				t.Fatalf("n=%d machines=%d: values moved %d words, want %d", n, machines, got, want)
 			}
-			for _, restrict := range []*bitset.Set{nil, randomSet(rng, n)} {
-				touched, err := d.NotifyNeighbors("n", active, restrict)
+			marked := halfSet(rng, n)
+			marked.Intersect(active)
+			for _, within := range []bool{false, true} {
+				var touched *bitset.Set
+				var err error
+				if within {
+					touched, err = d.NotifyWithin("n", marked, view)
+				} else {
+					touched, err = d.NotifyNeighbors("n", marked)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				for v := 0; v < n; v++ {
 					want := false
-					if restrict == nil || restrict.Contains(v) {
+					if !within || active.Contains(v) {
 						for _, u := range g.Neighbors(v) {
-							want = want || active.Contains(int(u))
+							want = want || marked.Contains(int(u))
 						}
 					}
 					if touched.Contains(v) != want {
-						t.Fatalf("n=%d machines=%d restricted=%v: touched(%d) = %v, want %v",
-							n, machines, restrict != nil, v, !want, want)
+						t.Fatalf("n=%d machines=%d within=%v: touched(%d) = %v, want %v",
+							n, machines, within, v, !want, want)
 					}
 				}
 			}
@@ -425,8 +438,8 @@ func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
 }
 
 // TestVertexExchangesParallelismInvariant runs one sequence of vertex-keyed
-// exchanges (ExchangeActive alone and followed by ExchangeAlong, NotifyNeighbors
-// restricted and not) on one DistGraph at Parallelism 1, 2, 3 and 8: the
+// exchanges (ExchangeActive alone and followed by ExchangeAlong,
+// NotifyNeighbors and NotifyWithin) on one DistGraph at Parallelism 1, 2, 3 and 8: the
 // views, touched sets and Stats must be identical at every level, and the
 // serial views must match brute force. The senders reuse their slabs across
 // the sequence and the receivers decode on the worker pool, so this is also
@@ -434,7 +447,8 @@ func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
 func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	g := exchangeGraph(t, 11)
 	rng := rand.New(rand.NewSource(12))
-	active, restrict := halfSet(rng, exchangeN), halfSet(rng, exchangeN)
+	active, marked := halfSet(rng, exchangeN), halfSet(rng, exchangeN)
+	marked.Intersect(active)
 	vals := randomVals(rng, exchangeN)
 	type result struct {
 		Views   []Adjacency
@@ -447,13 +461,15 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 		for _, v := range [][]int32{nil, vals} {
 			r.Views = append(r.Views, exchangeView(t, d, active, v))
 		}
-		for _, rs := range []*bitset.Set{nil, restrict} {
-			touched, err := d.NotifyNeighbors("n", active, rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Touched = append(r.Touched, touched)
+		touched, err := d.NotifyNeighbors("n", active)
+		if err != nil {
+			t.Fatal(err)
 		}
+		r.Touched = append(r.Touched, touched)
+		if touched, err = d.NotifyWithin("n", marked, r.Views[0]); err != nil {
+			t.Fatal(err)
+		}
+		r.Touched = append(r.Touched, touched)
 		r.Stats = d.Cluster().Stats()
 		return r
 	}
@@ -505,7 +521,7 @@ func TestSlabReuseKeepsEarlierViews(t *testing.T) {
 		first := exchangeView(t, d, full, vals)
 		kept := cloneAdjacency(first)
 		exchangeView(t, d, halfSet(rng, exchangeN), nil)
-		if _, err := d.NotifyNeighbors("n", full, nil); err != nil {
+		if _, err := d.NotifyNeighbors("n", full); err != nil {
 			t.Fatal(err)
 		}
 		exchangeView(t, d, full, randomVals(rng, exchangeN))

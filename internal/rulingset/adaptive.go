@@ -63,7 +63,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 
 		if fits || stalled || level >= _maxAdaptiveLevels {
 			// Ship the whole current instance and solve it exactly.
-			st := newSparsifyState(cur.N())
+			st := newSparsifyState(cur)
 			st.absorbActive()
 			members, residual, err := solveResidual(m, st.candidates)
 			if err != nil {
@@ -88,7 +88,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 		if err != nil {
 			return Result{}, err
 		}
-		st := newSparsifyState(cur.N())
+		st := newSparsifyState(cur)
 		if err := registerCheckpoint(c, opts, st.active, st.candidates); err != nil {
 			return Result{}, err
 		}

@@ -72,7 +72,7 @@ func rulingBeta(g *graph.Graph, beta int, o Options, deterministic bool) (Result
 			}
 			groups = splitSchedule(schedule(int(delta)), beta-1)
 		}
-		st := newSparsifyState(cur.N())
+		st := newSparsifyState(cur)
 		if err := registerCheckpoint(c, opts, st.active, st.candidates); err != nil {
 			return Result{}, err
 		}

@@ -78,7 +78,7 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 	if err := c.BroadcastWord("maxdeg/bcast", delta); err != nil {
 		return CliqueResult{}, err
 	}
-	st := newSparsifyState(n)
+	st := newSparsifyState(g)
 	m := cliqueModel{Reduction: derand.Clique(c), c: c, g: g}
 	if err := runPhases(m, o, st, schedule(int(delta)), deterministic, rng); err != nil {
 		return CliqueResult{}, err
@@ -116,20 +116,19 @@ type cliqueModel struct {
 	g *graph.Graph
 }
 
-func (m cliqueModel) view(active *bitset.Set) (mpc.Adjacency, error) {
-	return m.neighborsIn("view", active)
+func (m cliqueModel) view(active *bitset.Set, last mpc.Adjacency) (mpc.Adjacency, error) {
+	return m.neighborsIn("view", active, last)
 }
 
-// dominate has every marked node send one word to each active neighbor.
-func (m cliqueModel) dominate(marks, active *bitset.Set) (*bitset.Set, error) {
+// dominate has every marked node send one word to each neighbor in its view
+// row.
+func (m cliqueModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error) {
 	if err := m.c.Step("dominate", func(x *clique.Ctx) {
 		if !marks.Contains(x.Machine) {
 			return
 		}
-		for _, u := range m.g.Neighbors(x.Machine) {
-			if active.Contains(int(u)) {
-				x.Send(int(u), 1)
-			}
+		for _, u := range view.Row(x.Machine) {
+			x.Send(int(u), 1)
 		}
 	}); err != nil {
 		return nil, err
@@ -156,25 +155,26 @@ func (m cliqueModel) countActive(active *bitset.Set) (int, error) {
 
 func (cliqueModel) broadcastSeed([]uint64) error { return errCliqueSeedBroadcast }
 
-// neighborsIn is a one-round neighborhood exchange: the nodes in set
-// announce themselves to their neighbors (one word per pair), and each node
-// in set collects the ascending list of its neighbors in set. Nodes drain
-// in ascending order, so the rows are laid out in one pass.
-func (m cliqueModel) neighborsIn(name string, set *bitset.Set) (mpc.Adjacency, error) {
+// neighborsIn is a one-round neighborhood exchange along rows (the graph's,
+// or the view of a superset of set): the nodes in set announce themselves
+// to the nodes in their rows (one word per pair), and each node in set
+// collects the ascending list of its neighbors in set. Nodes drain in
+// ascending order, so the rows are laid out in one pass.
+func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows mpc.Adjacency) (mpc.Adjacency, error) {
 	if err := m.c.Step(name, func(x *clique.Ctx) {
 		if !set.Contains(x.Machine) {
 			return
 		}
-		for _, u := range m.g.Neighbors(x.Machine) {
+		for _, u := range rows.Row(x.Machine) {
 			x.Send(int(u), 1)
 		}
 	}); err != nil {
 		return mpc.Adjacency{}, err
 	}
 	n := m.g.N()
-	total := 0 // bounds the rows: a node hears at most from its neighbours
+	total := 0 // bounds the rows: a node hears at most from its row
 	set.ForEach(func(v int) bool {
-		total += m.g.Degree(v)
+		total += len(rows.Row(v))
 		return true
 	})
 	nbrs := mpc.Adjacency{Off: make([]int32, n+1), Nbr: make([]int32, 0, total)}
@@ -195,7 +195,7 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set) (mpc.Adjacency, e
 // each candidate ships its candidate-incident edges (smaller endpoint owns)
 // under Lenzen's per-node budgets.
 func (m cliqueModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error) {
-	candNbrs, err := m.neighborsIn("residual/announce", cand)
+	candNbrs, err := m.neighborsIn("residual/announce", cand, mpc.GraphRows(m.g))
 	if err != nil {
 		return nil, nil, err
 	}

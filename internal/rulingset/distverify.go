@@ -49,7 +49,7 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 		if frontier.Count() == 0 {
 			break
 		}
-		touched, err := d.NotifyNeighbors(fmt.Sprintf("verify/hop%d", hop+1), frontier, nil)
+		touched, err := d.NotifyNeighbors(fmt.Sprintf("verify/hop%d", hop+1), frontier)
 		if err != nil {
 			return 0, err
 		}

@@ -58,14 +58,19 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	var phases []PhaseStat
 
 	remaining := n
+	// The first iteration marks on the graph's rows, every vertex active;
+	// each later one refreshes the view along the last, as in runPhases.
+	view := mpc.GraphRows(g)
 	c.Span("sparsify") // Luby's marking iterations play the sparsify role
 	for iter := 1; remaining > 0; iter++ {
 		if iter > o.MaxIterations {
 			return Result{}, fmt.Errorf("rulingset: luby iteration cap %d exceeded with %d active vertices", o.MaxIterations, remaining)
 		}
-		view, err := m.view(active)
-		if err != nil {
-			return Result{}, err
+		if iter > 1 {
+			var err error
+			if view, err = m.view(active, view); err != nil {
+				return Result{}, err
+			}
 		}
 		deg := make([]int32, n)
 		joiners := bitset.New(n) // MIS joiners this iteration
@@ -152,7 +157,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		})
 
 		inSet.Union(joiners)
-		touched, err := d.NotifyNeighbors("luby/knockout", joiners, active)
+		touched, err := d.NotifyWithin("luby/knockout", joiners, view)
 		if err != nil {
 			return Result{}, err
 		}

@@ -37,7 +37,7 @@ func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st := newSparsifyState(g.N())
+	st := newSparsifyState(g)
 	if err := registerCheckpoint(c, o, st.active, st.candidates); err != nil {
 		return Result{}, err
 	}

@@ -32,18 +32,22 @@ func schedule(delta int) []int {
 	}
 }
 
-// sparsifyState carries the sample-and-sparsify loop's evolving sets so that
-// β-ruling levels can run partial schedules against shared state.
+// sparsifyState carries the sample-and-sparsify loop's evolving state from
+// phase to phase: the active and candidate sets, and the view the last phase
+// marked on (the graph's own rows before the first phase, when every vertex
+// is active and every machine already holds its rows).
 type sparsifyState struct {
 	active     *bitset.Set
 	candidates *bitset.Set
+	view       mpc.Adjacency
 	phases     []PhaseStat
 }
 
-func newSparsifyState(n int) *sparsifyState {
+func newSparsifyState(g *graph.Graph) *sparsifyState {
 	s := &sparsifyState{
-		active:     bitset.New(n),
-		candidates: bitset.New(n),
+		active:     bitset.New(g.N()),
+		candidates: bitset.New(g.N()),
+		view:       mpc.GraphRows(g),
 	}
 	s.active.Fill()
 	return s
@@ -58,11 +62,12 @@ type model interface {
 	// Reduction sums a seed-search chunk and distributes the pick.
 	derand.Reduction
 	// view returns every active vertex's active neighbors in ascending
-	// order (an empty row for inactive vertices).
-	view(active *bitset.Set) (mpc.Adjacency, error)
-	// dominate notifies the active neighbors of the marked vertices and
-	// returns the vertices reached.
-	dominate(marks, active *bitset.Set) (*bitset.Set, error)
+	// order (an empty row for inactive vertices), exchanged along last, the
+	// view of a superset of active: only last's edges carry a word.
+	view(active *bitset.Set, last mpc.Adjacency) (mpc.Adjacency, error)
+	// dominate notifies the neighbors of the marked vertices along view,
+	// the active set's current view, and returns the vertices reached.
+	dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error)
 	// countActive counts the active vertices by communication, so the
 	// loop condition is driven by what the machines report.
 	countActive(active *bitset.Set) (int, error)
@@ -88,12 +93,12 @@ func newMPCModel(d *mpc.DistGraph, prefix string) mpcModel {
 	return mpcModel{Reduction: derand.MPC(d.Cluster()), d: d, prefix: prefix}
 }
 
-func (m mpcModel) view(active *bitset.Set) (mpc.Adjacency, error) {
-	return m.d.ExchangeActive(m.prefix+"/view", active)
+func (m mpcModel) view(active *bitset.Set, last mpc.Adjacency) (mpc.Adjacency, error) {
+	return m.d.ExchangeWithin(m.prefix+"/view", active, last)
 }
 
-func (m mpcModel) dominate(marks, active *bitset.Set) (*bitset.Set, error) {
-	return m.d.NotifyNeighbors(m.prefix+"/dominate", marks, active)
+func (m mpcModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error) {
+	return m.d.NotifyWithin(m.prefix+"/dominate", marks, view)
 }
 
 func (m mpcModel) countActive(active *bitset.Set) (int, error) {
@@ -131,6 +136,10 @@ func (m mpcModel) announceMembers(members []int32) error {
 // the same power-of-two probabilities, so the two variants are directly
 // comparable.
 //
+// The first phase marks on st.view as it stands (the graph's rows, with
+// every vertex active); each later phase refreshes it along the last
+// phase's view, since the active set only shrinks.
+//
 // Phase contract (verified by tests): after each phase, every vertex that
 // left the active set is either in the candidate set or adjacent to it.
 func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bool, rng *rand.Rand) error {
@@ -143,10 +152,13 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 		if len(st.phases) >= o.MaxPhases {
 			return fmt.Errorf("rulingset: phase cap %d exceeded", o.MaxPhases)
 		}
-		view, err := m.view(st.active)
-		if err != nil {
-			return err
+		if len(st.phases) > 0 {
+			var err error
+			if st.view, err = m.view(st.active, st.view); err != nil {
+				return err
+			}
 		}
+		view := st.view
 		ps := PhaseStat{
 			Phase:        len(st.phases) + 1,
 			J:            j,
@@ -194,7 +206,7 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 		// Marked vertices join the candidate set and knock out their active
 		// neighbors.
 		st.candidates.Union(marks)
-		touched, err := m.dominate(marks, st.active)
+		touched, err := m.dominate(marks, view)
 		if err != nil {
 			return err
 		}
