@@ -24,7 +24,11 @@ func GNP(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: probability %v out of [0,1]", p)
 	}
 	var edges []graph.Edge
-	if p > 0 {
+	if p > 0 && n > 1 {
+		// Room for the expected edge count plus four standard deviations,
+		// so append almost never regrows the list.
+		mean := p * float64(n) * float64(n-1) / 2
+		edges = make([]graph.Edge, 0, int(mean+4*math.Sqrt(mean))+1)
 		lq := math.Log1p(-p) // log(1-p), p < 1
 		v, w := 1, -1
 		for v < n {

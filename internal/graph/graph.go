@@ -10,7 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable simple undirected graph in CSR form.
@@ -53,7 +53,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 		offsets[i+1] = offsets[i] + deg[i]
 	}
 	adj := make([]int32, offsets[n])
-	cursor := make([]int32, n)
+	cursor := deg // the degrees are spent: reuse them as fill cursors
 	copy(cursor, offsets[:n])
 	for _, e := range edges {
 		adj[cursor[e.U]] = e.V
@@ -77,7 +77,10 @@ func MustNew(n int, edges []Edge) *Graph {
 }
 
 // sortAndDedupe sorts each adjacency list and removes duplicate entries,
-// compacting the CSR arrays in place.
+// compacting the CSR arrays in place. A list New filled in ascending order
+// (gen.GNP's edges, ordered by larger and then smaller endpoint, fill every
+// list so) is not sorted again, and sorting allocates nothing, so New
+// allocates the same whatever n.
 func (g *Graph) sortAndDedupe() {
 	n := g.N()
 	write := int32(0)
@@ -85,7 +88,9 @@ func (g *Graph) sortAndDedupe() {
 	for v := 0; v < n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		list := g.adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		if !slices.IsSorted(list) {
+			slices.Sort(list)
+		}
 		newOffsets[v] = write
 		var prev int32 = -1
 		for _, u := range list {
@@ -130,9 +135,8 @@ func (g *Graph) CSR() (off, adj []int32) { return g.offsets, g.adj }
 
 // HasEdge reports whether {u, v} is an edge, by binary search.
 func (g *Graph) HasEdge(u, v int) bool {
-	list := g.Neighbors(u)
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= int32(v) })
-	return i < len(list) && list[i] == int32(v)
+	_, found := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return found
 }
 
 // MaxDegree returns the maximum degree Δ (0 for the empty graph).

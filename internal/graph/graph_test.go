@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +226,81 @@ func TestRandomGraphInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedEdges returns about 8n random edges on n vertices, duplicates
+// included, ordered by larger and then smaller endpoint with U < V: the
+// order in which New fills every adjacency list ascending.
+func sortedEdges(rng *rand.Rand, n int) []Edge {
+	edges := make([]Edge, 0, 8*n)
+	for len(edges) < cap(edges) {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		edges = append(edges, Edge{U: min(u, v), V: max(u, v)})
+	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.V, b.V), cmp.Compare(a.U, b.U))
+	})
+	return edges
+}
+
+// TestNewShuffledMatchesSorted checks that New builds the same CSR from an
+// edge list whatever its order and orientation: the sorted list, whose rows
+// New fills ascending and never sorts, and shuffled copies with random
+// endpoints swapped, whose rows it must sort.
+func TestNewShuffledMatchesSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 3, 17, 200} {
+		edges := sortedEdges(rng, n)
+		ref, err := New(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 5; trial++ {
+			shuffled := slices.Clone(edges)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for i, e := range shuffled {
+				if rng.Intn(2) == 0 {
+					shuffled[i] = Edge{U: e.V, V: e.U}
+				}
+			}
+			g, err := New(n, shuffled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g, ref) {
+				t.Fatalf("n=%d trial %d: the shuffled edge list built a different CSR", n, trial)
+			}
+		}
+	}
+}
+
+// TestNewAllocs pins that New allocates a fixed number of times, not once
+// or twice per vertex: the same count on 1024 and 8192 vertices, sorted
+// edge list or shuffled.
+func TestNewAllocs(t *testing.T) {
+	allocs := func(n int, shuffle bool) float64 {
+		rng := rand.New(rand.NewSource(int64(n)))
+		edges := sortedEdges(rng, n)
+		if shuffle {
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(n, edges); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, shuffle := range []bool{false, true} {
+		small, large := allocs(1024, shuffle), allocs(8192, shuffle)
+		if small != large || large > 6 {
+			t.Errorf("shuffle=%v: %v allocations at n=1024, %v at n=8192, want the same at most 6", shuffle, small, large)
+		}
 	}
 }
