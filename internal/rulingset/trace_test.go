@@ -111,3 +111,57 @@ func TestCliqueTraceByteDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestViewCarriedAcrossPhases pins the marking loops' view exchange: a
+// fresh loop marks its first phase on the graph's own rows, so no view
+// round runs before the loop's first dominate (Luby: knockout) round, and
+// each later phase refreshes the view once, so a loop of k phases runs
+// k − 1 view rounds and k dominate rounds.
+func TestViewCarriedAcrossPhases(t *testing.T) {
+	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
+	cases := []struct {
+		name, view, dominate string
+		run                  func(o Options) ([]PhaseStat, error)
+	}{
+		{"LubyMIS", "luby/view", "luby/knockout", func(o Options) ([]PhaseStat, error) {
+			r, err := LubyMIS(g, o)
+			return r.Phases, err
+		}},
+		{"DetRuling2", "sparsify/view", "sparsify/dominate", func(o Options) ([]PhaseStat, error) {
+			r, err := DetRuling2(g, o)
+			return r.Phases, err
+		}},
+		{"CliqueDetRuling2", "view", "dominate", func(o Options) ([]PhaseStat, error) {
+			r, err := CliqueDetRuling2(g, o)
+			return r.Phases, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := trace.NewRing(1 << 16)
+			phases, err := tc.run(Options{Seed: 3, Tracer: ring})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(phases) < 2 {
+				t.Fatalf("%d phases: the graph does not exercise a refresh", len(phases))
+			}
+			views, dominates := 0, 0
+			for _, ev := range ring.Events() {
+				switch ev.Step {
+				case tc.view:
+					if dominates == 0 {
+						t.Fatalf("round %d: %s runs before the first %s", ev.Round, tc.view, tc.dominate)
+					}
+					views++
+				case tc.dominate:
+					dominates++
+				}
+			}
+			if views != len(phases)-1 || dominates != len(phases) {
+				t.Fatalf("%d phases ran %d %s and %d %s rounds, want %d and %d",
+					len(phases), views, tc.view, dominates, tc.dominate, len(phases)-1, len(phases))
+			}
+		})
+	}
+}
