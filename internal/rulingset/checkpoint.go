@@ -13,10 +13,17 @@ import (
 // durable persistence (a checkpoint sink is attached) or a resume — so
 // plain runs pay nothing.
 //
-// The drivers register every set they mutate between supersteps (active and
-// candidate sets for sample-and-sparsify, active and membership sets for
-// Luby); anything else a driver holds is either immutable for the run or
-// recomputed from these sets each iteration.
+// The drivers register the vertex sets that carry a loop's progress (active
+// and candidate sets for sample-and-sparsify, active and membership sets for
+// Luby), and nothing else. The rest of a loop's state lives only in driver
+// memory: within a phase the view, degrees, marks and seed prefix, and
+// across phases the view, which each phase refreshes along the last. A
+// snapshot alone therefore cannot restart a loop mid-run. Recovery is still
+// exact: a simulated crash aborts one superstep attempt and loses no driver
+// memory (Restore round-trips the state the simulator still holds, see
+// mpc.Checkpointer), and a durable resume, or a restarted worker, replays
+// the run from round 1, rebuilding every view, before it checks the
+// snapshot against the replayed sets.
 func registerCheckpoint(c *mpc.Cluster, o Options, sets ...*bitset.Set) error {
 	if o.CheckpointEvery <= 0 {
 		return nil
