@@ -252,52 +252,46 @@ const (
 // DistGraph exchange drains and clears the inboxes it filled before it
 // returns, so no delivered sub-slice of the slab outlives its exchange
 // (DESIGN.md §8). Both passes visit only the members of from, skipping
-// empty bitset words whole, and walk each ascending row against the next
-// block boundary instead of dividing per edge: ownership is monotone in the
-// vertex id.
+// empty bitset words whole, and find each v's owner with the cluster's
+// reciprocal multiply (blocks), which has no data-dependent branch to
+// mispredict on a random row. A record is v, shifted by 32 unless rec is
+// recVertex, or-ed with a per-row tag: u, vals[u] or nothing.
 func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record, vals []int32) {
-	per := d.c.per
+	owner := d.c.blocks
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
-	slab := d.slabs[x.Machine]
-	for pass := 0; pass < 2; pass++ {
-		for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
-			nb := adj.Row(u)
-			if len(nb) == 0 {
-				continue
-			}
-			dst := d.c.Owner(int(nb[0]))
-			next := (dst + 1) * per // first vertex past dst's block
-			for _, v := range nb {
-				for int(v) >= next {
-					dst++
-					next += per
-				}
-				i := pos[dst]
-				pos[dst] = i + 1
-				if pass == 0 {
-					continue
-				}
-				switch rec {
-				case recVertex:
-					slab[i] = uint64(v)
-				case recEdge:
-					slab[i] = uint64(uint32(v))<<32 | uint64(uint32(u))
-				case recValue:
-					slab[i] = uint64(uint32(v))<<32 | uint64(uint32(vals[u]))
-				}
-			}
+	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
+		for _, v := range adj.Row(u) {
+			pos[owner.of(uint64(uint32(v)))]++
 		}
-		if pass == 0 {
-			total := 0
-			for dst, words := range pos {
-				pos[dst] = total
-				total += words
-			}
-			if cap(slab) < total {
-				slab = make([]uint64, total)
-				d.slabs[x.Machine] = slab
-			}
-			slab = slab[:total]
+	}
+	total := 0
+	for dst, words := range pos {
+		pos[dst] = total
+		total += words
+	}
+	slab := d.slabs[x.Machine]
+	if cap(slab) < total {
+		slab = make([]uint64, total)
+		d.slabs[x.Machine] = slab
+	}
+	slab = slab[:total]
+	shift := 32
+	if rec == recVertex {
+		shift = 0
+	}
+	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
+		var tag uint64
+		switch rec {
+		case recEdge:
+			tag = uint64(uint32(u))
+		case recValue:
+			tag = uint64(uint32(vals[u]))
+		}
+		for _, v := range adj.Row(u) {
+			w := uint64(uint32(v))
+			dst := owner.of(w)
+			slab[pos[dst]] = w<<shift | tag
+			pos[dst]++
 		}
 	}
 	x.SendOwnedRanges(slab, pos)

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -259,7 +260,8 @@ type BudgetPolicy func(round int, routed bool, sent, recv []int, boxes [][]Messa
 type Cluster struct {
 	cfg     Config
 	n       int
-	per     int // block size ⌈n/M⌉ of the partition (Owner, Range)
+	per     int    // block size ⌈n/M⌉ of the partition (Range)
+	blocks  blocks // per's reciprocal: the block of an item (Owner, scatter)
 	budget  int
 	meter   BudgetPolicy
 	stats   Stats
@@ -335,6 +337,9 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mpc: negative ground set %d", n)
 	}
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("mpc: ground set %d exceeds 32-bit item ids", n)
+	}
 	if cfg.Regime == 0 {
 		cfg.Regime = RegimeLinear
 	}
@@ -375,10 +380,12 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 			return nil, fmt.Errorf("mpc: Resume state has %d machines, cluster has %d", len(r.State), cfg.Machines)
 		}
 	}
+	per := (n + cfg.Machines - 1) / cfg.Machines
 	c := &Cluster{
 		cfg:     cfg,
 		n:       n,
-		per:     (n + cfg.Machines - 1) / cfg.Machines,
+		per:     per,
+		blocks:  newBlocks(per),
 		budget:  budget,
 		meter:   meter,
 		inboxes: make([][]Message, cfg.Machines),
@@ -441,10 +448,38 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // Owner returns the machine owning item v under the block partition.
 func (c *Cluster) Owner(v int) int {
-	if c.n == 0 {
-		return 0
+	return min(c.blocks.of(uint64(v)), c.cfg.Machines-1)
+}
+
+// blocks divides an item id by the block size per with one 64-bit multiply
+// instead of a division: of(v) = ⌊v·r / 2^64⌋ for the reciprocal
+// r = ⌊(2^64−1)/per⌋ + 1 = ⌈2^64/per⌉. r·per exceeds 2^64 by e < per, so
+// v·r / 2^64 exceeds v/per by v·e / (per·2^64) < 1/per whenever v·per < 2^64,
+// too little to carry v/per, whose fraction is at most (per−1)/per, to the
+// next integer. So of(v) = ⌊v/per⌋ exactly for every v < 2^32, since
+// NewClusterBudget keeps n, and with it per, below 2^32. per = 1 would need
+// r = 2^64, one bit too wide, so it multiplies v<<1 by 2^63 instead; per = 0
+// (an empty ground set) gives r = 0, and every v lands in block 0.
+type blocks struct {
+	recip uint64
+	shift uint8
+}
+
+// newBlocks returns per's reciprocal.
+func newBlocks(per int) blocks {
+	switch per {
+	case 0:
+		return blocks{}
+	case 1:
+		return blocks{recip: 1 << 63, shift: 1}
 	}
-	return min(v/c.per, c.cfg.Machines-1)
+	return blocks{recip: math.MaxUint64/uint64(per) + 1}
+}
+
+// of returns ⌊v/per⌋, the block holding item v < 2^32.
+func (b blocks) of(v uint64) int {
+	hi, _ := bits.Mul64(v<<b.shift, b.recip)
+	return int(hi)
 }
 
 // Range returns the half-open item range [lo, hi) owned by machine m.

@@ -26,6 +26,8 @@ func TestNewClusterConfig(t *testing.T) {
 		{name: "bad epsilon", cfg: Config{Machines: 2, Regime: RegimeSublinear, Epsilon: 1.5}, n: 10, wantErr: true},
 		{name: "bad explicit", cfg: Config{Machines: 2, Regime: RegimeExplicit}, n: 10, wantErr: true},
 		{name: "negative n", cfg: Config{Machines: 2}, n: -1, wantErr: true},
+		{name: "largest 32-bit ground set", cfg: Config{Machines: 3}, n: 1<<32 - 1, wantBudget: 4 * (1<<32 - 1)},
+		{name: "ids wider than 32 bits", cfg: Config{Machines: 3}, n: 1 << 32, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,9 +45,16 @@ func TestNewClusterConfig(t *testing.T) {
 	}
 }
 
+// TestOwnerAndRangePartition checks that the machines' ranges tile the
+// ground set and that Owner, the reciprocal multiply, maps every item into
+// its range, across the block sizes the reciprocal treats apart: per = 0
+// (n = 0), per = 1 (n = M and n < M, where the reciprocal would be 2^64),
+// per = 2, and n both a multiple of M and not.
 func TestOwnerAndRangePartition(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{
 		{n: 10, m: 3}, {n: 100, m: 7}, {n: 5, m: 8}, {n: 1, m: 1}, {n: 0, m: 2},
+		{n: 8, m: 8}, {n: 1, m: 8}, {n: 16, m: 8}, {n: 15, m: 8}, {n: 100, m: 10},
+		{n: 262144, m: 8}, {n: 262145, m: 8}, {n: 1000, m: 1},
 	} {
 		c, err := NewCluster(Config{Machines: tc.m}, tc.n)
 		if err != nil {
@@ -68,6 +77,66 @@ func TestOwnerAndRangePartition(t *testing.T) {
 			t.Fatalf("n=%d m=%d: ranges cover %d", tc.n, tc.m, covered)
 		}
 	}
+}
+
+// TestBlocksDivideExactly checks the reciprocal against v/per where it is
+// closest to failing, without a cluster of that size: the largest block
+// sizes and item ids, around every block boundary near them, for the block
+// sizes of n = 2^31 − 1 and n = 2^32 − 1 items on 1 to 9 machines, and for
+// small and power-of-two block sizes.
+func TestBlocksDivideExactly(t *testing.T) {
+	pers := []uint64{1, 2, 3, 5, 7, 1 << 16, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 1}
+	for _, n := range []uint64{1<<31 - 1, 1<<32 - 1} {
+		for m := uint64(1); m <= 9; m++ {
+			pers = append(pers, (n+m-1)/m)
+		}
+	}
+	for _, per := range pers {
+		b := newBlocks(int(per))
+		check := func(v uint64) {
+			if v >= 1<<32 {
+				return
+			}
+			if got := b.of(v); uint64(got) != v/per {
+				t.Fatalf("per %d: of(%d) = %d, want %d", per, v, got, v/per)
+			}
+		}
+		for _, base := range []uint64{0, per, 1<<31 - 1, 1<<32 - 1, (1<<32 - 1) / per * per} {
+			for dv := uint64(0); dv < 64; dv++ {
+				check(base + dv)
+				check(base - dv)
+			}
+		}
+	}
+}
+
+// FuzzOwner checks Owner against the division it replaces, on arbitrary
+// ground sets below 2^32, machine counts and items: Owner(v) must be
+// min(v/per, M−1) for per = ⌈n/M⌉, and v must lie in Owner(v)'s range.
+func FuzzOwner(f *testing.F) {
+	f.Add(uint32(5), uint16(5), uint32(4))
+	f.Add(uint32(3), uint16(8), uint32(2))
+	f.Add(uint32(16), uint16(8), uint32(15))
+	f.Add(uint32(262144), uint16(8), uint32(98303))
+	f.Add(uint32(1<<31-1), uint16(7), uint32(1<<31-2))
+	f.Add(uint32(1<<32-1), uint16(3), uint32(1<<32-2))
+	f.Fuzz(func(t *testing.T, n32 uint32, machines uint16, v32 uint32) {
+		if n32 == 0 {
+			return
+		}
+		n, m, v := int(n32), 1+int(machines)%4096, int(v32%n32)
+		c, err := NewCluster(Config{Machines: m}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := (n + m - 1) / m
+		if got, want := c.Owner(v), min(v/per, m-1); got != want {
+			t.Fatalf("n=%d M=%d: Owner(%d) = %d, want %d", n, m, v, got, want)
+		}
+		if lo, hi := c.Range(c.Owner(v)); v < lo || v >= hi {
+			t.Fatalf("n=%d M=%d: %d is outside its owner's range [%d,%d)", n, m, v, lo, hi)
+		}
+	})
 }
 
 func TestStepDeliversMessagesDeterministically(t *testing.T) {

@@ -68,6 +68,50 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// FuzzDecodeHeartbeat feeds arbitrary bytes, seeded with encoded heartbeats,
+// through DecodeHeartbeat, which the supervisor runs on every worker's
+// heartbeat body: it must reject a malformed body with ErrCodec, never a
+// panic. A body it accepts must survive a round trip through
+// EncodeHeartbeat: re-encoding the decoded heartbeat gives a body that
+// decodes and encodes to the same bytes again.
+func FuzzDecodeHeartbeat(f *testing.F) {
+	for _, tel := range []string{`{"schema":"mprs-telemetry/1","points":[{"name":"x","value":1.5}]}`, `null`, `"opaque"`, ``} {
+		data, err := EncodeHeartbeat(Heartbeat{Telemetry: []byte(tel)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"telemetry":{"schema":"mprs-telemetry/2"},"novel":[1,2]}`))
+	f.Add([]byte(`{"telemetry": { "a" : 1 } }`))
+	f.Add([]byte(`{truncated`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hb, err := DecodeHeartbeat(data)
+		if err != nil {
+			if !errors.Is(err, ErrCodec) {
+				t.Fatalf("DecodeHeartbeat error is not ErrCodec: %v", err)
+			}
+			return
+		}
+		once, err := EncodeHeartbeat(hb)
+		if err != nil {
+			t.Fatalf("encode a decoded heartbeat: %v", err)
+		}
+		back, err := DecodeHeartbeat(once)
+		if err != nil {
+			t.Fatalf("decode %q, encoded from a decoded heartbeat: %v", once, err)
+		}
+		twice, err := EncodeHeartbeat(back)
+		if err != nil {
+			t.Fatalf("encode a decoded heartbeat: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("round trip changed the heartbeat body: %q became %q", once, twice)
+		}
+	})
+}
+
 // checkPayload runs payload through checkDigests as every worker's frame:
 // exactly the payloads of the wrong length are ErrCodec, and a well-sized
 // one is either accepted or ErrDiverged.
