@@ -179,7 +179,10 @@ func (d *DistGraph) ExchangeWithin(name string, active *bitset.Set, view Adjacen
 // result is view with Val filled, so Vals(v)[i] is the value of Row(v)[i].
 // view must be the symmetric view of active (ExchangeActive's result on the
 // same set): the senders already hold their rows, so the ids need not
-// travel again. One round; one word per (active u, v in view.Row(u)).
+// travel again. An ExchangeWithin result qualifies when its set is a subset
+// of the set its view's rows were exchanged for: row v of the result is
+// that view's row v restricted to the subset. One round; one word per
+// (active u, v in view.Row(u)).
 //
 // The values line up with the rows without any id on the wire: every
 // record for v reaches Owner(v) in delivery order, by sender machine and

@@ -3,6 +3,7 @@ package rulingset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/bitset"
@@ -454,5 +455,98 @@ func TestSeedSearchAllocs(t *testing.T) {
 	}
 	if small > perExtensionSearch {
 		t.Errorf("%v allocations per chunk, more than the per-extension search's %d", small, perExtensionSearch)
+	}
+}
+
+// TestLubyWins pins Luby's conflict rule and its two feeds: a marked vertex
+// survives iff it beats every marked neighbour on (degree, id), and the
+// rivals' degrees line up the same whether they travel on luby/rivals
+// (randomized) or are read from the luby/degrees row (deterministic).
+func TestLubyWins(t *testing.T) {
+	tests := []struct {
+		name       string
+		v          int
+		dv         int32
+		rivals, ds []int32
+		want       bool
+	}{
+		{"no rivals", 4, 3, nil, nil, true},
+		{"tie, higher id wins", 7, 2, []int32{5}, []int32{2}, true},
+		{"tie, lower id loses", 5, 2, []int32{7}, []int32{2}, false},
+		{"higher degree wins over a higher id", 5, 3, []int32{7, 9}, []int32{2, 1}, true},
+		{"one higher-degree rival is enough", 9, 3, []int32{1, 4}, []int32{1, 4}, false},
+	}
+	for _, tt := range tests {
+		if got := lubyWins(tt.v, tt.dv, tt.rivals, tt.ds); got != tt.want {
+			t.Errorf("%s: lubyWins = %v, want %v", tt.name, got, tt.want)
+		}
+	}
+
+	const n = 300
+	g := gen.MustBuild("gnp:n=300,p=0.03", 11)
+	c, err := mpc.NewCluster(mpc.Config{Machines: 4}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mpc.Distribute(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	active, marks := bitset.New(n), bitset.New(n)
+	for v := 0; v < n; v++ {
+		if rng.Intn(4) > 0 {
+			active.Add(v)
+			if rng.Intn(2) == 0 {
+				marks.Add(v)
+			}
+		}
+	}
+	view, err := d.ExchangeActive("view", active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := make([]int32, n)
+	active.ForEach(func(v int) bool {
+		deg[v] = int32(len(view.Row(v)))
+		return true
+	})
+	nbrDeg, err := d.ExchangeAlong("degrees", active, view, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve, err := d.ExchangeWithin("resolve", marks, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, err := d.ExchangeAlong("rivals", marks, resolve, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := rivalDegrees(resolve, nbrDeg, marks)
+	wins, ties := 0, 0
+	marks.ForEach(func(v int) bool {
+		if !slices.Equal(sent.Vals(v), local.Vals(v)) {
+			t.Fatalf("vertex %d: rival degrees %v sent, %v read from its row", v, sent.Vals(v), local.Vals(v))
+		}
+		for i, w := range resolve.Row(v) {
+			if deg[w] != sent.Vals(v)[i] {
+				t.Fatalf("vertex %d: rival %d has degree %d, got %d", v, w, deg[w], sent.Vals(v)[i])
+			}
+			if deg[w] == deg[v] {
+				ties++
+			}
+		}
+		win := lubyWins(v, deg[v], sent.Row(v), sent.Vals(v))
+		if win != lubyWins(v, deg[v], local.Row(v), local.Vals(v)) {
+			t.Fatalf("vertex %d: the two feeds disagree", v)
+		}
+		if win {
+			wins++
+		}
+		return true
+	})
+	if wins == 0 || wins == marks.Count() || ties == 0 {
+		t.Fatalf("%d of %d marked vertices win, %d tied rivals: the instance does not exercise the rule", wins, marks.Count(), ties)
 	}
 }

@@ -2,6 +2,9 @@ package rulingset
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,5 +166,133 @@ func TestViewCarriedAcrossPhases(t *testing.T) {
 					len(phases), views, tc.view, dominates, tc.dominate, len(phases)-1, len(phases))
 			}
 		})
+	}
+}
+
+// TestLubyRoundPattern pins what each Luby iteration sends. Randomized Luby
+// runs no luby/degrees or luby/maxdeg round: its luby/rivals round carries
+// one degree per marked–marked edge end, and its luby/resolve round one id
+// per (marked vertex, active neighbour). A sequential replay of the same
+// marks counts both. DetLubyMIS, whose estimator reads every neighbour's
+// degree, still runs luby/degrees and luby/maxdeg every iteration and no
+// luby/rivals round.
+func TestLubyRoundPattern(t *testing.T) {
+	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
+	const seed = 3
+
+	// The replay: same marking draws, same (degree, id) rule.
+	var resolveWords, rivalWords []int
+	var members []int32
+	rng := rand.New(rand.NewSource(seed))
+	active := make([]bool, g.N())
+	for v := range active {
+		active[v] = true
+	}
+	deg := make([]int, g.N())
+	for remaining := g.N(); remaining > 0; {
+		for v := range deg {
+			deg[v] = 0
+			if active[v] {
+				for _, u := range g.Neighbors(v) {
+					if active[u] {
+						deg[v]++
+					}
+				}
+			}
+		}
+		marked := make([]bool, g.N())
+		for v, a := range active {
+			if a && deg[v] > 0 && rng.Float64() < math.Ldexp(1, -lubyJ(deg[v])) {
+				marked[v] = true
+			}
+		}
+		var joiners []int
+		resolved, rivals := 0, 0
+		for v := range active {
+			if !active[v] || (deg[v] > 0 && !marked[v]) {
+				continue
+			}
+			wins := true
+			for _, u := range g.Neighbors(v) {
+				if !active[u] {
+					continue
+				}
+				resolved++
+				if marked[u] {
+					rivals++
+					if deg[u] > deg[v] || (deg[u] == deg[v] && int(u) > v) {
+						wins = false
+					}
+				}
+			}
+			if wins {
+				joiners = append(joiners, v)
+			}
+		}
+		resolveWords = append(resolveWords, resolved)
+		rivalWords = append(rivalWords, rivals)
+		for _, v := range joiners {
+			members = append(members, int32(v))
+			active[v] = false
+			for _, u := range g.Neighbors(v) {
+				active[u] = false
+			}
+		}
+		remaining = 0
+		for _, a := range active {
+			if a {
+				remaining++
+			}
+		}
+	}
+	slices.Sort(members)
+
+	ring := trace.NewRing(1 << 16)
+	res, err := LubyMIS(g, Options{Seed: seed, Tracer: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Members, members) {
+		t.Fatalf("LubyMIS members differ from the sequential replay's")
+	}
+	if len(res.Phases) != len(rivalWords) || len(rivalWords) < 2 {
+		t.Fatalf("%d iterations, the replay ran %d", len(res.Phases), len(rivalWords))
+	}
+	var gotResolve, gotRivals []int
+	for _, ev := range ring.Events() {
+		switch {
+		case ev.Step == "luby/resolve":
+			gotResolve = append(gotResolve, ev.Words)
+		case ev.Step == "luby/rivals":
+			gotRivals = append(gotRivals, ev.Words)
+		case ev.Step == "luby/degrees", strings.HasPrefix(ev.Step, "luby/maxdeg"):
+			t.Fatalf("round %d: LubyMIS runs %s", ev.Round, ev.Step)
+		}
+	}
+	if !slices.Equal(gotResolve, resolveWords) {
+		t.Errorf("luby/resolve words %v, want one per (marked, active neighbour) pair: %v", gotResolve, resolveWords)
+	}
+	if !slices.Equal(gotRivals, rivalWords) {
+		t.Errorf("luby/rivals words %v, want one per marked–marked edge end: %v", gotRivals, rivalWords)
+	}
+
+	ring = trace.NewRing(1 << 16)
+	det, err := DetLubyMIS(g, Options{Seed: seed, Tracer: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degrees, maxdeg := 0, 0
+	for _, ev := range ring.Events() {
+		switch ev.Step {
+		case "luby/degrees":
+			degrees++
+		case "luby/maxdeg/gather":
+			maxdeg++
+		case "luby/rivals":
+			t.Fatalf("round %d: DetLubyMIS runs luby/rivals", ev.Round)
+		}
+	}
+	if k := len(det.Phases); degrees != k || maxdeg != k {
+		t.Fatalf("%d iterations ran %d luby/degrees and %d luby/maxdeg rounds", k, degrees, maxdeg)
 	}
 }
