@@ -52,6 +52,33 @@ func BenchmarkExchangeWithin(b *testing.B) {
 	}
 }
 
+// BenchmarkRefreshWithin times the refresh that replaced
+// BenchmarkExchangeWithin's in the marking loops, on the same shrink: the
+// graph's rows (the full set's view) refreshed to the active half's view,
+// with the survivors (KeepHeard) or the departed half (DropHeard) announcing
+// each of its vertices once per machine that holds it in a row.
+func BenchmarkRefreshWithin(b *testing.B) {
+	d, active, _ := benchPlane(b)
+	rows := GraphRows(d.Graph())
+	departed := bitset.New(d.Graph().N())
+	departed.Fill()
+	departed.Subtract(active)
+	for _, bc := range []struct {
+		name     string
+		announce *bitset.Set
+		dir      Refresh
+	}{{"survivors", active, KeepHeard}, {"departures", departed, DropHeard}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.RefreshWithin("r", active, bc.announce, bc.dir, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExchangeAlong times one value per view edge (recValue), decoded
 // into the slots of the view's rows.
 func BenchmarkExchangeAlong(b *testing.B) {

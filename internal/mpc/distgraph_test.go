@@ -439,7 +439,8 @@ func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
 
 // TestVertexExchangesParallelismInvariant runs one sequence of vertex-keyed
 // exchanges (ExchangeActive alone and followed by ExchangeAlong,
-// NotifyNeighbors and NotifyWithin) on one DistGraph at Parallelism 1, 2, 3 and 8: the
+// NotifyNeighbors, NotifyWithin, and RefreshWithin both ways once the marked
+// vertices leave) on one DistGraph at Parallelism 1, 2, 3 and 8: the
 // views, touched sets and Stats must be identical at every level, and the
 // serial views must match brute force. The senders reuse their slabs across
 // the sequence and the receivers decode on the worker pool, so this is also
@@ -449,6 +450,8 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	active, marked := halfSet(rng, exchangeN), halfSet(rng, exchangeN)
 	marked.Intersect(active)
+	survivors := active.Clone()
+	survivors.Subtract(marked)
 	vals := randomVals(rng, exchangeN)
 	type result struct {
 		Views   []Adjacency
@@ -470,6 +473,17 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Touched = append(r.Touched, touched)
+		for _, dir := range []Refresh{KeepHeard, DropHeard} {
+			announce := survivors
+			if dir == DropHeard {
+				announce = marked
+			}
+			view, err := d.RefreshWithin("r", survivors, announce, dir, r.Views[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Views = append(r.Views, view)
+		}
 		r.Stats = d.Cluster().Stats()
 		return r
 	}
@@ -477,6 +491,8 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 		ref := run(machines, 1)
 		checkRows(t, ref.Views[0], exchangeN, activeRows(g, active), nil)
 		checkRows(t, ref.Views[1], exchangeN, activeRows(g, active), vals)
+		checkRows(t, ref.Views[2], exchangeN, activeRows(g, survivors), nil)
+		checkRows(t, ref.Views[3], exchangeN, activeRows(g, survivors), nil)
 		for _, par := range []int{2, 3, 8} {
 			if got := run(machines, par); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("machines=%d: parallelism %d diverged from the serial run", machines, par)

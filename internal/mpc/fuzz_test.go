@@ -11,12 +11,17 @@ import (
 
 // FuzzIncrementalView checks the marking loops' view refresh against the
 // exchanges it replaces, on a random graph and a random shrinking chain of
-// active sets that starts full. At each step the view must equal
-// ExchangeActive's on the active set (the graph's own rows at the first
-// step; ExchangeWithin along the last view after that), costing one word
-// per edge end the last view kept. Notifying a random marked subset of the
-// active set along the view must reach exactly the marked vertices' active
-// neighbours, as the graph-wide notify restricted to the active set did.
+// active sets that starts full. At each step after the first, the last view
+// is refreshed both ways: the departures announcing themselves (DropHeard)
+// and the survivors (KeepHeard). Both must equal ExchangeActive's view of
+// the active set, and each costs exactly one word per (announcing u,
+// distinct owner of a vertex of the last view's row u). The survivors'
+// refresh must send no more words or messages than the per-edge refresh
+// (ExchangeWithin along the last view) that it replaced. The chain carries
+// the view of the smaller side, as the loops do. Notifying a random marked
+// subset of the active set along the view must reach exactly the marked
+// vertices' active neighbours, as the graph-wide notify restricted to the
+// active set did.
 func FuzzIncrementalView(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(60), uint8(3))
 	f.Add(int64(2), uint8(1), uint8(255), uint8(1))
@@ -33,28 +38,54 @@ func FuzzIncrementalView(f *testing.F) {
 		c := d.Cluster()
 		active := bitset.New(n)
 		active.Fill()
+		last := active.Clone() // the set view was exchanged for
 		view := GraphRows(g)
 		for step := 0; active.Count() > 0; step++ {
-			if step > 0 {
-				before := c.Stats().Words
-				var want int64
-				active.ForEach(func(u int) bool {
-					want += int64(len(view.Row(u)))
-					return true
-				})
-				if view, err = d.ExchangeWithin("w", active, view); err != nil {
-					t.Fatal(err)
-				}
-				if got := c.Stats().Words - before; got != want {
-					t.Fatalf("step %d: the refresh moved %d words, want %d", step, got, want)
-				}
-			}
 			ref, err := d.ExchangeActive("x", active)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(view, ref) {
-				t.Fatalf("step %d: the carried view differs from ExchangeActive's", step)
+			if step > 0 {
+				departed := last.Clone()
+				departed.Subtract(active)
+				before := c.Stats()
+				if _, err := d.ExchangeWithin("w", active, view); err != nil {
+					t.Fatal(err)
+				}
+				perEdge := c.Stats()
+				perEdge.Words -= before.Words
+				perEdge.Messages -= before.Messages
+				refreshed := make([]Adjacency, 2)
+				for _, dir := range []Refresh{KeepHeard, DropHeard} {
+					announce := active
+					if dir == DropHeard {
+						announce = departed
+					}
+					before := c.Stats()
+					if refreshed[dir], err = d.RefreshWithin("r", active, announce, dir, view); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := c.Stats().Words-before.Words, ownerWords(c, view, announce); got != want {
+						t.Fatalf("step %d: refresh %d moved %d words, want %d", step, dir, got, want)
+					}
+					if !reflect.DeepEqual(refreshed[dir], ref) {
+						t.Fatalf("step %d: refresh %d differs from ExchangeActive's view", step, dir)
+					}
+					if dir == KeepHeard {
+						words, msgs := c.Stats().Words-before.Words, c.Stats().Messages-before.Messages
+						if words > perEdge.Words || msgs > perEdge.Messages {
+							t.Fatalf("step %d: the survivors' refresh sent %d words in %d messages, the per-edge one %d in %d",
+								step, words, msgs, perEdge.Words, perEdge.Messages)
+						}
+					}
+				}
+				view = refreshed[KeepHeard]
+				if after := active.Count(); 2*after > last.Count() {
+					view = refreshed[DropHeard]
+				}
+				last = active.Clone()
+			} else if !reflect.DeepEqual(view, ref) {
+				t.Fatalf("step %d: the graph's rows differ from ExchangeActive's full view", step)
 			}
 			marked := halfSet(rng, n)
 			marked.Intersect(active)
@@ -80,4 +111,19 @@ func FuzzIncrementalView(f *testing.F) {
 			active.Subtract(halfSet(rng, n))
 		}
 	})
+}
+
+// ownerWords is RefreshWithin's word count, by brute force: one word per (u
+// in announce, distinct owner of a vertex of view.Row(u)).
+func ownerWords(c *Cluster, view Adjacency, announce *bitset.Set) int64 {
+	var words int64
+	announce.ForEach(func(u int) bool {
+		owners := map[int]bool{}
+		for _, v := range view.Row(u) {
+			owners[c.Owner(int(v))] = true
+		}
+		words += int64(len(owners))
+		return true
+	})
+	return words
 }

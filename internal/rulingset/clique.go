@@ -116,7 +116,11 @@ type cliqueModel struct {
 	g *graph.Graph
 }
 
-func (m cliqueModel) view(active *bitset.Set, last mpc.Adjacency) (mpc.Adjacency, error) {
+// view has every active node announce itself along its row of last, one
+// word per pair. Deduplicating per machine saves nothing when a node is
+// its own machine, and only node 0 learns the active count, so the clique
+// ignores departed and the counts.
+func (m cliqueModel) view(active, _ *bitset.Set, _, _ int, last mpc.Adjacency) (mpc.Adjacency, error) {
 	return m.neighborsIn("view", active, last)
 }
 

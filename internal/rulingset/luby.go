@@ -60,7 +60,11 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	remaining := n
 	// The first iteration marks on the graph's rows, every vertex active;
 	// each later one refreshes the view along the last, as in runPhases.
+	// Winners are independent and every active neighbour of a winner is
+	// knocked out, so the last iteration's touched set holds every vertex
+	// that left and may still be in a survivor's row.
 	view := mpc.GraphRows(g)
+	var touched *bitset.Set
 	c.Span("sparsify") // Luby's marking iterations play the sparsify role
 	for iter := 1; remaining > 0; iter++ {
 		if iter > o.MaxIterations {
@@ -68,7 +72,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 		if iter > 1 {
 			var err error
-			if view, err = m.view(active, view); err != nil {
+			if view, err = m.view(active, touched, phases[len(phases)-1].ActiveBefore, remaining, view); err != nil {
 				return Result{}, err
 			}
 		}
@@ -160,7 +164,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		})
 
 		inSet.Union(joiners)
-		touched, err := d.NotifyWithin("luby/knockout", joiners, view)
+		touched, err = d.NotifyWithin("luby/knockout", joiners, view)
 		if err != nil {
 			return Result{}, err
 		}

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
+	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/trace"
 )
 
@@ -120,29 +122,45 @@ func TestCliqueTraceByteDeterminism(t *testing.T) {
 // round runs before the loop's first dominate (Luby: knockout) round, and
 // each later phase refreshes the view once, so a loop of k phases runs
 // k − 1 view rounds and k dominate rounds.
+//
+// In MPC each view round must also take the direction its counts pick and
+// cost exactly that direction's words. The MPC runs checkpoint every round
+// into memory, so the test reads the active set and the joined or
+// candidate set each view round starts from, and those of the last view
+// round (the full set before the first): when more than half of the last
+// set survives, the knocked-out vertices that did not join announce
+// themselves, and otherwise the survivors do, each once per machine that
+// owns one of its active neighbours in the last set.
 func TestViewCarriedAcrossPhases(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
 	cases := []struct {
 		name, view, dominate string
+		mpc                  bool
 		run                  func(o Options) ([]PhaseStat, error)
 	}{
-		{"LubyMIS", "luby/view", "luby/knockout", func(o Options) ([]PhaseStat, error) {
+		{"LubyMIS", "luby/view", "luby/knockout", true, func(o Options) ([]PhaseStat, error) {
 			r, err := LubyMIS(g, o)
 			return r.Phases, err
 		}},
-		{"DetRuling2", "sparsify/view", "sparsify/dominate", func(o Options) ([]PhaseStat, error) {
+		{"DetRuling2", "sparsify/view", "sparsify/dominate", true, func(o Options) ([]PhaseStat, error) {
 			r, err := DetRuling2(g, o)
 			return r.Phases, err
 		}},
-		{"CliqueDetRuling2", "view", "dominate", func(o Options) ([]PhaseStat, error) {
+		{"CliqueDetRuling2", "view", "dominate", false, func(o Options) ([]PhaseStat, error) {
 			r, err := CliqueDetRuling2(g, o)
 			return r.Phases, err
 		}},
 	}
+	directions := map[bool]int{} // MPC view rounds by whether departures announced
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ring := trace.NewRing(1 << 16)
-			phases, err := tc.run(Options{Seed: 3, Tracer: ring})
+			o := Options{Seed: 3, Tracer: ring}
+			sink := &memSink{}
+			if tc.mpc {
+				o.CheckpointEvery, o.CheckpointSink = 1, sink
+			}
+			phases, err := tc.run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,11 +168,19 @@ func TestViewCarriedAcrossPhases(t *testing.T) {
 				t.Fatalf("%d phases: the graph does not exercise a refresh", len(phases))
 			}
 			views, dominates := 0, 0
+			lastRound := 0 // the last view round; 0 before the first phase
 			for _, ev := range ring.Events() {
 				switch ev.Step {
 				case tc.view:
 					if dominates == 0 {
 						t.Fatalf("round %d: %s runs before the first %s", ev.Round, tc.view, tc.dominate)
+					}
+					if tc.mpc {
+						ps := phases[views]
+						departures := 2*ps.ActiveAfter > ps.ActiveBefore
+						directions[departures]++
+						checkViewRound(t, g, sink, lastRound, ev, ps, departures)
+						lastRound = ev.Round
 					}
 					views++
 				case tc.dominate:
@@ -167,6 +193,78 @@ func TestViewCarriedAcrossPhases(t *testing.T) {
 			}
 		})
 	}
+	if directions[true] == 0 || directions[false] == 0 {
+		t.Fatalf("the MPC view rounds took one direction only (%d departures, %d survivors announcing)", directions[true], directions[false])
+	}
+}
+
+// checkViewRound checks one MPC view round against the checkpoints taken
+// before the last view round (lastRound; the full set before the first
+// phase when it is 0) and before this one: the active counts must be ps's,
+// and the round must carry exactly the words of the direction departures
+// names.
+func checkViewRound(t *testing.T, g *graph.Graph, sink *memSink, lastRound int, ev trace.Event, ps PhaseStat, departures bool) {
+	t.Helper()
+	prev, prevJoined := bitset.New(g.N()), bitset.New(g.N())
+	prev.Fill()
+	if lastRound > 0 {
+		prev, prevJoined = snapshotSets(t, g.N(), sink, lastRound-1)
+	}
+	active, joined := snapshotSets(t, g.N(), sink, ev.Round-1)
+	if prev.Count() != ps.ActiveBefore || active.Count() != ps.ActiveAfter {
+		t.Fatalf("round %d: checkpoints hold %d then %d active vertices, phase stats %d then %d",
+			ev.Round, prev.Count(), active.Count(), ps.ActiveBefore, ps.ActiveAfter)
+	}
+	announce := active
+	if departures {
+		// The knocked-out vertices: the ones that left without joining.
+		announce = prev.Clone()
+		announce.Subtract(active)
+		joined.Subtract(prevJoined)
+		announce.Subtract(joined)
+	}
+	c, err := mpc.NewCluster(mpc.Config{Machines: len(sink.states[ev.Round-1])}, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	announce.ForEach(func(u int) bool {
+		owners := map[int]bool{}
+		for _, v := range g.Neighbors(u) {
+			if prev.Contains(int(v)) {
+				owners[c.Owner(int(v))] = true
+			}
+		}
+		want += len(owners)
+		return true
+	})
+	if ev.Words != want {
+		t.Fatalf("round %d (%d of %d active survive, departures announce: %v): %d words, want %d",
+			ev.Round, ps.ActiveAfter, ps.ActiveBefore, departures, ev.Words, want)
+	}
+}
+
+// snapshotSets decodes the driver's two checkpointed sets (active, then
+// joined or candidates) as they stood after round.
+func snapshotSets(t *testing.T, n int, sink *memSink, round int) (*bitset.Set, *bitset.Set) {
+	t.Helper()
+	state, ok := sink.states[round]
+	if !ok {
+		t.Fatalf("no checkpoint after round %d", round)
+	}
+	c, err := mpc.NewCluster(mpc.Config{Machines: len(state)}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []*bitset.Set{bitset.New(n), bitset.New(n)}
+	for m, words := range state {
+		lo, hi := c.Range(m)
+		per := (hi - lo + 63) / 64
+		for i, s := range sets {
+			s.UnpackRange(lo, hi, words[i*per:(i+1)*per])
+		}
+	}
+	return sets[0], sets[1]
 }
 
 // TestLubyRoundPattern pins what each Luby iteration sends. Randomized Luby
