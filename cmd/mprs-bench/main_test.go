@@ -84,6 +84,36 @@ func TestDiffExitCodes(t *testing.T) {
 	}
 }
 
+// TestDiffLabelsDecreases: a drop in a cost column still fails the diff
+// (exit 2), but is labelled IMPROVED with its relative change, not
+// REGRESSION.
+func TestDiffLabelsDecreases(t *testing.T) {
+	dir := t.TempDir()
+	orig := filepath.Join(dir, "a.json")
+	if _, code, err := capture(t, []string{"run", "-quick", "-q", "-workloads", "t2-star", "-out", orig}); err != nil || code != 0 {
+		t.Fatalf("run: code %d, err %v", code, err)
+	}
+	f, err := bench.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Results[0].Words /= 2
+	halved := filepath.Join(dir, "b.json")
+	if err := f.WriteFile(halved); err != nil {
+		t.Fatal(err)
+	}
+	out, code, err := capture(t, []string{"diff", orig, halved})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 {
+		t.Fatalf("halved diff exited %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "IMPROVED") || !strings.Contains(out, "words") || !strings.Contains(out, "(-50%)") || strings.Contains(out, "REGRESSION") {
+		t.Errorf("diff output does not label the halved words an improvement:\n%s", out)
+	}
+}
+
 // TestDiffTraceFiles: the diff subcommand detects JSONL inputs and compares
 // them event by event.
 func TestDiffTraceFiles(t *testing.T) {

@@ -383,3 +383,33 @@ func TestDiffTraces(t *testing.T) {
 		t.Errorf("header parameter mismatch not flagged: %v", deltas)
 	}
 }
+
+// TestDeltaLabels: a delta is IMPROVED only when a cost column decreases;
+// increases, non-numeric values and columns with no better direction stay
+// REGRESSION.
+func TestDeltaLabels(t *testing.T) {
+	for _, tc := range []struct {
+		d    Delta
+		want string
+	}{
+		{Delta{Key: "k", Field: "words", Old: "8662", New: "3673", Cost: true}, "IMPROVED k words: 8662 -> 3673 (-58%)"},
+		{Delta{Key: "k", Field: "words", Old: "3673", New: "8662", Cost: true}, "REGRESSION k words: 3673 -> 8662"},
+		{Delta{Key: "k", Field: "gini_sent", Old: "0.5", New: "0.25", Cost: true}, "IMPROVED k gini_sent: 0.5 -> 0.25 (-50%)"},
+		{Delta{Key: "k", Field: "members", Old: "10", New: "9"}, "REGRESSION k members: 10 -> 9"},
+		{Delta{Key: "k", Field: "(row)", Old: "present", New: "absent", Cost: true}, "REGRESSION k (row): present -> absent"},
+	} {
+		if got := tc.d.String(); got != tc.want {
+			t.Errorf("%+v: got %q, want %q", tc.d, got, tc.want)
+		}
+	}
+	base := quickRun(t)
+	mut := *base
+	mut.Results = append([]Result(nil), base.Results...)
+	mut.Results[0].Words--
+	mut.Results[0].Members++
+	for _, d := range Diff(base, &mut) {
+		if d.Cost != (d.Field == "words") {
+			t.Errorf("%s: Cost = %v", d.Field, d.Cost)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 
 	"github.com/rulingset/mprs/internal/trace"
 )
@@ -16,15 +17,45 @@ type Delta struct {
 	Field string
 	// Old and New are the rendered values.
 	Old, New string
+	// Cost marks a column where less is better (costColumns).
+	Cost bool
 }
 
+// String renders the delta as one line labelled by its direction: a
+// decrease in a cost column reads IMPROVED, with its relative change, and
+// every other delta reads REGRESSION. Either way the artifacts differ, so
+// the diff still fails.
 func (d Delta) String() string {
+	if old, new, ok := d.numbers(); ok && d.Cost && new < old {
+		return fmt.Sprintf("IMPROVED %s %s: %s -> %s (%+.0f%%)", d.Key, d.Field, d.Old, d.New, 100*(new-old)/old)
+	}
 	return fmt.Sprintf("REGRESSION %s %s: %s -> %s", d.Key, d.Field, d.Old, d.New)
 }
 
-// Diff compares two artifacts. Every column must match exactly, and every
-// delta is a regression. Rows are matched by Key; ordering differences alone
-// are not deltas.
+// numbers parses Old and New as numbers.
+func (d Delta) numbers() (old, new float64, ok bool) {
+	old, errOld := strconv.ParseFloat(d.Old, 64)
+	new, errNew := strconv.ParseFloat(d.New, 64)
+	return old, new, errOld == nil && errNew == nil
+}
+
+// costColumns are the Result columns where less is better: model costs,
+// skew, budget breaches and recovery overhead. A column missing here (the
+// input and output shape, the fault plan's crash count) has no better
+// direction, so every change to it is a regression.
+var costColumns = map[string]bool{
+	"rounds": true, "phases": true, "seed_steps": true,
+	"messages": true, "words": true,
+	"peak_sent": true, "peak_recv": true, "peak_resident": true,
+	"skew_sent": true, "skew_recv": true, "gini_sent": true, "gini_recv": true,
+	"violations":      true,
+	"recovery_rounds": true, "replayed_words": true, "checkpoint_bytes": true,
+}
+
+// Diff compares two artifacts. Every column must match exactly, so every
+// delta fails the diff; a decrease in a cost column is labelled as an
+// improvement, every other delta as a regression. Rows are matched by Key;
+// ordering differences alone are not deltas.
 func Diff(old, new *File) []Delta {
 	var deltas []Delta
 	if old.Manifest.Quick != new.Manifest.Quick {
@@ -80,6 +111,7 @@ func diffRow(old, new Result) []Delta {
 			deltas = append(deltas, Delta{
 				Key: old.Key(), Field: field,
 				Old: fmt.Sprint(ov), New: fmt.Sprint(nv),
+				Cost: costColumns[field],
 			})
 		}
 	}
