@@ -60,15 +60,23 @@ type WorkerTimeline struct {
 	FinalOutcome string `json:"final_outcome"`   // result, error, quarantined, or "" if the run ended without one
 }
 
-// readLifecycle loads and analyzes a lifecycle stream.
+// readLifecycle loads and analyzes the lifecycle stream at path.
 func readLifecycle(path string) (LifecycleReport, error) {
-	var rep LifecycleReport
 	f, err := os.Open(path)
 	if err != nil {
-		return rep, err
+		return LifecycleReport{}, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	return decodeLifecycle(f, path)
+}
+
+// decodeLifecycle analyzes a lifecycle stream read from r, naming it path in
+// errors. The stream is untrusted: the header's worker count sizes the
+// per-worker report, so a count below 0 or above supervise.MaxWorkers is
+// rejected.
+func decodeLifecycle(r io.Reader, path string) (LifecycleReport, error) {
+	var rep LifecycleReport
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	if !sc.Scan() {
 		return rep, fmt.Errorf("%s: empty lifecycle file", path)
@@ -78,6 +86,9 @@ func readLifecycle(path string) (LifecycleReport, error) {
 	}
 	if rep.Header.Schema != supervise.LifecycleSchema {
 		return rep, fmt.Errorf("%s: schema %q, want %q", path, rep.Header.Schema, supervise.LifecycleSchema)
+	}
+	if w := rep.Header.Workers; w < 0 || w > supervise.MaxWorkers {
+		return rep, fmt.Errorf("%s: lifecycle header names %d workers, want 0 to %d", path, w, supervise.MaxWorkers)
 	}
 	byWorker := map[int]*WorkerTimeline{}
 	timeline := func(w int) *WorkerTimeline {

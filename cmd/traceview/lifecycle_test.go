@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/supervise"
 )
 
 // lifecycleFixture is a representative supervisor stream: one injected kill
@@ -104,4 +107,52 @@ func TestLifecycleMalformed(t *testing.T) {
 	if strings.Contains(b.String(), "restart timeline") {
 		t.Error("superstep trace routed to the lifecycle renderer")
 	}
+}
+
+// TestLifecycleWorkerCount: the header's worker count sizes the report, so
+// a negative count or one above supervise.MaxWorkers is an error, and the
+// largest accepted count yields that many timelines.
+func TestLifecycleWorkerCount(t *testing.T) {
+	header := func(w int) string {
+		return fmt.Sprintf(`{"schema":"mprs-lifecycle/1","workers":%d}`+"\n", w)
+	}
+	for _, w := range []int{-1, supervise.MaxWorkers + 1, 1 << 40} {
+		if _, err := decodeLifecycle(strings.NewReader(header(w)), "hdr"); err == nil || !strings.Contains(err.Error(), "workers") {
+			t.Errorf("workers=%d: %v", w, err)
+		}
+	}
+	rep, err := decodeLifecycle(strings.NewReader(header(supervise.MaxWorkers)), "hdr")
+	if err != nil || len(rep.Workers) != supervise.MaxWorkers {
+		t.Fatalf("workers=%d: %d timelines, %v", supervise.MaxWorkers, len(rep.Workers), err)
+	}
+}
+
+// FuzzReadLifecycle feeds arbitrary bytes to the lifecycle reader: it must
+// return an error or a report, never panic, and an accepted report has one
+// timeline per header worker and every event line.
+func FuzzReadLifecycle(f *testing.F) {
+	f.Add([]byte(lifecycleFixture))
+	f.Add([]byte(`{"schema":"mprs-lifecycle/1","workers":1}` + "\n" + `{"seq":` + "\n"))
+	f.Add([]byte(`{"schema":"mprs-lifecycle/1","workers":-5}` + "\n"))
+	f.Add([]byte(`{"schema":"mprs-lifecycle/1","workers":9223372036854775807}` + "\n"))
+	f.Add([]byte(`{"schema":"mprs-lifecycle/1","workers":2}` + "\n" + `{"kind":"restart","worker":-3}` + "\n" + `{"kind":"degrade"}` + "\n"))
+	f.Add([]byte(`{"schema":"mprs-trace/1"}` + "\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := decodeLifecycle(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		if len(rep.Workers) != rep.Header.Workers {
+			t.Fatalf("%d timelines for a %d-worker header", len(rep.Workers), rep.Header.Workers)
+		}
+		for i, tl := range rep.Workers {
+			if tl.Worker != i {
+				t.Fatalf("timeline %d is worker %d", i, tl.Worker)
+			}
+		}
+		if err := renderLifecycle(new(bytes.Buffer), rep); err != nil {
+			t.Fatalf("accepted report does not render: %v", err)
+		}
+	})
 }

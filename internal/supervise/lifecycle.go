@@ -11,6 +11,11 @@ import (
 // are LifecycleEvents — the restart timeline cmd/traceview renders.
 const LifecycleSchema = "mprs-lifecycle/1"
 
+// MaxWorkers is the most worker processes Run supervises, and so the most a
+// LifecycleHeader names: readers size per-worker state from the header and
+// reject a count above it.
+const MaxWorkers = 1024
+
 // LifecycleHeader is the first line of a lifecycle stream.
 type LifecycleHeader struct {
 	Schema      string `json:"schema"`

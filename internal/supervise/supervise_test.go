@@ -277,6 +277,9 @@ func TestMultiProcConfigValidation(t *testing.T) {
 	if _, err := Run(testSpec(t, "det2"), Config{Workers: 9, Spawn: SelfExec()}); err == nil {
 		t.Error("more workers than machines accepted")
 	}
+	if _, err := Run(testSpec(t, "det2"), Config{Workers: MaxWorkers + 1, Spawn: SelfExec()}); err == nil || !strings.Contains(err.Error(), "MaxWorkers") {
+		t.Errorf("workers above MaxWorkers: %v", err)
+	}
 	if _, err := Run(testSpec(t, "det2"), Config{Workers: 2}); err == nil {
 		t.Error("missing Spawn accepted")
 	}

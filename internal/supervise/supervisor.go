@@ -316,6 +316,9 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 	if cfg.Workers < 1 {
 		return rulingset.Result{}, fmt.Errorf("supervise: workers %d < 1", cfg.Workers)
 	}
+	if cfg.Workers > MaxWorkers {
+		return rulingset.Result{}, fmt.Errorf("supervise: workers %d > MaxWorkers %d", cfg.Workers, MaxWorkers)
+	}
 	if cfg.Workers > spec.Machines {
 		return rulingset.Result{}, fmt.Errorf("supervise: %d workers > %d machines (every worker must own at least one machine)", cfg.Workers, spec.Machines)
 	}
