@@ -62,6 +62,26 @@ func (s *Set) Count() int {
 	return c
 }
 
+// CountRange returns the number of elements in [lo, hi), the range clamped
+// to [0, n): one popcount per word, the two end words masked to the range.
+func (s *Set) CountRange(lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, s.n)
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	loMask := ^uint64(0) << uint(lo%wordBits)
+	hiMask := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
+	if first == last {
+		return bits.OnesCount64(s.words[first] & loMask & hiMask)
+	}
+	c := bits.OnesCount64(s.words[first]&loMask) + bits.OnesCount64(s.words[last]&hiMask)
+	for _, w := range s.words[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // Clear removes all elements.
 func (s *Set) Clear() {
 	for i := range s.words {

@@ -263,3 +263,62 @@ func TestNextMatchesContainsScan(t *testing.T) {
 		}
 	}
 }
+
+// countRangeByContains is CountRange's reference: one Contains per index.
+func countRangeByContains(s *Set, lo, hi int) int {
+	c := 0
+	for i := lo; i < hi; i++ {
+		if s.Contains(i) {
+			c++
+		}
+	}
+	return c
+}
+
+// TestCountRange checks CountRange at the word boundaries: lo and hi at 0,
+// 63, 64, 65 and n, on a zero-value, an empty, a full and a mixed set,
+// including empty, reversed and out-of-range ranges.
+func TestCountRange(t *testing.T) {
+	const n = 200
+	empty, full, mixed := New(n), New(n), New(n)
+	full.Fill()
+	for i := 0; i < n; i += 3 {
+		mixed.Add(i)
+	}
+	mixed.Add(63)
+	mixed.Add(64)
+	ends := []int{-5, 0, 1, 63, 64, 65, 127, 128, 129, n - 1, n, n + 7}
+	for _, tc := range []struct {
+		name string
+		s    *Set
+	}{{"zero", &Set{}}, {"empty", empty}, {"full", full}, {"mixed", mixed}} {
+		name, s := tc.name, tc.s
+		for _, lo := range ends {
+			for _, hi := range ends {
+				if got, want := s.CountRange(lo, hi), countRangeByContains(s, lo, hi); got != want {
+					t.Errorf("%s.CountRange(%d, %d) = %d, want %d", name, lo, hi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCountRange checks CountRange against the Contains loop on a set of up
+// to 1023 indices whose words are random draws from seed masked by seed, so
+// a sparse seed gives a sparse set.
+func FuzzCountRange(f *testing.F) {
+	f.Add(uint16(200), uint64(0x8000_0000_0000_0001), int16(63), int16(65))
+	f.Add(uint16(64), ^uint64(0), int16(0), int16(64))
+	f.Add(uint16(129), uint64(0xdead_beef), int16(-3), int16(300))
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64, lo, hi int16) {
+		s := New(int(n % 1024))
+		r := rand.New(rand.NewSource(int64(seed)))
+		for i := range s.words {
+			s.words[i] = r.Uint64() & seed
+		}
+		s.trimTail()
+		if got, want := s.CountRange(int(lo), int(hi)), countRangeByContains(s, int(lo), int(hi)); got != want {
+			t.Fatalf("n=%d CountRange(%d, %d) = %d, want %d", s.n, lo, hi, got, want)
+		}
+	})
+}

@@ -145,6 +145,9 @@ type Cluster struct {
 	scatterVals  []float64
 	scatterWords []uint64
 	scatterEnds  []int
+	// reduceWords is SumToZero's and MaxToZero's payload slab, made on
+	// first use: node v sends reduceWords[v:v+1].
+	reduceWords []uint64
 }
 
 // NewCluster creates an n-node congested clique.
@@ -292,16 +295,27 @@ func (c *Cluster) MaxToZero(name string, local func(v int) uint64) (uint64, erro
 	return c.reduceToZero(name, local, func(a, b uint64) uint64 { return max(a, b) })
 }
 
-// reduceToZero gathers one word per node at node 0 in one round and folds
-// them with op, starting from 0.
+// reduceToZero gathers one word per node at node 0 in one round, node 0's
+// own word included, and folds them with op, starting from 0. Every node
+// sends its word from its own slot of the kept reduceWords slab, which is
+// safe to overwrite by the next call as ScatterAggregateFloat's slabs are:
+// node 0's inbox is drained before this call returns, and a crash retry
+// rewrites each slot with the same word.
 func (c *Cluster) reduceToZero(name string, local func(v int) uint64, op func(a, b uint64) uint64) (uint64, error) {
-	parts, err := c.eng.Gather(name, func(x *Ctx) []uint64 { return []uint64{local(x.Machine)} })
-	if err != nil {
-		return 0, c.modelErr(err)
+	if c.reduceWords == nil {
+		c.reduceWords = make([]uint64, c.n)
+	}
+	words := c.reduceWords
+	if err := c.Step(name, func(x *Ctx) {
+		v := x.Machine
+		words[v] = local(v)
+		x.SendOwned(0, words[v:v+1:v+1])
+	}); err != nil {
+		return 0, err
 	}
 	var acc uint64
-	for _, words := range parts {
-		for _, w := range words {
+	for _, msg := range c.Drain(0) {
+		for _, w := range msg.Payload {
 			acc = op(acc, w)
 		}
 	}

@@ -107,6 +107,28 @@ func TestScatterAggregateFloatAllocs(t *testing.T) {
 	}
 }
 
+// TestSumToZeroAllocs pins the reduction's kept payload slab: a SumToZero
+// allocates the same number of times on 1024 and 4096 nodes.
+func TestSumToZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	allocs := func(n int) float64 {
+		c, err := NewCluster(Config{Parallelism: 1}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(8, func() {
+			if _, err := c.SumToZero("sum", func(v int) uint64 { return uint64(v) }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1024), allocs(4096); small != large {
+		t.Fatalf("%v allocations per SumToZero at n=1024, %v at n=4096", small, large)
+	}
+}
+
 // scatterTerm is node v's contribution to coordinate e in the scatter
 // tests: distinct magnitudes, so a lost, doubled or misrouted term shows.
 func scatterTerm(call, v, e int) float64 {

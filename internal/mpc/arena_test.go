@@ -291,3 +291,41 @@ func TestStepReusesDeliveryArena(t *testing.T) {
 			perStep, headers)
 	}
 }
+
+// TestStepAllocsPerMachine pins what a superstep allocates per machine: at
+// M = 4096 a warmed-up Step allocates at most 40 bytes per machine, room for
+// the attempt's 32-byte contexts but not for state that grows with M beyond
+// them.
+func TestStepAllocsPerMachine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const M, maxPerMachine = 4096, 40
+	c, err := NewCluster(Config{Machines: M, Parallelism: 1}, M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]uint64, M)
+	step := func() {
+		if err := c.Step("ring", func(x *Ctx) {
+			m := x.Machine
+			slab[m] = uint64(m)
+			x.SendOwned((m+1)%M, slab[m:m+1:m+1])
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if perMachine := float64(after.TotalAlloc-before.TotalAlloc) / runs / M; perMachine > maxPerMachine {
+		t.Fatalf("a Step allocates %.1f bytes per machine, want at most %d", perMachine, maxPerMachine)
+	}
+}

@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -173,6 +175,144 @@ func TestLateSendErrors(t *testing.T) {
 	// The error is one-shot: subsequent steps are clean.
 	if err := c.Step("clean", func(x *Ctx) {}); err != nil {
 		t.Fatalf("step after stale-send report: %v", err)
+	}
+}
+
+// staleRun is one run of a stale-context scenario: the Stats after the step
+// the stale sends ran in, every machine's delivered words, and the error of
+// the Step after it.
+type staleRun struct {
+	stats Stats
+	boxes [][]uint64
+	next  error
+}
+
+// ringStep has every machine send its id to the next machine.
+func ringStep(x *Ctx, M int) {
+	x.Send((x.Machine+1)%M, uint64(x.Machine))
+}
+
+// sendStale sends on a context whose step is over, with each send primitive.
+func sendStale(x *Ctx) {
+	x.Send(0, 99)
+	x.SendOwned(2, []uint64{98, 97})
+	x.SendOwnedRanges([]uint64{96, 95, 94}, []int{1, 1, 3})
+}
+
+// drainAll drains and returns every machine's delivered words.
+func drainAll(c *Cluster) [][]uint64 {
+	boxes := make([][]uint64, c.Machines())
+	for m := range boxes {
+		boxes[m] = inboxWords(c.Drain(m))
+	}
+	return boxes
+}
+
+// checkStale compares a scenario run with stale sends against the same run
+// without them: the stale words are never delivered, no Stats counter moves,
+// and only the Step after the stale sends fails, with ErrStaleCtx naming the
+// leaked context's machine and round.
+func checkStale(t *testing.T, run func(stale bool) staleRun, machine, round int) {
+	t.Helper()
+	ref, got := run(false), run(true)
+	if ref.next != nil {
+		t.Fatalf("reference run: next step err = %v", ref.next)
+	}
+	if !reflect.DeepEqual(got.boxes, ref.boxes) {
+		t.Errorf("delivered %v, want %v: a stale send was delivered", got.boxes, ref.boxes)
+	}
+	if !reflect.DeepEqual(got.stats, ref.stats) {
+		t.Errorf("stats with stale sends %+v, want %+v", got.stats, ref.stats)
+	}
+	want := fmt.Sprintf("machine %d sent 1 words after its step (round %d)", machine, round)
+	if !errors.Is(got.next, ErrStaleCtx) || !strings.Contains(got.next.Error(), want) {
+		t.Errorf("next step err = %v, want ErrStaleCtx with %q", got.next, want)
+	}
+}
+
+// TestStaleCtxSendsDuringNextRound: a context leaked from round 1 sends
+// while round 2's closures run. Its outbox was sealed at round 1's barrier,
+// so the sends are dropped rather than routed into round 2, and the Step
+// after round 2 reports them.
+func TestStaleCtxSendsDuringNextRound(t *testing.T) {
+	const M = 4
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			checkStale(t, func(stale bool) staleRun {
+				c, err := NewCluster(Config{Machines: M, Parallelism: p}, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var leaked *Ctx
+				if err := c.Step("leak", func(x *Ctx) {
+					ringStep(x, M)
+					if x.Machine == 1 {
+						leaked = x
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Step("next", func(x *Ctx) {
+					ringStep(x, M)
+					if stale && x.Machine == 2 {
+						sendStale(leaked)
+					}
+				}); err != nil {
+					t.Fatalf("round with stale sends: %v", err)
+				}
+				r := staleRun{stats: c.Stats(), boxes: drainAll(c)}
+				r.next = c.Step("after", func(x *Ctx) { ringStep(x, M) })
+				return r
+			}, 1, 1)
+		})
+	}
+}
+
+// TestStaleCtxSendsDuringCrashRetry: a context leaked from an attempt that
+// a crash aborted sends while the retry's closures run. The aborted
+// attempt's outboxes were sealed before the retry, so the sends are dropped
+// rather than merged into the retried round, and the Step after it reports
+// them.
+func TestStaleCtxSendsDuringCrashRetry(t *testing.T) {
+	const M = 4
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			checkStale(t, func(stale bool) staleRun {
+				plan := &FaultPlan{Crashes: []FaultEvent{{Round: 2, Machine: 3}}}
+				c, err := NewCluster(Config{Machines: M, Parallelism: p, Faults: plan}, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Step("first", func(x *Ctx) { ringStep(x, M) }); err != nil {
+					t.Fatal(err)
+				}
+				// runs[m] counts machine m's executions of round 2: 1 is the
+				// aborted attempt, 2 the retry.
+				var runs [M]int
+				var leaked *Ctx
+				if err := c.Step("crashy", func(x *Ctx) {
+					runs[x.Machine]++
+					ringStep(x, M)
+					if x.Machine == 1 && runs[1] == 1 {
+						leaked = x
+					}
+					if stale && x.Machine == 2 && runs[2] == 2 {
+						sendStale(leaked)
+					}
+				}); err != nil {
+					t.Fatalf("crashed round: %v", err)
+				}
+				if runs[1] != 2 || runs[3] != 1 {
+					t.Fatalf("round 2 ran %v times per machine, want one crash retry", runs)
+				}
+				r := staleRun{stats: c.Stats(), boxes: drainAll(c)}
+				if r.stats.RecoveredCrashes != 1 {
+					t.Fatalf("RecoveredCrashes = %d, want 1", r.stats.RecoveredCrashes)
+				}
+				r.next = c.Step("after", func(x *Ctx) { ringStep(x, M) })
+				return r
+			}, 1, 2)
+		})
 	}
 }
 

@@ -295,7 +295,9 @@ type Cluster struct {
 	// (atomic: drivers may switch spans while a step's workers still run —
 	// each barrier pins the label once, see Step), and reusable per-machine
 	// scratch buffers so the skew accounting adds no allocations to the
-	// superstep path.
+	// superstep path. sentW is also the attempt's sent-word counters:
+	// cleared when an attempt starts, and sentW[m] is written only by
+	// machine m's sends, under its outbox's lock, after the seal check.
 	tracer  trace.Tracer
 	span    atomic.Pointer[string]
 	sentW   []int
@@ -304,11 +306,13 @@ type Cluster struct {
 
 	// Message-plane scratch reused across supersteps: one send-log header
 	// slice per worker slot (handed to that slot's next attempt emptied and
-	// cleared, see stepOutbox), the merge's M+1 destination counters, and
-	// the delivery arena every round's boxes (inboxes) are carved from.
+	// cleared, see stepOutbox), the merge's M+1 destination counters, the
+	// delivery arena every round's boxes (inboxes) are carved from, and the
+	// attempt's per-machine crash flags, set before any worker starts.
 	logs     [][]sentMsg
 	mergeCnt []int
 	arena    []Message
+	down     []bool
 }
 
 // NewCluster creates a cluster for a ground set of n items. The memory
@@ -395,6 +399,7 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 		sortBuf: make([]int, cfg.Machines),
 
 		mergeCnt: make([]int, cfg.Machines+1),
+		down:     make([]bool, cfg.Machines),
 	}
 	setup := "setup"
 	c.span.Store(&setup)
@@ -733,19 +738,18 @@ func mergeSpans(a, b []SpanStat) []SpanStat {
 // primitive for the current step. In the congested clique the machine is
 // the vertex's node (one machine per vertex, Lo = Machine, Hi = Machine+1).
 //
-// A Ctx is valid only for the duration of its step: once the step commits
-// (or aborts), the context is invalidated and late Send calls are dropped
-// and surfaced as an error from the next Step, instead of corrupting the
-// next round's traffic.
+// A Ctx is the machine's identity plus its worker's outbox, 32 bytes: the
+// attempt's per-machine sent words and crash flags live in the Cluster, and
+// a panic is recorded on the outbox. Every attempt gets fresh contexts, so
+// one leaked past its step still reaches its own sealed outbox: it is valid
+// only for the duration of its step, and once the step commits (or
+// aborts), late Send calls are dropped and surfaced as an error from the
+// next Step, instead of corrupting the next round's traffic.
 type Ctx struct {
 	Machine int
 	Lo, Hi  int
 
-	inbox   []Message
-	sent    int
-	ob      *stepOutbox
-	crashed bool
-	merr    *MachineError
+	ob *stepOutbox
 }
 
 // stepOutbox buffers the sends of one worker's contiguous machine block
@@ -759,12 +763,15 @@ type Ctx struct {
 // The log holds only headers: the merge copies them into the delivered
 // boxes and nothing else retains them, so the Cluster hands a worker slot's
 // log to the slot's next attempt emptied and cleared (it pins no payload).
-// Its capacity is bounded by the largest superstep the slot has buffered.
-// Payload words copied by Send live in words, this attempt's own chunks;
-// they are never reused. SendOwned payloads are the sender's: only
-// DistGraph (one send slab per machine) and the clique's
-// ScatterAggregateFloat reuse them, under the ownership rule of DESIGN.md
-// §8.
+// Its capacity doubles when full and is bounded by twice the largest
+// superstep the slot has buffered. Payload words copied by Send live in
+// words, this attempt's own chunks; they are never reused. SendOwned
+// payloads are the sender's: only DistGraph (one send slab per machine) and
+// the clique's ScatterAggregateFloat and SumToZero/MaxToZero reuse them,
+// under the ownership rule of DESIGN.md §8.
+//
+// merr is the first panic of the block, recorded by the worker goroutine
+// that runs the block's closures in ascending machine order.
 type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
@@ -772,6 +779,7 @@ type stepOutbox struct {
 	words  []uint64 // the current Send copy chunk: filled prefix, free tail
 	c      *Cluster
 	round  int
+	merr   *MachineError
 }
 
 // sentMsg is one send-log entry: 32 bytes, in send order.
@@ -789,12 +797,15 @@ const (
 	maxSendChunk = 1024
 )
 
+// minLogCap is the capacity of a worker slot's first send log.
+const minLogCap = 16
+
 // Inbox returns the messages delivered to this machine at the end of the
 // previous step, ordered by sender id (and send order within a sender).
 // The slice is a window of the cluster's delivery arena, which the next
 // superstep's merge overwrites: it is valid only until this step's closures
 // return, and must not be kept past them (DESIGN.md §8, "Inbox lifetime").
-func (x *Ctx) Inbox() []Message { return x.inbox }
+func (x *Ctx) Inbox() []Message { return x.ob.c.inboxes[x.Machine] }
 
 // Send queues a message of machine words to machine dst, delivered at the
 // end of the step. The payload is copied into a word chunk of the sending
@@ -815,11 +826,11 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 // them (DESIGN.md §8). The caller must not write
 // the payload again while anything can still reference it. In practice
 // that means never, except for DistGraph's exchanges and the clique's
-// ScatterAggregateFloat: they decode and clear their inboxes before
-// returning, so their next call may overwrite the slab. Sending on an
-// invalidated context (after its step completed) drops the payload and
-// records ErrStaleCtx, returned by the cluster's next Step. A dst outside
-// [0, M) panics as in Send.
+// ScatterAggregateFloat, SumToZero and MaxToZero: they decode and clear
+// their inboxes before returning, so their next call may overwrite the
+// slab. Sending on an invalidated context (after its step completed) drops
+// the payload and records ErrStaleCtx, returned by the cluster's next Step.
+// A dst outside [0, M) panics as in Send.
 func (x *Ctx) SendOwned(dst int, payload []uint64) {
 	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
 		x.logSend(ob, dst, payload)
@@ -850,11 +861,11 @@ func (x *Ctx) SendOwnedRanges(slab []uint64, end []int) {
 			panic(fmt.Sprintf("mpc: machine %d sent range [%d, %d) to machine %d of a %d-word slab", x.Machine, lo, hi, d, len(slab)))
 		}
 		if hi > lo {
-			ob.log = append(ob.log, sentMsg{dst: int32(d), src: int32(x.Machine), payload: slab[lo:hi:hi]})
+			ob.push(sentMsg{dst: int32(d), src: int32(x.Machine), payload: slab[lo:hi:hi]})
 		}
 		lo = hi
 	}
-	x.sent += total
+	ob.c.sentW[x.Machine] += total
 	ob.mu.Unlock()
 }
 
@@ -878,11 +889,24 @@ func (x *Ctx) lockOutbox(dst, words int) *stepOutbox {
 	return ob
 }
 
-// logSend appends one send to the locked outbox's log and unlocks it.
+// logSend appends one send to the locked outbox's log, counts its words
+// against the sender, and unlocks the outbox.
 func (x *Ctx) logSend(ob *stepOutbox, dst int, payload []uint64) {
-	x.sent += len(payload)
-	ob.log = append(ob.log, sentMsg{dst: int32(dst), src: int32(x.Machine), payload: payload})
+	ob.c.sentW[x.Machine] += len(payload)
+	ob.push(sentMsg{dst: int32(dst), src: int32(x.Machine), payload: payload})
 	ob.mu.Unlock()
+}
+
+// push appends one header to the locked outbox's log, doubling its capacity
+// when it is full: a slot's log reaches a round's header count in a few
+// allocations rather than append's 1.25× steps.
+func (ob *stepOutbox) push(s sentMsg) {
+	if n := len(ob.log); n == cap(ob.log) {
+		grown := make([]sentMsg, n, max(2*n, minLogCap))
+		copy(grown, ob.log)
+		ob.log = grown
+	}
+	ob.log = append(ob.log, s)
 }
 
 // copyWords returns a capacity-clipped copy of p carved from the attempt's
@@ -929,13 +953,14 @@ func (c *Cluster) takeLateErr() error {
 }
 
 // attempt is the transient state of one superstep execution attempt: the
-// per-machine contexts (one allocation for all M) and the per-worker outbox
-// buffers they fed. The outboxes and their Send word chunks live and die
+// per-worker outbox buffers its machines fed, the machines the fault plan
+// crashed, and the lowest-machine panic. Its M contexts, 32 bytes each and
+// made in one allocation, are reachable only through the closures that
+// received them. The outboxes and their Send word chunks live and die
 // with the attempt; only the header logs return to the Cluster once the
 // attempt is merged or discarded (release), emptied, so a crash retry or the
 // next superstep starts from empty logs and can never deliver stale traffic.
 type attempt struct {
-	ctxs    []Ctx
 	outs    []*stepOutbox // one per worker, in ascending machine-block order
 	crashed []int
 	merr    *MachineError
@@ -944,7 +969,8 @@ type attempt struct {
 // seal closes every outbox of a finished (or aborted) attempt so late sends
 // error (ErrStaleCtx) instead of leaking into the next round. Sealing takes
 // each buffer's mutex, which also publishes all pre-seal sends (and the
-// per-context sent counters they bumped) to the committing goroutine.
+// sent-word counters they bumped in Cluster.sentW) to the committing
+// goroutine.
 func (at *attempt) seal() {
 	for _, ob := range at.outs {
 		ob.mu.Lock()
@@ -1087,30 +1113,30 @@ func (c *Cluster) runBlocks(f func(lo, hi int)) {
 // machine on the worker pool (runBlocks; one outbox per worker block, with
 // Parallelism 1 every machine runs inline in machine order), with panics
 // recovered per machine. Crash decisions (which consume once-only fault
-// events) are taken sequentially before any worker starts. The returned
-// attempt carries the contexts, the per-worker outboxes, the machines crashed
-// by the fault plan, and the lowest-machine MachineError if any step function
-// panicked.
+// events) are taken sequentially before any worker starts, and the sent-word
+// counters are cleared. The returned attempt carries the per-worker
+// outboxes, the machines crashed by the fault plan, and the lowest-machine
+// MachineError if any step function panicked: each worker keeps its block's
+// first, and blocks ascend.
 func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 	M := c.cfg.Machines
-	at := &attempt{ctxs: make([]Ctx, M)}
-	for m := range at.ctxs {
-		x := &at.ctxs[m]
-		x.Machine, x.inbox = m, c.inboxes[m]
-		x.Lo, x.Hi = c.Range(m)
-		if c.crashNow(round, m) {
-			x.crashed = true
+	at := &attempt{}
+	clear(c.sentW)
+	for m := 0; m < M; m++ {
+		c.down[m] = c.crashNow(round, m)
+		if c.down[m] {
 			at.crashed = append(at.crashed, m)
 		}
 	}
 	run := func(x *Ctx) {
 		defer func() {
-			if r := recover(); r != nil {
-				x.merr = &MachineError{Machine: x.Machine, Round: round, Panic: r, Stack: debug.Stack()}
+			if r := recover(); r != nil && x.ob.merr == nil {
+				x.ob.merr = &MachineError{Machine: x.Machine, Round: round, Panic: r, Stack: debug.Stack()}
 			}
 		}()
 		f(x)
 	}
+	ctxs := make([]Ctx, M)
 	workers, per := c.poolBlocks()
 	for len(c.logs) < workers {
 		c.logs = append(c.logs, nil)
@@ -1120,18 +1146,19 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 		ob := &stepOutbox{log: c.logs[w], c: c, round: round}
 		at.outs[w] = ob
 		for m := w * per; m < min((w+1)*per, M); m++ {
-			at.ctxs[m].ob = ob
+			lo, hi := c.Range(m)
+			ctxs[m] = Ctx{Machine: m, Lo: lo, Hi: hi, ob: ob}
 		}
 	}
 	c.runBlocks(func(lo, hi int) {
 		for m := lo; m < hi; m++ {
-			if !at.ctxs[m].crashed {
-				run(&at.ctxs[m])
+			if !c.down[m] {
+				run(&ctxs[m])
 			}
 		}
 	})
-	for m := range at.ctxs {
-		if at.merr = at.ctxs[m].merr; at.merr != nil {
+	for _, ob := range at.outs {
+		if at.merr = ob.merr; at.merr != nil {
 			break
 		}
 	}
@@ -1229,8 +1256,7 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	c.stats.Rounds += rounds
 	info := RoundInfo{Name: name, Span: span}
 	for m := 0; m < M; m++ {
-		sent := at.ctxs[m].sent
-		c.sentW[m] = sent
+		sent := c.sentW[m]
 		info.MaxSent = maxInt(info.MaxSent, sent)
 		c.stats.PeakSent = maxInt(c.stats.PeakSent, sent)
 		box := boxes[m]

@@ -116,13 +116,7 @@ func (m mpcModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, 
 
 func (m mpcModel) countActive(active *bitset.Set) (int, error) {
 	counts, err := m.d.Cluster().AllReduceSumUint(m.prefix+"/active", func(x *mpc.Ctx) []uint64 {
-		var local uint64
-		for v := x.Lo; v < x.Hi; v++ {
-			if active.Contains(v) {
-				local++
-			}
-		}
-		return []uint64{local}
+		return []uint64{uint64(active.CountRange(x.Lo, x.Hi))}
 	})
 	if err != nil {
 		return 0, err
