@@ -306,7 +306,7 @@ func BenchmarkMPCStepBarrier(b *testing.B) {
 	}
 }
 
-func BenchmarkExchangeActiveSimulation(b *testing.B) {
+func BenchmarkLubySimulation(b *testing.B) {
 	// One full Luby iteration's worth of exchanges, isolating simulator
 	// overhead from algorithm logic.
 	g := benchGraph(b, 4096)

@@ -10,8 +10,8 @@ import (
 
 // benchPlane distributes the message-plane benchmarks' instance: GNP(262144,
 // 6e-5), average degree about 16, on 8 machines at parallelism 1, with a
-// random half of the vertices active and that half's view (ExchangeActive's
-// result). It is luby-gnp-large's graph and cluster shape, so the benchmarks
+// random half of the vertices active and that half's view (refreshed from
+// the graph's rows). It is luby-gnp-large's graph and cluster shape, so the benchmarks
 // below time the vertex-keyed exchanges a marking phase runs, layer by
 // layer, without the algorithm around them.
 func benchPlane(b *testing.B) (*DistGraph, *bitset.Set, Adjacency) {
@@ -30,48 +30,47 @@ func benchPlane(b *testing.B) (*DistGraph, *bitset.Set, Adjacency) {
 		b.Fatal(err)
 	}
 	active := halfSet(rng, g.N())
-	view, err := d.ExchangeActive("view", active)
+	view, err := d.RefreshWithin("view", active, active, KeepHeard, GraphRows(g))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return d, active, view
 }
 
-// BenchmarkExchangeWithin times a view refresh: the active half announced
-// along the graph's rows (one recEdge word per active edge end), decoded
-// into the new view.
-func BenchmarkExchangeWithin(b *testing.B) {
-	d, active, _ := benchPlane(b)
-	rows := GraphRows(d.Graph())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.ExchangeWithin("w", active, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefreshWithin times the refresh that replaced
-// BenchmarkExchangeWithin's in the marking loops, on the same shrink: the
-// graph's rows (the full set's view) refreshed to the active half's view,
-// with the survivors (KeepHeard) or the departed half (DropHeard) announcing
-// each of its vertices once per machine that holds it in a row.
+// BenchmarkRefreshWithin times the view refreshes of the marking loops. The
+// graph's rows (the full set's view) are refreshed to the active half's
+// view, with the survivors (KeepHeard) or the departed half (DropHeard)
+// announcing each of its vertices once per machine that holds it in a row.
+// Luby's conflict view (resolve) refreshes the active half's view to a
+// sparse set of marks, 1/32 of the active half, announced by the marks.
 func BenchmarkRefreshWithin(b *testing.B) {
-	d, active, _ := benchPlane(b)
+	d, active, view := benchPlane(b)
 	rows := GraphRows(d.Graph())
 	departed := bitset.New(d.Graph().N())
 	departed.Fill()
 	departed.Subtract(active)
+	marks := bitset.New(d.Graph().N())
+	rng := rand.New(rand.NewSource(4))
+	active.ForEach(func(v int) bool {
+		if rng.Intn(32) == 0 {
+			marks.Add(v)
+		}
+		return true
+	})
 	for _, bc := range []struct {
-		name     string
-		announce *bitset.Set
-		dir      Refresh
-	}{{"survivors", active, KeepHeard}, {"departures", departed, DropHeard}} {
+		name           string
+		kept, announce *bitset.Set
+		dir            Refresh
+		last           Adjacency
+	}{
+		{"survivors", active, active, KeepHeard, rows},
+		{"departures", active, departed, DropHeard, rows},
+		{"resolve", marks, marks, KeepHeard, view},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.RefreshWithin("r", active, bc.announce, bc.dir, rows); err != nil {
+				if _, err := d.RefreshWithin("r", bc.kept, bc.announce, bc.dir, bc.last); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,6 +18,9 @@ type DistGraph struct {
 	// slabs[m] is machine m's send slab, reused by m's next vertex-keyed
 	// exchange (see scatter).
 	slabs [][]uint64
+	// heard[lo] is the n-bit heard-set of the worker block whose first
+	// machine is lo, reused by the block's next refresh (see refreshRows).
+	heard [][]uint64
 }
 
 // Distribute places g on the cluster and charges each machine's resident
@@ -27,7 +30,7 @@ func Distribute(c *Cluster, g *graph.Graph) (*DistGraph, error) {
 	if c.N() != g.N() {
 		return nil, fmt.Errorf("mpc: cluster ground set %d != graph order %d", c.N(), g.N())
 	}
-	d := &DistGraph{c: c, g: g, slabs: make([][]uint64, c.Machines())}
+	d := &DistGraph{c: c, g: g, slabs: make([][]uint64, c.Machines()), heard: make([][]uint64, c.Machines())}
 	for m := 0; m < c.Machines(); m++ {
 		lo, hi := c.Range(m)
 		words := 0
@@ -47,21 +50,13 @@ func (d *DistGraph) Cluster() *Cluster { return d.c }
 // Graph returns the underlying graph.
 func (d *DistGraph) Graph() *graph.Graph { return d.g }
 
-// NotifyNeighbors performs the core one-round exchange: the owner of every
-// vertex in marked informs the owners of all its neighbors. It returns the
-// set of vertices that have at least one marked neighbor. Bandwidth is one
-// word per (marked vertex, neighbor) pair, batched into one message per
-// machine pair.
-func (d *DistGraph) NotifyNeighbors(name string, marked *bitset.Set) (*bitset.Set, error) {
-	return d.NotifyWithin(name, marked, GraphRows(d.g))
-}
-
-// NotifyWithin is NotifyNeighbors with the senders walking view's rows
-// instead of the graph's adjacency lists: the owner of every marked u
-// informs the owner of every w in view.Row(u). On a view of an active set
-// that holds marked (an ExchangeActive result), that notifies exactly the
-// active neighbours of the marked vertices. One round; one word per
-// (marked u, w in view.Row(u)).
+// NotifyWithin performs the core one-round exchange: the owner of every
+// marked u informs the owner of every w in view.Row(u), and the result is
+// the set of vertices that heard from a marked vertex. Along GraphRows(g)
+// that is the marked vertices' neighbourhood; along the view of an active
+// set that holds marked (a RefreshWithin result), exactly their active
+// neighbours. One round; one word per (marked u, w in view.Row(u)),
+// batched into one message per machine pair.
 func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency) (*bitset.Set, error) {
 	err := d.c.Step(name, func(x *Ctx) {
 		d.scatter(x, view, marked, recVertex, nil)
@@ -88,11 +83,12 @@ func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency
 // for the shipped instance, so an over-dense residual graph trips the budget
 // check exactly as it would overflow a real machine.
 //
-// Two rounds: included vertices first announce membership to the owners of
-// their neighbors, then each edge with both endpoints included is sent to
-// machine 0 by the owner of its smaller endpoint.
+// Two rounds: included vertices first announce membership to the machines
+// that own their neighbours (RefreshWithin along the graph's rows), then
+// each edge with both endpoints included is sent to machine 0 by the owner
+// of its smaller endpoint.
 func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Graph, []int32, error) {
-	nbrs, err := d.ExchangeActive(name+"/announce", include)
+	nbrs, err := d.RefreshWithin(name+"/announce", include, include, KeepHeard, GraphRows(d.g))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,40 +136,6 @@ func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Gra
 	return sub, toOrig, nil
 }
 
-// ExchangeActive performs the per-phase neighborhood exchange: the owner of
-// every active vertex u announces u to the owners of all of u's neighbors.
-// It returns the view whose row v is the ascending list of v's active
-// neighbors for every active v (empty for inactive v). One round; one word
-// per (active vertex, neighbor) pair, batched per machine pair.
-//
-// The view is deterministic: inboxes are ordered by sender machine, senders
-// scan their vertices and adjacency lists in ascending order, and vertex
-// ownership is monotone in the vertex id.
-func (d *DistGraph) ExchangeActive(name string, active *bitset.Set) (Adjacency, error) {
-	return d.ExchangeWithin(name, active, GraphRows(d.g))
-}
-
-// ExchangeWithin is ExchangeActive with the senders walking view's rows
-// instead of the graph's adjacency lists: the owner of every active u
-// announces u to the owner of every w in view.Row(u). Row v of the result
-// lists, for active v, the active u with v in view.Row(u), ascending; on a
-// symmetric view (any ExchangeActive result) that is view.Row(v) restricted
-// to active. One round; one word per (active u, w in view.Row(u)).
-//
-// Every word names an edge, so this is the exchange for a set that is not
-// the view's own set shrunk, such as Luby's marks along the iteration's view
-// (luby/resolve). A marking loop refreshes its view with RefreshWithin,
-// which sends each vertex once per machine instead of once per edge end.
-func (d *DistGraph) ExchangeWithin(name string, active *bitset.Set, view Adjacency) (Adjacency, error) {
-	err := d.c.Step(name, func(x *Ctx) {
-		d.scatter(x, view, active, recEdge, nil)
-	})
-	if err != nil {
-		return Adjacency{}, err
-	}
-	return d.collectRows(active), nil
-}
-
 // Refresh selects the side of a shrunk active set that announces itself in
 // RefreshWithin, and what a machine does with the ids it hears.
 type Refresh uint8
@@ -187,9 +149,10 @@ const (
 	DropHeard
 )
 
-// RefreshWithin refreshes a marking loop's view as its active set shrinks:
-// last is the symmetric view of a set that has since shrunk to active, and
-// the result is active's own view, exactly ExchangeActive(active). The
+// RefreshWithin is the one view builder. last is the symmetric view of a
+// set that holds active (GraphRows(g) for the full vertex set), and the
+// result is active's own symmetric view: row v is the ascending list of
+// v's neighbours in active for active v, and empty for every other v. The
 // owner of every u in announce sends u once to each machine that owns a
 // vertex of last.Row(u). Rows are ascending and ownership is monotone in
 // the vertex id, so a row's owners come in runs and skipping a repeated
@@ -200,13 +163,15 @@ const (
 // machine's vertex announced itself there. With DropHeard, announce must
 // hold every vertex that left the set and is still in an active vertex's
 // row of last, and a row drops the ids its machine heard. One round; one
-// word per (u in announce, distinct owner of last.Row(u)).
+// word per (u in announce, distinct owner of last.Row(u)), so never more
+// words or messages than one word per edge end of announce would take.
 //
-// The caller announces the smaller side. KeepHeard sends the per-edge
-// refresh's messages with at most its words (ExchangeWithin(name, active,
-// last) sends one word per edge end). A marking loop knocks out the active
-// neighbours of its marks, so only the knocked-out vertices need announce
-// their departure: no survivor's row holds a mark.
+// A one-shot view of a set is RefreshWithin(name, set, set, KeepHeard,
+// GraphRows(g)), and Luby's conflict view of its marks refreshes the
+// iteration's view with the marks on both sides. A marking loop announces
+// the smaller side of its shrunk set. It knocks out the active neighbours
+// of its marks, so only the knocked-out vertices need announce their
+// departure: no survivor's row holds a mark.
 func (d *DistGraph) RefreshWithin(name string, active, announce *bitset.Set, dir Refresh, last Adjacency) (Adjacency, error) {
 	err := d.c.Step(name, func(x *Ctx) {
 		d.announce(x, last, announce)
@@ -220,12 +185,10 @@ func (d *DistGraph) RefreshWithin(name string, active, announce *bitset.Set, dir
 // ExchangeAlong sends one value per view edge: the owner of every active u
 // sends vals[u] to the owner of every neighbour v in view.Row(u), and the
 // result is view with Val filled, so Vals(v)[i] is the value of Row(v)[i].
-// view must be the symmetric view of active (ExchangeActive's result on the
-// same set): the senders already hold their rows, so the ids need not
-// travel again. An ExchangeWithin result qualifies when its set is a subset
-// of the set its view's rows were exchanged for: row v of the result is
-// that view's row v restricted to the subset. One round; one word per
-// (active u, v in view.Row(u)).
+// view must be the symmetric view of active: a RefreshWithin result for
+// active, or GraphRows(g) when every vertex is active. The senders already
+// hold their rows, so the ids need not travel again. One round; one word
+// per (active u, v in view.Row(u)).
 //
 // The values line up with the rows without any id on the wire: every
 // record for v reaches Owner(v) in delivery order, by sender machine and
@@ -267,9 +230,9 @@ func (a Adjacency) Row(v int) []int32 { return a.Nbr[a.Off[v]:a.Off[v+1]] }
 func (a Adjacency) Vals(v int) []int32 { return a.Val[a.Off[v]:a.Off[v+1]] }
 
 // GraphRows returns g's adjacency lists as an Adjacency (sharing g's
-// storage): the rows the graph-wide exchanges send along, and the view of
-// the full vertex set, which a marking loop starts from without an
-// exchange.
+// storage): the view of the full vertex set, which a marking loop starts
+// from without an exchange, which graph-wide notifies send along, and
+// which a one-shot RefreshWithin refreshes.
 func GraphRows(g *graph.Graph) Adjacency {
 	off, nbr := g.CSR()
 	return Adjacency{Off: off, Nbr: nbr}
@@ -281,7 +244,6 @@ type record uint8
 
 const (
 	recVertex record = iota // v
-	recEdge                 // v<<32 | u
 	recValue                // v<<32 | vals[u]
 )
 
@@ -300,8 +262,8 @@ const (
 // (DESIGN.md §8). Both passes visit only the members of from, skipping
 // empty bitset words whole, and find each v's owner with the cluster's
 // reciprocal multiply (blocks), which has no data-dependent branch to
-// mispredict on a random row. A record is v, shifted by 32 unless rec is
-// recVertex, or-ed with a per-row tag: u, vals[u] or nothing.
+// mispredict on a random row. A record is v, or v<<32 | vals[u] for
+// recValue.
 func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record, vals []int32) {
 	owner := d.c.blocks
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
@@ -317,10 +279,7 @@ func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record,
 	}
 	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
 		var tag uint64
-		switch rec {
-		case recEdge:
-			tag = uint64(uint32(u))
-		case recValue:
+		if rec == recValue {
 			tag = uint64(uint32(vals[u]))
 		}
 		for _, v := range adj.Row(u) {
@@ -337,35 +296,43 @@ func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record,
 // closure: every local u in from is sent, as the one-word record u, once to
 // each machine that owns a vertex of adj.Row(u), batched into one message
 // per destination in u order. A row is ascending and each machine owns one
-// block of ids, so the walk looks an entry's owner up only when the entry
-// passes the end of the last owner's block. The records go out from the
+// block of ids, so a row's owners come in runs, and an entry claims a word
+// exactly when its owner differs from the previous entry's. The walk finds
+// every entry's owner with the reciprocal multiply and adds the claim to
+// the destination's cursor as a 0 or 1, with no data-dependent branch to
+// mispredict on a random row: the fill pass writes u at the last claimed
+// slot whether or not the entry claimed it. The records go out from the
 // machine's slab, sized by a count pass as in scatter.
 func (d *DistGraph) announce(x *Ctx, adj Adjacency, from *bitset.Set) {
 	owner := d.c.blocks
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
 	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
-		end := 0 // the end of the last owner's block
+		prev := -1 // the last entry's owner
 		for _, v := range adj.Row(u) {
-			if int(v) >= end {
-				dst := owner.of(uint64(uint32(v)))
-				_, end = d.c.Range(dst)
-				pos[dst]++
-			}
+			dst := owner.of(uint64(uint32(v)))
+			pos[dst] += changed(dst, prev)
+			prev = dst
 		}
 	}
 	slab := d.slab(x.Machine, pos)
 	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
-		end := 0
+		w := uint64(uint32(u))
+		prev := -1
 		for _, v := range adj.Row(u) {
-			if int(v) >= end {
-				dst := owner.of(uint64(uint32(v)))
-				_, end = d.c.Range(dst)
-				slab[pos[dst]] = uint64(uint32(u))
-				pos[dst]++
-			}
+			dst := owner.of(uint64(uint32(v)))
+			pos[dst] += changed(dst, prev)
+			slab[pos[dst]-1] = w
+			prev = dst
 		}
 	}
 	x.SendOwnedRanges(slab, pos)
+}
+
+// changed returns 1 when a != b and 0 otherwise, without a branch: a^b is
+// non-zero exactly when they differ, and then x | -x has its sign bit set.
+func changed(a, b int) int {
+	x := uint64(a ^ b)
+	return int((x | -x) >> 63)
 }
 
 // slab turns pos's per-destination word counts into fill cursors, the
@@ -395,71 +362,23 @@ func nextIn(from *bitset.Set, i, hi int) int {
 	return hi
 }
 
-// collectRows is the receiver half of a recEdge exchange: it decodes every
-// delivered record into a CSR keyed by the addressee v, keeping only v in
-// keep, and empties the inboxes. A count pass sizes the rows and a fill pass
-// writes them, so the view costs two allocations whatever the traffic. Rows
-// come out in delivery order: by sender machine, then sender vertex, which is
-// ascending.
-//
-// Each machine decodes its own inbox, as in the model: both passes run per
-// receiving machine on the cluster's worker pool, with a serial prefix sum
-// between them. Every record for v was sent to Owner(v), so machine m
-// writes only the Off entries and rows of its own vertices, and no two
-// machines write the same word.
-func (d *DistGraph) collectRows(keep *bitset.Set) Adjacency {
-	a := Adjacency{Off: make([]int32, d.c.N()+1)}
-	off := a.Off
-	for pass := 0; pass < 2; pass++ {
-		d.c.runBlocks(func(lo, hi int) {
-			for m := lo; m < hi; m++ {
-				for _, msg := range d.c.inboxes[m] {
-					for _, w := range msg.Payload {
-						v := int32(w >> 32)
-						if !keep.Contains(int(v)) {
-							continue
-						}
-						if pass == 0 {
-							off[v+1]++
-							continue
-						}
-						// off[v+1] is row v's fill cursor; once row v is
-						// full it is row v's end, i.e. row v+1's start.
-						j := off[v+1]
-						off[v+1] = j + 1
-						a.Nbr[j] = int32(uint32(w))
-					}
-				}
-			}
-		})
-		if pass == 0 {
-			// Shift the counts to row starts: off[v+1] = Σ_{w<v} |row w|.
-			var total int32
-			for v := 1; v < len(off); v++ {
-				total, off[v] = total+off[v], total
-			}
-			a.Nbr = make([]int32, total)
-		}
-	}
-	clear(d.c.inboxes)
-	return a
-}
-
 // refreshRows is the receiver half of RefreshWithin: it rebuilds every
 // active vertex's row from its row of last, keeping (KeepHeard) or dropping
 // (DropHeard) the ids its machine heard, and empties the inboxes. A count
 // pass sizes the rows, a prefix sum places them and a fill pass writes them,
-// so the view costs two allocations besides the heard-sets. Kept entries
-// stay in last's ascending order.
+// so the view costs two allocations. Kept entries stay in last's ascending
+// order.
 //
 // Each machine works from its own inbox and its own rows, as in the model:
 // both passes run per receiving machine on the cluster's worker pool, with
 // the serial prefix sum between them. A worker decodes machine m's inbox
-// into its heard-set, one n-bit array per worker and pass, walks m's rows,
-// and clears the set's words again before the next machine. Machine m
-// writes only the Off entries and rows of its own vertices. Both passes
-// read an entry's bit
-// without a branch: the count adds it, and the fill writes every entry at
+// into its block's heard-set, walks m's rows, and clears the words it set
+// before the next machine, so the set is empty again between machines,
+// passes and refreshes. The sets live in d.heard, one n-bit array per
+// worker block keyed by the block's first machine, and are allocated on a
+// block's first refresh only. Machine m writes only the Off entries and
+// rows of its own vertices. Both passes read an entry's bit without a
+// branch: the count adds it, and the fill writes every entry at
 // the row's cursor and advances the cursor by the bit, so a dropped entry
 // is overwritten by the next one, and stops once the row is full.
 func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency) Adjacency {
@@ -472,7 +391,11 @@ func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency)
 	}
 	for pass := 0; pass < 2; pass++ {
 		d.c.runBlocks(func(lo, hi int) {
-			heard := make([]uint64, (n+63)/64)
+			heard := d.heard[lo]
+			if heard == nil {
+				heard = make([]uint64, (n+63)/64)
+				d.heard[lo] = heard
+			}
 			for m := lo; m < hi; m++ {
 				for _, msg := range d.c.inboxes[m] {
 					for _, w := range msg.Payload {
@@ -507,8 +430,12 @@ func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency)
 		})
 		if pass == 0 {
 			// Turn the counts into row ends: off[v+1] = Σ_{w<=v} |row w|.
+			// The running sum stays in a register: adding off[v-1] back
+			// from memory would chain every step through a store.
+			var total int32
 			for v := 1; v < len(off); v++ {
-				off[v] += off[v-1]
+				total += off[v]
+				off[v] = total
 			}
 			a.Nbr = make([]int32, off[n])
 		}

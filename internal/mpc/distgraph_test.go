@@ -67,12 +67,22 @@ func TestDistributeOrderMismatch(t *testing.T) {
 	}
 }
 
-func TestNotifyNeighbors(t *testing.T) {
+// viewOf returns active's symmetric view, refreshed from the graph's rows.
+func viewOf(t *testing.T, d *DistGraph, active *bitset.Set) Adjacency {
+	t.Helper()
+	view, err := d.RefreshWithin("x", active, active, KeepHeard, GraphRows(d.Graph()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+func TestNotifyAlongGraphRows(t *testing.T) {
 	for _, machines := range []int{1, 2, 5} {
 		d := distTestGraph(t, machines)
 		marked := bitset.New(5)
 		marked.Add(1)
-		touched, err := d.NotifyNeighbors("n", marked)
+		touched, err := d.NotifyWithin("n", marked, GraphRows(d.Graph()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +105,7 @@ func TestNotifyWithin(t *testing.T) {
 	active := bitset.New(5)
 	active.Add(1)
 	active.Add(2) // of 1's neighbours, only 2 is active
-	view, err := d.ExchangeActive("x", active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	touched, err := d.NotifyWithin("n", marked, view)
+	touched, err := d.NotifyWithin("n", marked, viewOf(t, d, active))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +114,14 @@ func TestNotifyWithin(t *testing.T) {
 	}
 }
 
-func TestExchangeActive(t *testing.T) {
+func TestRefreshWithinGraphRows(t *testing.T) {
 	for _, machines := range []int{1, 3, 5} {
 		d := distTestGraph(t, machines)
 		active := bitset.New(5)
 		for _, v := range []int{0, 1, 3} {
 			active.Add(v)
 		}
-		nbrs, err := d.ExchangeActive("x", active)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nbrs := viewOf(t, d, active)
 		// Active subgraph on {0,1,3}: edges 0-1, 1-3.
 		wantNbrs := map[int][]int32{0: {1}, 1: {0, 3}, 3: {1}}
 		for _, v := range []int{0, 1, 3} {
@@ -145,11 +148,7 @@ func TestExchangeAlongValues(t *testing.T) {
 	active := bitset.New(5)
 	active.Fill()
 	vals := []int32{10, 11, 12, 13, 14}
-	view, err := d.ExchangeActive("x", active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbrs, err := d.ExchangeAlong("v", active, view, vals)
+	nbrs, err := d.ExchangeAlong("v", active, viewOf(t, d, active), vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +250,16 @@ func checkRows(t *testing.T, a Adjacency, n int, want func(v int) []int32, vals 
 	}
 }
 
-// TestExchangeActiveProperty checks ExchangeActive, ExchangeAlong,
-// NotifyNeighbors and NotifyWithin against brute force on random graphs,
-// machine counts and active sets: rows are the ascending active
-// neighbourhoods (empty for inactive vertices) with aligned values, the
-// traffic is one word per (active vertex, neighbour) pair for the view and
-// one per active edge end for the values, and the notified set is the
-// marked vertices' neighbourhood, or along the view its active part.
-func TestExchangeActiveProperty(t *testing.T) {
+// TestRefreshWithinProperty checks RefreshWithin, ExchangeAlong and
+// NotifyWithin against brute force on random graphs, machine counts and
+// active sets: a set's view refreshed from the graph's rows, and a marked
+// subset's view refreshed from the set's view (luby/resolve), are the
+// ascending active neighbourhoods (empty for inactive vertices) with
+// aligned values; each refresh moves one word per (announcing vertex,
+// distinct owner of its last row) and the values one per active edge end;
+// and the notified set is the marked vertices' neighbourhood, or along the
+// view its active part.
+func TestRefreshWithinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(80)
@@ -271,17 +272,9 @@ func TestExchangeActiveProperty(t *testing.T) {
 			c := d.Cluster()
 			active := randomSet(rng, n)
 			before := c.Stats().Words
-			view, err := d.ExchangeActive("x", active)
-			if err != nil {
-				t.Fatal(err)
-			}
+			view := viewOf(t, d, active)
 			checkRows(t, view, n, activeRows(g, active), nil)
-			var want int64
-			active.ForEach(func(u int) bool {
-				want += int64(g.Degree(u))
-				return true
-			})
-			if got := c.Stats().Words - before; got != want {
+			if got, want := c.Stats().Words-before, ownerWords(c, GraphRows(g), active); got != want {
 				t.Fatalf("n=%d machines=%d: view moved %d words, want %d", n, machines, got, want)
 			}
 			vals := randomVals(rng, n)
@@ -296,14 +289,21 @@ func TestExchangeActiveProperty(t *testing.T) {
 			}
 			marked := halfSet(rng, n)
 			marked.Intersect(active)
+			before = c.Stats().Words
+			resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRows(t, resolve, n, activeRows(g, marked), nil)
+			if got, want := c.Stats().Words-before, ownerWords(c, view, marked); got != want {
+				t.Fatalf("n=%d machines=%d: resolve moved %d words, want %d", n, machines, got, want)
+			}
 			for _, within := range []bool{false, true} {
-				var touched *bitset.Set
-				var err error
+				rows := GraphRows(g)
 				if within {
-					touched, err = d.NotifyWithin("n", marked, view)
-				} else {
-					touched, err = d.NotifyNeighbors("n", marked)
+					rows = view
 				}
+				touched, err := d.NotifyWithin("n", marked, rows)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,36 +324,33 @@ func TestExchangeActiveProperty(t *testing.T) {
 	}
 }
 
-// TestExchangeActiveAllocs pins that an exchange (ExchangeActive, or
-// ExchangeAlong on a fixed view) allocates per machine, not per vertex or
-// edge: the same number of allocations on graphs of 1024 and 8192 vertices
-// at a fixed machine count. It also pins that a repeated exchange of the
-// same size reuses every machine's send slab: the bytes it allocates beyond
-// its result stay far below the bytes it sends.
-func TestExchangeActiveAllocs(t *testing.T) {
+// TestRefreshWithinAllocs pins that a view refresh (RefreshWithin from the
+// graph's rows, or ExchangeAlong on a fixed view) allocates per machine,
+// not per vertex or edge: the same number of allocations on graphs of 1024
+// and 8192 vertices at a fixed machine count. It also pins that a repeated
+// exchange of the same size reuses every machine's send slab and every
+// worker block's heard-set, so it allocates only its result (a refresh's
+// Off and Nbr, or the values and their cursors) and a few kilobytes of
+// per-machine bookkeeping and size-class rounding. On 65536 vertices and
+// four worker blocks, fresh heard-sets (one per block and pass) would cost
+// n bytes, and a fresh send slab far more; the test allows n/2.
+func TestRefreshWithinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	allocs := func(n int, along bool) float64 {
+	allocs := func(n, par int, along bool) (count float64, extra int64) {
 		g, err := gen.GNP(n, 16/float64(n), rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := distribute(t, g, Config{Machines: 4, Parallelism: 1})
+		d := distribute(t, g, Config{Machines: 4, Parallelism: par})
 		active := bitset.New(n)
 		active.Fill()
-		view, err := d.ExchangeActive("x", active)
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := viewOf(t, d, active)
 		deg := make([]int32, n)
 		// The view's offsets and rows, or the values and their cursors.
 		result := int64(4 * (n + 1 + 2*g.M()))
-		exchange := func() {
-			if _, err := d.ExchangeActive("x", active); err != nil {
-				t.Fatal(err)
-			}
-		}
+		exchange := func() { viewOf(t, d, active) }
 		if along {
 			result = int64(4 * (n + 2*g.M()))
 			exchange = func() {
@@ -362,7 +359,7 @@ func TestExchangeActiveAllocs(t *testing.T) {
 				}
 			}
 		}
-		count := testing.AllocsPerRun(20, exchange)
+		count = testing.AllocsPerRun(20, exchange)
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -370,18 +367,18 @@ func TestExchangeActiveAllocs(t *testing.T) {
 			exchange()
 		}
 		runtime.ReadMemStats(&after)
-		perRun := int64(after.TotalAlloc-before.TotalAlloc) / runs
-		sent := int64(8 * 2 * g.M())
-		if extra := perRun - result; extra > sent/2 {
-			t.Errorf("n=%d along=%v: a repeated exchange allocates %d bytes beyond its %d-byte result, against %d bytes sent: the send slabs were not reused",
-				n, along, extra, result, sent)
-		}
-		return count
+		return count, int64(after.TotalAlloc-before.TotalAlloc)/runs - result
 	}
 	for _, along := range []bool{false, true} {
-		small, large := allocs(1024, along), allocs(8192, along)
+		small, _ := allocs(1024, 1, along)
+		large, _ := allocs(8192, 1, along)
 		if small != large {
 			t.Errorf("along=%v: %v allocations at n=1024, %v at n=8192", along, small, large)
+		}
+		const n = 1 << 16
+		if _, extra := allocs(n, 4, along); extra > n/2 {
+			t.Errorf("along=%v: a repeated exchange on %d vertices allocates %d bytes beyond its result: a send slab or a heard-set was not reused",
+				along, n, extra)
 		}
 	}
 }
@@ -438,13 +435,15 @@ func exchangeGraph(t *testing.T, seed int64) *graph.Graph {
 }
 
 // TestVertexExchangesParallelismInvariant runs one sequence of vertex-keyed
-// exchanges (ExchangeActive alone and followed by ExchangeAlong,
-// NotifyNeighbors, NotifyWithin, and RefreshWithin both ways once the marked
-// vertices leave) on one DistGraph at Parallelism 1, 2, 3 and 8: the
-// views, touched sets and Stats must be identical at every level, and the
-// serial views must match brute force. The senders reuse their slabs across
-// the sequence and the receivers decode on the worker pool, so this is also
-// the pool's race test.
+// exchanges (a view refreshed from the graph's rows alone and followed by
+// ExchangeAlong, NotifyWithin along the graph's rows and along the view,
+// RefreshWithin both ways once the marked vertices leave, and the marked
+// vertices' own view refreshed from the view) on one DistGraph at
+// Parallelism 1, 2, 3 and 8: the views, touched sets and Stats must be
+// identical at every level, and the serial views must match brute force.
+// The senders reuse their slabs and the receivers their heard-sets across
+// the sequence, and the receivers decode on the worker pool, so this is
+// also the pool's race test.
 func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	g := exchangeGraph(t, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -464,7 +463,7 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 		for _, v := range [][]int32{nil, vals} {
 			r.Views = append(r.Views, exchangeView(t, d, active, v))
 		}
-		touched, err := d.NotifyNeighbors("n", active)
+		touched, err := d.NotifyWithin("n", active, GraphRows(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,6 +483,11 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 			}
 			r.Views = append(r.Views, view)
 		}
+		resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, r.Views[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Views = append(r.Views, resolve)
 		r.Stats = d.Cluster().Stats()
 		return r
 	}
@@ -493,6 +497,7 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 		checkRows(t, ref.Views[1], exchangeN, activeRows(g, active), vals)
 		checkRows(t, ref.Views[2], exchangeN, activeRows(g, survivors), nil)
 		checkRows(t, ref.Views[3], exchangeN, activeRows(g, survivors), nil)
+		checkRows(t, ref.Views[4], exchangeN, activeRows(g, marked), nil)
 		for _, par := range []int{2, 3, 8} {
 			if got := run(machines, par); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("machines=%d: parallelism %d diverged from the serial run", machines, par)
@@ -501,16 +506,14 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 	}
 }
 
-// exchangeView runs ExchangeActive on active and, when vals is non-nil,
-// ExchangeAlong with vals on the view, and returns the last result: the
-// vertex-keyed exchange sequence of one Luby iteration.
+// exchangeView refreshes active's view from the graph's rows and, when vals
+// is non-nil, runs ExchangeAlong with vals on the view, and returns the
+// last result: the vertex-keyed exchange sequence of one Luby iteration.
 func exchangeView(t *testing.T, d *DistGraph, active *bitset.Set, vals []int32) Adjacency {
 	t.Helper()
-	a, err := d.ExchangeActive("x", active)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := viewOf(t, d, active)
 	if vals != nil {
+		var err error
 		if a, err = d.ExchangeAlong("v", active, a, vals); err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +540,7 @@ func TestSlabReuseKeepsEarlierViews(t *testing.T) {
 		first := exchangeView(t, d, full, vals)
 		kept := cloneAdjacency(first)
 		exchangeView(t, d, halfSet(rng, exchangeN), nil)
-		if _, err := d.NotifyNeighbors("n", full); err != nil {
+		if _, err := d.NotifyWithin("n", full, GraphRows(g)); err != nil {
 			t.Fatal(err)
 		}
 		exchangeView(t, d, full, randomVals(rng, exchangeN))
@@ -566,8 +569,8 @@ func slabSequence(rng *rand.Rand) (sets []*bitset.Set, vals [][]int32) {
 
 // runSlabSequence runs the exchanges of slabSequence on d, checking each
 // view against brute force and its traffic against one word per (active
-// vertex, neighbour) pair plus, with values, one per active edge end, and
-// returns the views.
+// vertex, distinct owner of its neighbours) plus, with values, one per
+// active edge end, and returns the views.
 func runSlabSequence(t *testing.T, d *DistGraph, sets []*bitset.Set, vals [][]int32) []Adjacency {
 	t.Helper()
 	g, c := d.Graph(), d.Cluster()
@@ -576,11 +579,7 @@ func runSlabSequence(t *testing.T, d *DistGraph, sets []*bitset.Set, vals [][]in
 		before := c.Stats().Words
 		a := exchangeView(t, d, active, vals[i])
 		checkRows(t, a, exchangeN, activeRows(g, active), vals[i])
-		var want int64
-		active.ForEach(func(u int) bool {
-			want += int64(g.Degree(u))
-			return true
-		})
+		want := ownerWords(c, GraphRows(g), active)
 		if vals[i] != nil {
 			want += int64(len(a.Nbr))
 		}
@@ -717,37 +716,19 @@ func TestExchangeAlongMisalignedView(t *testing.T) {
 	}
 }
 
-// TestExchangeWithin checks ExchangeWithin against brute force: with the
-// senders walking a view's rows, row v of the result is view.Row(v)
-// restricted to active for active v, and the traffic is one word per
-// (active u, w in view.Row(u)).
-func TestExchangeWithin(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(100)
-		g, err := gen.GNP(n, 0.3*rng.Float64(), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outer := randomSet(rng, n)
-		inner := halfSet(rng, n)
-		inner.Intersect(outer)
-		for _, par := range []int{1, 4} {
-			d := distribute(t, g, Config{Machines: 1 + rng.Intn(8), Parallelism: par})
-			view := exchangeView(t, d, outer, nil)
-			before := d.Cluster().Stats().Words
-			a, err := d.ExchangeWithin("w", inner, view)
-			if err != nil {
-				t.Fatal(err)
+// TestChanged checks announce's branch-free run test against !=, on the
+// owners it compares: -1 (no previous entry) and machine ids up to the
+// largest int.
+func TestChanged(t *testing.T) {
+	vals := []int{-1, 0, 1, 2, 7, 63, 64, 1 << 31, 1<<63 - 1}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := 0
+			if a != b {
+				want = 1
 			}
-			checkRows(t, a, n, activeRows(g, inner), nil)
-			var want int64
-			inner.ForEach(func(u int) bool {
-				want += int64(len(view.Row(u)))
-				return true
-			})
-			if got := d.Cluster().Stats().Words - before; got != want {
-				t.Fatalf("n=%d: moved %d words, want %d", n, got, want)
+			if got := changed(a, b); got != want {
+				t.Errorf("changed(%d, %d) = %d, want %d", a, b, got, want)
 			}
 		}
 	}

@@ -29,9 +29,9 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 	}
 
 	// Independence: members announce themselves; a member that hears from a
-	// member neighbor is a conflict. ExchangeActive returns, per member, the
-	// member neighbors only.
-	nbrs, err := d.ExchangeActive("verify/independence", inSet)
+	// member neighbor is a conflict. The graph's rows refreshed to the
+	// members list, per member, the member neighbors only.
+	nbrs, err := d.RefreshWithin("verify/independence", inSet, inSet, mpc.KeepHeard, mpc.GraphRows(d.Graph()))
 	if err != nil {
 		return 0, err
 	}
@@ -49,7 +49,7 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 		if frontier.Count() == 0 {
 			break
 		}
-		touched, err := d.NotifyNeighbors(fmt.Sprintf("verify/hop%d", hop+1), frontier)
+		touched, err := d.NotifyWithin(fmt.Sprintf("verify/hop%d", hop+1), frontier, mpc.GraphRows(d.Graph()))
 		if err != nil {
 			return 0, err
 		}

@@ -140,13 +140,14 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 		ps.Marked = marks.Count()
 
-		// Conflict resolution: marked vertices announce themselves along
-		// their view rows, so resolve is the symmetric view of marks: row v
-		// lists v's marked rivals. The lexicographically larger (degree, id)
+		// Conflict resolution: marked vertices announce themselves to the
+		// machines that hold them in a view row, so resolve, the view
+		// refreshed to marks, is the symmetric view of marks: row v lists
+		// v's marked rivals. The lexicographically larger (degree, id)
 		// endpoint of each marked edge survives. Randomized Luby sends each
 		// marked vertex's degree to its rivals only, along resolve; the
 		// deterministic variant already holds every neighbour's degree.
-		resolve, err := d.ExchangeWithin("luby/resolve", marks, view)
+		resolve, err := d.RefreshWithin("luby/resolve", marks, marks, mpc.KeepHeard, view)
 		if err != nil {
 			return Result{}, err
 		}

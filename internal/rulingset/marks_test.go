@@ -414,7 +414,7 @@ func seedSearchAllocs(t *testing.T, n int) float64 {
 	}
 	active := bitset.New(n)
 	active.Fill()
-	view, err := d.ExchangeActive("view", active)
+	view, err := d.RefreshWithin("view", active, active, mpc.KeepHeard, mpc.GraphRows(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestLubyWins(t *testing.T) {
 			}
 		}
 	}
-	view, err := d.ExchangeActive("view", active)
+	view, err := d.RefreshWithin("view", active, active, mpc.KeepHeard, mpc.GraphRows(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestLubyWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve, err := d.ExchangeWithin("resolve", marks, view)
+	resolve, err := d.RefreshWithin("resolve", marks, marks, mpc.KeepHeard, view)
 	if err != nil {
 		t.Fatal(err)
 	}

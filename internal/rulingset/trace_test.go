@@ -269,14 +269,17 @@ func snapshotSets(t *testing.T, n int, sink *memSink, round int) (*bitset.Set, *
 
 // TestLubyRoundPattern pins what each Luby iteration sends. Randomized Luby
 // runs no luby/degrees or luby/maxdeg round: its luby/rivals round carries
-// one degree per marked–marked edge end, and its luby/resolve round one id
-// per (marked vertex, active neighbour). A sequential replay of the same
-// marks counts both. DetLubyMIS, whose estimator reads every neighbour's
-// degree, still runs luby/degrees and luby/maxdeg every iteration and no
-// luby/rivals round.
+// one degree per marked–marked edge end, and its luby/resolve round, the
+// iteration's view refreshed to the marks, one id per (marked v, distinct
+// owner of v's active neighbours), with owner(u) = u / ⌈n/M⌉ on the default
+// M machines. A sequential replay of the same marks counts both.
+// DetLubyMIS, whose estimator reads every neighbour's degree, still runs
+// luby/degrees and luby/maxdeg every iteration and no luby/rivals round.
 func TestLubyRoundPattern(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
 	const seed = 3
+	machines := Options{}.withDefaults(g.N()).Machines
+	per := (g.N() + machines - 1) / machines // ⌈n/M⌉
 
 	// The replay: same marking draws, same (degree, id) rule.
 	var resolveWords, rivalWords []int
@@ -311,11 +314,14 @@ func TestLubyRoundPattern(t *testing.T) {
 				continue
 			}
 			wins := true
+			owners := map[int]bool{}
 			for _, u := range g.Neighbors(v) {
 				if !active[u] {
 					continue
 				}
-				resolved++
+				if marked[v] {
+					owners[int(u)/per] = true
+				}
 				if marked[u] {
 					rivals++
 					if deg[u] > deg[v] || (deg[u] == deg[v] && int(u) > v) {
@@ -323,6 +329,7 @@ func TestLubyRoundPattern(t *testing.T) {
 					}
 				}
 			}
+			resolved += len(owners)
 			if wins {
 				joiners = append(joiners, v)
 			}
@@ -368,7 +375,7 @@ func TestLubyRoundPattern(t *testing.T) {
 		}
 	}
 	if !slices.Equal(gotResolve, resolveWords) {
-		t.Errorf("luby/resolve words %v, want one per (marked, active neighbour) pair: %v", gotResolve, resolveWords)
+		t.Errorf("luby/resolve words %v, want one per (marked vertex, distinct owner of its active neighbours): %v", gotResolve, resolveWords)
 	}
 	if !slices.Equal(gotRivals, rivalWords) {
 		t.Errorf("luby/rivals words %v, want one per marked–marked edge end: %v", gotRivals, rivalWords)
