@@ -30,7 +30,7 @@ func benchPlane(b *testing.B) (*DistGraph, *bitset.Set, Adjacency) {
 		b.Fatal(err)
 	}
 	active := halfSet(rng, g.N())
-	view, err := d.RefreshWithin("view", active, active, KeepHeard, GraphRows(g))
+	view, err := d.RefreshWithin("view", active, active, KeepHeard, GraphRows(g), Adjacency{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,6 +43,8 @@ func benchPlane(b *testing.B) (*DistGraph, *bitset.Set, Adjacency) {
 // announcing each of its vertices once per machine that holds it in a row.
 // Luby's conflict view (resolve) refreshes the active half's view to a
 // sparse set of marks, 1/32 of the active half, announced by the marks.
+// The -reuse cases write each refresh into the storage of the one before,
+// as the marking loops do; the others allocate a fresh view every time.
 func BenchmarkRefreshWithin(b *testing.B) {
 	d, active, view := benchPlane(b)
 	rows := GraphRows(d.Graph())
@@ -62,16 +64,33 @@ func BenchmarkRefreshWithin(b *testing.B) {
 		kept, announce *bitset.Set
 		dir            Refresh
 		last           Adjacency
+		reuse          bool
 	}{
-		{"survivors", active, active, KeepHeard, rows},
-		{"departures", active, departed, DropHeard, rows},
-		{"resolve", marks, marks, KeepHeard, view},
+		{"survivors", active, active, KeepHeard, rows, false},
+		{"survivors-reuse", active, active, KeepHeard, rows, true},
+		{"departures", active, departed, DropHeard, rows, false},
+		{"resolve", marks, marks, KeepHeard, view, false},
+		{"resolve-reuse", marks, marks, KeepHeard, view, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.RefreshWithin("r", bc.kept, bc.announce, bc.dir, bc.last); err != nil {
+			refresh := func(reuse Adjacency) Adjacency {
+				out, err := d.RefreshWithin("r", bc.kept, bc.announce, bc.dir, bc.last, reuse)
+				if err != nil {
 					b.Fatal(err)
+				}
+				return out
+			}
+			var out Adjacency
+			if bc.reuse {
+				out = refresh(Adjacency{}) // the buffer the timed refreshes recycle
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.reuse {
+					out = refresh(out)
+				} else {
+					refresh(Adjacency{})
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/rulingset/mprs/internal/bitset"
@@ -21,6 +22,9 @@ type DistGraph struct {
 	// heard[lo] is the n-bit heard-set of the worker block whose first
 	// machine is lo, reused by the block's next refresh (see refreshRows).
 	heard [][]uint64
+	// cur is collectVals' per-vertex row cursors, n entries allocated on
+	// the first values exchange; machine m writes only its own range.
+	cur []int32
 }
 
 // Distribute places g on the cluster and charges each machine's resident
@@ -88,7 +92,7 @@ func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency
 // each edge with both endpoints included is sent to machine 0 by the owner
 // of its smaller endpoint.
 func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Graph, []int32, error) {
-	nbrs, err := d.RefreshWithin(name+"/announce", include, include, KeepHeard, GraphRows(d.g))
+	nbrs, err := d.RefreshWithin(name+"/announce", include, include, KeepHeard, GraphRows(d.g), Adjacency{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,19 +171,64 @@ const (
 // words or messages than one word per edge end of announce would take.
 //
 // A one-shot view of a set is RefreshWithin(name, set, set, KeepHeard,
-// GraphRows(g)), and Luby's conflict view of its marks refreshes the
-// iteration's view with the marks on both sides. A marking loop announces
-// the smaller side of its shrunk set. It knocks out the active neighbours
-// of its marks, so only the knocked-out vertices need announce their
-// departure: no survivor's row holds a mark.
-func (d *DistGraph) RefreshWithin(name string, active, announce *bitset.Set, dir Refresh, last Adjacency) (Adjacency, error) {
+// GraphRows(g), Adjacency{}), and Luby's conflict view of its marks
+// refreshes the iteration's view with the marks on both sides. A marking
+// loop announces the smaller side of its shrunk set. It knocks out the
+// active neighbours of its marks, so only the knocked-out vertices need
+// announce their departure: no survivor's row holds a mark.
+//
+// reuse is a dead view whose storage the result may take over, or the zero
+// Adjacency: its Off and Nbr are overwritten when their capacity suffices,
+// so the caller must no longer read reuse or anything sharing its arrays
+// (a values exchange along it included). A marking loop passes the view
+// it refreshed two iterations ago. reuse must not share an array with last
+// or with the graph's rows (CheckReuse); if it does, RefreshWithin returns
+// an error before any round runs.
+func (d *DistGraph) RefreshWithin(name string, active, announce *bitset.Set, dir Refresh, last, reuse Adjacency) (Adjacency, error) {
+	if err := CheckReuse(reuse, last, d.g); err != nil {
+		return Adjacency{}, fmt.Errorf("mpc: %s: %w", name, err)
+	}
 	err := d.c.Step(name, func(x *Ctx) {
 		d.announce(x, last, announce)
 	})
 	if err != nil {
 		return Adjacency{}, err
 	}
-	return d.refreshRows(active, dir, last), nil
+	return d.refreshRows(active, dir, last, reuse), nil
+}
+
+// CheckReuse returns an error when reuse, a view offered for recycling,
+// shares an array with last, the view being refreshed, or with g's own
+// rows: writing the result into it would corrupt the rows it is built
+// from, or the graph. Two slices share an array here when the last
+// element of their capacity is the same one; every view keeps its arrays'
+// full capacity, so a view and any reslice of it that keeps its capacity
+// always do.
+func CheckReuse(reuse, last Adjacency, g *graph.Graph) error {
+	rows := GraphRows(g)
+	for _, buf := range [][]int32{reuse.Off, reuse.Nbr} {
+		for _, live := range [][]int32{last.Off, last.Nbr, last.Val, rows.Off, rows.Nbr} {
+			if sharesArray(buf, live) {
+				return errors.New("the view to recycle shares storage with the view being refreshed or the graph's rows")
+			}
+		}
+	}
+	return nil
+}
+
+// sharesArray reports whether a and b end at the same element of one
+// backing array.
+func sharesArray(a, b []int32) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// resize returns buf with length k when its capacity suffices, and a new
+// array of k otherwise.
+func resize(buf []int32, k int) []int32 {
+	if cap(buf) < k {
+		return make([]int32, k)
+	}
+	return buf[:k]
 }
 
 // ExchangeAlong sends one value per view edge: the owner of every active u
@@ -364,31 +413,38 @@ func nextIn(from *bitset.Set, i, hi int) int {
 
 // refreshRows is the receiver half of RefreshWithin: it rebuilds every
 // active vertex's row from its row of last, keeping (KeepHeard) or dropping
-// (DropHeard) the ids its machine heard, and empties the inboxes. A count
-// pass sizes the rows, a prefix sum places them and a fill pass writes them,
-// so the view costs two allocations. Kept entries stay in last's ascending
-// order.
+// (DropHeard) the ids its machine heard, and empties the inboxes. The result
+// takes over reuse's Off and Nbr when they are large enough, so a refresh
+// into a recycled view allocates nothing n-sized. Kept entries stay in
+// last's ascending order.
 //
 // Each machine works from its own inbox and its own rows, as in the model:
-// both passes run per receiving machine on the cluster's worker pool, with
-// the serial prefix sum between them. A worker decodes machine m's inbox
+// a count pass and a fill pass run per receiving machine on the cluster's
+// worker pool. The count pass writes every Off entry of the machine's
+// range as its local running row total, so no entry keeps a stale value
+// from reuse, and leaves the machine's total in base. A serial pass over
+// the M totals turns them into each machine's first row offset, and
+// the fill pass adds that base to the machine's Off entries as it writes
+// the rows, keeping the next row's start in a register: a machine never
+// reads another machine's Off entry. A worker decodes machine m's inbox
 // into its block's heard-set, walks m's rows, and clears the words it set
 // before the next machine, so the set is empty again between machines,
 // passes and refreshes. The sets live in d.heard, one n-bit array per
 // worker block keyed by the block's first machine, and are allocated on a
-// block's first refresh only. Machine m writes only the Off entries and
-// rows of its own vertices. Both passes read an entry's bit without a
-// branch: the count adds it, and the fill writes every entry at
-// the row's cursor and advances the cursor by the bit, so a dropped entry
-// is overwritten by the next one, and stops once the row is full.
-func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency) Adjacency {
+// block's first refresh only. Both passes read an entry's bit without a
+// branch: the count adds it, and the fill writes every entry at the row's
+// cursor and advances the cursor by the bit, so a dropped entry is
+// overwritten by the next one, and stops once the row is full.
+func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last, reuse Adjacency) Adjacency {
 	n := d.c.N()
-	a := Adjacency{Off: make([]int32, n+1)}
+	a := Adjacency{Off: resize(reuse.Off, n+1)}
 	off := a.Off
+	off[0] = 0
 	var flip uint64 // an entry is kept when its heard bit differs from flip
 	if dir == DropHeard {
 		flip = 1
 	}
+	base := make([]int32, d.c.Machines()) // row totals, then first row offsets
 	for pass := 0; pass < 2; pass++ {
 		d.c.runBlocks(func(lo, hi int) {
 			heard := d.heard[lo]
@@ -403,23 +459,10 @@ func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency)
 					}
 				}
 				vlo, vhi := d.c.Range(m)
-				for v := nextIn(active, vlo, vhi); v < vhi; v = nextIn(active, v+1, vhi) {
-					if pass == 0 {
-						var k uint64
-						for _, u := range last.Row(v) {
-							k += heard[uint32(u)/64]>>(uint32(u)%64)&1 ^ flip
-						}
-						off[v+1] = int32(k)
-						continue
-					}
-					j, end := off[v], off[v+1]
-					for _, u := range last.Row(v) {
-						if j == end {
-							break
-						}
-						a.Nbr[j] = u
-						j += int32(heard[uint32(u)/64]>>(uint32(u)%64)&1 ^ flip)
-					}
+				if pass == 0 {
+					base[m] = countRows(off, active, last, heard, flip, vlo, vhi)
+				} else {
+					fillRows(a, active, last, heard, flip, vlo, vhi, base[m])
 				}
 				for _, msg := range d.c.inboxes[m] {
 					for _, w := range msg.Payload {
@@ -429,32 +472,85 @@ func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last Adjacency)
 			}
 		})
 		if pass == 0 {
-			// Turn the counts into row ends: off[v+1] = Σ_{w<=v} |row w|.
-			// The running sum stays in a register: adding off[v-1] back
-			// from memory would chain every step through a store.
 			var total int32
-			for v := 1; v < len(off); v++ {
-				total += off[v]
-				off[v] = total
+			for m, k := range base {
+				base[m] = total
+				total += k
 			}
-			a.Nbr = make([]int32, off[n])
+			a.Nbr = resize(reuse.Nbr, int(total))
 		}
 	}
 	clear(d.c.inboxes)
 	return a
 }
 
+// countRows is refreshRows' count pass over the vertices [vlo, vhi) of one
+// machine: it sets off[v+1] to the number of kept entries in the rows of
+// the active vertices in [vlo, v], for every v of the range, and returns
+// the range's total.
+func countRows(off []int32, active *bitset.Set, last Adjacency, heard []uint64, flip uint64, vlo, vhi int) int32 {
+	var k int32
+	next := vlo + 1 // the next Off entry to write
+	for v := nextIn(active, vlo, vhi); v < vhi; v = nextIn(active, v+1, vhi) {
+		for ; next <= v; next++ {
+			off[next] = k // the empty rows of inactive vertices
+		}
+		for _, u := range last.Row(v) {
+			k += int32(heard[uint32(u)/64]>>(uint32(u)%64)&1 ^ flip)
+		}
+		off[v+1] = k
+		next = v + 2
+	}
+	for ; next <= vhi; next++ {
+		off[next] = k
+	}
+	return k
+}
+
+// fillRows is refreshRows' fill pass over the vertices [vlo, vhi) of one
+// machine whose first row starts at base: it adds base to the local totals
+// countRows left in a.Off and writes each active vertex's kept entries.
+func fillRows(a Adjacency, active *bitset.Set, last Adjacency, heard []uint64, flip uint64, vlo, vhi int, base int32) {
+	off := a.Off
+	start := base
+	next := vlo + 1
+	for v := nextIn(active, vlo, vhi); v < vhi; v = nextIn(active, v+1, vhi) {
+		for ; next <= v; next++ {
+			off[next] += base
+		}
+		end := base + off[v+1]
+		off[v+1] = end
+		next = v + 2
+		j := start
+		for _, u := range last.Row(v) {
+			if j == end {
+				break
+			}
+			a.Nbr[j] = u
+			j += int32(heard[uint32(u)/64]>>(uint32(u)%64)&1 ^ flip)
+		}
+		start = end
+	}
+	for ; next <= vhi; next++ {
+		off[next] += base
+	}
+}
+
 // collectVals is the receiver half of a recValue exchange along view: it
 // writes every delivered value into the slot of view's CSR that its row's
 // cursor points at, and empties the inboxes. There is no count pass: the
 // rows are view's. Each machine copies its rows' starts out of view.Off as
-// cursors and decodes its own inbox on the worker pool, writing only its
-// own rows' slots and cursors. It returns the values and, when some record
+// cursors into d.cur, kept for the next exchange like the heard-sets, and
+// decodes its own inbox on the worker pool, writing only its own rows'
+// slots and cursors. It returns the values and, when some record
 // found its row full, some row ended short, or a record reached a machine
 // that does not own its vertex, the lowest machine's error.
 func (d *DistGraph) collectVals(view Adjacency) ([]int32, error) {
 	val := make([]int32, len(view.Nbr))
-	cur := make([]int32, d.c.N())
+	if d.cur == nil {
+		d.cur = make([]int32, d.c.N())
+	}
+	cur := d.cur
 	errs := make([]error, d.c.Machines())
 	d.c.runBlocks(func(lo, hi int) {
 		for m := lo; m < hi; m++ {

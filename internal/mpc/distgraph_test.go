@@ -70,7 +70,7 @@ func TestDistributeOrderMismatch(t *testing.T) {
 // viewOf returns active's symmetric view, refreshed from the graph's rows.
 func viewOf(t *testing.T, d *DistGraph, active *bitset.Set) Adjacency {
 	t.Helper()
-	view, err := d.RefreshWithin("x", active, active, KeepHeard, GraphRows(d.Graph()))
+	view, err := d.RefreshWithin("x", active, active, KeepHeard, GraphRows(d.Graph()), Adjacency{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRefreshWithinProperty(t *testing.T) {
 			marked := halfSet(rng, n)
 			marked.Intersect(active)
 			before = c.Stats().Words
-			resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, view)
+			resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, view, Adjacency{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,12 +328,13 @@ func TestRefreshWithinProperty(t *testing.T) {
 // graph's rows, or ExchangeAlong on a fixed view) allocates per machine,
 // not per vertex or edge: the same number of allocations on graphs of 1024
 // and 8192 vertices at a fixed machine count. It also pins that a repeated
-// exchange of the same size reuses every machine's send slab and every
-// worker block's heard-set, so it allocates only its result (a refresh's
-// Off and Nbr, or the values and their cursors) and a few kilobytes of
+// exchange of the same size reuses every machine's send slab, every
+// worker block's heard-set and the value cursors, so it allocates only its
+// result (a refresh's Off and Nbr, or the values) and a few kilobytes of
 // per-machine bookkeeping and size-class rounding. On 65536 vertices and
 // four worker blocks, fresh heard-sets (one per block and pass) would cost
-// n bytes, and a fresh send slab far more; the test allows n/2.
+// n bytes, fresh cursors 4n, and a fresh send slab far more; the test
+// allows n/2.
 func TestRefreshWithinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -348,11 +349,11 @@ func TestRefreshWithinAllocs(t *testing.T) {
 		active.Fill()
 		view := viewOf(t, d, active)
 		deg := make([]int32, n)
-		// The view's offsets and rows, or the values and their cursors.
+		// The view's offsets and rows, or the values.
 		result := int64(4 * (n + 1 + 2*g.M()))
 		exchange := func() { viewOf(t, d, active) }
 		if along {
-			result = int64(4 * (n + 2*g.M()))
+			result = int64(4 * 2 * g.M())
 			exchange = func() {
 				if _, err := d.ExchangeAlong("v", active, view, deg); err != nil {
 					t.Fatal(err)
@@ -377,9 +378,125 @@ func TestRefreshWithinAllocs(t *testing.T) {
 		}
 		const n = 1 << 16
 		if _, extra := allocs(n, 4, along); extra > n/2 {
-			t.Errorf("along=%v: a repeated exchange on %d vertices allocates %d bytes beyond its result: a send slab or a heard-set was not reused",
+			t.Errorf("along=%v: a repeated exchange on %d vertices allocates %d bytes beyond its result: a send slab, a heard-set or the cursors were not reused",
 				along, n, extra)
 		}
+	}
+}
+
+// garbageView returns a view-shaped buffer of n+1 offsets and k
+// neighbours holding values no refresh would write, so a refresh that
+// reads a stale entry of a recycled buffer shows up in its rows.
+func garbageView(n, k int) Adjacency {
+	a := Adjacency{Off: make([]int32, n+1), Nbr: make([]int32, k)}
+	for i := range a.Off {
+		a.Off[i] = int32(7*i + 3)
+	}
+	for i := range a.Nbr {
+		a.Nbr[i] = -1
+	}
+	return a
+}
+
+// TestRefreshWithinReuse checks RefreshWithin into a recycled view. Into a
+// buffer too small for the result, or large enough and full of stale
+// entries, both refresh directions give the rows a fresh refresh gives
+// (activeRows), at parallelism 1 and 4, and a large enough buffer is used
+// in place. A buffer that shares an array with the view being refreshed or
+// with the graph's rows is refused before any round runs. A steady-state
+// refresh into its own last result allocates well under the n+1 offsets
+// it would otherwise make afresh.
+func TestRefreshWithinReuse(t *testing.T) {
+	g := exchangeGraph(t, 11)
+	rows := GraphRows(g)
+	rng := rand.New(rand.NewSource(12))
+	for _, par := range []int{1, 4} {
+		d := distribute(t, g, Config{Machines: 5, Parallelism: par})
+		active := halfSet(rng, exchangeN)
+		departed := bitset.New(exchangeN)
+		departed.Fill()
+		departed.Subtract(active)
+		for _, dir := range []Refresh{KeepHeard, DropHeard} {
+			announce := active
+			if dir == DropHeard {
+				announce = departed
+			}
+			for _, size := range []struct {
+				name string
+				buf  Adjacency
+			}{
+				{"small", garbageView(2, 1)},
+				{"large", garbageView(exchangeN, 2*g.M())},
+			} {
+				before := d.Cluster().Stats().Words
+				view, err := d.RefreshWithin("r", active, announce, dir, rows, size.buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRows(t, view, exchangeN, activeRows(g, active), nil)
+				if got, want := d.Cluster().Stats().Words-before, ownerWords(d.Cluster(), rows, announce); got != want {
+					t.Fatalf("par=%d dir=%d %s: moved %d words, want %d", par, dir, size.name, got, want)
+				}
+				inPlace := sharesArray(view.Off, size.buf.Off) && sharesArray(view.Nbr, size.buf.Nbr)
+				if inPlace != (size.name == "large") {
+					t.Fatalf("par=%d dir=%d %s buffer: result in place = %v", par, dir, size.name, inPlace)
+				}
+			}
+		}
+	}
+
+	d := distribute(t, g, Config{Machines: 5})
+	active := halfSet(rng, exchangeN)
+	view := viewOf(t, d, active)
+	vals, err := d.ExchangeAlong("v", active, view, randomVals(rng, exchangeN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := halfSet(rng, exchangeN)
+	marks.Intersect(active)
+	for _, bad := range []struct {
+		name        string
+		last, reuse Adjacency
+	}{
+		{"the view being refreshed", view, view},
+		{"its offsets", view, Adjacency{Off: view.Off}},
+		{"its neighbours, resliced", view, Adjacency{Nbr: view.Nbr[:1]}},
+		{"its values exchange", view, vals},
+		{"the graph's rows", rows, rows},
+		{"the graph's rows, refreshing another view", view, Adjacency{Nbr: rows.Nbr}},
+	} {
+		before := d.Cluster().Stats()
+		if _, err := d.RefreshWithin("r", marks, marks, KeepHeard, bad.last, bad.reuse); err == nil {
+			t.Errorf("recycling %s was accepted", bad.name)
+		}
+		if after := d.Cluster().Stats(); after.Rounds != before.Rounds || after.Words != before.Words {
+			t.Errorf("recycling %s ran a round", bad.name)
+		}
+	}
+	checkRows(t, view, exchangeN, activeRows(g, active), nil)
+	checkRows(t, GraphRows(g), exchangeN, g.Neighbors, nil)
+
+	// Bytes, unlike allocation counts, hold under the race detector too.
+	const n = 1 << 16
+	big, err := gen.GNP(n, 16.0/n, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = distribute(t, big, Config{Machines: 4, Parallelism: 4})
+	active = halfSet(rng, n)
+	buf := viewOf(t, d, active) // allocates the heard-sets and send slabs
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if buf, err = d.RefreshWithin("r", active, active, KeepHeard, GraphRows(big), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if extra := int64(after.TotalAlloc-before.TotalAlloc) / runs; extra > n/4 {
+		t.Errorf("a refresh into a recycled view on %d vertices allocates %d bytes, want at most n/4 = %d (fresh offsets are 4(n+1))",
+			n, extra, n/4)
 	}
 }
 
@@ -477,13 +594,13 @@ func TestVertexExchangesParallelismInvariant(t *testing.T) {
 			if dir == DropHeard {
 				announce = marked
 			}
-			view, err := d.RefreshWithin("r", survivors, announce, dir, r.Views[0])
+			view, err := d.RefreshWithin("r", survivors, announce, dir, r.Views[0], Adjacency{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.Views = append(r.Views, view)
 		}
-		resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, r.Views[0])
+		resolve, err := d.RefreshWithin("r", marked, marked, KeepHeard, r.Views[0], Adjacency{})
 		if err != nil {
 			t.Fatal(err)
 		}

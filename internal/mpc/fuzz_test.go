@@ -12,9 +12,12 @@ import (
 // force, on a random graph and a random shrinking chain of active sets that
 // starts full. At each step after the first, the last view is refreshed
 // both ways: the departures announcing themselves (DropHeard) and the
-// survivors (KeepHeard). Both must equal the active set's brute-force view
-// (activeRows), and each costs exactly one word per (announcing u, distinct
-// owner of a vertex of the last view's row u). The survivors' refresh must
+// survivors (KeepHeard), into a ping-pong pair of buffers: both
+// refreshes of a step write into the view before the last one (the second
+// overwriting the first), and the result becomes the next step's view.
+// Each must equal the active set's brute-force view (activeRows), and each
+// costs exactly one word per (announcing u, distinct owner of a vertex of
+// the last view's row u). The survivors' refresh must
 // send no more words or messages than a per-edge refresh along the last
 // view would (one word per active edge end, one message per machine pair
 // that an active edge end joins; perEdgeCost). The chain carries the view
@@ -40,26 +43,32 @@ func FuzzIncrementalView(f *testing.F) {
 		active.Fill()
 		last := active.Clone() // the set view was exchanged for
 		view := GraphRows(g)
+		var spare Adjacency // the view before view, dead; empty while that is the graph's rows
 		for step := 0; active.Count() > 0; step++ {
 			ref := activeRows(g, active)
 			if step > 0 {
 				departed := last.Clone()
 				departed.Subtract(active)
 				perEdgeWords, perEdgeMsgs := perEdgeCost(c, view, active)
-				refreshed := make([]Adjacency, 2)
-				for _, dir := range []Refresh{KeepHeard, DropHeard} {
+				// The direction the chain carries goes last, so both
+				// refreshes write into spare and the kept one ends there.
+				dirs := []Refresh{DropHeard, KeepHeard}
+				if 2*active.Count() > last.Count() {
+					dirs = []Refresh{KeepHeard, DropHeard}
+				}
+				for _, dir := range dirs {
 					announce := active
 					if dir == DropHeard {
 						announce = departed
 					}
 					before := c.Stats()
-					if refreshed[dir], err = d.RefreshWithin("r", active, announce, dir, view); err != nil {
+					if spare, err = d.RefreshWithin("r", active, announce, dir, view, spare); err != nil {
 						t.Fatal(err)
 					}
 					if got, want := c.Stats().Words-before.Words, ownerWords(c, view, announce); got != want {
 						t.Fatalf("step %d: refresh %d moved %d words, want %d", step, dir, got, want)
 					}
-					checkRows(t, refreshed[dir], n, ref, nil)
+					checkRows(t, spare, n, ref, nil)
 					if dir == KeepHeard {
 						words, msgs := c.Stats().Words-before.Words, c.Stats().Messages-before.Messages
 						if words > perEdgeWords || msgs > perEdgeMsgs {
@@ -68,9 +77,9 @@ func FuzzIncrementalView(f *testing.F) {
 						}
 					}
 				}
-				view = refreshed[KeepHeard]
-				if after := active.Count(); 2*after > last.Count() {
-					view = refreshed[DropHeard]
+				view, spare = spare, view
+				if step == 1 {
+					spare = Adjacency{} // never recycle the graph's rows
 				}
 				last = active.Clone()
 			} else {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/clique"
@@ -120,8 +121,8 @@ type cliqueModel struct {
 // word per pair. Deduplicating per machine saves nothing when a node is
 // its own machine, and only node 0 learns the active count, so the clique
 // ignores departed and the counts.
-func (m cliqueModel) view(active, _ *bitset.Set, _, _ int, last mpc.Adjacency) (mpc.Adjacency, error) {
-	return m.neighborsIn("view", active, last)
+func (m cliqueModel) view(active, _ *bitset.Set, _, _ int, last, reuse mpc.Adjacency) (mpc.Adjacency, error) {
+	return m.neighborsIn("view", active, last, reuse)
 }
 
 // dominate has every marked node send one word to each neighbor in its view
@@ -163,8 +164,12 @@ func (cliqueModel) broadcastSeed([]uint64) error { return errCliqueSeedBroadcast
 // or the view of a superset of set): the nodes in set announce themselves
 // to the nodes in their rows (one word per pair), and each node in set
 // collects the ascending list of its neighbors in set. Nodes drain in
-// ascending order, so the rows are laid out in one pass.
-func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows mpc.Adjacency) (mpc.Adjacency, error) {
+// ascending order, so the rows are laid out in one pass, into reuse's
+// storage when it is large enough (as mpc.RefreshWithin does).
+func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows, reuse mpc.Adjacency) (mpc.Adjacency, error) {
+	if err := mpc.CheckReuse(reuse, rows, m.g); err != nil {
+		return mpc.Adjacency{}, fmt.Errorf("rulingset: %s: %w", name, err)
+	}
 	if err := m.c.Step(name, func(x *clique.Ctx) {
 		if !set.Contains(x.Machine) {
 			return
@@ -181,7 +186,8 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows mpc.Adjacenc
 		total += len(rows.Row(v))
 		return true
 	})
-	nbrs := mpc.Adjacency{Off: make([]int32, n+1), Nbr: make([]int32, 0, total)}
+	nbrs := mpc.Adjacency{Off: slices.Grow(reuse.Off[:0], n+1)[:n+1], Nbr: slices.Grow(reuse.Nbr[:0], total)}
+	nbrs.Off[0] = 0
 	for v := 0; v < n; v++ {
 		msgs := m.c.Drain(v)
 		if set.Contains(v) {
@@ -199,7 +205,7 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows mpc.Adjacenc
 // each candidate ships its candidate-incident edges (smaller endpoint owns)
 // under Lenzen's per-node budgets.
 func (m cliqueModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error) {
-	candNbrs, err := m.neighborsIn("residual/announce", cand, mpc.GraphRows(m.g))
+	candNbrs, err := m.neighborsIn("residual/announce", cand, mpc.GraphRows(m.g), mpc.Adjacency{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,7 +31,7 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 	// Independence: members announce themselves; a member that hears from a
 	// member neighbor is a conflict. The graph's rows refreshed to the
 	// members list, per member, the member neighbors only.
-	nbrs, err := d.RefreshWithin("verify/independence", inSet, inSet, mpc.KeepHeard, mpc.GraphRows(d.Graph()))
+	nbrs, err := d.RefreshWithin("verify/independence", inSet, inSet, mpc.KeepHeard, mpc.GraphRows(d.Graph()), mpc.Adjacency{})
 	if err != nil {
 		return 0, err
 	}

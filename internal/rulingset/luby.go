@@ -59,24 +59,32 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 
 	remaining := n
 	// The first iteration marks on the graph's rows, every vertex active;
-	// each later one refreshes the view along the last, as in runPhases.
-	// Winners are independent and every active neighbour of a winner is
-	// knocked out, so the last iteration's touched set holds every vertex
-	// that left and may still be in a survivor's row.
+	// each later one refreshes the view along the last into the storage of
+	// the one before (spare), as in runPhases. Winners are independent and
+	// every active neighbour of a winner is knocked out, so the last
+	// iteration's touched set holds every vertex that left and may still
+	// be in a survivor's row. The conflict view (resolve) recycles the last
+	// iteration's, and deg is read only at active vertices, so stale
+	// entries of departed ones are harmless.
 	view := mpc.GraphRows(g)
+	var spare, resolve mpc.Adjacency
 	var touched *bitset.Set
+	deg := make([]int32, n)
 	c.Span("sparsify") // Luby's marking iterations play the sparsify role
 	for iter := 1; remaining > 0; iter++ {
 		if iter > o.MaxIterations {
 			return Result{}, fmt.Errorf("rulingset: luby iteration cap %d exceeded with %d active vertices", o.MaxIterations, remaining)
 		}
 		if iter > 1 {
-			var err error
-			if view, err = m.view(active, touched, phases[len(phases)-1].ActiveBefore, remaining, view); err != nil {
+			next, err := m.view(active, touched, phases[len(phases)-1].ActiveBefore, remaining, view, spare)
+			if err != nil {
 				return Result{}, err
 			}
+			if iter > 2 { // the first iteration's view is the graph's rows
+				spare = view
+			}
+			view = next
 		}
-		deg := make([]int32, n)
 		joiners := bitset.New(n) // MIS joiners this iteration
 		activeEdges := 0
 		active.ForEach(func(v int) bool {
@@ -147,7 +155,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		// endpoint of each marked edge survives. Randomized Luby sends each
 		// marked vertex's degree to its rivals only, along resolve; the
 		// deterministic variant already holds every neighbour's degree.
-		resolve, err := d.RefreshWithin("luby/resolve", marks, marks, mpc.KeepHeard, view)
+		resolve, err = d.RefreshWithin("luby/resolve", marks, marks, mpc.KeepHeard, view, resolve)
 		if err != nil {
 			return Result{}, err
 		}

@@ -35,13 +35,16 @@ func schedule(delta int) []int {
 // sparsifyState carries the sample-and-sparsify loop's evolving state from
 // phase to phase: the active and candidate sets, the view the last phase
 // marked on (the graph's own rows before the first phase, when every vertex
-// is active and every machine already holds its rows), and the vertices
-// the last phase knocked out without marking them, the only ones that left
-// and may still be in an active vertex's row of that view.
+// is active and every machine already holds its rows), the view before it
+// (spare, dead storage the next refresh recycles; empty while it would be
+// the graph's rows), and the vertices the last phase knocked out without
+// marking them, the only ones that left and may still be in an active
+// vertex's row of that view.
 type sparsifyState struct {
 	active     *bitset.Set
 	candidates *bitset.Set
 	view       mpc.Adjacency
+	spare      mpc.Adjacency
 	departed   *bitset.Set
 	phases     []PhaseStat
 }
@@ -70,7 +73,9 @@ type model interface {
 	// and after are the active counts last was exchanged for and now (the
 	// last phase's ActiveBefore and ActiveAfter), and departed holds every
 	// vertex that left and is still in an active vertex's row of last.
-	view(active, departed *bitset.Set, before, after int, last mpc.Adjacency) (mpc.Adjacency, error)
+	// reuse is a dead view the result may overwrite (mpc.RefreshWithin),
+	// or the zero Adjacency.
+	view(active, departed *bitset.Set, before, after int, last, reuse mpc.Adjacency) (mpc.Adjacency, error)
 	// dominate notifies the neighbors of the marked vertices along view,
 	// the active set's current view, and returns the vertices reached.
 	dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error)
@@ -103,11 +108,11 @@ func newMPCModel(d *mpc.DistGraph, prefix string) mpcModel {
 // per machine that holds it in a row: the departures when more than half
 // of last's set survives, the survivors otherwise. Every machine knows both
 // counts from the prefix/active all-reduces, so the choice costs no word.
-func (m mpcModel) view(active, departed *bitset.Set, before, after int, last mpc.Adjacency) (mpc.Adjacency, error) {
+func (m mpcModel) view(active, departed *bitset.Set, before, after int, last, reuse mpc.Adjacency) (mpc.Adjacency, error) {
 	if 2*after > before {
-		return m.d.RefreshWithin(m.prefix+"/view", active, departed, mpc.DropHeard, last)
+		return m.d.RefreshWithin(m.prefix+"/view", active, departed, mpc.DropHeard, last, reuse)
 	}
-	return m.d.RefreshWithin(m.prefix+"/view", active, active, mpc.KeepHeard, last)
+	return m.d.RefreshWithin(m.prefix+"/view", active, active, mpc.KeepHeard, last, reuse)
 }
 
 func (m mpcModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error) {
@@ -145,8 +150,10 @@ func (m mpcModel) announceMembers(members []int32) error {
 //
 // The first phase marks on st.view as it stands (the graph's rows, with
 // every vertex active); each later phase refreshes it along the last
-// phase's view, since the active set only shrinks. Every active neighbour
-// of a mark is knocked out, so no survivor's row holds a mark, and the
+// phase's view, since the active set only shrinks, into the storage of the
+// view before it (st.spare): the two views alternate, so a loop allocates
+// its view arrays at most twice. Every active neighbour of a mark is
+// knocked out, so no survivor's row holds a mark, and the
 // vertices that left and may still be in a survivor's row are the
 // knocked-out ones that were not marked (st.departed).
 //
@@ -164,10 +171,14 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 		}
 		if len(st.phases) > 0 {
 			last := st.phases[len(st.phases)-1]
-			var err error
-			if st.view, err = m.view(st.active, st.departed, last.ActiveBefore, last.ActiveAfter, st.view); err != nil {
+			next, err := m.view(st.active, st.departed, last.ActiveBefore, last.ActiveAfter, st.view, st.spare)
+			if err != nil {
 				return err
 			}
+			if len(st.phases) > 1 { // the first phase's view is the graph's rows
+				st.spare = st.view
+			}
+			st.view = next
 		}
 		view := st.view
 		ps := PhaseStat{

@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rulingset/mprs/internal/chaos"
+	"github.com/rulingset/mprs/internal/transport"
 )
 
 // The chaos oracle: every survivable fault schedule must yield Members,
@@ -266,6 +268,51 @@ func TestChaosFlapQuarantineDegrades(t *testing.T) {
 		if !strings.Contains(life, want) {
 			t.Errorf("lifecycle missing %s:\n%s", want, life)
 		}
+	}
+}
+
+// TestChaosKilledGenerationFramesIgnored replays, event by event, the
+// frames a flap-killed worker can still write before its kill takes
+// effect: with its peers' retained frames already delivered it finishes
+// the killed round, sends the next one, and then reports its broken pipe.
+// Until the restart the dead generation's id is still current, so the
+// supervisor must drop these by state: the late frame is neither relayed
+// nor retained and fires no second flap kill at the later round, the
+// error does not abort the job, and the worker stays scheduled to rejoin
+// after the round it was killed at.
+func TestChaosKilledGenerationFramesIgnored(t *testing.T) {
+	plan, err := chaos.Parse("proc:flap@10:1", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lifecycle bytes.Buffer
+	s := &supervisor{
+		cfg:           testConfig(2).withDefaults(),
+		life:          newLifecycleWriter(&lifecycle, LifecycleHeader{Workers: 2}),
+		plan:          plan,
+		retained:      make([][]byte, 2),
+		retainedRound: make([]int, 2),
+	}
+	peer := &proc{id: 0, gen: 1, state: procRunning, outQ: make(chan transport.Frame, 4), lastCrashRound: -1}
+	killed := &proc{id: 1, gen: 3, state: procWaiting, attempts: 2, sentRound: 9, lastCrashRound: 9, flaps: 2}
+	s.procs = []*proc{peer, killed}
+	werr, err := json.Marshal(workerError{Message: "transport: worker 1 waiting on round 11: EOF", Round: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.handle(event{worker: 1, gen: 3, frame: transport.Frame{Type: transport.FrameMessages, Worker: 1, Round: 11, Payload: []byte{1}}}, time.Now())
+	s.handle(event{worker: 1, gen: 3, frame: transport.Frame{Type: transport.FrameError, Worker: 1, Round: 10, Payload: werr}}, time.Now())
+	if s.aborting || s.degrading {
+		t.Errorf("a killed generation's late error gave up supervision (aborting %v, degrading %v)", s.aborting, s.degrading)
+	}
+	if killed.state != procWaiting || killed.sentRound != 9 || killed.flaps != 2 {
+		t.Errorf("killed worker: state %d, join round %d, flaps %d; want waiting, 9, 2", killed.state, killed.sentRound, killed.flaps)
+	}
+	if s.retained[1] != nil || len(peer.outQ) != 0 {
+		t.Errorf("the late frame was retained (%v) or relayed (%d queued)", s.retained[1] != nil, len(peer.outQ))
+	}
+	if life := lifecycle.String(); strings.Contains(life, `"kind":"chaos"`) || strings.Contains(life, `"kind":"abort"`) {
+		t.Errorf("lifecycle recorded the dead generation's frames:\n%s", life)
 	}
 }
 

@@ -549,6 +549,16 @@ func (s *supervisor) handle(ev event, now time.Time) {
 	if s.degrading {
 		return // the fleet is being torn down; frames no longer matter
 	}
+	if p.state != procRunning {
+		// A frame the process wrote before its kill took effect: a killed
+		// worker's generation lives on until its restart, and with its
+		// peers' retained frames already delivered it can finish the round
+		// it was killed at and send the next one. The kill decided its
+		// fate; the restart rejoins after sentRound, so acting on the
+		// frame would misplace the flap round or let the dying process's
+		// broken-pipe error abort the job.
+		return
+	}
 	p.lastSeen = now
 	f := ev.frame
 	switch f.Type {
