@@ -90,9 +90,11 @@ func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency
 // Two rounds: included vertices first announce membership to the machines
 // that own their neighbours (RefreshWithin along the graph's rows), then
 // each edge with both endpoints included is sent to machine 0 by the owner
-// of its smaller endpoint.
-func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set) (*graph.Graph, []int32, error) {
-	nbrs, err := d.RefreshWithin(name+"/announce", include, include, KeepHeard, GraphRows(d.g), Adjacency{})
+// of its smaller endpoint. reuse is a dead view the announce round's view
+// may overwrite, as in RefreshWithin, or the zero Adjacency; it must not
+// share storage with the graph's rows.
+func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set, reuse Adjacency) (*graph.Graph, []int32, error) {
+	nbrs, err := d.RefreshWithin(name+"/announce", include, include, KeepHeard, GraphRows(d.g), reuse)
 	if err != nil {
 		return nil, nil, err
 	}

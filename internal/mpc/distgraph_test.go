@@ -166,27 +166,41 @@ func TestExchangeAlongValues(t *testing.T) {
 
 func TestGatherSubgraph(t *testing.T) {
 	for _, machines := range []int{1, 2, 4} {
-		d := distTestGraph(t, machines)
-		include := bitset.New(5)
-		for _, v := range []int{1, 2, 3} {
-			include.Add(v)
-		}
-		sub, toOrig, err := d.GatherSubgraph("g", include)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub.N() != 3 {
-			t.Fatalf("machines=%d: sub n = %d", machines, sub.N())
-		}
-		// Induced edges on {1,2,3}: 1-2, 2-3, 1-3.
-		if sub.M() != 3 {
-			t.Fatalf("machines=%d: sub m = %d, want 3", machines, sub.M())
-		}
-		for i, orig := range toOrig {
-			if orig != int32(i+1) {
-				t.Fatalf("machines=%d: toOrig = %v", machines, toOrig)
+		// The announce round's view lands in fresh storage, in a recycled
+		// view with room for it, or in one too small to take it.
+		for _, reuse := range []Adjacency{{}, garbageView(5, 16), garbageView(1, 1)} {
+			d := distTestGraph(t, machines)
+			include := bitset.New(5)
+			for _, v := range []int{1, 2, 3} {
+				include.Add(v)
+			}
+			sub, toOrig, err := d.GatherSubgraph("g", include, reuse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.N() != 3 {
+				t.Fatalf("machines=%d: sub n = %d", machines, sub.N())
+			}
+			// Induced edges on {1,2,3}: 1-2, 2-3, 1-3.
+			if sub.M() != 3 {
+				t.Fatalf("machines=%d: sub m = %d, want 3", machines, sub.M())
+			}
+			for i, orig := range toOrig {
+				if orig != int32(i+1) {
+					t.Fatalf("machines=%d: toOrig = %v", machines, toOrig)
+				}
 			}
 		}
+	}
+	// The graph's rows are never dead: offering them fails before any round.
+	d := distTestGraph(t, 2)
+	include := bitset.New(5)
+	include.Fill()
+	if _, _, err := d.GatherSubgraph("g", include, GraphRows(d.Graph())); err == nil {
+		t.Fatal("gathering into the graph's rows succeeded")
+	}
+	if rounds := d.Cluster().Stats().Rounds; rounds != 0 {
+		t.Fatalf("a refused gather ran %d rounds", rounds)
 	}
 }
 
@@ -196,7 +210,7 @@ func TestGatherSubgraphChargesCoordinator(t *testing.T) {
 	before := c.Resident(0)
 	include := bitset.New(5)
 	include.Fill()
-	sub, _, err := d.GatherSubgraph("g", include)
+	sub, _, err := d.GatherSubgraph("g", include, Adjacency{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 			// Ship the whole current instance and solve it exactly.
 			st := newSparsifyState(cur)
 			st.absorbActive()
-			members, residual, err := solveResidual(m, st.candidates)
+			members, residual, err := solveResidual(m, st.candidates, st.deadView())
 			if err != nil {
 				return Result{}, err
 			}

@@ -83,7 +83,7 @@ func rulingBeta(g *graph.Graph, beta int, o Options, deterministic bool) (Result
 		st.absorbActive()
 
 		if level == beta-2 {
-			members, residual, err = solveResidual(m, st.candidates)
+			members, residual, err = solveResidual(m, st.candidates, st.deadView())
 			if err != nil {
 				return Result{}, err
 			}

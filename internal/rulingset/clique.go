@@ -85,7 +85,7 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 		return CliqueResult{}, err
 	}
 	st.absorbActive()
-	members, sub, err := solveResidual(m, st.candidates)
+	members, sub, err := solveResidual(m, st.candidates, st.deadView())
 	if err != nil {
 		return CliqueResult{}, err
 	}
@@ -203,8 +203,8 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows, reuse mpc.A
 // gatherResidual has the candidates announce themselves to their
 // neighbors, then Lenzen-routes the candidate-induced subgraph to node 0:
 // each candidate ships its candidate-incident edges (smaller endpoint owns)
-// under Lenzen's per-node budgets.
-func (m cliqueModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error) {
+// under Lenzen's per-node budgets. It ignores the dead view it is offered.
+func (m cliqueModel) gatherResidual(cand *bitset.Set, _ mpc.Adjacency) (*graph.Graph, []int32, error) {
 	candNbrs, err := m.neighborsIn("residual/announce", cand, mpc.GraphRows(m.g), mpc.Adjacency{})
 	if err != nil {
 		return nil, nil, err

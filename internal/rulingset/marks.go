@@ -3,6 +3,7 @@ package rulingset
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/rulingset/mprs/internal/hash"
 )
@@ -89,6 +90,11 @@ func (ms *markState) alive(v, j int) bool {
 	return int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j)
 }
 
+// deadBit is alive's branch-free negation for a vertex with firstZero
+// entry fz: 1 when fz < f, the fixed segments counted up to its exponent,
+// and 0 otherwise.
+func deadBit(fz int32, f int64) uint64 { return uint64(int64(fz)-f) >> 63 }
+
 // The spectral methods below add c times a conditional probability to a
 // spectrum w of length 2^Z, where the probability is taken given the
 // committed prefix plus chunk value e: w[S] gains the coefficient of the
@@ -166,6 +172,54 @@ func addBoth(w []float64, cs hash.ChunkState, au, ax uint64, c float64) {
 		w[md] += signed(q, pd)
 	}
 }
+
+// chunkCodes is the partial segment's law under one chunk for estimators
+// whose vertices all share one exponent, in the form the one-pass kernel
+// reads (sparsifyEstimator): a vertex's law packs into one code word, and a
+// pair's is the XOR of its two codes.
+//
+// Coeff(v) always holds the constant coordinate k, the segment's last, so
+// ChunkState.Lin is determined for every vertex or for none: exactly when
+// the chunk reaches that coordinate (Ft+Z > k). code(v) holds v's committed
+// parity ⟨Pre, a_v⟩ in bit 0 and a_v's coordinates from Ft on above it: the
+// chunk slice m_v in bits [1, Z+1), the key a_v >> (Ft+Z) from bit Z+1 on.
+// Pre has no coordinate from Ft on, so the XOR of two codes holds the pair's
+// parity and chunk slice, and its key is zero exactly when Lin(a_u ⊕ a_x) is
+// determined (always, in a determined chunk).
+type chunkCodes struct {
+	pre   uint64
+	top   uint64 // 1<<k, the constant coordinate
+	ft    uint
+	keyAt uint   // Z+1, the key's first bit in a code
+	mask  uint64 // 2^Z − 1
+	det   bool   // every vertex's bit is determined by the chunk value
+}
+
+func newChunkCodes(fam *hash.Bits, cs hash.ChunkState) chunkCodes {
+	return chunkCodes{
+		pre:   cs.Pre,
+		top:   1 << uint(fam.K()),
+		ft:    uint(cs.Ft),
+		keyAt: uint(cs.Z) + 1,
+		mask:  1<<uint(cs.Z) - 1,
+		det:   cs.Ft+cs.Z > fam.K(),
+	}
+}
+
+// code returns v's code word.
+func (c chunkCodes) code(v int) uint64 {
+	a := uint64(v+1) | c.top
+	return (a>>c.ft)<<1 | uint64(bits.OnesCount64(c.pre&a))&1
+}
+
+// slot returns the spectrum index of a code, or of a code XOR: the chunk
+// slice m.
+func (c chunkCodes) slot(x uint64) uint64 { return x >> 1 & c.mask }
+
+// coupled reports whether the code XOR x of a pair has a zero key: the
+// pair's bits are determined by the chunk value, or coupled, so their
+// product term is nonzero.
+func (c chunkCodes) coupled(x uint64) bool { return x>>c.keyAt == 0 }
 
 // signed returns (−1)^par·q.
 func signed(q float64, par uint64) float64 {

@@ -460,15 +460,17 @@ func TestSeedSearchAllocs(t *testing.T) {
 }
 
 // TestSolveAllocs pins that a marking loop recycles its vertex-indexed
-// arrays: one LubyMIS or DetRuling2 solve of gnp(65536, 16/n) on 8
-// machines allocates at most twice the graph's CSR bytes, 4(n+1) + 8m.
-// Luby runs about 20 iterations here; with fresh view offsets, degrees and
-// value cursors in every one it allocated about 4.1 times the CSR, and it
-// reads about 1.4 when its views alternate between two buffers. DetRuling2
-// runs three phases, so it allocates its two views either way (about 1.5).
-// The race detector does not change these bytes, so the test runs under it.
+// arrays: one LubyMIS solve of gnp(65536, 16/n) on 8 machines allocates at
+// most twice the graph's CSR bytes, 4(n+1) + 8m, and one DetRuling2 solve
+// at most 1.42 times. Luby runs about 20 iterations here; with fresh view
+// offsets, degrees and value cursors in every one it allocated about 4.1
+// times the CSR, and it reads about 1.4 when its views alternate between
+// two buffers. DetRuling2 runs three phases, so it allocates its two views
+// either way; its residual gather refreshes into the view the loop left
+// dead, which took it from about 1.47 to about 1.40. The race detector
+// does not change these bytes, so the test runs under it.
 func TestSolveAllocs(t *testing.T) {
-	const n, bound = 1 << 16, 2.0
+	const n = 1 << 16
 	g, err := gen.GNP(n, 16.0/n, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -477,15 +479,16 @@ func TestSolveAllocs(t *testing.T) {
 	for _, alg := range []struct {
 		name  string
 		solve func(*graph.Graph, Options) (Result, error)
-	}{{"luby", LubyMIS}, {"det2", DetRuling2}} {
+		bound float64
+	}{{"luby", LubyMIS, 2.0}, {"det2", DetRuling2, 1.42}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := alg.solve(g, Options{Machines: 8, Parallelism: 2, Seed: 1, ChunkBits: 4}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / csr; ratio > bound {
-			t.Errorf("%s allocated %.2f times the graph's %.0f CSR bytes in one solve, more than %v", alg.name, ratio, csr, bound)
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / csr; ratio > alg.bound {
+			t.Errorf("%s allocated %.2f times the graph's %.0f CSR bytes in one solve, more than %v", alg.name, ratio, csr, alg.bound)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	}
 	st.absorbActive()
 
-	members, residual, err := solveResidual(m, st.candidates)
+	members, residual, err := solveResidual(m, st.candidates, st.deadView())
 	if err != nil {
 		return Result{}, err
 	}
@@ -80,13 +80,14 @@ func maxDegree(d *mpc.DistGraph) (uint64, error) {
 }
 
 // solveResidual ships the candidate-induced subgraph to one place in m,
-// computes its MIS greedily there, and announces the membership. The MIS of
+// recycling reuse, a dead view, where m can, computes its MIS greedily
+// there, and announces the membership. The MIS of
 // G[C] is independent in G and dominates C within one hop, so together with
 // the sparsifier's invariant (every vertex in C or adjacent to it) the
 // result is a 2-ruling set.
-func solveResidual(m model, cand *bitset.Set) ([]int32, *graph.Graph, error) {
+func solveResidual(m model, cand *bitset.Set, reuse mpc.Adjacency) ([]int32, *graph.Graph, error) {
 	m.Span("gather")
-	sub, toOrig, err := m.gatherResidual(cand)
+	sub, toOrig, err := m.gatherResidual(cand, reuse)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -86,8 +86,10 @@ type model interface {
 	// (the seed-policy ablations) in one broadcast.
 	broadcastSeed(words []uint64) error
 	// gatherResidual collects the subgraph induced by cand at one place and
-	// returns it with the original id of each of its vertices.
-	gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error)
+	// returns it with the original id of each of its vertices. reuse is a
+	// dead view the gather may overwrite (sparsifyState.deadView), or the
+	// zero Adjacency.
+	gatherResidual(cand *bitset.Set, reuse mpc.Adjacency) (*graph.Graph, []int32, error)
 	// announceMembers tells the residual solution's members they joined.
 	announceMembers(members []int32) error
 }
@@ -134,8 +136,8 @@ func (m mpcModel) broadcastSeed(words []uint64) error {
 	return err
 }
 
-func (m mpcModel) gatherResidual(cand *bitset.Set) (*graph.Graph, []int32, error) {
-	return m.d.GatherSubgraph("residual", cand)
+func (m mpcModel) gatherResidual(cand *bitset.Set, reuse mpc.Adjacency) (*graph.Graph, []int32, error) {
+	return m.d.GatherSubgraph("residual", cand, reuse)
 }
 
 func (m mpcModel) announceMembers(members []int32) error {
@@ -253,6 +255,20 @@ func (st *sparsifyState) absorbActive() {
 	st.active.Clear()
 }
 
+// deadView returns a view the loop no longer reads, for the residual gather
+// to recycle: the spare view, else the last view once a refresh replaced
+// the graph's rows (from the second phase on), else the zero Adjacency.
+// The graph's rows are never offered: they are the graph itself.
+func (st *sparsifyState) deadView() mpc.Adjacency {
+	if st.spare.Off != nil {
+		return st.spare
+	}
+	if len(st.phases) > 1 {
+		return st.view
+	}
+	return mpc.Adjacency{}
+}
+
 // detMarks runs one derandomized sampling phase: it builds the
 // pairwise-independent AND-family for probability 2^-j, selects its seed by
 // the distributed method of conditional expectations against the
@@ -305,6 +321,21 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 // accumulates the cost and benefit spectra; they are transformed and
 // combined per extension, so α·cost − benefit rounds exactly as a direct
 // evaluation would, for any α.
+//
+// The pass sums the terms markState.addMark/addPair would add, without
+// making them one by one. Every vertex has exponent j, so with f < j
+// segments fixed, h = 2^−(j−f) and q = h², an alive vertex u adds
+// h·(1 − s_u·χ_{m_u}) and an alive pair (u, w) adds q·(1 − s_u·χ_{m_u} −
+// s_w·χ_{m_w} + s_u·s_w·χ_{m_u⊕m_w}) in a determined chunk; in an
+// undetermined one only the constant and, when the keys match, the
+// product term remain (chunkCodes has s, m and the key). So a pair's only
+// term that needs both vertices is ±q at the XOR of their chunk slices,
+// and the rest are per-vertex counts: A alive members of N'(v) add A·h −
+// A(A−1)/2·q at w[0] and ((A−1)·q − h)·s_u at each member's m_u, and v's
+// edge row adds its alive count times q at w[0] and times −s_v·q at m_v.
+// Every regrouped value is a partial sum of the same dyadic terms, exact
+// by checkExact, so the spectra equal the per-term ones bit for bit, and
+// each machine still sums exactly the terms of its own items.
 func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) (derand.ChunkEval, error) {
 	highDeg := 1 << uint(j)
 	terms := 0
@@ -324,8 +355,9 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 		return nil, err
 	}
 	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
-		// Up to z = 8 the cost spectrum lives on the stack, so scoring a
-		// chunk allocates nothing per machine.
+		// Up to z = 8 the cost spectrum, and up to 64 the codes of a
+		// benefit neighbourhood, live on the stack, so scoring a chunk
+		// allocates nothing per machine.
 		var costBuf [256]float64
 		var cost []float64
 		if len(out) <= len(costBuf) {
@@ -333,32 +365,76 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 		} else {
 			cost = make([]float64, len(out))
 		}
+		var codeBuf [64]uint64
+		codes := codeBuf[:]
+		if capSize > len(codes) {
+			codes = make([]uint64, capSize)
+		}
 		benefit := out
 		clear(benefit)
-		cs := ms.chunk(s, start, width)
+
+		// With every segment fixed (f = j), h = q = 1 and the zero chunk
+		// state couples no pair, so every term lands at w[0].
+		f := minInt(ms.fixedSegs, j)
+		cc := newChunkCodes(ms.fam, ms.chunk(s, start, width))
+		fz, minAlive := ms.firstZero, int64(f)
+		q, h := pow2neg(2*(j-f)), pow2neg(j-f)
+		// Cost terms by parity | dead<<1, benefit pair terms by parity.
+		// A dead vertex takes part with a zero term rather than a branch:
+		// after the first segment about half of them are dead, at random.
+		// The one branch per pair, on matching keys, is always taken in a
+		// determined chunk and seldom in an undetermined one that ends
+		// well before the constant coordinate.
+		costPair := [4]float64{q, -q, 0, 0}
+		costOne := [4]float64{-q, q, 0, 0}
+		benefitPair := [2]float64{-q, q}
 		for v := lo; v < hi; v++ {
 			if !active.Contains(v) {
 				continue
 			}
 			nb := view.Row(v)
-			if ms.alive(v, j) {
-				for _, u := range nb {
-					if int(u) > v {
-						ms.addPair(cost, cs, v, int(u), j, j, 1)
+			if int64(fz[v]) >= minAlive {
+				cv := cc.code(v)
+				alive := 0
+				// Rows are ascending: walk the upper neighbours from the end.
+				for i := len(nb) - 1; i >= 0 && int(nb[i]) > v; i-- {
+					u := nb[i]
+					cu := cc.code(int(u))
+					d := deadBit(fz[u], minAlive)
+					alive += int(1 - d)
+					if x := cv ^ cu; cc.coupled(x) {
+						cost[cc.slot(x)] += costPair[(x&1|d<<1)&3]
 					}
+					if cc.det {
+						cost[cc.slot(cu)] += costOne[(cu&1|d<<1)&3]
+					}
+				}
+				cost[0] += float64(alive) * q
+				if cc.det {
+					cost[cc.slot(cv)] += float64(alive) * costOne[cv&1]
 				}
 			}
 			if len(nb) < highDeg {
 				continue
 			}
-			nn := nb[:capSize]
-			for i, u := range nn {
-				if !ms.alive(int(u), j) {
-					continue
+			a := 0
+			for _, u := range nb[:capSize] {
+				codes[a] = cc.code(int(u))
+				a += int(1 - deadBit(fz[u], minAlive))
+			}
+			nn := codes[:a]
+			benefit[0] += float64(a)*h - float64(a*(a-1)/2)*q
+			if cc.det {
+				one := float64(a-1)*q - h
+				for _, cu := range nn {
+					benefit[cc.slot(cu)] += signed(one, cu&1)
 				}
-				ms.addMark(benefit, cs, int(u), j, 1)
-				for _, w := range nn[i+1:] {
-					ms.addPair(benefit, cs, int(u), int(w), j, j, -1)
+			}
+			for i, cu := range nn {
+				for _, cw := range nn[i+1:] {
+					if x := cu ^ cw; cc.coupled(x) {
+						benefit[cc.slot(x)] += benefitPair[x&1]
+					}
 				}
 			}
 		}
