@@ -27,7 +27,7 @@
 // sum is an affine combination of characters χ_S(e) of the chunk value e,
 // so a pass accumulates the coefficients and the transform evaluates them
 // at every e, in O(items + z·2^z) instead of O(items·2^z). Direct is the
-// per-extension loop, for estimators without that structure.
+// per-extension loop that tests check the spectral estimators against.
 package derand
 
 import (
@@ -117,8 +117,8 @@ type LocalEval func(lo, hi int, s *hash.Seed) float64
 
 // Direct returns the ChunkEval that calls eval once per extension, on a
 // private copy of s with the chunk written and counted as fixed — 2^width
-// passes over the items. It serves estimators with no spectral form (the
-// value family's digit DP) and tests.
+// passes over the items. It is the per-extension reference that tests
+// compare the spectral estimators against.
 func Direct(eval LocalEval) ChunkEval {
 	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
 		local := s.Clone()

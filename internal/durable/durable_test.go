@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -145,6 +146,52 @@ func TestStorePersistLoad(t *testing.T) {
 	meta, _, err = s2.LoadLatest()
 	if err != nil || meta.Round != 4 {
 		t.Fatalf("reopened load: meta=%+v err=%v", meta, err)
+	}
+}
+
+func TestStoreDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	s, err := Open(dir, "fp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Dir() != dir {
+		t.Fatalf("Dir() = %q, want %q", s.Dir(), dir)
+	}
+	if _, err := s.Persist(1, testState()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), fileFor(1))); err != nil {
+		t.Fatalf("checkpoint not under Dir(): %v", err)
+	}
+}
+
+// TestStoreBuildStamp checks that a build stamp reaches the meta record of
+// every checkpoint persisted after it is set, and none before.
+func TestStoreBuildStamp(t *testing.T) {
+	s, err := Open(t.TempDir(), "fp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Persist(1, testState()); err != nil {
+		t.Fatal(err)
+	}
+	stamp := json.RawMessage(`{"version":"v1.2.3"}`)
+	s.SetBuildStamp(stamp)
+	if _, err := s.Persist(2, testState()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		round int
+		want  []byte
+	}{{1, nil}, {2, stamp}} {
+		meta, _, err := s.loadFile(fileFor(tc.round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(meta.Build, tc.want) {
+			t.Errorf("round %d: meta build %s, want %s", tc.round, meta.Build, tc.want)
+		}
 	}
 }
 

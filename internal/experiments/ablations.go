@@ -2,84 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/rulingset/mprs/internal/metrics"
 	"github.com/rulingset/mprs/internal/rulingset"
 )
 
-// The A-series experiments are ablations of the deterministic algorithms'
-// design choices (DESIGN.md §3a): what the seed search buys over pairwise
-// independence alone, how the pessimistic estimator's cap and cost weight
-// shape the phases, and what the power-of-two AND-family costs against
-// exact thresholds.
-
-// A1SeedPolicy compares seed-selection policies for DetRuling2. Predicted
-// shape: conditional expectations lands on the good side of the expectation
-// in every phase with certainty; random family draws are good on average but
-// carry no per-phase guarantee; the all-zero seed makes zero progress
-// (everything survives to the residual instance).
-func A1SeedPolicy(cfg Config) (Report, error) {
-	n := 2048
-	if cfg.Quick {
-		n = 512
-	}
-	g := mustGNP(n, 12, cfg.Seed)
-	table := metrics.NewTable("A1: seed policy (DetRuling2, z=4)",
-		"policy", "seed", "marked total", "cand edges", "residual m", "phases on good side", "members")
-	type policyCase struct {
-		name   string
-		policy rulingset.SeedPolicy
-		seed   int64
-	}
-	cases := []policyCase{
-		{name: "cond-exp", policy: rulingset.SeedConditionalExpectations, seed: 0},
-		{name: "random-family", policy: rulingset.SeedRandomFamily, seed: 1},
-		{name: "random-family", policy: rulingset.SeedRandomFamily, seed: 2},
-		{name: "random-family", policy: rulingset.SeedRandomFamily, seed: 3},
-		{name: "zero", policy: rulingset.SeedZero, seed: 0},
-	}
-	ceAllGood := false
-	zeroMarked := -1
-	for _, pc := range cases {
-		res, err := rulingset.DetRuling2(g, rulingset.Options{
-			SeedPolicy: pc.policy,
-			Seed:       pc.seed,
-			ChunkBits:  4,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		if err := rulingset.Check(g, res); err != nil {
-			return Report{}, fmt.Errorf("%s: %w", pc.name, err)
-		}
-		marked, cand, good := 0, 0, 0
-		for _, ps := range res.Phases {
-			marked += ps.Marked
-			cand += ps.CandidateEdges
-			if ps.EstimatorFinal <= ps.EstimatorInitial+1e-6 {
-				good++
-			}
-		}
-		table.AddRow(pc.name, pc.seed, marked, cand, res.ResidualM,
-			fmt.Sprintf("%d/%d", good, len(res.Phases)), len(res.Members))
-		if pc.policy == rulingset.SeedConditionalExpectations {
-			ceAllGood = good == len(res.Phases)
-		}
-		if pc.policy == rulingset.SeedZero {
-			zeroMarked = marked
-		}
-	}
-	return Report{
-		ID:     "A1",
-		Title:  "ablation: what the seed search buys",
-		Tables: []*metrics.Table{table},
-		Notes: []string{
-			fmt.Sprintf("shape: conditional expectations on the good side in every phase: %v", ceAllGood),
-			fmt.Sprintf("shape: the all-zero seed marks nothing (marked=%d), pushing the whole graph to the residual: %v", zeroMarked, zeroMarked == 0),
-		},
-	}, nil
-}
+// The A-series experiments are ablations of the sparsification potential's
+// design choices (DESIGN.md §3a): how the pessimistic estimator's cap and
+// cost weight shape the phases.
 
 // A2BenefitCap varies the Bonferroni neighborhood cap of the sparsification
 // estimator. The cap controls the estimator's *guaranteed* progress: each
@@ -168,47 +98,5 @@ func A3AlphaWeight(cfg Config) (Report, error) {
 		Notes: []string{fmt.Sprintf(
 			"shape: heaviest cost weight yields no more candidate edges than the lightest: %v",
 			candAt[len(candAt)-1] <= candAt[0])},
-	}, nil
-}
-
-// A4LubyThresholds compares the AND-family (power-of-two probabilities,
-// O(1) conditional terms) against the uniform-value family with exact
-// 1/(2d) thresholds (O(ℓ) digit-DP terms). Predicted shape: both are
-// Θ(log n)-iteration deterministic MIS algorithms with comparable progress;
-// the exact variant pays wall-clock for marking fidelity.
-func A4LubyThresholds(cfg Config) (Report, error) {
-	n := 1024
-	if cfg.Quick {
-		n = 384
-	}
-	g := mustGNP(n, 12, cfg.Seed)
-	table := metrics.NewTable("A4: DetLubyMIS marking family (z=4)",
-		"family", "iterations", "rounds", "wall ms", "members")
-	var iters []int
-	for _, exact := range []bool{false, true} {
-		name := "AND (2^-j, paper)"
-		if exact {
-			name = "values (exact 1/2d)"
-		}
-		start := time.Now()
-		res, err := rulingset.DetLubyMIS(g, rulingset.Options{LubyExactThresholds: exact, ChunkBits: 4})
-		if err != nil {
-			return Report{}, err
-		}
-		wall := float64(time.Since(start).Microseconds()) / 1000
-		if err := rulingset.Check(g, res); err != nil {
-			return Report{}, fmt.Errorf("%s: %w", name, err)
-		}
-		table.AddRow(name, len(res.Phases), res.Stats.Rounds, wall, len(res.Members))
-		iters = append(iters, len(res.Phases))
-	}
-	ratio := float64(iters[0]) / float64(iters[1])
-	return Report{
-		ID:     "A4",
-		Title:  "ablation: marking family for deterministic Luby",
-		Tables: []*metrics.Table{table},
-		Notes: []string{fmt.Sprintf(
-			"shape: iteration counts within 2x of each other (%d vs %d): %v",
-			iters[0], iters[1], ratio <= 2 && ratio >= 0.5)},
 	}, nil
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
@@ -89,15 +88,12 @@ var _registry = []struct {
 	{id: "T4", fn: T4Quality, doc: "determinism and set quality vs greedy"},
 	{id: "T5", fn: T5ModelCompliance, doc: "memory/bandwidth budgets per regime"},
 	{id: "T6", fn: T6Estimator, doc: "conditional-expectation guarantee check"},
-	{id: "T7", fn: T7Parallelism, doc: "simulator wall-clock vs machine count"},
 	{id: "T8", fn: T8CliqueVsMPC, doc: "congested clique vs MPC round structure"},
 	{id: "F1", fn: F1Sparsification, doc: "per-phase sparsification collapse"},
 	{id: "F2", fn: F2BetaTradeoff, doc: "β vs rounds/bandwidth/residual size"},
 	{id: "F3", fn: F3AdaptiveRadius, doc: "adaptive radius vs memory budget"},
-	{id: "A1", fn: A1SeedPolicy, doc: "ablation: seed search vs random/zero seeds"},
 	{id: "A2", fn: A2BenefitCap, doc: "ablation: estimator neighborhood cap"},
 	{id: "A3", fn: A3AlphaWeight, doc: "ablation: estimator cost weight"},
-	{id: "A4", fn: A4LubyThresholds, doc: "ablation: Luby marking family"},
 	{id: "R1", fn: R1FaultRecovery, doc: "fault injection: output invariance + recovery overhead"},
 	{id: "R2", fn: R2DurableResume, doc: "durable checkpoints: resume invariance + overhead shape"},
 	{id: "O1", fn: O1CommunicationSkew, doc: "observability: per-phase communication skew vs budget"},
@@ -304,15 +300,13 @@ func T3ChunkSize(cfg Config) (Report, error) {
 	g := mustGNP(n, 8, cfg.Seed)
 	zs := []int{1, 2, 4, 8, 12}
 	table := metrics.NewTable("T3: chunk width tradeoff (DetRuling2)",
-		"z", "seed steps", "rounds", "peak recv words", "wall ms", "members")
+		"z", "seed steps", "rounds", "peak recv words", "members")
 	var steps []float64
 	for _, z := range zs {
-		start := time.Now()
 		res, err := rulingset.DetRuling2(g, rulingset.Options{ChunkBits: z})
 		if err != nil {
 			return Report{}, err
 		}
-		wall := time.Since(start)
 		if err := rulingset.Check(g, res); err != nil {
 			return Report{}, err
 		}
@@ -321,8 +315,7 @@ func T3ChunkSize(cfg Config) (Report, error) {
 			total += ps.SeedSteps
 		}
 		steps = append(steps, float64(total))
-		table.AddRow(z, total, res.Stats.Rounds, res.Stats.PeakRecv,
-			float64(wall.Microseconds())/1000, len(res.Members))
+		table.AddRow(z, total, res.Stats.Rounds, res.Stats.PeakRecv, len(res.Members))
 	}
 	monotone := true
 	for i := 1; i < len(steps); i++ {
@@ -511,44 +504,6 @@ func T6Estimator(cfg Config) (Report, error) {
 	}, nil
 }
 
-// T7Parallelism measures the simulator's wall-clock scaling with machine
-// count (machine compute runs in parallel goroutines). Predicted shape:
-// throughput improves with machines until barrier overhead dominates.
-func T7Parallelism(cfg Config) (Report, error) {
-	n := 4096
-	if cfg.Quick {
-		n = 1024
-	}
-	g := mustGNP(n, 12, cfg.Seed)
-	machines := []int{1, 2, 4, 8, 16}
-	table := metrics.NewTable("T7: simulator parallelism (DetRuling2, z=6)",
-		"machines", "wall ms", "speedup vs M=1", "rounds")
-	var base float64
-	var speedups []float64
-	for _, m := range machines {
-		start := time.Now()
-		res, err := rulingset.DetRuling2(g, rulingset.Options{Machines: m, ChunkBits: 6})
-		if err != nil {
-			return Report{}, err
-		}
-		wall := float64(time.Since(start).Microseconds()) / 1000
-		if m == 1 {
-			base = wall
-		}
-		speedup := base / wall
-		speedups = append(speedups, speedup)
-		table.AddRow(m, wall, speedup, res.Stats.Rounds)
-	}
-	return Report{
-		ID:     "T7",
-		Title:  "wall-clock scaling with goroutine parallelism",
-		Tables: []*metrics.Table{table},
-		Notes: []string{fmt.Sprintf(
-			"shape: best observed speedup %.2fx (host-dependent; prediction: > 1 on multicore hosts)",
-			maxFloat(speedups))},
-	}, nil
-}
-
 // F1Sparsification traces the sample-and-sparsify collapse phase by phase.
 // Predicted shape: the count of high-degree active vertices collapses
 // (doubly-exponential probability escalation), and the candidate graph
@@ -642,12 +597,4 @@ func F2BetaTradeoff(cfg Config) (Report, error) {
 		}},
 		Notes: []string{"shape: measured radius ≤ β for every β (verified by Check above)"},
 	}, nil
-}
-
-func maxFloat(xs []float64) float64 {
-	best := math.Inf(-1)
-	for _, x := range xs {
-		best = math.Max(best, x)
-	}
-	return best
 }

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
 func TestIDsAndDescribe(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("have %d experiments, want 18", len(ids))
+	if len(ids) != 15 {
+		t.Fatalf("have %d experiments, want 15", len(ids))
 	}
 	for _, id := range ids {
 		if Describe(id) == "" {
@@ -57,14 +58,32 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatalf("render missing header:\n%s", b.String())
 			}
 			// Shape notes must not report a failed prediction (": false").
-			// T7's speedup note is host-dependent and exempt.
-			if id != "T7" {
-				for _, n := range rep.Notes {
-					if strings.HasSuffix(n, "false") {
-						t.Errorf("prediction failed: %s", n)
-					}
+			for _, n := range rep.Notes {
+				if strings.HasSuffix(n, "false") {
+					t.Errorf("prediction failed: %s", n)
 				}
 			}
 		})
+	}
+}
+
+// TestRunAllDeterministic checks that the quick evaluation is a pure
+// function of the seed: no column reads the host clock, so two renders are
+// byte-identical.
+func TestRunAllDeterministic(t *testing.T) {
+	var first, second bytes.Buffer
+	for _, b := range []*bytes.Buffer{&first, &second} {
+		if err := RunAll(Config{Quick: true, Seed: 1}, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		a, b := strings.Split(first.String(), "\n"), strings.Split(second.String(), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("renders differ first at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("renders differ in length: %d vs %d lines", len(a), len(b))
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/rulingset/mprs/internal/graph"
 )
@@ -469,17 +468,6 @@ func DisjointUnion(gs ...*graph.Graph) (*graph.Graph, error) {
 		total += g.N()
 	}
 	return graph.New(total, edges)
-}
-
-// SortedDegrees returns the degree sequence in descending order; a test and
-// reporting convenience.
-func SortedDegrees(g *graph.Graph) []int {
-	ds := make([]int, g.N())
-	for v := range ds {
-		ds[v] = g.Degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-	return ds
 }
 
 // RMAT returns a Graph500-style R-MAT (recursive matrix) random graph on

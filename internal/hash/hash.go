@@ -15,15 +15,12 @@
 // vectors a_u = (enc(u),1) and a_v = (enc(v),1) are distinct and nonzero,
 // hence linearly independent over GF(2).
 //
-// Stacking independent linear bits yields the two primitives the algorithms
-// need:
-//
-//   - BitsFamily with j bits: mark(v) = X₁(v) ∧ … ∧ X_j(v) is a Bernoulli
-//     2^{-j} mark, pairwise independent across vertices. Used by the
-//     sparsification phases, whose sampling probabilities are powers of two.
-//   - ValueFamily with ℓ bits: H(v) ∈ [0, 2^ℓ) is uniform and pairwise
-//     independent; a per-vertex threshold turns it into a Bernoulli mark with
-//     vertex-dependent probability (Luby's 1/(2d(v)) marks).
+// Stacking j independent linear bits yields the one primitive the
+// algorithms need, the AND-family Bits: mark(v) = X₁(v) ∧ … ∧ X_j(v) is a
+// Bernoulli 2^{-j} mark, pairwise independent across vertices. The
+// sparsification phases mark every vertex with one power-of-two
+// probability; Luby's marks read a per-vertex prefix of the bits, rounding
+// 1/(2d(v)) down to a power of two.
 //
 // # Conditional distributions
 //
@@ -31,8 +28,7 @@
 // any prefix of fixed bits, each linear bit X(v) is (exactly) one of:
 // determined, or uniform; and a pair (X(u), X(v)) additionally may be
 // "coupled" (X(u) ⊕ X(v) determined). All conditional probabilities exposed
-// here are exact dyadic rationals computed in O(1) per linear bit, or via an
-// O(ℓ) digit DP for thresholded values.
+// here are exact dyadic rationals computed in O(1) per linear bit.
 package hash
 
 import (
@@ -113,8 +109,8 @@ func (s *Seed) SetFixed(f int) {
 }
 
 // Randomize fills all remaining free bits with random values and commits
-// them, producing a fully fixed random seed. Used by the randomized
-// algorithms and by tests comparing against the derandomized selection.
+// them, producing a fully fixed random seed. Tests use it to draw seeds to
+// compare against the derandomized selection.
 func (s *Seed) Randomize(rng *rand.Rand) {
 	for i := s.fixed; i < s.total; i++ {
 		s.SetChunk(i, 1, uint64(rng.Intn(2)))
@@ -365,152 +361,4 @@ func (b *Bits) Marked(s *Seed, v int) bool {
 		}
 	}
 	return true
-}
-
-// Values is the ℓ-bit uniform value family: H(v) ∈ [0, 2^ℓ) pairwise
-// independent, with bit 0 the most significant.
-type Values struct {
-	*Family
-}
-
-// NewValues returns the ℓ-bit value family for up to n vertices.
-func NewValues(n, ell int) (*Values, error) {
-	f, err := NewFamily(n, ell)
-	if err != nil {
-		return nil, err
-	}
-	return &Values{Family: f}, nil
-}
-
-// Ell returns the number of value bits ℓ.
-func (va *Values) Ell() int { return va.nbits }
-
-// Value evaluates H(v) under a fully fixed seed.
-func (va *Values) Value(s *Seed, v int) uint64 {
-	var h uint64
-	for t := 0; t < va.nbits; t++ {
-		h <<= 1
-		law := va.BitLaw(s, t, v)
-		if law.Determined {
-			h |= law.Value
-		}
-	}
-	return h
-}
-
-// BelowProb returns P[H(v) < threshold | fixed prefix of s], exactly, via a
-// most-significant-bit-first digit DP. threshold may be up to 2^ℓ.
-func (va *Values) BelowProb(s *Seed, v int, threshold uint64) float64 {
-	if threshold == 0 {
-		return 0
-	}
-	if threshold >= 1<<uint(va.nbits) {
-		return 1
-	}
-	below := 0.0
-	tight := 1.0
-	for t := 0; t < va.nbits; t++ {
-		tb := threshold >> uint(va.nbits-1-t) & 1
-		p1 := va.BitLaw(s, t, v).P1()
-		if tb == 1 {
-			below += tight * (1 - p1) // H bit 0 while threshold bit 1: strictly below
-			tight *= p1
-		} else {
-			tight *= 1 - p1 // H bit must be 0 to stay tight; 1 would exceed
-		}
-		if tight == 0 {
-			break
-		}
-	}
-	return below
-}
-
-// PairBelowProb returns P[H(u) < tu ∧ H(v) < tv | fixed prefix of s] for
-// distinct u, v, exactly, via a joint digit DP over tightness states.
-func (va *Values) PairBelowProb(s *Seed, u, v int, tu, tv uint64) float64 {
-	if tu == 0 || tv == 0 {
-		return 0
-	}
-	full := uint64(1) << uint(va.nbits)
-	if tu >= full && tv >= full {
-		return 1
-	}
-	if tu >= full {
-		return va.BelowProb(s, v, tv)
-	}
-	if tv >= full {
-		return va.BelowProb(s, u, tu)
-	}
-	// States per value: 0 = tight (equal to threshold prefix so far),
-	// 1 = strictly below (free), 2 = strictly above (dead). Joint DP over
-	// (state_u, state_v); dead states absorb and contribute 0.
-	var dp [3][3]float64
-	dp[0][0] = 1
-	for t := 0; t < va.nbits; t++ {
-		ub := tu >> uint(va.nbits-1-t) & 1
-		vb := tv >> uint(va.nbits-1-t) & 1
-		joint := va.PairLaw(s, t, u, v)
-		var next [3][3]float64
-		for su := 0; su < 2; su++ { // dead rows stay dead; skip them
-			for sv := 0; sv < 2; sv++ {
-				mass := dp[su][sv]
-				if mass == 0 {
-					continue
-				}
-				for xu := uint64(0); xu < 2; xu++ {
-					for xv := uint64(0); xv < 2; xv++ {
-						var p float64
-						switch {
-						case su == 0 && sv == 0:
-							p = joint[xu][xv]
-						case su == 0: // v free: only u's bit matters
-							if xv == 1 {
-								continue
-							}
-							p = joint[xu][0] + joint[xu][1]
-						case sv == 0: // u free
-							if xu == 1 {
-								continue
-							}
-							p = joint[0][xv] + joint[1][xv]
-						default: // both free: nothing to track
-							if xu == 1 || xv == 1 {
-								continue
-							}
-							p = 1
-						}
-						if p == 0 {
-							continue
-						}
-						nu := transition(su, xu, ub)
-						nv := transition(sv, xv, vb)
-						if nu == 2 || nv == 2 {
-							continue
-						}
-						next[nu][nv] += mass * p
-					}
-				}
-			}
-		}
-		dp = next
-	}
-	// Only strictly-below outcomes count: a value equal to its threshold is
-	// not < threshold.
-	return dp[1][1]
-}
-
-// transition advances a single value's tightness state given its next bit x
-// and the threshold's bit tb.
-func transition(state int, x, tb uint64) int {
-	if state != 0 {
-		return state
-	}
-	switch {
-	case x == tb:
-		return 0
-	case x < tb:
-		return 1
-	default:
-		return 2
-	}
 }

@@ -240,98 +240,12 @@ func TestConditionalExpectationConsistency(t *testing.T) {
 	}
 }
 
-func TestValuesMatchesBruteForce(t *testing.T) {
-	const n, ell = 9, 2
-	fam, err := NewValues(n, ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		s := fam.NewSeed()
-		prefix := rng.Intn(s.Total() + 1)
-		for i := 0; i < prefix; i++ {
-			s.SetChunk(i, 1, uint64(rng.Intn(2)))
-		}
-		s.SetFixed(prefix)
-		u := rng.Intn(n)
-		v := rng.Intn(n - 1)
-		if v >= u {
-			v++
-		}
-		tu := uint64(rng.Intn(1<<ell + 1))
-		tv := uint64(rng.Intn(1<<ell + 1))
-		wantU, wantPair := 0.0, 0.0
-		count := 0
-		enumerateSeeds(s, func(full *Seed) {
-			count++
-			hu, hv := fam.Value(full, u), fam.Value(full, v)
-			if hu < tu {
-				wantU++
-			}
-			if hu < tu && hv < tv {
-				wantPair++
-			}
-		})
-		wantU /= float64(count)
-		wantPair /= float64(count)
-		if got := fam.BelowProb(s, u, tu); math.Abs(got-wantU) > tol {
-			t.Fatalf("trial %d: BelowProb(%d,%d)=%v brute=%v (prefix %d)", trial, u, tu, got, wantU, prefix)
-		}
-		if got := fam.PairBelowProb(s, u, v, tu, tv); math.Abs(got-wantPair) > tol {
-			t.Fatalf("trial %d: PairBelowProb=(%d,%d,%d,%d)=%v brute=%v (prefix %d)", trial, u, v, tu, tv, got, wantPair, prefix)
-		}
-	}
-}
-
-func TestValuesUniformAndPairwiseIndependent(t *testing.T) {
-	const n, ell = 5, 2
-	fam, err := NewValues(n, ell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fam.NewSeed()
-	const vals = 1 << ell
-	hist := make([][]int, n)
-	for i := range hist {
-		hist[i] = make([]int, vals)
-	}
-	joint := make(map[[4]int]int)
-	total := 0
-	enumerateSeeds(s, func(full *Seed) {
-		total++
-		for u := 0; u < n; u++ {
-			hu := int(fam.Value(full, u))
-			hist[u][hu]++
-			for v := u + 1; v < n; v++ {
-				joint[[4]int{u, v, hu, int(fam.Value(full, v))}]++
-			}
-		}
-	})
-	for u := 0; u < n; u++ {
-		for h, c := range hist[u] {
-			if got := float64(c) / float64(total); math.Abs(got-1.0/vals) > tol {
-				t.Errorf("P[H(%d)=%d] = %v, want %v", u, h, got, 1.0/vals)
-			}
-		}
-	}
-	// Exhaustive sweep of an assertion-only map: every entry is checked
-	// against the same closed-form constant, so iteration order can only
-	// permute t.Errorf lines on an already-failing run.
-	//detlint:ok maporder -- assertion-only sweep; order never reaches trace or message state
-	for key, c := range joint {
-		if got := float64(c) / float64(total); math.Abs(got-1.0/(vals*vals)) > tol {
-			t.Errorf("joint %v = %v, want %v", key, got, 1.0/(vals*vals))
-		}
-	}
-}
-
 func TestNewFamilyErrors(t *testing.T) {
 	if _, err := NewBits(10, 0); err == nil {
 		t.Error("NewBits with 0 bits must fail")
 	}
-	if _, err := NewValues(10, -1); err == nil {
-		t.Error("NewValues with negative bits must fail")
+	if _, err := NewBits(10, -1); err == nil {
+		t.Error("NewBits with negative bits must fail")
 	}
 }
 

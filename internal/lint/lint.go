@@ -17,9 +17,10 @@
 //	             function. Go map iteration order is deliberately randomized;
 //	             feeding it into message or trace order is a determinism bug.
 //	wallclock  — time.Now / time.Since / time.Until anywhere outside
-//	             internal/experiments, cmd/… and examples/… (wall-clock reads
-//	             are inherently nondeterministic; measurement belongs in the
-//	             harness, never in an algorithm or simulator).
+//	             cmd/…, examples/…, internal/supervise and internal/telemetry
+//	             (wall-clock reads are inherently nondeterministic;
+//	             measurement belongs in the binaries, never in an algorithm,
+//	             simulator or experiment table).
 //	globalrand — package-level math/rand functions (rand.Intn, rand.Float64,
 //	             rand.Shuffle, …) which draw from the shared, process-global
 //	             source. Deterministic code must thread an explicitly seeded
@@ -178,10 +179,11 @@ var criticalPkgs = map[string]bool{
 }
 
 // wallclockExempt reports whether the package at the module-relative path
-// may read the wall clock: the experiments harness and the binaries, where
-// timing is the point, not a hazard. The bench harness (internal/bench) is
-// not exempt: every column of its artifact is deterministic, and host cost
-// is measured by cmd/perfbench. internal/supervise is
+// may read the wall clock: the binaries, where timing is the point, not a
+// hazard. The bench and experiments harnesses (internal/bench,
+// internal/experiments) are not exempt: every column they print is
+// deterministic, and host cost is measured by cmd/perfbench.
+// internal/supervise is
 // exempt because failure detection is wall-clock by nature (heartbeat
 // deadlines, restart backoff); its timers only decide WHEN workers run, never
 // WHAT they compute, so committed outputs stay bit-deterministic.
@@ -191,8 +193,7 @@ var criticalPkgs = map[string]bool{
 // the observer-package rule in flow.go). The transport wire layer gets no
 // exemption: framing and exchange must be timing-free.
 func wallclockExempt(rel string) bool {
-	return rel == "internal/experiments" ||
-		rel == "internal/supervise" ||
+	return rel == "internal/supervise" ||
 		rel == "internal/telemetry" ||
 		rel == "cmd" || strings.HasPrefix(rel, "cmd/") ||
 		rel == "examples" || strings.HasPrefix(rel, "examples/")

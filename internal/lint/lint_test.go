@@ -412,32 +412,35 @@ func TestTransportSuperviseCoverage(t *testing.T) {
 }
 
 // TestBenchWallclockExemption pins the wall-clock carve-out around the bench
-// harness: the bench CLI, traceview and telemetry measure wall time on
-// purpose, so the wallclock analyzer stays silent there, while internal/bench
-// writes only deterministic columns and is checked like any other package.
+// and experiments harnesses: the bench CLI, traceview and telemetry measure
+// wall time on purpose, so the wallclock analyzer stays silent there, while
+// internal/bench and internal/experiments write only deterministic columns
+// and are checked like any other package.
 func TestBenchWallclockExemption(t *testing.T) {
 	for _, rel := range []string{"cmd/mprs-bench", "cmd/traceview", "internal/telemetry"} {
 		if !wallclockExempt(rel) {
 			t.Errorf("wallclockExempt(%q) = false", rel)
 		}
 	}
-	// The deterministic core and the bench harness must NOT inherit the
+	// The deterministic core and the two harnesses must NOT inherit the
 	// exemption.
-	for _, rel := range []string{"internal/bench", "internal/mpc", "internal/clique", "internal/trace", "internal/benchmark"} {
+	for _, rel := range []string{"internal/bench", "internal/experiments", "internal/mpc", "internal/clique", "internal/trace", "internal/benchmark"} {
 		if wallclockExempt(rel) {
 			t.Errorf("wallclockExempt(%q) = true; exemption leaked", rel)
 		}
 	}
-	// Lint the real package, now unexempt: zero wallclock findings.
-	diags, err := Run(Config{
-		Dir:       "../..",
-		Patterns:  []string{"internal/bench"},
-		Analyzers: []string{"wallclock"},
-	})
-	if err != nil {
-		t.Fatalf("Run(internal/bench): %v", err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("wallclock findings in internal/bench:\n%s", formatDiags(diags))
+	// Lint the real packages, unexempt: zero wallclock findings.
+	for _, rel := range []string{"internal/bench", "internal/experiments"} {
+		diags, err := Run(Config{
+			Dir:       "../..",
+			Patterns:  []string{rel},
+			Analyzers: []string{"wallclock"},
+		})
+		if err != nil {
+			t.Fatalf("Run(%s): %v", rel, err)
+		}
+		if len(diags) != 0 {
+			t.Errorf("wallclock findings in %s:\n%s", rel, formatDiags(diags))
+		}
 	}
 }

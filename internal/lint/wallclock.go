@@ -5,11 +5,11 @@ import "go/types"
 // wallclock forbids wall-clock reads outside the measurement harness.
 // Simulator supersteps, algorithms and trace events must be pure functions
 // of (input, options, fault plan); a time.Now anywhere in that path is
-// nondeterminism by construction. Timing belongs in cmd/… and
-// internal/experiments, where wall time is the measured quantity.
+// nondeterminism by construction. Timing belongs in cmd/…, where wall time
+// is the measured quantity.
 var wallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid time.Now/Since/Until outside cmd/ and internal/experiments",
+	Doc:  "forbid time.Now/Since/Until outside cmd/",
 	Run:  runWallclock,
 }
 
@@ -22,6 +22,6 @@ func runWallclock(p *Pass) {
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {
 			continue
 		}
-		p.Reportf(id.Pos(), "time.%s reads the wall clock; deterministic packages must not (measurement belongs in cmd/ or internal/experiments)", fn.Name())
+		p.Reportf(id.Pos(), "time.%s reads the wall clock; deterministic packages must not (measurement belongs in cmd/)", fn.Name())
 	}
 }

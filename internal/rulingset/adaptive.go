@@ -99,8 +99,8 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 
 		sub, _, toOrig := cur.InducedSubgraph(st.candidates.Contains)
 		if sub.N() >= cur.N() && sub.M() >= cur.M() {
-			// No shrinkage (possible only under degenerate seed policies):
-			// force the solve next level rather than loop forever.
+			// No shrinkage (an edgeless instance keeps every vertex as a
+			// candidate): force the solve next level rather than loop.
 			stalled = true
 		}
 		if err := c.ChargeRounds("adaptive/relabel", 1); err != nil {

@@ -94,22 +94,21 @@ func TestAdaptiveDefaultBudgetIsClusterS(t *testing.T) {
 }
 
 func TestAdaptiveStallForcesSolve(t *testing.T) {
-	// Under the zero-seed ablation nothing is ever marked, the candidate
-	// graph never shrinks, and the stall detector must force a solve on the
-	// next level instead of looping.
-	g := gen.MustBuild("gnp:n=300,p=0.03", 35)
-	res, err := DetRulingAdaptive(g, Options{
-		ResidualBudget: 10, // unreachable
-		SeedPolicy:     SeedZero,
-	})
+	// An edgeless graph never fits the unreachable budget, and its
+	// candidate set is the whole graph after any level: every vertex
+	// either joins or stays active and is absorbed. The stall detector must
+	// force the solve on the next level (β = 2) instead of recursing to the
+	// level cap.
+	g := graph.MustNew(300, nil)
+	res, err := DetRulingAdaptive(g, Options{ResidualBudget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Check(g, res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Beta > 3 {
-		t.Fatalf("stall not detected promptly: beta %d", res.Beta)
+	if res.Beta != 2 {
+		t.Fatalf("stall not detected on the first level: beta %d, want 2", res.Beta)
 	}
 }
 

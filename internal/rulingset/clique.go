@@ -62,9 +62,6 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 	if o.Transport != nil {
 		return CliqueResult{}, fmt.Errorf("rulingset: CliqueRuling2: %w", errCliqueTransport)
 	}
-	if o.SeedPolicy != SeedConditionalExpectations {
-		return CliqueResult{}, fmt.Errorf("rulingset: CliqueRuling2 does not support seed policy %v (only %v): %w", o.SeedPolicy, SeedConditionalExpectations, errCliqueSeedBroadcast)
-	}
 	c, err := clique.NewCluster(clique.Config{Strict: o.Strict, Faults: o.Faults, Tracer: o.Tracer, Context: o.Context, Parallelism: o.Parallelism}, n)
 	if err != nil {
 		return CliqueResult{}, err
@@ -98,11 +95,6 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 		ResidualM: sub.M(),
 	}, nil
 }
-
-// errCliqueSeedBroadcast is why the clique drivers run only the paper's
-// seed search: the seed-policy ablations distribute a multi-word seed,
-// which the clique has no collective for.
-var errCliqueSeedBroadcast = errors.New("the congested clique has no multi-word seed broadcast")
 
 // errCliqueTransport rejects Options.Transport for the clique drivers: the
 // multi-process backend runs only the MPC algorithms.
@@ -157,8 +149,6 @@ func (m cliqueModel) countActive(active *bitset.Set) (int, error) {
 	})
 	return int(count), err
 }
-
-func (cliqueModel) broadcastSeed([]uint64) error { return errCliqueSeedBroadcast }
 
 // neighborsIn is a one-round neighborhood exchange along rows (the graph's,
 // or the view of a superset of set): the nodes in set announce themselves

@@ -144,21 +144,6 @@ func TestCliqueMatchesMPCPhases(t *testing.T) {
 	}
 }
 
-// TestCliqueRejectsSeedPolicy checks that the clique drivers refuse the
-// seed-policy ablations instead of silently running the full search: the
-// clique has no multi-word seed broadcast.
-func TestCliqueRejectsSeedPolicy(t *testing.T) {
-	g := gen.MustBuild("gnp:n=100,p=0.05", 1)
-	for _, run := range []func(*graph.Graph, Options) (CliqueResult, error){CliqueRandRuling2, CliqueDetRuling2} {
-		for _, p := range []SeedPolicy{SeedRandomFamily, SeedZero} {
-			_, err := run(g, Options{SeedPolicy: p})
-			if err == nil || !strings.Contains(err.Error(), "clique") || !strings.Contains(err.Error(), p.String()) {
-				t.Errorf("seed policy %v: err = %v, want a rejection naming the clique and the policy", p, err)
-			}
-		}
-	}
-}
-
 // nopTransport accepts every exchange.
 type nopTransport struct{}
 

@@ -41,9 +41,6 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if deterministic && o.LubyExactThresholds && o.SeedPolicy != SeedConditionalExpectations {
-		return Result{}, fmt.Errorf("rulingset: LubyExactThresholds does not support seed policy %v (only %v)", o.SeedPolicy, SeedConditionalExpectations)
-	}
 	c := d.Cluster()
 	m := newMPCModel(d, "luby")
 	n := g.N()
@@ -128,15 +125,11 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			switch {
-			case maxDeg == 0: // every active vertex is isolated and joins unmarked
-			case o.LubyExactThresholds:
-				err = detLubyValuesMarks(m, o, active, nbrDeg, deg, int(maxDeg), marks, &ps)
-			default:
-				err = detLubyMarks(m, o, active, nbrDeg, deg, int(maxDeg), marks, &ps, rng)
-			}
-			if err != nil {
-				return Result{}, err
+			// With maxDeg 0 every active vertex is isolated and joins unmarked.
+			if maxDeg > 0 {
+				if err := detLubyMarks(m, o, active, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
+					return Result{}, err
+				}
 			}
 		} else {
 			active.ForEach(func(v int) bool {
@@ -240,9 +233,9 @@ func lubyJ(d int) int {
 }
 
 // detLubyMarks runs one derandomized Luby marking step with the AND-family
-// (per-vertex power-of-two probabilities), honoring Options.SeedPolicy.
-// nbrDeg's row v lists v's active neighbors and its Vals(v) their degrees.
-func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+// (per-vertex power-of-two probabilities). nbrDeg's row v lists v's active
+// neighbors and its Vals(v) their degrees.
+func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	maxJ := lubyJ(maxDeg)
 	fam, err := hash.NewBits(n, maxJ)
@@ -256,7 +249,7 @@ func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, 
 	if err != nil {
 		return err
 	}
-	if err := fixSeed(m, o, derand.Maximize, ms, seed, eval, ps, rng); err != nil {
+	if err := fixSeed(m, o, derand.Maximize, ms, seed, eval, ps); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -303,70 +296,4 @@ func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg 
 		}
 		derand.Walsh(out)
 	}, nil
-}
-
-// detLubyValuesMarks is the exact-threshold ablation of the marking step: it
-// draws ℓ-bit pairwise-independent uniform values H(v) and marks v iff
-// H(v) < ⌊2^ℓ/(2·deg v)⌋ — marking probabilities within one part in 2^ℓ/(2d)
-// of Luby's exact 1/(2d), instead of rounding down to a power of two. The
-// estimator is the same Ψ, with conditional probabilities from the value
-// family's digit DP (exact, but O(ℓ) per term instead of O(1), and
-// evaluated once per extension through derand.Direct rather than as one
-// spectrum: the ablation quantifies what the AND-family's speed costs in
-// marking fidelity). It runs only the paper's seed policy.
-func detLubyValuesMarks(r derand.Reduction, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
-	n := active.Len()
-	ell := lubyJ(maxDeg) + 2 // enough resolution for the smallest threshold
-	fam, err := hash.NewValues(n, ell)
-	if err != nil {
-		return err
-	}
-	seed := fam.NewSeed()
-	full := uint64(1) << uint(ell)
-	threshold := func(d int32) uint64 {
-		t := full / uint64(2*d)
-		if t == 0 {
-			t = 1
-		}
-		return t
-	}
-
-	eval := func(lo, hi int, s *hash.Seed) float64 {
-		var psi float64
-		for v := lo; v < hi; v++ {
-			if !active.Contains(v) || deg[v] == 0 {
-				continue
-			}
-			tv := threshold(deg[v])
-			pv := fam.BelowProb(s, v, tv)
-			term := pv
-			if pv != 0 {
-				du := nbrDeg.Vals(v)
-				for i, u := range nbrDeg.Row(v) {
-					term -= fam.PairBelowProb(s, v, int(u), tv, threshold(du[i]))
-				}
-			}
-			psi += float64(deg[v]) * term
-		}
-		return psi
-	}
-
-	trace, err := derand.SelectSeed(r, seed, derand.Config{
-		ChunkBits: o.ChunkBits,
-		Objective: derand.Maximize,
-		AlignTo:   fam.SegWidth(),
-	}, derand.Direct(eval))
-	if err != nil {
-		return err
-	}
-	active.ForEach(func(v int) bool {
-		if deg[v] > 0 && fam.Value(seed, v) < threshold(deg[v]) {
-			marks.Add(v)
-		}
-		return true
-	})
-	ps.SeedSteps = trace.Steps
-	ps.EstimatorInitial = trace.Initial
-	ps.EstimatorFinal = trace.Final()
-	return nil
 }

@@ -41,8 +41,7 @@ func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	if err := registerCheckpoint(c, o, st.active, st.candidates); err != nil {
 		return Result{}, err
 	}
-	// The rng drives randomized sampling, and — for the SeedRandomFamily
-	// ablation — random family draws inside deterministic runs.
+	// The rng drives randomized sampling; deterministic runs never read it.
 	rng := rand.New(rand.NewSource(o.Seed))
 	m := newMPCModel(d, "sparsify")
 	if err := runPhases(m, o, st, schedule(int(delta)), deterministic, rng); err != nil {

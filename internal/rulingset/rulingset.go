@@ -62,22 +62,16 @@ type Options struct {
 	// MaxIterations caps Luby iterations; default 16·log₂(n)+32.
 	MaxIterations int
 
-	// The remaining fields are ablation knobs for the deterministic
-	// algorithms' design choices (experiments A1–A4); the zero values select
-	// the paper's construction.
+	// The next two fields are ablation knobs for the sparsification
+	// potential (experiments A2 and A3); the zero values select the paper's
+	// construction.
 
-	// SeedPolicy selects how each phase's hash seed is chosen; default
-	// SeedConditionalExpectations (the paper's method).
-	SeedPolicy SeedPolicy
 	// EstimatorAlpha weighs the candidate-edge cost term of the
 	// sparsification potential Φ = α·cost − benefit; default 2.
 	EstimatorAlpha float64
 	// BenefitCap, when positive, caps the Bonferroni neighborhood N'(v) at
 	// this size instead of the analysis-dictated ⌊1/p⌋.
 	BenefitCap int
-	// LubyExactThresholds switches DetLubyMIS from power-of-two AND-family
-	// marks to the ℓ-bit uniform-value family with exact 1/(2d) thresholds.
-	LubyExactThresholds bool
 	// ResidualBudget is the adaptive algorithms' target size (in words) for
 	// the instance shipped to one machine; 0 means the cluster's budget S.
 	ResidualBudget int
@@ -126,37 +120,6 @@ type Options struct {
 	Parallelism int
 }
 
-// SeedPolicy selects how a deterministic phase fixes its hash seed.
-type SeedPolicy int
-
-const (
-	// SeedConditionalExpectations runs the distributed method of conditional
-	// expectations (the paper's method; carries the per-phase guarantee).
-	SeedConditionalExpectations SeedPolicy = iota + 1
-	// SeedRandomFamily draws the seed uniformly at random from the family:
-	// pairwise independence alone, no seed search. Good in expectation, no
-	// per-phase certainty — the ablation isolating what the seed search buys.
-	SeedRandomFamily
-	// SeedZero uses the all-zero seed (every linear bit evaluates to the
-	// parity of a fixed coefficient pattern) — a degenerate fixed choice
-	// showing that *some* seed selection is necessary.
-	SeedZero
-)
-
-// String implements fmt.Stringer.
-func (p SeedPolicy) String() string {
-	switch p {
-	case SeedConditionalExpectations:
-		return "cond-exp"
-	case SeedRandomFamily:
-		return "random-family"
-	case SeedZero:
-		return "zero"
-	default:
-		return fmt.Sprintf("seedpolicy(%d)", int(p))
-	}
-}
-
 func (o Options) withDefaults(n int) Options {
 	if o.Machines == 0 {
 		o.Machines = 8
@@ -172,9 +135,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 16*bits.Len(uint(n)) + 32
-	}
-	if o.SeedPolicy == 0 {
-		o.SeedPolicy = SeedConditionalExpectations
 	}
 	if o.EstimatorAlpha == 0 {
 		o.EstimatorAlpha = 2

@@ -82,9 +82,6 @@ type model interface {
 	// countActive counts the active vertices by communication, so the
 	// loop condition is driven by what the machines report.
 	countActive(active *bitset.Set) (int, error)
-	// broadcastSeed distributes the words of a seed fixed without a search
-	// (the seed-policy ablations) in one broadcast.
-	broadcastSeed(words []uint64) error
 	// gatherResidual collects the subgraph induced by cand at one place and
 	// returns it with the original id of each of its vertices. reuse is a
 	// dead view the gather may overwrite (sparsifyState.deadView), or the
@@ -129,11 +126,6 @@ func (m mpcModel) countActive(active *bitset.Set) (int, error) {
 		return 0, err
 	}
 	return int(counts[0]), nil
-}
-
-func (m mpcModel) broadcastSeed(words []uint64) error {
-	_, err := m.d.Cluster().Broadcast(m.prefix+"/seed", words)
-	return err
 }
 
 func (m mpcModel) gatherResidual(cand *bitset.Set, reuse mpc.Adjacency) (*graph.Graph, []int32, error) {
@@ -204,7 +196,7 @@ func runPhases(m model, o Options, st *sparsifyState, js []int, deterministic bo
 
 		marks := bitset.New(n)
 		if deterministic {
-			if err := detMarks(m, o, st.active, view, j, marks, &ps, rng); err != nil {
+			if err := detMarks(m, o, st.active, view, j, marks, &ps); err != nil {
 				return err
 			}
 		} else {
@@ -284,9 +276,9 @@ func (st *sparsifyState) deadView() mpc.Adjacency {
 // guarantees the fixed seed adds few candidate-internal edges while
 // deactivating at least the expected share of high-degree vertices.
 //
-// The ablation knobs (Options.SeedPolicy, EstimatorAlpha, BenefitCap) vary
-// the construction; their defaults are the paper's choices.
-func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+// The ablation knobs (Options.EstimatorAlpha, BenefitCap) vary the
+// construction; their defaults are the paper's choices.
+func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
 	if err != nil {
@@ -302,7 +294,7 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 	if err != nil {
 		return err
 	}
-	if err := fixSeed(m, o, derand.Minimize, ms, seed, eval, ps, rng); err != nil {
+	if err := fixSeed(m, o, derand.Minimize, ms, seed, eval, ps); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -446,52 +438,22 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 	}, nil
 }
 
-// fixSeed fixes every free bit of seed as o.SeedPolicy says and records the
-// estimator trajectory in ps. The paper's policy runs the conditional-
-// expectation search on m's reduction, keeping ms synced chunk by chunk; the
-// ablations record the unconditioned expectation and then fix the seed at
-// random or to all zeros without a search. A real deployment still spends
-// one broadcast distributing that seed, so its words are broadcast. On
-// return ms is synced to the fully fixed seed.
-func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.ChunkEval, ps *PhaseStat, rng *rand.Rand) error {
-	switch o.SeedPolicy {
-	case SeedConditionalExpectations:
-		trace, err := derand.SelectSeed(m, seed, derand.Config{
-			ChunkBits: o.ChunkBits,
-			Objective: obj,
-			AlignTo:   ms.fam.SegWidth(),
-			OnChunk:   func(s *hash.Seed, _, _ int) { ms.sync(s) },
-		}, eval)
-		if err != nil {
-			return err
-		}
-		ms.sync(seed)
-		ps.SeedSteps = trace.Steps
-		ps.EstimatorInitial = trace.Initial
-		ps.EstimatorFinal = trace.Final()
-		return nil
-	case SeedRandomFamily, SeedZero:
-		var val [1]float64
-		expect := func() float64 {
-			eval(0, len(ms.firstZero), seed, seed.Fixed(), 0, val[:])
-			return val[0]
-		}
-		ps.EstimatorInitial = expect()
-		if o.SeedPolicy == SeedRandomFamily {
-			seed.Randomize(rng)
-		} else {
-			seed.SetFixed(seed.Total())
-		}
-		words := make([]uint64, (seed.Total()+63)/64)
-		for i := 0; i < seed.Total(); i++ {
-			words[i/64] |= seed.Bit(i) << uint(i%64)
-		}
-		if err := m.broadcastSeed(words); err != nil {
-			return err
-		}
-		ms.sync(seed)
-		ps.EstimatorFinal = expect()
-		return nil
+// fixSeed fixes every free bit of seed by the conditional-expectation search
+// on m's reduction, keeping ms synced chunk by chunk, and records the
+// estimator trajectory in ps. On return ms is synced to the fully fixed seed.
+func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.ChunkEval, ps *PhaseStat) error {
+	trace, err := derand.SelectSeed(m, seed, derand.Config{
+		ChunkBits: o.ChunkBits,
+		Objective: obj,
+		AlignTo:   ms.fam.SegWidth(),
+		OnChunk:   func(s *hash.Seed, _, _ int) { ms.sync(s) },
+	}, eval)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("rulingset: unknown seed policy %v", o.SeedPolicy)
+	ms.sync(seed)
+	ps.SeedSteps = trace.Steps
+	ps.EstimatorInitial = trace.Initial
+	ps.EstimatorFinal = trace.Final()
+	return nil
 }

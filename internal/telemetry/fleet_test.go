@@ -134,3 +134,21 @@ func TestFleetUpdateTolerance(t *testing.T) {
 		t.Errorf("nil-points payload cleared the snapshot: words = %v, want 10", got)
 	}
 }
+
+// TestFleetSetDegraded: the degraded gauge reads 1 after the supervisor
+// falls back to an in-process run, and 0 before it or once cleared.
+func TestFleetSetDegraded(t *testing.T) {
+	f := NewFleet()
+	degraded := func() float64 { return value(t, indexPoints(f.Gather()), "mprs_fleet_degraded") }
+	if got := degraded(); got != 0 {
+		t.Fatalf("fresh fleet: mprs_fleet_degraded = %v, want 0", got)
+	}
+	f.SetDegraded(true)
+	if got := degraded(); got != 1 {
+		t.Fatalf("after SetDegraded(true): mprs_fleet_degraded = %v, want 1", got)
+	}
+	f.SetDegraded(false)
+	if got := degraded(); got != 0 {
+		t.Fatalf("after SetDegraded(false): mprs_fleet_degraded = %v, want 0", got)
+	}
+}

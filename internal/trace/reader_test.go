@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,5 +166,105 @@ func TestHeaderResumedFromRoundTrips(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "resumed_from") {
 		t.Fatalf("fresh header leaks resumed_from: %q", buf.String())
+	}
+}
+
+// writeTraceFile writes header (when non-nil) and evs to a JSONL file in a
+// fresh temporary directory and returns its path.
+func writeTraceFile(t *testing.T, header *Header, evs []Event) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewJSONL(f)
+	if header != nil {
+		if err := w.WriteHeader(*header); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range evs {
+		w.Superstep(ev)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestReadFile(t *testing.T) {
+	evs := []Event{
+		{Round: 1, Step: "a", Span: "setup", Words: 4},
+		{Round: 2, Step: "b", Span: "finish", Words: 5},
+	}
+	path := writeTraceFile(t, &Header{Algo: "det2", Seed: 3}, evs)
+	h, got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Schema != Schema || h.Algo != "det2" || h.Seed != 3 {
+		t.Errorf("header %+v, want schema %q, algo det2, seed 3", h, Schema)
+	}
+	if !reflect.DeepEqual(got, evs) {
+		t.Errorf("events did not round-trip:\ngot  %+v\nwant %+v", got, evs)
+	}
+}
+
+func TestReadFileErrors(t *testing.T) {
+	t.Run("missing", func(t *testing.T) {
+		_, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.jsonl"))
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("err = %v, want fs.ErrNotExist", err)
+		}
+	})
+	t.Run("bad line", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(path, []byte(`{"round":1}`+"\nnot json\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, evs, err := ReadFile(path)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("err = %v, want the path and line 2", err)
+		}
+		if len(evs) != 1 || evs[0].Round != 1 {
+			t.Fatalf("events before the bad line: %+v, want round 1", evs)
+		}
+	})
+}
+
+// TestReaderLine checks that Line is the 1-based line of the last header or
+// event returned, with or without a header line.
+func TestReaderLine(t *testing.T) {
+	evs := []Event{{Round: 1}, {Round: 2}}
+	for _, tc := range []struct {
+		name   string
+		header *Header
+		before int // lines before the first event
+	}{
+		{name: "header", header: &Header{Algo: "det2"}, before: 1},
+		{name: "headerless", before: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(writeTraceFile(t, tc.header, evs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.header != nil && rd.Line() != 1 {
+				t.Fatalf("Line() = %d after the header, want 1", rd.Line())
+			}
+			for i := range evs {
+				if _, err := rd.Next(); err != nil {
+					t.Fatal(err)
+				}
+				if want := tc.before + i + 1; rd.Line() != want {
+					t.Fatalf("Line() = %d after event %d, want %d", rd.Line(), i+1, want)
+				}
+			}
+		})
 	}
 }

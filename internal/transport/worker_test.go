@@ -173,3 +173,32 @@ func mustWorker(t *testing.T, conn *Conn, workers, total int) *Worker {
 	}
 	return w
 }
+
+// TestWorkerLastRound: LastRound, the progress heartbeats carry, is the
+// newest round handed to Exchange, whether the round was replayed locally,
+// exchanged on the wire or failed.
+func TestWorkerLastRound(t *testing.T) {
+	const total, workers = 6, 2
+	w, err := NewWorker(scriptConn(t, peerFrame(1, total, workers, 3)), 0, workers, total, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.LastRound(); got != 0 {
+		t.Fatalf("LastRound() = %d before any exchange, want 0", got)
+	}
+	for r := 1; r <= 3; r++ { // rounds 1 and 2 replay locally, 3 is on the wire
+		if err := w.Exchange(r, testBoxes(total, r)); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if got := w.LastRound(); got != r {
+			t.Fatalf("LastRound() = %d after round %d", got, r)
+		}
+	}
+	// The script has no frame for round 4, so its exchange fails.
+	if err := w.Exchange(4, testBoxes(total, 4)); err == nil {
+		t.Fatal("round 4 exchanged with no peer frame")
+	}
+	if got := w.LastRound(); got != 4 {
+		t.Fatalf("LastRound() = %d after the failed round 4, want 4", got)
+	}
+}
