@@ -36,8 +36,8 @@
 //	                             in-process run instead of aborting
 //	mprs -version
 //
-// Algorithms: luby, detluby, rand2, det2, randbeta, detbeta, clique2,
-// cliquedet2 (congested clique), greedy.
+// Algorithms: the entries of rulingset.Algorithms (run -h lists them), plus
+// greedy, the sequential baseline.
 //
 // -slack widens the linear-regime budget to S = slack·n words per machine
 // (0 = the simulator default of 4·n).
@@ -47,10 +47,10 @@
 // config fingerprint). A later invocation with the same configuration plus
 // -resume restarts from the newest valid checkpoint and produces the same
 // ruling set — and the same deterministic statistics — as an uninterrupted
-// run. Only the single-cluster MPC algorithms (luby, detluby, rand2, det2)
-// support durable checkpointing. An interrupt (SIGINT/SIGTERM) cancels the
-// run cooperatively at the next superstep barrier with a structured error
-// reporting the committed round.
+// run. Only the table's single-cluster entries support durable
+// checkpointing. An interrupt (SIGINT/SIGTERM) cancels the run cooperatively
+// at the next superstep barrier with a structured error reporting the
+// committed round.
 //
 // Diagnostics (budget violations, errors) go to stderr with a non-zero exit;
 // tables and results go to stdout.
@@ -66,6 +66,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -194,7 +195,7 @@ func cmdRun(args []string) (retErr error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	src := graphFlags(fs)
 	var (
-		algo     = fs.String("algo", "det2", "luby|detluby|rand2|det2|randbeta|detbeta|clique2|cliquedet2|greedy")
+		algo     = fs.String("algo", "det2", algoUsage())
 		machines = fs.Int("machines", 8, "simulated machine count")
 		regime   = fs.String("regime", "linear", "memory regime: linear|sublinear|explicit")
 		epsilon  = fs.Float64("epsilon", 0.5, "sublinear memory exponent")
@@ -237,6 +238,12 @@ func cmdRun(args []string) (retErr error) {
 		degraded         = fs.Bool("degraded-fallback", false, "multiproc: when supervision gives up, finish as a single in-process run resumed from the newest checkpoint instead of aborting (still a failing exit)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Resolve the driver before any file is opened; greedy, the one
+	// sequential algorithm, is not in the table and keeps the zero entry.
+	entry, err := rulingset.LookupAlgorithm(*algo)
+	if err != nil && *algo != "greedy" {
 		return err
 	}
 	g, err := src.load()
@@ -344,8 +351,8 @@ func cmdRun(args []string) (retErr error) {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 	if *ckptDir != "" {
-		if !durableAlgos[*algo] {
-			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (single-cluster only: luby, detluby, rand2, det2)", *algo)
+		if !entry.SingleCluster {
+			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (single-cluster only: %s)", *algo, rulingset.SingleClusterNames())
 		}
 		// Chaos disk events (if any) interpose at the durable.FS seam; the
 		// in-process run is "worker 0, attempt 0" of the chaos schedule.
@@ -376,7 +383,7 @@ func cmdRun(args []string) (retErr error) {
 		}
 		tr := trace.NewJSONL(f)
 		machines := *machines
-		if *algo == "clique2" || *algo == "cliquedet2" {
+		if entry.RunClique != nil {
 			machines = g.N() // the clique simulates one machine per vertex
 		}
 		if err := tr.WriteHeader(trace.Header{
@@ -466,28 +473,12 @@ func cmdRun(args []string) (retErr error) {
 		fmt.Printf("greedy MIS: %d members in %v\n", len(mis), time.Since(start))
 		return writeMembers(*membersOut, mis)
 	}
-	if *algo == "clique2" || *algo == "cliquedet2" {
-		return runClique(g, *algo, opts, *verify, *spans, *membersOut, *statsOut)
+	if entry.RunClique != nil {
+		return runClique(g, entry, opts, *verify, *spans, *membersOut, *statsOut)
 	}
 
 	start := time.Now()
-	var res rulingset.Result
-	switch *algo {
-	case "luby":
-		res, err = rulingset.LubyMIS(g, opts)
-	case "detluby":
-		res, err = rulingset.DetLubyMIS(g, opts)
-	case "rand2":
-		res, err = rulingset.RandRuling2(g, opts)
-	case "det2":
-		res, err = rulingset.DetRuling2(g, opts)
-	case "randbeta":
-		res, err = rulingset.RandRulingBeta(g, *beta, opts)
-	case "detbeta":
-		res, err = rulingset.DetRulingBeta(g, *beta, opts)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := entry.Run(g, *beta, opts)
 	if err != nil {
 		return err
 	}
@@ -509,12 +500,13 @@ func cmdRun(args []string) (retErr error) {
 	})
 }
 
-// durableAlgos are the -algo values that accept -checkpoint-dir/-resume: the
-// single-cluster MPC drivers, whose whole state is the per-machine word
-// arrays a durable checkpoint captures. The multi-cluster and clique drivers
-// reject durable options (see rulingset.Options).
-var durableAlgos = map[string]bool{
-	"luby": true, "detluby": true, "rand2": true, "det2": true,
+// algoUsage is the -algo help text: the table's names in order, then greedy.
+func algoUsage() string {
+	var b strings.Builder
+	for _, a := range rulingset.Algorithms {
+		b.WriteString(a.Name + "|")
+	}
+	return b.String() + "greedy"
 }
 
 // defaultCheckpointEvery is the checkpoint cadence -checkpoint-dir implies
@@ -614,24 +606,16 @@ func startProfiles(prefix string) (func() error, error) {
 	}, nil
 }
 
-// runClique executes the congested-clique algorithms, which carry their own
-// model statistics.
-func runClique(g *graph.Graph, algo string, opts rulingset.Options, verify, spans bool, membersOut, statsOut string) error {
+// runClique executes a congested-clique driver, which carries its own model
+// statistics.
+func runClique(g *graph.Graph, a rulingset.Algorithm, opts rulingset.Options, verify, spans bool, membersOut, statsOut string) error {
 	start := time.Now()
-	var (
-		res rulingset.CliqueResult
-		err error
-	)
-	if algo == "clique2" {
-		res, err = rulingset.CliqueRandRuling2(g, opts)
-	} else {
-		res, err = rulingset.CliqueDetRuling2(g, opts)
-	}
+	res, err := a.RunClique(g, opts)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	tb := metrics.NewTable(fmt.Sprintf("%s on %v (congested clique, %d nodes)", algo, g, g.N()),
+	tb := metrics.NewTable(fmt.Sprintf("%s on %v (congested clique, %d nodes)", a.Name, g, g.N()),
 		"members", "beta", "rounds", "messages", "words", "peak recv", "skew sent", "gini sent", "violations", "wall")
 	tb.AddRow(len(res.Members), res.Beta, res.Stats.Rounds, res.Stats.Messages,
 		res.Stats.Words, res.Stats.PeakRecv, res.Stats.SkewSent, res.Stats.GiniSent,
@@ -642,7 +626,7 @@ func runClique(g *graph.Graph, algo string, opts rulingset.Options, verify, span
 	if err := writeMembers(membersOut, res.Members); err != nil {
 		return err
 	}
-	if err := writeCliqueStatsOut(statsOut, res.Stats); err != nil {
+	if err := writeStatsOut(statsOut, res.Stats); err != nil {
 		return err
 	}
 	if spans && len(res.Stats.Spans) > 0 {

@@ -77,10 +77,23 @@ func TestGenInfoRunPipeline(t *testing.T) {
 	if err := run([]string{"info", "-in", file}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	for _, algo := range []string{"luby", "detluby", "rand2", "det2", "randbeta", "detbeta", "clique2", "cliquedet2", "greedy"} {
+	for _, algo := range strings.Split(algoUsage(), "|") {
 		if err := run([]string{"run", "-algo", algo, "-in", file, "-chunk", "4", "-phases", "-rounds", "-spans"}); err != nil {
 			t.Fatalf("run %s: %v", algo, err)
 		}
+	}
+}
+
+// TestRunUnknownAlgorithmOpensNoFile: the -algo name is resolved before any
+// output file exists, so a typo leaves no empty -trace file behind.
+func TestRunUnknownAlgorithmOpensNoFile(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "run.trace")
+	err := run([]string{"run", "-algo", "detab", "-spec", "path:n=8", "-trace", tr})
+	if err == nil || !strings.Contains(err.Error(), `unknown algorithm "detab"`) {
+		t.Fatalf("err = %v", err)
+	}
+	if _, err := os.Stat(tr); !os.IsNotExist(err) {
+		t.Fatalf("-trace file created for an unknown algorithm (stat err = %v)", err)
 	}
 }
 

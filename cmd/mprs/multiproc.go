@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/metrics"
@@ -185,7 +184,7 @@ func reportResult(r runReport) error {
 	if err := writeMembers(r.membersOut, res.Members); err != nil {
 		return err
 	}
-	if err := writeStatsOut(r.statsOut, res.Stats); err != nil {
+	if err := writeStatsOut(r.statsOut, supervise.CanonicalStats(res.Stats)); err != nil {
 		return err
 	}
 	if r.verify {
@@ -222,27 +221,12 @@ func reportResult(r runReport) error {
 	return nil
 }
 
-// writeStatsOut writes the canonical (run-independent) Stats as indented
+// writeStatsOut writes canonical (run-independent) statistics as indented
 // JSON — the byte-diffable artifact the CI multiproc-smoke job compares
-// across backends. An empty path is a no-op so call sites stay unconditional.
-func writeStatsOut(path string, st mpc.Stats) error {
-	if path == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(supervise.CanonicalStats(st), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("stats-out: %w", err)
-	}
-	return nil
-}
-
-// writeCliqueStatsOut is the clique-simulator counterpart of writeStatsOut.
-// clique.Stats carries no host-dependent fields, so the struct is already
-// canonical and marshals byte-diffably as is.
-func writeCliqueStatsOut(path string, st clique.Stats) error {
+// across backends: supervise.CanonicalStats of an mpc.Stats, or a
+// clique.Stats, which carries no host-dependent fields and is canonical as
+// is. An empty path is a no-op so call sites stay unconditional.
+func writeStatsOut(path string, st any) error {
 	if path == "" {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/mpc"
+	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/supervise"
 	"github.com/rulingset/mprs/internal/trace"
 )
@@ -34,16 +35,40 @@ func TestRunDurableFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "-resume requires -checkpoint-dir") {
 		t.Errorf("-resume without -checkpoint-dir: err = %v", err)
 	}
-	for _, algo := range []string{"detbeta", "randbeta", "clique2", "greedy"} {
-		err := run([]string{"run", "-algo", algo, "-in", g, "-checkpoint-dir", dir})
-		if err == nil || !strings.Contains(err.Error(), "does not support durable") {
-			t.Errorf("-checkpoint-dir with %s: err = %v", algo, err)
-		}
-	}
 	// Resuming from an empty directory is a hard error, not a silent fresh run.
 	err := run([]string{"run", "-algo", "det2", "-in", g, "-checkpoint-dir", dir, "-resume"})
 	if err == nil || !strings.Contains(err.Error(), "no valid checkpoint") {
 		t.Errorf("-resume with empty dir: err = %v", err)
+	}
+}
+
+// TestAlgorithmTableGates: the -algo names come from rulingset.Algorithms
+// (plus greedy), and the table's single-cluster flag alone decides which of
+// them take -checkpoint-dir and the multi-process backend.
+func TestAlgorithmTableGates(t *testing.T) {
+	if got, want := algoUsage(), "luby|detluby|rand2|det2|randbeta|detbeta|clique2|cliquedet2|greedy"; got != want {
+		t.Errorf("-algo usage = %q, want %q", got, want)
+	}
+	g := genTestGraph(t)
+	for _, algo := range strings.Split(algoUsage(), "|") {
+		a, _ := rulingset.LookupAlgorithm(algo) // greedy keeps the zero entry
+		vErr := supervise.JobSpec{Algo: algo, GraphFile: g, Machines: 8}.Validate()
+		cErr := run([]string{"run", "-algo", algo, "-in", g, "-chunk", "4", "-checkpoint-dir", t.TempDir()})
+		if a.SingleCluster {
+			if vErr != nil {
+				t.Errorf("%s: JobSpec.Validate: %v", algo, vErr)
+			}
+			if cErr != nil {
+				t.Errorf("%s: -checkpoint-dir: %v", algo, cErr)
+			}
+			continue
+		}
+		if vErr == nil || !strings.Contains(vErr.Error(), "not supported on the multi-process backend") {
+			t.Errorf("%s: JobSpec.Validate: err = %v", algo, vErr)
+		}
+		if cErr == nil || !strings.Contains(cErr.Error(), "does not support durable") {
+			t.Errorf("%s: -checkpoint-dir: err = %v", algo, cErr)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/rulingset"
 )
 
 // quickRun executes the full quick registry once.
@@ -99,7 +101,7 @@ func TestRunAlgoParallelismIdentical(t *testing.T) {
 			for i, p := range []int{1, 4} {
 				o := opts
 				o.Parallelism = p
-				if rows[i], err = runAlgo(g, w, algo, o); err != nil {
+				if rows[i], err = runAlgo(g, algo, o); err != nil {
 					t.Fatalf("%s/%s at parallelism %d: %v", name, algo, p, err)
 				}
 			}
@@ -257,13 +259,11 @@ func TestDiffRowCoversNewColumns(t *testing.T) {
 // TestRegistryValid pins registry invariants: unique names, resolvable specs
 // and algorithms, experiment anchors, both simulator models covered.
 func TestRegistryValid(t *testing.T) {
-	known := map[string]bool{}
-	for _, a := range mpcAlgos {
-		known[a.name] = true
+	clique := map[string]bool{} // table name → runs on the congested clique
+	for _, a := range rulingset.Algorithms {
+		clique[a.Name] = a.RunClique != nil
 	}
-	for name := range cliqueAlgos {
-		known[name] = true
-	}
+	models := map[bool]bool{}
 	seen := map[string]bool{}
 	experiments := map[string]bool{}
 	for _, w := range Registry() {
@@ -282,15 +282,20 @@ func TestRegistryValid(t *testing.T) {
 			t.Errorf("%s: no algorithms", w.Name)
 		}
 		for _, a := range w.Algos {
-			if !known[a] {
+			onClique, ok := clique[a]
+			if !ok {
 				t.Errorf("%s: unknown algorithm %q", w.Name, a)
 			}
+			models[onClique] = true
 		}
 	}
 	for _, want := range []string{"T1", "T2", "T8", "O1", "R1"} {
 		if !experiments[want] {
 			t.Errorf("no workload anchored to experiment %s", want)
 		}
+	}
+	if !models[false] || !models[true] {
+		t.Errorf("registry covers MPC %t, clique %t; want both", models[false], models[true])
 	}
 	if _, err := Lookup("t1-gnp-rounds"); err != nil {
 		t.Error(err)

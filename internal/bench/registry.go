@@ -3,9 +3,10 @@ package bench
 import "fmt"
 
 // Workload is one named, seeded bench configuration. Each workload pins the
-// graph spec at two scales (full and the -quick CI tier), the simulator
-// knobs, and the algorithm set it exercises; its Experiment field anchors it
-// to the EXPERIMENTS.md table whose regime it covers.
+// graph spec at two scales (full and the -quick CI tier), its faults, and
+// the algorithm set it exercises; its Experiment field anchors it to the
+// EXPERIMENTS.md table whose regime it covers. The simulator knobs every
+// workload shares are run.go's constants.
 type Workload struct {
 	// Name is the stable registry key (also the diff key prefix).
 	Name string
@@ -17,19 +18,13 @@ type Workload struct {
 	// Spec and QuickSpec are the gen workload specs for the full and -quick
 	// tiers.
 	Spec, QuickSpec string
-	// Machines is the MPC machine count (the clique always uses n nodes).
-	Machines int
-	// ChunkBits is the derandomizer chunk width z.
-	ChunkBits int
-	// Beta parameterizes the beta algorithms.
-	Beta int
 	// Faults, when non-empty, is a fault spec of machine: parts (the
 	// internal/chaos grammar) injected into every run of the workload (the
 	// R1 recovery regime).
 	Faults string
 	// CheckpointEvery enables periodic snapshots under faults.
 	CheckpointEvery int
-	// Algos is the algorithm set to run (names from Algorithms).
+	// Algos is the algorithm set to run (names from rulingset.Algorithms).
 	Algos []string
 }
 
@@ -45,8 +40,6 @@ func Registry() []Workload {
 			Doc:        "rounds/phases vs n regime: G(n,16/n), the four MPC algorithms",
 			Spec:       "gnp:n=4096,p=0.0039",
 			QuickSpec:  "gnp:n=512,p=0.03",
-			Machines:   8,
-			ChunkBits:  4,
 			Algos:      []string{"luby", "detluby", "rand2", "det2"},
 		},
 		{
@@ -55,8 +48,6 @@ func Registry() []Workload {
 			Doc:        "heavy-tailed degree regime: Chung-Lu power law, 2-ruling sets",
 			Spec:       "powerlaw:n=4096,gamma=2.5,avg=8",
 			QuickSpec:  "powerlaw:n=512,gamma=2.5,avg=8",
-			Machines:   8,
-			ChunkBits:  4,
 			Algos:      []string{"rand2", "det2"},
 		},
 		{
@@ -65,8 +56,6 @@ func Registry() []Workload {
 			Doc:        "adversarial max-degree regime: star graph, 2-ruling sets",
 			Spec:       "star:n=4096",
 			QuickSpec:  "star:n=256",
-			Machines:   8,
-			ChunkBits:  4,
 			Algos:      []string{"rand2", "det2"},
 		},
 		{
@@ -75,8 +64,6 @@ func Registry() []Workload {
 			Doc:        "congested-clique regime: one node per vertex, Lenzen-routed residual",
 			Spec:       "gnp:n=2048,p=0.0059",
 			QuickSpec:  "gnp:n=256,p=0.05",
-			Machines:   8,
-			ChunkBits:  4,
 			Algos:      []string{"clique2", "cliquedet2"},
 		},
 		{
@@ -85,9 +72,6 @@ func Registry() []Workload {
 			Doc:        "communication-skew regime: per-span words/Gini under budget",
 			Spec:       "gnp:n=8192,p=0.002",
 			QuickSpec:  "gnp:n=1024,p=0.016",
-			Machines:   8,
-			ChunkBits:  4,
-			Beta:       3,
 			Algos:      []string{"det2", "detbeta"},
 		},
 		{
@@ -96,8 +80,6 @@ func Registry() []Workload {
 			Doc:             "recovery regime: pinned crashes, checkpoint every 4",
 			Spec:            "gnp:n=2048,p=0.0059",
 			QuickSpec:       "gnp:n=512,p=0.023",
-			Machines:        8,
-			ChunkBits:       4,
 			Faults:          "machine:crash@1:0,machine:crash@3:2",
 			CheckpointEvery: 4,
 			Algos:           []string{"rand2", "det2"},

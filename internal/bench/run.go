@@ -24,46 +24,14 @@ type RunConfig struct {
 	Progress func(string)
 }
 
-// mpcAlgo is one MPC-simulator algorithm entry.
-type mpcAlgo struct {
-	name string
-	run  func(*graph.Graph, Workload, rulingset.Options) (rulingset.Result, error)
-}
-
-var mpcAlgos = []mpcAlgo{
-	{"luby", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.LubyMIS(g, o)
-	}},
-	{"detluby", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetLubyMIS(g, o)
-	}},
-	{"rand2", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRuling2(g, o)
-	}},
-	{"det2", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRuling2(g, o)
-	}},
-	{"randbeta", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRulingBeta(g, beta(w), o)
-	}},
-	{"detbeta", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRulingBeta(g, beta(w), o)
-	}},
-}
-
-func beta(w Workload) int {
-	if w.Beta > 0 {
-		return w.Beta
-	}
-	return 3
-}
-
-// cliqueAlgos are the congested-clique entries (the clique simulator's
-// algorithm surface).
-var cliqueAlgos = map[string]func(*graph.Graph, rulingset.Options) (rulingset.CliqueResult, error){
-	"clique2":    rulingset.CliqueRandRuling2,
-	"cliquedet2": rulingset.CliqueDetRuling2,
-}
+// The simulator knobs every workload shares: the MPC machine count (the
+// clique always uses n nodes), the derandomizer chunk width z, and the β
+// drivers' beta.
+const (
+	machines  = 8
+	chunkBits = 4
+	beta      = 3
+)
 
 // Run executes the configured workloads and returns the artifact. Rows come
 // out in registry order × workload algorithm order, so the result layout is
@@ -107,7 +75,7 @@ func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
 	}
 	var rows []Result
 	for _, name := range w.Algos {
-		row, err := runAlgo(g, w, name, opts)
+		row, err := runAlgo(g, name, opts)
 		if err != nil {
 			return nil, fmt.Errorf("algo %s: %w", name, err)
 		}
@@ -144,8 +112,8 @@ func prepare(w Workload, cfg RunConfig) (*graph.Graph, rulingset.Options, error)
 		return nil, rulingset.Options{}, err
 	}
 	return g, rulingset.Options{
-		Machines:        w.Machines,
-		ChunkBits:       w.ChunkBits,
+		Machines:        machines,
+		ChunkBits:       chunkBits,
 		Seed:            cfg.Seed,
 		Faults:          plan,
 		CheckpointEvery: w.CheckpointEvery,
@@ -154,9 +122,13 @@ func prepare(w Workload, cfg RunConfig) (*graph.Graph, rulingset.Options, error)
 
 // runAlgo executes one (graph, algorithm) pair on the simulator that hosts
 // it and flattens the measurements into a Result row.
-func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (Result, error) {
-	if run, ok := cliqueAlgos[name]; ok {
-		res, err := run(g, opts)
+func runAlgo(g *graph.Graph, name string, opts rulingset.Options) (Result, error) {
+	a, err := rulingset.LookupAlgorithm(name)
+	if err != nil {
+		return Result{}, err
+	}
+	if a.RunClique != nil {
+		res, err := a.RunClique(g, opts)
 		if err != nil {
 			return Result{}, err
 		}
@@ -185,52 +157,39 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 		}
 		return row, nil
 	}
-	for _, a := range mpcAlgos {
-		if a.name != name {
-			continue
-		}
-		res, err := a.run(g, w, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		row := Result{
-			Model:            "mpc",
-			Machines:         machines(w),
-			Members:          len(res.Members),
-			Beta:             res.Beta,
-			Rounds:           res.Stats.Rounds,
-			Phases:           len(res.Phases),
-			SeedSteps:        seedSteps(res.Phases),
-			Messages:         res.Stats.Messages,
-			Words:            res.Stats.Words,
-			PeakSent:         res.Stats.PeakSent,
-			PeakRecv:         res.Stats.PeakRecv,
-			PeakResident:     res.Stats.PeakResident,
-			SkewSent:         res.Stats.SkewSent,
-			SkewRecv:         res.Stats.SkewRecv,
-			GiniSent:         res.Stats.GiniSent,
-			GiniRecv:         res.Stats.GiniRecv,
-			Violations:       len(res.Stats.Violations),
-			RecoveredCrashes: res.Stats.RecoveredCrashes,
-			RecoveryRounds:   res.Stats.RecoveryRounds,
-			ReplayedWords:    res.Stats.ReplayedWords,
-
-			CheckpointBytes:    res.Stats.CheckpointBytes,
-			ResumeReplayRounds: res.Stats.ResumeReplayRounds,
-		}
-		if err := rulingset.Check(g, res); err != nil {
-			return Result{}, fmt.Errorf("output failed verification: %w", err)
-		}
-		return row, nil
+	res, err := a.Run(g, beta, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	return Result{}, fmt.Errorf("unknown algorithm %q", name)
-}
+	row := Result{
+		Model:            "mpc",
+		Machines:         machines,
+		Members:          len(res.Members),
+		Beta:             res.Beta,
+		Rounds:           res.Stats.Rounds,
+		Phases:           len(res.Phases),
+		SeedSteps:        seedSteps(res.Phases),
+		Messages:         res.Stats.Messages,
+		Words:            res.Stats.Words,
+		PeakSent:         res.Stats.PeakSent,
+		PeakRecv:         res.Stats.PeakRecv,
+		PeakResident:     res.Stats.PeakResident,
+		SkewSent:         res.Stats.SkewSent,
+		SkewRecv:         res.Stats.SkewRecv,
+		GiniSent:         res.Stats.GiniSent,
+		GiniRecv:         res.Stats.GiniRecv,
+		Violations:       len(res.Stats.Violations),
+		RecoveredCrashes: res.Stats.RecoveredCrashes,
+		RecoveryRounds:   res.Stats.RecoveryRounds,
+		ReplayedWords:    res.Stats.ReplayedWords,
 
-func machines(w Workload) int {
-	if w.Machines > 0 {
-		return w.Machines
+		CheckpointBytes:    res.Stats.CheckpointBytes,
+		ResumeReplayRounds: res.Stats.ResumeReplayRounds,
 	}
-	return 8
+	if err := rulingset.Check(g, res); err != nil {
+		return Result{}, fmt.Errorf("output failed verification: %w", err)
+	}
+	return row, nil
 }
 
 func seedSteps(phases []rulingset.PhaseStat) int {

@@ -142,6 +142,18 @@ func RunAll(cfg Config, w io.Writer) error {
 	return nil
 }
 
+// mpcDrivers are the four single-cluster MPC drivers T1, R1 and O1 compare,
+// under the display names their tables print.
+var mpcDrivers = []struct {
+	name string
+	run  func(*graph.Graph, rulingset.Options) (rulingset.Result, error)
+}{
+	{name: "LubyMIS", run: rulingset.LubyMIS},
+	{name: "DetLubyMIS", run: rulingset.DetLubyMIS},
+	{name: "RandRuling2", run: rulingset.RandRuling2},
+	{name: "DetRuling2", run: rulingset.DetRuling2},
+}
+
 // mustGNP builds a G(n, p) workload with average degree avg.
 func mustGNP(n int, avg float64, seed int64) *graph.Graph {
 	p := math.Min(1, avg/float64(n-1))
@@ -161,19 +173,10 @@ func T1RoundsVsN(cfg Config) (Report, error) {
 	if cfg.Quick {
 		sizes = []int{512, 1024, 2048}
 	}
-	algos := []struct {
-		name string
-		run  func(*graph.Graph, rulingset.Options) (rulingset.Result, error)
-	}{
-		{name: "LubyMIS", run: rulingset.LubyMIS},
-		{name: "DetLubyMIS", run: rulingset.DetLubyMIS},
-		{name: "RandRuling2", run: rulingset.RandRuling2},
-		{name: "DetRuling2", run: rulingset.DetRuling2},
-	}
 	table := metrics.NewTable("T1: rounds (phases) vs n — G(n, 16/n), 8 machines, z=⌈log₂n⌉/2",
 		"n", "Δ", "LubyMIS", "DetLubyMIS", "RandRuling2", "DetRuling2")
-	series := make([]metrics.Series, len(algos))
-	for i, a := range algos {
+	series := make([]metrics.Series, len(mpcDrivers))
+	for i, a := range mpcDrivers {
 		series[i].Name = a.name
 	}
 	var lubyPhases, det2Phases []int
@@ -184,7 +187,7 @@ func T1RoundsVsN(cfg Config) (Report, error) {
 			z = 4
 		}
 		row := []any{n, g.MaxDegree()}
-		for i, a := range algos {
+		for i, a := range mpcDrivers {
 			res, err := a.run(g, rulingset.Options{Seed: cfg.Seed, ChunkBits: z})
 			if err != nil {
 				return Report{}, err

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -77,13 +79,57 @@ func TestRunAllDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		a, b := strings.Split(first.String(), "\n"), strings.Split(second.String(), "\n")
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("renders differ first at line %d:\n%s\n%s", i+1, a[i], b[i])
-			}
+	if line, a, b, ok := firstDiff(first.String(), second.String()); !ok {
+		t.Fatalf("renders differ first at line %d:\n%s\n%s", line, a, b)
+	}
+}
+
+// quickGolden pins RunAll's quick render at seed 1 across commits, so an
+// edit that drifts any experiment table fails here even though both renders
+// of one commit agree. UPDATE_GOLDEN=1 rewrites it after an intentional
+// change.
+const quickGolden = "testdata/quick.golden"
+
+func TestRunAllQuickGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := RunAll(Config{Quick: true, Seed: 1}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(quickGolden), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("renders differ in length: %d vs %d lines", len(a), len(b))
+		if err := os.WriteFile(quickGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	if line, g, w, ok := firstDiff(got.String(), string(want)); !ok {
+		t.Fatalf("quick render differs from %s first at line %d:\n got %s\nwant %s", quickGolden, line, g, w)
+	}
+}
+
+// firstDiff compares two renders line by line and, when they differ,
+// returns the first differing line number (1-based) and both lines; a
+// missing line reads as "<end of output>".
+func firstDiff(a, b string) (line int, la, lb string, same bool) {
+	if a == b {
+		return 0, "", "", true
+	}
+	as, bs := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; ; i++ {
+		la, lb = "<end of output>", "<end of output>"
+		if i < len(as) {
+			la = as[i]
+		}
+		if i < len(bs) {
+			lb = bs[i]
+		}
+		if la != lb {
+			return i + 1, la, lb, false
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/metrics"
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
@@ -33,20 +32,11 @@ func R1FaultRecovery(cfg Config) (Report, error) {
 		Crashes: []mpc.FaultEvent{{Round: 1, Machine: 0}, {Round: 3, Machine: 2}},
 	}
 
-	algos := []struct {
-		name string
-		run  func(*graph.Graph, rulingset.Options) (rulingset.Result, error)
-	}{
-		{name: "LubyMIS", run: rulingset.LubyMIS},
-		{name: "DetLubyMIS", run: rulingset.DetLubyMIS},
-		{name: "RandRuling2", run: rulingset.RandRuling2},
-		{name: "DetRuling2", run: rulingset.DetRuling2},
-	}
 	invariance := metrics.NewTable(
 		fmt.Sprintf("R1: output invariance under %s (G(n=%d), 8 machines, checkpoint every 4)", plan, n),
 		"algorithm", "identical output", "rounds", "recovered crashes", "recovery rounds", "replayed words")
 	allIdentical := true
-	for _, a := range algos {
+	for _, a := range mpcDrivers {
 		base, err := a.run(g, rulingset.Options{Seed: cfg.Seed, ChunkBits: 4})
 		if err != nil {
 			return Report{}, err

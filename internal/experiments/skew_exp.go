@@ -35,15 +35,6 @@ func O1CommunicationSkew(cfg Config) (Report, error) {
 	g := mustGNP(n, 16, cfg.Seed)
 	budget := 4 * n
 
-	algos := []struct {
-		name string
-		run  func(*graph.Graph, rulingset.Options) (rulingset.Result, error)
-	}{
-		{name: "LubyMIS", run: rulingset.LubyMIS},
-		{name: "DetLubyMIS", run: rulingset.DetLubyMIS},
-		{name: "RandRuling2", run: rulingset.RandRuling2},
-		{name: "DetRuling2", run: rulingset.DetRuling2},
-	}
 	table := metrics.NewTable(
 		fmt.Sprintf("O1: per-span communication skew — MPC, G(n=%d, 16/n), 8 machines, S=4n=%d", n, budget),
 		"algorithm", "span", "rounds", "words", "share", "max sent", "max recv", "gini sent", "gini recv")
@@ -53,7 +44,7 @@ func O1CommunicationSkew(cfg Config) (Report, error) {
 	gatherAtCeiling := true
 	withinBudget := true
 	concentrated := true
-	for _, a := range algos {
+	for _, a := range mpcDrivers {
 		res, err := a.run(g, rulingset.Options{Seed: cfg.Seed, ChunkBits: 4})
 		if err != nil {
 			return Report{}, err

@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,6 +46,10 @@ import (
 // sink, with the source position and call chain named in the message, so a
 // //detlint:ok annotation suppresses at the line where the nondeterminism
 // enters the deterministic surface.
+//
+// A call through a func-typed struct field (a name → runner table) reaches
+// every function a composite literal stores in that field; a function
+// literal stored there is summarized, not reported on its own.
 //
 // The analysis is deliberately object-granular and flow-insensitive inside a
 // function (a tainted write to x.F taints x), which over-approximates; the
@@ -221,6 +226,7 @@ const maxViaChain = 6
 // and the findings the reporting pass produced.
 type flowWorld struct {
 	summaries   map[string]*funcSummary
+	fieldFuncs  map[string][]callee // func-typed field, by declaration position → stored functions
 	criticalPkg func(pkg *types.Package) bool
 	observerPkg func(pkg *types.Package) bool
 	relPos      func(token.Pos) token.Position
@@ -250,17 +256,32 @@ func (w *flowWorld) observer(fn *types.Func) bool {
 
 type flowFunc struct {
 	unit  *checkedUnit
-	decl  *ast.FuncDecl
+	recv  *ast.FieldList
+	ftype *ast.FuncType
+	body  *ast.BlockStmt
 	key   string
 	label string
+	lit   bool // a function literal stored in a struct field: summary only
+}
+
+// callee is a summarized function a call may run.
+type callee struct {
+	key, label string
+	sig        *types.Signature
+}
+
+func staticCallee(fn *types.Func) callee {
+	sig, _ := fn.Type().(*types.Signature)
+	return callee{key: funcKey(fn), label: calleeLabel(fn), sig: sig}
 }
 
 // buildFlowWorld computes per-function summaries to a fixpoint over every
 // scanned unit, then runs the reporting pass.
 func buildFlowWorld(units []*checkedUnit, ld *loader, cfg Config) *flowWorld {
 	w := &flowWorld{
-		summaries: make(map[string]*funcSummary),
-		relPos:    ld.relPos,
+		summaries:  make(map[string]*funcSummary),
+		fieldFuncs: make(map[string][]callee),
+		relPos:     ld.relPos,
 		criticalPkg: func(pkg *types.Package) bool {
 			rel, ok := ld.moduleRel(strings.TrimSuffix(pkg.Path(), "_test"))
 			if !ok {
@@ -288,8 +309,9 @@ func buildFlowWorld(units []*checkedUnit, ld *loader, cfg Config) *flowWorld {
 				if !ok {
 					continue
 				}
-				fns = append(fns, flowFunc{unit: u, decl: fd, key: funcKey(obj), label: calleeLabel(obj)})
+				fns = append(fns, flowFunc{unit: u, recv: fd.Recv, ftype: fd.Type, body: fd.Body, key: funcKey(obj), label: calleeLabel(obj)})
 			}
+			fns = w.indexFieldFuncs(fns, u, f)
 		}
 	}
 	// Fixpoint: recompute every summary from scratch against the current
@@ -312,9 +334,60 @@ func buildFlowWorld(units []*checkedUnit, ld *loader, cfg Config) *flowWorld {
 		}
 	}
 	for _, fn := range fns {
-		newFuncFlow(w, fn).report()
+		if !fn.lit {
+			newFuncFlow(w, fn).report()
+		}
 	}
 	return w
+}
+
+// indexFieldFuncs records every function a composite literal in f stores in
+// a func-typed struct field, and appends a flowFunc for each function
+// literal among them.
+func (w *flowWorld) indexFieldFuncs(fns []flowFunc, u *checkedUnit, f *ast.File) []flowFunc {
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || u.info.TypeOf(lit) == nil {
+			return true
+		}
+		t := u.info.TypeOf(lit)
+		for i, elt := range lit.Elts {
+			var field *types.Var
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					field, _ = u.info.Uses[id].(*types.Var)
+				}
+				elt = kv.Value
+			} else if st, ok := t.Underlying().(*types.Struct); ok && i < st.NumFields() {
+				field = st.Field(i)
+			}
+			if field == nil || !field.IsField() {
+				continue
+			}
+			if _, ok := field.Type().Underlying().(*types.Signature); !ok {
+				continue
+			}
+			var c callee
+			if fl, ok := ast.Unparen(elt).(*ast.FuncLit); ok {
+				c.key, c.label = "lit "+w.relPos(fl.Pos()).String(), field.Name()
+				if named, ok := t.(*types.Named); ok {
+					c.label = named.Obj().Name() + "." + c.label
+				}
+				c.sig, _ = u.info.TypeOf(fl).(*types.Signature)
+				fns = append(fns, flowFunc{unit: u, ftype: fl.Type, body: fl.Body, key: c.key, label: c.label, lit: true})
+			} else if fn := calleeFunc(u.info, &ast.CallExpr{Fun: elt}); fn != nil && staticCallee(fn).sig.Recv() == nil {
+				c = staticCallee(fn)
+			} else {
+				continue
+			}
+			key := w.relPos(field.Pos()).String()
+			if !slices.ContainsFunc(w.fieldFuncs[key], func(have callee) bool { return have.key == c.key }) {
+				w.fieldFuncs[key] = append(w.fieldFuncs[key], c)
+			}
+		}
+		return true
+	})
+	return fns
 }
 
 // funcKey names a function stably across independent typechecks of the same
@@ -343,7 +416,7 @@ func funcKey(fn *types.Func) string {
 type funcFlow struct {
 	w         *flowWorld
 	u         *checkedUnit
-	decl      *ast.FuncDecl
+	body      *ast.BlockStmt
 	label     string
 	params    map[types.Object]int  // object → parameter slot
 	results   []types.Object        // named results (for naked returns)
@@ -357,7 +430,7 @@ func newFuncFlow(w *flowWorld, fn flowFunc) *funcFlow {
 	ff := &funcFlow{
 		w:         w,
 		u:         fn.unit,
-		decl:      fn.decl,
+		body:      fn.body,
 		label:     fn.label,
 		params:    make(map[types.Object]int),
 		laundered: make(map[types.Object]bool),
@@ -366,8 +439,8 @@ func newFuncFlow(w *flowWorld, fn flowFunc) *funcFlow {
 		sum:       &funcSummary{ret: &taintSet{}},
 	}
 	slot := 0
-	if fn.decl.Recv != nil {
-		for _, field := range fn.decl.Recv.List {
+	if fn.recv != nil {
+		for _, field := range fn.recv.List {
 			for _, name := range field.Names {
 				if obj := fn.unit.info.Defs[name]; obj != nil {
 					ff.params[obj] = 0
@@ -376,8 +449,8 @@ func newFuncFlow(w *flowWorld, fn flowFunc) *funcFlow {
 		}
 		slot = 1
 	}
-	if fn.decl.Type.Params != nil {
-		for _, field := range fn.decl.Type.Params.List {
+	if fn.ftype.Params != nil {
+		for _, field := range fn.ftype.Params.List {
 			if len(field.Names) == 0 {
 				slot++
 				continue
@@ -390,8 +463,8 @@ func newFuncFlow(w *flowWorld, fn flowFunc) *funcFlow {
 			}
 		}
 	}
-	if fn.decl.Type.Results != nil {
-		for _, field := range fn.decl.Type.Results.List {
+	if fn.ftype.Results != nil {
+		for _, field := range fn.ftype.Results.List {
 			for _, name := range field.Names {
 				if obj := fn.unit.info.Defs[name]; obj != nil {
 					ff.results = append(ff.results, obj)
@@ -408,7 +481,7 @@ func newFuncFlow(w *flowWorld, fn flowFunc) *funcFlow {
 // sanctioned fix for map-iteration order. (Pre-scanning keeps the fixpoint
 // monotone: laundering is a property of the object, not of statement order.)
 func (ff *funcFlow) findLaundered() {
-	ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(ff.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -518,7 +591,7 @@ func (ff *funcFlow) report() {
 // changed (the local fixpoint re-runs it until quiet).
 func (ff *funcFlow) walk() bool {
 	changed := false
-	ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(ff.body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.AssignStmt:
 			if len(stmt.Lhs) == len(stmt.Rhs) {
@@ -708,12 +781,18 @@ func (ff *funcFlow) addCallTaint(ts *taintSet, call *ast.CallExpr) {
 			return
 		}
 		if sum, ok := ff.w.summaries[funcKey(fn)]; ok {
-			ff.instantiate(ts, fn, call, sum)
+			ff.instantiate(ts, staticCallee(fn), call, sum)
 			return
 		}
 	}
-	// Unknown callee (stdlib, external, or a function value): assume taint
-	// flows from every operand into the result.
+	for _, c := range ff.fieldCallees(call) {
+		if sum, ok := ff.w.summaries[c.key]; ok {
+			ff.instantiate(ts, c, call, sum)
+		}
+	}
+	// Unknown callee (stdlib, external, or a function value — a field call
+	// too, whose field a plain assignment may have set): assume taint flows
+	// from every operand into the result.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		ff.addExprTaint(ts, sel.X)
 	}
@@ -726,16 +805,16 @@ func (ff *funcFlow) addCallTaint(ts *taintSet, call *ast.CallExpr) {
 // return sources flow out (with the callee prepended to their chain), and
 // parameter slots recorded in the summary pull in the taint of the matching
 // call operands.
-func (ff *funcFlow) instantiate(ts *taintSet, fn *types.Func, call *ast.CallExpr, sum *funcSummary) {
+func (ff *funcFlow) instantiate(ts *taintSet, c callee, call *ast.CallExpr, sum *funcSummary) {
 	if sum.ret != nil {
 		for _, src := range sum.ret.sources {
-			ts.addSource(prependVia(src, calleeLabel(fn)))
+			ts.addSource(prependVia(src, c.label))
 		}
 		for slot := 0; slot < 64; slot++ {
 			if sum.ret.params&(1<<uint(slot)) == 0 {
 				continue
 			}
-			for _, operand := range ff.slotExprs(fn, call, slot) {
+			for _, operand := range slotExprs(c.sig, call, slot) {
 				ff.addExprTaint(ts, operand)
 			}
 		}
@@ -753,12 +832,22 @@ func prependVia(src flowSource, label string) flowSource {
 	return src
 }
 
+// fieldCallees returns what a call through a func-typed struct field may
+// run (see indexFieldFuncs), or nil for any other call.
+func (ff *funcFlow) fieldCallees(call *ast.CallExpr) []callee {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if v, ok := ff.u.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return ff.w.fieldFuncs[ff.w.relPos(v.Pos()).String()]
+		}
+	}
+	return nil
+}
+
 // slotExprs maps a callee parameter slot to the call-site operand
 // expressions: slot 0 of a method is the receiver, and a variadic slot
 // covers every trailing argument.
-func (ff *funcFlow) slotExprs(fn *types.Func, call *ast.CallExpr, slot int) []ast.Expr {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+func slotExprs(sig *types.Signature, call *ast.CallExpr, slot int) []ast.Expr {
+	if sig == nil {
 		return nil
 	}
 	if sig.Recv() != nil {
@@ -806,21 +895,25 @@ func (ff *funcFlow) collectSinks(report sinkReport) {
 			report(desc, via, arg, ts)
 		}
 	}
-	ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(ff.body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			fn := calleeFunc(ff.u.info, x)
-			if fn == nil {
-				return true
-			}
-			if desc, ok := ff.sinkCallee(fn); ok {
-				for _, arg := range x.Args {
-					handle(desc, nil, arg)
+			targets := ff.fieldCallees(x)
+			if fn := calleeFunc(ff.u.info, x); fn != nil {
+				if desc, ok := ff.sinkCallee(fn); ok {
+					for _, arg := range x.Args {
+						handle(desc, nil, arg)
+					}
+					return true
 				}
-				return true
+				targets = []callee{staticCallee(fn)}
 			}
 			// Calls into functions whose parameters reach a sink.
-			if sum, ok := ff.w.summaries[funcKey(fn)]; ok && len(sum.sinkParams) > 0 {
+			for _, c := range targets {
+				sum, ok := ff.w.summaries[c.key]
+				if !ok || len(sum.sinkParams) == 0 {
+					continue
+				}
 				slots := make([]int, 0, len(sum.sinkParams))
 				for slot := range sum.sinkParams {
 					slots = append(slots, slot)
@@ -830,9 +923,9 @@ func (ff *funcFlow) collectSinks(report sinkReport) {
 					for _, sink := range sum.sinkParams[slot] {
 						via := sink.via
 						if len(via) < maxViaChain {
-							via = append([]string{calleeLabel(fn)}, via...)
+							via = append([]string{c.label}, via...)
 						}
-						for _, operand := range ff.slotExprs(fn, x, slot) {
+						for _, operand := range slotExprs(c.sig, x, slot) {
 							handle(sink.desc, via, operand)
 						}
 					}

@@ -126,3 +126,43 @@ func batchedSeeded(x *Ctx) {
 	slab[1] = helper.SeededDraw(42)
 	x.SendOwnedRanges(slab, []int{1, 2})
 }
+
+// Driver is a name → runner table entry: a call through Run may run any
+// function a composite literal stores in it.
+type Driver struct {
+	Name string
+	Run  func(x *Ctx, v uint64)
+}
+
+// drivers stores a function literal in the Run field.
+var drivers = []Driver{
+	{Name: "lit", Run: func(x *Ctx, v uint64) { x.Send(10, v) }},
+}
+
+// Hook stores declared functions; Source's result carries their taint out.
+type Hook struct {
+	Fire   func(x *Ctx, v uint64)
+	Source func() uint64
+}
+
+var hooks = []Hook{{Fire: emit, Source: helper.Stamp}}
+
+// fieldCalls: tainted values reach the sink through calls via func-typed
+// fields, into a literal, into a declared function, and out of a declared
+// function's result.
+func fieldCalls(x *Ctx) {
+	for _, d := range drivers {
+		d.Run(x, helper.Draw()) // want `global math/rand source \(rand\.Intn\).*flows into the Ctx\.Send message payload \(via Driver\.Run\)`
+	}
+	for _, h := range hooks {
+		h.Fire(x, helper.Pid()) // want `process environment/identity \(os\.Getpid\).*flows into the Ctx\.Send message payload \(via detflow\.emit\)`
+		x.Send(11, h.Source())  // want `wall-clock read \(time\.Now\).*via helper\.Stamp.*flows into the Ctx\.Send message payload`
+	}
+}
+
+// fieldCallClean: untainted data through the same fields stays clean.
+func fieldCallClean(x *Ctx) {
+	for _, d := range drivers {
+		d.Run(x, 12)
+	}
+}

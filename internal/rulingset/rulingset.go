@@ -23,7 +23,9 @@
 //
 // All algorithms execute on the internal/mpc simulator, so every result
 // carries the model measurements (rounds, bandwidth, memory residency) that
-// the paper's theorems are about.
+// the paper's theorems are about. Algorithms names the drivers: it is the one
+// table the CLI, the multi-process backend and the bench registry dispatch
+// through.
 package rulingset
 
 import (

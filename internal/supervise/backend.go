@@ -1,13 +1,8 @@
 package supervise
 
 import (
-	"errors"
-	"fmt"
-	"os"
-
 	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/rulingset"
-	"github.com/rulingset/mprs/internal/trace"
 )
 
 // InProc runs the job in this process — the classic single-process path,
@@ -23,7 +18,7 @@ import (
 type InProc struct{}
 
 // Run executes spec in this process.
-func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
+func (InProc) Run(spec JobSpec) (rulingset.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return rulingset.Result{}, err
 	}
@@ -47,26 +42,7 @@ func (InProc) Run(spec JobSpec) (res rulingset.Result, retErr error) {
 		}
 		opts.CheckpointSink = store
 	}
-	if spec.TraceFile != "" {
-		f, err := os.Create(spec.TraceFile)
-		if err != nil {
-			return rulingset.Result{}, err
-		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(spec.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-		}
-		opts.Tracer = tr
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-			}
-		}()
-	}
-	return runAlgo(spec.Algo, g, opts)
+	return spec.solve(g, opts, true, nil)
 }
 
 // MultiProc runs the job across supervised worker processes.

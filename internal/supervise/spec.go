@@ -20,6 +20,7 @@
 package supervise
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,8 +40,8 @@ import (
 // Every field feeds the deterministic replay; observability knobs
 // (TraceFile) do not alter it.
 type JobSpec struct {
-	// Algo names the algorithm: one of luby, detluby, rand2, det2 (the
-	// single-cluster MPC drivers — the same set that supports durable
+	// Algo names the algorithm: a single-cluster entry of
+	// rulingset.Algorithms (the same set that supports durable
 	// checkpointing, and for the same reason: one replayable superstep log).
 	Algo string `json:"algo"`
 	// GraphSpec generates the input (see internal/gen); GraphFile loads an
@@ -89,15 +90,6 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// SupportedAlgo reports whether algo can run on the multi-process backend.
-func SupportedAlgo(algo string) bool {
-	switch algo {
-	case "luby", "detluby", "rand2", "det2":
-		return true
-	}
-	return false
-}
-
 // SpecLabel renders the input source exactly as the CLI's trace headers and
 // table titles do.
 func (s JobSpec) SpecLabel() string {
@@ -109,8 +101,8 @@ func (s JobSpec) SpecLabel() string {
 
 // Validate rejects specs no worker could run.
 func (s JobSpec) Validate() error {
-	if !SupportedAlgo(s.Algo) {
-		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (single-cluster MPC algorithms only: luby, detluby, rand2, det2)", s.Algo)
+	if a, err := rulingset.LookupAlgorithm(s.Algo); err != nil || !a.SingleCluster {
+		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (single-cluster MPC algorithms only: %s)", s.Algo, rulingset.SingleClusterNames())
 	}
 	if (s.GraphSpec == "") == (s.GraphFile == "") {
 		return fmt.Errorf("supervise: exactly one of GraphSpec and GraphFile must be set")
@@ -199,19 +191,37 @@ func CheckInProcChaos(plan *chaos.Plan, checkpointDir string) error {
 	return nil
 }
 
-// runAlgo dispatches to the single-cluster MPC drivers.
-func runAlgo(algo string, g *graph.Graph, o rulingset.Options) (rulingset.Result, error) {
-	switch algo {
-	case "luby":
-		return rulingset.LubyMIS(g, o)
-	case "detluby":
-		return rulingset.DetLubyMIS(g, o)
-	case "rand2":
-		return rulingset.RandRuling2(g, o)
-	case "det2":
-		return rulingset.DetRuling2(g, o)
+// solve runs the spec's algorithm on g (a single-cluster MPC driver once
+// Validate has passed, so it reads no beta) with sinks as its tracer. With
+// withTrace set, the JSONL trace is written to TraceFile ahead of sinks.
+func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace bool, sinks trace.Multi) (res rulingset.Result, retErr error) {
+	a, err := rulingset.LookupAlgorithm(s.Algo)
+	if err != nil {
+		return rulingset.Result{}, fmt.Errorf("supervise: %w", err)
 	}
-	return rulingset.Result{}, fmt.Errorf("supervise: unknown algorithm %q", algo)
+	if withTrace && s.TraceFile != "" {
+		f, err := os.Create(s.TraceFile)
+		if err != nil {
+			return rulingset.Result{}, err
+		}
+		tr := trace.NewJSONL(f)
+		if err := tr.WriteHeader(s.traceHeader()); err != nil {
+			if cerr := f.Close(); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
+			return rulingset.Result{}, fmt.Errorf("trace %s: %w", s.TraceFile, err)
+		}
+		sinks = append(trace.Multi{tr}, sinks...)
+		defer func() {
+			if err := tr.Close(); err != nil && retErr == nil {
+				retErr = fmt.Errorf("trace %s: %w", s.TraceFile, err)
+			}
+		}()
+	}
+	if len(sinks) > 0 {
+		o.Tracer = sinks
+	}
+	return a.Run(g, 0, o)
 }
 
 // traceHeader is the job's trace header — field-for-field what the CLI's

@@ -14,7 +14,6 @@ import (
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/telemetry"
-	"github.com/rulingset/mprs/internal/trace"
 	"github.com/rulingset/mprs/internal/transport"
 )
 
@@ -929,8 +928,8 @@ func (s *supervisor) drainStreams() {
 // run would persist. Deliberately a free function over Run's own parameters
 // rather than a supervisor method: the fallback is a deterministic run, and
 // its inputs must not flow through the wall-clock-carrying supervisor state.
-func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom int, retErr error) {
-	resumedFrom = -1
+func fallbackRun(spec JobSpec, workers int) (rulingset.Result, int, error) {
+	resumedFrom := -1
 	g, err := spec.BuildGraph()
 	if err != nil {
 		return rulingset.Result{}, resumedFrom, err
@@ -960,26 +959,7 @@ func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom i
 			resumedFrom = best.Round
 		}
 	}
-	if spec.TraceFile != "" {
-		f, err := os.Create(spec.TraceFile)
-		if err != nil {
-			return rulingset.Result{}, resumedFrom, err
-		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(spec.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, resumedFrom, fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-		}
-		opts.Tracer = tr
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-			}
-		}()
-	}
-	res, err = runAlgo(spec.Algo, g, opts)
+	res, err := spec.solve(g, opts, true, nil)
 	return res, resumedFrom, err
 }
 

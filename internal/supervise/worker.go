@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"github.com/rulingset/mprs/internal/chaos"
@@ -103,7 +102,7 @@ func WorkerMain(env WorkerEnv, in io.Reader, out io.Writer) error {
 	return conn.Write(transport.Frame{Type: transport.FrameResult, Worker: env.Worker, Round: res.Stats.Rounds, Payload: payload})
 }
 
-func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retErr error) {
+func runWorker(env WorkerEnv, conn *transport.Conn) (rulingset.Result, error) {
 	spec := env.Spec
 	if err := spec.Validate(); err != nil {
 		return rulingset.Result{}, err
@@ -201,31 +200,8 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 	// to an uninterrupted run's. The telemetry collector joins the same
 	// fan-out on every worker.
 	var sinks trace.Multi
-	if spec.TraceFile != "" && env.Worker == 0 {
-		f, err := os.Create(spec.TraceFile)
-		if err != nil {
-			return rulingset.Result{}, err
-		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(spec.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-		}
-		sinks = append(sinks, tr)
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-			}
-		}()
-	}
 	if col != nil {
 		sinks = append(sinks, col)
 	}
-	if len(sinks) > 0 {
-		opts.Tracer = sinks
-	}
-
-	return runAlgo(spec.Algo, g, opts)
+	return spec.solve(g, opts, env.Worker == 0, sinks)
 }
