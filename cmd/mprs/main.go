@@ -383,7 +383,7 @@ func cmdRun(args []string) (retErr error) {
 		}
 		tr := trace.NewJSONL(f)
 		machines := *machines
-		if entry.RunClique != nil {
+		if entry.Clique {
 			machines = g.N() // the clique simulates one machine per vertex
 		}
 		if err := tr.WriteHeader(trace.Header{
@@ -473,18 +473,19 @@ func cmdRun(args []string) (retErr error) {
 		fmt.Printf("greedy MIS: %d members in %v\n", len(mis), time.Since(start))
 		return writeMembers(*membersOut, mis)
 	}
-	if entry.RunClique != nil {
-		return runClique(g, entry, opts, *verify, *spans, *membersOut, *statsOut)
-	}
 
 	start := time.Now()
 	res, err := entry.Run(g, *beta, opts)
 	if err != nil {
 		return err
 	}
+	title := fmt.Sprintf("%s on %v (%d machines, %s regime)", *algo, g, *machines, *regime)
+	if entry.Clique {
+		title = fmt.Sprintf("%s on %v (congested clique, %d nodes)", *algo, g, g.N())
+	}
 	return reportResult(runReport{
 		algo:        *algo,
-		title:       fmt.Sprintf("%s on %v (%d machines, %s regime)", *algo, g, *machines, *regime),
+		title:       title,
 		g:           g,
 		res:         res,
 		wall:        time.Since(start),
@@ -604,56 +605,4 @@ func startProfiles(prefix string) (func() error, error) {
 		}
 		return hf.Close()
 	}, nil
-}
-
-// runClique executes a congested-clique driver, which carries its own model
-// statistics.
-func runClique(g *graph.Graph, a rulingset.Algorithm, opts rulingset.Options, verify, spans bool, membersOut, statsOut string) error {
-	start := time.Now()
-	res, err := a.RunClique(g, opts)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	tb := metrics.NewTable(fmt.Sprintf("%s on %v (congested clique, %d nodes)", a.Name, g, g.N()),
-		"members", "beta", "rounds", "messages", "words", "peak recv", "skew sent", "gini sent", "violations", "wall")
-	tb.AddRow(len(res.Members), res.Beta, res.Stats.Rounds, res.Stats.Messages,
-		res.Stats.Words, res.Stats.PeakRecv, res.Stats.SkewSent, res.Stats.GiniSent,
-		len(res.Stats.Violations), wall.String())
-	if err := tb.Render(os.Stdout); err != nil {
-		return err
-	}
-	if err := writeMembers(membersOut, res.Members); err != nil {
-		return err
-	}
-	if err := writeStatsOut(statsOut, res.Stats); err != nil {
-		return err
-	}
-	if spans && len(res.Stats.Spans) > 0 {
-		if err := renderSpans(res.Stats.Spans); err != nil {
-			return err
-		}
-	}
-	if verify {
-		if !rulingset.IsRulingSet(g, res.Members, res.Beta) {
-			return fmt.Errorf("verification failed")
-		}
-		fmt.Printf("verified: independent, radius <= %d\n", res.Beta)
-	}
-	if opts.Faults.Enabled() {
-		ft := metrics.NewTable(fmt.Sprintf("recovery under %s", opts.Faults),
-			"recovered crashes", "recovery rounds", "replayed words")
-		ft.AddRow(res.Stats.RecoveredCrashes, res.Stats.RecoveryRounds, res.Stats.ReplayedWords)
-		fmt.Println()
-		if err := ft.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if n := len(res.Stats.Violations); n > 0 {
-		for _, v := range res.Stats.Violations {
-			fmt.Fprintf(os.Stderr, "budget violation: %s\n", v)
-		}
-		return fmt.Errorf("%d budget violation(s); first: %s", n, res.Stats.Violations[0])
-	}
-	return nil
 }

@@ -184,7 +184,7 @@ func reportResult(r runReport) error {
 	if err := writeMembers(r.membersOut, res.Members); err != nil {
 		return err
 	}
-	if err := writeStatsOut(r.statsOut, supervise.CanonicalStats(res.Stats)); err != nil {
+	if err := writeStatsOut(r.statsOut, res.Stats.Canonical()); err != nil {
 		return err
 	}
 	if r.verify {
@@ -223,10 +223,9 @@ func reportResult(r runReport) error {
 
 // writeStatsOut writes canonical (run-independent) statistics as indented
 // JSON — the byte-diffable artifact the CI multiproc-smoke job compares
-// across backends: supervise.CanonicalStats of an mpc.Stats, or a
-// clique.Stats, which carries no host-dependent fields and is canonical as
-// is. An empty path is a no-op so call sites stay unconditional.
-func writeStatsOut(path string, st any) error {
+// across backends. An empty path is a no-op so call sites stay
+// unconditional.
+func writeStatsOut(path string, st mpc.Stats) error {
 	if path == "" {
 		return nil
 	}

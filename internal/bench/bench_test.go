@@ -261,7 +261,7 @@ func TestDiffRowCoversNewColumns(t *testing.T) {
 func TestRegistryValid(t *testing.T) {
 	clique := map[string]bool{} // table name → runs on the congested clique
 	for _, a := range rulingset.Algorithms {
-		clique[a.Name] = a.RunClique != nil
+		clique[a.Name] = a.Clique
 	}
 	models := map[bool]bool{}
 	seen := map[string]bool{}

@@ -127,43 +127,17 @@ func runAlgo(g *graph.Graph, name string, opts rulingset.Options) (Result, error
 	if err != nil {
 		return Result{}, err
 	}
-	if a.RunClique != nil {
-		res, err := a.RunClique(g, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		row := Result{
-			Model:            "clique",
-			Machines:         g.N(),
-			Members:          len(res.Members),
-			Beta:             res.Beta,
-			Rounds:           res.Stats.Rounds,
-			Phases:           len(res.Phases),
-			SeedSteps:        seedSteps(res.Phases),
-			Messages:         res.Stats.Messages,
-			Words:            res.Stats.Words,
-			PeakRecv:         res.Stats.PeakRecv,
-			SkewSent:         res.Stats.SkewSent,
-			SkewRecv:         res.Stats.SkewRecv,
-			GiniSent:         res.Stats.GiniSent,
-			GiniRecv:         res.Stats.GiniRecv,
-			Violations:       len(res.Stats.Violations),
-			RecoveredCrashes: res.Stats.RecoveredCrashes,
-			RecoveryRounds:   res.Stats.RecoveryRounds,
-			ReplayedWords:    res.Stats.ReplayedWords,
-		}
-		if !rulingset.IsRulingSet(g, res.Members, res.Beta) {
-			return Result{}, fmt.Errorf("output failed verification")
-		}
-		return row, nil
-	}
 	res, err := a.Run(g, beta, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	model, nodes := "mpc", machines
+	if a.Clique {
+		model, nodes = "clique", g.N()
+	}
 	row := Result{
-		Model:            "mpc",
-		Machines:         machines,
+		Model:            model,
+		Machines:         nodes,
 		Members:          len(res.Members),
 		Beta:             res.Beta,
 		Rounds:           res.Stats.Rounds,

@@ -26,7 +26,6 @@ package clique
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -44,9 +43,9 @@ type Config struct {
 	// PairWords is the per-ordered-pair per-round bandwidth in words;
 	// default 1 (one O(log n)-bit message).
 	PairWords int
-	// Strict makes violations errors instead of recorded statistics. A
-	// strict violation aborts the offending round cleanly: nothing is
-	// delivered.
+	// Strict makes violations errors wrapping mpc.ErrBudget instead of
+	// recorded statistics. A strict violation aborts the offending round
+	// cleanly: nothing is delivered.
 	Strict bool
 	// Faults, when non-nil and enabled, injects the same deterministic
 	// crash schedule as the MPC simulator (see mpc.FaultPlan): node crashes
@@ -60,8 +59,9 @@ type Config struct {
 	// nothing when nil.
 	Tracer trace.Tracer
 	// Context, when non-nil, is checked at every round barrier: once it is
-	// done, Step/RouteStep return a *CancelError wrapping mpc.ErrCanceled or
-	// mpc.ErrDeadline with the committed round and full Stats.
+	// done, Step/RouteStep return the engine's *mpc.CancelError wrapping
+	// mpc.ErrCanceled or mpc.ErrDeadline with the committed round and full
+	// Stats.
 	Context context.Context
 	// Parallelism bounds the worker pool executing node step closures within
 	// one round: 0 (the default) means GOMAXPROCS, 1 forces the serial
@@ -69,59 +69,6 @@ type Config struct {
 	// order). Outputs, Stats and traces are bit-identical at every level.
 	Parallelism int
 }
-
-// Violation records a bandwidth breach.
-type Violation struct {
-	Round int
-	Src   int
-	Dst   int // -1 for per-node budget breaches
-	Kind  string
-	Words int
-	Limit int
-}
-
-// String implements fmt.Stringer.
-func (v Violation) String() string {
-	if v.Dst >= 0 {
-		return fmt.Sprintf("round %d: pair (%d→%d) carried %d words > %d", v.Round, v.Src, v.Dst, v.Words, v.Limit)
-	}
-	return fmt.Sprintf("round %d: node %d %s %d words > %d", v.Round, v.Src, v.Kind, v.Words, v.Limit)
-}
-
-// Stats aggregates model measurements of a simulation. As in the mpc
-// package, Rounds/Messages/Words count only committed rounds and delivered
-// traffic (bit-identical to the fault-free run); recovery overhead is
-// metered separately in the fault fields.
-type Stats struct {
-	Rounds     int
-	Messages   int64
-	Words      int64
-	PeakRecv   int // max words received by one node in one round
-	Violations []Violation
-
-	// Spans aggregates rounds/traffic/skew per named trace span (algorithm
-	// phase), in order of first appearance (see Cluster.Span). The per-span
-	// schema is shared with the MPC simulator.
-	Spans []mpc.SpanStat
-	// SkewSent and SkewRecv are the worst per-round imbalance ratios across
-	// nodes: max words sent (received) by one node divided by the round mean.
-	SkewSent float64
-	SkewRecv float64
-	// GiniSent and GiniRecv are the worst per-round Gini imbalance
-	// coefficients across nodes (see trace.Gini).
-	GiniSent float64
-	GiniRecv float64
-
-	// RecoveredCrashes counts injected node crashes recovered at the barrier.
-	RecoveredCrashes int
-	// RecoveryRounds counts extra rounds spent on crash re-execution.
-	RecoveryRounds int
-	// ReplayedWords counts words re-sent during recovery.
-	ReplayedWords int64
-}
-
-// ErrBandwidth is wrapped by errors returned in Strict mode.
-var ErrBandwidth = errors.New("clique: bandwidth budget exceeded")
 
 // Message is a payload received from node Src. It is an alias of
 // mpc.Message so both simulators share one message shape.
@@ -133,10 +80,9 @@ type Ctx = mpc.Ctx
 
 // Cluster is a simulated congested clique on n nodes.
 type Cluster struct {
-	cfg        Config
-	n          int
-	eng        *mpc.Cluster
-	violations []Violation
+	cfg Config
+	n   int
+	eng *mpc.Cluster
 
 	// ScatterAggregateFloat's slabs, kept across calls and grown only when
 	// n·nExt grows: vals and payload words, node v owning [v·nExt,
@@ -184,16 +130,9 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 // (once per pair per round; not for Lenzen-routed exchanges) and the node's
 // receive against n·PairWords; a routed exchange then checks every node's
 // send against n·PairWords.
-func (c *Cluster) meter(round int, routed bool, sent, recv []int, boxes [][]Message) error {
-	var firstErr error
-	violate := func(v Violation) {
-		c.violations = append(c.violations, v)
-		if c.cfg.Strict && firstErr == nil {
-			firstErr = fmt.Errorf("%w: %s", ErrBandwidth, v)
-		}
-	}
+func (c *Cluster) meter(dst []mpc.Violation, round int, routed bool, sent, recv []int, boxes [][]Message) []mpc.Violation {
 	nodeLimit := c.n * c.cfg.PairWords
-	for dst, box := range boxes {
+	for to, box := range boxes {
 		if !routed {
 			pairWords, prevSrc := 0, -1
 			for _, msg := range box {
@@ -202,23 +141,23 @@ func (c *Cluster) meter(round int, routed bool, sent, recv []int, boxes [][]Mess
 				}
 				pairWords += len(msg.Payload)
 				if pairWords > c.cfg.PairWords {
-					violate(Violation{Round: round, Src: msg.Src, Dst: dst, Kind: "pair", Words: pairWords, Limit: c.cfg.PairWords})
+					dst = append(dst, mpc.Violation{Round: round, Machine: msg.Src, Dst: to, Kind: "pair", Words: pairWords, Budget: c.cfg.PairWords})
 					pairWords = -1 << 30 // flag once per pair per round
 				}
 			}
 		}
-		if recv[dst] > nodeLimit {
-			violate(Violation{Round: round, Src: dst, Dst: -1, Kind: "received", Words: recv[dst], Limit: nodeLimit})
+		if recv[to] > nodeLimit {
+			dst = append(dst, mpc.Violation{Round: round, Machine: to, Kind: "received", Words: recv[to], Budget: nodeLimit})
 		}
 	}
 	if routed {
 		for v, words := range sent {
 			if words > nodeLimit {
-				violate(Violation{Round: round, Src: v, Dst: -1, Kind: "routed", Words: words, Limit: nodeLimit})
+				dst = append(dst, mpc.Violation{Round: round, Machine: v, Kind: "routed", Words: words, Budget: nodeLimit})
 			}
 		}
 	}
-	return firstErr
+	return dst
 }
 
 // SetTracer registers (or, with nil, removes) the round tracer.
@@ -238,44 +177,20 @@ func (c *Cluster) N() int { return c.n }
 // Config returns the configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Stats returns a copy of the accumulated statistics.
-func (c *Cluster) Stats() Stats {
-	st := c.eng.Stats()
-	return Stats{
-		Rounds:           st.Rounds,
-		Messages:         st.Messages,
-		Words:            st.Words,
-		PeakRecv:         st.PeakRecv,
-		Violations:       append([]Violation(nil), c.violations...),
-		Spans:            st.Spans,
-		SkewSent:         st.SkewSent,
-		SkewRecv:         st.SkewRecv,
-		GiniSent:         st.GiniSent,
-		GiniRecv:         st.GiniRecv,
-		RecoveredCrashes: st.RecoveredCrashes,
-		RecoveryRounds:   st.RecoveryRounds,
-		ReplayedWords:    st.ReplayedWords,
-	}
-}
+// Stats returns a copy of the engine's accumulated statistics. As in the
+// MPC simulator, Rounds/Messages/Words count only committed rounds and
+// delivered traffic (bit-identical to the fault-free run); recovery overhead
+// is metered separately in the fault fields. The clique has no
+// resident-memory model, so PeakResident stays 0.
+func (c *Cluster) Stats() mpc.Stats { return c.eng.Stats() }
 
 // Step executes one synchronous round under the per-pair bandwidth budget.
-func (c *Cluster) Step(name string, f func(x *Ctx)) error {
-	return c.modelErr(c.eng.Step(name, f))
-}
+func (c *Cluster) Step(name string, f func(x *Ctx)) error { return c.eng.Step(name, f) }
 
 // RouteStep executes one Lenzen-routed exchange: per-node send/receive
 // budgets of n·PairWords words, charged as LenzenRounds rounds.
 func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error {
-	return c.modelErr(c.eng.RouteStep(name, LenzenRounds, f))
-}
-
-// modelErr turns the engine's barrier cancellation, which carries
-// mpc.Stats, into its clique counterpart carrying clique Stats.
-func (c *Cluster) modelErr(err error) error {
-	if e, ok := err.(*mpc.CancelError); ok {
-		return newCancelError(e, c.Stats())
-	}
-	return err
+	return c.eng.RouteStep(name, LenzenRounds, f)
 }
 
 // Drain empties and returns node v's inbox — the node-local consumption of
@@ -325,7 +240,7 @@ func (c *Cluster) reduceToZero(name string, local func(v int) uint64, op func(a,
 // BroadcastWord has node 0 send one word to every node in one round.
 func (c *Cluster) BroadcastWord(name string, word uint64) error {
 	_, err := c.eng.Broadcast(name, []uint64{word})
-	return c.modelErr(err)
+	return err
 }
 
 // ScatterAggregateFloat is the congested clique's O(1)-round vector

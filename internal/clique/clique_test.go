@@ -3,6 +3,8 @@ package clique
 import (
 	"errors"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/mpc"
 )
 
 func newTestClique(t *testing.T, n int) *Cluster {
@@ -107,7 +109,7 @@ func TestStrictMode(t *testing.T) {
 			x.Send(1, 1, 2)
 		}
 	})
-	if !errors.Is(err, ErrBandwidth) {
+	if !errors.Is(err, mpc.ErrBudget) {
 		t.Fatalf("err = %v", err)
 	}
 	// A strict violation aborts the round cleanly: nothing is delivered.

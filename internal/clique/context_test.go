@@ -27,17 +27,17 @@ func TestCliqueCancelAtBarrier(t *testing.T) {
 		}
 	}
 	stats := c.Stats()
-	// The sentinels are shared with mpc — one errors.Is works for both
-	// simulators.
+	// The clique returns the engine's own cancellation error — one errors.Is
+	// and one errors.As work for both simulators.
 	if !errors.Is(err, mpc.ErrCanceled) {
 		t.Fatalf("err = %v, want mpc.ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v does not unwrap to context.Canceled", err)
 	}
-	var ce *CancelError
+	var ce *mpc.CancelError
 	if !errors.As(err, &ce) {
-		t.Fatalf("err = %T, want *clique.CancelError", err)
+		t.Fatalf("err = %T, want *mpc.CancelError", err)
 	}
 	if ce.Round != 2 || ce.Stats.Rounds != 2 {
 		t.Fatalf("CancelError round = %d, stats = %+v, want 2 committed rounds", ce.Round, ce.Stats)
@@ -45,7 +45,7 @@ func TestCliqueCancelAtBarrier(t *testing.T) {
 	if stats.Rounds != 2 {
 		t.Fatalf("cluster stats = %+v", stats)
 	}
-	want := "clique: run canceled after 2 committed rounds"
+	want := "mpc: run canceled after 2 committed rounds"
 	if got := ce.Error(); len(got) < len(want) || got[:len(want)] != want {
 		t.Fatalf("Error() = %q, want prefix %q", got, want)
 	}

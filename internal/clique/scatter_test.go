@@ -186,7 +186,7 @@ func TestScatterAggregateFloatWidthChanges(t *testing.T) {
 func TestScatterAggregateFloatCrashOnReusedSlab(t *testing.T) {
 	const n = 12
 	widths := []int{8, 8, 4}
-	run := func(plan *mpc.FaultPlan) ([][]float64, Stats) {
+	run := func(plan *mpc.FaultPlan) ([][]float64, mpc.Stats) {
 		c, err := NewCluster(Config{Faults: plan, Parallelism: 3}, n)
 		if err != nil {
 			t.Fatal(err)

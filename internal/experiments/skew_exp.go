@@ -91,7 +91,7 @@ func O1CommunicationSkew(cfg Config) (Report, error) {
 		"algorithm", "span", "rounds", "words", "max sent", "max recv", "gini sent", "gini recv")
 	cliqueAlgos := []struct {
 		name string
-		run  func(*graph.Graph, rulingset.Options) (rulingset.CliqueResult, error)
+		run  func(*graph.Graph, rulingset.Options) (rulingset.Result, error)
 	}{
 		{name: "CliqueRandRuling2", run: rulingset.CliqueRandRuling2},
 		{name: "CliqueDetRuling2", run: rulingset.CliqueDetRuling2},

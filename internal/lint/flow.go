@@ -49,7 +49,10 @@ import (
 //
 // A call through a func-typed struct field (a name → runner table) reaches
 // every function a composite literal stores in that field; a function
-// literal stored there is summarized, not reported on its own.
+// literal stored there is summarized. A function literal is reported with
+// the declared function enclosing it, or, outside every declared function
+// (a package-level var's runner table), on its own, outermost literal
+// first, so each body is reported exactly once.
 //
 // The analysis is deliberately object-granular and flow-insensitive inside a
 // function (a tainted write to x.F taints x), which over-approximates; the
@@ -264,6 +267,11 @@ type flowFunc struct {
 	lit   bool // a function literal stored in a struct field: summary only
 }
 
+// litFunc is the flowFunc of a function literal, keyed by its position.
+func (w *flowWorld) litFunc(u *checkedUnit, fl *ast.FuncLit, label string) flowFunc {
+	return flowFunc{unit: u, ftype: fl.Type, body: fl.Body, key: "lit " + w.relPos(fl.Pos()).String(), label: label, lit: true}
+}
+
 // callee is a summarized function a call may run.
 type callee struct {
 	key, label string
@@ -297,12 +305,24 @@ func buildFlowWorld(units []*checkedUnit, ld *loader, cfg Config) *flowWorld {
 			return rel == "internal/telemetry" || strings.HasSuffix(rel, "/telemetry")
 		},
 	}
-	var fns []flowFunc
+	var fns, pkgLits []flowFunc
 	for _, u := range units {
 		for _, f := range u.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
+					// No declared function encloses a literal here: collect
+					// the outermost ones, whose reports cover the nested.
+					ast.Inspect(d, func(n ast.Node) bool {
+						fl, ok := n.(*ast.FuncLit)
+						if ok {
+							pkgLits = append(pkgLits, w.litFunc(u, fl, "func literal"))
+						}
+						return !ok
+					})
+					continue
+				}
+				if fd.Body == nil {
 					continue
 				}
 				obj, ok := u.info.Defs[fd.Name].(*types.Func)
@@ -338,6 +358,9 @@ func buildFlowWorld(units []*checkedUnit, ld *loader, cfg Config) *flowWorld {
 			newFuncFlow(w, fn).report()
 		}
 	}
+	for _, fn := range pkgLits {
+		newFuncFlow(w, fn).report()
+	}
 	return w
 }
 
@@ -369,12 +392,14 @@ func (w *flowWorld) indexFieldFuncs(fns []flowFunc, u *checkedUnit, f *ast.File)
 			}
 			var c callee
 			if fl, ok := ast.Unparen(elt).(*ast.FuncLit); ok {
-				c.key, c.label = "lit "+w.relPos(fl.Pos()).String(), field.Name()
+				c.label = field.Name()
 				if named, ok := t.(*types.Named); ok {
 					c.label = named.Obj().Name() + "." + c.label
 				}
+				fn := w.litFunc(u, fl, c.label)
+				c.key = fn.key
 				c.sig, _ = u.info.TypeOf(fl).(*types.Signature)
-				fns = append(fns, flowFunc{unit: u, ftype: fl.Type, body: fl.Body, key: c.key, label: c.label, lit: true})
+				fns = append(fns, fn)
 			} else if fn := calleeFunc(u.info, &ast.CallExpr{Fun: elt}); fn != nil && staticCallee(fn).sig.Recv() == nil {
 				c = staticCallee(fn)
 			} else {

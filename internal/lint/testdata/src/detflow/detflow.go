@@ -139,6 +139,17 @@ var drivers = []Driver{
 	{Name: "lit", Run: func(x *Ctx, v uint64) { x.Send(10, v) }},
 }
 
+// stamped stores a literal whose own body carries a source into a sink. No
+// declared function encloses it, so it is reported on its own, once, and so
+// is the nested literal's flow.
+var stamped = []Driver{
+	{Name: "stamped", Run: func(x *Ctx, _ uint64) {
+		x.Send(13, helper.Stamp())                     // want `wall-clock read \(time\.Now\).*via helper\.Stamp.*flows into the Ctx\.Send message payload`
+		nested := func() { x.Send(14, helper.Draw()) } // want `global math/rand source \(rand\.Intn\).*via helper\.Draw.*flows into the Ctx\.Send message payload`
+		nested()
+	}},
+}
+
 // Hook stores declared functions; Source's result carries their taint out.
 type Hook struct {
 	Fire   func(x *Ctx, v uint64)

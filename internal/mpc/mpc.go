@@ -131,17 +131,29 @@ type Config struct {
 	Parallelism int
 }
 
-// Violation records a budget breach observed during the simulation.
+// Violation records a budget breach observed during the simulation, in
+// either model: the MPC policy's kinds are "send", "recv" and "resident"
+// (and "rounds" for a negative ChargeRounds), the congested clique's are
+// "pair", "received" and "routed", with the node id in Machine.
 type Violation struct {
 	Round   int
 	Machine int
-	Kind    string // "send", "recv", "resident"
-	Words   int
-	Budget  int
+	// Dst is the receiving node of a clique "pair" breach; no other kind
+	// sets it, so MPC statistics serialize without it.
+	Dst    int `json:",omitempty"`
+	Kind   string
+	Words  int
+	Budget int
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer, in the wording of the violation's model.
 func (v Violation) String() string {
+	switch v.Kind {
+	case "pair":
+		return fmt.Sprintf("round %d: pair (%d→%d) carried %d words > %d", v.Round, v.Machine, v.Dst, v.Words, v.Budget)
+	case "received", "routed":
+		return fmt.Sprintf("round %d: node %d %s %d words > %d", v.Round, v.Machine, v.Kind, v.Words, v.Budget)
+	}
 	return fmt.Sprintf("round %d machine %d: %s %d words > budget %d",
 		v.Round, v.Machine, v.Kind, v.Words, v.Budget)
 }
@@ -236,6 +248,18 @@ type Stats struct {
 	ResumeReplayRounds int
 }
 
+// Canonical returns st with the run-dependent columns zeroed —
+// CheckpointBytes (durable-checkpoint volume, which depends on whether and
+// when a run was interrupted) and ResumeReplayRounds (resume overhead, zero
+// for an uninterrupted run). Every remaining column is a deterministic
+// function of the job: canonical Stats compare byte for byte across
+// backends, restarts, resumes and machines.
+func (st Stats) Canonical() Stats {
+	st.CheckpointBytes = 0
+	st.ResumeReplayRounds = 0
+	return st
+}
+
 // ErrBudget is wrapped by errors returned in Strict mode when a budget is
 // breached.
 var ErrBudget = errors.New("mpc: memory/bandwidth budget exceeded")
@@ -250,10 +274,11 @@ type Message struct {
 // round is the committed round count the violations are stamped with,
 // routed marks a RouteStep exchange, sent[m] and recv[m] are machine m's
 // words this superstep, and boxes are the delivered per-destination boxes
-// (sorted by sender). It records violations in its own model's Stats and
-// returns the first strict-mode error, which aborts the superstep before
-// delivery. It runs single-threaded at the barrier.
-type BudgetPolicy func(round int, routed bool, sent, recv []int, boxes [][]Message) error
+// (sorted by sender). It appends the violations it finds to dst, in the
+// model's order, and returns the extended slice; the engine records them in
+// Stats and, in Strict mode, aborts the superstep before delivery with the
+// first of them. It runs single-threaded at the barrier.
+type BudgetPolicy func(dst []Violation, round int, routed bool, sent, recv []int, boxes [][]Message) []Violation
 
 // Cluster is a simulated MPC cluster over a ground set of n items
 // (vertices), block-partitioned across machines.
@@ -1270,7 +1295,8 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 		info.MaxRecv = maxInt(info.MaxRecv, recv)
 		c.stats.PeakRecv = maxInt(c.stats.PeakRecv, recv)
 	}
-	firstErr := c.meter(c.stats.Rounds, routed, c.sentW, c.recvW, boxes)
+	metered := len(c.stats.Violations)
+	c.stats.Violations = c.meter(c.stats.Violations, c.stats.Rounds, routed, c.sentW, c.recvW, boxes)
 	// Skew accounting: per-round Gini coefficients (computed on the reusable
 	// scratch buffer — no allocation) and the straggler ratio max/mean.
 	copy(c.sortBuf, c.sentW)
@@ -1310,11 +1336,11 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 			ReplayedWords:  c.stats.ReplayedWords - pre.replayed,
 		})
 	}
-	if firstErr != nil {
-		// Strict mode: abort cleanly — the violation is recorded and
-		// returned, nothing reaches the next round's inboxes.
+	if c.cfg.Strict && len(c.stats.Violations) > metered {
+		// Strict mode: abort cleanly — the violations are recorded and the
+		// first is returned, nothing reaches the next round's inboxes.
 		clear(c.inboxes)
-		return firstErr
+		return fmt.Errorf("%w: %s", ErrBudget, c.stats.Violations[metered])
 	}
 	return nil
 }
@@ -1322,20 +1348,17 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 // meterSendRecv is the MPC budget policy: every machine's sent words, then
 // every machine's received words, against S. (Resident-memory violations
 // are recorded as they are reported, see SetResident.)
-func (c *Cluster) meterSendRecv(round int, _ bool, sent, recv []int, _ [][]Message) error {
-	var firstErr error
+func (c *Cluster) meterSendRecv(dst []Violation, round int, _ bool, sent, recv []int, _ [][]Message) []Violation {
 	check := func(kind string, words []int) {
 		for m, w := range words {
 			if w > c.budget {
-				if err := c.violate(Violation{Round: round, Machine: m, Kind: kind, Words: w, Budget: c.budget}); err != nil && firstErr == nil {
-					firstErr = err
-				}
+				dst = append(dst, Violation{Round: round, Machine: m, Kind: kind, Words: w, Budget: c.budget})
 			}
 		}
 	}
 	check("send", sent)
 	check("recv", recv)
-	return firstErr
+	return dst
 }
 
 // Drain empties and returns machine m's inbox — the coordinator-side

@@ -367,3 +367,22 @@ func TestRegimeString(t *testing.T) {
 		t.Fatal("regime strings wrong")
 	}
 }
+
+// TestViolationString pins each model's violation wording: the MPC
+// per-machine budgets, and the congested clique's pair and per-node ones.
+func TestViolationString(t *testing.T) {
+	for _, tc := range []struct {
+		v    Violation
+		want string
+	}{
+		{Violation{Round: 1, Machine: 0, Kind: "send", Words: 6, Budget: 4}, "round 1 machine 0: send 6 words > budget 4"},
+		{Violation{Round: 3, Machine: 2, Kind: "resident", Words: 9, Budget: 4}, "round 3 machine 2: resident 9 words > budget 4"},
+		{Violation{Round: 1, Machine: 4, Dst: 0, Kind: "pair", Words: 2, Budget: 1}, "round 1: pair (4→0) carried 2 words > 1"},
+		{Violation{Round: 2, Machine: 0, Kind: "received", Words: 7, Budget: 6}, "round 2: node 0 received 7 words > 6"},
+		{Violation{Round: 4, Machine: 5, Kind: "routed", Words: 11, Budget: 6}, "round 4: node 5 routed 11 words > 6"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("%+v.String() = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}

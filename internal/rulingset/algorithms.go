@@ -7,8 +7,8 @@ import (
 	"github.com/rulingset/mprs/internal/graph"
 )
 
-// Algorithm is one named driver of the Algorithms table. Exactly one runner
-// is set: Run for the MPC simulator, RunClique for the congested clique.
+// Algorithm is one named driver of the Algorithms table. Every driver, MPC
+// or congested clique, runs through Run and returns the engine's mpc.Stats.
 type Algorithm struct {
 	// Name is the driver's stable name: -algo, bench Algos, JobSpec.Algo.
 	Name string
@@ -16,16 +16,19 @@ type Algorithm struct {
 	// superstep log: only they take durable checkpoints and run on the
 	// multi-process backend.
 	SingleCluster bool
-	// Run executes an MPC driver; only the β drivers read beta.
+	// Clique marks the congested-clique drivers, which simulate one machine
+	// per vertex and ignore Options.Machines. It only labels output: the
+	// CLI's title, a trace header's machine count, and a bench row's model
+	// and machine count.
+	Clique bool
+	// Run executes the driver; only the β drivers read beta.
 	Run func(g *graph.Graph, beta int, o Options) (Result, error)
-	// RunClique executes a congested-clique driver.
-	RunClique func(g *graph.Graph, o Options) (CliqueResult, error)
 }
 
 // Algorithms is the one name → driver table, in canonical order. The
-// single-cluster drivers take no beta, so their runners are literals that
-// drop it: detflow follows a call through Run into a literal stored there,
-// but not through a function that builds one.
+// drivers that take no beta have runners that are literals dropping it:
+// detflow follows a call through Run into a literal stored there, but not
+// through a function that builds one.
 var Algorithms = []Algorithm{
 	{Name: "luby", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return LubyMIS(g, o)
@@ -41,8 +44,12 @@ var Algorithms = []Algorithm{
 	}},
 	{Name: "randbeta", Run: RandRulingBeta},
 	{Name: "detbeta", Run: DetRulingBeta},
-	{Name: "clique2", RunClique: CliqueRandRuling2},
-	{Name: "cliquedet2", RunClique: CliqueDetRuling2},
+	{Name: "clique2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+		return CliqueRandRuling2(g, o)
+	}},
+	{Name: "cliquedet2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+		return CliqueDetRuling2(g, o)
+	}},
 }
 
 // LookupAlgorithm resolves a driver by name.

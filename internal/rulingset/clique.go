@@ -13,26 +13,12 @@ import (
 	"github.com/rulingset/mprs/internal/mpc"
 )
 
-// CliqueResult is the outcome of a congested-clique algorithm run.
-type CliqueResult struct {
-	// Members are the ruling-set vertices in ascending order.
-	Members []int32
-	// Beta is the guaranteed domination radius.
-	Beta int
-	// Stats are the congested-clique model measurements.
-	Stats clique.Stats
-	// Phases traces per-phase progress.
-	Phases []PhaseStat
-	// ResidualN and ResidualM describe the instance routed to node 0.
-	ResidualN, ResidualM int
-}
-
 // CliqueRandRuling2 computes a 2-ruling set of g in the congested clique —
 // the model in which the sample-and-sparsify algorithm was first developed
 // (one node per vertex, one O(log n)-bit message per ordered pair per
 // round). Θ(log log Δ) phases of O(1) rounds each, then a Lenzen-routed
 // residual solve.
-func CliqueRandRuling2(g *graph.Graph, o Options) (CliqueResult, error) {
+func CliqueRandRuling2(g *graph.Graph, o Options) (Result, error) {
 	return cliqueRuling2(g, o, false)
 }
 
@@ -42,51 +28,51 @@ func CliqueRandRuling2(g *graph.Graph, o Options) (CliqueResult, error) {
 // to log₂ n): candidate extension e is summed at aggregator node e with
 // every contribution on its own pair link (ScatterAggregate). This is the
 // collective structure behind the paper's round bounds.
-func CliqueDetRuling2(g *graph.Graph, o Options) (CliqueResult, error) {
+func CliqueDetRuling2(g *graph.Graph, o Options) (Result, error) {
 	return cliqueRuling2(g, o, true)
 }
 
-func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult, error) {
+func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	n := g.N()
 	if n == 0 {
-		return CliqueResult{Beta: 2}, nil
+		return Result{Beta: 2}, nil
 	}
 	if n == 1 {
 		// A single node is the whole clique; no communication exists.
-		return CliqueResult{Members: []int32{0}, Beta: 2, ResidualN: 1}, nil
+		return Result{Members: []int32{0}, Beta: 2, ResidualN: 1}, nil
 	}
 	o = o.withDefaults(n)
 	if err := o.durableUnsupported("CliqueRuling2"); err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
 	if o.Transport != nil {
-		return CliqueResult{}, fmt.Errorf("rulingset: CliqueRuling2: %w", errCliqueTransport)
+		return Result{}, fmt.Errorf("rulingset: CliqueRuling2: %w", errCliqueTransport)
 	}
 	c, err := clique.NewCluster(clique.Config{Strict: o.Strict, Faults: o.Faults, Tracer: o.Tracer, Context: o.Context, Parallelism: o.Parallelism}, n)
 	if err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
 
 	// Maximum degree, then the escalation schedule (two rounds).
 	delta, err := c.MaxToZero("maxdeg", func(v int) uint64 { return uint64(g.Degree(v)) })
 	if err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
 	if err := c.BroadcastWord("maxdeg/bcast", delta); err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
 	st := newSparsifyState(g)
 	m := cliqueModel{Reduction: derand.Clique(c), c: c, g: g}
 	if err := runPhases(m, o, st, schedule(int(delta)), deterministic, rng); err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
 	st.absorbActive()
 	members, sub, err := solveResidual(m, st.candidates, st.deadView())
 	if err != nil {
-		return CliqueResult{}, err
+		return Result{}, err
 	}
-	return CliqueResult{
+	return Result{
 		Members:   members,
 		Beta:      2,
 		Stats:     c.Stats(),

@@ -169,7 +169,7 @@ func TestCliqueMaxPhases(t *testing.T) {
 	if len(full.Phases) < 2 {
 		t.Fatalf("only %d phases; the cap check needs at least two", len(full.Phases))
 	}
-	for _, run := range []func(*graph.Graph, Options) (CliqueResult, error){CliqueRandRuling2, CliqueDetRuling2} {
+	for _, run := range []func(*graph.Graph, Options) (Result, error){CliqueRandRuling2, CliqueDetRuling2} {
 		if _, err := run(g, Options{MaxPhases: 1}); err == nil || !strings.Contains(err.Error(), "phase cap 1") {
 			t.Errorf("MaxPhases 1: err = %v, want the phase cap error", err)
 		}

@@ -73,7 +73,7 @@ func TestCliqueFaultInvariance(t *testing.T) {
 	g := gen.MustBuild("gnp:n=150,p=0.04", 23)
 	for _, tc := range []struct {
 		name string
-		run  func(*graph.Graph, Options) (CliqueResult, error)
+		run  func(*graph.Graph, Options) (Result, error)
 	}{
 		{"CliqueRandRuling2", CliqueRandRuling2},
 		{"CliqueDetRuling2", CliqueDetRuling2},

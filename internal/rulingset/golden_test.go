@@ -29,14 +29,6 @@ import (
 // change.
 const goldenFile = "testdata/oracle_digests.golden"
 
-// goldenCliqueRuns maps the clique entries of equivAlgorithms to their raw
-// drivers, so the golden digests cover the full clique Stats — Violations
-// included — rather than the mpc.Stats projection cliqueAsResult builds.
-var goldenCliqueRuns = map[string]func(*graph.Graph, Options) (CliqueResult, error){
-	"CliqueRandRuling2": CliqueRandRuling2,
-	"CliqueDetRuling2":  CliqueDetRuling2,
-}
-
 // goldenRun executes one configuration of a and returns the members, the
 // canonical Stats as JSON, the JSONL trace bytes and the per-phase records
 // (estimator trajectory included) as JSON.
@@ -45,36 +37,22 @@ func goldenRun(t *testing.T, a algo, g *graph.Graph, o Options) (members []int32
 	var buf bytes.Buffer
 	jl := trace.NewJSONL(&buf)
 	o.Tracer = jl
-	var st any
-	var ps []PhaseStat
-	if raw, ok := goldenCliqueRuns[a.name]; ok {
-		res, err := raw(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members, st, ps = res.Members, res.Stats, res.Phases
-	} else {
-		if strings.HasPrefix(a.name, "Clique") {
-			t.Fatalf("clique algorithm %s has no raw driver in goldenCliqueRuns", a.name)
-		}
-		res, err := a.run(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members, st, ps = res.Members, normalizedStats(res.Stats), res.Phases
+	res, err := a.run(g, o)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := json.Marshal(st)
+	stats, err = json.Marshal(res.Stats.Canonical())
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases, err = json.Marshal(ps)
+	phases, err = json.Marshal(res.Phases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return members, stats, buf.Bytes(), phases
+	return res.Members, stats, buf.Bytes(), phases
 }
 
 // encodingSink records the exact bytes a durable checkpoint store writes for

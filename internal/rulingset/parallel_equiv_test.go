@@ -16,37 +16,15 @@ import (
 // equivAlgorithms is the full algorithm surface for the serial-vs-parallel
 // equivalence matrix: every MPC driver (including the recursive β levels
 // and the adaptive escalation, which chain fresh clusters) plus both
-// congested-clique ports, each adapted to one common signature.
+// congested-clique ports.
 func equivAlgorithms() []algo {
 	algos := allAlgorithms()
 	algos = append(algos,
 		algo{name: "DetRulingAdaptive", beta: 2, run: DetRulingAdaptive},
-		algo{name: "CliqueRandRuling2", beta: 2, run: cliqueAsResult(CliqueRandRuling2)},
-		algo{name: "CliqueDetRuling2", beta: 2, run: cliqueAsResult(CliqueDetRuling2)},
+		algo{name: "CliqueRandRuling2", beta: 2, run: CliqueRandRuling2},
+		algo{name: "CliqueDetRuling2", beta: 2, run: CliqueDetRuling2},
 	)
 	return algos
-}
-
-// cliqueAsResult adapts a clique driver to the MPC result shape, mapping the
-// clique Stats fields (a subset of the MPC ones, plus the shared per-span
-// aggregates) onto mpc.Stats so the matrix compares them with one code path.
-func cliqueAsResult(run func(*graph.Graph, Options) (CliqueResult, error)) func(*graph.Graph, Options) (Result, error) {
-	return func(g *graph.Graph, o Options) (Result, error) {
-		res, err := run(g, o)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Members: res.Members, Beta: res.Beta, Phases: res.Phases,
-			ResidualN: res.ResidualN, ResidualM: res.ResidualM,
-			Stats: mpc.Stats{
-				Rounds: res.Stats.Rounds, Messages: res.Stats.Messages, Words: res.Stats.Words,
-				PeakRecv: res.Stats.PeakRecv, Spans: res.Stats.Spans,
-				SkewSent: res.Stats.SkewSent, SkewRecv: res.Stats.SkewRecv,
-				GiniSent: res.Stats.GiniSent, GiniRecv: res.Stats.GiniRecv,
-				RecoveredCrashes: res.Stats.RecoveredCrashes, RecoveryRounds: res.Stats.RecoveryRounds,
-				ReplayedWords: res.Stats.ReplayedWords,
-			}}, nil
-	}
 }
 
 // equivRun executes one configuration and returns everything the bit-identity
@@ -181,7 +159,7 @@ func TestParallelCheckpointAndResumeEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(resumed.Members, want.Members) {
 					t.Errorf("%s: members diverge", dir.name)
 				}
-				if !reflect.DeepEqual(normalizedStats(resumed.Stats), normalizedStats(want.Stats)) {
+				if !reflect.DeepEqual(resumed.Stats.Canonical(), want.Stats.Canonical()) {
 					t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", dir.name, resumed.Stats, want.Stats)
 				}
 			}

@@ -66,15 +66,6 @@ func singleClusterAlgos() []algo {
 	}
 }
 
-// normalizedStats strips the resume-overhead counters (CheckpointBytes,
-// ResumeReplayRounds), which describe the harness, not the committed
-// computation, and legitimately differ between a fresh and a resumed run.
-func normalizedStats(s mpc.Stats) mpc.Stats {
-	s.CheckpointBytes = 0
-	s.ResumeReplayRounds = 0
-	return s
-}
-
 // TestDurableResumeReproducesRun is the tentpole acceptance test at the
 // algorithm level: a run is durably checkpointed, "killed" at a checkpoint
 // barrier via cooperative cancellation, resumed from the newest valid
@@ -148,7 +139,7 @@ func TestDurableResumeReproducesRun(t *testing.T) {
 				if !reflect.DeepEqual(want.Members, got.Members) {
 					t.Fatalf("resumed members diverged:\nwant %v\ngot  %v", want.Members, got.Members)
 				}
-				if !reflect.DeepEqual(normalizedStats(want.Stats), normalizedStats(got.Stats)) {
+				if !reflect.DeepEqual(want.Stats.Canonical(), got.Stats.Canonical()) {
 					t.Fatalf("resumed deterministic stats diverged:\nwant %+v\ngot  %+v", want.Stats, got.Stats)
 				}
 				if got.Stats.ResumeReplayRounds != meta.Round {
@@ -326,7 +317,7 @@ func FuzzResumeDeterminism(f *testing.F) {
 		if !reflect.DeepEqual(want.Members, got.Members) {
 			t.Fatalf("resume from round %d changed members: %v vs %v", round, want.Members, got.Members)
 		}
-		if !reflect.DeepEqual(normalizedStats(want.Stats), normalizedStats(got.Stats)) {
+		if !reflect.DeepEqual(want.Stats.Canonical(), got.Stats.Canonical()) {
 			t.Fatalf("resume from round %d changed stats:\nwant %+v\ngot  %+v", round, want.Stats, got.Stats)
 		}
 		if got.Stats.ResumeReplayRounds != round {

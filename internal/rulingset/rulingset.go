@@ -209,7 +209,9 @@ type Result struct {
 	Members []int32
 	// Beta is the guaranteed domination radius of the output (1 for MIS).
 	Beta int
-	// Stats are the MPC model measurements of the run.
+	// Stats are the model measurements of the run, taken by the one
+	// superstep engine: on the MPC cluster, or on the congested clique's
+	// one machine per vertex.
 	Stats mpc.Stats
 	// Phases traces per-phase progress where the algorithm is phase-based.
 	Phases []PhaseStat

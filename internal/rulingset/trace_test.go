@@ -81,7 +81,7 @@ func TestCliqueTraceByteDeterminism(t *testing.T) {
 	g := gen.MustBuild("gnp:n=200,p=0.03", 23)
 	algos := []struct {
 		name string
-		run  func(*graph.Graph, Options) (CliqueResult, error)
+		run  func(*graph.Graph, Options) (Result, error)
 	}{
 		{name: "CliqueRandRuling2", run: CliqueRandRuling2},
 		{name: "CliqueDetRuling2", run: CliqueDetRuling2},

@@ -215,6 +215,48 @@ func TestMultiProcKillRestart(t *testing.T) {
 	}
 }
 
+// kindStamps is a lifecycle sink recording when each event kind was first
+// written. The supervisor writes the lifecycle from the goroutine that
+// called Run, so it needs no lock.
+type kindStamps map[string]time.Time
+
+func (k kindStamps) Write(b []byte) (int, error) {
+	var ev struct {
+		Kind string `json:"kind"`
+	}
+	if json.Unmarshal(b, &ev) == nil && ev.Kind != "" {
+		if _, ok := k[ev.Kind]; !ok {
+			k[ev.Kind] = time.Now()
+		}
+	}
+	return len(b), nil
+}
+
+// TestMultiProcRestartsWhenBackoffEnds: a killed worker is spawned again
+// when its backoff ends, not at the next supervisor tick. With a 10 s
+// heartbeat the first tick comes 2.5 s into the run; the restart must come
+// long before it.
+func TestMultiProcRestartsWhenBackoffEnds(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.Heartbeat = 10 * time.Second
+	cfg.BackoffInitial = 100 * time.Millisecond
+	cfg.MaxRestarts = 1
+	life := kindStamps{}
+	cfg.Lifecycle = life
+	start := time.Now()
+	if _, err := Run(withChaos(testSpec(t, "det2"), "proc:kill@8:1"), cfg); err != nil {
+		t.Fatalf("multiproc: %v", err)
+	}
+	backoff, restart := life["backoff"], life["restart"]
+	if backoff.IsZero() || restart.IsZero() {
+		t.Fatalf("lifecycle has no backoff and restart: %v", life)
+	}
+	if firstTick := start.Add(cfg.Heartbeat / 4); !restart.Before(firstTick) {
+		t.Fatalf("restart %v after the backoff began (backoff %v), %v into the run; want it at the backoff's end, before the first tick at %v",
+			restart.Sub(backoff), cfg.BackoffInitial, restart.Sub(start), cfg.Heartbeat/4)
+	}
+}
+
 // TestMultiProcRestartWithoutCheckpoints: no checkpoint dir means a killed
 // worker recomputes from round 1 — slower, still bit-identical.
 func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
@@ -294,11 +336,11 @@ func requireSameResult(t *testing.T, a, b rulingset.Result) {
 	if a.Beta != b.Beta {
 		t.Fatalf("Beta differs: %d vs %d", a.Beta, b.Beta)
 	}
-	ca, err := json.Marshal(CanonicalStats(a.Stats))
+	ca, err := json.Marshal(a.Stats.Canonical())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := json.Marshal(CanonicalStats(b.Stats))
+	cb, err := json.Marshal(b.Stats.Canonical())
 	if err != nil {
 		t.Fatal(err)
 	}

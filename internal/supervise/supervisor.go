@@ -375,11 +375,25 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 	}
 	ticker := time.NewTicker(tickEvery)
 	defer ticker.Stop()
+	// A waiting worker restarts when its backoff ends, not at the next
+	// tick: restart is armed at the earliest restartAt (armedAt), and a
+	// clean run never arms it.
+	var restart *time.Timer
+	var restartC <-chan time.Time
+	var armedAt time.Time
+	defer func() {
+		if restart != nil {
+			restart.Stop()
+		}
+	}()
 	for {
 		select {
 		case ev := <-s.events:
 			s.handle(ev, time.Now())
 		case now := <-ticker.C:
+			s.tick(now)
+		case now := <-restartC:
+			restartC, armedAt = nil, time.Time{}
 			s.tick(now)
 		}
 		if s.degrading && !s.degradeDone {
@@ -399,6 +413,16 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 				err = s.flightErr
 			}
 			return res, err
+		}
+		if at := s.nextRestart(); !at.Equal(armedAt) {
+			if restart != nil {
+				restart.Stop()
+			}
+			restartC, armedAt = nil, at
+			if !at.IsZero() {
+				restart = time.NewTimer(time.Until(at))
+				restartC = restart.C
+			}
 		}
 	}
 }
@@ -988,6 +1012,21 @@ func (s *supervisor) tick(now time.Time) {
 	}
 }
 
+// nextRestart returns the earliest restartAt of a waiting worker, or the
+// zero time when none will be restarted.
+func (s *supervisor) nextRestart() time.Time {
+	var at time.Time
+	if s.aborting || s.degrading {
+		return at
+	}
+	for _, p := range s.procs {
+		if p.state == procWaiting && (at.IsZero() || p.restartAt.Before(at)) {
+			at = p.restartAt
+		}
+	}
+	return at
+}
+
 // finished reports whether the run is over and with what.
 func (s *supervisor) finished() (rulingset.Result, error, bool) {
 	if s.degrading {
@@ -1057,20 +1096,8 @@ func (s *supervisor) assemble() (rulingset.Result, error) {
 // differ between a restarted worker and an uninterrupted one. Everything
 // else must match bit-for-bit.
 func canonicalResult(res rulingset.Result) rulingset.Result {
-	res.Stats = CanonicalStats(res.Stats)
+	res.Stats = res.Stats.Canonical()
 	return res
-}
-
-// CanonicalStats zeroes the run-dependent Stats columns — CheckpointBytes
-// (durable-checkpoint volume, which depends on whether and when a worker was
-// restarted) and ResumeReplayRounds (resume overhead, zero for an
-// uninterrupted run). Every remaining column is a deterministic function of
-// the job: comparing CanonicalStats across backends, restarts and machines
-// must be an exact byte-for-byte match.
-func CanonicalStats(st mpc.Stats) mpc.Stats {
-	st.CheckpointBytes = 0
-	st.ResumeReplayRounds = 0
-	return st
 }
 
 // killAll tears down every worker process group (idempotent; used for both

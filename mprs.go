@@ -23,10 +23,10 @@
 // sparsification phases for 2-ruling sets versus Θ(log n) Luby iterations
 // for MIS).
 //
-// Every Result carries mpc-model measurements (rounds, message words, peak
-// per-machine memory, budget violations) taken by the simulator in
-// internal/mpc, so the quantities the paper's theorems bound are observable
-// for every run.
+// Every Result, in either model, carries the measurements (rounds, message
+// words, peak per-machine memory, budget violations) taken by the one
+// superstep engine in internal/mpc, so the quantities the paper's theorems
+// bound are observable for every run.
 package mprs
 
 import (
@@ -53,14 +53,15 @@ type Edge = graph.Edge
 type Options = rulingset.Options
 
 // Result is an algorithm outcome: the ruling set, its guaranteed domination
-// radius, per-phase traces, and the MPC model measurements of the run.
+// radius, per-phase traces, and the model measurements of the run — MPC or
+// congested clique.
 type Result = rulingset.Result
 
 // PhaseStat traces one sparsification phase or Luby iteration.
 type PhaseStat = rulingset.PhaseStat
 
-// Stats aggregates MPC model measurements (rounds, words, peaks,
-// violations).
+// Stats aggregates the model measurements of a run (rounds, words, peaks,
+// violations), in both models.
 type Stats = mpc.Stats
 
 // Regime selects how the per-machine memory budget is derived.
@@ -242,20 +243,22 @@ func DetRulingSetAdaptive(g *Graph, o Options) (Result, error) {
 	return rulingset.DetRulingAdaptive(g, o)
 }
 
-// CliqueResult is the outcome of a congested-clique algorithm run.
-type CliqueResult = rulingset.CliqueResult
-
 // CliqueRulingSet2 computes a 2-ruling set in the congested clique model
 // (one node per vertex, one O(log n)-bit message per ordered node pair per
-// round) — the model this algorithm family was first developed in.
-func CliqueRulingSet2(g *Graph, o Options) (CliqueResult, error) {
+// round) — the model this algorithm family was first developed in. The
+// clique runs on the same superstep engine as the MPC algorithms, so the
+// Result and its Stats are theirs: Stats counts one machine per node, its
+// Violations are the clique's "pair", "received" and "routed" breaches, and
+// a canceled run returns a *CancelError.
+func CliqueRulingSet2(g *Graph, o Options) (Result, error) {
 	return rulingset.CliqueRandRuling2(g, o)
 }
 
 // CliqueDetRulingSet2 is the deterministic congested-clique 2-ruling set;
 // its conditional-expectation chunks cost O(1) rounds regardless of width
-// via the clique's scatter-aggregate collective.
-func CliqueDetRulingSet2(g *Graph, o Options) (CliqueResult, error) {
+// via the clique's scatter-aggregate collective. Its Result is as
+// CliqueRulingSet2's.
+func CliqueDetRulingSet2(g *Graph, o Options) (Result, error) {
 	return rulingset.CliqueDetRuling2(g, o)
 }
 

@@ -185,18 +185,32 @@ func TestPublicAPIDurableResume(t *testing.T) {
 		t.Fatal("no durable bytes accounted")
 	}
 
-	// Cancellation is structured: sentinel, committed round, stats.
+	// Cancellation is structured in both models: sentinel, committed round,
+	// stats.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	canceled := opts()
 	canceled.Context = ctx
-	_, err = mprs.DetRulingSet2(g, canceled)
-	if !errors.Is(err, mprs.ErrCanceled) {
-		t.Fatalf("canceled run returned %v, want ErrCanceled", err)
-	}
-	var ce *mprs.CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("no CancelError in %v", err)
+	for _, tc := range []struct {
+		name string
+		run  func(*mprs.Graph, mprs.Options) (mprs.Result, error)
+		o    mprs.Options
+	}{
+		{"DetRulingSet2", mprs.DetRulingSet2, canceled},
+		{"CliqueRulingSet2", mprs.CliqueRulingSet2, mprs.Options{Context: ctx}},
+		{"CliqueDetRulingSet2", mprs.CliqueDetRulingSet2, mprs.Options{ChunkBits: 4, Context: ctx}},
+	} {
+		_, err := tc.run(g, tc.o)
+		if !errors.Is(err, mprs.ErrCanceled) {
+			t.Fatalf("%s: canceled run returned %v, want ErrCanceled", tc.name, err)
+		}
+		var ce *mprs.CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: no CancelError in %v", tc.name, err)
+		}
+		if ce.Stats.Rounds != ce.Round {
+			t.Fatalf("%s: CancelError at round %d carries %d committed rounds", tc.name, ce.Round, ce.Stats.Rounds)
+		}
 	}
 
 	// Restart from the newest durable checkpoint.
