@@ -113,6 +113,9 @@ func TestEmptyGraphAllAlgorithms(t *testing.T) {
 
 // TestDeterministicAlgorithmsAreDeterministic: repeated runs, different
 // Seed values, and different machine counts must all give identical outputs.
+// The seed search clamps its chunk width to ⌊log₂(S/M)⌋, which depends on
+// M, so every run asks for z = 4, a width that every machine count here
+// admits on every level.
 func TestDeterministicAlgorithmsAreDeterministic(t *testing.T) {
 	g := gen.MustBuild("gnp:n=300,p=0.02", 9)
 	algos := []algo{
@@ -122,15 +125,15 @@ func TestDeterministicAlgorithmsAreDeterministic(t *testing.T) {
 	}
 	for _, a := range algos {
 		t.Run(a.name, func(t *testing.T) {
-			base, err := a.run(g, Options{Machines: 4, Seed: 1})
+			base, err := a.run(g, Options{Machines: 4, Seed: 1, ChunkBits: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			variants := []Options{
-				{Machines: 4, Seed: 999}, // seed must be irrelevant
-				{Machines: 1, Seed: 1},   // machine count must be irrelevant
-				{Machines: 13, Seed: 77}, // both
-				{Machines: 4, Seed: 1},   // plain repetition
+				{Machines: 4, Seed: 999, ChunkBits: 4}, // seed must be irrelevant
+				{Machines: 1, Seed: 1, ChunkBits: 4},   // machine count must be irrelevant
+				{Machines: 13, Seed: 77, ChunkBits: 4}, // both
+				{Machines: 4, Seed: 1, ChunkBits: 4},   // plain repetition
 			}
 			for i, o := range variants {
 				res, err := a.run(g, o)

@@ -54,7 +54,8 @@ type Options struct {
 	// Strict aborts on budget violations instead of recording them.
 	Strict bool
 	// ChunkBits is the derandomizer's z: seed bits fixed per collective step.
-	// Default 8.
+	// Default 8. The model clamps it: to ⌊log₂(S/M)⌋ in MPC, so a chunk's
+	// M·2^z words fit one machine, and to ⌊log₂ n⌋ on the clique.
 	ChunkBits int
 	// Seed drives the randomized algorithms (and is ignored by the
 	// deterministic ones). Runs with equal seeds are reproducible.

@@ -67,13 +67,16 @@ func TestPublicAPINewGraphAndGreedy(t *testing.T) {
 	}
 }
 
+// TestPublicAPIDeterminism: machine count and seed leave the deterministic
+// output unchanged at a chunk width that both machine counts admit (the seed
+// search clamps z to ⌊log₂(S/M)⌋, 7 at M = 11 here).
 func TestPublicAPIDeterminism(t *testing.T) {
 	g := buildTestGraph(t)
-	a, err := mprs.DetRulingSet2(g, mprs.Options{Machines: 3})
+	a, err := mprs.DetRulingSet2(g, mprs.Options{Machines: 3, ChunkBits: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mprs.DetRulingSet2(g, mprs.Options{Machines: 11, Seed: 123})
+	b, err := mprs.DetRulingSet2(g, mprs.Options{Machines: 11, Seed: 123, ChunkBits: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
