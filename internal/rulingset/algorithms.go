@@ -12,6 +12,8 @@ import (
 type Algorithm struct {
 	// Name is the driver's stable name: -algo, bench Algos, JobSpec.Algo.
 	Name string
+	// Title is the driver function's name, which experiment tables print.
+	Title string
 	// SingleCluster marks the drivers whose rounds form one replayable
 	// superstep log: only they take durable checkpoints and run on the
 	// multi-process backend.
@@ -30,24 +32,24 @@ type Algorithm struct {
 // detflow follows a call through Run into a literal stored there, but not
 // through a function that builds one.
 var Algorithms = []Algorithm{
-	{Name: "luby", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "luby", Title: "LubyMIS", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return LubyMIS(g, o)
 	}},
-	{Name: "detluby", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "detluby", Title: "DetLubyMIS", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetLubyMIS(g, o)
 	}},
-	{Name: "rand2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "rand2", Title: "RandRuling2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return RandRuling2(g, o)
 	}},
-	{Name: "det2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "det2", Title: "DetRuling2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetRuling2(g, o)
 	}},
-	{Name: "randbeta", Run: RandRulingBeta},
-	{Name: "detbeta", Run: DetRulingBeta},
-	{Name: "clique2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "randbeta", Title: "RandRulingBeta", Run: RandRulingBeta},
+	{Name: "detbeta", Title: "DetRulingBeta", Run: DetRulingBeta},
+	{Name: "clique2", Title: "CliqueRandRuling2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return CliqueRandRuling2(g, o)
 	}},
-	{Name: "cliquedet2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "cliquedet2", Title: "CliqueDetRuling2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return CliqueDetRuling2(g, o)
 	}},
 }
