@@ -34,7 +34,6 @@ package hash
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
 
 // EncodeBits returns the number of bits k needed to encode vertices of a
@@ -70,11 +69,6 @@ func (s *Seed) Total() int { return s.total }
 // Fixed returns the length of the committed prefix.
 func (s *Seed) Fixed() int { return s.fixed }
 
-// Bit returns the current value of seed bit i (committed or provisional).
-func (s *Seed) Bit(i int) uint64 {
-	return (s.words[i/64] >> uint(i%64)) & 1
-}
-
 // SetChunk writes the z low bits of value into seed bits [at, at+z) without
 // changing the fixed prefix length. Used to try candidate extensions.
 func (s *Seed) SetChunk(at, z int, value uint64) {
@@ -106,16 +100,6 @@ func (s *Seed) SetFixed(f int) {
 		f = s.total
 	}
 	s.fixed = f
-}
-
-// Randomize fills all remaining free bits with random values and commits
-// them, producing a fully fixed random seed. Tests use it to draw seeds to
-// compare against the derandomized selection.
-func (s *Seed) Randomize(rng *rand.Rand) {
-	for i := s.fixed; i < s.total; i++ {
-		s.SetChunk(i, 1, uint64(rng.Intn(2)))
-	}
-	s.fixed = s.total
 }
 
 // Reset clears all bits and the fixed prefix.
@@ -347,18 +331,4 @@ func (b *Bits) PairMarkProb(s *Seed, u, v int) float64 {
 		}
 	}
 	return p
-}
-
-// Marked evaluates the mark of v under a fully fixed seed.
-func (b *Bits) Marked(s *Seed, v int) bool {
-	for t := 0; t < b.nbits; t++ {
-		law := b.BitLaw(s, t, v)
-		if !law.Determined {
-			return false // free bits are treated as not-yet-lucky; callers fix all bits first
-		}
-		if law.Value == 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -10,6 +10,31 @@ import (
 
 const tol = 1e-12
 
+// seedBit returns the current value of seed bit i (committed or
+// provisional).
+func seedBit(s *Seed, i int) uint64 {
+	return (s.words[i/64] >> uint(i%64)) & 1
+}
+
+// randomize fills the free bits of s with random values and commits them,
+// producing a fully fixed random seed.
+func randomize(s *Seed, rng *rand.Rand) {
+	for i := s.fixed; i < s.total; i++ {
+		s.SetChunk(i, 1, uint64(rng.Intn(2)))
+	}
+	s.fixed = s.total
+}
+
+// marked evaluates the mark of v under a fully fixed seed.
+func marked(b *Bits, s *Seed, v int) bool {
+	for t := 0; t < b.nbits; t++ {
+		if law := b.BitLaw(s, t, v); !law.Determined || law.Value == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEncodeBits(t *testing.T) {
 	tests := []struct {
 		n    int
@@ -45,8 +70,8 @@ func TestSeedChunks(t *testing.T) {
 	if got := s.chunk(60, 10); got != 0x2AB {
 		t.Fatalf("chunk readback across word boundary = %#x, want 0x2AB", got)
 	}
-	if s.Bit(60) != 1 || s.Bit(61) != 1 || s.Bit(62) != 0 {
-		t.Fatalf("bit readback wrong: %d %d %d", s.Bit(60), s.Bit(61), s.Bit(62))
+	if seedBit(s, 60) != 1 || seedBit(s, 61) != 1 || seedBit(s, 62) != 0 {
+		t.Fatalf("bit readback wrong: %d %d %d", seedBit(s, 60), seedBit(s, 61), seedBit(s, 62))
 	}
 	s.SetChunk(60, 10, 0)
 	if got := s.chunk(60, 10); got != 0 {
@@ -118,7 +143,7 @@ func TestBitsMarginalMatchesBruteForce(t *testing.T) {
 			count := 0
 			enumerateSeeds(s, func(full *Seed) {
 				count++
-				if fam.Marked(full, v) {
+				if marked(fam, full, v) {
 					want++
 				}
 			})
@@ -153,7 +178,7 @@ func TestBitsPairMatchesBruteForce(t *testing.T) {
 		count := 0
 		enumerateSeeds(s, func(full *Seed) {
 			count++
-			if fam.Marked(full, u) && fam.Marked(full, v) {
+			if marked(fam, full, u) && marked(fam, full, v) {
 				want++
 			}
 		})
@@ -182,12 +207,12 @@ func TestBitsPairwiseIndependence(t *testing.T) {
 	enumerateSeeds(s, func(full *Seed) {
 		total++
 		for u := 0; u < n; u++ {
-			if !fam.Marked(full, u) {
+			if !marked(fam, full, u) {
 				continue
 			}
 			counts[u]++
 			for v := u + 1; v < n; v++ {
-				if fam.Marked(full, v) {
+				if marked(fam, full, v) {
 					pairCounts[u][v]++
 				}
 			}
@@ -255,7 +280,7 @@ func TestRandomizeFixesAllBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fam.NewSeed()
-	s.Randomize(rand.New(rand.NewSource(9)))
+	randomize(s, rand.New(rand.NewSource(9)))
 	if s.Fixed() != s.Total() {
 		t.Fatalf("Randomize left %d free bits", s.Total()-s.Fixed())
 	}
@@ -265,7 +290,7 @@ func TestRandomizeFixesAllBits(t *testing.T) {
 		if p != 0 && p != 1 {
 			t.Fatalf("fully fixed MarkProb(%d) = %v, want 0 or 1", v, p)
 		}
-		if (p == 1) != fam.Marked(s, v) {
+		if (p == 1) != marked(fam, s, v) {
 			t.Fatalf("MarkProb and Marked disagree at %d", v)
 		}
 	}
@@ -355,7 +380,7 @@ func TestSeedReset(t *testing.T) {
 		t.Fatalf("reset left fixed = %d", s.Fixed())
 	}
 	for i := 0; i < 70; i++ {
-		if s.Bit(i) != 0 {
+		if seedBit(s, i) != 0 {
 			t.Fatalf("reset left bit %d set", i)
 		}
 	}
