@@ -1,6 +1,9 @@
 package mpc
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -118,6 +121,128 @@ func TestScatterToOwners(t *testing.T) {
 	}
 }
 
+// boxTransport records every destination's delivered (source, payload)
+// sequence of each exchanged round.
+type boxTransport struct{ rounds [][][]Message }
+
+func (b *boxTransport) Exchange(_ int, boxes [][]Message) error {
+	round := make([][]Message, len(boxes))
+	for d, box := range boxes {
+		for _, msg := range box {
+			round[d] = append(round[d], Message{Src: msg.Src, Payload: slices.Clone(msg.Payload)})
+		}
+	}
+	b.rounds = append(b.rounds, round)
+	return nil
+}
+
+// TestAllGather pins the one-round all-gather: every machine's slab reaches
+// every machine, itself included, in machine order, so the round moves
+// M·Σ|part| words in M·(non-empty slabs) messages; a machine with an empty
+// slab sends nothing and its part is nil. Parts, round log and delivered
+// boxes are bit-identical at parallelism 1 and 4 and under a machine crash.
+func TestAllGather(t *testing.T) {
+	const M, n = 5, 50
+	slab := func(m int) []uint64 {
+		if m == 3 {
+			return nil
+		}
+		out := make([]uint64, m+1)
+		for i := range out {
+			out[i] = uint64(100*m + i)
+		}
+		return out
+	}
+	type run struct {
+		parts [][]uint64
+		log   []RoundInfo
+		boxes [][][]Message
+	}
+	gather := func(par int, faults *FaultPlan) run {
+		bt := &boxTransport{}
+		c, err := NewCluster(Config{Machines: M, Parallelism: par, Faults: faults, Transport: bt}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := c.AllGather("ag", func(x *Ctx) []uint64 { return slab(x.Machine) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if st.Rounds != 1 {
+			t.Fatalf("all-gather cost %d rounds", st.Rounds)
+		}
+		if crashed := st.RecoveredCrashes == 1; crashed != (faults != nil) {
+			t.Fatalf("recovered %d crashes under faults %v", st.RecoveredCrashes, faults)
+		}
+		for m := range c.inboxes {
+			if len(c.inboxes[m]) != 0 {
+				t.Fatalf("machine %d kept %d messages", m, len(c.inboxes[m]))
+			}
+		}
+		return run{parts: parts, log: st.Log, boxes: bt.rounds}
+	}
+	base := gather(1, nil)
+	words := 0
+	for m, part := range base.parts {
+		if !slices.Equal(part, slab(m)) || (part == nil) != (m == 3) {
+			t.Fatalf("machine %d part = %v, want %v", m, part, slab(m))
+		}
+		words += len(part)
+	}
+	want := RoundInfo{Name: "ag", Span: "setup", MaxSent: M * 5, MaxRecv: words, Messages: M * (M - 1), Words: M * words}
+	got := base.log[0]
+	got.GiniSent, got.GiniRecv = 0, 0
+	if got != want {
+		t.Fatalf("all-gather round %+v, want %+v", got, want)
+	}
+	for d, box := range base.boxes[0] {
+		var srcs []int
+		for _, msg := range box {
+			srcs = append(srcs, msg.Src)
+			if !slices.Equal(msg.Payload, slab(msg.Src)) {
+				t.Fatalf("machine %d received %v from %d", d, msg.Payload, msg.Src)
+			}
+		}
+		if !slices.Equal(srcs, []int{0, 1, 2, 4}) {
+			t.Fatalf("machine %d received from %v, want every non-empty slab in machine order", d, srcs)
+		}
+	}
+	crash := &FaultPlan{Seed: 1, Crashes: []FaultEvent{{Round: 1, Machine: 2}}}
+	for _, tc := range []struct {
+		par    int
+		faults *FaultPlan
+	}{{4, nil}, {1, crash}, {4, crash}} {
+		t.Run(fmt.Sprintf("p=%d/crash=%v", tc.par, tc.faults != nil), func(t *testing.T) {
+			if got := gather(tc.par, tc.faults); !reflect.DeepEqual(got, base) {
+				t.Fatalf("all-gather differs from the serial fault-free run:\n%+v\n%+v", got, base)
+			}
+		})
+	}
+}
+
+// TestAllGatherStrictViolationAborts: an all-gather whose M·|slab| words
+// overflow S fails in Strict mode with ErrBudget, returns no parts and
+// leaves every inbox empty.
+func TestAllGatherStrictViolationAborts(t *testing.T) {
+	c, err := NewCluster(Config{Machines: 4, Regime: RegimeExplicit, MemoryWords: 7, Strict: true}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := c.AllGather("ag", func(x *Ctx) []uint64 { return []uint64{1, 2} })
+	if !errors.Is(err, ErrBudget) || parts != nil {
+		t.Fatalf("parts %v, err %v; want ErrBudget and no parts", parts, err)
+	}
+	for m := range c.inboxes {
+		if len(c.inboxes[m]) != 0 {
+			t.Fatalf("machine %d kept %d messages after the abort", m, len(c.inboxes[m]))
+		}
+	}
+	if v := c.Stats().Violations; len(v) == 0 || v[0].Words != 8 {
+		t.Fatalf("violations %v, want the 8-word sends over budget 7", v)
+	}
+}
+
 func TestAllReduceSumUint(t *testing.T) {
 	c := newTestCluster(t, 6, 60)
 	sum, err := c.AllReduceSumUint("s", func(x *Ctx) []uint64 {
@@ -129,8 +254,8 @@ func TestAllReduceSumUint(t *testing.T) {
 	if sum[0] != 60 || sum[1] != 6 {
 		t.Fatalf("sum = %v", sum)
 	}
-	if c.Stats().Rounds != 2 {
-		t.Fatalf("allreduce cost %d rounds, want 2", c.Stats().Rounds)
+	if c.Stats().Rounds != 1 {
+		t.Fatalf("allreduce cost %d rounds, want 1", c.Stats().Rounds)
 	}
 }
 

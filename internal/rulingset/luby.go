@@ -276,7 +276,7 @@ func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg 
 	if err := checkExact(maxJ, terms); err != nil {
 		return nil, err
 	}
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
 		clear(out)
 		cs := ms.chunk(s, start, width)
 		for v := lo; v < hi; v++ {
@@ -294,6 +294,9 @@ func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg 
 				ms.addPair(out, cs, v, int(u), jv, lubyJ(int(du[i])), -dv)
 			}
 		}
+		// out[0] is the empty character's coefficient, E[Ψ | prefix].
+		expect := out[0]
 		derand.Walsh(out)
+		return expect
 	}, nil
 }

@@ -346,7 +346,7 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 	if err := checkExact(j, terms); err != nil {
 		return nil, err
 	}
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
 		// Up to z = 8 the cost spectrum, and up to 64 the codes of a
 		// benefit neighbourhood, live on the stack, so scoring a chunk
 		// allocates nothing per machine.
@@ -430,11 +430,15 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 				}
 			}
 		}
+		// The empty character's coefficients are the E[· | prefix] of the
+		// two sums, read before the transform overwrites them.
+		expect := alpha*cost[0] - benefit[0]
 		derand.Walsh(cost)
 		derand.Walsh(benefit)
 		for e := range out {
 			out[e] = alpha*cost[e] - benefit[e]
 		}
+		return expect
 	}, nil
 }
 

@@ -19,7 +19,7 @@ import (
 // sparsifyEstimator must equal bit for bit.
 func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) derand.ChunkEval {
 	highDeg := 1 << uint(j)
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
 		cost := make([]float64, len(out))
 		benefit := out
 		clear(benefit)
@@ -50,11 +50,13 @@ func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, c
 				}
 			}
 		}
+		expect := alpha*cost[0] - benefit[0]
 		derand.Walsh(cost)
 		derand.Walsh(benefit)
 		for e := range out {
 			out[e] = alpha*cost[e] - benefit[e]
 		}
+		return expect
 	}
 }
 
@@ -156,24 +158,24 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 	}
 	got := make([]float64, 1<<uint(width))
 	want := make([]float64, len(got))
-	kernel(lo, hi, seed, start, width, got)
-	ref(lo, hi, seed, start, width, want)
-	same("range", got, want)
+	gotE := kernel(lo, hi, seed, start, width, got)
+	wantE := ref(lo, hi, seed, start, width, want)
+	same("range", append(got, gotE), append(want, wantE))
 	for _, par := range []int{1, 4} {
 		c, err := mpc.NewCluster(mpc.Config{Machines: 5, Parallelism: par}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := derand.MPC(c)
-		got, err := r.Extensions(seed, start, width, kernel)
+		got, gotE, err := r.Extensions(seed, start, width, kernel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := r.Extensions(seed, start, width, ref)
+		want, wantE, err := r.Extensions(seed, start, width, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		same("reduction", got, want)
+		same("reduction", append(got, gotE), append(want, wantE))
 	}
 }
 

@@ -274,7 +274,8 @@ func snapshotSets(t *testing.T, n int, sink *memSink, round int) (*bitset.Set, *
 // owner of v's active neighbours), with owner(u) = u / ⌈n/M⌉ on the default
 // M machines. A sequential replay of the same marks counts both.
 // DetLubyMIS, whose estimator reads every neighbour's degree, still runs
-// luby/degrees and luby/maxdeg every iteration and no luby/rivals round.
+// luby/degrees and the one-round luby/maxdeg all-reduce every iteration and
+// no luby/rivals round.
 func TestLubyRoundPattern(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
 	const seed = 3
@@ -391,7 +392,7 @@ func TestLubyRoundPattern(t *testing.T) {
 		switch ev.Step {
 		case "luby/degrees":
 			degrees++
-		case "luby/maxdeg/gather":
+		case "luby/maxdeg":
 			maxdeg++
 		case "luby/rivals":
 			t.Fatalf("round %d: DetLubyMIS runs luby/rivals", ev.Round)
