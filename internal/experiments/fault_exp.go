@@ -37,11 +37,11 @@ func R1FaultRecovery(cfg Config) (Report, error) {
 		"algorithm", "identical output", "rounds", "recovered crashes", "recovery rounds", "replayed words")
 	allIdentical := true
 	for _, a := range mpcDrivers {
-		base, err := a.run(g, rulingset.Options{Seed: cfg.Seed, ChunkBits: 4})
+		base, err := a.Run(g, 0, rulingset.Options{Seed: cfg.Seed, ChunkBits: 4})
 		if err != nil {
 			return Report{}, err
 		}
-		faulty, err := a.run(g, rulingset.Options{
+		faulty, err := a.Run(g, 0, rulingset.Options{
 			Seed: cfg.Seed, ChunkBits: 4, Faults: plan, CheckpointEvery: 4,
 		})
 		if err != nil {
@@ -51,7 +51,7 @@ func R1FaultRecovery(cfg Config) (Report, error) {
 			base.Stats.Rounds == faulty.Stats.Rounds &&
 			base.Stats.Words == faulty.Stats.Words
 		allIdentical = allIdentical && identical
-		invariance.AddRow(a.name, identical, faulty.Stats.Rounds, faulty.Stats.RecoveredCrashes,
+		invariance.AddRow(a.Title, identical, faulty.Stats.Rounds, faulty.Stats.RecoveredCrashes,
 			faulty.Stats.RecoveryRounds, faulty.Stats.ReplayedWords)
 	}
 
