@@ -64,7 +64,7 @@ func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 }
 
 // maxDegree computes the graph's maximum degree through the cluster's
-// collectives (two rounds).
+// collectives (one all-reduce round).
 func maxDegree(d *mpc.DistGraph) (uint64, error) {
 	g := d.Graph()
 	return d.Cluster().AllReduceMaxUint("maxdeg", func(x *mpc.Ctx) uint64 {
