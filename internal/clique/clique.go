@@ -252,8 +252,8 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 // independent of nExt.
 //
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
-// in the clique for any chunk width up to log₂ n — the collective the MPC
-// simulator must pay ⌈·⌉ gathers for.
+// in the clique for any chunk width up to log₂ n, where an MPC all-gather
+// costs M·2^z words per machine and so caps z at ⌊log₂(S/M)⌋.
 //
 // local must not keep vals past its call: the slab behind it, like the
 // payload slab, is the cluster's and is reused by the next call. That is
