@@ -49,7 +49,7 @@ func rulingAdaptive(g *graph.Graph, o Options, deterministic bool) (Result, erro
 	}
 
 	for level := 0; ; level++ {
-		d, opts, err := distribute(cur, o)
+		d, opts, err := distribute(cur, levelOptions(o, total.Rounds))
 		if err != nil {
 			return Result{}, err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/mpc"
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 // RandRulingBeta computes a β-ruling set of g (β >= 1) with the randomized
@@ -60,7 +61,7 @@ func rulingBeta(g *graph.Graph, beta int, o Options, deterministic bool) (Result
 	}
 
 	for level := 0; level < beta-1; level++ {
-		d, opts, err := distribute(cur, o)
+		d, opts, err := distribute(cur, levelOptions(o, total.Rounds))
 		if err != nil {
 			return Result{}, err
 		}
@@ -121,6 +122,37 @@ func rulingBeta(g *graph.Graph, beta int, o Options, deterministic bool) (Result
 		res.ResidualM = residual.M()
 	}
 	return res, nil
+}
+
+// levelOptions returns o for a chained level that starts after committed
+// rounds of the earlier levels. The level's fresh cluster counts rounds from
+// 1, so its trace events are shifted to continue the run's numbering, as
+// MergeStats shifts its violations.
+func levelOptions(o Options, committed int) Options {
+	if o.Tracer != nil && committed > 0 {
+		o.Tracer = shiftedTracer{sink: o.Tracer, by: committed}
+	}
+	return o
+}
+
+// shiftedTracer forwards every event with its Round advanced by by, and
+// every span change as is.
+type shiftedTracer struct {
+	sink trace.Tracer
+	by   int
+}
+
+// Superstep implements trace.Tracer.
+func (s shiftedTracer) Superstep(ev trace.Event) {
+	ev.Round += s.by
+	s.sink.Superstep(ev)
+}
+
+// SpanChange implements trace.SpanObserver.
+func (s shiftedTracer) SpanChange(span string) {
+	if o, ok := s.sink.(trace.SpanObserver); ok {
+		o.SpanChange(span)
+	}
 }
 
 // splitSchedule partitions the phase schedule js into exactly parts
