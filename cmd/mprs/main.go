@@ -11,6 +11,7 @@
 //	          [-phases]          print the per-phase trace table
 //	          [-rounds]          print the per-round communication log
 //	          [-spans]           print the per-span (algorithm phase) skew table
+//	                             (both read the run's trace events)
 //	          [-trace file.jsonl] write the superstep trace as JSONL (with run header)
 //	          [-profile prefix]  capture CPU/heap profiles (inproc only)
 //	          [-debug-addr host:port] serve live telemetry over HTTP: /metrics
@@ -452,6 +453,11 @@ func cmdRun(args []string) (retErr error) {
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /telemetry.json, /debug/pprof/)\n", ln.Addr())
 	}
+	// -rounds and -spans read the run's own trace events.
+	var events trace.Log
+	if *rounds || *spans {
+		sinks = append(sinks, &events)
+	}
 	if len(sinks) > 0 {
 		opts.Tracer = sinks
 	}
@@ -492,6 +498,7 @@ func cmdRun(args []string) (retErr error) {
 		phases:      *phases,
 		rounds:      *rounds,
 		spans:       *spans,
+		log:         events,
 		verify:      *verify,
 		membersOut:  *membersOut,
 		statsOut:    *statsOut,
@@ -545,16 +552,6 @@ func writeMembers(path string, members []int32) error {
 		return fmt.Errorf("members-out: %w", err)
 	}
 	return nil
-}
-
-// renderSpans prints the per-span (algorithm phase) aggregate table.
-func renderSpans(spans []mpc.SpanStat) error {
-	st := metrics.NewTable("span skew", "span", "rounds", "messages", "words", "max sent", "max recv", "gini sent", "gini recv")
-	for _, sp := range spans {
-		st.AddRow(sp.Span, sp.Rounds, sp.Messages, sp.Words, sp.MaxSent, sp.MaxRecv, sp.GiniSent, sp.GiniRecv)
-	}
-	fmt.Println()
-	return st.Render(os.Stdout)
 }
 
 // startDebugServer exposes the live run state over HTTP: Prometheus metrics

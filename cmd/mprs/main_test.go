@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -175,10 +177,11 @@ func TestRunViolationsGoToStderrAndFail(t *testing.T) {
 // TestCliqueRunPrintsPhasesAndRounds: a congested-clique run reports through
 // the same path as an MPC run, so -phases and -rounds print their tables.
 func TestCliqueRunPrintsPhasesAndRounds(t *testing.T) {
+	statsOut := filepath.Join(t.TempDir(), "stats.json")
 	var runErr error
 	out := capture(t, &os.Stdout, func() {
 		runErr = run([]string{"run", "-algo", "cliquedet2", "-spec", "gnp:n=300,p=0.02",
-			"-chunk", "4", "-phases", "-rounds"})
+			"-chunk", "4", "-phases", "-rounds", "-stats-out", statsOut})
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -187,6 +190,32 @@ func TestCliqueRunPrintsPhasesAndRounds(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout misses %q:\n%s", want, out)
 		}
+	}
+	// Each round-log row carries its event's own round, so the Lenzen-routed
+	// residual/route step's two rounds show and the last row reads the run's
+	// final round.
+	raw, err := os.ReadFile(statsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct{ Rounds int }
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for _, row := range strings.Split(out[strings.Index(out, "round log"):], "\n")[3:] {
+		f := strings.Fields(row)
+		if len(f) == 0 {
+			break
+		}
+		r, err := strconv.Atoi(f[0])
+		if err != nil {
+			break
+		}
+		last = r
+	}
+	if last != st.Rounds {
+		t.Errorf("last round-log row reads round %d, the run took %d", last, st.Rounds)
 	}
 }
 

@@ -90,6 +90,31 @@ func TestRunMultiprocSubprocess(t *testing.T) {
 	}
 }
 
+// TestRunMultiprocRoundsReadTrace: without -trace, a multiproc job's
+// -rounds and -spans read a temporary trace file, and print the same round
+// log and span table as the in-process run.
+func TestRunMultiprocRoundsReadTrace(t *testing.T) {
+	bin := buildCLI(t)
+	g := genTestGraph(t)
+	tables := func(extra ...string) string {
+		args := append([]string{"run", "-algo", "det2", "-in", g, "-chunk", "4", "-rounds", "-spans"}, extra...)
+		out, err := hardenedCommand(t, bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, out)
+		}
+		from := strings.Index(string(out), "round log")
+		to := strings.Index(string(out), "verified:")
+		if from < 0 || to < from || !strings.Contains(string(out[from:to]), "span skew") {
+			t.Fatalf("%v: no round log and span table:\n%s", extra, out)
+		}
+		return string(out[from:to])
+	}
+	in := tables()
+	if mp := tables("-backend", "multiproc", "-workers", "2", "-heartbeat", "5s"); mp != in {
+		t.Errorf("multiproc tables differ from inproc:\n%s\nvs\n%s", mp, in)
+	}
+}
+
 // TestRunMultiprocFailFastSubprocess: -max-restarts 0 turns the injected
 // kill into a structured supervisor abort with a non-zero exit.
 func TestRunMultiprocFailFastSubprocess(t *testing.T) {

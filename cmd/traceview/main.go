@@ -93,32 +93,18 @@ func run(args []string, out io.Writer) error {
 
 // Report is the analysis result for one trace.
 type Report struct {
-	Header    trace.Header `json:"header"`
-	Rounds    int          `json:"rounds"`
-	Charged   int          `json:"charged_rounds"`
-	Messages  int64        `json:"messages"`
-	Words     int64        `json:"words"`
-	Spans     []SpanStat   `json:"spans"`
-	Critical  []Critical   `json:"critical,omitempty"`
-	Heaviest  []Heavy      `json:"heaviest,omitempty"`
-	Recovery  RecoveryStat `json:"recovery"`
-	MaxGiniS  float64      `json:"max_gini_sent"`
-	MaxGiniR  float64      `json:"max_gini_recv"`
-	WorstSkew string       `json:"worst_skew_span,omitempty"` // span holding the max Gini
-}
-
-// SpanStat aggregates the supersteps of one span, in first-appearance order.
-type SpanStat struct {
-	Span     string  `json:"span"`
-	Rounds   int     `json:"rounds"`
-	Charged  int     `json:"charged_rounds"`
-	Messages int64   `json:"messages"`
-	Words    int64   `json:"words"`
-	Share    float64 `json:"words_share"` // fraction of total words
-	MaxSent  int     `json:"max_sent"`
-	MaxRecv  int     `json:"max_recv"`
-	GiniSent float64 `json:"gini_sent"` // worst per-round value within the span
-	GiniRecv float64 `json:"gini_recv"`
+	Header    trace.Header     `json:"header"`
+	Rounds    int              `json:"rounds"`
+	Charged   int              `json:"charged_rounds"`
+	Messages  int64            `json:"messages"`
+	Words     int64            `json:"words"`
+	Spans     []trace.SpanStat `json:"spans"`
+	Critical  []Critical       `json:"critical,omitempty"`
+	Heaviest  []Heavy          `json:"heaviest,omitempty"`
+	Recovery  RecoveryStat     `json:"recovery"`
+	MaxGiniS  float64          `json:"max_gini_sent"`
+	MaxGiniR  float64          `json:"max_gini_recv"`
+	WorstSkew string           `json:"worst_skew_span,omitempty"` // span holding the max Gini
 }
 
 // Critical is the heaviest-loaded machine of one round (argmax of sent+recv
@@ -147,45 +133,21 @@ type RecoveryStat struct {
 	ReplayedWords  int64 `json:"replayed_words,omitempty"`
 }
 
+// analyze reduces the trace: the span table and its totals come from
+// trace.Spans, which counts each event's rounds from the previous event's
+// (or the header's ResumedFrom), so routed and charged rounds count right.
 func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
-	rep := Report{Header: hdr}
-	spanIdx := map[string]int{}
+	rep := Report{Header: hdr, Spans: trace.Spans(hdr.ResumedFrom, evs)}
+	for _, s := range rep.Spans {
+		rep.Rounds += s.Rounds
+		rep.Charged += s.Charged
+		rep.Messages += s.Messages
+		rep.Words += s.Words
+	}
 	for _, ev := range evs {
-		rep.Rounds++
-		if ev.Charged {
-			rep.Charged++
-		}
-		rep.Messages += int64(ev.Messages)
-		rep.Words += int64(ev.Words)
 		rep.Recovery.Crashes += ev.Crashes
 		rep.Recovery.RecoveryRounds += ev.RecoveryRounds
 		rep.Recovery.ReplayedWords += ev.ReplayedWords
-
-		i, ok := spanIdx[ev.Span]
-		if !ok {
-			i = len(rep.Spans)
-			spanIdx[ev.Span] = i
-			rep.Spans = append(rep.Spans, SpanStat{Span: ev.Span})
-		}
-		s := &rep.Spans[i]
-		s.Rounds++
-		if ev.Charged {
-			s.Charged++
-		}
-		s.Messages += int64(ev.Messages)
-		s.Words += int64(ev.Words)
-		if ev.MaxSent > s.MaxSent {
-			s.MaxSent = ev.MaxSent
-		}
-		if ev.MaxRecv > s.MaxRecv {
-			s.MaxRecv = ev.MaxRecv
-		}
-		if ev.GiniSent > s.GiniSent {
-			s.GiniSent = ev.GiniSent
-		}
-		if ev.GiniRecv > s.GiniRecv {
-			s.GiniRecv = ev.GiniRecv
-		}
 		if ev.GiniSent > rep.MaxGiniS {
 			rep.MaxGiniS = ev.GiniSent
 			rep.WorstSkew = ev.Span
@@ -193,14 +155,8 @@ func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
 		if ev.GiniRecv > rep.MaxGiniR {
 			rep.MaxGiniR = ev.GiniRecv
 		}
-
 		if c, ok := critical(ev); ok {
 			rep.Critical = append(rep.Critical, c)
-		}
-	}
-	if rep.Words > 0 {
-		for i := range rep.Spans {
-			rep.Spans[i].Share = float64(rep.Spans[i].Words) / float64(rep.Words)
 		}
 	}
 	rep.Heaviest = heaviest(evs, topK)

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/clique"
+	"github.com/rulingset/mprs/internal/gen"
+	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/trace"
 )
 
@@ -70,6 +73,50 @@ func TestFixtureJSON(t *testing.T) {
 	}
 	if rep.Recovery.Crashes == 0 || rep.Recovery.RecoveryRounds == 0 {
 		t.Errorf("fixture's fault activity missing from report: %+v", rep.Recovery)
+	}
+}
+
+// TestRoutedRoundsCount runs cliquedet2 fresh and checks the report
+// against the run: a Lenzen-routed exchange commits LenzenRounds rounds in
+// one event, so counting one round per event would report the gather span
+// (an announce round and the routed exchange) at 2 rounds and the whole run
+// one round short.
+func TestRoutedRoundsCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cliquedet2.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewJSONL(f)
+	if err := tr.WriteHeader(trace.Header{Algo: "cliquedet2"}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rulingset.CliqueDetRuling2(gen.MustBuild("gnp:n=300,p=0.02", 1), rulingset.Options{Seed: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := run([]string{"-json", path}, &b); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(b.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rounds != res.Stats.Rounds {
+		t.Errorf("report counts %d rounds, the run %d", rep.Rounds, res.Stats.Rounds)
+	}
+	gather := 0
+	for _, s := range rep.Spans {
+		if s.Span == "gather" {
+			gather = s.Rounds
+		}
+	}
+	if gather != 1+clique.LenzenRounds {
+		t.Errorf("gather span %d rounds, want %d", gather, 1+clique.LenzenRounds)
 	}
 }
 

@@ -163,9 +163,8 @@ func (c *Cluster) meter(dst []mpc.Violation, round int, routed bool, sent, recv 
 // SetTracer registers (or, with nil, removes) the round tracer.
 func (c *Cluster) SetTracer(t trace.Tracer) { c.eng.SetTracer(t) }
 
-// Span sets the active trace-span label; subsequent rounds are attributed to
-// it in Stats.Spans and emitted trace events (same labels and semantics as
-// mpc.Cluster.Span; default "setup").
+// Span sets the active trace-span label that subsequent rounds' trace events
+// carry (same labels and semantics as mpc.Cluster.Span; default "setup").
 func (c *Cluster) Span(name string) { c.eng.Span(name) }
 
 // CurrentSpan returns the active trace-span label.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 // The engine's ordering and span regressions (see internal/mpc's tests of
@@ -95,7 +97,8 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 // its barrier.
 func TestSpanSwitchDuringStep(t *testing.T) {
 	const n = 4
-	c, err := NewCluster(Config{Parallelism: n}, n)
+	ring := trace.NewRing(8)
+	c, err := NewCluster(Config{Parallelism: n, Tracer: ring}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestSpanSwitchDuringStep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	spans := c.Stats().Spans
+	spans := trace.Spans(0, ring.Events())
 	if len(spans) != 1 || spans[0].Span != "pinned" || spans[0].Rounds != 1 || spans[0].Words != n {
 		t.Fatalf("round not attributed to the span pinned at its barrier: %+v", spans)
 	}

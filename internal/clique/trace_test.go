@@ -66,11 +66,12 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 	if st.GiniRecv != 0.75 || st.SkewRecv != 4 {
 		t.Fatalf("stats skew: GiniRecv %v (want 0.75), SkewRecv %v (want 4)", st.GiniRecv, st.SkewRecv)
 	}
-	if len(st.Spans) != 1 || st.Spans[0].Span != "sparsify" || st.Spans[0].Rounds != 3 {
-		t.Fatalf("spans %+v", st.Spans)
+	spans := trace.Spans(0, evs)
+	if len(spans) != 1 || spans[0].Span != "sparsify" || spans[0].Rounds != 3 {
+		t.Fatalf("spans %+v", spans)
 	}
-	if st.Spans[0].Words != st.Words || st.Spans[0].MaxRecv != st.PeakRecv {
-		t.Fatalf("span aggregate %+v does not match stats", st.Spans[0])
+	if spans[0].Words != st.Words || spans[0].MaxRecv != st.PeakRecv {
+		t.Fatalf("span aggregate %+v does not match stats", spans[0])
 	}
 }
 
@@ -100,11 +101,12 @@ func TestCliqueTraceRoutedAndCharged(t *testing.T) {
 	}
 	// Span accounting: the routed exchange bills LenzenRounds to "gather",
 	// the silent round bills one round to "finish" with no traffic.
-	if len(st.Spans) != 2 || st.Spans[0].Span != "gather" || st.Spans[0].Rounds != LenzenRounds {
-		t.Fatalf("spans %+v", st.Spans)
+	spans := trace.Spans(0, evs)
+	if len(spans) != 2 || spans[0].Span != "gather" || spans[0].Rounds != LenzenRounds {
+		t.Fatalf("spans %+v", spans)
 	}
-	if st.Spans[1].Span != "finish" || st.Spans[1].Rounds != 1 || st.Spans[1].Words != 0 {
-		t.Fatalf("spans %+v", st.Spans)
+	if spans[1].Span != "finish" || spans[1].Rounds != 1 || spans[1].Words != 0 {
+		t.Fatalf("spans %+v", spans)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 func newTestCluster(t *testing.T, machines, n int) *Cluster {
@@ -101,17 +103,18 @@ func TestBroadcast(t *testing.T) {
 // largest owner receiving its whole share.
 func TestScatterToOwners(t *testing.T) {
 	c := newTestCluster(t, 4, 16) // machine m owns [4m, 4m+4)
+	var events trace.Log
+	c.SetTracer(&events)
 	if err := c.ScatterToOwners("s", []int32{13, 0, 5, 2, 14, 3}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	want := RoundInfo{Name: "s", MaxSent: 6, MaxRecv: 3, Messages: 3, Words: 6}
-	if st.Rounds != 1 || len(st.Log) != 1 {
-		t.Fatalf("scatter cost %d rounds", st.Rounds)
+	want := trace.Event{Round: 1, Step: "s", MaxSent: 6, MaxRecv: 3, Messages: 3, Words: 6}
+	if st := c.Stats(); st.Rounds != 1 || len(events) != 1 {
+		t.Fatalf("scatter cost %d rounds in %d events", st.Rounds, len(events))
 	}
-	got := st.Log[0]
+	got := events[0]
 	got.Span, got.GiniSent, got.GiniRecv = "", 0, 0
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scatter round %+v, want %+v", got, want)
 	}
 	for m := range c.inboxes {
@@ -155,12 +158,13 @@ func TestAllGather(t *testing.T) {
 	}
 	type run struct {
 		parts [][]uint64
-		log   []RoundInfo
+		log   trace.Log
 		boxes [][][]Message
 	}
 	gather := func(par int, faults *FaultPlan) run {
 		bt := &boxTransport{}
-		c, err := NewCluster(Config{Machines: M, Parallelism: par, Faults: faults, Transport: bt}, n)
+		var events trace.Log
+		c, err := NewCluster(Config{Machines: M, Parallelism: par, Faults: faults, Transport: bt, Tracer: &events}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +184,12 @@ func TestAllGather(t *testing.T) {
 				t.Fatalf("machine %d kept %d messages", m, len(c.inboxes[m]))
 			}
 		}
-		return run{parts: parts, log: st.Log, boxes: bt.rounds}
+		// The round log compares across fault plans without the recovery
+		// a crash charges to its event.
+		for i := range events {
+			events[i].Crashes, events[i].RecoveryRounds, events[i].ReplayedWords = 0, 0, 0
+		}
+		return run{parts: parts, log: events, boxes: bt.rounds}
 	}
 	base := gather(1, nil)
 	words := 0
@@ -190,10 +199,10 @@ func TestAllGather(t *testing.T) {
 		}
 		words += len(part)
 	}
-	want := RoundInfo{Name: "ag", Span: "setup", MaxSent: M * 5, MaxRecv: words, Messages: M * (M - 1), Words: M * words}
+	want := trace.Event{Round: 1, Step: "ag", Span: "setup", MaxSent: M * 5, MaxRecv: words, Messages: M * (M - 1), Words: M * words}
 	got := base.log[0]
 	got.GiniSent, got.GiniRecv = 0, 0
-	if got != want {
+	if len(base.log) != 1 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("all-gather round %+v, want %+v", got, want)
 	}
 	for d, box := range base.boxes[0] {

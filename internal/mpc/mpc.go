@@ -158,40 +158,6 @@ func (v Violation) String() string {
 		v.Round, v.Machine, v.Kind, v.Words, v.Budget)
 }
 
-// RoundInfo summarizes one communication round.
-type RoundInfo struct {
-	Name     string
-	Span     string // algorithm phase annotation active during the round
-	MaxSent  int    // max words sent by any machine this round
-	MaxRecv  int    // max words received by any machine this round
-	Messages int
-	Words    int
-	// GiniSent and GiniRecv are the round's communication-imbalance
-	// coefficients across machines (0 balanced, →1 one machine carries all).
-	GiniSent float64
-	GiniRecv float64
-}
-
-// SpanStat aggregates the rounds of one named trace span (algorithm phase):
-// how many rounds it spent, how much traffic it moved, and how skewed that
-// traffic was across machines. The skew quantities are what the
-// sparsification theorems shape: concentration phases should show high
-// imbalance (gather-like traffic), local phases should stay near-balanced.
-type SpanStat struct {
-	Span     string
-	Rounds   int
-	Messages int64
-	Words    int64
-	// MaxSent and MaxRecv are the largest per-machine per-round word counts
-	// observed inside the span.
-	MaxSent int
-	MaxRecv int
-	// GiniSent and GiniRecv are the worst per-round imbalance coefficients
-	// observed inside the span.
-	GiniSent float64
-	GiniRecv float64
-}
-
 // Stats aggregates the model-relevant measurements of a simulation.
 //
 // The fault/recovery fields meter robustness cost separately from the
@@ -207,11 +173,6 @@ type Stats struct {
 	PeakRecv     int
 	PeakResident int
 	Violations   []Violation
-	Log          []RoundInfo
-
-	// Spans aggregates rounds/traffic/skew per named trace span, in order of
-	// first appearance (see Cluster.Span).
-	Spans []SpanStat
 	// SkewSent is the worst per-round send imbalance observed: max over
 	// rounds with traffic of MaxSent / (Words/M), i.e. the straggler ratio
 	// of the most loaded machine against the mean.
@@ -442,8 +403,8 @@ func (c *Cluster) parallelism() int {
 // SetTracer registers (or, with nil, removes) the superstep tracer.
 func (c *Cluster) SetTracer(t trace.Tracer) { c.tracer = t }
 
-// Span sets the active trace-span label; subsequent rounds are attributed to
-// it in Stats.Spans, the round log, and emitted trace events. Algorithms
+// Span sets the active trace-span label; subsequent rounds' trace events
+// carry it (trace.Spans reduces them to per-span aggregates). Algorithms
 // annotate their phases with the canonical labels "sparsify", "seed-search",
 // "gather" and "finish"; rounds before the first Span call land in "setup".
 // A tracer implementing trace.SpanObserver is notified immediately, so live
@@ -612,8 +573,6 @@ func (c *Cluster) violate(v Violation) error {
 func (c *Cluster) Stats() Stats {
 	out := c.stats
 	out.Violations = append([]Violation(nil), c.stats.Violations...)
-	out.Log = append([]RoundInfo(nil), c.stats.Log...)
-	out.Spans = append([]SpanStat(nil), c.stats.Spans...)
 	return out
 }
 
@@ -641,9 +600,6 @@ func (c *Cluster) ChargeRounds(name string, k int) error {
 	span := c.CurrentSpan()
 	for i := 0; i < k; i++ {
 		c.stats.Rounds++
-		info := RoundInfo{Name: name, Span: span}
-		c.stats.Log = append(c.stats.Log, info)
-		c.bumpSpan(info, 1)
 		if c.tracer != nil {
 			c.tracer.Superstep(trace.Event{
 				Round:   c.stats.Rounds,
@@ -654,35 +610,6 @@ func (c *Cluster) ChargeRounds(name string, k int) error {
 		}
 	}
 	return nil
-}
-
-// findSpan returns the (possibly new) aggregate for the named span. The last
-// entry is checked first so the common case — consecutive rounds in the same
-// phase — is O(1).
-func (c *Cluster) findSpan(name string) *SpanStat {
-	if n := len(c.stats.Spans); n > 0 && c.stats.Spans[n-1].Span == name {
-		return &c.stats.Spans[n-1]
-	}
-	for i := range c.stats.Spans {
-		if c.stats.Spans[i].Span == name {
-			return &c.stats.Spans[i]
-		}
-	}
-	c.stats.Spans = append(c.stats.Spans, SpanStat{Span: name})
-	return &c.stats.Spans[len(c.stats.Spans)-1]
-}
-
-// bumpSpan folds one committed superstep, charged as rounds model rounds,
-// into its span aggregate.
-func (c *Cluster) bumpSpan(info RoundInfo, rounds int) {
-	sp := c.findSpan(info.Span)
-	sp.Rounds += rounds
-	sp.Messages += int64(info.Messages)
-	sp.Words += int64(info.Words)
-	sp.MaxSent = maxInt(sp.MaxSent, info.MaxSent)
-	sp.MaxRecv = maxInt(sp.MaxRecv, info.MaxRecv)
-	sp.GiniSent = maxFloat(sp.GiniSent, info.GiniSent)
-	sp.GiniRecv = maxFloat(sp.GiniRecv, info.GiniRecv)
 }
 
 // recoverySnapshot captures the fault-layer counters so Step can report the
@@ -701,11 +628,10 @@ func (c *Cluster) snapshotRecovery() recoverySnapshot {
 }
 
 // MergeStats accumulates b into a: rounds, traffic and violations add up,
-// peaks and skew coefficients take the maximum, span aggregates merge by
-// name, and b's per-round indices (violations, like the appended log) are
+// peaks and skew coefficients take the maximum, and b's violation rounds are
 // offset by a's round count so merged stats read as one continuous run. Used
 // when an algorithm chains sub-instances on fresh clusters (e.g. recursive
-// β-ruling levels).
+// β-ruling levels), whose trace events the drivers shift the same way.
 func MergeStats(a, b Stats) Stats {
 	offset := a.Rounds
 	a.Rounds += b.Rounds
@@ -718,8 +644,6 @@ func MergeStats(a, b Stats) Stats {
 		v.Round += offset
 		a.Violations = append(a.Violations, v)
 	}
-	a.Log = append(a.Log, b.Log...)
-	a.Spans = mergeSpans(a.Spans, b.Spans)
 	a.SkewSent = maxFloat(a.SkewSent, b.SkewSent)
 	a.SkewRecv = maxFloat(a.SkewRecv, b.SkewRecv)
 	a.GiniSent = maxFloat(a.GiniSent, b.GiniSent)
@@ -730,31 +654,6 @@ func MergeStats(a, b Stats) Stats {
 	a.CheckpointWords += b.CheckpointWords
 	a.CheckpointBytes += b.CheckpointBytes
 	a.ResumeReplayRounds += b.ResumeReplayRounds
-	return a
-}
-
-// mergeSpans folds b's span aggregates into a's, matching by name and
-// preserving first-appearance order. The result never aliases b.
-func mergeSpans(a, b []SpanStat) []SpanStat {
-	for _, sp := range b {
-		merged := false
-		for i := range a {
-			if a[i].Span == sp.Span {
-				a[i].Rounds += sp.Rounds
-				a[i].Messages += sp.Messages
-				a[i].Words += sp.Words
-				a[i].MaxSent = maxInt(a[i].MaxSent, sp.MaxSent)
-				a[i].MaxRecv = maxInt(a[i].MaxRecv, sp.MaxRecv)
-				a[i].GiniSent = maxFloat(a[i].GiniSent, sp.GiniSent)
-				a[i].GiniRecv = maxFloat(a[i].GiniRecv, sp.GiniRecv)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			a = append(a, sp)
-		}
-	}
 	return a
 }
 
@@ -1279,20 +1178,21 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	}
 
 	c.stats.Rounds += rounds
-	info := RoundInfo{Name: name, Span: span}
+	// The round's trace event doubles as its accumulator.
+	ev := trace.Event{Round: c.stats.Rounds, Step: name, Span: span}
 	for m := 0; m < M; m++ {
 		sent := c.sentW[m]
-		info.MaxSent = maxInt(info.MaxSent, sent)
+		ev.MaxSent = maxInt(ev.MaxSent, sent)
 		c.stats.PeakSent = maxInt(c.stats.PeakSent, sent)
 		box := boxes[m]
 		recv := 0
 		for _, msg := range box {
 			recv += len(msg.Payload)
 		}
-		info.Messages += len(box)
-		info.Words += recv
+		ev.Messages += len(box)
+		ev.Words += recv
 		c.recvW[m] = recv
-		info.MaxRecv = maxInt(info.MaxRecv, recv)
+		ev.MaxRecv = maxInt(ev.MaxRecv, recv)
 		c.stats.PeakRecv = maxInt(c.stats.PeakRecv, recv)
 	}
 	metered := len(c.stats.Violations)
@@ -1300,41 +1200,29 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	// Skew accounting: per-round Gini coefficients (computed on the reusable
 	// scratch buffer — no allocation) and the straggler ratio max/mean.
 	copy(c.sortBuf, c.sentW)
-	info.GiniSent = trace.Gini(c.sortBuf)
+	ev.GiniSent = trace.Gini(c.sortBuf)
 	copy(c.sortBuf, c.recvW)
-	info.GiniRecv = trace.Gini(c.sortBuf)
-	if info.Words > 0 {
-		mean := float64(info.Words) / float64(M)
-		c.stats.SkewSent = maxFloat(c.stats.SkewSent, float64(info.MaxSent)/mean)
-		c.stats.SkewRecv = maxFloat(c.stats.SkewRecv, float64(info.MaxRecv)/mean)
+	ev.GiniRecv = trace.Gini(c.sortBuf)
+	if ev.Words > 0 {
+		mean := float64(ev.Words) / float64(M)
+		c.stats.SkewSent = maxFloat(c.stats.SkewSent, float64(ev.MaxSent)/mean)
+		c.stats.SkewRecv = maxFloat(c.stats.SkewRecv, float64(ev.MaxRecv)/mean)
 	}
-	c.stats.GiniSent = maxFloat(c.stats.GiniSent, info.GiniSent)
-	c.stats.GiniRecv = maxFloat(c.stats.GiniRecv, info.GiniRecv)
-	c.stats.Messages += int64(info.Messages)
-	c.stats.Words += int64(info.Words)
-	c.stats.Log = append(c.stats.Log, info)
-	c.bumpSpan(info, rounds)
+	c.stats.GiniSent = maxFloat(c.stats.GiniSent, ev.GiniSent)
+	c.stats.GiniRecv = maxFloat(c.stats.GiniRecv, ev.GiniRecv)
+	c.stats.Messages += int64(ev.Messages)
+	c.stats.Words += int64(ev.Words)
 	if c.tracer != nil {
 		// Event slices are freshly allocated: sinks may retain them. Machine
 		// goroutines are quiesced at this point, so c.resident is stable (nil
 		// without a resident-memory model).
-		c.tracer.Superstep(trace.Event{
-			Round:          c.stats.Rounds,
-			Step:           name,
-			Span:           span,
-			Sent:           slices.Clone(c.sentW),
-			Recv:           slices.Clone(c.recvW),
-			Resident:       slices.Clone(c.resident),
-			Messages:       info.Messages,
-			Words:          info.Words,
-			MaxSent:        info.MaxSent,
-			MaxRecv:        info.MaxRecv,
-			GiniSent:       info.GiniSent,
-			GiniRecv:       info.GiniRecv,
-			Crashes:        c.stats.RecoveredCrashes - pre.crashes,
-			RecoveryRounds: c.stats.RecoveryRounds - pre.recoveryRounds,
-			ReplayedWords:  c.stats.ReplayedWords - pre.replayed,
-		})
+		ev.Sent = slices.Clone(c.sentW)
+		ev.Recv = slices.Clone(c.recvW)
+		ev.Resident = slices.Clone(c.resident)
+		ev.Crashes = c.stats.RecoveredCrashes - pre.crashes
+		ev.RecoveryRounds = c.stats.RecoveryRounds - pre.recoveryRounds
+		ev.ReplayedWords = c.stats.ReplayedWords - pre.replayed
+		c.tracer.Superstep(ev)
 	}
 	if c.cfg.Strict && len(c.stats.Violations) > metered {
 		// Strict mode: abort cleanly — the violations are recorded and the

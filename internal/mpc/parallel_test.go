@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 // TestStableSortBySrcTotalOrder pins the tie-breaking contract directly:
@@ -130,7 +132,8 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 // round's accounting — the whole round lands on the label current when its
 // barrier began.
 func TestSpanSwitchDuringStep(t *testing.T) {
-	c, err := NewCluster(Config{Machines: 4, Parallelism: 4}, 64)
+	ring := trace.NewRing(8)
+	c, err := NewCluster(Config{Machines: 4, Parallelism: 4, Tracer: ring}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +155,9 @@ func TestSpanSwitchDuringStep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Stats()
-	var pinned *SpanStat
-	for i := range stats.Spans {
-		if stats.Spans[i].Span == "pinned" {
-			pinned = &stats.Spans[i]
-		}
-		if stats.Spans[i].Span == "late" && stats.Spans[i].Rounds != 0 {
-			t.Errorf("in-flight round leaked onto the switched-to span: %+v", stats.Spans[i])
-		}
-	}
-	if pinned == nil || pinned.Rounds != 1 || pinned.Words != 4 {
-		t.Fatalf("round not attributed to the span pinned at its barrier: %+v", stats.Spans)
+	spans := trace.Spans(0, ring.Events())
+	if len(spans) != 1 || spans[0].Span != "pinned" || spans[0].Rounds != 1 || spans[0].Words != 4 {
+		t.Fatalf("round not attributed to the span pinned at its barrier: %+v", spans)
 	}
 	if got := c.CurrentSpan(); got != "late" {
 		t.Fatalf("CurrentSpan = %q, want the switched label", got)

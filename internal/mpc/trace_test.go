@@ -74,11 +74,12 @@ func TestTraceEventsMatchStats(t *testing.T) {
 	if st.GiniRecv != 0.75 || st.SkewRecv != 4 {
 		t.Fatalf("stats skew: GiniRecv %v (want 0.75), SkewRecv %v (want 4)", st.GiniRecv, st.SkewRecv)
 	}
-	if len(st.Spans) != 1 || st.Spans[0].Span != "sparsify" || st.Spans[0].Rounds != 3 {
-		t.Fatalf("spans %+v", st.Spans)
+	spans := trace.Spans(0, evs)
+	if len(spans) != 1 || spans[0].Span != "sparsify" || spans[0].Rounds != 3 {
+		t.Fatalf("spans %+v", spans)
 	}
-	if st.Spans[0].Words != st.Words || st.Spans[0].MaxRecv != st.PeakRecv {
-		t.Fatalf("span aggregate %+v does not match stats", st.Spans[0])
+	if spans[0].Words != st.Words || spans[0].MaxRecv != st.PeakRecv {
+		t.Fatalf("span aggregate %+v does not match stats", spans[0])
 	}
 }
 
@@ -100,15 +101,12 @@ func TestTraceChargedRounds(t *testing.T) {
 			t.Fatalf("charged event %d carries traffic: %+v", i, ev)
 		}
 	}
-	st := c.Stats()
-	if len(st.Spans) != 1 || st.Spans[0].Rounds != 3 || st.Spans[0].Words != 0 {
-		t.Fatalf("spans %+v", st.Spans)
+	spans := trace.Spans(0, evs)
+	if len(spans) != 1 || spans[0].Rounds != 3 || spans[0].Charged != 3 || spans[0].Words != 0 {
+		t.Fatalf("spans %+v", spans)
 	}
-	// The round log carries the span annotation too.
-	for _, info := range st.Log {
-		if info.Span != "gather" {
-			t.Fatalf("log entry span %q", info.Span)
-		}
+	if st := c.Stats(); st.Rounds != 3 {
+		t.Fatalf("charged %d rounds, want 3", st.Rounds)
 	}
 }
 
@@ -127,17 +125,17 @@ func TestTraceSpanTransitions(t *testing.T) {
 	step()
 	c.Span("sparsify") // revisit: merges into the existing aggregate
 	step()
-	st := c.Stats()
+	spans := trace.Spans(0, ring.Events())
 	want := []struct {
 		span   string
 		rounds int
 	}{{"setup", 1}, {"sparsify", 3}, {"seed-search", 1}}
-	if len(st.Spans) != len(want) {
-		t.Fatalf("spans %+v", st.Spans)
+	if len(spans) != len(want) {
+		t.Fatalf("spans %+v", spans)
 	}
 	for i, w := range want {
-		if st.Spans[i].Span != w.span || st.Spans[i].Rounds != w.rounds {
-			t.Fatalf("span %d = %+v, want %+v", i, st.Spans[i], w)
+		if spans[i].Span != w.span || spans[i].Rounds != w.rounds {
+			t.Fatalf("span %d = %+v, want %+v", i, spans[i], w)
 		}
 	}
 	if got := ring.Events()[0].Span; got != "setup" {
@@ -207,7 +205,7 @@ func TestStepNoAllocWithoutTracer(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The skew/span accounting itself must be allocation-free: enabling the
+	// The skew accounting itself must be allocation-free: enabling the
 	// tracer may only add the event's own slices (3 allocations + the event
 	// copy into the ring).
 	if delta := withTracer - withoutTracer; delta > 4 {
@@ -225,12 +223,7 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		Rounds: 2, Messages: 10, Words: 100,
 		PeakSent: 7, PeakRecv: 9, PeakResident: 30,
 		Violations: []Violation{{Round: 1, Kind: "send"}},
-		Log:        []RoundInfo{{Name: "a1"}, {Name: "a2"}},
-		Spans: []SpanStat{{
-			Span: "setup", Rounds: 2, Messages: 4, Words: 100,
-			MaxSent: 7, MaxRecv: 3, GiniSent: 0.25, GiniRecv: 0.5,
-		}},
-		SkewSent: 1.5, SkewRecv: 2.5, GiniSent: 0.25, GiniRecv: 0.5,
+		SkewSent:   1.5, SkewRecv: 2.5, GiniSent: 0.25, GiniRecv: 0.5,
 		RecoveredCrashes: 1, RecoveryRounds: 2, ReplayedWords: 3,
 		CheckpointWords: 4, CheckpointBytes: 8, ResumeReplayRounds: 9,
 	}
@@ -238,15 +231,7 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		Rounds: 3, Messages: 20, Words: 50,
 		PeakSent: 5, PeakRecv: 11, PeakResident: 20,
 		Violations: []Violation{{Round: 2, Kind: "recv"}},
-		Log:        []RoundInfo{{Name: "b1"}, {Name: "b2"}, {Name: "b3"}},
-		Spans: []SpanStat{
-			{
-				Span: "setup", Rounds: 1, Messages: 6, Words: 20,
-				MaxSent: 9, MaxRecv: 8, GiniSent: 0.125, GiniRecv: 0.375,
-			},
-			{Span: "finish", Rounds: 2, Words: 30},
-		},
-		SkewSent: 1.25, SkewRecv: 3.5, GiniSent: 0.75, GiniRecv: 0.25,
+		SkewSent:   1.25, SkewRecv: 3.5, GiniSent: 0.75, GiniRecv: 0.25,
 		RecoveredCrashes: 10, RecoveryRounds: 20, ReplayedWords: 30,
 		CheckpointWords: 40, CheckpointBytes: 80, ResumeReplayRounds: 90,
 	}
@@ -266,11 +251,6 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 			// stats read as one continuous run (the PR-1 audit fix).
 			return len(m.Violations) == 2 && m.Violations[0].Round == 1 && m.Violations[1].Round == 4
 		},
-		"Log": func() bool { return len(m.Log) == 5 && m.Log[2].Name == "b1" },
-		"Spans": func() bool {
-			return len(m.Spans) == 2 &&
-				m.Spans[1].Span == "finish" && m.Spans[1].Rounds == 2
-		},
 		"SkewSent":           func() bool { return m.SkewSent == 1.5 },
 		"SkewRecv":           func() bool { return m.SkewRecv == 3.5 },
 		"GiniSent":           func() bool { return m.GiniSent == 0.75 },
@@ -282,29 +262,13 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		"CheckpointBytes":    func() bool { return m.CheckpointBytes == 88 },
 		"ResumeReplayRounds": func() bool { return m.ResumeReplayRounds == 99 },
 	}
-	// The matched "setup" span exercises every SpanStat field: counters add,
-	// max-valued fields (MaxSent/MaxRecv and the worst-imbalance Gini
-	// coefficients) take the maximum — never the sum. Its own reflection
-	// sweep below makes a SpanStat field without a rule here a failure, the
-	// same guard Stats has.
-	setup := m.Spans[0]
-	spanChecks := map[string]func() bool{
-		"Span":     func() bool { return setup.Span == "setup" },
-		"Rounds":   func() bool { return setup.Rounds == 3 },
-		"Messages": func() bool { return setup.Messages == 10 },
-		"Words":    func() bool { return setup.Words == 120 },
-		"MaxSent":  func() bool { return setup.MaxSent == 9 },
-		"MaxRecv":  func() bool { return setup.MaxRecv == 8 },
-		"GiniSent": func() bool { return setup.GiniSent == 0.25 },
-		"GiniRecv": func() bool { return setup.GiniRecv == 0.5 },
-	}
 	sweep := func(typ reflect.Type, rules map[string]func() bool) {
 		t.Helper()
 		for i := 0; i < typ.NumField(); i++ {
 			name := typ.Field(i).Name
 			check, ok := rules[name]
 			if !ok {
-				t.Errorf("%s.%s has no merge rule: extend MergeStats/mergeSpans and this test", typ.Name(), name)
+				t.Errorf("%s.%s has no merge rule: extend MergeStats and this test", typ.Name(), name)
 				continue
 			}
 			if !check() {
@@ -322,7 +286,6 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 		}
 	}
 	sweep(reflect.TypeOf(Stats{}), checks)
-	sweep(reflect.TypeOf(SpanStat{}), spanChecks)
 }
 
 // TestMergeStatsEqualsSingleRun merges per-segment stats of a run split

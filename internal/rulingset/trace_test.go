@@ -75,6 +75,88 @@ func TestTraceByteDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceAccountsForStats holds every Algorithms entry's trace to its
+// Stats, with and without faults: event rounds strictly increase and end at
+// Stats.Rounds (chained drivers continue the numbering across levels), the
+// reduced spans' rounds, messages and words sum to the run's, and their
+// maxima and Gini coefficients are the run's peaks. The trace is the one
+// per-round record, so it must account for every round the run bills.
+func TestTraceAccountsForStats(t *testing.T) {
+	g := gen.MustBuild("gnp:n=300,p=0.02", 17)
+	for _, a := range Algorithms {
+		for _, faulty := range []bool{false, true} {
+			name := a.Name
+			opts := Options{Seed: 5}
+			if faulty {
+				name += "/faults"
+				opts.Faults = faultTestPlan()
+			}
+			t.Run(name, func(t *testing.T) {
+				var events trace.Log
+				opts.Tracer = &events
+				res, err := a.Run(g, 3, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				prev := 0
+				for _, ev := range events {
+					if ev.Round <= prev {
+						t.Fatalf("event %q at round %d follows round %d", ev.Step, ev.Round, prev)
+					}
+					prev = ev.Round
+				}
+				if prev != st.Rounds {
+					t.Fatalf("last event at round %d, Stats.Rounds %d", prev, st.Rounds)
+				}
+				var sum trace.SpanStat
+				for _, sp := range trace.Spans(0, events) {
+					sum.Rounds += sp.Rounds
+					sum.Messages += sp.Messages
+					sum.Words += sp.Words
+					sum.MaxSent = max(sum.MaxSent, sp.MaxSent)
+					sum.MaxRecv = max(sum.MaxRecv, sp.MaxRecv)
+					sum.GiniSent = max(sum.GiniSent, sp.GiniSent)
+					sum.GiniRecv = max(sum.GiniRecv, sp.GiniRecv)
+				}
+				want := trace.SpanStat{
+					Rounds: st.Rounds, Messages: st.Messages, Words: st.Words,
+					MaxSent: st.PeakSent, MaxRecv: st.PeakRecv, GiniSent: st.GiniSent, GiniRecv: st.GiniRecv,
+				}
+				if sum != want {
+					t.Fatalf("spans total %+v, stats %+v", sum, want)
+				}
+			})
+		}
+	}
+}
+
+// spanRecorder records event rounds and span changes.
+type spanRecorder struct {
+	rounds []int
+	spans  []string
+}
+
+func (r *spanRecorder) Superstep(ev trace.Event) { r.rounds = append(r.rounds, ev.Round) }
+func (r *spanRecorder) SpanChange(span string)   { r.spans = append(r.spans, span) }
+
+// TestLevelOptionsShiftRounds: a chained level's tracer advances event
+// rounds past the committed ones and forwards span changes as they happen,
+// so a live collector still sees every phase switch.
+func TestLevelOptionsShiftRounds(t *testing.T) {
+	var rec spanRecorder
+	first := levelOptions(Options{Tracer: &rec}, 0)
+	if first.Tracer != trace.Tracer(&rec) {
+		t.Fatalf("first level's tracer wrapped: %T", first.Tracer)
+	}
+	later := levelOptions(Options{Tracer: &rec}, 10)
+	later.Tracer.Superstep(trace.Event{Round: 1})
+	later.Tracer.(trace.SpanObserver).SpanChange("gather")
+	if !slices.Equal(rec.rounds, []int{11}) || !slices.Equal(rec.spans, []string{"gather"}) {
+		t.Fatalf("rounds %v, spans %v; want [11] and [gather]", rec.rounds, rec.spans)
+	}
+}
+
 // TestCliqueTraceByteDeterminism covers the congested-clique simulator end of
 // the same contract.
 func TestCliqueTraceByteDeterminism(t *testing.T) {

@@ -88,13 +88,9 @@ type Tracer = trace.Tracer
 
 // TraceEvent is one superstep observation: round index, phase span,
 // per-machine words sent/received, resident memory, skew metrics, and any
-// recovery activity charged to the superstep.
+// recovery activity charged to the superstep. It is a run's one per-round
+// record: `traceview` reduces a trace's events to the per-span table.
 type TraceEvent = trace.Event
-
-// SpanStat aggregates rounds, traffic and skew per named algorithm phase
-// (sparsify / seed-search / gather / finish); Stats.Spans carries one entry
-// per span in order of first appearance.
-type SpanStat = mpc.SpanStat
 
 // JSONLTracer streams events as JSON Lines; see NewJSONLTrace.
 type JSONLTracer = trace.JSONL
