@@ -155,6 +155,8 @@ func TestRouteStepBudgets(t *testing.T) {
 	}
 }
 
+// TestSumAndMaxToZero: both folds are right, and a node whose word is 0
+// sends nothing.
 func TestSumAndMaxToZero(t *testing.T) {
 	c := newTestClique(t, 10)
 	sum, err := c.SumToZero("s", func(v int) uint64 { return uint64(v) })
@@ -164,15 +166,35 @@ func TestSumAndMaxToZero(t *testing.T) {
 	if sum != 45 {
 		t.Fatalf("sum = %d", sum)
 	}
-	best, err := c.MaxToZero("m", func(v int) uint64 { return uint64(v * 3) })
+	if st := c.Stats(); st.Words != 9 || st.Messages != 9 {
+		t.Fatalf("SumToZero sent %d words in %d messages, want 9 (node 0's word is 0)", st.Words, st.Messages)
+	}
+	best, err := c.MaxToZero("m", func(v int) uint64 { return uint64(v%2) * uint64(v*3) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best != 27 {
 		t.Fatalf("max = %d", best)
 	}
-	if c.Stats().Rounds != 2 {
-		t.Fatalf("rounds = %d", c.Stats().Rounds)
+	st := c.Stats()
+	if st.Rounds != 2 {
+		t.Fatalf("rounds = %d", st.Rounds)
+	}
+	if st.Words != 9+5 || st.Messages != 9+5 {
+		t.Fatalf("%d words in %d messages, want 14 (MaxToZero: the 5 odd nodes)", st.Words, st.Messages)
+	}
+	// Every word 0: nothing is sent, and both folds read 0.
+	for _, reduce := range []func(string, func(int) uint64) (uint64, error){c.SumToZero, c.MaxToZero} {
+		got, err := reduce("zero", func(int) uint64 { return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 0 {
+			t.Fatalf("fold of zeros = %d", got)
+		}
+	}
+	if st := c.Stats(); st.Rounds != 4 || st.Words != 14 {
+		t.Fatalf("all-zero reductions: %d rounds, %d words, want 4 and 14", st.Rounds, st.Words)
 	}
 }
 
@@ -210,6 +232,11 @@ func TestScatterAggregateFloat(t *testing.T) {
 	}
 	if len(st.Violations) != 0 {
 		t.Fatalf("violations: %v", st.Violations)
+	}
+	// Coordinate 0 is zero everywhere: n·(nExt−1) scatter words, and
+	// nExt−1 aggregators forward a sum.
+	if want := int64(n*(nExt-1) + nExt - 1); st.Words != want || st.Messages != want {
+		t.Fatalf("%d words in %d messages, want %d", st.Words, st.Messages, want)
 	}
 	if _, err := c.ScatterAggregateFloat("too-wide", n+1, func(int, []float64) {}); err == nil {
 		t.Fatal("over-capacity scatter accepted")
