@@ -317,9 +317,9 @@ func (*mpcReduction) Pick(int) error { return nil }
 
 // Clique returns the congested-clique reduction on a cluster with one node
 // per item: each chunk is one ScatterAggregateFloat ("chunk", two rounds
-// for any width) and the pick is one BroadcastWord ("chunk/pick"). The chunk
-// width is clamped to ⌊log₂ n⌋ so that an aggregator node exists for every
-// extension.
+// for any width, every nonzero contribution on its own pair link) and the
+// pick is one BroadcastWord ("chunk/pick"). The chunk width is clamped to
+// ⌊log₂ n⌋ so that an aggregator node exists for every extension.
 func Clique(c *clique.Cluster) Reduction {
 	return &cliqueReduction{Cluster: c, expect: make([]float64, c.N())}
 }
