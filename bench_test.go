@@ -280,12 +280,12 @@ func BenchmarkCliqueScatterAggregate(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ScatterAggregateFloat("bench", 256, func(v int, vals []float64) {
+				if _, err := c.ScatterAggregate("bench", 256, func(v int, vals []int64) {
 					if tc.zero(v) {
 						return
 					}
 					for e := range vals {
-						vals[e] = float64(v ^ e)
+						vals[e] = int64(v ^ e)
 					}
 				}); err != nil {
 					b.Fatal(err)

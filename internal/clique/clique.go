@@ -11,7 +11,7 @@
 // that makes O(1)-round collectives possible — but may not shove a large
 // payload down a single pair link.
 //
-// The collectives send only what is nonzero: ScatterAggregateFloat carries
+// The collectives send only what is nonzero: ScatterAggregate carries
 // every nonzero contribution on its own pair link, and SumToZero and
 // MaxToZero skip a zero word. Rounds are synchronous, so a receiver that
 // hears nothing from a node knows that node's word is 0.
@@ -32,7 +32,6 @@ package clique
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/trace"
@@ -89,12 +88,12 @@ type Cluster struct {
 	n   int
 	eng *mpc.Cluster
 
-	// ScatterAggregateFloat's slabs, kept across calls and grown only when
+	// ScatterAggregate's slabs, kept across calls and grown only when
 	// n·nExt grows: vals, payload words and range ends, node v owning
 	// [v·nExt, (v+1)·nExt) of each. Node v packs its nonzero values into
 	// the front of its payload range, and its ends[e] counts its nonzero
 	// values at coordinates ≤ e.
-	scatterVals  []float64
+	scatterVals  []int64
 	scatterWords []uint64
 	scatterEnds  []int
 	// reduceWords is SumToZero's and MaxToZero's payload slab, made on
@@ -221,7 +220,7 @@ func (c *Cluster) MaxToZero(name string, local func(v int) uint64) (uint64, erro
 // word is 0 sends nothing: op is sum or max, so folding a 0 into the
 // accumulator never changes it. Every other node sends its word from its
 // own slot of the kept reduceWords slab, which is safe to overwrite by the
-// next call as ScatterAggregateFloat's slabs are: node 0's inbox is
+// next call as ScatterAggregate's slabs are: node 0's inbox is
 // drained before this call returns, and a crash retry rewrites each slot
 // with the same word.
 func (c *Cluster) reduceToZero(name string, local func(v int) uint64, op func(a, b uint64) uint64) (uint64, error) {
@@ -252,20 +251,18 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 	return err
 }
 
-// ScatterAggregateFloat is the congested clique's O(1)-round vector
-// reduction: every node v holds nExt float64 values (nExt <= n), which
-// local(v, vals) writes into vals; coordinate e is summed at aggregator node
-// e — every nonzero contribution on its own pair link as a single word (an
-// IEEE-754 bit pattern) — and the aggregated vector is collected at node 0,
-// each nonzero aggregator sum again one word on its own link. Two rounds
-// total, independent of nExt.
+// ScatterAggregate is the congested clique's O(1)-round vector reduction:
+// every node v holds nExt int64 values (nExt <= n), which local(v, vals)
+// writes into vals; coordinate e is summed at aggregator node e — every
+// nonzero contribution on its own pair link as a single two's-complement
+// word — and the aggregated vector is collected at node 0, each nonzero
+// aggregator sum again one word on its own link. Two rounds total,
+// independent of nExt. The sums wrap on overflow, so they are the same in
+// any order.
 //
-// A zero (+0 or −0) is never sent: a node with nothing to add is silent,
-// and an aggregator with a zero sum forwards nothing. The sums are those of
-// the dense exchange bit for bit. Each aggregator adds the same nonzero
-// terms in the same node order from +0, and adding ±0 to a sum that
-// started at +0 never changes its bits (a sum that starts at +0 is never
-// −0), so a missing aggregator reads as the +0 it would have sent.
+// A zero is never sent: a node with nothing to add is silent, and an
+// aggregator with a zero sum forwards nothing, so a missing word reads as
+// the 0 it would have carried.
 //
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
 // in the clique for any chunk width up to log₂ n, where an MPC all-gather
@@ -275,7 +272,7 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 // payload and ends slabs, is the cluster's and is reused by the next call.
 // That is safe because the aggregators drain their inboxes before this call
 // returns, so no delivered payload outlives it.
-func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int, vals []float64)) ([]float64, error) {
+func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v int, vals []int64)) ([]int64, error) {
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
@@ -286,7 +283,7 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 	// node on its own (cleared) ranges, so the slabs need not be per
 	// attempt.
 	if size := c.n * nExt; size > len(c.scatterVals) {
-		c.scatterVals = make([]float64, size)
+		c.scatterVals = make([]int64, size)
 		c.scatterWords = make([]uint64, size)
 		c.scatterEnds = make([]int, size)
 	}
@@ -299,7 +296,7 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 		k := 0
 		for e, val := range mine {
 			if val != 0 {
-				out[k] = math.Float64bits(val)
+				out[k] = uint64(val)
 				k++
 			}
 			end[e] = k
@@ -312,25 +309,25 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 	}
 	// Aggregators sum their coordinate locally, then forward a nonzero sum
 	// to node 0; the sender id identifies the coordinate.
-	partial := make([]float64, nExt)
+	partial := make([]int64, nExt)
 	for agg := 0; agg < nExt; agg++ {
 		for _, msg := range c.Drain(agg) {
 			for _, w := range msg.Payload {
-				partial[agg] += math.Float64frombits(w)
+				partial[agg] += int64(w)
 			}
 		}
 	}
 	if err := c.Step(name+"/collect", func(x *Ctx) {
 		if x.Machine < nExt && partial[x.Machine] != 0 {
-			x.Send(0, math.Float64bits(partial[x.Machine]))
+			x.Send(0, uint64(partial[x.Machine]))
 		}
 	}); err != nil {
 		return nil, err
 	}
-	sums := make([]float64, nExt)
+	sums := make([]int64, nExt)
 	for _, msg := range c.Drain(0) {
 		if msg.Src < nExt && len(msg.Payload) == 1 {
-			sums[msg.Src] = math.Float64frombits(msg.Payload[0])
+			sums[msg.Src] = int64(msg.Payload[0])
 		}
 	}
 	return sums, nil

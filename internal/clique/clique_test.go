@@ -209,20 +209,19 @@ func TestBroadcastWord(t *testing.T) {
 	}
 }
 
-func TestScatterAggregateFloat(t *testing.T) {
+func TestScatterAggregate(t *testing.T) {
 	const n, nExt = 9, 4
 	c := newTestClique(t, n)
-	sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+	sums, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 		for e := range vals {
-			vals[e] = 0.5 * float64(e)
+			vals[e] = -3 * int64(e)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e < nExt; e++ {
-		want := 0.5 * float64(e) * float64(n)
-		if sums[e] != want {
+		if want := -3 * int64(e) * n; sums[e] != want {
 			t.Fatalf("sums[%d] = %v, want %v", e, sums[e], want)
 		}
 	}
@@ -238,7 +237,7 @@ func TestScatterAggregateFloat(t *testing.T) {
 	if want := int64(n*(nExt-1) + nExt - 1); st.Words != want || st.Messages != want {
 		t.Fatalf("%d words in %d messages, want %d", st.Words, st.Messages, want)
 	}
-	if _, err := c.ScatterAggregateFloat("too-wide", n+1, func(int, []float64) {}); err == nil {
+	if _, err := c.ScatterAggregate("too-wide", n+1, func(int, []int64) {}); err == nil {
 		t.Fatal("over-capacity scatter accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/mpc"
@@ -53,20 +54,20 @@ func TestSendInvalidDestination(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateFloatCrashRetry: a crashed scatter round re-runs
+// TestScatterAggregateCrashRetry: a crashed scatter round re-runs
 // every node on its own range of the round's slabs, which must start from
 // zero again — a local that accumulates into vals sums each contribution
 // once.
-func TestScatterAggregateFloatCrashRetry(t *testing.T) {
+func TestScatterAggregateCrashRetry(t *testing.T) {
 	const n, nExt = 8, 4
 	plan := &mpc.FaultPlan{Crashes: []mpc.FaultEvent{{Round: 1, Machine: 3}}}
 	c, err := NewCluster(Config{Faults: plan, Parallelism: 2}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+	sums, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 		for e := range vals {
-			vals[e] += float64(v + e)
+			vals[e] += int64(v + e)
 		}
 	})
 	if err != nil {
@@ -76,15 +77,15 @@ func TestScatterAggregateFloatCrashRetry(t *testing.T) {
 		t.Fatalf("crash not injected: %+v", c.Stats())
 	}
 	for e := 0; e < nExt; e++ {
-		if want := float64(n*(n-1)/2 + n*e); sums[e] != want {
+		if want := int64(n*(n-1)/2 + n*e); sums[e] != want {
 			t.Fatalf("sums[%d] = %v, want %v", e, sums[e], want)
 		}
 	}
 }
 
-// TestScatterAggregateFloatAllocs pins the per-round slabs: a scatter
+// TestScatterAggregateAllocs pins the per-round slabs: a scatter
 // allocates the same number of times on 1024 and 4096 nodes.
-func TestScatterAggregateFloatAllocs(t *testing.T) {
+func TestScatterAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -95,9 +96,9 @@ func TestScatterAggregateFloatAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(8, func() {
-			if _, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+			if _, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 				for e := range vals {
-					vals[e] = float64(v ^ e)
+					vals[e] = int64(v ^ e)
 				}
 			}); err != nil {
 				t.Fatal(err)
@@ -133,17 +134,17 @@ func TestSumToZeroAllocs(t *testing.T) {
 
 // scatterTerm is node v's contribution to coordinate e in the scatter
 // tests: distinct magnitudes, so a lost, doubled or misrouted term shows.
-func scatterTerm(call, v, e int) float64 {
-	return float64(call+1)*1e6 + float64(v)*1e3 + float64(e) + 0.25
+func scatterTerm(call, v, e int) int64 {
+	return int64((call+1)*1_000_000 + v*1000 + e + 1)
 }
 
-// scatterCalls runs ScatterAggregateFloat once per width on c and returns
-// every call's sums.
-func scatterCalls(t *testing.T, c *Cluster, widths []int) [][]float64 {
+// scatterCalls runs ScatterAggregate once per width on c and returns every
+// call's sums.
+func scatterCalls(t *testing.T, c *Cluster, widths []int) [][]int64 {
 	t.Helper()
-	var out [][]float64
+	var out [][]int64
 	for call, nExt := range widths {
-		sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+		sums, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 			for e := range vals {
 				vals[e] += scatterTerm(call, v, e)
 			}
@@ -156,10 +157,10 @@ func scatterCalls(t *testing.T, c *Cluster, widths []int) [][]float64 {
 	return out
 }
 
-// TestScatterAggregateFloatWidthChanges: the kept slabs serve a small
+// TestScatterAggregateWidthChanges: the kept slabs serve a small
 // width, then a larger one that grows them, then a smaller one again, and
 // every call sums exactly its own contributions.
-func TestScatterAggregateFloatWidthChanges(t *testing.T) {
+func TestScatterAggregateWidthChanges(t *testing.T) {
 	const n = 16
 	widths := []int{2, 16, 3, 16}
 	c, err := NewCluster(Config{Parallelism: 2}, n)
@@ -171,7 +172,7 @@ func TestScatterAggregateFloatWidthChanges(t *testing.T) {
 			t.Fatalf("call %d: %d sums, want %d", call, len(sums), widths[call])
 		}
 		for e, got := range sums {
-			want := 0.0
+			var want int64
 			for v := 0; v < n; v++ {
 				want += scatterTerm(call, v, e)
 			}
@@ -182,13 +183,13 @@ func TestScatterAggregateFloatWidthChanges(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateFloatCrashOnReusedSlab: a crash on the scatter round
-// of a later call, which runs on slabs an earlier call filled, returns the
-// same sums bit for bit as the fault-free run.
-func TestScatterAggregateFloatCrashOnReusedSlab(t *testing.T) {
+// TestScatterAggregateCrashOnReusedSlab: a crash on the scatter round of a
+// later call, which runs on slabs an earlier call filled, returns the same
+// sums as the fault-free run.
+func TestScatterAggregateCrashOnReusedSlab(t *testing.T) {
 	const n = 12
 	widths := []int{8, 8, 4}
-	run := func(plan *mpc.FaultPlan) ([][]float64, mpc.Stats) {
+	run := func(plan *mpc.FaultPlan) ([][]int64, mpc.Stats) {
 		c, err := NewCluster(Config{Faults: plan, Parallelism: 3}, n)
 		if err != nil {
 			t.Fatal(err)
@@ -206,9 +207,9 @@ func TestScatterAggregateFloatCrashOnReusedSlab(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateFloatKeepsSlabs: a second call of the same width
+// TestScatterAggregateKeepsSlabs: a second call of the same width
 // allocates no new slab — its bytes stay far below the slabs' bytes.
-func TestScatterAggregateFloatKeepsSlabs(t *testing.T) {
+func TestScatterAggregateKeepsSlabs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -218,9 +219,9 @@ func TestScatterAggregateFloatKeepsSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	call := func() {
-		if _, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+		if _, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 			for e := range vals {
-				vals[e] = float64(v ^ e)
+				vals[e] = int64(v ^ e)
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -237,12 +238,16 @@ func TestScatterAggregateFloatKeepsSlabs(t *testing.T) {
 	}
 }
 
-// denseSums is the reference ScatterAggregateFloat is held to: coordinate
-// e of every node's contribution summed on the host from +0 in node order,
-// zeros included.
-func denseSums(contrib [][]float64, nExt int) []float64 {
-	sums := make([]float64, nExt)
-	for _, row := range contrib {
+// denseSums is the reference ScatterAggregate is held to: coordinate e of
+// every node's contribution summed on the host, zeros included, in node
+// order or, with reversed, in reversed node order.
+func denseSums(contrib [][]int64, nExt int, reversed bool) []int64 {
+	sums := make([]int64, nExt)
+	for i := range contrib {
+		row := contrib[i]
+		if reversed {
+			row = contrib[len(contrib)-1-i]
+		}
 		for e := range sums {
 			sums[e] += row[e]
 		}
@@ -250,8 +255,8 @@ func denseSums(contrib [][]float64, nExt int) []float64 {
 	return sums
 }
 
-// nonzero counts the values of xs that are not ±0 (NaN counts).
-func nonzero(xs []float64) int {
+// nonzero counts the values of xs that are not 0.
+func nonzero(xs []int64) int {
 	k := 0
 	for _, x := range xs {
 		if x != 0 {
@@ -261,49 +266,30 @@ func nonzero(xs []float64) int {
 	return k
 }
 
-// sameBits reports whether got and want are equal under math.Float64bits,
-// except that any NaN matches any NaN: which payload the sum of two NaNs
-// carries depends on the order of the addition's operands, which the
-// compiler may swap.
-func sameBits(got, want []float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestScatterAggregateFloatSkipsZeros: only nonzero contributions travel.
-// An all-zero node sends nothing, −0 is not sent while ±Inf and NaN are,
-// an aggregator whose sum is zero forwards nothing, and the sums equal the
-// dense host sum bit for bit.
-func TestScatterAggregateFloatSkipsZeros(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	contrib := [][]float64{
-		{1.5, 0, 0, 2, 1},
-		{0, 0, -3, 0, 0},
-		{0, negZero, 0, 0, negZero}, // all zero
-		{0.25, 0, 4, 0, -1},         // coordinate 4 cancels to +0
-		{math.Inf(1), negZero, math.NaN(), math.Inf(-1), 0},
-		{1, 0, 0, 5, 0},
+// TestScatterAggregateSkipsZeros: only nonzero contributions travel. An
+// all-zero node sends nothing, an aggregator whose sum is zero forwards
+// nothing, and the sums equal the dense host sum.
+func TestScatterAggregateSkipsZeros(t *testing.T) {
+	contrib := [][]int64{
+		{3, 0, 0, 4, 2},
+		{0, 0, -6, 0, 0},
+		{0, 0, 0, 0, 0},  // all zero
+		{1, 0, 8, 0, -2}, // coordinate 4 cancels to 0
+		{2, 0, 0, 10, 0},
 	}
 	n, nExt := len(contrib), len(contrib[0])
-	want := denseSums(contrib, nExt)
+	want := denseSums(contrib, nExt, false)
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			c, ring := newTracedClique(t, Config{Parallelism: p}, n)
-			sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+			sums, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 				copy(vals, contrib[v])
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBits(sums, want) {
-				t.Fatalf("sums = %v, want %v bit for bit", sums, want)
+			if !slices.Equal(sums, want) {
+				t.Fatalf("sums = %v, want %v", sums, want)
 			}
 			evs := ring.Events()
 			if len(evs) != 2 {
@@ -323,8 +309,8 @@ func TestScatterAggregateFloatSkipsZeros(t *testing.T) {
 			if scatter.Words != words || scatter.Messages != words {
 				t.Errorf("scatter round: %d words in %d messages, want %d", scatter.Words, scatter.Messages, words)
 			}
-			// +Inf, NaN and −Inf are forwarded; the all-zero coordinate 1
-			// and the cancelled coordinate 4 are not.
+			// Coordinates 0, 2 and 3 are forwarded; the all-zero coordinate
+			// 1 and the cancelled coordinate 4 are not.
 			if collect.Words != 3 || collect.Recv[0] != 3 {
 				t.Errorf("collect round: %d words, %d at node 0, want 3", collect.Words, collect.Recv[0])
 			}
@@ -332,12 +318,13 @@ func TestScatterAggregateFloatSkipsZeros(t *testing.T) {
 	}
 }
 
-// FuzzScatterAggregateFloat holds the sparse scatter to the dense host sum
-// over random sparsity patterns: two calls of random widths on one cluster,
-// at Parallelism 1 and 4 and under a crash on either call's scatter round.
-// Each call's sums match bit for bit, and its words are exactly its
-// nonzero contributions plus its nonzero sums.
-func FuzzScatterAggregateFloat(f *testing.F) {
+// FuzzScatterAggregate holds the sparse scatter to the dense host sum over
+// random sparsity patterns: two calls of random widths on one cluster, at
+// Parallelism 1 and 4 and under a crash on either call's scatter round.
+// Some values lie near ±2^63, so sums wrap; each call's sums equal the host
+// sums in node order and in reversed node order, and its words are exactly
+// its nonzero contributions plus its nonzero sums.
+func FuzzScatterAggregate(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(4), uint8(9), uint8(80))
 	f.Add(int64(2), uint8(40), uint8(16), uint8(3), uint8(10))
 	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint8(255))
@@ -346,26 +333,23 @@ func FuzzScatterAggregateFloat(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(size)%48
 		widths := []int{1 + int(width1)%n, 1 + int(width2)%n}
-		value := func() float64 {
+		value := func() int64 {
 			if rng.Intn(256) >= int(density) {
-				if rng.Intn(2) == 0 {
-					return math.Copysign(0, -1)
-				}
 				return 0
 			}
-			switch rng.Intn(32) {
+			switch rng.Intn(8) {
 			case 0:
-				return math.Inf(1 - 2*rng.Intn(2))
+				return math.MaxInt64 - rng.Int63n(1<<20)
 			case 1:
-				return math.NaN()
+				return math.MinInt64 + rng.Int63n(1<<20)
 			}
-			return rng.NormFloat64() * math.Pow(2, float64(rng.Intn(64)-32))
+			return rng.Int63n(1<<41) - 1<<40
 		}
-		contrib := make([][][]float64, len(widths))
+		contrib := make([][][]int64, len(widths))
 		for call, nExt := range widths {
-			contrib[call] = make([][]float64, n)
+			contrib[call] = make([][]int64, n)
 			for v := range contrib[call] {
-				contrib[call][v] = make([]float64, nExt)
+				contrib[call][v] = make([]int64, nExt)
 				for e := range contrib[call][v] {
 					contrib[call][v][e] = value()
 				}
@@ -385,7 +369,7 @@ func FuzzScatterAggregateFloat(f *testing.F) {
 			}
 			for call, nExt := range widths {
 				before := c.Stats().Words
-				sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, vals []float64) {
+				sums, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
 					for e, x := range contrib[call][v] {
 						vals[e] += x
 					}
@@ -393,9 +377,11 @@ func FuzzScatterAggregateFloat(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := denseSums(contrib[call], nExt)
-				if !sameBits(sums, want) {
-					t.Fatalf("p=%d faults=%v call %d: sums = %v, want %v bit for bit", cfg.Parallelism, cfg.Faults != nil, call, sums, want)
+				want := denseSums(contrib[call], nExt, false)
+				for _, reversed := range []bool{false, true} {
+					if ref := denseSums(contrib[call], nExt, reversed); !slices.Equal(sums, ref) {
+						t.Fatalf("p=%d faults=%v call %d: sums = %v, want %v (reversed host order: %v)", cfg.Parallelism, cfg.Faults != nil, call, sums, ref, reversed)
+					}
 				}
 				words := int64(nonzero(want))
 				for _, row := range contrib[call] {

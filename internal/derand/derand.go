@@ -15,6 +15,11 @@
 // pass of its own: each machine returns its share with the first chunk's
 // values.
 //
+// Every conditional expectation the estimators sum is a dyadic rational, so
+// they score in int64 units of 2^−u for a u fixed per phase, and every
+// reduction sums with wrapping integer addition: the same bits in any order,
+// on any machine partition.
+//
 // SelectSeed is the one seed search for both models; only the Reduction
 // differs. In MPC (see MPC) a chunk is one all-gather of 2^z words per
 // machine, after which every machine holds the sums and takes the same
@@ -36,7 +41,6 @@ package derand
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"github.com/rulingset/mprs/internal/clique"
@@ -115,11 +119,11 @@ func (cfg Config) withDefaults(maxChunkBits int) (Config, error) {
 // read it off their spectrum's empty-character coefficient, before the
 // Walsh transform. s is shared and read-only; implementations must only
 // read state belonging to their items.
-type ChunkEval func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64
+type ChunkEval func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64
 
 // LocalEval computes a machine's exact local contribution to E[Φ | s], the
 // seed's fixed prefix; Direct turns it into a ChunkEval.
-type LocalEval func(lo, hi int, s *hash.Seed) float64
+type LocalEval func(lo, hi int, s *hash.Seed) int64
 
 // Direct returns the ChunkEval that calls eval once per extension, on a
 // private copy of s with the chunk written and counted as fixed — 2^width
@@ -127,7 +131,7 @@ type LocalEval func(lo, hi int, s *hash.Seed) float64
 // per-extension reference that tests compare the spectral estimators
 // against.
 func Direct(eval LocalEval) ChunkEval {
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
 		local := s.Clone()
 		local.SetFixed(start + width)
 		for e := range out {
@@ -141,8 +145,10 @@ func Direct(eval LocalEval) ChunkEval {
 // Walsh applies the unnormalized Walsh–Hadamard transform to x in place:
 // afterwards x[e] = Σ_S x_old[S]·(−1)^{|S∧e|}. len(x) must be a power of
 // two. Given the character coefficients of a function of the chunk value,
-// it yields the function's value at every chunk value in O(z·2^z).
-func Walsh(x []float64) {
+// it yields the function's value at every chunk value in O(z·2^z). The
+// additions wrap, so a result that fits int64 is exact whatever the
+// intermediate values.
+func Walsh(x []int64) {
 	for h := 1; h < len(x); h <<= 1 {
 		for i := 0; i < len(x); i += h << 1 {
 			for k := i; k < i+h; k++ {
@@ -158,18 +164,18 @@ func Walsh(x []float64) {
 // non-decreasing (Maximize) along Values — the method's defining guarantee,
 // asserted by tests and by experiment T6.
 type Trace struct {
-	// Initial is E[Φ] with no bits fixed: the sum, in machine order, of the
-	// machines' E[Φ | prefix] returned with the first chunk's values.
-	Initial float64
+	// Initial is E[Φ] with no bits fixed: the sum of the machines' E[Φ |
+	// prefix] returned with the first chunk's values.
+	Initial int64
 	// Values[i] is E[Φ | first i chunks fixed]; the last entry is the exact
 	// realized Φ of the selected seed.
-	Values []float64
+	Values []int64
 	// Steps is the number of chunks fixed (one reduction and one pick each).
 	Steps int
 }
 
 // Final returns the realized estimator value of the selected seed.
-func (t Trace) Final() float64 {
+func (t Trace) Final() int64 {
 	if len(t.Values) == 0 {
 		return t.Initial
 	}
@@ -187,9 +193,8 @@ type Reduction interface {
 	MaxChunkBits() int
 	// Extensions returns, for each extension e < 2^width of the chunk at
 	// [start, start+width), the sum over all machines of eval's value for e,
-	// and the sum over all machines, in machine order, of eval's E[Φ |
-	// prefix].
-	Extensions(s *hash.Seed, start, width int, eval ChunkEval) (totals []float64, expect float64, err error)
+	// and the sum over all machines of eval's E[Φ | prefix].
+	Extensions(s *hash.Seed, start, width int, eval ChunkEval) (totals []int64, expect int64, err error)
 	// Pick distributes the chosen extension to every machine.
 	Pick(e int) error
 }
@@ -249,22 +254,21 @@ func SelectSeed(r Reduction, s *hash.Seed, cfg Config, eval ChunkEval) (Trace, e
 	return trace, nil
 }
 
-// MPC returns the MPC reduction: each chunk is one all-gather (derand/eval)
+// MPC returns the MPC reduction: each chunk is one all-reduce (derand/eval)
 // of every machine's 2^z values, after which every machine holds the same
-// per-extension sums, adds them in machine order and takes the same argmin,
-// so the pick costs no round.
+// per-extension sums and takes the same argmin, so the pick costs no round.
 func MPC(c *mpc.Cluster) Reduction {
 	M := c.Machines()
-	return &mpcReduction{Cluster: c, scratch: make([][]float64, M), expect: make([]float64, M)}
+	return &mpcReduction{Cluster: c, scratch: make([][]int64, M), expect: make([]int64, M)}
 }
 
 type mpcReduction struct {
 	*mpc.Cluster
 	// scratch[m] is machine m's ChunkEval output, reused across chunks. It
-	// is copied into each all-gather's fresh payload, never sent itself.
-	scratch [][]float64
+	// is copied into each all-reduce's fresh payload, never sent itself.
+	scratch [][]int64
 	// expect[m] is machine m's E[Φ | prefix] at the last chunk.
-	expect []float64
+	expect []int64
 }
 
 // MaxChunkBits clamps z to ⌊log₂(S/M)⌋, and to at least 1: a chunk's
@@ -274,109 +278,84 @@ func (r *mpcReduction) MaxChunkBits() int {
 	return max(1, bits.Len(uint(r.Budget()/r.Machines()))-1)
 }
 
-// Extensions all-gathers every machine's 2^width values and adds them up per
-// extension, in machine order: the additions the coordinator of a gather
-// would make, made by every machine.
-func (r *mpcReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]float64, float64, error) {
+// Extensions all-reduces every machine's 2^width values, sent as their
+// two's-complement words, into the per-extension sums.
+func (r *mpcReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]int64, int64, error) {
 	nExt := 1 << uint(width)
-	parts, err := r.AllGather("derand/eval", func(x *mpc.Ctx) []uint64 {
+	sums, err := r.AllReduceSumUint("derand/eval", func(x *mpc.Ctx) []uint64 {
 		vals := r.scratch[x.Machine]
 		if cap(vals) < nExt {
-			vals = make([]float64, nExt)
+			vals = make([]int64, nExt)
 			r.scratch[x.Machine] = vals
 		}
 		vals = vals[:nExt]
 		r.expect[x.Machine] = eval(x.Lo, x.Hi, s, start, width, vals)
 		out := make([]uint64, nExt)
 		for e, v := range vals {
-			out[e] = math.Float64bits(v)
+			out[e] = uint64(v)
 		}
 		return out
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	totals := make([]float64, nExt)
-	for m, part := range parts {
-		if len(part) != nExt {
-			return nil, 0, fmt.Errorf("derand: machine %d sent %d values, want %d", m, len(part), nExt)
-		}
-		for e, w := range part {
-			totals[e] += math.Float64frombits(w)
-		}
+	totals := make([]int64, nExt)
+	for e, w := range sums {
+		totals[e] = int64(w)
 	}
-	expect := 0.0
-	for _, v := range r.expect {
-		expect += v
-	}
-	return totals, expect, nil
+	return totals, sum(r.expect), nil
 }
 
 // Pick costs no round: every machine took the same argmin of the same sums.
 func (*mpcReduction) Pick(int) error { return nil }
 
 // Clique returns the congested-clique reduction on a cluster with one node
-// per item: each chunk is one ScatterAggregateFloat ("chunk", two rounds
+// per item: each chunk is one ScatterAggregate ("chunk", two rounds
 // for any width, every nonzero contribution on its own pair link) and the
 // pick is one BroadcastWord ("chunk/pick"). The chunk width is clamped to
 // ⌊log₂ n⌋ so that an aggregator node exists for every extension.
 func Clique(c *clique.Cluster) Reduction {
-	return &cliqueReduction{Cluster: c, expect: make([]float64, c.N())}
+	return &cliqueReduction{Cluster: c, expect: make([]int64, c.N())}
 }
 
 type cliqueReduction struct {
 	*clique.Cluster
 	// expect[v] is node v's E[Φ | prefix] at the last chunk.
-	expect []float64
+	expect []int64
 }
 
 func (r *cliqueReduction) MaxChunkBits() int { return bits.Len(uint(r.N())) - 1 }
 
 // Extensions sums the node values per extension on the aggregators. The
-// nodes' E[Φ | prefix] are summed on the host, in node order, for the
-// trace's guarantee check: the search never reads them, so they move no
-// word and cost no round.
-func (r *cliqueReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]float64, float64, error) {
-	totals, err := r.ScatterAggregateFloat("chunk", 1<<uint(width), func(v int, vals []float64) {
+// nodes' E[Φ | prefix] are summed on the host for the trace's guarantee
+// check: the search never reads them, so they move no word and cost no
+// round.
+func (r *cliqueReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]int64, int64, error) {
+	totals, err := r.ScatterAggregate("chunk", 1<<uint(width), func(v int, vals []int64) {
 		r.expect[v] = eval(v, v+1, s, start, width, vals)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	expect := 0.0
-	for _, v := range r.expect {
-		expect += v
-	}
-	return totals, expect, nil
+	return totals, sum(r.expect), nil
 }
 
 func (r *cliqueReduction) Pick(e int) error { return r.BroadcastWord("chunk/pick", uint64(e)) }
 
+// sum returns the wrapping sum of xs.
+func sum(xs []int64) int64 {
+	var t int64
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
 // better reports whether candidate improves on incumbent under obj, with
 // strict improvement required so ties resolve to the smallest extension.
-func better(obj Objective, candidate, incumbent float64) bool {
+func better(obj Objective, candidate, incumbent int64) bool {
 	if obj == Minimize {
 		return candidate < incumbent
 	}
 	return candidate > incumbent
-}
-
-// CheckMonotone verifies the conditional-expectation guarantee on a trace:
-// every value must be at least as good as the initial expectation (up to a
-// floating-point tolerance). It returns the first offending index or -1.
-func CheckMonotone(obj Objective, t Trace, tol float64) int {
-	prev := t.Initial
-	for i, v := range t.Values {
-		var bad bool
-		if obj == Minimize {
-			bad = v > prev+tol
-		} else {
-			bad = v < prev-tol
-		}
-		if bad {
-			return i
-		}
-		prev = v
-	}
-	return -1
 }

@@ -11,6 +11,10 @@ import (
 	"github.com/rulingset/mprs/internal/mpc"
 )
 
+// scaled returns the probability p in int64 units of 2^−u (exact for the
+// dyadic probabilities of hash.Bits).
+func scaled(p float64, u int) int64 { return int64(math.Ldexp(p, u)) }
+
 func newCluster(t *testing.T, machines, n int) *mpc.Cluster {
 	t.Helper()
 	c, err := mpc.NewCluster(mpc.Config{Machines: machines}, n)
@@ -26,7 +30,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
+	eval := func(lo, hi int, s *hash.Seed) int64 { return 0 }
 	if _, err := SelectSeed(MPC(c), fam.NewSeed(), Config{ChunkBits: -1}, Direct(eval)); err == nil {
 		t.Error("chunk bits -1 accepted")
 	}
@@ -36,8 +40,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestMaximizeMarks uses the simplest estimator: maximize the expected number
-// of marked vertices. The optimum is marking everything; conditional
-// expectations must find a seed achieving at least the expectation n·2^-j.
+// of marked vertices, in units of 2^−j. The optimum is marking everything;
+// conditional expectations must find a seed achieving at least the
+// expectation n·2^-j, and the trajectory never falls.
 func TestMaximizeMarks(t *testing.T) {
 	const n, j = 40, 2
 	for _, machines := range []int{1, 4} {
@@ -48,10 +53,10 @@ func TestMaximizeMarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			seed := fam.NewSeed()
-			eval := func(lo, hi int, s *hash.Seed) float64 {
-				sum := 0.0
+			eval := func(lo, hi int, s *hash.Seed) int64 {
+				var sum int64
 				for v := lo; v < hi; v++ {
-					sum += fam.MarkProb(s, v)
+					sum += scaled(fam.MarkProb(s, v), j)
 				}
 				return sum
 			}
@@ -62,33 +67,36 @@ func TestMaximizeMarks(t *testing.T) {
 			if seed.Fixed() != seed.Total() {
 				t.Fatalf("seed not fully fixed")
 			}
-			expect := float64(n) * math.Ldexp(1, -j)
-			if math.Abs(trace.Initial-expect) > 1e-9 {
-				t.Fatalf("initial expectation = %v, want %v", trace.Initial, expect)
+			if trace.Initial != n {
+				t.Fatalf("initial expectation = %d units, want %d", trace.Initial, n)
 			}
 			// Count realized marks; must be >= expectation (guarantee).
-			realized := 0
+			realized := int64(0)
 			for v := 0; v < n; v++ {
 				if fam.MarkProb(seed, v) == 1 {
 					realized++
 				}
 			}
-			if float64(realized) < expect-1e-9 {
-				t.Fatalf("machines=%d chunk=%d: realized %d < expectation %v", machines, chunk, realized, expect)
+			if realized<<j < n {
+				t.Fatalf("machines=%d chunk=%d: realized %d < expectation %d·2^-%d", machines, chunk, realized, n, j)
 			}
-			if math.Abs(trace.Final()-float64(realized)) > 1e-9 {
-				t.Fatalf("trace final %v != realized %d", trace.Final(), realized)
+			if trace.Final() != realized<<j {
+				t.Fatalf("trace final %d units != realized %d", trace.Final(), realized)
 			}
-			if idx := CheckMonotone(Maximize, trace, 1e-9); idx != -1 {
-				t.Fatalf("trajectory not monotone at step %d: %+v", idx, trace)
+			prev := trace.Initial
+			for i, v := range trace.Values {
+				if v < prev {
+					t.Fatalf("trajectory falls at step %d: %+v", i, trace)
+				}
+				prev = v
 			}
 		}
 	}
 }
 
 // TestMinimizePairs minimizes the expected number of concurrently marked
-// adjacent pairs on a path; the realized count must not exceed the
-// expectation m·2^-2j.
+// adjacent pairs on a path, in units of 2^−2j; the realized count must not
+// exceed the expectation m·2^-2j, and the trajectory never rises.
 func TestMinimizePairs(t *testing.T) {
 	const n, j = 30, 2
 	c := newCluster(t, 3, n)
@@ -97,10 +105,10 @@ func TestMinimizePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := fam.NewSeed()
-	eval := func(lo, hi int, s *hash.Seed) float64 {
-		sum := 0.0
+	eval := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
 		for v := lo; v < hi && v < n-1; v++ {
-			sum += fam.PairMarkProb(s, v, v+1)
+			sum += scaled(fam.PairMarkProb(s, v, v+1), 2*j)
 		}
 		return sum
 	}
@@ -108,18 +116,24 @@ func TestMinimizePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect := float64(n-1) * math.Ldexp(1, -2*j)
-	realized := 0
+	if trace.Initial != n-1 {
+		t.Fatalf("initial expectation = %d units, want %d", trace.Initial, n-1)
+	}
+	realized := int64(0)
 	for v := 0; v < n-1; v++ {
 		if fam.MarkProb(seed, v) == 1 && fam.MarkProb(seed, v+1) == 1 {
 			realized++
 		}
 	}
-	if float64(realized) > expect+1e-9 {
-		t.Fatalf("realized %d pairs > expectation %v", realized, expect)
+	if realized<<(2*j) > n-1 {
+		t.Fatalf("realized %d pairs > expectation %d·2^-%d", realized, n-1, 2*j)
 	}
-	if idx := CheckMonotone(Minimize, trace, 1e-9); idx != -1 {
-		t.Fatalf("trajectory not monotone at step %d", idx)
+	prev := trace.Initial
+	for i, v := range trace.Values {
+		if v > prev {
+			t.Fatalf("trajectory rises at step %d: %+v", i, trace)
+		}
+		prev = v
 	}
 }
 
@@ -144,10 +158,10 @@ func TestAlignToKeepsChunksInsideSegments(t *testing.T) {
 			}
 		},
 	}
-	eval := func(lo, hi int, s *hash.Seed) float64 {
-		sum := 0.0
+	eval := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
 		for v := lo; v < hi; v++ {
-			sum += fam.MarkProb(s, v)
+			sum += scaled(fam.MarkProb(s, v), j)
 		}
 		return sum
 	}
@@ -183,10 +197,10 @@ func TestSelectSeedDeterministicAcrossMachineCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		seed := fam.NewSeed()
-		eval := func(lo, hi int, s *hash.Seed) float64 {
-			sum := 0.0
+		eval := func(lo, hi int, s *hash.Seed) int64 {
+			var sum int64
 			for v := lo; v < hi; v++ {
-				sum += float64(v+1) * fam.MarkProb(s, v)
+				sum += int64(v+1) * scaled(fam.MarkProb(s, v), j)
 			}
 			return sum
 		}
@@ -211,7 +225,7 @@ func TestTraceStepsAndRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := fam.NewSeed()
-	eval := func(lo, hi int, s *hash.Seed) float64 { return 0 }
+	eval := func(lo, hi int, s *hash.Seed) int64 { return 0 }
 	trace, err := SelectSeed(MPC(c), seed, Config{ChunkBits: 4, Objective: Minimize}, Direct(eval))
 	if err != nil {
 		t.Fatal(err)
@@ -235,10 +249,10 @@ func TestMPCChunkClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(lo, hi int, s *hash.Seed) float64 {
-		sum := 0.0
+	eval := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
 		for v := lo; v < hi; v++ {
-			sum += fam.MarkProb(s, v)
+			sum += scaled(fam.MarkProb(s, v), j)
 		}
 		return sum
 	}
@@ -267,20 +281,20 @@ func TestMPCChunkClamp(t *testing.T) {
 }
 
 // TestCliqueReductionMatchesMPC runs one seed search on both reductions. On
-// an MPC cluster with one item per machine, both sum the same terms in the
-// same order, so the traces match bit for bit; both clamp the chunk width to
-// 5 here, and the clique charges two rounds per chunk plus the pick, with no
-// round for the initial expectation.
+// an MPC cluster with one item per machine, both sum the same terms, so the
+// traces match; both clamp the chunk width to 5 here, and the clique charges
+// two rounds per chunk plus the pick, with no round for the initial
+// expectation.
 func TestCliqueReductionMatchesMPC(t *testing.T) {
 	const n, j = 40, 3 // ⌊log₂ 40⌋ = 5
 	fam, err := hash.NewBits(n, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(lo, hi int, s *hash.Seed) float64 {
-		sum := 0.0
+	eval := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
 		for v := lo; v < hi; v++ {
-			sum += float64(v%7+1) * fam.MarkProb(s, v)
+			sum += int64(v%7+1) * scaled(fam.MarkProb(s, v), j)
 		}
 		return sum
 	}
@@ -310,31 +324,17 @@ func TestCliqueReductionMatchesMPC(t *testing.T) {
 	}
 }
 
-func TestCheckMonotone(t *testing.T) {
-	good := Trace{Initial: 10, Values: []float64{9, 9, 8.5}}
-	if CheckMonotone(Minimize, good, 1e-12) != -1 {
-		t.Error("good minimizing trace flagged")
-	}
-	bad := Trace{Initial: 10, Values: []float64{9, 11, 8}}
-	if CheckMonotone(Minimize, bad, 1e-12) != 1 {
-		t.Error("regression at index 1 not flagged")
-	}
-	if CheckMonotone(Maximize, Trace{Initial: 1, Values: []float64{2, 1.5}}, 1e-12) != 1 {
-		t.Error("maximizing regression not flagged")
-	}
-}
-
 // TestWalsh: the transform of the delta at S is the character row
 // e ↦ (−1)^{|S∧e|}, and transforming twice multiplies by 2^z.
 func TestWalsh(t *testing.T) {
 	for z := 0; z <= 6; z++ {
 		size := 1 << uint(z)
 		for s := 0; s < size; s++ {
-			x := make([]float64, size)
+			x := make([]int64, size)
 			x[s] = 1
 			Walsh(x)
 			for e, got := range x {
-				want := 1.0
+				want := int64(1)
 				if bits.OnesCount(uint(s&e))%2 == 1 {
 					want = -1
 				}
@@ -343,16 +343,16 @@ func TestWalsh(t *testing.T) {
 				}
 			}
 		}
-		orig := make([]float64, size)
+		orig := make([]int64, size)
 		for i := range orig {
-			orig[i] = float64(i*i%7) - 2.5
+			orig[i] = int64(i*i%7) - 3
 		}
-		x := append([]float64(nil), orig...)
+		x := append([]int64(nil), orig...)
 		Walsh(x)
 		Walsh(x)
 		for i := range x {
-			if x[i] != float64(size)*orig[i] {
-				t.Fatalf("z=%d: Walsh twice [%d] = %v, want %v", z, i, x[i], float64(size)*orig[i])
+			if x[i] != int64(size)*orig[i] {
+				t.Fatalf("z=%d: Walsh twice [%d] = %v, want %v", z, i, x[i], int64(size)*orig[i])
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func A2BenefitCap(cfg Config) (Report, error) {
 	}
 	monotone := true
 	for i := 1; i < len(initials); i++ {
-		if initials[i] > initials[i-1]+1e-9 {
+		if initials[i] > initials[i-1] {
 			monotone = false
 		}
 	}

@@ -496,7 +496,7 @@ func T6Estimator(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 	for _, ps := range det2.Phases {
-		ok := ps.EstimatorFinal <= ps.EstimatorInitial+1e-6
+		ok := ps.EstimatorFinal <= ps.EstimatorInitial
 		total++
 		if ok {
 			good++
@@ -511,7 +511,7 @@ func T6Estimator(cfg Config) (Report, error) {
 		if ps.SeedSteps == 0 {
 			continue
 		}
-		ok := ps.EstimatorFinal >= ps.EstimatorInitial-1e-6
+		ok := ps.EstimatorFinal >= ps.EstimatorInitial
 		total++
 		if ok {
 			good++

@@ -691,7 +691,7 @@ type Ctx struct {
 // superstep the slot has buffered. Payload words copied by Send live in
 // words, this attempt's own chunks; they are never reused. SendOwned
 // payloads are the sender's: only DistGraph (one send slab per machine) and
-// the clique's ScatterAggregateFloat and SumToZero/MaxToZero reuse them,
+// the clique's ScatterAggregate and SumToZero/MaxToZero reuse them,
 // under the ownership rule of DESIGN.md §8.
 //
 // merr is the first panic of the block, recorded by the worker goroutine
@@ -750,7 +750,7 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 // them (DESIGN.md §8). The caller must not write
 // the payload again while anything can still reference it. In practice
 // that means never, except for DistGraph's exchanges and the clique's
-// ScatterAggregateFloat, SumToZero and MaxToZero: they decode and clear
+// ScatterAggregate, SumToZero and MaxToZero: they decode and clear
 // their inboxes before returning, so their next call may overwrite the
 // slab. Sending on an invalidated context (after its step completed) drops
 // the payload and records ErrStaleCtx, returned by the cluster's next Step.

@@ -26,7 +26,7 @@ func CliqueRandRuling2(g *graph.Graph, o Options) (Result, error) {
 // conditional-expectation chunks that cost the MPC simulator a gather per
 // 2^z payload words here cost O(1) rounds regardless of the chunk width (up
 // to log₂ n): candidate extension e is summed at aggregator node e with
-// every nonzero contribution on its own pair link (ScatterAggregateFloat).
+// every nonzero contribution on its own pair link (ScatterAggregate).
 // This is the collective structure behind the paper's round bounds.
 func CliqueDetRuling2(g *graph.Graph, o Options) (Result, error) {
 	return cliqueRuling2(g, o, true)

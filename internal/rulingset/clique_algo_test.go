@@ -121,7 +121,7 @@ func TestCliqueGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ps := range res.Phases {
-		if ps.EstimatorFinal > ps.EstimatorInitial+1e-6 {
+		if ps.EstimatorFinal > ps.EstimatorInitial {
 			t.Fatalf("phase %d: realized %v > expectation %v", ps.Phase, ps.EstimatorFinal, ps.EstimatorInitial)
 		}
 	}

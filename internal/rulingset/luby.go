@@ -245,11 +245,11 @@ func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, 
 	seed := fam.NewSeed()
 	ms := newMarkState(fam, n)
 
-	eval, err := lubyEstimator(ms, active, nbrDeg, deg, maxJ)
+	eval, u, err := lubyEstimator(ms, active, nbrDeg, deg, maxJ)
 	if err != nil {
 		return err
 	}
-	if err := fixSeed(m, o, derand.Maximize, ms, seed, eval, ps); err != nil {
+	if err := fixSeed(m, o, derand.Maximize, ms, seed, eval, u, ps); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -262,21 +262,23 @@ func detLubyMarks(m model, o Options, active *bitset.Set, nbrDeg mpc.Adjacency, 
 }
 
 // lubyEstimator returns detLubyMarks' progress bound Ψ as a ChunkEval on
-// ms, one spectrum per machine: v's term deg_A(v)·(P[mark v] −
-// Σ_u P[mark u ∧ mark v]) enters with heterogeneous exponents lubyJ(deg).
-// maxJ bounds the exponents.
-func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxJ int) (derand.ChunkEval, error) {
-	terms := 0
+// ms, one spectrum per machine, scored in units of 2^−u, and u: v's term
+// deg_A(v)·(P[mark v] − Σ_u P[mark u ∧ mark v]) enters with heterogeneous
+// exponents lubyJ(deg). maxJ bounds the exponents.
+func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg []int32, maxJ int) (derand.ChunkEval, int, error) {
+	terms, weight := 0, 0.0
 	active.ForEach(func(v int) bool {
 		if deg[v] > 0 {
 			terms += 1 + int(deg[v])
+			weight += float64(deg[v]) * float64(1+deg[v])
 		}
 		return true
 	})
-	if err := checkExact(maxJ, terms); err != nil {
-		return nil, err
+	if err := checkExact(maxJ, 0, terms, weight); err != nil {
+		return nil, 0, err
 	}
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
+	u := units(maxJ, 0)
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
 		clear(out)
 		cs := ms.chunk(s, start, width)
 		for v := lo; v < hi; v++ {
@@ -287,7 +289,7 @@ func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg 
 			if !ms.alive(v, jv) {
 				continue
 			}
-			dv := float64(deg[v])
+			dv := int64(deg[v]) << u
 			ms.addMark(out, cs, v, jv, dv)
 			du := nbrDeg.Vals(v)
 			for i, u := range nbrDeg.Row(v) {
@@ -298,5 +300,5 @@ func lubyEstimator(ms *markState, active *bitset.Set, nbrDeg mpc.Adjacency, deg 
 		expect := out[0]
 		derand.Walsh(out)
 		return expect
-	}, nil
+	}, u, nil
 }

@@ -102,11 +102,14 @@ func deadBit(fz int32, f int64) uint64 { return uint64(int64(fz)-f) >> 63 }
 // into the values at every e. The case split follows the segment
 // structure: fully fixed segments contribute 1 (for alive vertices), fully
 // free ones 1/2 per marginal bit and 1/4 per pairwise-joint bit, and only
-// the partial segment depends on e, through its chunk view cs.
+// the partial segment depends on e, through its chunk view cs. c is a
+// weight in the estimator's units of 2^−u (see units), a multiple of
+// 2^(2·maxJ) for exponents up to maxJ, so every halving below is an exact
+// shift.
 
 // addMark adds c·P[mark(v)], where mark(v) is the AND of the first j
 // linear bits.
-func (ms *markState) addMark(w []float64, cs hash.ChunkState, v, j int, c float64) {
+func (ms *markState) addMark(w []int64, cs hash.ChunkState, v, j int, c int64) {
 	if !ms.alive(v, j) {
 		return
 	}
@@ -116,12 +119,12 @@ func (ms *markState) addMark(w []float64, cs hash.ChunkState, v, j int, c float6
 		return
 	}
 	// Partial segment f plus j-f-1 fully free segments.
-	addOne(w, cs, ms.fam.Coeff(v), c*pow2neg(j-f-1))
+	addOne(w, cs, ms.fam.Coeff(v), c>>(j-f-1))
 }
 
 // addPair adds c·P[mark(u) ∧ mark(x)] for distinct u, x with per-vertex
 // exponents ju, jx.
-func (ms *markState) addPair(w []float64, cs hash.ChunkState, u, x, ju, jx int, c float64) {
+func (ms *markState) addPair(w []int64, cs hash.ChunkState, u, x, ju, jx int, c int64) {
 	if !ms.alive(u, ju) || !ms.alive(x, jx) {
 		return
 	}
@@ -135,11 +138,11 @@ func (ms *markState) addPair(w []float64, cs hash.ChunkState, u, x, ju, jx int, 
 	case f < a:
 		// Partial segment in the joint head [0, a): the pair law there,
 		// 1/4 per free head segment, 1/2 per tail segment [a, b).
-		addBoth(w, cs, ms.fam.Coeff(u), ms.fam.Coeff(x), c*pow2neg(2*(a-f-1)+(b-a)))
+		addBoth(w, cs, ms.fam.Coeff(u), ms.fam.Coeff(x), c>>(2*(a-f-1)+(b-a)))
 	case f < b:
 		// Head fully fixed (both alive there); the partial segment is in
 		// the tail, which involves only the vertex with the larger exponent.
-		addOne(w, cs, ms.fam.Coeff(long), c*pow2neg(b-f-1))
+		addOne(w, cs, ms.fam.Coeff(long), c>>(b-f-1))
 	default:
 		w[0] += c
 	}
@@ -147,8 +150,8 @@ func (ms *markState) addPair(w []float64, cs hash.ChunkState, u, x, ju, jx int, 
 
 // addOne adds c·[X = 1] for the partial segment's linear bit X with
 // coefficient vector a: c/2 if X is free, else c·(1 − (−1)^par·χ_m)/2.
-func addOne(w []float64, cs hash.ChunkState, a uint64, c float64) {
-	h := c / 2
+func addOne(w []int64, cs hash.ChunkState, a uint64, c int64) {
+	h := c >> 1
 	w[0] += h
 	if det, par, m := cs.Lin(a); det {
 		w[m] -= signed(h, par)
@@ -159,8 +162,8 @@ func addOne(w []float64, cs hash.ChunkState, a uint64, c float64) {
 // bits with vertex coefficient vectors au, ax. Both vectors hold the
 // constant coordinate, the segment's last, so the two bits are determined
 // together or uniform together.
-func addBoth(w []float64, cs hash.ChunkState, au, ax uint64, c float64) {
-	q := c / 4
+func addBoth(w []int64, cs hash.ChunkState, au, ax uint64, c int64) {
+	q := c >> 2
 	w[0] += q
 	if det, pu, mu := cs.Lin(au); det { // ¼(1 − su·χ_mu)(1 − sx·χ_mx)
 		_, px, mx := cs.Lin(ax)
@@ -222,43 +225,45 @@ func (c chunkCodes) slot(x uint64) uint64 { return x >> 1 & c.mask }
 func (c chunkCodes) coupled(x uint64) bool { return x>>c.keyAt == 0 }
 
 // signed returns (−1)^par·q.
-func signed(q float64, par uint64) float64 {
+func signed(q int64, par uint64) int64 {
 	if par != 0 {
 		return -q
 	}
 	return q
 }
 
-// checkExact returns an error unless an estimator of terms mark and pair
-// terms with exponents at most maxJ, each weighted by at most 2^(j−1) for
-// its vertex's exponent j, is summed exactly in float64. With f segments
-// fixed, every spectral coefficient is a multiple of 2^−2(maxJ−f), and in
-// those units each term's coefficients sum in absolute value to at most
-// 2^(2·maxJ). So while 2·maxJ + log₂(terms) ≤ 53, every partial sum — of a
-// spectrum, of its Walsh transform, and of the per-extension evaluation —
-// is exact: the spectral values equal the direct ones bit for bit, in any
-// summation order.
-func checkExact(maxJ, terms int) error {
-	if float64(terms) > math.Ldexp(1, 53-2*maxJ) {
-		return fmt.Errorf("rulingset: %d estimator terms at exponent %d exceed float64's exact range (2·j + log₂ terms > 53)", terms, maxJ)
+// units returns the exponent u of the int64 units 2^−u an estimator with
+// exponents at most maxJ scores in, when its cost terms are weighted by α =
+// 2^k: 2^(2·maxJ) units make every mark and pair probability an integer, and
+// k < 0 needs −k more bits for α·cost. Luby's estimator has k = 0.
+func units(maxJ, k int) int { return 2*maxJ + max(0, -k) }
+
+// checkExact returns an error unless an estimator's int64 values are exact
+// and convert to float64 exactly. The estimator has exponents at most maxJ
+// and weighs its cost terms by α = 2^k (Luby's has k = 0); it scores terms
+// mark and pair terms in units of 2^−u, u = units(maxJ, k). Each term is a
+// probability times a weight, and weight sums the weights' absolute values.
+//
+//   - A term's coefficients sum in absolute value to at most its weight, so
+//     every value — a spectrum coefficient, its Walsh transform, a sum over
+//     machines — is at most weight·2^u units in absolute value. While u +
+//     log₂ weight ≤ 62, int64 accumulation cannot overflow.
+//   - With f segments fixed every value is a multiple of 2^2f units, and in
+//     those units each term's coefficients sum in absolute value to at most
+//     2^(2·maxJ+|k|): a sparsify term weighs α or 1, and a Luby term,
+//     weighted by at most 2^(j−1) at exponent j, sums to at most 2^f. So
+//     while 2·maxJ + |k| + log₂ terms ≤ 53, every value has at most 53
+//     significant bits. That limit guards only the exact float64
+//     conversion of the reported values (PhaseStat.EstimatorInitial and
+//     EstimatorFinal).
+func checkExact(maxJ, k, terms int, weight float64) error {
+	if bits := 2*maxJ + max(k, -k); float64(terms) > math.Ldexp(1, 53-bits) {
+		return fmt.Errorf("rulingset: %d estimator terms at exponent %d (log₂ α = %d) exceed float64's exact range (2·j + |log₂ α| + log₂ terms > 53)", terms, maxJ, k)
+	}
+	if u := units(maxJ, k); weight > math.Ldexp(1, 62-u) {
+		return fmt.Errorf("rulingset: estimator weight %v at exponent %d exceeds int64's range (log₂ weight + %d > 62)", weight, maxJ, u)
 	}
 	return nil
-}
-
-// _pow2neg[i] = 2^-i for the exponent range the families can produce.
-var _pow2neg = func() [130]float64 {
-	var t [130]float64
-	for i := range t {
-		t[i] = math.Ldexp(1, -i)
-	}
-	return t
-}()
-
-func pow2neg(i int) float64 {
-	if i < len(_pow2neg) {
-		return _pow2neg[i]
-	}
-	return math.Ldexp(1, -i)
 }
 
 // marked reports the realized mark of v under a fully fixed, synced seed.

@@ -80,7 +80,7 @@ func TestPropertyGuaranteeAlwaysHolds(t *testing.T) {
 			return false
 		}
 		for _, ps := range res.Phases {
-			if ps.EstimatorFinal > ps.EstimatorInitial+1e-6 {
+			if ps.EstimatorFinal > ps.EstimatorInitial {
 				t.Logf("seed %d phase %d: %v > %v", seed, ps.Phase, ps.EstimatorFinal, ps.EstimatorInitial)
 				return false
 			}

@@ -70,7 +70,9 @@ type Options struct {
 	// construction.
 
 	// EstimatorAlpha weighs the candidate-edge cost term of the
-	// sparsification potential Φ = α·cost − benefit; default 2.
+	// sparsification potential Φ = α·cost − benefit; default 2. It must be
+	// a power of two: the deterministic drivers return an error for any
+	// other value.
 	EstimatorAlpha float64
 	// BenefitCap, when positive, caps the Bonferroni neighborhood N'(v) at
 	// this size instead of the analysis-dictated ⌊1/p⌋.

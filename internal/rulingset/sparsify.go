@@ -290,11 +290,11 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 	if o.BenefitCap > 0 && o.BenefitCap < capSize {
 		capSize = o.BenefitCap
 	}
-	eval, err := sparsifyEstimator(ms, active, view, j, capSize, o.EstimatorAlpha)
+	eval, u, err := sparsifyEstimator(ms, active, view, j, capSize, o.EstimatorAlpha)
 	if err != nil {
 		return err
 	}
-	if err := fixSeed(m, o, derand.Minimize, ms, seed, eval, ps); err != nil {
+	if err := fixSeed(m, o, derand.Minimize, ms, seed, eval, u, ps); err != nil {
 		return err
 	}
 	active.ForEach(func(v int) bool {
@@ -306,13 +306,13 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 	return nil
 }
 
-// sparsifyEstimator returns detMarks' potential Φ as a ChunkEval on ms.
-// highDeg = 2^j is the qualification threshold ⌊1/p⌋ for the benefit term;
-// capSize truncates the Bonferroni neighborhood N'(v) (equal to highDeg in
-// the paper's construction; smaller only under the A2 ablation). One pass
-// accumulates the cost and benefit spectra; they are transformed and
-// combined per extension, so α·cost − benefit rounds exactly as a direct
-// evaluation would, for any α.
+// sparsifyEstimator returns detMarks' potential Φ as a ChunkEval on ms,
+// scored in units of 2^−u, and u. highDeg = 2^j is the qualification
+// threshold ⌊1/p⌋ for the benefit term; capSize truncates the Bonferroni
+// neighborhood N'(v) (equal to highDeg in the paper's construction; smaller
+// only under the A2 ablation). α must be a power of two, 2^k: the cost
+// terms are then shifted by k, and one pass accumulates α·cost − benefit
+// into one spectrum.
 //
 // The pass sums the terms markState.addMark/addPair would add, without
 // making them one by one. Every vertex has exponent j, so with f < j
@@ -325,61 +325,63 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 // and the rest are per-vertex counts: A alive members of N'(v) add A·h −
 // A(A−1)/2·q at w[0] and ((A−1)·q − h)·s_u at each member's m_u, and v's
 // edge row adds its alive count times q at w[0] and times −s_v·q at m_v.
-// Every regrouped value is a partial sum of the same dyadic terms, exact
-// by checkExact, so the spectra equal the per-term ones bit for bit, and
-// each machine still sums exactly the terms of its own items.
-func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) (derand.ChunkEval, error) {
+// Every regrouped value is an integer sum of the same terms, so the
+// spectrum equals the per-term one, and each machine still sums exactly
+// the terms of its own items.
+func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) (derand.ChunkEval, int, error) {
+	frac, exp := math.Frexp(alpha)
+	if frac != 0.5 {
+		return nil, 0, fmt.Errorf("rulingset: estimator α = %v is not a power of two", alpha)
+	}
+	k := exp - 1
 	highDeg := 1 << uint(j)
-	terms := 0
+	edges, benefit := 0, 0
 	active.ForEach(func(v int) bool {
 		nb := view.Row(v)
 		for _, u := range nb {
 			if int(u) > v {
-				terms++
+				edges++
 			}
 		}
 		if len(nb) >= highDeg {
-			terms += capSize * (capSize + 1) / 2
+			benefit += capSize * (capSize + 1) / 2
 		}
 		return true
 	})
-	if err := checkExact(j, terms); err != nil {
-		return nil, err
+	if err := checkExact(j, k, edges+benefit, alpha*float64(edges)+float64(benefit)); err != nil {
+		return nil, 0, err
 	}
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
-		// Up to z = 8 the cost spectrum, and up to 64 the codes of a
-		// benefit neighbourhood, live on the stack, so scoring a chunk
-		// allocates nothing per machine.
-		var costBuf [256]float64
-		var cost []float64
-		if len(out) <= len(costBuf) {
-			cost = costBuf[:len(out)]
-		} else {
-			cost = make([]float64, len(out))
-		}
+	// In units of 2^−u, with f segments fixed, q = 2^(2f+c) and h =
+	// 2^(j+f+c) for c = u − 2j, and α·q is q shifted by k.
+	u := units(j, k)
+	c := u - 2*j
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
+		// Up to 64 the codes of a benefit neighbourhood live on the stack,
+		// so scoring a chunk allocates nothing per machine.
 		var codeBuf [64]uint64
 		codes := codeBuf[:]
 		if capSize > len(codes) {
 			codes = make([]uint64, capSize)
 		}
-		benefit := out
-		clear(benefit)
+		clear(out)
 
-		// With every segment fixed (f = j), h = q = 1 and the zero chunk
-		// state couples no pair, so every term lands at w[0].
+		// With every segment fixed (f = j), h = q = 2^u units (probability
+		// 1) and the zero chunk state couples no pair, so every term lands
+		// at w[0].
 		f := minInt(ms.fixedSegs, j)
 		cc := newChunkCodes(ms.fam, ms.chunk(s, start, width))
 		fz, minAlive := ms.firstZero, int64(f)
-		q, h := pow2neg(2*(j-f)), pow2neg(j-f)
+		q, h := int64(1)<<(2*f+c), int64(1)<<(j+f+c)
+		qc := int64(1) << (2*f + c + k)
 		// Cost terms by parity | dead<<1, benefit pair terms by parity.
 		// A dead vertex takes part with a zero term rather than a branch:
 		// after the first segment about half of them are dead, at random.
 		// The one branch per pair, on matching keys, is always taken in a
 		// determined chunk and seldom in an undetermined one that ends
 		// well before the constant coordinate.
-		costPair := [4]float64{q, -q, 0, 0}
-		costOne := [4]float64{-q, q, 0, 0}
-		benefitPair := [2]float64{-q, q}
+		costPair := [4]int64{qc, -qc, 0, 0}
+		costOne := [4]int64{-qc, qc, 0, 0}
+		benefitPair := [2]int64{q, -q} // −benefit: out holds α·cost − benefit
 		for v := lo; v < hi; v++ {
 			if !active.Contains(v) {
 				continue
@@ -395,15 +397,15 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 					d := deadBit(fz[u], minAlive)
 					alive += int(1 - d)
 					if x := cv ^ cu; cc.coupled(x) {
-						cost[cc.slot(x)] += costPair[(x&1|d<<1)&3]
+						out[cc.slot(x)] += costPair[(x&1|d<<1)&3]
 					}
 					if cc.det {
-						cost[cc.slot(cu)] += costOne[(cu&1|d<<1)&3]
+						out[cc.slot(cu)] += costOne[(cu&1|d<<1)&3]
 					}
 				}
-				cost[0] += float64(alive) * q
+				out[0] += int64(alive) * qc
 				if cc.det {
-					cost[cc.slot(cv)] += float64(alive) * costOne[cv&1]
+					out[cc.slot(cv)] += int64(alive) * costOne[cv&1]
 				}
 			}
 			if len(nb) < highDeg {
@@ -415,37 +417,34 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 				a += int(1 - deadBit(fz[u], minAlive))
 			}
 			nn := codes[:a]
-			benefit[0] += float64(a)*h - float64(a*(a-1)/2)*q
+			out[0] += int64(a*(a-1)/2)*q - int64(a)*h
 			if cc.det {
-				one := float64(a-1)*q - h
+				one := h - int64(a-1)*q
 				for _, cu := range nn {
-					benefit[cc.slot(cu)] += signed(one, cu&1)
+					out[cc.slot(cu)] += signed(one, cu&1)
 				}
 			}
 			for i, cu := range nn {
 				for _, cw := range nn[i+1:] {
 					if x := cu ^ cw; cc.coupled(x) {
-						benefit[cc.slot(x)] += benefitPair[x&1]
+						out[cc.slot(x)] += benefitPair[x&1]
 					}
 				}
 			}
 		}
-		// The empty character's coefficients are the E[· | prefix] of the
-		// two sums, read before the transform overwrites them.
-		expect := alpha*cost[0] - benefit[0]
-		derand.Walsh(cost)
-		derand.Walsh(benefit)
-		for e := range out {
-			out[e] = alpha*cost[e] - benefit[e]
-		}
+		// The empty character's coefficient is E[Φ | prefix], read before
+		// the transform overwrites it.
+		expect := out[0]
+		derand.Walsh(out)
 		return expect
-	}, nil
+	}, u, nil
 }
 
 // fixSeed fixes every free bit of seed by the conditional-expectation search
 // on m's reduction, keeping ms synced chunk by chunk, and records the
-// estimator trajectory in ps. On return ms is synced to the fully fixed seed.
-func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.ChunkEval, ps *PhaseStat) error {
+// estimator trajectory, scored in units of 2^−u, in ps. On return ms is
+// synced to the fully fixed seed.
+func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash.Seed, eval derand.ChunkEval, u int, ps *PhaseStat) error {
 	trace, err := derand.SelectSeed(m, seed, derand.Config{
 		ChunkBits: o.ChunkBits,
 		Objective: obj,
@@ -457,7 +456,8 @@ func fixSeed(m model, o Options, obj derand.Objective, ms *markState, seed *hash
 	}
 	ms.sync(seed)
 	ps.SeedSteps = trace.Steps
-	ps.EstimatorInitial = trace.Initial
-	ps.EstimatorFinal = trace.Final()
+	// Exact: checkExact bounds every value to 53 significant bits.
+	ps.EstimatorInitial = math.Ldexp(float64(trace.Initial), -u)
+	ps.EstimatorFinal = math.Ldexp(float64(trace.Final()), -u)
 	return nil
 }

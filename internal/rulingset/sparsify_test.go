@@ -14,15 +14,14 @@ import (
 	"github.com/rulingset/mprs/internal/mpc"
 )
 
-// perTermSparsify is detMarks' potential scored one term at a time through
-// markState.addMark/addPair: the reference the one-pass kernel of
-// sparsifyEstimator must equal bit for bit.
-func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) derand.ChunkEval {
+// perTermSparsify is detMarks' potential scored in units of 2^−u one term
+// at a time through markState.addMark/addPair: the reference the one-pass
+// kernel of sparsifyEstimator must equal.
+func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64, u int) derand.ChunkEval {
 	highDeg := 1 << uint(j)
-	return func(lo, hi int, s *hash.Seed, start, width int, out []float64) float64 {
-		cost := make([]float64, len(out))
-		benefit := out
-		clear(benefit)
+	cost, one := int64(math.Ldexp(alpha, u)), int64(1)<<u
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
+		clear(out)
 		cs := ms.chunk(s, start, width)
 		for v := lo; v < hi; v++ {
 			if !active.Contains(v) {
@@ -32,7 +31,7 @@ func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, c
 			if ms.alive(v, j) {
 				for _, u := range nb {
 					if int(u) > v {
-						ms.addPair(cost, cs, v, int(u), j, j, 1)
+						ms.addPair(out, cs, v, int(u), j, j, cost)
 					}
 				}
 			}
@@ -44,18 +43,14 @@ func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, c
 				if !ms.alive(int(u), j) {
 					continue
 				}
-				ms.addMark(benefit, cs, int(u), j, 1)
+				ms.addMark(out, cs, int(u), j, -one)
 				for _, w := range nn[i+1:] {
-					ms.addPair(benefit, cs, int(u), int(w), j, j, -1)
+					ms.addPair(out, cs, int(u), int(w), j, j, one)
 				}
 			}
 		}
-		expect := alpha*cost[0] - benefit[0]
-		derand.Walsh(cost)
-		derand.Walsh(benefit)
-		for e := range out {
-			out[e] = alpha*cost[e] - benefit[e]
-		}
+		expect := out[0]
+		derand.Walsh(out)
 		return expect
 	}
 }
@@ -145,19 +140,19 @@ func kernelCases(rng *rand.Rand, j, segW int) []kernelCase {
 
 // compareKernel scores the chunk with the kernel and the per-term reference
 // on [lo, hi) and through the MPC reduction at parallelism 1 and 4, and
-// fails unless every extension's value is the same float64 bit pattern.
+// fails unless every extension's value is the same.
 func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, lo, hi int, seed *hash.Seed, start, width int) {
 	t.Helper()
-	same := func(what string, got, want []float64) {
+	same := func(what string, got, want []int64) {
 		t.Helper()
 		for e := range want {
-			if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			if got[e] != want[e] {
 				t.Fatalf("%s %s: start %d width %d e=%d: kernel %v, per-term %v", label, what, start, width, e, got[e], want[e])
 			}
 		}
 	}
-	got := make([]float64, 1<<uint(width))
-	want := make([]float64, len(got))
+	got := make([]int64, 1<<uint(width))
+	want := make([]int64, len(got))
 	gotE := kernel(lo, hi, seed, start, width, got)
 	wantE := ref(lo, hi, seed, start, width, want)
 	same("range", append(got, gotE), append(want, wantE))
@@ -181,11 +176,11 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 
 // TestSparsifyKernelMatchesPerTerm is the one-pass kernel's contract: at
 // every exponent up to 9 (2^9-vertex benefit neighbourhoods, past any stack
-// table), under a benefit cap below 2^j, with the chunk inside a segment,
-// ending just before or exactly at its constant coordinate, of width 0, and
-// with every segment fixed, sparsifyEstimator's values equal the per-term
-// loop's bit for bit, on an item range and summed over machines at
-// parallelism 1 and 4.
+// table), under a benefit cap below 2^j, at α above, at and below 1, with
+// the chunk inside a segment, ending just before or exactly at its constant
+// coordinate, of width 0, and with every segment fixed, sparsifyEstimator's
+// values equal the per-term loop's, on an item range and summed over
+// machines at parallelism 1 and 4.
 func TestSparsifyKernelMatchesPerTerm(t *testing.T) {
 	const n = 2048 // 12-bit encodings, 13-bit segments
 	rng := rand.New(rand.NewSource(29))
@@ -198,12 +193,12 @@ func TestSparsifyKernelMatchesPerTerm(t *testing.T) {
 		for _, capSize := range []int{1 << uint(j), 1 + rng.Intn(1<<uint(j))} {
 			for _, kc := range kernelCases(rng, j, fam.SegWidth()) {
 				seed, ms, start := kernelPrefix(rng, fam, n, kc.f, kc.ft)
-				alpha := []float64{2, 1.3}[rng.Intn(2)]
-				kernel, err := sparsifyEstimator(ms, active, view, j, capSize, alpha)
+				alpha := []float64{2, 0.5, 8}[rng.Intn(3)]
+				kernel, u, err := sparsifyEstimator(ms, active, view, j, capSize, alpha)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := perTermSparsify(ms, active, view, j, capSize, alpha)
+				ref := perTermSparsify(ms, active, view, j, capSize, alpha, u)
 				lo, hi := rng.Intn(n/2), n/2+rng.Intn(n/2+1)
 				label := fmt.Sprintf("j=%d cap=%d %s", j, capSize, kc.name)
 				compareKernel(t, label, kernel, ref, n, lo, hi, seed, start, kc.width)
@@ -232,7 +227,7 @@ func FuzzSparsifyEstimator(f *testing.F) {
 		if c := int(capRaw); c > 0 && c < capSize {
 			capSize = c
 		}
-		alpha := []float64{2, 1, 1.3, 0.7}[alphaRaw%4]
+		alpha := []float64{2, 1, 0.5, 4, 8}[alphaRaw%5]
 		segW := fam.SegWidth()
 		start := int(startRaw) % (fam.SeedBits() + 1)
 		width := 0
@@ -240,11 +235,11 @@ func FuzzSparsifyEstimator(f *testing.F) {
 			width = int(widthRaw) % (segW - start%segW + 1)
 		}
 		pre, ms, _ := kernelPrefix(rng, fam, n, start/segW, start%segW)
-		kernel, err := sparsifyEstimator(ms, active, view, j, capSize, alpha)
+		kernel, u, err := sparsifyEstimator(ms, active, view, j, capSize, alpha)
 		if err != nil {
-			t.Skip() // past float64's exact range
+			t.Skip() // past checkExact's range
 		}
-		ref := perTermSparsify(ms, active, view, j, capSize, alpha)
+		ref := perTermSparsify(ms, active, view, j, capSize, alpha, u)
 		compareKernel(t, "fuzz", kernel, ref, n, 0, n, pre, start, width)
 	})
 }
@@ -274,11 +269,11 @@ func BenchmarkSparsifyEstimator(b *testing.B) {
 	}{{"undetermined", 0}, {"determined", segW - z}} {
 		b.Run(pos.name, func(b *testing.B) {
 			seed, ms, start := kernelPrefix(rand.New(rand.NewSource(2)), fam, n, 1, pos.ft)
-			eval, err := sparsifyEstimator(ms, active, view, j, 1<<uint(j), 2)
+			eval, _, err := sparsifyEstimator(ms, active, view, j, 1<<uint(j), 2)
 			if err != nil {
 				b.Fatal(err)
 			}
-			out := make([]float64, 1<<z)
+			out := make([]int64, 1<<z)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
