@@ -695,7 +695,8 @@ type Ctx struct {
 // under the ownership rule of DESIGN.md §8.
 //
 // merr is the first panic of the block, recorded by the worker goroutine
-// that runs the block's closures in ascending machine order.
+// that runs the block's closures in ascending machine order. block is the
+// block's index (Ctx.Block).
 type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
@@ -703,6 +704,7 @@ type stepOutbox struct {
 	words  []uint64 // the current Send copy chunk: filled prefix, free tail
 	c      *Cluster
 	round  int
+	block  int
 	merr   *MachineError
 }
 
@@ -730,6 +732,12 @@ const minLogCap = 16
 // superstep's merge overwrites: it is valid only until this step's closures
 // return, and must not be kept past them (DESIGN.md §8, "Inbox lifetime").
 func (x *Ctx) Inbox() []Message { return x.ob.c.inboxes[x.Machine] }
+
+// Block returns the index, in [0, Blocks()), of the worker block running
+// this machine in this step. A block's closures run one at a time, in
+// ascending machine order, so state indexed by Block is written by one
+// goroutine per step: per-block scratch that a step's machines reuse.
+func (x *Ctx) Block() int { return x.ob.block }
 
 // Send queues a message of machine words to machine dst, delivered at the
 // end of the step. The payload is copied into a word chunk of the sending
@@ -1009,6 +1017,14 @@ func (c *Cluster) poolBlocks() (workers, per int) {
 	return (M + per - 1) / per, per
 }
 
+// Blocks returns the number of worker blocks the next step runs its
+// machines in: Ctx.Block is below it. It depends on Config.Parallelism
+// (and on GOMAXPROCS when that is 0), never on the round.
+func (c *Cluster) Blocks() int {
+	workers, _ := c.poolBlocks()
+	return workers
+}
+
 // runBlocks runs f(lo, hi) for every worker block of machines [lo, hi) on
 // the cluster's worker pool: one goroutine per block, joined before it
 // returns, or inline on the calling goroutine in block order when the pool
@@ -1067,7 +1083,7 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 	}
 	at.outs = make([]*stepOutbox, workers)
 	for w := range at.outs {
-		ob := &stepOutbox{log: c.logs[w], c: c, round: round}
+		ob := &stepOutbox{log: c.logs[w], c: c, round: round, block: w}
 		at.outs[w] = ob
 		for m := w * per; m < min((w+1)*per, M); m++ {
 			lo, hi := c.Range(m)

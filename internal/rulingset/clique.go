@@ -34,6 +34,10 @@ func CliqueDetRuling2(g *graph.Graph, o Options) (Result, error) {
 
 func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 	n := g.N()
+	o, err := o.withDefaults(n)
+	if err != nil {
+		return Result{}, err
+	}
 	if n == 0 {
 		return Result{Beta: 2}, nil
 	}
@@ -41,7 +45,6 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (Result, error
 		// A single node is the whole clique; no communication exists.
 		return Result{Members: []int32{0}, Beta: 2, ResidualN: 1}, nil
 	}
-	o = o.withDefaults(n)
 	if err := o.durableUnsupported("CliqueRuling2"); err != nil {
 		return Result{}, err
 	}

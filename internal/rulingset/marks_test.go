@@ -298,11 +298,28 @@ func directLuby(fams []*hash.Bits, inst estimatorInstance, u int) derand.LocalEv
 	}
 }
 
+// perExtension evaluates eval on [lo, hi) once per extension of the chunk
+// [start, start+width), on a copy of s with the chunk written and fixed,
+// and once on s itself: the values a spectrum's transform must give, and
+// the E[Φ | prefix] its empty-character coefficient must be.
+func perExtension(eval derand.LocalEval, lo, hi int, s *hash.Seed, start, width int) ([]int64, int64) {
+	vals := make([]int64, 1<<uint(width))
+	local := s.Clone()
+	local.SetFixed(start + width)
+	for e := range vals {
+		local.SetChunk(start, width, uint64(e))
+		vals[e] = eval(lo, hi, local)
+	}
+	return vals, eval(lo, hi, s)
+}
+
 // TestSpectralEstimatorsMatchDirect is the spectral evaluation's contract:
 // on random instances, committed prefixes ending inside a segment and chunk
-// widths 1–12, both estimators' one-pass values equal the per-extension
-// direct evaluation, for every extension and item range, the sparsify one
-// at α above and below 1.
+// widths 1–12, both estimators' one-pass spectra, transformed, equal the
+// per-extension direct evaluation, for every extension and item range, and
+// their empty-character coefficients equal the direct E[Φ | prefix]; the
+// sparsify one at α above and below 1. derand.Direct returns the same
+// spectrum.
 func TestSpectralEstimatorsMatchDirect(t *testing.T) {
 	const n = 2048 // 12-bit encodings: 13-bit segments hold a 12-bit chunk
 	rng := rand.New(rand.NewSource(23))
@@ -327,9 +344,18 @@ func TestSpectralEstimatorsMatchDirect(t *testing.T) {
 		}
 		compare := func(name string, spectral derand.ChunkEval, direct derand.LocalEval, seed *hash.Seed, start int) {
 			got := make([]int64, 1<<uint(width))
-			want := make([]int64, len(got))
-			gotE := spectral(lo, hi, seed, start, width, got)
-			wantE := derand.Direct(direct)(lo, hi, seed, start, width, want)
+			spectral(lo, hi, seed, start, width, got)
+			coef := make([]int64, len(got))
+			derand.Direct(direct)(lo, hi, seed, start, width, coef)
+			for S := range coef {
+				if got[S] != coef[S] {
+					t.Fatalf("trial %d %s: width %d start %d: spectral coefficient %d is %v, Direct's %v",
+						trial, name, width, start, S, got[S], coef[S])
+				}
+			}
+			gotE := got[0]
+			derand.Walsh(got)
+			want, wantE := perExtension(direct, lo, hi, seed, start, width)
 			if gotE != wantE {
 				t.Fatalf("trial %d %s: width %d start %d: spectral E[Φ | prefix] %v, direct %v",
 					trial, name, width, start, gotE, wantE)
@@ -469,22 +495,23 @@ func seedSearchAllocs(t *testing.T, n int) float64 {
 }
 
 // TestSeedSearchAllocs pins that scoring a chunk allocates per machine, not
-// per item or per extension, and no more than the per-extension search did
-// (a seed clone and a payload per machine): the estimator writes into one
-// output buffer per machine, which the reduction reuses.
+// per item or per extension: the estimator writes into one output buffer
+// per machine and the reduction transforms the summed spectrum in one
+// totals buffer, both reused across chunks. What is left is the all-reduce
+// round's own: a payload per machine and the round's fixed allocations,
+// 14 in this setup. (The per-extension search cloned the seed on every
+// machine: 33. A fresh totals slice per chunk made it 15.)
 func TestSeedSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	// The per-extension search cloned the seed on every machine: 33
-	// allocations in this setup.
-	const perExtensionSearch = 33
+	const want = 14
 	small, large := seedSearchAllocs(t, 1024), seedSearchAllocs(t, 8192)
 	if small != large {
 		t.Errorf("%v allocations at n=1024, %v at n=8192", small, large)
 	}
-	if small > perExtensionSearch {
-		t.Errorf("%v allocations per chunk, more than the per-extension search's %d", small, perExtensionSearch)
+	if small != want {
+		t.Errorf("%v allocations per chunk, want %d", small, want)
 	}
 }
 
@@ -616,19 +643,22 @@ func TestLubyWins(t *testing.T) {
 }
 
 // expectPass is the reference E[Φ]: a separate width-0 pass, summing eval
-// at width 0 on the unfixed seed over the item ranges [lo, hi).
+// at width 0 on the unfixed seed over the item ranges [lo, hi). A width-0
+// spectrum is its one empty-character coefficient.
 func expectPass(eval derand.ChunkEval, s *hash.Seed, ranges [][2]int) int64 {
 	var val [1]int64
 	var sum int64
 	for _, r := range ranges {
-		sum += eval(r[0], r[1], s, s.Fixed(), 0, val[:])
+		eval(r[0], r[1], s, s.Fixed(), 0, val[:])
+		sum += val[0]
 	}
 	return sum
 }
 
-// TestSelectSeedInitialMatchesExpect: Trace.Initial, the sum of the E[Φ |
-// prefix] each machine (each node on the clique) returns with the first
-// chunk, is the E[Φ] of the width-0 pass, on both models, for the sparsify
+// TestSelectSeedInitialMatchesExpect: Trace.Initial, the empty-character
+// coefficient of the first chunk's summed spectrum (on the clique, summed
+// on the host, off the wire), is the E[Φ] of the width-0 pass, on both
+// models, for the sparsify
 // estimator at α = 2 and at α = 1/2 (which shifts the benefit terms, not
 // the cost terms) and for the Luby estimator.
 func TestSelectSeedInitialMatchesExpect(t *testing.T) {

@@ -31,6 +31,7 @@ package rulingset
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/rulingset/mprs/internal/graph"
@@ -71,8 +72,8 @@ type Options struct {
 
 	// EstimatorAlpha weighs the candidate-edge cost term of the
 	// sparsification potential Φ = α·cost − benefit; default 2. It must be
-	// a power of two: the deterministic drivers return an error for any
-	// other value.
+	// a power of two: every driver returns an error for any other value,
+	// before any round runs.
 	EstimatorAlpha float64
 	// BenefitCap, when positive, caps the Bonferroni neighborhood N'(v) at
 	// this size instead of the analysis-dictated ⌊1/p⌋.
@@ -125,7 +126,9 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) withDefaults(n int) Options {
+// withDefaults fills in the defaults for a graph of order n and rejects
+// an EstimatorAlpha that is not a power of two.
+func (o Options) withDefaults(n int) (Options, error) {
 	if o.Machines == 0 {
 		o.Machines = 8
 	}
@@ -144,7 +147,20 @@ func (o Options) withDefaults(n int) Options {
 	if o.EstimatorAlpha == 0 {
 		o.EstimatorAlpha = 2
 	}
-	return o
+	if _, err := alphaExp(o.EstimatorAlpha); err != nil {
+		return o, err
+	}
+	return o, nil
+}
+
+// alphaExp returns k for an estimator weight α = 2^k, and an error naming
+// α when it is not a power of two.
+func alphaExp(alpha float64) (int, error) {
+	frac, exp := math.Frexp(alpha)
+	if frac != 0.5 {
+		return 0, fmt.Errorf("rulingset: estimator α = %v is not a power of two", alpha)
+	}
+	return exp - 1, nil
 }
 
 // durableUnsupported rejects durable checkpointing/resume for drivers that
@@ -224,7 +240,10 @@ type Result struct {
 }
 
 func distribute(g *graph.Graph, o Options) (*mpc.DistGraph, Options, error) {
-	o = o.withDefaults(g.N())
+	o, err := o.withDefaults(g.N())
+	if err != nil {
+		return nil, o, err
+	}
 	c, err := o.cluster(g.N())
 	if err != nil {
 		return nil, o, err

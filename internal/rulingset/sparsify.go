@@ -312,7 +312,8 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 // neighborhood N'(v) (equal to highDeg in the paper's construction; smaller
 // only under the A2 ablation). α must be a power of two, 2^k: the cost
 // terms are then shifted by k, and one pass accumulates α·cost − benefit
-// into one spectrum.
+// into the machine's spectrum, which the seed search's reduction sums
+// across machines and transforms once.
 //
 // The pass sums the terms markState.addMark/addPair would add, without
 // making them one by one. Every vertex has exponent j, so with f < j
@@ -329,11 +330,10 @@ func detMarks(m model, o Options, active *bitset.Set, view mpc.Adjacency, j int,
 // spectrum equals the per-term one, and each machine still sums exactly
 // the terms of its own items.
 func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64) (derand.ChunkEval, int, error) {
-	frac, exp := math.Frexp(alpha)
-	if frac != 0.5 {
-		return nil, 0, fmt.Errorf("rulingset: estimator α = %v is not a power of two", alpha)
+	k, err := alphaExp(alpha)
+	if err != nil {
+		return nil, 0, err
 	}
-	k := exp - 1
 	highDeg := 1 << uint(j)
 	edges, benefit := 0, 0
 	active.ForEach(func(v int) bool {
@@ -355,7 +355,7 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 	// 2^(j+f+c) for c = u − 2j, and α·q is q shifted by k.
 	u := units(j, k)
 	c := u - 2*j
-	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) {
 		// Up to 64 the codes of a benefit neighbourhood live on the stack,
 		// so scoring a chunk allocates nothing per machine.
 		var codeBuf [64]uint64
@@ -432,11 +432,6 @@ func sparsifyEstimator(ms *markState, active *bitset.Set, view mpc.Adjacency, j,
 				}
 			}
 		}
-		// The empty character's coefficient is E[Φ | prefix], read before
-		// the transform overwrites it.
-		expect := out[0]
-		derand.Walsh(out)
-		return expect
 	}, u, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/bitset"
@@ -14,13 +15,13 @@ import (
 	"github.com/rulingset/mprs/internal/mpc"
 )
 
-// perTermSparsify is detMarks' potential scored in units of 2^−u one term
-// at a time through markState.addMark/addPair: the reference the one-pass
-// kernel of sparsifyEstimator must equal.
+// perTermSparsify is detMarks' potential's spectrum, scored in units of
+// 2^−u one term at a time through markState.addMark/addPair: the reference
+// the one-pass kernel of sparsifyEstimator must equal.
 func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, capSize int, alpha float64, u int) derand.ChunkEval {
 	highDeg := 1 << uint(j)
 	cost, one := int64(math.Ldexp(alpha, u)), int64(1)<<u
-	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) int64 {
+	return func(lo, hi int, s *hash.Seed, start, width int, out []int64) {
 		clear(out)
 		cs := ms.chunk(s, start, width)
 		for v := lo; v < hi; v++ {
@@ -49,9 +50,6 @@ func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, c
 				}
 			}
 		}
-		expect := out[0]
-		derand.Walsh(out)
-		return expect
 	}
 }
 
@@ -140,7 +138,9 @@ func kernelCases(rng *rand.Rand, j, segW int) []kernelCase {
 
 // compareKernel scores the chunk with the kernel and the per-term reference
 // on [lo, hi) and through the MPC reduction at parallelism 1 and 4, and
-// fails unless every extension's value is the same.
+// fails unless every extension's value is the same. On the item range it
+// transforms both spectra and compares the values and the E[Φ | prefix]
+// (the empty-character coefficient); the reduction sums and transforms.
 func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, lo, hi int, seed *hash.Seed, start, width int) {
 	t.Helper()
 	same := func(what string, got, want []int64) {
@@ -151,11 +151,16 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 			}
 		}
 	}
-	got := make([]int64, 1<<uint(width))
-	want := make([]int64, len(got))
-	gotE := kernel(lo, hi, seed, start, width, got)
-	wantE := ref(lo, hi, seed, start, width, want)
-	same("range", append(got, gotE), append(want, wantE))
+	// values scores the chunk with eval on [lo, hi) and returns the value
+	// at every extension, then E[Φ | prefix].
+	values := func(eval derand.ChunkEval) []int64 {
+		coef := make([]int64, 1<<uint(width))
+		eval(lo, hi, seed, start, width, coef)
+		expect := coef[0]
+		derand.Walsh(coef)
+		return append(coef, expect)
+	}
+	same("range", values(kernel), values(ref))
 	for _, par := range []int{1, 4} {
 		c, err := mpc.NewCluster(mpc.Config{Machines: 5, Parallelism: par}, n)
 		if err != nil {
@@ -166,6 +171,7 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 		if err != nil {
 			t.Fatal(err)
 		}
+		got = slices.Clone(got) // the next Extensions call reuses totals
 		want, wantE, err := r.Extensions(seed, start, width, ref)
 		if err != nil {
 			t.Fatal(err)
@@ -179,8 +185,8 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 // table), under a benefit cap below 2^j, at α above, at and below 1, with
 // the chunk inside a segment, ending just before or exactly at its constant
 // coordinate, of width 0, and with every segment fixed, sparsifyEstimator's
-// values equal the per-term loop's, on an item range and summed over
-// machines at parallelism 1 and 4.
+// values (its spectrum, transformed) equal the per-term loop's, on an item
+// range and summed over machines at parallelism 1 and 4.
 func TestSparsifyKernelMatchesPerTerm(t *testing.T) {
 	const n = 2048 // 12-bit encodings, 13-bit segments
 	rng := rand.New(rand.NewSource(29))

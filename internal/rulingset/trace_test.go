@@ -361,7 +361,11 @@ func snapshotSets(t *testing.T, n int, sink *memSink, round int) (*bitset.Set, *
 func TestLubyRoundPattern(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
 	const seed = 3
-	machines := Options{}.withDefaults(g.N()).Machines
+	defaults, err := Options{}.withDefaults(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := defaults.Machines
 	per := (g.N() + machines - 1) / machines // ⌈n/M⌉
 
 	// The replay: same marking draws, same (degree, id) rule.
