@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -76,4 +79,59 @@ func writeTrace(tb testing.TB, h *Header, evs []Event) []byte {
 		tb.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// giniSorted is the reference Gini is held to: sort every value and rank
+// each one, zeros included.
+func giniSorted(xs []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	var sum, weighted int64
+	for i, x := range xs {
+		sum += int64(x)
+		weighted += int64(i+1) * int64(x)
+	}
+	if sum == 0 {
+		return 0
+	}
+	n := float64(len(xs))
+	return 2*float64(weighted)/(n*float64(sum)) - (n+1)/n
+}
+
+// FuzzGini holds Gini to the full-sort reference, bit for bit, on
+// non-negative loads: each pair of bytes is one value, zero when its low
+// bits are, so rounds mix many silent machines with busy ones. With
+// presorted set the input ascends already. Gini must leave xs sorted, as
+// the reference does, so a second call gives the same answer.
+func FuzzGini(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{0, 0, 0, 0}, false)
+	f.Add([]byte{7, 1, 0, 0, 3, 0, 9, 200}, false)
+	f.Add([]byte{7, 1, 0, 0, 3, 0, 9, 200}, true)
+	f.Add([]byte{255, 255, 1, 0, 0, 0, 255, 255, 128, 2}, false)
+	f.Fuzz(func(t *testing.T, data []byte, presorted bool) {
+		xs := make([]int, len(data)/2)
+		for i := range xs {
+			if w := binary.LittleEndian.Uint16(data[2*i:]); w&3 != 0 {
+				xs[i] = int(w)
+			}
+		}
+		if presorted {
+			slices.Sort(xs)
+		}
+		ref := slices.Clone(xs)
+		want := giniSorted(ref)
+		got := Gini(xs)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Gini(%v) = %v, full sort gives %v", ref, got, want)
+		}
+		if !slices.Equal(xs, ref) {
+			t.Fatalf("Gini left %v, want the sorted %v", xs, ref)
+		}
+		if again := Gini(xs); math.Float64bits(again) != math.Float64bits(want) {
+			t.Fatalf("Gini on its own output = %v, want %v", again, want)
+		}
+	})
 }

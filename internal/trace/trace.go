@@ -213,19 +213,33 @@ func (m Multi) SpanChange(span string) {
 	}
 }
 
-// Gini computes the Gini imbalance coefficient of the values in xs, sorting
-// xs in place (callers pass scratch buffers). 0 means perfectly balanced
-// load; values toward 1 mean one machine carries everything. Returns 0 for
-// empty input or an all-zero round.
+// Gini computes the Gini imbalance coefficient of the non-negative values
+// in xs, sorting xs in place (callers pass scratch buffers). 0 means
+// perfectly balanced load; values toward 1 mean one machine carries
+// everything. Returns 0 for empty input or an all-zero round.
+//
+// Zeros rank first and add nothing to either sum, so only the nonzero
+// values are sorted, packed at the back behind the zeros with their ranks
+// offset by the zero count; input whose nonzero values already ascend is
+// not sorted at all. The sums, and so the result, are those of a full sort.
 func Gini(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
+	z, sorted := len(xs), true
+	for i := len(xs) - 1; i >= 0; i-- {
+		if x := xs[i]; x != 0 {
+			z--
+			sorted = sorted && (z == len(xs)-1 || x <= xs[z+1])
+			xs[z] = x
+		}
 	}
-	slices.Sort(xs)
+	clear(xs[:z])
+	nonzero := xs[z:]
+	if !sorted {
+		slices.Sort(nonzero)
+	}
 	var sum, weighted int64
-	for i, x := range xs {
+	for i, x := range nonzero {
 		sum += int64(x)
-		weighted += int64(i+1) * int64(x)
+		weighted += int64(z+i+1) * int64(x)
 	}
 	if sum == 0 {
 		return 0
