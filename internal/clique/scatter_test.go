@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -54,10 +53,9 @@ func TestSendInvalidDestination(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateCrashRetry: a crashed scatter round re-runs
-// every node on its own range of the round's slabs, which must start from
-// zero again — a local that accumulates into vals sums each contribution
-// once.
+// TestScatterAggregateCrashRetry: a crashed scatter round re-runs every
+// node on its block's scratch, which must start from zero again — a local
+// that accumulates into vals sums each contribution once.
 func TestScatterAggregateCrashRetry(t *testing.T) {
 	const n, nExt = 8, 4
 	plan := &mpc.FaultPlan{Crashes: []mpc.FaultEvent{{Round: 1, Machine: 3}}}
@@ -83,7 +81,7 @@ func TestScatterAggregateCrashRetry(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateAllocs pins the per-round slabs: a scatter
+// TestScatterAggregateAllocs pins the per-block buffers: a scatter
 // allocates the same number of times on 1024 and 4096 nodes.
 func TestScatterAggregateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -157,9 +155,10 @@ func scatterCalls(t *testing.T, c *Cluster, widths []int) [][]int64 {
 	return out
 }
 
-// TestScatterAggregateWidthChanges: the kept slabs serve a small
-// width, then a larger one that grows them, then a smaller one again, and
-// every call sums exactly its own contributions.
+// TestScatterAggregateWidthChanges: the kept per-block buffers serve a
+// small width, then a larger one that grows them (the payload buffer moves
+// while the block's earlier payloads are in flight), then a smaller one
+// again, and every call sums exactly its own contributions.
 func TestScatterAggregateWidthChanges(t *testing.T) {
 	const n = 16
 	widths := []int{2, 16, 3, 16}
@@ -184,8 +183,9 @@ func TestScatterAggregateWidthChanges(t *testing.T) {
 }
 
 // TestScatterAggregateCrashOnReusedSlab: a crash on the scatter round of a
-// later call, which runs on slabs an earlier call filled, returns the same
-// sums as the fault-free run.
+// later call, which runs on per-block buffers an earlier call filled, and
+// whose retry appends behind the crashed attempt's payloads, returns the
+// same sums as the fault-free run.
 func TestScatterAggregateCrashOnReusedSlab(t *testing.T) {
 	const n = 12
 	widths := []int{8, 8, 4}
@@ -207,35 +207,71 @@ func TestScatterAggregateCrashOnReusedSlab(t *testing.T) {
 	}
 }
 
-// TestScatterAggregateKeepsSlabs: a second call of the same width
-// allocates no new slab — its bytes stay far below the slabs' bytes.
+// scatterBytes returns the bytes of ScatterAggregate's kept storage.
+func scatterBytes(c *Cluster) int {
+	total := 0
+	for _, sb := range c.scatter {
+		total += 8 * (cap(sb.vals) + cap(sb.ends) + cap(sb.words))
+	}
+	return total
+}
+
+// TestScatterAggregateKeepsSlabs: the storage a scatter keeps follows the
+// nonzero values that travel, not n·nExt: two nonzero values per node on
+// 1024 nodes and 128 coordinates keep about a block's dense scratch plus
+// the packed payloads, far below the 24·n·nExt bytes of per-node slabs. A
+// second call of the same width reuses every buffer in place.
 func TestScatterAggregateKeepsSlabs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
 	const n, nExt = 1024, 128
-	c, err := NewCluster(Config{Parallelism: 1}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	call := func() {
-		if _, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
-			for e := range vals {
-				vals[e] = int64(v ^ e)
-			}
-		}); err != nil {
+	for _, p := range []int{1, 4} {
+		c, err := NewCluster(Config{Parallelism: p}, n)
+		if err != nil {
 			t.Fatal(err)
 		}
+		call := func() {
+			if _, err := c.ScatterAggregate("sa", nExt, func(v int, vals []int64) {
+				vals[v%nExt] = int64(v + 1)
+				vals[(7*v+3)%nExt] -= 2
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		blocks := c.eng.Blocks()
+		// Two nonzeros per node, one more than twice over for append's
+		// growth from empty; each block's dense scratch is 16·nExt bytes.
+		bound := blocks*16*nExt + 2*8*(2*n)
+		if got, slabs := scatterBytes(c), 24*n*nExt; got > bound || 8*got > slabs {
+			t.Fatalf("p=%d: %d bytes kept for %d nonzero values in %d blocks, want at most %d (per-node slabs: %d)", p, got, 2*n, blocks, bound, slabs)
+		}
+		kept := scatterBytes(c)
+		arrays := scatterArrays(c)
+		call()
+		if got := scatterBytes(c); got != kept || !slices.Equal(scatterArrays(c), arrays) {
+			t.Fatalf("p=%d: a repeated scatter replaced the kept storage (%d bytes, now %d)", p, kept, got)
+		}
 	}
-	call()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	call()
-	runtime.ReadMemStats(&after)
-	slabs := int64(n * nExt * 16) // vals and payload words, 8 bytes each
-	if got := int64(after.TotalAlloc - before.TotalAlloc); got > slabs/4 {
-		t.Fatalf("a repeated scatter allocates %d bytes against %d bytes of slabs: the slabs were not kept", got, slabs)
+}
+
+// scatterArray is the address of one block's buffers' first elements,
+// which stay put while the buffers are reused (words: nil while empty).
+type scatterArray struct {
+	vals  *int64
+	ends  *int
+	words *uint64
+}
+
+// scatterArrays returns every block's scatterArray.
+func scatterArrays(c *Cluster) []scatterArray {
+	var arrays []scatterArray
+	for _, sb := range c.scatter {
+		a := scatterArray{vals: &sb.vals[0], ends: &sb.ends[0]}
+		if cap(sb.words) > 0 {
+			a.words = &sb.words[:1][0]
+		}
+		arrays = append(arrays, a)
 	}
+	return arrays
 }
 
 // denseSums is the reference ScatterAggregate is held to: coordinate e of

@@ -3,12 +3,15 @@ package derand
 import (
 	"math"
 	"math/bits"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 // scaled returns the probability p in int64 units of 2^−u (exact for the
@@ -355,5 +358,186 @@ func TestWalsh(t *testing.T) {
 				t.Fatalf("z=%d: Walsh twice [%d] = %v, want %v", z, i, x[i], int64(size)*orig[i])
 			}
 		}
+	}
+}
+
+// TestDirectIsSpectrum: Direct returns the spectrum whose transform is the
+// per-extension values, and whose empty-character coefficient is E[Φ |
+// prefix], the eval of the unextended prefix.
+func TestDirectIsSpectrum(t *testing.T) {
+	const n, j = 24, 3
+	fam, err := hash.NewBits(n, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
+		for v := lo; v < hi; v++ {
+			sum += int64(v%5+1) * scaled(fam.MarkProb(s, v), j)
+		}
+		return sum
+	}
+	seed := fam.NewSeed()
+	seed.SetChunk(0, 3, 5)
+	seed.Commit(3)
+	for width := 0; width <= 4; width++ {
+		coef := make([]int64, 1<<uint(width))
+		Direct(eval)(0, n, seed, 3, width, coef)
+		if want := eval(0, n, seed); coef[0] != want {
+			t.Fatalf("width %d: empty coefficient %d, E[Φ | prefix] %d", width, coef[0], want)
+		}
+		Walsh(coef)
+		local := seed.Clone()
+		local.SetFixed(3 + width)
+		for e, got := range coef {
+			local.SetChunk(3, width, uint64(e))
+			if want := eval(0, n, local); got != want {
+				t.Fatalf("width %d e=%d: transformed spectrum %d, value %d", width, e, got, want)
+			}
+		}
+	}
+	// A value function that is not an integer combination of characters
+	// in eval's units has no exact spectrum.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an inexact spectrum did not panic")
+		}
+	}()
+	calls := 0
+	odd := func(_, _ int, _ *hash.Seed) int64 { // 1 at e = 0, 0 at e = 1
+		calls++
+		return int64(calls % 2)
+	}
+	Direct(odd)(0, n, seed, 3, 1, make([]int64, 2))
+}
+
+// hostReduction is the dense reference the clique reduction is held to: it
+// transforms every node's spectrum on the host and sums the values, empty
+// character included, and it costs no round.
+type hostReduction struct{ n int }
+
+func (hostReduction) Span(string)         {}
+func (hostReduction) CurrentSpan() string { return "" }
+func (r hostReduction) MaxChunkBits() int { return bits.Len(uint(r.n)) - 1 }
+func (hostReduction) Pick(int) error      { return nil }
+func (r hostReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]int64, int64, error) {
+	totals := make([]int64, 1<<uint(width))
+	var expect int64
+	for v := 0; v < r.n; v++ {
+		vals := make([]int64, len(totals))
+		eval(v, v+1, s, start, width, vals)
+		expect += vals[0]
+		Walsh(vals)
+		for e, x := range vals {
+			totals[e] += x
+		}
+	}
+	return totals, expect, nil
+}
+
+// TestCliqueSpectrumSumMatchesDense: the clique reduction, which keeps the
+// empty character off the wire and transforms the summed spectrum once,
+// returns the totals and E[Φ | prefix] of summing every node's transformed
+// values on the host, at every width 1..⌊log₂ n⌋ and across width changes,
+// on random sparse spectra with values near ±2^62 so the sums wrap. Its
+// scatter rounds carry exactly the nonzero coefficients of the nonempty
+// characters, and aggregator 0 hears nothing. A seed search on it gives
+// the host's Trace, chunk widths cut short by AlignTo included.
+func TestCliqueSpectrumSumMatchesDense(t *testing.T) {
+	const n = 48 // ⌊log₂ 48⌋ = 5
+	maxW := bits.Len(uint(n)) - 1
+	// coefficient returns node v's coefficient S in the chunk at start: a
+	// third of them nonzero, and always the empty one.
+	coefficient := func(start, v, S int) int64 {
+		rng := rand.New(rand.NewSource(int64(start*1_000_003 + v*1009 + S)))
+		if S != 0 && rng.Intn(3) != 0 {
+			return 0
+		}
+		if rng.Intn(8) == 0 {
+			return math.MaxInt64/2 - rng.Int63n(1<<20)
+		}
+		return rng.Int63n(1<<40) - 1<<39
+	}
+	eval := func(lo, hi int, _ *hash.Seed, start, _ int, out []int64) {
+		clear(out)
+		for v := lo; v < hi; v++ {
+			for S := range out {
+				out[S] += coefficient(start, v, S)
+			}
+		}
+	}
+	host := hostReduction{n}
+	for _, p := range []int{1, 4} {
+		ring := trace.NewRing(1 << 10)
+		cc, err := clique.NewCluster(clique.Config{Parallelism: p, Tracer: ring}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Clique(cc)
+		var widths []int
+		for w := 1; w <= maxW; w++ {
+			widths = append(widths, w)
+		}
+		widths = append(widths, 2, maxW, 1, maxW)
+		for call, width := range widths {
+			start := call // a fresh spectrum per call
+			got, gotE, err := r.Extensions(nil, start, width, eval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantE, err := host.Extensions(nil, start, width, eval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotE != wantE || !slices.Equal(got, want) {
+				t.Fatalf("p=%d call %d width %d: totals %v E %d, host %v E %d", p, call, width, got, gotE, want, wantE)
+			}
+			words := 0
+			for v := 0; v < n; v++ {
+				for S := 1; S < 1<<uint(width); S++ {
+					if coefficient(start, v, S) != 0 {
+						words++
+					}
+				}
+			}
+			evs := ring.Events()
+			scatter := evs[len(evs)-2]
+			if scatter.Step != "chunk/scatter" || scatter.Words != words || scatter.Recv[0] != 0 {
+				t.Fatalf("p=%d call %d: %s round carries %d words, %d to aggregator 0; want chunk/scatter with %d, none to 0",
+					p, call, scatter.Step, scatter.Words, scatter.Recv[0], words)
+			}
+		}
+	}
+
+	// The seed search itself, on a real estimator whose spectra all have a
+	// nonzero empty character: 4-bit chunks cut at 6-bit boundaries give
+	// widths 4 and 2 in turn.
+	const j = 3
+	fam, err := hash.NewBits(n, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := func(lo, hi int, s *hash.Seed) int64 {
+		var sum int64
+		for v := lo; v < hi; v++ {
+			sum += int64(v%7+1) * scaled(fam.MarkProb(s, v), j)
+		}
+		return sum
+	}
+	cfg := Config{ChunkBits: 4, Objective: Maximize, AlignTo: 6}
+	cc, err := clique.NewCluster(clique.Config{}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SelectSeed(Clique(cc), fam.NewSeed(), cfg, Direct(marks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SelectSeed(host, fam.NewSeed(), cfg, Direct(marks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("clique trace %+v, host trace %+v", got, want)
 	}
 }
