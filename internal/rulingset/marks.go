@@ -98,14 +98,15 @@ func deadBit(fz int32, f int64) uint64 { return uint64(int64(fz)-f) >> 63 }
 // The spectral methods below add c times a conditional probability to a
 // spectrum w of length 2^Z, where the probability is taken given the
 // committed prefix plus chunk value e: w[S] gains the coefficient of the
-// character χ_S(e) = (−1)^{|S∧e|}, so derand.Walsh(w) turns the spectrum
-// into the values at every e. The case split follows the segment
-// structure: fully fixed segments contribute 1 (for alive vertices), fully
-// free ones 1/2 per marginal bit and 1/4 per pairwise-joint bit, and only
-// the partial segment depends on e, through its chunk view cs. c is a
-// weight in the estimator's units of 2^−u (see units), a multiple of
-// 2^(2·maxJ) for exponents up to maxJ, so every halving below is an exact
-// shift.
+// character χ_S(e) = (−1)^{|S∧e|}. The estimators return the spectrum as
+// it is; the seed search's reduction sums the machines' spectra, and one
+// derand.Walsh of the sum gives the values at every e. The case split
+// follows the segment structure: fully fixed segments contribute 1 (for
+// alive vertices), fully free ones 1/2 per marginal bit and 1/4 per
+// pairwise-joint bit, and only the partial segment depends on e, through
+// its chunk view cs. c is a weight in the estimator's units of 2^−u (see
+// units), a multiple of 2^(2·maxJ) for exponents up to maxJ, so every
+// halving below is an exact shift.
 
 // addMark adds c·P[mark(v)], where mark(v) is the AND of the first j
 // linear bits.
