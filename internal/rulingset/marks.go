@@ -83,104 +83,19 @@ func (ms *markState) chunk(s *hash.Seed, start, width int) hash.ChunkState {
 	return ms.fam.ChunkState(s, ms.fixedSegs, start, width)
 }
 
-// alive reports whether v's first j linear bits can still all be 1: none of
-// the fully fixed ones among them evaluated to 0. A dead vertex's mark and
-// pair probabilities are 0 whatever the chunk value.
-func (ms *markState) alive(v, j int) bool {
-	return int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j)
-}
-
-// deadBit is alive's branch-free negation for a vertex with firstZero
-// entry fz: 1 when fz < f, the fixed segments counted up to its exponent,
-// and 0 otherwise.
+// deadBit is 1 for a dead vertex with firstZero entry fz, one whose first
+// zero is among its fully fixed bits (fz < f, the fixed segments counted up
+// to its exponent), and 0 otherwise: a dead vertex's mark and pair
+// probabilities are 0 whatever the chunk value.
 func deadBit(fz int32, f int64) uint64 { return uint64(int64(fz)-f) >> 63 }
 
-// The spectral methods below add c times a conditional probability to a
-// spectrum w of length 2^Z, where the probability is taken given the
-// committed prefix plus chunk value e: w[S] gains the coefficient of the
-// character χ_S(e) = (−1)^{|S∧e|}. The estimators return the spectrum as
-// it is; the seed search's reduction sums the machines' spectra, and one
-// derand.Walsh of the sum gives the values at every e. The case split
-// follows the segment structure: fully fixed segments contribute 1 (for
-// alive vertices), fully free ones 1/2 per marginal bit and 1/4 per
-// pairwise-joint bit, and only the partial segment depends on e, through
-// its chunk view cs. c is a weight in the estimator's units of 2^−u (see
-// units), a multiple of 2^(2·maxJ) for exponents up to maxJ, so every
-// halving below is an exact shift.
-
-// addMark adds c·P[mark(v)], where mark(v) is the AND of the first j
-// linear bits.
-func (ms *markState) addMark(w []int64, cs hash.ChunkState, v, j int, c int64) {
-	if !ms.alive(v, j) {
-		return
-	}
-	f := ms.fixedSegs
-	if f >= j {
-		w[0] += c
-		return
-	}
-	// Partial segment f plus j-f-1 fully free segments.
-	addOne(w, cs, ms.fam.Coeff(v), c>>(j-f-1))
-}
-
-// addPair adds c·P[mark(u) ∧ mark(x)] for distinct u, x with per-vertex
-// exponents ju, jx.
-func (ms *markState) addPair(w []int64, cs hash.ChunkState, u, x, ju, jx int, c int64) {
-	if !ms.alive(u, ju) || !ms.alive(x, jx) {
-		return
-	}
-	a, b := ju, jx
-	long := x
-	if a > b {
-		a, b = b, a
-		long = u
-	}
-	switch f := ms.fixedSegs; {
-	case f < a:
-		// Partial segment in the joint head [0, a): the pair law there,
-		// 1/4 per free head segment, 1/2 per tail segment [a, b).
-		addBoth(w, cs, ms.fam.Coeff(u), ms.fam.Coeff(x), c>>(2*(a-f-1)+(b-a)))
-	case f < b:
-		// Head fully fixed (both alive there); the partial segment is in
-		// the tail, which involves only the vertex with the larger exponent.
-		addOne(w, cs, ms.fam.Coeff(long), c>>(b-f-1))
-	default:
-		w[0] += c
-	}
-}
-
-// addOne adds c·[X = 1] for the partial segment's linear bit X with
-// coefficient vector a: c/2 if X is free, else c·(1 − (−1)^par·χ_m)/2.
-func addOne(w []int64, cs hash.ChunkState, a uint64, c int64) {
-	h := c >> 1
-	w[0] += h
-	if det, par, m := cs.Lin(a); det {
-		w[m] -= signed(h, par)
-	}
-}
-
-// addBoth adds c·[X(u) = 1 ∧ X(x) = 1] for the partial segment's linear
-// bits with vertex coefficient vectors au, ax. Both vectors hold the
-// constant coordinate, the segment's last, so the two bits are determined
-// together or uniform together.
-func addBoth(w []int64, cs hash.ChunkState, au, ax uint64, c int64) {
-	q := c >> 2
-	w[0] += q
-	if det, pu, mu := cs.Lin(au); det { // ¼(1 − su·χ_mu)(1 − sx·χ_mx)
-		_, px, mx := cs.Lin(ax)
-		w[mu] -= signed(q, pu)
-		w[mx] -= signed(q, px)
-		w[mu^mx] += signed(signed(q, pu), px)
-	} else if det, pd, md := cs.Lin(au ^ ax); det {
-		// Uniform but coupled: ½·[X(u) ⊕ X(x) = 0].
-		w[md] += signed(q, pd)
-	}
-}
-
-// chunkCodes is the partial segment's law under one chunk for estimators
-// whose vertices all share one exponent, in the form the one-pass kernel
-// reads (sparsifyEstimator): a vertex's law packs into one code word, and a
-// pair's is the XOR of its two codes.
+// chunkCodes is the partial segment's law under one chunk, in the form the
+// one-pass kernels read (sparsifyEstimator, lubyEstimator): a vertex's law
+// packs into one code word, and a pair's is the XOR of its two codes. Every
+// vertex shares the one partial segment, ms.fixedSegs, so a code does not
+// depend on the vertex's exponent: the exponent only decides whether the
+// partial segment is among the vertex's bits at all, and how many free
+// segments follow it.
 //
 // Coeff(v) always holds the constant coordinate k, the segment's last, so
 // ChunkState.Lin is determined for every vertex or for none: exactly when
@@ -270,11 +185,4 @@ func checkExact(maxJ, k, terms int, weight float64) error {
 // marked reports the realized mark of v under a fully fixed, synced seed.
 func (ms *markState) marked(v, j int) bool {
 	return int(ms.firstZero[v]) >= j
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

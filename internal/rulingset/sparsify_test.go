@@ -53,10 +53,11 @@ func perTermSparsify(ms *markState, active *bitset.Set, view mpc.Adjacency, j, c
 	}
 }
 
-// kernelInstance is an active subgraph of gnp(n, deg/n) plus hubs joined to
-// hubDeg random vertices each, so benefit neighbourhoods of any size up to
-// hubDeg qualify; about one vertex in eight is inactive.
-func kernelInstance(rng *rand.Rand, n int, deg float64, hubs, hubDeg int) (*bitset.Set, mpc.Adjacency) {
+// kernelInstance is an active subgraph of gnp(n, deg/n) plus one hub per
+// entry of hubDegs, joined to that many random vertices, so benefit
+// neighbourhoods of any size up to the largest qualify and Luby exponents
+// spread up to lubyJ of it; about one vertex in eight is inactive.
+func kernelInstance(rng *rand.Rand, n int, deg float64, hubDegs ...int) (*bitset.Set, mpc.Adjacency) {
 	var edges []graph.Edge
 	for u := 0; u < n; u++ {
 		for w := u + 1; w < n; w++ {
@@ -65,7 +66,10 @@ func kernelInstance(rng *rand.Rand, n int, deg float64, hubs, hubDeg int) (*bits
 			}
 		}
 	}
-	for h := 0; h < hubs && n > 1; h++ {
+	for _, hubDeg := range hubDegs {
+		if n < 2 {
+			break
+		}
 		hub := rng.Intn(n)
 		for i := 0; i < hubDeg; i++ {
 			if w := rng.Intn(n); w != hub {
@@ -190,7 +194,7 @@ func compareKernel(t *testing.T, label string, kernel, ref derand.ChunkEval, n, 
 func TestSparsifyKernelMatchesPerTerm(t *testing.T) {
 	const n = 2048 // 12-bit encodings, 13-bit segments
 	rng := rand.New(rand.NewSource(29))
-	active, view := kernelInstance(rng, n, 12, 3, 1100)
+	active, view := kernelInstance(rng, n, 12, 1100, 1100, 1100)
 	for j := 1; j <= 9; j++ {
 		fam, err := hash.NewBits(n, j)
 		if err != nil {
@@ -224,7 +228,11 @@ func FuzzSparsifyEstimator(f *testing.F) {
 		n := 2 + int(nRaw)%1023
 		j := 1 + int(jRaw)%9
 		rng := rand.New(rand.NewSource(seed))
-		active, view := kernelInstance(rng, n, float64(degRaw%64), int(degRaw>>6), 1<<uint(j)+int(degRaw%8))
+		hubDegs := make([]int, degRaw>>6)
+		for i := range hubDegs {
+			hubDegs[i] = 1<<uint(j) + int(degRaw%8)
+		}
+		active, view := kernelInstance(rng, n, float64(degRaw%64), hubDegs...)
 		fam, err := hash.NewBits(n, j)
 		if err != nil {
 			t.Fatal(err)
