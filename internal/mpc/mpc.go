@@ -342,12 +342,12 @@ func NewClusterBudget(cfg Config, n int, meter BudgetPolicy) (*Cluster, error) {
 	var budget int
 	switch cfg.Regime {
 	case RegimeLinear:
-		budget = cfg.LinearSlack * maxInt(n, 1)
+		budget = cfg.LinearSlack * max(n, 1)
 	case RegimeSublinear:
 		if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
 			return nil, fmt.Errorf("mpc: sublinear exponent %v out of (0,1)", cfg.Epsilon)
 		}
-		budget = int(math.Ceil(math.Pow(float64(maxInt(n, 2)), cfg.Epsilon)))
+		budget = int(math.Ceil(math.Pow(float64(max(n, 2)), cfg.Epsilon)))
 	case RegimeExplicit:
 		if cfg.MemoryWords < 1 {
 			return nil, fmt.Errorf("mpc: explicit budget %d < 1", cfg.MemoryWords)
@@ -637,9 +637,9 @@ func MergeStats(a, b Stats) Stats {
 	a.Rounds += b.Rounds
 	a.Messages += b.Messages
 	a.Words += b.Words
-	a.PeakSent = maxInt(a.PeakSent, b.PeakSent)
-	a.PeakRecv = maxInt(a.PeakRecv, b.PeakRecv)
-	a.PeakResident = maxInt(a.PeakResident, b.PeakResident)
+	a.PeakSent = max(a.PeakSent, b.PeakSent)
+	a.PeakRecv = max(a.PeakRecv, b.PeakRecv)
+	a.PeakResident = max(a.PeakResident, b.PeakResident)
 	for _, v := range b.Violations {
 		v.Round += offset
 		a.Violations = append(a.Violations, v)
@@ -1198,8 +1198,8 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 	ev := trace.Event{Round: c.stats.Rounds, Step: name, Span: span}
 	for m := 0; m < M; m++ {
 		sent := c.sentW[m]
-		ev.MaxSent = maxInt(ev.MaxSent, sent)
-		c.stats.PeakSent = maxInt(c.stats.PeakSent, sent)
+		ev.MaxSent = max(ev.MaxSent, sent)
+		c.stats.PeakSent = max(c.stats.PeakSent, sent)
 		box := boxes[m]
 		recv := 0
 		for _, msg := range box {
@@ -1208,8 +1208,8 @@ func (c *Cluster) step(name string, rounds int, routed bool, f func(x *Ctx)) err
 		ev.Messages += len(box)
 		ev.Words += recv
 		c.recvW[m] = recv
-		ev.MaxRecv = maxInt(ev.MaxRecv, recv)
-		c.stats.PeakRecv = maxInt(c.stats.PeakRecv, recv)
+		ev.MaxRecv = max(ev.MaxRecv, recv)
+		c.stats.PeakRecv = max(c.stats.PeakRecv, recv)
 	}
 	metered := len(c.stats.Violations)
 	c.stats.Violations = c.meter(c.stats.Violations, c.stats.Rounds, routed, c.sentW, c.recvW, boxes)
@@ -1286,13 +1286,6 @@ func (c *Cluster) Drain(m int) []Message {
 // producer.
 func stableSortBySrc(box []Message) {
 	sort.SliceStable(box, func(i, j int) bool { return box[i].Src < box[j].Src })
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxFloat(a, b float64) float64 {
