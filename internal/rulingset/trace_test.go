@@ -356,8 +356,9 @@ func snapshotSets(t *testing.T, n int, sink *memSink, round int) (*bitset.Set, *
 // owner of v's active neighbours), with owner(u) = u / ⌈n/M⌉ on the default
 // M machines. A sequential replay of the same marks counts both.
 // DetLubyMIS, whose estimator reads every neighbour's degree, still runs
-// luby/degrees and the one-round luby/maxdeg all-reduce every iteration and
-// no luby/rivals round.
+// luby/degrees and the one-round luby/maxdeg all-reduce every iteration,
+// and no luby/resolve or luby/rivals round: it reads its marked rivals
+// from the fixed seed and its luby/degrees rows.
 func TestLubyRoundPattern(t *testing.T) {
 	g := gen.MustBuild("gnp:n=400,p=0.03", 19)
 	const seed = 3
@@ -480,8 +481,8 @@ func TestLubyRoundPattern(t *testing.T) {
 			degrees++
 		case "luby/maxdeg":
 			maxdeg++
-		case "luby/rivals":
-			t.Fatalf("round %d: DetLubyMIS runs luby/rivals", ev.Round)
+		case "luby/resolve", "luby/rivals":
+			t.Fatalf("round %d: DetLubyMIS runs %s", ev.Round, ev.Step)
 		}
 	}
 	if k := len(det.Phases); degrees != k || maxdeg != k {
