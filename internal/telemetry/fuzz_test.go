@@ -56,6 +56,61 @@ func FuzzDecodeWire(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSnapshot feeds arbitrary bytes, seeded with documents
+// EncodeSnapshot wrote, through DecodeSnapshot, which reads the
+// /telemetry.json document: it must reject malformed input with an error,
+// never a panic. The points of a snapshot it accepts must re-encode
+// stably: EncodeSnapshot of them, decoded and encoded again, gives the
+// same bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("mprs_words_total", "Words delivered.").Add(1234)
+	r.Gauge("mprs_committed_round", "Latest committed round.", Label{Name: "worker", Value: "1"}).Set(7)
+	h := r.Histogram("mprs_span_seconds", "Phase residence.", []float64{0.01, 0.1, 1}, Label{Name: "span", Value: "gather"})
+	h.Observe(0.05)
+	h.Observe(5)
+	f.Add(encodeSnapshot(f, r.Gather()))
+	f.Add(encodeSnapshot(f, nil))
+	f.Add([]byte(`{"schema":"mprs-telemetry/9","points":[{"name":"x","kind":"gauge","value":1,"novel":true}],"extra":{}}`))
+	f.Add([]byte(`{"points":[]}`))
+	f.Add([]byte(`{"schema":"mprs-trace/1"}`))
+	f.Add([]byte(`{"points":[{"name":"h","kind":"histogram","buckets":[{"le":1e308,"count":2}],"sum":-0}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		once := encodeSnapshot(t, s.Points)
+		s, err = DecodeSnapshot(once)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot rejects a document EncodeSnapshot wrote: %v\n%s", err, once)
+		}
+		if s.Schema != SnapshotSchema {
+			t.Fatalf("re-encoded snapshot has schema %q, want %q", s.Schema, SnapshotSchema)
+		}
+		if twice := encodeSnapshot(t, s.Points); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding changed the snapshot:\n%s\nbecame\n%s", once, twice)
+		}
+	})
+}
+
+// fixedPoints is a fixed set of points as a Gatherer.
+type fixedPoints []Point
+
+func (p fixedPoints) Gather() []Point { return p }
+
+// encodeSnapshot renders the snapshot document of ps.
+func encodeSnapshot(tb testing.TB, ps []Point) []byte {
+	tb.Helper()
+	data, err := EncodeSnapshot(fixedPoints(ps))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzReadFlight feeds arbitrary bytes, seeded with artifacts WriteFlight
 // wrote, through ReadFlight, which traceview runs on flight records from
 // disk: it must reject malformed input with an error, never a panic. An
