@@ -195,6 +195,12 @@ func (c *Cluster) Stats() mpc.Stats { return c.eng.Stats() }
 // Step executes one synchronous round under the per-pair bandwidth budget.
 func (c *Cluster) Step(name string, f func(x *Ctx)) error { return c.eng.Step(name, f) }
 
+// StepFirst is Step with f run only on nodes [0, k), for a round in which
+// only a coordinator or a few aggregators send (mpc.Cluster.StepFirst).
+func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error {
+	return c.eng.StepFirst(name, k, f)
+}
+
 // RouteStep executes one Lenzen-routed exchange: per-node send/receive
 // budgets of n·PairWords words, charged as LenzenRounds rounds.
 func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error {
@@ -326,8 +332,8 @@ func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v int, vals
 			}
 		}
 	}
-	if err := c.Step(name+"/collect", func(x *Ctx) {
-		if x.Machine < nExt && partial[x.Machine] != 0 {
+	if err := c.StepFirst(name+"/collect", nExt, func(x *Ctx) {
+		if partial[x.Machine] != 0 {
 			x.Send(0, uint64(partial[x.Machine]))
 		}
 	}); err != nil {

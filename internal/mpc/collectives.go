@@ -11,7 +11,9 @@ import (
 // an all-gather hands every machine every summary in one round, so every
 // machine makes the same decision itself. Each collective is implemented
 // with real messages through Step so rounds, message counts, and bandwidth
-// are all metered.
+// are all metered; a collective only machine 0 sends in runs its closure on
+// machine 0 alone (StepFirst), and a slab sent to many machines is queued
+// under one outbox lock (sendOwnedTo).
 
 // Gather runs one round in which every machine sends local(x) to machine 0,
 // and returns the payloads indexed by source machine (nil for a machine that
@@ -50,20 +52,13 @@ func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, 
 // coordinator code can chain on it.
 func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
 	own := append(make([]uint64, 0, len(payload)), payload...)
-	err := c.Step(name, func(x *Ctx) {
-		if x.Machine != 0 {
-			return
-		}
-		for dst := 1; dst < c.Machines(); dst++ {
-			x.SendOwned(dst, own)
-		}
+	err := c.StepFirst(name, 1, func(x *Ctx) {
+		x.sendOwnedTo(1, c.Machines(), own)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for m := 1; m < c.Machines(); m++ {
-		c.inboxes[m] = nil
-	}
+	clear(c.inboxes[1:])
 	return payload, nil
 }
 
@@ -73,10 +68,7 @@ func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
 // coordinator's per-vertex result (the residual solution's members) to the
 // machines that own the vertices.
 func (c *Cluster) ScatterToOwners(name string, items []int32) error {
-	err := c.Step(name, func(x *Ctx) {
-		if x.Machine != 0 {
-			return
-		}
+	err := c.StepFirst(name, 1, func(x *Ctx) {
 		end := make([]int, c.Machines()) // items per owner, then fill cursors, then range ends
 		for _, v := range items {
 			end[c.Owner(int(v))]++
@@ -115,9 +107,7 @@ func (c *Cluster) AllGather(name string, local func(x *Ctx) []uint64) ([][]uint6
 		if len(slab) == 0 {
 			return
 		}
-		for dst := 0; dst < M; dst++ {
-			x.SendOwned(dst, slab)
-		}
+		x.sendOwnedTo(0, M, slab)
 	})
 	if err != nil {
 		return nil, err

@@ -448,7 +448,7 @@ func (d *DistGraph) refreshRows(active *bitset.Set, dir Refresh, last, reuse Adj
 	}
 	base := make([]int32, d.c.Machines()) // row totals, then first row offsets
 	for pass := 0; pass < 2; pass++ {
-		d.c.runBlocks(func(lo, hi int) {
+		d.c.runBlocks(d.c.Machines(), func(lo, hi int) {
 			heard := d.heard[lo]
 			if heard == nil {
 				heard = make([]uint64, (n+63)/64)
@@ -554,7 +554,7 @@ func (d *DistGraph) collectVals(view Adjacency) ([]int32, error) {
 	}
 	cur := d.cur
 	errs := make([]error, d.c.Machines())
-	d.c.runBlocks(func(lo, hi int) {
+	d.c.runBlocks(d.c.Machines(), func(lo, hi int) {
 		for m := lo; m < hi; m++ {
 			vlo, vhi := d.c.Range(m)
 			copy(cur[vlo:vhi], view.Off[vlo:vhi])

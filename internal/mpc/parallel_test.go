@@ -126,6 +126,38 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 	}
 }
 
+// TestCrossMachineSendIsSorted: a machine that sends on the context of an
+// earlier machine of its block puts that machine's message after its own
+// in their shared log. Pathological but legal within the step, and the
+// only way a log leaves sender order, so the merge must restore the box.
+func TestCrossMachineSendIsSorted(t *testing.T) {
+	c, err := NewCluster(Config{Machines: 4, Parallelism: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Ctx
+	if err := c.Step("cross", func(x *Ctx) {
+		if x.Machine == 1 {
+			first = x
+			x.Send(0, 10)
+		}
+		if x.Machine == 2 {
+			x.Send(0, 20)
+			first.Send(0, 11)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []Message
+	for _, msg := range c.Drain(0) {
+		got = append(got, Message{Src: msg.Src, Payload: msg.Payload})
+	}
+	want := []Message{{Src: 1, Payload: []uint64{10}}, {Src: 1, Payload: []uint64{11}}, {Src: 2, Payload: []uint64{20}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine 0 received %v, want %v", got, want)
+	}
+}
+
 // TestSpanSwitchDuringStep pins the barrier-pinned span rule: a driver
 // goroutine flipping Span labels while a step's workers are mid-flight must
 // neither race (this test runs under -race in CI) nor split the in-flight

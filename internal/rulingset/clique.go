@@ -217,10 +217,7 @@ func (m cliqueModel) gatherResidual(cand *bitset.Set, _ mpc.Adjacency) (*graph.G
 // announceMembers notifies the members individually (one word per pair
 // from node 0).
 func (m cliqueModel) announceMembers(members []int32) error {
-	if err := m.c.Step("residual/notify", func(x *clique.Ctx) {
-		if x.Machine != 0 {
-			return
-		}
+	if err := m.c.StepFirst("residual/notify", 1, func(x *clique.Ctx) {
 		for _, v := range members {
 			if v != 0 {
 				x.Send(int(v), 1)
