@@ -111,6 +111,7 @@ func FuzzGini(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 0, 3, 0, 9, 200}, false)
 	f.Add([]byte{7, 1, 0, 0, 3, 0, 9, 200}, true)
 	f.Add([]byte{255, 255, 1, 0, 0, 0, 255, 255, 128, 2}, false)
+	f.Add([]byte{3, 0, 1, 0, 0, 0, 2, 0, 5, 0, 1, 0, 7, 0, 2, 0}, false) // loads below len: counted
 	f.Fuzz(func(t *testing.T, data []byte, presorted bool) {
 		xs := make([]int, len(data)/2)
 		for i := range xs {

@@ -15,7 +15,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"slices"
+	"sync"
 )
 
 // Event records one committed superstep (or one analytically charged round).
@@ -221,19 +223,28 @@ func (m Multi) SpanChange(span string) {
 // Zeros rank first and add nothing to either sum, so only the nonzero
 // values are sorted, packed at the back behind the zeros with their ranks
 // offset by the zero count; input whose nonzero values already ascend is
-// not sorted at all. The sums, and so the result, are those of a full sort.
+// not sorted at all. Loads are mostly small integers, so when the largest
+// value is below len(xs) the nonzero values are sorted by counting them
+// instead of by comparison. The sums, and so the result, are those of a
+// full sort.
 func Gini(xs []int) float64 {
 	z, sorted := len(xs), true
+	lo, hi := math.MaxInt, 0 // the smallest and largest nonzero value
 	for i := len(xs) - 1; i >= 0; i-- {
 		if x := xs[i]; x != 0 {
 			z--
 			sorted = sorted && (z == len(xs)-1 || x <= xs[z+1])
 			xs[z] = x
+			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
 	clear(xs[:z])
 	nonzero := xs[z:]
-	if !sorted {
+	switch {
+	case sorted:
+	case lo > 0 && hi < len(xs):
+		countingSort(nonzero, hi)
+	default:
 		slices.Sort(nonzero)
 	}
 	var sum, weighted int64
@@ -246,4 +257,27 @@ func Gini(xs []int) float64 {
 	}
 	n := float64(len(xs))
 	return 2*float64(weighted)/(n*float64(sum)) - (n+1)/n
+}
+
+// giniCounts keeps countingSort's per-value counters between calls.
+var giniCounts = sync.Pool{New: func() any { return new([]int) }}
+
+// countingSort sorts xs, whose values lie in [0, hi], by counting each
+// value and writing the counts back in ascending order.
+func countingSort(xs []int, hi int) {
+	p := giniCounts.Get().(*[]int)
+	counts := slices.Grow((*p)[:0], hi+1)[:hi+1]
+	clear(counts)
+	for _, x := range xs {
+		counts[x]++
+	}
+	i := 0
+	for v, k := range counts {
+		for ; k > 0; k-- {
+			xs[i] = v
+			i++
+		}
+	}
+	*p = counts
+	giniCounts.Put(p)
 }
