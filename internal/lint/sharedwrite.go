@@ -7,9 +7,9 @@ import (
 )
 
 // sharedwrite flags writes to captured state from inside step closures — the
-// function literals handed to Cluster.Step/RouteStep, which the simulators
-// run concurrently on a worker pool (one goroutine per machine block, see
-// mpc.Config.Parallelism) — and inside the block closures handed to the
+// function literals handed to Cluster.Step/StepFirst/RouteStep, which the
+// simulators run concurrently on a worker pool (one goroutine per machine
+// block, see mpc.Config.Parallelism) — and inside the block closures handed to the
 // pool itself (Cluster.runBlocks, which also runs the receiver half of the
 // vertex-keyed exchanges). A write to a variable captured from the enclosing
 // driver races between workers, and even when protected it would commit in
@@ -31,13 +31,13 @@ import (
 // annotation with the justification.
 var sharedwriteAnalyzer = &Analyzer{
 	Name: "sharedwrite",
-	Doc:  "flag writes to captured state inside Step/RouteStep/runBlocks closures",
+	Doc:  "flag writes to captured state inside Step/StepFirst/RouteStep/runBlocks closures",
 	Run:  runSharedwrite,
 }
 
 // poolMethods names the methods whose function-literal arguments run
 // concurrently on the worker pool.
-var poolMethods = map[string]bool{"Step": true, "RouteStep": true, "runBlocks": true}
+var poolMethods = map[string]bool{"Step": true, "StepFirst": true, "RouteStep": true, "runBlocks": true}
 
 func runSharedwrite(p *Pass) {
 	for _, f := range p.Files {

@@ -13,12 +13,13 @@ type Ctx struct {
 func (x *Ctx) Send(dst int, words ...uint64) {}
 
 // Cluster stands in for a simulator cluster: the analyzer keys on the
-// Step/RouteStep/runBlocks method names.
+// Step/StepFirst/RouteStep/runBlocks method names.
 type Cluster struct{ rounds int }
 
-func (c *Cluster) Step(name string, f func(x *Ctx)) error      { f(&Ctx{}); return nil }
-func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error { f(&Ctx{}); return nil }
-func (c *Cluster) runBlocks(f func(lo, hi int))                { f(0, 1) }
+func (c *Cluster) Step(name string, f func(x *Ctx)) error             { f(&Ctx{}); return nil }
+func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error { f(&Ctx{}); return nil }
+func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error        { f(&Ctx{}); return nil }
+func (c *Cluster) runBlocks(k int, f func(lo, hi int))                { f(0, k) }
 
 type acc struct {
 	total int
@@ -49,6 +50,18 @@ func capturedStructAndPointer(c *Cluster, a *acc, p *int) {
 		a.total = x.Machine // want `step closure writes field total of captured "a"`
 		*p = x.Machine      // want `step closure writes through captured pointer "p"`
 	})
+}
+
+// prefixStep: a closure run on the first k machines only still runs them
+// concurrently, so its captured writes race like a step closure's.
+func prefixStep(c *Cluster) {
+	total := 0
+	sums := make([]int, 8)
+	_ = c.StepFirst("p", 4, func(x *Ctx) {
+		total += x.Machine // want `step closure writes captured variable "total"`
+		sums[x.Machine] = x.Machine
+	})
+	_ = total
 }
 
 // nested literals inherit the step closure's capture boundary: a goroutine
@@ -102,7 +115,7 @@ func soleWriter(c *Cluster) {
 func blockShared(c *Cluster) {
 	total := 0
 	counts := make([]int, 8)
-	c.runBlocks(func(lo, hi int) {
+	c.runBlocks(8, func(lo, hi int) {
 		total += hi - lo // want `step closure writes captured variable "total"`
 		counts[0]++      // want `step closure writes captured slice "counts" at an index captured from outside`
 	})
@@ -114,7 +127,7 @@ func blockShared(c *Cluster) {
 func blockOwned(c *Cluster) {
 	perM := make([]int, 8)
 	rows := make([]int32, 64)
-	c.runBlocks(func(lo, hi int) {
+	c.runBlocks(8, func(lo, hi int) {
 		for m := lo; m < hi; m++ {
 			perM[m] = hi - lo
 			v := 8 * m
