@@ -296,6 +296,46 @@ func BenchmarkCliqueScatterAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkCliqueRound times one round of each kind the clique seed search
+// runs, on 4096 nodes: idle (no node sends), broadcast (node 0 sends one
+// word to every node) and scatter16 (a 16-aggregator ScatterAggregate, its
+// scatter and collect rounds). B/op is the engine's host cost per round.
+func BenchmarkCliqueRound(b *testing.B) {
+	const n = 4096
+	for _, tc := range []struct {
+		name  string
+		round func(c *clique.Cluster) error
+	}{
+		{"idle", func(c *clique.Cluster) error { return c.Step("idle", func(*clique.Ctx) {}) }},
+		{"broadcast", func(c *clique.Cluster) error { return c.BroadcastWord("broadcast", 42) }},
+		{"scatter16", func(c *clique.Cluster) error {
+			_, err := c.ScatterAggregate("scatter16", 16, func(v int, vals []int64) {
+				vals[v%16] = int64(v)
+			})
+			return err
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := clique.NewCluster(clique.Config{}, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 4; i++ { // grow the kept send logs and arena
+				if err := tc.round(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tc.round(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMPCStepBarrier(b *testing.B) {
 	c, err := mpc.NewCluster(mpc.Config{Machines: 8}, 1<<16)
 	if err != nil {
