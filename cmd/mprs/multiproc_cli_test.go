@@ -15,7 +15,7 @@ func TestRunMultiprocFlagValidation(t *testing.T) {
 		want string
 	}{
 		"unknown backend":  {[]string{"-backend", "threads"}, "unknown backend"},
-		"unsupported algo": {[]string{"-backend", "multiproc", "-algo", "detbeta"}, "not supported on the multi-process backend"},
+		"unsupported algo": {[]string{"-backend", "multiproc", "-algo", "cliquedet2"}, "not supported on the multi-process backend"},
 		"resume":           {[]string{"-backend", "multiproc", "-checkpoint-dir", t.TempDir(), "-resume"}, "owned by the supervisor"},
 		"die-at":           {[]string{"-backend", "multiproc", "-die-at", "5"}, "-chaos proc:kill@r:w"},
 		"profile":          {[]string{"-backend", "multiproc", "-profile", "p"}, "-backend inproc"},

@@ -43,8 +43,8 @@ func TestRunDurableFlagValidation(t *testing.T) {
 }
 
 // TestAlgorithmTableGates: the -algo names come from rulingset.Algorithms
-// (plus greedy), and the table's single-cluster flag alone decides which of
-// them take -checkpoint-dir and the multi-process backend.
+// (plus greedy), and every MPC entry of the table, and no other, takes
+// -checkpoint-dir and the multi-process backend.
 func TestAlgorithmTableGates(t *testing.T) {
 	if got, want := algoUsage(), "luby|detluby|rand2|det2|randbeta|detbeta|clique2|cliquedet2|greedy"; got != want {
 		t.Errorf("-algo usage = %q, want %q", got, want)
@@ -54,7 +54,7 @@ func TestAlgorithmTableGates(t *testing.T) {
 		a, _ := rulingset.LookupAlgorithm(algo) // greedy keeps the zero entry
 		vErr := supervise.JobSpec{Algo: algo, GraphFile: g, Machines: 8}.Validate()
 		cErr := run([]string{"run", "-algo", algo, "-in", g, "-chunk", "4", "-checkpoint-dir", t.TempDir()})
-		if a.SingleCluster {
+		if a.Run != nil && !a.Clique {
 			if vErr != nil {
 				t.Errorf("%s: JobSpec.Validate: %v", algo, vErr)
 			}
@@ -155,7 +155,7 @@ func TestRunFingerprintMatchesJobSpec(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck")
 	if err := run([]string{"run", "-algo", "det2", "-in", g, "-seed", "3", "-machines", "6",
 		"-regime", "explicit", "-epsilon", "0.25", "-memory", "4000", "-slack", "6", "-chunk", "4",
-		"-algo-seed", "9", "-strict", "-chaos", "machine:crash@2:5", "-chaos-seed", "7",
+		"-algo-seed", "9", "-beta", "5", "-strict", "-chaos", "machine:crash@2:5", "-chaos-seed", "7",
 		"-checkpoint-every", "4", "-checkpoint-dir", dir, "-verify=false"}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRunFingerprintMatchesJobSpec(t *testing.T) {
 		t.Fatalf("CLI checkpoint fingerprint %q lacks the mprs-run/1 prefix", meta.Fingerprint)
 	}
 	spec := supervise.JobSpec{
-		Algo: "det2", GraphFile: g, GenSeed: 3, Machines: 6, Regime: int(mpc.RegimeExplicit),
+		Algo: "det2", Beta: 5, GraphFile: g, GenSeed: 3, Machines: 6, Regime: int(mpc.RegimeExplicit),
 		Epsilon: 0.25, MemoryWords: 4000, LinearSlack: 6, ChunkBits: 4, AlgoSeed: 9, Strict: true,
 		Chaos: "machine:crash@2:5", ChaosSeed: 7, CheckpointEvery: 4,
 	}

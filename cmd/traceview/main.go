@@ -95,7 +95,6 @@ func run(args []string, out io.Writer) error {
 type Report struct {
 	Header    trace.Header     `json:"header"`
 	Rounds    int              `json:"rounds"`
-	Charged   int              `json:"charged_rounds"`
 	Messages  int64            `json:"messages"`
 	Words     int64            `json:"words"`
 	Spans     []trace.SpanStat `json:"spans"`
@@ -135,12 +134,11 @@ type RecoveryStat struct {
 
 // analyze reduces the trace: the span table and its totals come from
 // trace.Spans, which counts each event's rounds from the previous event's
-// (or the header's ResumedFrom), so routed and charged rounds count right.
+// (or the header's ResumedFrom), so routed rounds count right.
 func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
 	rep := Report{Header: hdr, Spans: trace.Spans(hdr.ResumedFrom, evs)}
 	for _, s := range rep.Spans {
 		rep.Rounds += s.Rounds
-		rep.Charged += s.Charged
 		rep.Messages += s.Messages
 		rep.Words += s.Words
 	}
@@ -164,7 +162,7 @@ func analyze(hdr trace.Header, evs []trace.Event, topK int) Report {
 }
 
 // critical finds the round's heaviest machine by sent+recv words. Events
-// without per-machine vectors (charged rounds) yield none.
+// without per-machine vectors yield none.
 func critical(ev trace.Event) (Critical, bool) {
 	n := len(ev.Sent)
 	if len(ev.Recv) > n {
@@ -224,7 +222,7 @@ func render(w io.Writer, rep Report) error {
 	} else {
 		fmt.Fprintln(w, "trace: (no header)")
 	}
-	fmt.Fprintf(w, "rounds=%d charged=%d messages=%d words=%d\n", rep.Rounds, rep.Charged, rep.Messages, rep.Words)
+	fmt.Fprintf(w, "rounds=%d messages=%d words=%d\n", rep.Rounds, rep.Messages, rep.Words)
 	if rep.WorstSkew != "" {
 		fmt.Fprintf(w, "worst skew: gini_sent=%.4f in span %q (gini_recv max %.4f)\n", rep.MaxGiniS, rep.WorstSkew, rep.MaxGiniR)
 	}
@@ -234,9 +232,9 @@ func render(w io.Writer, rep Report) error {
 	}
 	fmt.Fprintln(w)
 
-	spans := metrics.NewTable("per-span", "span", "rounds", "charged", "messages", "words", "share", "max_sent", "max_recv", "gini_sent", "gini_recv")
+	spans := metrics.NewTable("per-span", "span", "rounds", "messages", "words", "share", "max_sent", "max_recv", "gini_sent", "gini_recv")
 	for _, s := range rep.Spans {
-		spans.AddRow(s.Span, s.Rounds, s.Charged, s.Messages, s.Words,
+		spans.AddRow(s.Span, s.Rounds, s.Messages, s.Words,
 			fmt.Sprintf("%.1f%%", 100*s.Share), s.MaxSent, s.MaxRecv, s.GiniSent, s.GiniRecv)
 	}
 	if err := spans.Render(w); err != nil {

@@ -95,8 +95,8 @@ func Diff(old, new *File) []Delta {
 }
 
 // diffRow compares one matched row pair field by field via reflection, so
-// columns added to Result later are diffed automatically (mirroring how the
-// simulators' MergeStats is kept honest). Exact match for every column.
+// columns added to Result later are diffed automatically. Exact match for
+// every column.
 func diffRow(old, new Result) []Delta {
 	var deltas []Delta
 	ot, nt := reflect.ValueOf(old), reflect.ValueOf(new)

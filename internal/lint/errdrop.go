@@ -7,8 +7,8 @@ import (
 
 // errdrop flags silently ignored error results from functions and methods
 // defined in the determinism-critical packages: Ctx.Send variants, the
-// budget-charging APIs (ChargeRounds, SetResident, AddResident), Step and
-// the collectives. These errors carry budget violations, stale-context
+// budget-charging APIs (SetResident, AddResident), Step and the
+// collectives. These errors carry budget violations, stale-context
 // sends and recovery failures — the accounting the reproduced theorems are
 // about. Dropping one silently under-reports the model's central quantities
 // (the PR 2 exit-code bug was precisely an ignored violation surface).

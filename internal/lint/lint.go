@@ -27,7 +27,7 @@
 //	             *rand.Rand, the way Luby/sparsify already do.
 //	errdrop    — ignored error results from functions and methods defined in
 //	             the determinism-critical packages (Ctx.Send variants, the
-//	             budget-charging ChargeRounds/SetResident/AddResident, Step,
+//	             budget-charging SetResident/AddResident, Step,
 //	             collectives). The PR 2 exit-code bug was exactly this class.
 //	             Inside critical packages it also covers the os-level
 //	             durability primitives (os.Rename, File.Close, File.Sync),

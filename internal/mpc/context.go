@@ -7,9 +7,8 @@ import (
 )
 
 // Cooperative cancellation. A cluster built with Config.Context checks the
-// context at every superstep barrier — the top of Step, RouteStep and
-// ChargeRounds — and, once the context is done, refuses to start the next
-// superstep.
+// context at every superstep barrier — the top of Step and RouteStep — and,
+// once the context is done, refuses to start the next superstep.
 // Nothing is interrupted mid-round: the machine goroutines of the current
 // superstep always run to the barrier (runAttempt waits on all of them), so
 // cancellation can never leak a goroutine or tear driver state. The returned

@@ -66,21 +66,6 @@ func TestDeadlineAtBarrierReturnsErrDeadline(t *testing.T) {
 	}
 }
 
-func TestChargeRoundsChecksContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c, err := NewCluster(Config{Machines: 2, Context: ctx}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ChargeRounds("exp", 2); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ChargeRounds err = %v, want ErrCanceled", err)
-	}
-	if c.Stats().Rounds != 0 {
-		t.Fatalf("canceled ChargeRounds still charged %d rounds", c.Stats().Rounds)
-	}
-}
-
 // TestCancelLeaksNoGoroutines pins the no-leak claim (run under -race in
 // CI): cancellation is only ever observed at the superstep barrier, after
 // every machine goroutine of the previous superstep has been joined, so a

@@ -101,10 +101,9 @@ type Config struct {
 	// (per-machine words sent/received, resident memory, recovery activity).
 	// Tracing is deterministic and costs nothing when nil.
 	Tracer trace.Tracer
-	// Context, when non-nil, is checked at every superstep barrier (Step,
-	// RouteStep and ChargeRounds): once it is done, the call returns a
-	// *CancelError wrapping ErrCanceled or ErrDeadline with the committed
-	// round and full Stats. The CLIs wire deadlines and SIGINT through it.
+	// Context, when non-nil, is checked at every superstep barrier (Step and
+	// RouteStep): once it is done, the call returns a *CancelError wrapping
+	// ErrCanceled or ErrDeadline with the committed round and full Stats. The CLIs wire deadlines and SIGINT through it.
 	Context context.Context
 	// Sink, when non-nil (together with CheckpointEvery > 0 and a registered
 	// Checkpointer), persists every in-memory checkpoint durably; written
@@ -132,8 +131,8 @@ type Config struct {
 }
 
 // Violation records a budget breach observed during the simulation, in
-// either model: the MPC policy's kinds are "send", "recv" and "resident"
-// (and "rounds" for a negative ChargeRounds), the congested clique's are
+// either model: the MPC policy's kinds are "send", "recv" and "resident",
+// the congested clique's are
 // "pair", "received" and "routed", with the node id in Machine.
 type Violation struct {
 	Round   int
@@ -576,42 +575,6 @@ func (c *Cluster) Stats() Stats {
 	return out
 }
 
-// ChargeRounds accounts for k rounds of a step that is modeled analytically
-// rather than simulated message-by-message (e.g. relabeling the candidates of
-// a β-ruling level onto the next level's cluster). It adds k rounds to the
-// statistics under the given name with no bandwidth attributed.
-//
-// A negative k is a caller bug (it would silently under-count the model's
-// central quantity): it is recorded as a "rounds" violation and, consistent
-// with budget handling, returned as an error in Strict mode.
-func (c *Cluster) ChargeRounds(name string, k int) error {
-	if err := c.barrierErr(); err != nil {
-		return err
-	}
-	if k < 0 {
-		return c.violate(Violation{
-			Round:   c.stats.Rounds,
-			Machine: -1,
-			Kind:    "rounds",
-			Words:   k,
-			Budget:  0,
-		})
-	}
-	span := c.CurrentSpan()
-	for i := 0; i < k; i++ {
-		c.stats.Rounds++
-		if c.tracer != nil {
-			c.tracer.Superstep(trace.Event{
-				Round:   c.stats.Rounds,
-				Step:    name,
-				Span:    span,
-				Charged: true,
-			})
-		}
-	}
-	return nil
-}
-
 // recoverySnapshot captures the fault-layer counters so Step can report the
 // recovery activity of one superstep as deltas in its trace event.
 type recoverySnapshot struct {
@@ -625,36 +588,6 @@ func (c *Cluster) snapshotRecovery() recoverySnapshot {
 		recoveryRounds: c.stats.RecoveryRounds,
 		replayed:       c.stats.ReplayedWords,
 	}
-}
-
-// MergeStats accumulates b into a: rounds, traffic and violations add up,
-// peaks and skew coefficients take the maximum, and b's violation rounds are
-// offset by a's round count so merged stats read as one continuous run. Used
-// when an algorithm chains sub-instances on fresh clusters (e.g. recursive
-// β-ruling levels), whose trace events the drivers shift the same way.
-func MergeStats(a, b Stats) Stats {
-	offset := a.Rounds
-	a.Rounds += b.Rounds
-	a.Messages += b.Messages
-	a.Words += b.Words
-	a.PeakSent = max(a.PeakSent, b.PeakSent)
-	a.PeakRecv = max(a.PeakRecv, b.PeakRecv)
-	a.PeakResident = max(a.PeakResident, b.PeakResident)
-	for _, v := range b.Violations {
-		v.Round += offset
-		a.Violations = append(a.Violations, v)
-	}
-	a.SkewSent = maxFloat(a.SkewSent, b.SkewSent)
-	a.SkewRecv = maxFloat(a.SkewRecv, b.SkewRecv)
-	a.GiniSent = maxFloat(a.GiniSent, b.GiniSent)
-	a.GiniRecv = maxFloat(a.GiniRecv, b.GiniRecv)
-	a.RecoveredCrashes += b.RecoveredCrashes
-	a.RecoveryRounds += b.RecoveryRounds
-	a.ReplayedWords += b.ReplayedWords
-	a.CheckpointWords += b.CheckpointWords
-	a.CheckpointBytes += b.CheckpointBytes
-	a.ResumeReplayRounds += b.ResumeReplayRounds
-	return a
 }
 
 // Ctx is the per-machine view inside one Step: the machine id, its item

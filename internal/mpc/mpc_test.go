@@ -313,55 +313,6 @@ func TestInStepResidentViolationRound(t *testing.T) {
 	}
 }
 
-func TestChargeRoundsAndMergeStats(t *testing.T) {
-	c, err := NewCluster(Config{Machines: 1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ChargeRounds("model", 3); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Rounds != 3 {
-		t.Fatalf("charged rounds = %d", c.Stats().Rounds)
-	}
-	a := Stats{Rounds: 2, Words: 10, PeakSent: 5, Violations: []Violation{{Round: 1}},
-		RecoveredCrashes: 1, RecoveryRounds: 2, ReplayedWords: 3, CheckpointWords: 4}
-	b := Stats{Rounds: 3, Words: 7, PeakSent: 9, RecoveryRounds: 1, RecoveredCrashes: 2}
-	m := MergeStats(a, b)
-	if m.Rounds != 5 || m.Words != 17 || m.PeakSent != 9 || len(m.Violations) != 1 {
-		t.Fatalf("merged = %+v", m)
-	}
-	if m.RecoveredCrashes != 3 || m.RecoveryRounds != 3 || m.ReplayedWords != 3 ||
-		m.CheckpointWords != 4 {
-		t.Fatalf("merged fault fields = %+v", m)
-	}
-}
-
-func TestChargeRoundsNegative(t *testing.T) {
-	c, err := NewCluster(Config{Machines: 1}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ChargeRounds("model", -2); err != nil { // non-strict: recorded
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Rounds != 0 {
-		t.Fatalf("negative charge changed rounds: %d", st.Rounds)
-	}
-	if len(st.Violations) != 1 || st.Violations[0].Kind != "rounds" {
-		t.Fatalf("violations = %v", st.Violations)
-	}
-
-	strict, err := NewCluster(Config{Machines: 1, Strict: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := strict.ChargeRounds("model", -1); !errors.Is(err, ErrBudget) {
-		t.Fatalf("strict negative charge err = %v, want ErrBudget", err)
-	}
-}
-
 func TestRegimeString(t *testing.T) {
 	if RegimeLinear.String() != "linear" || RegimeSublinear.String() != "sublinear" || RegimeExplicit.String() != "explicit" {
 		t.Fatal("regime strings wrong")

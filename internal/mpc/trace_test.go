@@ -1,8 +1,6 @@
 package mpc
 
 import (
-	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/trace"
@@ -80,33 +78,6 @@ func TestTraceEventsMatchStats(t *testing.T) {
 	}
 	if spans[0].Words != st.Words || spans[0].MaxRecv != st.PeakRecv {
 		t.Fatalf("span aggregate %+v does not match stats", spans[0])
-	}
-}
-
-func TestTraceChargedRounds(t *testing.T) {
-	c, ring := newTracedCluster(t, Config{Machines: 2}, 8)
-	c.Span("gather")
-	if err := c.ChargeRounds("exp", 3); err != nil {
-		t.Fatal(err)
-	}
-	evs := ring.Events()
-	if len(evs) != 3 {
-		t.Fatalf("%d events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if !ev.Charged || ev.Step != "exp" || ev.Span != "gather" || ev.Round != i+1 {
-			t.Fatalf("charged event %d = %+v", i, ev)
-		}
-		if ev.Sent != nil || ev.Words != 0 {
-			t.Fatalf("charged event %d carries traffic: %+v", i, ev)
-		}
-	}
-	spans := trace.Spans(0, evs)
-	if len(spans) != 1 || spans[0].Rounds != 3 || spans[0].Charged != 3 || spans[0].Words != 0 {
-		t.Fatalf("spans %+v", spans)
-	}
-	if st := c.Stats(); st.Rounds != 3 {
-		t.Fatalf("charged %d rounds, want 3", st.Rounds)
 	}
 }
 
@@ -211,119 +182,5 @@ func TestStepNoAllocWithoutTracer(t *testing.T) {
 	if delta := withTracer - withoutTracer; delta > 4 {
 		t.Fatalf("tracer adds %.1f allocations per step (disabled %.1f, enabled %.1f)",
 			delta, withoutTracer, withTracer)
-	}
-}
-
-// TestMergeStatsCoversEveryField walks Stats by reflection and fails when a
-// field has no merge rule — the guard that keeps MergeStats in sync as
-// fields are added. Each rule states how a merged field must relate to the
-// two inputs, and the test checks it on concrete values.
-func TestMergeStatsCoversEveryField(t *testing.T) {
-	a := Stats{
-		Rounds: 2, Messages: 10, Words: 100,
-		PeakSent: 7, PeakRecv: 9, PeakResident: 30,
-		Violations: []Violation{{Round: 1, Kind: "send"}},
-		SkewSent:   1.5, SkewRecv: 2.5, GiniSent: 0.25, GiniRecv: 0.5,
-		RecoveredCrashes: 1, RecoveryRounds: 2, ReplayedWords: 3,
-		CheckpointWords: 4, CheckpointBytes: 8, ResumeReplayRounds: 9,
-	}
-	b := Stats{
-		Rounds: 3, Messages: 20, Words: 50,
-		PeakSent: 5, PeakRecv: 11, PeakResident: 20,
-		Violations: []Violation{{Round: 2, Kind: "recv"}},
-		SkewSent:   1.25, SkewRecv: 3.5, GiniSent: 0.75, GiniRecv: 0.25,
-		RecoveredCrashes: 10, RecoveryRounds: 20, ReplayedWords: 30,
-		CheckpointWords: 40, CheckpointBytes: 80, ResumeReplayRounds: 90,
-	}
-	m := MergeStats(a, b)
-
-	// One check per Stats field. Adding a field to Stats without a merge
-	// rule (and a check here) fails the reflection sweep below.
-	checks := map[string]func() bool{
-		"Rounds":       func() bool { return m.Rounds == 5 },
-		"Messages":     func() bool { return m.Messages == 30 },
-		"Words":        func() bool { return m.Words == 150 },
-		"PeakSent":     func() bool { return m.PeakSent == 7 },
-		"PeakRecv":     func() bool { return m.PeakRecv == 11 },
-		"PeakResident": func() bool { return m.PeakResident == 30 },
-		"Violations": func() bool {
-			// b's violation rounds are offset by a.Rounds so the merged
-			// stats read as one continuous run (the PR-1 audit fix).
-			return len(m.Violations) == 2 && m.Violations[0].Round == 1 && m.Violations[1].Round == 4
-		},
-		"SkewSent":           func() bool { return m.SkewSent == 1.5 },
-		"SkewRecv":           func() bool { return m.SkewRecv == 3.5 },
-		"GiniSent":           func() bool { return m.GiniSent == 0.75 },
-		"GiniRecv":           func() bool { return m.GiniRecv == 0.5 },
-		"RecoveredCrashes":   func() bool { return m.RecoveredCrashes == 11 },
-		"RecoveryRounds":     func() bool { return m.RecoveryRounds == 22 },
-		"ReplayedWords":      func() bool { return m.ReplayedWords == 33 },
-		"CheckpointWords":    func() bool { return m.CheckpointWords == 44 },
-		"CheckpointBytes":    func() bool { return m.CheckpointBytes == 88 },
-		"ResumeReplayRounds": func() bool { return m.ResumeReplayRounds == 99 },
-	}
-	sweep := func(typ reflect.Type, rules map[string]func() bool) {
-		t.Helper()
-		for i := 0; i < typ.NumField(); i++ {
-			name := typ.Field(i).Name
-			check, ok := rules[name]
-			if !ok {
-				t.Errorf("%s.%s has no merge rule: extend MergeStats and this test", typ.Name(), name)
-				continue
-			}
-			if !check() {
-				t.Errorf("%s.%s merged wrong (merged value in %+v)", typ.Name(), name, m)
-			}
-			delete(rules, name)
-		}
-		leftover := make([]string, 0, len(rules))
-		for name := range rules {
-			leftover = append(leftover, name)
-		}
-		sort.Strings(leftover)
-		for _, name := range leftover {
-			t.Errorf("check %q matches no %s field (renamed?)", name, typ.Name())
-		}
-	}
-	sweep(reflect.TypeOf(Stats{}), checks)
-}
-
-// TestMergeStatsEqualsSingleRun merges per-segment stats of a run split
-// across two clusters and compares against the same work on one cluster.
-func TestMergeStatsEqualsSingleRun(t *testing.T) {
-	work := func(c *Cluster, from, to int) {
-		for r := from; r < to; r++ {
-			if err := c.Step("w", func(x *Ctx) {
-				payload := make([]uint64, r+1)
-				x.SendOwned((x.Machine+1)%2, payload)
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	single, err := NewCluster(Config{Machines: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Span("sparsify")
-	work(single, 0, 4)
-	want := single.Stats()
-
-	c1, err := NewCluster(Config{Machines: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1.Span("sparsify")
-	work(c1, 0, 2)
-	c2, err := NewCluster(Config{Machines: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Span("sparsify")
-	work(c2, 2, 4)
-	got := MergeStats(c1.Stats(), c2.Stats())
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged stats diverge from single run:\n got %+v\nwant %+v", got, want)
 	}
 }

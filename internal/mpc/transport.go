@@ -15,9 +15,10 @@ import "fmt"
 // with or without it.
 //
 // round is the model round about to commit (the value Stats.Rounds will take
-// once the step commits). Rounds consumed by ChargeRounds create gaps in the
-// sequence of exchanged rounds, but the sequence itself is deterministic, so
-// distributed implementations may key their wire frames by it.
+// once the step commits). A routed step that commits several rounds leaves a
+// gap in the sequence of exchanged rounds, but the sequence itself is
+// deterministic, so distributed implementations may key their wire frames
+// by it.
 //
 // Exchange is called from the barrier (single-goroutine) phase of Step; it
 // never races with machine code.

@@ -2,7 +2,6 @@ package rulingset
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/rulingset/mprs/internal/graph"
 )
@@ -14,14 +13,12 @@ type Algorithm struct {
 	Name string
 	// Title is the driver function's name, which experiment tables print.
 	Title string
-	// SingleCluster marks the drivers whose rounds form one replayable
-	// superstep log: only they take durable checkpoints and run on the
-	// multi-process backend.
-	SingleCluster bool
 	// Clique marks the congested-clique drivers, which simulate one machine
-	// per vertex and ignore Options.Machines. It only labels output: the
-	// CLI's title, a trace header's machine count, and a bench row's model
-	// and machine count.
+	// per vertex and ignore Options.Machines. Every other driver runs on one
+	// MPC cluster, so its rounds form one replayable superstep log: it takes
+	// durable checkpoints and runs on the multi-process backend. Beyond that
+	// gate, Clique only labels output: the CLI's title, a trace header's
+	// machine count, and a bench row's model and machine count.
 	Clique bool
 	// Run executes the driver; only the β drivers read beta.
 	Run func(g *graph.Graph, beta int, o Options) (Result, error)
@@ -32,16 +29,16 @@ type Algorithm struct {
 // detflow follows a call through Run into a literal stored there, but not
 // through a function that builds one.
 var Algorithms = []Algorithm{
-	{Name: "luby", Title: "LubyMIS", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "luby", Title: "LubyMIS", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return LubyMIS(g, o)
 	}},
-	{Name: "detluby", Title: "DetLubyMIS", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "detluby", Title: "DetLubyMIS", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetLubyMIS(g, o)
 	}},
-	{Name: "rand2", Title: "RandRuling2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "rand2", Title: "RandRuling2", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return RandRuling2(g, o)
 	}},
-	{Name: "det2", Title: "DetRuling2", SingleCluster: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "det2", Title: "DetRuling2", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetRuling2(g, o)
 	}},
 	{Name: "randbeta", Title: "RandRulingBeta", Run: RandRulingBeta},
@@ -62,16 +59,4 @@ func LookupAlgorithm(name string) (Algorithm, error) {
 		}
 	}
 	return Algorithm{}, fmt.Errorf("unknown algorithm %q", name)
-}
-
-// SingleClusterNames lists the single-cluster drivers' names in table order,
-// comma-separated, for the errors that reject every other driver.
-func SingleClusterNames() string {
-	var names []string
-	for _, a := range Algorithms {
-		if a.SingleCluster {
-			names = append(names, a.Name)
-		}
-	}
-	return strings.Join(names, ", ")
 }

@@ -45,8 +45,8 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (Result, error
 		// A single node is the whole clique; no communication exists.
 		return Result{Members: []int32{0}, Beta: 2, ResidualN: 1}, nil
 	}
-	if err := o.durableUnsupported("CliqueRuling2"); err != nil {
-		return Result{}, err
+	if o.CheckpointSink != nil || o.Resume != nil {
+		return Result{}, errors.New("rulingset: CliqueRuling2 does not support durable checkpointing/resume")
 	}
 	if o.Transport != nil {
 		return Result{}, fmt.Errorf("rulingset: CliqueRuling2: %w", errCliqueTransport)

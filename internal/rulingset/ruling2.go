@@ -1,7 +1,6 @@
 package rulingset
 
 import (
-	"math/rand"
 	"slices"
 
 	"github.com/rulingset/mprs/internal/bitset"
@@ -14,7 +13,7 @@ import (
 // probabilities, Θ(log log Δ) phases, residual instance solved greedily on
 // one machine). The run is reproducible from o.Seed.
 func RandRuling2(g *graph.Graph, o Options) (Result, error) {
-	return ruling2(g, o, false)
+	return rulingBeta(g, 2, o, false)
 }
 
 // DetRuling2 computes a 2-ruling set of g with the paper's deterministic
@@ -23,44 +22,7 @@ func RandRuling2(g *graph.Graph, o Options) (Result, error) {
 // method of conditional expectations. Identical inputs and options always
 // produce identical outputs, regardless of machine count.
 func DetRuling2(g *graph.Graph, o Options) (Result, error) {
-	return ruling2(g, o, true)
-}
-
-func ruling2(g *graph.Graph, o Options, deterministic bool) (Result, error) {
-	d, o, err := distribute(g, o)
-	if err != nil {
-		return Result{}, err
-	}
-	c := d.Cluster()
-
-	delta, err := maxDegree(d)
-	if err != nil {
-		return Result{}, err
-	}
-	st := newSparsifyState(g)
-	if err := registerCheckpoint(c, o, st.active, st.candidates); err != nil {
-		return Result{}, err
-	}
-	// The rng drives randomized sampling; deterministic runs never read it.
-	rng := rand.New(rand.NewSource(o.Seed))
-	m := newMPCModel(d, "sparsify")
-	if err := runPhases(m, o, st, schedule(int(delta)), deterministic, rng); err != nil {
-		return Result{}, err
-	}
-	st.absorbActive()
-
-	members, residual, err := solveResidual(m, st.candidates, st.deadView())
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Members:   members,
-		Beta:      2,
-		Stats:     c.Stats(),
-		Phases:    st.phases,
-		ResidualN: residual.N(),
-		ResidualM: residual.M(),
-	}, nil
+	return rulingBeta(g, 2, o, true)
 }
 
 // maxDegree computes the graph's maximum degree through the cluster's

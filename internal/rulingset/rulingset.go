@@ -19,7 +19,7 @@
 //     pairwise-independent hash whose seed is fixed deterministically.
 //   - RandRulingBeta / DetRulingBeta: β-ruling sets by recursive
 //     sparsification — each extra unit of domination radius shrinks the
-//     problem before the next level runs.
+//     problem before the next level runs, on the same cluster.
 //
 // All algorithms execute on the internal/mpc simulator, so every result
 // carries the model measurements (rounds, bandwidth, memory residency) that
@@ -105,13 +105,12 @@ type Options struct {
 	// Stats. See mpc.Config.Context.
 	Context context.Context
 	// CheckpointSink, when non-nil (with CheckpointEvery > 0), persists
-	// every driver checkpoint durably; see mpc.Config.Sink. Only the
-	// single-cluster algorithms (Ruling2, DetRuling2, LubyMIS, DetLubyMIS)
-	// support durable checkpointing — the recursive multi-cluster drivers
-	// chain fresh clusters whose rounds are not a single replayable log.
+	// every driver checkpoint durably; see mpc.Config.Sink. Every MPC driver
+	// runs on one cluster, so its rounds are one replayable log; the
+	// congested-clique drivers reject a sink.
 	CheckpointSink mpc.CheckpointSink
-	// Resume, when non-nil, resumes from a durable checkpoint (same
-	// single-cluster restriction); see mpc.Config.Resume.
+	// Resume, when non-nil, resumes from a durable checkpoint (MPC drivers
+	// only, as for CheckpointSink); see mpc.Config.Resume.
 	Resume *mpc.ResumeState
 	// Transport, when non-nil, checks every committed superstep's message
 	// exchange (see mpc.Transport); nil is the in-memory router. The
@@ -161,17 +160,6 @@ func alphaExp(alpha float64) (int, error) {
 		return 0, fmt.Errorf("rulingset: estimator α = %v is not a power of two", alpha)
 	}
 	return exp - 1, nil
-}
-
-// durableUnsupported rejects durable checkpointing/resume for drivers that
-// chain multiple clusters (recursive β-levels, adaptive escalation, the
-// congested-clique port): their rounds are split across fresh clusters, so
-// they are not one replayable superstep log a durable checkpoint can anchor.
-func (o Options) durableUnsupported(algo string) error {
-	if o.CheckpointSink != nil || o.Resume != nil {
-		return fmt.Errorf("rulingset: %s does not support durable checkpointing/resume (only the single-cluster algorithms Ruling2/DetRuling2/LubyMIS/DetLubyMIS do)", algo)
-	}
-	return nil
 }
 
 // cluster builds the simulated cluster for a graph of order n.

@@ -131,29 +131,64 @@ func TestTraceAccountsForStats(t *testing.T) {
 	}
 }
 
-// spanRecorder records event rounds and span changes.
-type spanRecorder struct {
-	rounds []int
-	spans  []string
-}
-
-func (r *spanRecorder) Superstep(ev trace.Event) { r.rounds = append(r.rounds, ev.Round) }
-func (r *spanRecorder) SpanChange(span string)   { r.spans = append(r.spans, span) }
-
-// TestLevelOptionsShiftRounds: a chained level's tracer advances event
-// rounds past the committed ones and forwards span changes as they happen,
-// so a live collector still sees every phase switch.
-func TestLevelOptionsShiftRounds(t *testing.T) {
-	var rec spanRecorder
-	first := levelOptions(Options{Tracer: &rec}, 0)
-	if first.Tracer != trace.Tracer(&rec) {
-		t.Fatalf("first level's tracer wrapped: %T", first.Tracer)
+// TestLevelsShareOneCluster: every level of a β or adaptive run commits on
+// the one cluster, so the one tracer sees rounds 1…Rounds with no gap. The
+// schedule is split from one maxdeg round; each later β level starts with
+// one beta/view round. The adaptive driver measures every level in one
+// adaptive/size round and starts each later level with one adaptive/view
+// round.
+func TestLevelsShareOneCluster(t *testing.T) {
+	g := gen.MustBuild("gnp:n=1000,p=0.01", 41)
+	cases := []struct {
+		name string
+		beta int // 0: adaptive, which reports its own
+		run  func(Options) (Result, error)
+	}{
+		{"DetRulingBeta3", 3, func(o Options) (Result, error) { return DetRulingBeta(g, 3, o) }},
+		{"RandRulingBeta4", 4, func(o Options) (Result, error) { return RandRulingBeta(g, 4, o) }},
+		{"DetRulingBeta4", 4, func(o Options) (Result, error) { return DetRulingBeta(g, 4, o) }},
+		{"DetRulingAdaptive", 0, func(o Options) (Result, error) {
+			o.ResidualBudget = (g.N() + 2*g.M()) / 200
+			return DetRulingAdaptive(g, o)
+		}},
 	}
-	later := levelOptions(Options{Tracer: &rec}, 10)
-	later.Tracer.Superstep(trace.Event{Round: 1})
-	later.Tracer.(trace.SpanObserver).SpanChange("gather")
-	if !slices.Equal(rec.rounds, []int{11}) || !slices.Equal(rec.spans, []string{"gather"}) {
-		t.Fatalf("rounds %v, spans %v; want [11] and [gather]", rec.rounds, rec.spans)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var log trace.Log
+			res, err := tc.run(Options{Seed: 2, ChunkBits: 4, Tracer: &log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Check(g, res); err != nil {
+				t.Fatal(err)
+			}
+			steps := map[string]int{}
+			for i, ev := range log {
+				if ev.Round != i+1 {
+					t.Fatalf("event %d (%s) at round %d, want %d", i, ev.Step, ev.Round, i+1)
+				}
+				steps[ev.Step]++
+			}
+			if len(log) != res.Stats.Rounds {
+				t.Fatalf("%d events, Stats.Rounds %d", len(log), res.Stats.Rounds)
+			}
+			type count struct {
+				step string
+				n    int
+			}
+			want := []count{{"maxdeg", 1}, {"beta/view", tc.beta - 2}}
+			if tc.beta == 0 {
+				if res.Beta < 3 {
+					t.Fatalf("adaptive chose beta %d; the budget should force two levels", res.Beta)
+				}
+				want = []count{{"maxdeg", 0}, {"adaptive/size", res.Beta}, {"adaptive/view", res.Beta - 1}}
+			}
+			for _, w := range want {
+				if steps[w.step] != w.n {
+					t.Errorf("%d %s events, want %d", steps[w.step], w.step, w.n)
+				}
+			}
+		})
 	}
 }
 

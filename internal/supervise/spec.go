@@ -40,10 +40,13 @@ import (
 // Every field feeds the deterministic replay; observability knobs
 // (TraceFile) do not alter it.
 type JobSpec struct {
-	// Algo names the algorithm: a single-cluster entry of
+	// Algo names the algorithm: an MPC (non-clique) entry of
 	// rulingset.Algorithms (the same set that supports durable
 	// checkpointing, and for the same reason: one replayable superstep log).
 	Algo string `json:"algo"`
+	// Beta is the domination radius the β drivers (randbeta, detbeta) run
+	// with; the other drivers ignore it.
+	Beta int `json:"beta,omitempty"`
 	// GraphSpec generates the input (see internal/gen); GraphFile loads an
 	// edge-list file instead. Exactly one must be set.
 	GraphSpec string `json:"graph_spec,omitempty"`
@@ -101,8 +104,8 @@ func (s JobSpec) SpecLabel() string {
 
 // Validate rejects specs no worker could run.
 func (s JobSpec) Validate() error {
-	if a, err := rulingset.LookupAlgorithm(s.Algo); err != nil || !a.SingleCluster {
-		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (single-cluster MPC algorithms only: %s)", s.Algo, rulingset.SingleClusterNames())
+	if a, err := rulingset.LookupAlgorithm(s.Algo); err != nil || a.Clique {
+		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (MPC algorithms only)", s.Algo)
 	}
 	if (s.GraphSpec == "") == (s.GraphFile == "") {
 		return fmt.Errorf("supervise: exactly one of GraphSpec and GraphFile must be set")
@@ -149,8 +152,8 @@ func (s JobSpec) RunFingerprint() string { return "mprs-run/1 " + s.fingerprintB
 // deterministic replay (the fault term is chaos.FingerprintTerm of the
 // job's fault spec); observability settings and Parallelism are left out.
 func (s JobSpec) fingerprintBody() string {
-	return fmt.Sprintf("algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
-		s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
+	return fmt.Sprintf("algo=%s beta=%d spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
+		s.Algo, s.Beta, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
 		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
 }
 
@@ -191,8 +194,8 @@ func CheckInProcChaos(plan *chaos.Plan, checkpointDir string) error {
 	return nil
 }
 
-// solve runs the spec's algorithm on g (a single-cluster MPC driver once
-// Validate has passed, so it reads no beta) with sinks as its tracer. With
+// solve runs the spec's algorithm on g (an MPC driver once Validate has
+// passed) at the spec's Beta with sinks as its tracer. With
 // withTrace set, the JSONL trace is written to TraceFile ahead of sinks.
 func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace bool, sinks trace.Multi) (res rulingset.Result, retErr error) {
 	a, err := rulingset.LookupAlgorithm(s.Algo)
@@ -221,7 +224,7 @@ func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace bool, sink
 	if len(sinks) > 0 {
 		o.Tracer = sinks
 	}
-	return a.Run(g, 0, o)
+	return a.Run(g, s.Beta, o)
 }
 
 // traceHeader is the job's trace header — field-for-field what the CLI's

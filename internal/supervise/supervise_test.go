@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/rulingset/mprs/internal/rulingset"
+	"github.com/rulingset/mprs/internal/trace"
 )
 
 // TestMain doubles as the worker entry point: the supervisor's SelfExec
@@ -63,11 +65,21 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	beta := JobSpec{Algo: "detbeta", Beta: 3, GraphSpec: "g", Machines: 4}
+	if err := beta.Validate(); err != nil {
+		t.Fatalf("detbeta spec rejected: %v", err)
+	}
+	beta4 := beta
+	beta4.Beta = 4
+	if beta4.Fingerprint() == beta.Fingerprint() {
+		t.Error("Beta does not enter the fingerprint")
+	}
 	for _, tc := range []struct {
 		name string
 		spec JobSpec
 	}{
-		{"unsupported algo", JobSpec{Algo: "detbeta", GraphSpec: "g", Machines: 4}},
+		{"clique algo", JobSpec{Algo: "cliquedet2", GraphSpec: "g", Machines: 4}},
+		{"unknown algo", JobSpec{Algo: "nope", GraphSpec: "g", Machines: 4}},
 		{"no graph", JobSpec{Algo: "det2", Machines: 4}},
 		{"both graphs", JobSpec{Algo: "det2", GraphSpec: "g", GraphFile: "f", Machines: 4}},
 		{"no machines", JobSpec{Algo: "det2", GraphSpec: "g"}},
@@ -212,6 +224,61 @@ func TestMultiProcKillRestart(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMultiProcBetaKillRestart: detbeta runs every level on one cluster,
+// so it runs on the multi-process backend like every other MPC driver. A
+// worker killed after the first beta/view round restarts from its
+// checkpoint, and members, canonical Stats and trace bytes equal the
+// in-process run's.
+func TestMultiProcBetaKillRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(sub string) JobSpec {
+		s := testSpec(t, "detbeta")
+		s.Beta, s.ChunkBits = 3, 4
+		s.CheckpointEvery = 4
+		s.CheckpointDir = filepath.Join(dir, sub, "ck")
+		s.TraceFile = filepath.Join(dir, sub+".trace")
+		return s
+	}
+	inSpec := spec("in")
+	inRes, err := InProc{}.Run(inSpec)
+	if err != nil {
+		t.Fatalf("inproc: %v", err)
+	}
+	if inRes.Beta != 3 {
+		t.Fatalf("inproc ran beta %d, want 3", inRes.Beta)
+	}
+	_, evs, err := trace.ReadFile(inSpec.TraceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := 0
+	for _, ev := range evs {
+		if ev.Step == "beta/view" {
+			view = ev.Round
+			break
+		}
+	}
+	if view == 0 {
+		t.Fatal("in-process detbeta run has no beta/view round")
+	}
+
+	mpSpec := spec("mp")
+	var lifecycle bytes.Buffer
+	cfg := testConfig(2)
+	cfg.MaxRestarts = 1
+	cfg.BackoffInitial = 20 * time.Millisecond
+	cfg.Lifecycle = &lifecycle
+	res, err := Run(withChaos(mpSpec, fmt.Sprintf("proc:kill@%d:1", view+3)), cfg)
+	if err != nil {
+		t.Fatalf("multiproc: %v\nlifecycle:\n%s", err, lifecycle.String())
+	}
+	requireSameResult(t, inRes, res)
+	requireSameFile(t, inSpec.TraceFile, mpSpec.TraceFile)
+	if !strings.Contains(lifecycle.String(), `"kind":"restart"`) {
+		t.Errorf("lifecycle records no restart:\n%s", lifecycle.String())
 	}
 }
 

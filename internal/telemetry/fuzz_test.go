@@ -118,7 +118,7 @@ func encodeSnapshot(tb testing.TB, ps []Point) []byte {
 func FuzzReadFlight(f *testing.F) {
 	evs := []trace.Event{
 		{Round: 7, Step: "route", Span: "gather", Sent: []int{4, 0}, Recv: []int{0, 4}, Words: 40, GiniRecv: 0.5},
-		{Round: 8, Step: "route", Span: "gather", Charged: true},
+		{Round: 8, Step: "route", Span: "gather"},
 	}
 	hdr := FlightHeader{Worker: 1, Attempt: 2, Round: 8, Kind: "crash", Reason: "heartbeat lost", Algo: "det2", Spec: "gnp:n=16,p=0.2"}
 	f.Add(writeFlight(f, hdr, evs))

@@ -17,7 +17,7 @@ import (
 func FuzzTraceReader(f *testing.F) {
 	evs := []Event{
 		{Round: 1, Step: "a", Span: "setup", Sent: []int{3, 0}, Recv: []int{0, 3}, Resident: []int{9, 9}, Messages: 1, Words: 3, MaxSent: 3, MaxRecv: 3, GiniSent: 0.5, GiniRecv: 0.5},
-		{Round: 2, Step: "b", Span: "sparsify", Charged: true},
+		{Round: 2, Step: "b", Span: "sparsify"},
 		{Round: 3, Step: "c", Span: "finish", Crashes: 1, RecoveryRounds: 2, ReplayedWords: 40},
 	}
 	hdr := Header{Algo: "det2", Spec: "gnp:n=16,p=0.2", Seed: 7, Machines: 2, Build: []byte(`{"go":"go1.22"}`), ResumedFrom: 4}

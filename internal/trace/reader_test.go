@@ -16,7 +16,7 @@ import (
 func TestReaderRoundTripsHeaderAndEvents(t *testing.T) {
 	evs := []Event{
 		{Round: 1, Step: "a", Span: "setup", Sent: []int{3, 0}, Recv: []int{0, 3}, Messages: 1, Words: 3, MaxSent: 3, MaxRecv: 3, GiniSent: 0.5, GiniRecv: 0.5},
-		{Round: 2, Step: "b", Span: "sparsify", Charged: true},
+		{Round: 2, Step: "b", Span: "sparsify"},
 		{Round: 3, Step: "c", Span: "finish", Crashes: 1, RecoveryRounds: 2},
 	}
 	var b bytes.Buffer
@@ -43,6 +43,26 @@ func TestReaderRoundTripsHeaderAndEvents(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, evs) {
 		t.Errorf("events did not round-trip:\ngot  %+v\nwant %+v", got, evs)
+	}
+}
+
+// TestReaderDecodesChargedEvents: traces written while the simulator still
+// charged analytic rounds mark them "charged":true. The field is gone from
+// Event, and such a trace still decodes, the mark ignored.
+func TestReaderDecodesChargedEvents(t *testing.T) {
+	old := `{"round":1,"step":"a","span":"sparsify","messages":1,"words":2,"max_sent":2,"max_recv":2,"gini_sent":0,"gini_recv":0}
+{"round":2,"step":"beta/relabel","span":"sparsify","charged":true,"messages":0,"words":0,"max_sent":0,"max_recv":0,"gini_sent":0,"gini_recv":0}
+`
+	_, got, err := ReadAll(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Round: 1, Step: "a", Span: "sparsify", Messages: 1, Words: 2, MaxSent: 2, MaxRecv: 2},
+		{Round: 2, Step: "beta/relabel", Span: "sparsify"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events = %+v, want %+v", got, want)
 	}
 }
 

@@ -8,7 +8,6 @@ package trace
 type SpanStat struct {
 	Span     string `json:"span"`
 	Rounds   int    `json:"rounds"`
-	Charged  int    `json:"charged_rounds"`
 	Messages int64  `json:"messages"`
 	Words    int64  `json:"words"`
 	// Share is the span's fraction of the trace's total words.
@@ -44,9 +43,6 @@ func Spans(start int, evs []Event) []SpanStat {
 		rounds := ev.Round - prev
 		prev = ev.Round
 		s.Rounds += rounds
-		if ev.Charged {
-			s.Charged += rounds
-		}
 		s.Messages += int64(ev.Messages)
 		s.Words += int64(ev.Words)
 		total += int64(ev.Words)

@@ -7,20 +7,20 @@ import (
 
 // TestSpansCountRoundDeltas pins the reducer: spans in first-appearance
 // order, each event worth its Round minus the previous event's, so a routed
-// step that commits two rounds in one event counts both, and charged rounds
-// count as rounds too. Counters add; maxima and Gini coefficients take the
+// step that commits two rounds in one event counts both, and a round without
+// traffic counts too. Counters add; maxima and Gini coefficients take the
 // worst round.
 func TestSpansCountRoundDeltas(t *testing.T) {
 	evs := []Event{
 		{Round: 1, Span: "setup", Messages: 2, Words: 10, MaxSent: 5, MaxRecv: 10, GiniSent: 0.25, GiniRecv: 0.5},
 		{Round: 3, Span: "gather", Messages: 4, Words: 20, MaxSent: 9, MaxRecv: 8, GiniSent: 0.75, GiniRecv: 0.125},
 		{Round: 4, Span: "setup", Messages: 1, Words: 10, MaxSent: 7, MaxRecv: 2, GiniSent: 0.5, GiniRecv: 0.25},
-		{Round: 5, Span: "finish", Charged: true},
+		{Round: 5, Span: "finish"},
 	}
 	want := []SpanStat{
 		{Span: "setup", Rounds: 2, Messages: 3, Words: 20, Share: 0.5, MaxSent: 7, MaxRecv: 10, GiniSent: 0.5, GiniRecv: 0.5},
 		{Span: "gather", Rounds: 2, Messages: 4, Words: 20, Share: 0.5, MaxSent: 9, MaxRecv: 8, GiniSent: 0.75, GiniRecv: 0.125},
-		{Span: "finish", Rounds: 1, Charged: 1},
+		{Span: "finish", Rounds: 1},
 	}
 	if got := Spans(0, evs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Spans =\n%+v\nwant\n%+v", got, want)

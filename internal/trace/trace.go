@@ -20,21 +20,18 @@ import (
 	"sync"
 )
 
-// Event records one committed superstep (or one analytically charged round).
+// Event records one committed superstep.
 // Slices are per-machine (per-node in the congested clique), indexed by
 // machine id; they are owned by the event and never aliased by the emitting
 // cluster.
 type Event struct {
 	// Round is the 1-based committed round index (after this superstep).
 	Round int `json:"round"`
-	// Step is the step name passed to Step/RouteStep/ChargeRounds.
+	// Step is the step name passed to Step/RouteStep.
 	Step string `json:"step"`
 	// Span is the algorithm phase annotation active during the superstep
 	// (e.g. "sparsify", "seed-search", "gather", "finish").
 	Span string `json:"span"`
-	// Charged marks rounds accounted analytically (ChargeRounds): no
-	// simulated traffic, so the per-machine slices are empty.
-	Charged bool `json:"charged,omitempty"`
 
 	// Sent and Recv are words sent/received per machine this round.
 	Sent []int `json:"sent,omitempty"`

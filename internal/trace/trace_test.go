@@ -11,7 +11,7 @@ import (
 func TestJSONLDeterministicAndShape(t *testing.T) {
 	evs := []Event{
 		{Round: 1, Step: "a", Span: "setup", Sent: []int{3, 0}, Recv: []int{0, 3}, Messages: 1, Words: 3, MaxSent: 3, MaxRecv: 3, GiniSent: 0.5, GiniRecv: 0.5},
-		{Round: 2, Step: "b", Span: "sparsify", Charged: true},
+		{Round: 2, Step: "b", Span: "sparsify"},
 		{Round: 3, Step: "c", Span: "finish", Crashes: 1, RecoveryRounds: 2, ReplayedWords: 7},
 	}
 	render := func() string {
@@ -36,10 +36,10 @@ func TestJSONLDeterministicAndShape(t *testing.T) {
 	if want := `{"round":1,"step":"a","span":"setup","sent":[3,0],"recv":[0,3],"messages":1,"words":3,"max_sent":3,"max_recv":3,"gini_sent":0.5,"gini_recv":0.5}`; lines[0] != want {
 		t.Errorf("line 1 = %s\nwant     %s", lines[0], want)
 	}
-	// omitempty: charged rounds carry no zero-valued traffic fields, and
-	// fault counters appear only when non-zero.
+	// omitempty: an event without traffic carries no empty per-machine
+	// fields, and fault counters appear only when non-zero.
 	if strings.Contains(lines[1], "crashes") || strings.Contains(lines[1], `"sent"`) {
-		t.Errorf("charged event carries empty fields: %s", lines[1])
+		t.Errorf("quiet event carries empty fields: %s", lines[1])
 	}
 	for _, want := range []string{`"crashes":1`, `"recovery_rounds":2`, `"replayed_words":7`} {
 		if !strings.Contains(lines[2], want) {
