@@ -142,8 +142,8 @@ type CheckpointSink = mpc.CheckpointSink
 // Options.Resume: the run deterministically replays to Round, verifies the
 // replayed state word-for-word against State, and continues from there —
 // producing output and deterministic Stats bit-identical to an uninterrupted
-// run. Only the single-cluster algorithms (MIS/DetMIS/RulingSet2/
-// DetRulingSet2) support durable checkpointing and resume.
+// run. Every MPC algorithm supports durable checkpointing and resume, the
+// β and adaptive ones included; the congested-clique ones do not.
 type ResumeState = mpc.ResumeState
 
 // DurableCheckpointer is a CheckpointSink writing schema-versioned,
