@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mprs gen  -spec gnp:n=4096,p=0.004 -seed 1 -o graph.txt [-binary]
+//	mprs gen  -spec gnp:n=4096,p=0.004 -seed 1 -o graph.txt
 //	mprs info -spec ... | -in graph.txt
 //	mprs run  -algo det2 -spec gnp:n=4096,p=0.004 [-machines 8] [-regime linear]
 //	          [-epsilon 0.5] [-memory words] [-slack 16] [-chunk 8] [-algo-seed 1]
@@ -48,7 +48,9 @@
 // config fingerprint). A later invocation with the same configuration plus
 // -resume restarts from the newest valid checkpoint and produces the same
 // ruling set — and the same deterministic statistics — as an uninterrupted
-// run. Every MPC entry of the table supports durable checkpointing; the
+// run. The fingerprint holds only the knobs the algorithm reads, so a flag
+// it does not read (-beta for det2, -chunk for rand2) is ignored, on -resume
+// too. Every MPC entry of the table supports durable checkpointing; the
 // congested-clique entries do not. An interrupt (SIGINT/SIGTERM) cancels
 // the run cooperatively at the next superstep barrier with a structured
 // error reporting the committed round.
@@ -72,8 +74,6 @@ import (
 	"time"
 
 	"github.com/rulingset/mprs/internal/buildinfo"
-	"github.com/rulingset/mprs/internal/chaos"
-	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/metrics"
@@ -153,7 +153,6 @@ func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	src := graphFlags(fs)
 	out := fs.String("o", "", "output file (default stdout)")
-	binary := fs.Bool("binary", false, "write the compact binary format instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -169,9 +168,6 @@ func cmdGen(args []string) error {
 		}
 		defer f.Close()
 		w = f
-	}
-	if *binary {
-		return g.WriteBinary(w)
 	}
 	return g.WriteEdgeList(w)
 }
@@ -290,7 +286,7 @@ func cmdRun(args []string) (retErr error) {
 	if spec.CheckpointDir != "" && spec.CheckpointEvery <= 0 {
 		spec.CheckpointEvery = defaultCheckpointEvery
 	}
-	opts, chaosPlan, err := spec.Options()
+	opts, _, err := spec.Options()
 	if err != nil {
 		return err
 	}
@@ -304,18 +300,17 @@ func cmdRun(args []string) (retErr error) {
 		case *profile != "":
 			return fmt.Errorf("-backend multiproc: -profile captures one process's CPU/heap and would miss the workers; run it on -backend inproc (-debug-addr works here: the supervisor serves the fleet view)")
 		}
-		return runMultiProc(spec, multiProcFlags{
-			workers:          *workers,
-			heartbeat:        *heartbeat,
-			maxRestarts:      *maxRestarts,
-			jobTimeout:       *jobTimeout,
-			lifecycle:        *lifecycle,
-			debugAddr:        *debugAddr,
-			flightDir:        *flightDir,
-			flapLimit:        *flapLimit,
-			maxFleetRestarts: *maxFleetRestarts,
-			degradedFallback: *degraded,
-		}, runReport{
+		return runMultiProc(spec, supervise.Config{
+			Workers:          *workers,
+			Heartbeat:        *heartbeat,
+			MaxRestarts:      *maxRestarts,
+			Timeout:          *jobTimeout,
+			FlightDir:        *flightDir,
+			FlapLimit:        *flapLimit,
+			MaxFleetRestarts: *maxFleetRestarts,
+			DegradedFallback: *degraded,
+			Spawn:            supervise.SelfExec("worker"),
+		}, *lifecycle, *debugAddr, runReport{
 			algo:       *algo,
 			title:      fmt.Sprintf("%s on %v (%d machines, %s regime, %d workers)", *algo, g, *machines, *regime, *workers),
 			g:          g,
@@ -331,8 +326,34 @@ func cmdRun(args []string) (retErr error) {
 		return fmt.Errorf("unknown backend %q (want inproc or multiproc)", *backend)
 	}
 
-	if err := supervise.CheckInProcChaos(chaosPlan, *ckptDir); err != nil {
-		return err
+	if *profile != "" {
+		stop, err := startProfiles(*profile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err := stop(); err != nil && retErr == nil {
+				retErr = err
+			}
+		}()
+	}
+	if *algo == "greedy" {
+		if *ckptDir != "" {
+			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (MPC algorithms only)", *algo)
+		}
+		if *traceFile != "" { // a run without supersteps traces its header alone
+			tr, err := spec.CreateTrace(*machines, 0)
+			if err != nil {
+				return err
+			}
+			if err := tr.Close(); err != nil {
+				return err
+			}
+		}
+		start := time.Now()
+		mis := rulingset.GreedyMIS(g)
+		fmt.Printf("greedy MIS: %d members in %v\n", len(mis), time.Since(start))
+		return writeMembers(*membersOut, mis)
 	}
 
 	// Cooperative cancellation: an interrupt cancels the run at the next
@@ -340,80 +361,12 @@ func cmdRun(args []string) (retErr error) {
 	// (instead of killing the process mid-write).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	opts.Context = ctx
+	job := supervise.InProc{Context: ctx, Resume: *resume}
 
-	// Durable checkpointing. Resolve the store — and, with -resume, the
-	// checkpoint to restart from — before the tracer is composed, so the
-	// trace header can record the resume round and the JSONL sink can splice
-	// (a resumed trace carries only post-resume events; concatenating it onto
-	// the interrupted run's trace reconstructs the uninterrupted stream).
-	var store *durable.Store
-	resumedFrom := 0
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		if entry.Clique || entry.Run == nil { // greedy is no table entry
-			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (MPC algorithms only)", *algo)
-		}
-		// Chaos disk events (if any) interpose at the durable.FS seam; the
-		// in-process run is "worker 0, attempt 0" of the chaos schedule.
-		store, err = durable.OpenFS(*ckptDir, spec.RunFingerprint(), *ckptRetain, chaos.NewDiskFS(chaosPlan, 0, 0))
-		if err != nil {
-			return err
-		}
-		store.SetBuildStamp(buildinfo.JSON())
-		opts.CheckpointSink = store
-		if *resume {
-			meta, state, err := store.LoadLatest()
-			if err != nil {
-				return err
-			}
-			opts.Resume = &mpc.ResumeState{Round: meta.Round, State: state}
-			resumedFrom = meta.Round
-			fmt.Fprintf(os.Stderr, "resuming from durable checkpoint at round %d in %s\n", meta.Round, store.Dir())
-		}
-	}
-
-	// Compose the tracer: an optional JSONL file sink, the -die-at hook and
-	// the telemetry collector all observe the same committed supersteps.
-	var sinks trace.Multi
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		tr := trace.NewJSONL(f)
-		machines := *machines
-		if entry.Clique {
-			machines = g.N() // the clique simulates one machine per vertex
-		}
-		if err := tr.WriteHeader(trace.Header{
-			Algo:        *algo,
-			Spec:        spec.SpecLabel(),
-			Seed:        *algoSeed,
-			Machines:    machines,
-			Build:       buildinfo.JSON(),
-			ResumedFrom: resumedFrom,
-		}); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", *traceFile, err)
-		}
-		if resumedFrom > 0 {
-			// Replayed rounds were already traced by the interrupted run;
-			// emit only what happens after the resume point.
-			sinks = append(sinks, trace.FromRound{Sink: tr, After: resumedFrom})
-		} else {
-			sinks = append(sinks, tr)
-		}
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", *traceFile, err)
-			}
-		}()
-	}
+	// The -die-at hook, the telemetry collector and the -rounds/-spans log
+	// observe the same committed supersteps as the -trace file.
 	if *dieAt > 0 {
-		sinks = append(sinks, dieAtSink{round: *dieAt})
+		job.Sinks = append(job.Sinks, dieAtSink{round: *dieAt})
 	}
 	// Telemetry is observer-only: the collector feeds the -debug-addr
 	// endpoints and the -flight-dir post-mortem, and the run's deterministic
@@ -422,10 +375,7 @@ func cmdRun(args []string) (retErr error) {
 	var col *telemetry.Collector
 	if *debugAddr != "" || *flightDir != "" {
 		col = telemetry.NewCollector(telemetry.CollectorOptions{})
-		sinks = append(sinks, col)
-		if opts.CheckpointSink != nil {
-			opts.CheckpointSink = col.WrapCheckpointSink(opts.CheckpointSink)
-		}
+		job.Sinks = append(job.Sinks, col)
 	}
 	if *flightDir != "" {
 		dir := *flightDir
@@ -454,58 +404,38 @@ func cmdRun(args []string) (retErr error) {
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /telemetry.json, /debug/pprof/)\n", ln.Addr())
 	}
-	// -rounds and -spans read the run's own trace events.
 	var events trace.Log
 	if *rounds || *spans {
-		sinks = append(sinks, &events)
-	}
-	if len(sinks) > 0 {
-		opts.Tracer = sinks
-	}
-	if *profile != "" {
-		stop, err := startProfiles(*profile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
-	}
-
-	if *algo == "greedy" {
-		start := time.Now()
-		mis := rulingset.GreedyMIS(g)
-		fmt.Printf("greedy MIS: %d members in %v\n", len(mis), time.Since(start))
-		return writeMembers(*membersOut, mis)
+		job.Sinks = append(job.Sinks, &events)
 	}
 
 	start := time.Now()
-	res, err := entry.Run(g, *beta, opts)
+	res, err := job.Run(spec, g)
 	if err != nil {
 		return err
+	}
+	if *resume {
+		fmt.Fprintf(os.Stderr, "resuming from durable checkpoint at round %d in %s\n", res.Stats.ResumeReplayRounds, *ckptDir)
 	}
 	title := fmt.Sprintf("%s on %v (%d machines, %s regime)", *algo, g, *machines, *regime)
 	if entry.Clique {
 		title = fmt.Sprintf("%s on %v (congested clique, %d nodes)", *algo, g, g.N())
 	}
 	return reportResult(runReport{
-		algo:        *algo,
-		title:       title,
-		g:           g,
-		res:         res,
-		wall:        time.Since(start),
-		phases:      *phases,
-		rounds:      *rounds,
-		spans:       *spans,
-		log:         events,
-		verify:      *verify,
-		membersOut:  *membersOut,
-		statsOut:    *statsOut,
-		faults:      opts.Faults,
-		store:       store,
-		resumedFrom: resumedFrom,
+		algo:          *algo,
+		title:         title,
+		g:             g,
+		res:           res,
+		wall:          time.Since(start),
+		phases:        *phases,
+		rounds:        *rounds,
+		spans:         *spans,
+		log:           events,
+		verify:        *verify,
+		membersOut:    *membersOut,
+		statsOut:      *statsOut,
+		faults:        opts.Faults,
+		checkpointDir: *ckptDir,
 	})
 }
 

@@ -99,21 +99,6 @@ func TestRunUnknownAlgorithmOpensNoFile(t *testing.T) {
 	}
 }
 
-func TestGenBinaryOutput(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "g.bin")
-	if err := run([]string{"gen", "-spec", "path:n=10", "-o", file, "-binary"}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "MPRSG1") {
-		t.Fatalf("binary magic missing")
-	}
-}
-
 func TestRunStrictSublinearFails(t *testing.T) {
 	err := run([]string{"run", "-algo", "rand2", "-spec", "gnp:n=2000,p=0.004",
 		"-regime", "sublinear", "-epsilon", "0.5", "-strict"})

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/metrics"
 	"github.com/rulingset/mprs/internal/mpc"
@@ -37,25 +36,10 @@ func cmdWorker(args []string) error {
 	return supervise.WorkerMain(env, os.Stdin, os.Stdout)
 }
 
-// multiProcFlags carries the -backend multiproc knobs out of cmdRun.
-type multiProcFlags struct {
-	workers     int
-	heartbeat   time.Duration
-	maxRestarts int
-	jobTimeout  time.Duration
-	lifecycle   string
-	debugAddr   string
-	flightDir   string
-
-	flapLimit        int
-	maxFleetRestarts int
-	degradedFallback bool
-}
-
 // runMultiProc is the `mprs run -backend multiproc` path: build the
 // self-contained JobSpec, supervise the worker fleet, and report the result
 // exactly as the in-process path does.
-func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) error {
+func runMultiProc(spec supervise.JobSpec, cfg supervise.Config, lifecycle, debugAddr string, rep runReport) error {
 	// -rounds and -spans read the job's trace: a temporary file unless
 	// -trace names one.
 	if (rep.rounds || rep.spans) && spec.TraceFile == "" {
@@ -66,32 +50,21 @@ func runMultiProc(spec supervise.JobSpec, mp multiProcFlags, rep runReport) erro
 		defer os.RemoveAll(dir)
 		spec.TraceFile = filepath.Join(dir, "trace.jsonl")
 	}
-	cfg := supervise.Config{
-		Workers:          mp.workers,
-		Heartbeat:        mp.heartbeat,
-		MaxRestarts:      mp.maxRestarts,
-		Timeout:          mp.jobTimeout,
-		FlightDir:        mp.flightDir,
-		FlapLimit:        mp.flapLimit,
-		MaxFleetRestarts: mp.maxFleetRestarts,
-		DegradedFallback: mp.degradedFallback,
-		Spawn:            supervise.SelfExec("worker"),
-	}
-	if mp.lifecycle != "" {
-		f, err := os.Create(mp.lifecycle)
+	if lifecycle != "" {
+		f, err := os.Create(lifecycle)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		cfg.Lifecycle = f
 	}
-	if mp.debugAddr != "" {
+	if debugAddr != "" {
 		// The supervisor serves the fleet: every worker's telemetry snapshot
 		// (heartbeat-delivered, labeled worker="<id>") merged with the
 		// supervisor's own lifecycle gauges.
 		fleet := telemetry.NewFleet()
 		cfg.Telemetry = fleet
-		ln, err := startDebugServer(mp.debugAddr, fleet)
+		ln, err := startDebugServer(debugAddr, fleet)
 		if err != nil {
 			return err
 		}
@@ -149,11 +122,9 @@ type runReport struct {
 
 	faults *mpc.FaultPlan
 
-	// store and resumedFrom drive the durable-checkpoints table; nil/0 when
-	// the run had no durable store in this process (always for multiproc —
-	// the workers own their stores).
-	store       *durable.Store
-	resumedFrom int
+	// checkpointDir, when set, prints the durable-checkpoints table; empty
+	// for multiproc, whose workers own their stores.
+	checkpointDir string
 }
 
 // reportResult prints the measurement tables, writes the byte-diffable
@@ -215,10 +186,11 @@ func reportResult(r runReport) error {
 		}
 		fmt.Printf("verified: independent, radius <= %d\n", res.Beta)
 	}
-	if r.store != nil {
+	if r.checkpointDir != "" {
+		// A resumed run replays every round up to its resume round.
 		dt := metrics.NewTable("durable checkpoints",
 			"dir", "checkpoint bytes", "resumed from", "replayed rounds")
-		dt.AddRow(r.store.Dir(), res.Stats.CheckpointBytes, r.resumedFrom, res.Stats.ResumeReplayRounds)
+		dt.AddRow(r.checkpointDir, res.Stats.CheckpointBytes, res.Stats.ResumeReplayRounds, res.Stats.ResumeReplayRounds)
 		fmt.Println()
 		if err := dt.Render(os.Stdout); err != nil {
 			return err

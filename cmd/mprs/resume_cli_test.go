@@ -109,9 +109,9 @@ func TestRunDurableResumeInProcess(t *testing.T) {
 		t.Fatalf("resumed members differ from uninterrupted run (%d vs %d bytes)", len(a), len(b))
 	}
 
-	// A different algorithm seed is a different fingerprint: resuming must be
-	// refused rather than replaying the wrong configuration.
-	err = run(append(base, "-algo-seed", "99", "-resume"))
+	// A different chunk width is a different fingerprint for det2: resuming
+	// must be refused rather than replaying the wrong configuration.
+	err = run(append(base, "-chunk", "6", "-resume"))
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("fingerprint mismatch not rejected: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestRunDurableResumeInProcess(t *testing.T) {
 // model-fault schedule but not different wire, disk or proc chaos.
 func TestRunFingerprintFaults(t *testing.T) {
 	fp := func(spec string, seed int64) string {
-		return supervise.JobSpec{Algo: "det2", GraphSpec: "gnp:n=300,p=0.02", GenSeed: 3, Machines: 8, CheckpointEvery: 4, Chaos: spec, ChaosSeed: seed}.RunFingerprint()
+		return supervise.JobSpec{Algo: "det2", GraphSpec: "gnp:n=300,p=0.02", GenSeed: 3, Machines: 8, CheckpointEvery: 4, Chaos: spec, ChaosSeed: seed}.Fingerprint()
 	}
 	base := fp("machine:crash=0.01,machine:crash@2:1,disk:torn@4:0", 7)
 	for _, tc := range []struct {
@@ -147,9 +147,9 @@ func TestRunFingerprintFaults(t *testing.T) {
 }
 
 // TestRunFingerprintMatchesJobSpec: the CLI's in-process checkpoints and
-// the multi-process workers' stamp one fingerprint body under their own
-// prefixes. A checkpointed CLI run with every replay knob off its default
-// writes the body JobSpec.Fingerprint renders for the same job.
+// the multi-process workers' stamp one fingerprint. A checkpointed CLI run
+// with every replay knob off its default writes what JobSpec.Fingerprint
+// renders for the same job.
 func TestRunFingerprintMatchesJobSpec(t *testing.T) {
 	g := genTestGraph(t)
 	dir := filepath.Join(t.TempDir(), "ck")
@@ -179,18 +179,13 @@ func TestRunFingerprintMatchesJobSpec(t *testing.T) {
 		}
 		break
 	}
-	cli, ok := strings.CutPrefix(meta.Fingerprint, "mprs-run/1 ")
-	if !ok {
-		t.Fatalf("CLI checkpoint fingerprint %q lacks the mprs-run/1 prefix", meta.Fingerprint)
-	}
 	spec := supervise.JobSpec{
 		Algo: "det2", Beta: 5, GraphFile: g, GenSeed: 3, Machines: 6, Regime: int(mpc.RegimeExplicit),
 		Epsilon: 0.25, MemoryWords: 4000, LinearSlack: 6, ChunkBits: 4, AlgoSeed: 9, Strict: true,
 		Chaos: "machine:crash@2:5", ChaosSeed: 7, CheckpointEvery: 4,
 	}
-	mp, ok := strings.CutPrefix(spec.Fingerprint(), "mprs-multiproc/1 ")
-	if !ok || mp != cli {
-		t.Fatalf("fingerprint bodies differ:\nCLI      %q\nJobSpec  %q", cli, mp)
+	if want := spec.Fingerprint(); meta.Fingerprint != want {
+		t.Fatalf("fingerprints differ:\nCLI      %q\nJobSpec  %q", meta.Fingerprint, want)
 	}
 }
 
@@ -335,5 +330,52 @@ func TestRunDieAtResumeSubprocess(t *testing.T) {
 	}
 	if len(files) == 0 || len(files) > 3 {
 		t.Fatalf("retention violated: %d checkpoint files %v", len(files), files)
+	}
+}
+
+// TestRunResumeIgnoresUnreadFlags: a flag the algorithm does not read stays
+// out of the checkpoint fingerprint, so changing it on -resume continues the
+// interrupted run. rand2 never reads the chunk width, and det2 never reads
+// beta; each resumed run finishes with the uninterrupted run's members.
+func TestRunResumeIgnoresUnreadFlags(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		name   string
+		job    []string
+		dieAt  string
+		change []string
+	}{
+		{"rand2 -chunk", []string{"-algo", "rand2"}, "8", []string{"-chunk", "4"}},
+		{"det2 -beta", []string{"-algo", "det2", "-chunk", "4"}, "12", []string{"-beta", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			full, resumed := filepath.Join(dir, "full.txt"), filepath.Join(dir, "resumed.txt")
+			job := append([]string{"run", "-spec", "gnp:n=512,p=0.02"}, tc.job...)
+			ckpt := append(append([]string(nil), job...), "-checkpoint-dir", filepath.Join(dir, "ck"))
+			if out, err := hardenedCommand(t, bin, append(job, "-members-out", full)...).CombinedOutput(); err != nil {
+				t.Fatalf("uninterrupted run: %v\n%s", err, out)
+			}
+			out, err := hardenedCommand(t, bin, append(ckpt, "-die-at", tc.dieAt)...).CombinedOutput()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 7 {
+				t.Fatalf("-die-at %s: want exit status 7, got %v\n%s", tc.dieAt, err, out)
+			}
+			args := append(append(ckpt, tc.change...), "-resume", "-members-out", resumed)
+			if out, err := hardenedCommand(t, bin, args...).CombinedOutput(); err != nil {
+				t.Fatalf("resume with %v: %v\n%s", tc.change, err, out)
+			}
+			a, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) == 0 || !bytes.Equal(a, b) {
+				t.Fatalf("resume with %v changed the ruling set (%d vs %d bytes)", tc.change, len(a), len(b))
+			}
+		})
 	}
 }

@@ -92,16 +92,16 @@ func TestRunAlgoParallelismIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, opts, err := prepare(w, RunConfig{Quick: true, Seed: 1})
+		spec := jobSpec(w, RunConfig{Quick: true, Seed: 1})
+		g, err := spec.BuildGraph()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, algo := range w.Algos {
 			var rows [2]Result
 			for i, p := range []int{1, 4} {
-				o := opts
-				o.Parallelism = p
-				if rows[i], err = runAlgo(g, algo, o); err != nil {
+				spec.Algo, spec.Parallelism = algo, p
+				if rows[i], err = runAlgo(spec, g); err != nil {
 					t.Fatalf("%s/%s at parallelism %d: %v", name, algo, p, err)
 				}
 			}

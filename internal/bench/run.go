@@ -3,10 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"github.com/rulingset/mprs/internal/chaos"
-	"github.com/rulingset/mprs/internal/gen"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/rulingset"
+	"github.com/rulingset/mprs/internal/supervise"
 )
 
 // RunConfig controls one bench run.
@@ -23,15 +22,6 @@ type RunConfig struct {
 	// algorithm) pair.
 	Progress func(string)
 }
-
-// The simulator knobs every workload shares: the MPC machine count (the
-// clique always uses n nodes), the derandomizer chunk width z, and the β
-// drivers' beta.
-const (
-	machines  = 8
-	chunkBits = 4
-	beta      = 3
-)
 
 // Run executes the configured workloads and returns the artifact. Rows come
 // out in registry order × workload algorithm order, so the result layout is
@@ -67,15 +57,17 @@ func Run(cfg RunConfig) (*File, error) {
 	return file, nil
 }
 
-// runWorkload executes every algorithm of one workload.
+// runWorkload executes every algorithm of one workload on one graph.
 func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
-	g, opts, err := prepare(w, cfg)
+	spec := jobSpec(w, cfg)
+	g, err := spec.BuildGraph()
 	if err != nil {
 		return nil, err
 	}
 	var rows []Result
 	for _, name := range w.Algos {
-		row, err := runAlgo(g, name, opts)
+		spec.Algo = name
+		row, err := runAlgo(spec, g)
 		if err != nil {
 			return nil, fmt.Errorf("algo %s: %w", name, err)
 		}
@@ -92,46 +84,40 @@ func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
 	return rows, nil
 }
 
-// prepare builds a workload's input graph at cfg's tier and the simulator
-// options every one of its algorithms runs with.
-func prepare(w Workload, cfg RunConfig) (*graph.Graph, rulingset.Options, error) {
-	spec := w.Spec
-	if cfg.Quick && w.QuickSpec != "" {
-		spec = w.QuickSpec
-	}
-	s, err := gen.ParseSpec(spec)
-	if err != nil {
-		return nil, rulingset.Options{}, err
-	}
-	g, err := s.Build(cfg.Seed)
-	if err != nil {
-		return nil, rulingset.Options{}, err
-	}
-	plan, err := chaos.ParseMachine(w.Faults, cfg.Seed)
-	if err != nil {
-		return nil, rulingset.Options{}, err
-	}
-	return g, rulingset.Options{
-		Machines:        machines,
-		ChunkBits:       chunkBits,
-		Seed:            cfg.Seed,
-		Faults:          plan,
+// jobSpec is the supervise.JobSpec every row of w runs, its Algo aside: 8
+// MPC machines (the clique always uses n nodes), chunk width z = 4, beta 3
+// for the β drivers, and cfg.Seed for the graph, the randomized drivers and
+// the fault schedule.
+func jobSpec(w Workload, cfg RunConfig) supervise.JobSpec {
+	spec := supervise.JobSpec{
+		Beta:            3,
+		GraphSpec:       w.Spec,
+		GenSeed:         cfg.Seed,
+		Machines:        8,
+		ChunkBits:       4,
+		AlgoSeed:        cfg.Seed,
+		Chaos:           w.Faults,
+		ChaosSeed:       cfg.Seed,
 		CheckpointEvery: w.CheckpointEvery,
-	}, nil
+	}
+	if cfg.Quick && w.QuickSpec != "" {
+		spec.GraphSpec = w.QuickSpec
+	}
+	return spec
 }
 
-// runAlgo executes one (graph, algorithm) pair on the simulator that hosts
-// it and flattens the measurements into a Result row.
-func runAlgo(g *graph.Graph, name string, opts rulingset.Options) (Result, error) {
-	a, err := rulingset.LookupAlgorithm(name)
+// runAlgo runs one job on g and flattens the measurements into a Result
+// row.
+func runAlgo(spec supervise.JobSpec, g *graph.Graph) (Result, error) {
+	a, err := rulingset.LookupAlgorithm(spec.Algo)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := a.Run(g, beta, opts)
+	res, err := supervise.InProc{}.Run(spec, g)
 	if err != nil {
 		return Result{}, err
 	}
-	model, nodes := "mpc", machines
+	model, nodes := "mpc", spec.Machines
 	if a.Clique {
 		model, nodes = "clique", g.N()
 	}

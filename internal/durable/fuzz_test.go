@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -95,6 +98,41 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("roundtrip word %d/%d drifted", m, i)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadManifest feeds arbitrary bytes to the manifest reader as a
+// directory's MANIFEST.json. Open reads the manifest of every checkpoint
+// directory it is pointed at, so the reader must never panic. A manifest it
+// accepts must round-trip: written back by the Store's own writer, it reads
+// as the same Manifest.
+func FuzzReadManifest(f *testing.F) {
+	f.Add([]byte(`{"schema":"mprs-ckpt-manifest/1","fingerprint":"fuzz/1 cfg","retain":3,"checkpoints":[{"round":8,"file":"ckpt-0000000008.ckpt","bytes":120}]}`))
+	f.Add([]byte(`{"schema":"mprs-ckpt-manifest/1","retain":0,"checkpoints":null}`))
+	f.Add([]byte(`{"schema":"mprs-ckpt-manifest/0"}`))
+	f.Add([]byte(`{"schema":"mprs-ckpt-manifest/1","checkpoints":[{"round":-1}]`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := &Store{fsys: OSFS{}, dir: dir}
+		man, err := s.readManifest()
+		if err != nil {
+			return
+		}
+		s.fingerprint, s.retain, s.entries = man.Fingerprint, man.Retain, man.Checkpoints
+		if err := s.writeManifest(); err != nil {
+			t.Fatalf("write back accepted manifest: %v", err)
+		}
+		back, err := s.readManifest()
+		if err != nil {
+			t.Fatalf("re-read written manifest: %v", err)
+		}
+		if !reflect.DeepEqual(back, man) {
+			t.Fatalf("manifest round trip drifted: %+v vs %+v", back, man)
 		}
 	})
 }

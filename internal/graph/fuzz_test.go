@@ -39,27 +39,3 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary: the binary reader must reject corruption without panics.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid serialization and a few corruptions of it.
-	g := MustNew(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(append([]byte("MPRSG1\n"), 0xFF, 0xFF, 0xFF))
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("binary reader produced invalid graph: %v", err)
-		}
-	})
-}

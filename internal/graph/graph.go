@@ -178,38 +178,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// InducedSubgraph returns the subgraph induced by keep (keep[v] reports
-// whether v is retained), along with toSub mapping original vertex ids to
-// subgraph ids (-1 for dropped vertices) and toOrig mapping back.
-func (g *Graph) InducedSubgraph(keep func(v int) bool) (sub *Graph, toSub []int32, toOrig []int32) {
-	n := g.N()
-	toSub = make([]int32, n)
-	var kept int32
-	for v := 0; v < n; v++ {
-		if keep(v) {
-			toSub[v] = kept
-			kept++
-		} else {
-			toSub[v] = -1
-		}
-	}
-	toOrig = make([]int32, kept)
-	for v := 0; v < n; v++ {
-		if toSub[v] >= 0 {
-			toOrig[toSub[v]] = int32(v)
-		}
-	}
-	var edges []Edge
-	g.ForEachEdge(func(u, v int32) {
-		su, sv := toSub[u], toSub[v]
-		if su >= 0 && sv >= 0 {
-			edges = append(edges, Edge{U: su, V: sv})
-		}
-	})
-	sub = MustNew(int(kept), edges)
-	return sub, toSub, toOrig
-}
-
 // BFSFrom computes hop distances from the source set. dist[v] == -1 means v
 // is unreachable from every source.
 func (g *Graph) BFSFrom(sources []int32) []int32 {
@@ -267,17 +235,8 @@ func (g *Graph) ConnectedComponents() (comp []int32, count int) {
 	return comp, count
 }
 
-// DegreeHistogram returns counts indexed by degree, length MaxDegree()+1.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // Validate checks structural invariants of the CSR representation. It returns
-// nil for every graph produced by New; it exists to guard deserialization.
+// nil for every graph produced by New; tests use it as the invariant check.
 func (g *Graph) Validate() error {
 	n := g.N()
 	if len(g.offsets) > 0 && g.offsets[0] != 0 {

@@ -138,25 +138,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := path5(t)
-	sub, toSub, toOrig := g.InducedSubgraph(func(v int) bool { return v != 2 })
-	if sub.N() != 4 {
-		t.Fatalf("sub n = %d, want 4", sub.N())
-	}
-	if sub.M() != 2 { // edges 0-1 and 3-4 survive
-		t.Fatalf("sub m = %d, want 2", sub.M())
-	}
-	if toSub[2] != -1 {
-		t.Fatalf("dropped vertex mapped to %d", toSub[2])
-	}
-	for v := 0; v < sub.N(); v++ {
-		if toSub[toOrig[v]] != int32(v) {
-			t.Fatalf("mapping not inverse at %d", v)
-		}
-	}
-}
-
 func TestCSR(t *testing.T) {
 	g := path5(t)
 	off, adj := g.CSR()
@@ -180,14 +161,6 @@ func TestString(t *testing.T) {
 	}
 	if got, want := empty.String(), "graph{n=0 m=0 Δ=0}"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path5(t)
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 3 {
-		t.Fatalf("histogram = %v", h)
 	}
 }
 

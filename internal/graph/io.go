@@ -2,17 +2,11 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// Binary format: magic "MPRSG1\n", then n (uint64), then len(adj) (uint64),
-// then offsets as uint32 deltas... kept deliberately simple: offsets and adj
-// written verbatim as little-endian int32.
-var _binaryMagic = []byte("MPRSG1\n")
 
 // Format limits for untrusted inputs: parsers reject headers claiming more
 // than these, so a tiny corrupt file cannot demand a giant allocation.
@@ -20,64 +14,6 @@ const (
 	_maxVertices = 1 << 24
 	_maxAdjWords = 1 << 26
 )
-
-// WriteBinary serializes the graph in the library's compact binary format.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(_binaryMagic); err != nil {
-		return fmt.Errorf("graph: write magic: %w", err)
-	}
-	header := []uint64{uint64(g.N()), uint64(len(g.adj))}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("graph: write header: %w", err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return fmt.Errorf("graph: write offsets: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
-		return fmt.Errorf("graph: write adjacency: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a graph previously written by WriteBinary and validates
-// its structural invariants.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(_binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: read magic: %w", err)
-	}
-	if string(magic) != string(_binaryMagic) {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var n, adjLen uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("graph: read n: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &adjLen); err != nil {
-		return nil, fmt.Errorf("graph: read m: %w", err)
-	}
-	if n > _maxVertices || adjLen > _maxAdjWords {
-		return nil, fmt.Errorf("graph: header sizes out of range (n=%d, adj=%d)", n, adjLen)
-	}
-	g := &Graph{
-		offsets: make([]int32, n+1),
-		adj:     make([]int32, adjLen),
-	}
-	if err := binary.Read(br, binary.LittleEndian, &g.offsets); err != nil {
-		return nil, fmt.Errorf("graph: read offsets: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &g.adj); err != nil {
-		return nil, fmt.Errorf("graph: read adjacency: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 // WriteEdgeList writes the graph in a plain-text edge-list format: a header
 // line "n m" followed by one "u v" line per edge with u < v. Lines beginning

@@ -43,35 +43,6 @@ func graphsEqual(a, b *Graph) bool {
 	return true
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, g := range []*Graph{
-		randomGraph(t, 1, 30, 0.2),
-		randomGraph(t, 2, 1, 0),
-		MustNew(0, nil),
-	} {
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if !graphsEqual(g, got) {
-			t.Fatalf("binary round trip mismatch for %v", g)
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a graph at all")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := randomGraph(t, 3, 25, 0.3)
 	var buf bytes.Buffer

@@ -20,7 +20,13 @@ type Algorithm struct {
 	// gate, Clique only labels output: the CLI's title, a trace header's
 	// machine count, and a bench row's model and machine count.
 	Clique bool
-	// Run executes the driver; only the β drivers read beta.
+	// Deterministic marks the derandomized drivers: they read
+	// Options.ChunkBits and never Options.Seed. The randomized drivers read
+	// Options.Seed and never Options.ChunkBits.
+	Deterministic bool
+	// Beta marks the β drivers, the only ones that read Run's beta.
+	Beta bool
+	// Run executes the driver.
 	Run func(g *graph.Graph, beta int, o Options) (Result, error)
 }
 
@@ -32,21 +38,21 @@ var Algorithms = []Algorithm{
 	{Name: "luby", Title: "LubyMIS", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return LubyMIS(g, o)
 	}},
-	{Name: "detluby", Title: "DetLubyMIS", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "detluby", Title: "DetLubyMIS", Deterministic: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetLubyMIS(g, o)
 	}},
 	{Name: "rand2", Title: "RandRuling2", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return RandRuling2(g, o)
 	}},
-	{Name: "det2", Title: "DetRuling2", Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "det2", Title: "DetRuling2", Deterministic: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return DetRuling2(g, o)
 	}},
-	{Name: "randbeta", Title: "RandRulingBeta", Run: RandRulingBeta},
-	{Name: "detbeta", Title: "DetRulingBeta", Run: DetRulingBeta},
+	{Name: "randbeta", Title: "RandRulingBeta", Beta: true, Run: RandRulingBeta},
+	{Name: "detbeta", Title: "DetRulingBeta", Deterministic: true, Beta: true, Run: DetRulingBeta},
 	{Name: "clique2", Title: "CliqueRandRuling2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return CliqueRandRuling2(g, o)
 	}},
-	{Name: "cliquedet2", Title: "CliqueDetRuling2", Clique: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
+	{Name: "cliquedet2", Title: "CliqueDetRuling2", Clique: true, Deterministic: true, Run: func(g *graph.Graph, _ int, o Options) (Result, error) {
 		return CliqueDetRuling2(g, o)
 	}},
 }

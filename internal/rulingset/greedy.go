@@ -1,10 +1,6 @@
 package rulingset
 
-import (
-	"slices"
-
-	"github.com/rulingset/mprs/internal/graph"
-)
+import "github.com/rulingset/mprs/internal/graph"
 
 // GreedyMIS computes a maximal independent set of g by the sequential greedy
 // rule in ascending vertex order. It is the machine-local solver applied to
@@ -23,24 +19,5 @@ func GreedyMIS(g *graph.Graph) []int32 {
 			blocked[u] = true
 		}
 	}
-	return members
-}
-
-// GreedyMISOrder computes a maximal independent set greedily in the given
-// vertex order (a permutation of [0, n)). Used by tests to exercise order
-// sensitivity and by the quality experiments.
-func GreedyMISOrder(g *graph.Graph, order []int32) []int32 {
-	blocked := make([]bool, g.N())
-	var members []int32
-	for _, v := range order {
-		if blocked[v] {
-			continue
-		}
-		members = append(members, int32(v))
-		for _, u := range g.Neighbors(int(v)) {
-			blocked[u] = true
-		}
-	}
-	slices.Sort(members)
 	return members
 }

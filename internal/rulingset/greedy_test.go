@@ -55,36 +55,3 @@ func TestGreedyMISMaximalOnRandomGraphs(t *testing.T) {
 		}
 	}
 }
-
-func TestGreedyMISOrder(t *testing.T) {
-	g, err := gen.Path(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := GreedyMISOrder(g, []int32{1, 3, 0, 2, 4})
-	want := []int32{1, 3}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if !IsRulingSet(g, got, 1) {
-		t.Fatal("ordered greedy output not maximal")
-	}
-}
-
-func TestGreedyMISOrderRandomPermutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, err := gen.GNP(120, 0.05, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		order := rng.Perm(g.N())
-		o32 := make([]int32, len(order))
-		for i, v := range order {
-			o32[i] = int32(v)
-		}
-		if got := GreedyMISOrder(g, o32); !IsRulingSet(g, got, 1) {
-			t.Fatalf("trial %d: not an MIS", trial)
-		}
-	}
-}

@@ -31,7 +31,7 @@ func TestChaosWireBenignOracle(t *testing.T) {
 	dir := t.TempDir()
 	inSpec := testSpec(t, "det2")
 	inSpec.TraceFile = filepath.Join(dir, "in.trace")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestChaosWireSeverOracle(t *testing.T) {
 	inSpec.CheckpointEvery = 4
 	inSpec.CheckpointDir = filepath.Join(dir, "ck-in")
 	inSpec.TraceFile = filepath.Join(dir, "in.trace")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestChaosWireSeverOracle(t *testing.T) {
 // observability wound, never a correctness one — liveness rides on the other
 // frames and the deterministic outputs are untouched.
 func TestChaosHeartbeatOracle(t *testing.T) {
-	inRes, err := InProc{}.Run(testSpec(t, "det2"))
+	inRes, err := runInProc(t, testSpec(t, "det2"))
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestChaosDiskTornCheckpointOracle(t *testing.T) {
 	inSpec.CheckpointEvery = 4
 	inSpec.CheckpointDir = filepath.Join(dir, "ck-in")
 	inSpec.TraceFile = filepath.Join(dir, "in.trace")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestChaosDiskENOSPCRetryableOracle(t *testing.T) {
 	inSpec := testSpec(t, "det2")
 	inSpec.CheckpointEvery = 4
 	inSpec.CheckpointDir = filepath.Join(dir, "ck-in")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestChaosDiskENOSPCRetryableOracle(t *testing.T) {
 // TestChaosProcKillOracle: proc:kill@R:W is a real SIGKILL at deterministic
 // progress, restarted and bit-identical.
 func TestChaosProcKillOracle(t *testing.T) {
-	inRes, err := InProc{}.Run(testSpec(t, "det2"))
+	inRes, err := runInProc(t, testSpec(t, "det2"))
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestChaosFlapQuarantineDegrades(t *testing.T) {
 	inSpec.CheckpointEvery = 4
 	inSpec.CheckpointDir = filepath.Join(dir, "ck-in")
 	inSpec.TraceFile = filepath.Join(dir, "in.trace")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -372,20 +372,20 @@ func TestInProcChaosRule(t *testing.T) {
 		if tc.dir != "" {
 			spec.CheckpointEvery, spec.CheckpointDir = 4, tc.dir
 		}
-		if _, err := (InProc{}).Run(spec); err == nil || err.Error() != tc.want {
+		if _, err := runInProc(t, spec); err == nil || err.Error() != tc.want {
 			t.Errorf("-chaos %s: err = %v, want %q", tc.plan, err, tc.want)
 		}
-		if got := CheckInProcChaos(mustParseChaos(t, tc.plan), tc.dir); got == nil || got.Error() != tc.want {
-			t.Errorf("CheckInProcChaos(%s) = %v, want %q", tc.plan, got, tc.want)
+		if got := checkInProcChaos(mustParseChaos(t, tc.plan), tc.dir); got == nil || got.Error() != tc.want {
+			t.Errorf("checkInProcChaos(%s) = %v, want %q", tc.plan, got, tc.want)
 		}
 	}
 
 	spec := withChaos(testSpec(t, "det2"), "disk:enospc@8:0")
 	spec.CheckpointEvery, spec.CheckpointDir = 4, t.TempDir()
-	if _, err := (InProc{}).Run(spec); err == nil || !strings.Contains(err.Error(), "no space left on device") {
+	if _, err := runInProc(t, spec); err == nil || !strings.Contains(err.Error(), "no space left on device") {
 		t.Errorf("disk:enospc@8:0 in-process: err = %v, want the injected persist failure", err)
 	}
-	res, err := InProc{}.Run(withChaos(testSpec(t, "det2"), "machine:crash@2:5"))
+	res, err := runInProc(t, withChaos(testSpec(t, "det2"), "machine:crash@2:5"))
 	if err != nil {
 		t.Fatal(err)
 	}

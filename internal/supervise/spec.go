@@ -32,6 +32,7 @@ import (
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
+	"github.com/rulingset/mprs/internal/telemetry"
 	"github.com/rulingset/mprs/internal/trace"
 )
 
@@ -40,12 +41,12 @@ import (
 // Every field feeds the deterministic replay; observability knobs
 // (TraceFile) do not alter it.
 type JobSpec struct {
-	// Algo names the algorithm: an MPC (non-clique) entry of
-	// rulingset.Algorithms (the same set that supports durable
-	// checkpointing, and for the same reason: one replayable superstep log).
+	// Algo names an entry of rulingset.Algorithms. The multi-process
+	// backend and durable checkpoints take only the MPC (non-clique)
+	// entries, for one reason: only they run one replayable superstep log.
 	Algo string `json:"algo"`
 	// Beta is the domination radius the β drivers (randbeta, detbeta) run
-	// with; the other drivers ignore it.
+	// with; the other drivers ignore it, and so does their Fingerprint.
 	Beta int `json:"beta,omitempty"`
 	// GraphSpec generates the input (see internal/gen); GraphFile loads an
 	// edge-list file instead. Exactly one must be set.
@@ -64,11 +65,12 @@ type JobSpec struct {
 	Strict      bool    `json:"strict,omitempty"`
 
 	// Chaos and ChaosSeed are the job's fault plan (internal/chaos
-	// grammar), parsed by Run and by every worker. Only its machine: part,
-	// the simulated model faults every worker replays, enters Fingerprint:
-	// wire:, disk: and proc: events attack the substrate at deterministic
-	// superstep progress, so checkpoints written under them stay resumable
-	// by clean runs (the degraded fallback depends on exactly that).
+	// grammar), parsed by both backends and by every worker. Only its
+	// machine: part, the simulated model faults every worker replays, enters
+	// Fingerprint: wire:, disk: and proc: events attack the substrate at
+	// deterministic superstep progress, so checkpoints written under them
+	// stay resumable by clean runs (the degraded fallback depends on exactly
+	// that).
 	Chaos     string `json:"chaos,omitempty"`
 	ChaosSeed int64  `json:"chaos_seed,omitempty"`
 
@@ -102,11 +104,17 @@ func (s JobSpec) SpecLabel() string {
 	return "file:" + s.GraphFile
 }
 
-// Validate rejects specs no worker could run.
+// Validate rejects specs no worker could run: the congested-clique entries
+// (and unknown names), then everything checkFields rejects.
 func (s JobSpec) Validate() error {
 	if a, err := rulingset.LookupAlgorithm(s.Algo); err != nil || a.Clique {
 		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (MPC algorithms only)", s.Algo)
 	}
+	return s.checkFields()
+}
+
+// checkFields is the part of Validate that InProc runs too.
+func (s JobSpec) checkFields() error {
 	if (s.GraphSpec == "") == (s.GraphFile == "") {
 		return fmt.Errorf("supervise: exactly one of GraphSpec and GraphFile must be set")
 	}
@@ -139,22 +147,29 @@ func (s JobSpec) BuildGraph() (*graph.Graph, error) {
 	return sp.Build(s.GenSeed)
 }
 
-// Fingerprint renders the canonical configuration string stamped into the
-// workers' durable checkpoints, so a restarted worker refuses to resume a
-// different configuration's state.
-func (s JobSpec) Fingerprint() string { return "mprs-multiproc/1 " + s.fingerprintBody() }
-
-// RunFingerprint is the same configuration string under the prefix the
-// CLI's in-process `mprs run` stamps into its durable checkpoints.
-func (s JobSpec) RunFingerprint() string { return "mprs-run/1 " + s.fingerprintBody() }
-
-// fingerprintBody renders every knob of the job that feeds its
-// deterministic replay (the fault term is chaos.FingerprintTerm of the
-// job's fault spec); observability settings and Parallelism are left out.
-func (s JobSpec) fingerprintBody() string {
-	return fmt.Sprintf("algo=%s beta=%d spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s checkpoint-every=%d",
-		s.Algo, s.Beta, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
-		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
+// Fingerprint renders the canonical configuration string stamped into
+// durable checkpoints, so a resumed run (or a restarted worker) refuses a
+// different configuration's state. Both backends stamp it. It holds every
+// knob that feeds the deterministic replay and that the algorithm reads:
+// beta only for the β drivers, the chunk width only for the deterministic
+// ones, the algorithm seed only for the randomized ones. The fault term is
+// chaos.FingerprintTerm of the job's fault spec; observability settings and
+// Parallelism are left out.
+func (s JobSpec) Fingerprint() string {
+	a, _ := rulingset.LookupAlgorithm(s.Algo) //detlint:ok errdrop -- an unknown name declares no parameter, and no backend runs it
+	fp := "mprs-job/2 algo=" + s.Algo
+	if a.Beta {
+		fp += fmt.Sprintf(" beta=%d", s.Beta)
+	}
+	fp += fmt.Sprintf(" spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d",
+		s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords, s.LinearSlack)
+	if a.Deterministic {
+		fp += fmt.Sprintf(" chunk=%d", s.ChunkBits)
+	} else {
+		fp += fmt.Sprintf(" algo-seed=%d", s.AlgoSeed)
+	}
+	return fp + fmt.Sprintf(" strict=%t faults=%s checkpoint-every=%d",
+		s.Strict, chaos.FingerprintTerm(s.Chaos, s.ChaosSeed), s.CheckpointEvery)
 }
 
 // Options builds the rulingset.Options the spec describes and returns the
@@ -180,11 +195,11 @@ func (s JobSpec) Options() (rulingset.Options, *chaos.Plan, error) {
 	}, plan, nil
 }
 
-// CheckInProcChaos rejects the fault events an in-process run cannot
+// checkInProcChaos rejects the fault events an in-process run cannot
 // apply. It has no wire and no worker processes, so only machine: events
 // and disk: events against worker 0's checkpoint store apply, and those
-// need a checkpoint dir. The CLI's inproc backend and InProc share it.
-func CheckInProcChaos(plan *chaos.Plan, checkpointDir string) error {
+// need a checkpoint dir. InProc applies it.
+func checkInProcChaos(plan *chaos.Plan, checkpointDir string) error {
 	if plan.Enabled() && (plan.HasWire() || len(plan.Proc) > 0 || plan.MaxWorker() > 0) {
 		return fmt.Errorf("-chaos: backend inproc accepts machine: events and disk: events for worker 0 only (wire: and proc: need -backend multiproc)")
 	}
@@ -194,32 +209,45 @@ func CheckInProcChaos(plan *chaos.Plan, checkpointDir string) error {
 	return nil
 }
 
-// solve runs the spec's algorithm on g (an MPC driver once Validate has
-// passed) at the spec's Beta with sinks as its tracer. With
-// withTrace set, the JSONL trace is written to TraceFile ahead of sinks.
-func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace bool, sinks trace.Multi) (res rulingset.Result, retErr error) {
+// solve runs the spec's algorithm on g with sinks as its tracer; a
+// telemetry collector among them also meters o's checkpoint sink. With
+// withTrace set, the JSONL trace goes to TraceFile ahead of sinks. With
+// splice set, a resumed run's file continues the interrupted run's: its
+// header records the resume round and it receives only the rounds after
+// it. Without splice the replayed rounds are traced again, so the file is
+// whole.
+func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace, splice bool, sinks trace.Multi) (res rulingset.Result, retErr error) {
 	a, err := rulingset.LookupAlgorithm(s.Algo)
 	if err != nil {
 		return rulingset.Result{}, fmt.Errorf("supervise: %w", err)
 	}
+	for _, sk := range sinks {
+		if col, ok := sk.(*telemetry.Collector); ok {
+			o.CheckpointSink = col.WrapCheckpointSink(o.CheckpointSink)
+		}
+	}
 	if withTrace && s.TraceFile != "" {
-		f, err := os.Create(s.TraceFile)
+		machines, after := s.Machines, 0
+		if a.Clique {
+			machines = g.N() // the clique simulates one machine per vertex
+		}
+		if splice && o.Resume != nil {
+			after = o.Resume.Round
+		}
+		tr, err := s.CreateTrace(machines, after)
 		if err != nil {
 			return rulingset.Result{}, err
 		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(s.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, fmt.Errorf("trace %s: %w", s.TraceFile, err)
-		}
-		sinks = append(trace.Multi{tr}, sinks...)
 		defer func() {
 			if err := tr.Close(); err != nil && retErr == nil {
 				retErr = fmt.Errorf("trace %s: %w", s.TraceFile, err)
 			}
 		}()
+		var file trace.Tracer = tr
+		if after > 0 {
+			file = trace.FromRound{Sink: tr, After: after}
+		}
+		sinks = append(trace.Multi{file}, sinks...)
 	}
 	if len(sinks) > 0 {
 		o.Tracer = sinks
@@ -227,27 +255,31 @@ func (s JobSpec) solve(g *graph.Graph, o rulingset.Options, withTrace bool, sink
 	return a.Run(g, s.Beta, o)
 }
 
-// traceHeader is the job's trace header — field-for-field what the CLI's
-// in-process path writes, which is what makes the trace files byte-
-// comparable across backends.
-func (s JobSpec) traceHeader() trace.Header {
-	return trace.Header{
-		Algo:     s.Algo,
-		Spec:     s.SpecLabel(),
-		Seed:     s.AlgoSeed,
-		Machines: s.Machines,
-		Build:    buildinfo.JSON(),
+// CreateTrace creates TraceFile and writes the job's trace header:
+// machines is the simulated machine count, and a positive resumedFrom marks
+// a trace that continues an interrupted run's from that round.
+func (s JobSpec) CreateTrace(machines, resumedFrom int) (*trace.JSONL, error) {
+	f, err := os.Create(s.TraceFile)
+	if err != nil {
+		return nil, err
 	}
+	tr := trace.NewJSONL(f)
+	if err := tr.WriteHeader(trace.Header{
+		Algo:        s.Algo,
+		Spec:        s.SpecLabel(),
+		Seed:        s.AlgoSeed,
+		Machines:    machines,
+		Build:       buildinfo.JSON(),
+		ResumedFrom: resumedFrom,
+	}); err != nil {
+		return nil, fmt.Errorf("trace %s: %w", s.TraceFile, errors.Join(err, f.Close()))
+	}
+	return tr, nil
 }
 
-// openStore opens the durable checkpoint store rooted at dir (creating it),
-// stamped with the spec's fingerprint.
-func (s JobSpec) openStore(dir string) (*durable.Store, error) {
-	return s.openStoreFS(dir, nil)
-}
-
-// openStoreFS is openStore against an injected filesystem (nil means the
-// real one) — the seam chaos disk events enter through.
+// openStoreFS opens the durable checkpoint store rooted at dir (creating
+// it), stamped with the spec's fingerprint, against an injected filesystem
+// (nil means the real one): the seam chaos disk events enter through.
 func (s JobSpec) openStoreFS(dir string, fsys durable.FS) (*durable.Store, error) {
 	st, err := durable.OpenFS(dir, s.Fingerprint(), s.CheckpointRetain, fsys)
 	if err != nil {

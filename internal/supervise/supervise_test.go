@@ -48,6 +48,16 @@ func testSpec(t *testing.T, algo string) JobSpec {
 	}
 }
 
+// runInProc runs spec on InProc over the graph the spec describes.
+func runInProc(t *testing.T, spec JobSpec) (rulingset.Result, error) {
+	t.Helper()
+	g, err := spec.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return InProc{}.Run(spec, g)
+}
+
 // testConfig is the supervisor configuration every test starts from: a hard
 // wall-clock timeout so a wedged run fails loudly instead of hanging the
 // suite, and a heartbeat short enough to keep stall detection honest.
@@ -127,7 +137,7 @@ func TestJobSpecFingerprintFaults(t *testing.T) {
 func TestMultiProcMachineFaults(t *testing.T) {
 	spec := withChaos(testSpec(t, "det2"), "machine:crash=0.05,machine:crash@1:0,machine:crash@3:2")
 	spec.CheckpointEvery = 4
-	inRes, err := InProc{}.Run(spec)
+	inRes, err := runInProc(t, spec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -154,7 +164,7 @@ func TestMultiProcEquivalence(t *testing.T) {
 			inSpec := testSpec(t, algo)
 			inSpec.Parallelism = 1
 			inSpec.TraceFile = filepath.Join(dir, "in.trace")
-			inRes, err := InProc{}.Run(inSpec)
+			inRes, err := runInProc(t, inSpec)
 			if err != nil {
 				t.Fatalf("inproc: %v", err)
 			}
@@ -183,7 +193,7 @@ func TestMultiProcKillRestart(t *testing.T) {
 	inSpec.CheckpointEvery = 4
 	inSpec.CheckpointDir = filepath.Join(dir, "ck-in")
 	inSpec.TraceFile = filepath.Join(dir, "in.trace")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -243,7 +253,7 @@ func TestMultiProcBetaKillRestart(t *testing.T) {
 		return s
 	}
 	inSpec := spec("in")
-	inRes, err := InProc{}.Run(inSpec)
+	inRes, err := runInProc(t, inSpec)
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
@@ -327,7 +337,7 @@ func TestMultiProcRestartsWhenBackoffEnds(t *testing.T) {
 // TestMultiProcRestartWithoutCheckpoints: no checkpoint dir means a killed
 // worker recomputes from round 1 — slower, still bit-identical.
 func TestMultiProcRestartWithoutCheckpoints(t *testing.T) {
-	inRes, err := InProc{}.Run(testSpec(t, "det2"))
+	inRes, err := runInProc(t, testSpec(t, "det2"))
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}

@@ -965,7 +965,7 @@ func fallbackRun(spec JobSpec, workers int) (rulingset.Result, int, error) {
 	if spec.CheckpointDir != "" {
 		var best *mpc.ResumeState
 		for w := 0; w < workers; w++ {
-			store, err := spec.openStore(spec.workerCheckpointDir(w))
+			store, err := spec.openStoreFS(spec.workerCheckpointDir(w), nil)
 			if err != nil {
 				continue // this worker's directory is unusable; others may not be
 			}
@@ -983,7 +983,7 @@ func fallbackRun(spec JobSpec, workers int) (rulingset.Result, int, error) {
 			resumedFrom = best.Round
 		}
 	}
-	res, err := spec.solve(g, opts, true, nil)
+	res, err := spec.solve(g, opts, true, false, nil)
 	return res, resumedFrom, err
 }
 

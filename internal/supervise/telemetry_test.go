@@ -96,7 +96,7 @@ func TestMultiProcFlightArtifact(t *testing.T) {
 	// No Config.Telemetry: FlightDir alone must switch the heartbeat payload
 	// machinery on.
 
-	inRes, err := InProc{}.Run(testSpec(t, "det2"))
+	inRes, err := runInProc(t, testSpec(t, "det2"))
 	if err != nil {
 		t.Fatalf("inproc: %v", err)
 	}

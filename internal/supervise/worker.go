@@ -175,11 +175,6 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (rulingset.Result, error) {
 			return rulingset.Result{}, err
 		}
 		opts.CheckpointSink = store
-		if col != nil {
-			// Meter persisted checkpoint bytes without touching them: the
-			// wrapper delegates to the real store byte-for-byte.
-			opts.CheckpointSink = col.WrapCheckpointSink(store)
-		}
 		if env.Resume {
 			meta, state, err := store.LoadLatest()
 			switch {
@@ -198,10 +193,10 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (rulingset.Result, error) {
 	// bytes. On restart os.Create truncates and the deterministic replay
 	// re-emits every committed round, so the finished file is byte-identical
 	// to an uninterrupted run's. The telemetry collector joins the same
-	// fan-out on every worker.
+	// fan-out on every worker, and meters the checkpoint store.
 	var sinks trace.Multi
 	if col != nil {
 		sinks = append(sinks, col)
 	}
-	return spec.solve(g, opts, env.Worker == 0, sinks)
+	return spec.solve(g, opts, env.Worker == 0, false, sinks)
 }
