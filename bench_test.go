@@ -306,7 +306,7 @@ func BenchmarkCliqueRound(b *testing.B) {
 		name  string
 		round func(c *clique.Cluster) error
 	}{
-		{"idle", func(c *clique.Cluster) error { return c.Step("idle", func(*clique.Ctx) {}) }},
+		{"idle", func(c *clique.Cluster) error { return c.Step("idle", func(clique.Ctx) {}) }},
 		{"broadcast", func(c *clique.Cluster) error { return c.BroadcastWord("broadcast", 42) }},
 		{"scatter16", func(c *clique.Cluster) error {
 			_, err := c.ScatterAggregate("scatter16", 16, func(v int, vals []int64) {
@@ -343,7 +343,7 @@ func BenchmarkMPCStepBarrier(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Step("bench", func(x *mpc.Ctx) {
+		if err := c.Step("bench", func(x mpc.Ctx) {
 			x.Send((x.Machine+1)%8, uint64(i))
 		}); err != nil {
 			b.Fatal(err)

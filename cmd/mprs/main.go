@@ -341,6 +341,14 @@ func cmdRun(args []string) (retErr error) {
 		if *ckptDir != "" {
 			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (MPC algorithms only)", *algo)
 		}
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-stats-out", *statsOut != ""}, {"-phases", *phases}, {"-rounds", *rounds}, {"-spans", *spans}} {
+			if f.set {
+				return fmt.Errorf("%s: algorithm %q is sequential and has no model statistics, phases, rounds or spans to report", f.name, *algo)
+			}
+		}
 		if *traceFile != "" { // a run without supersteps traces its header alone
 			tr, err := spec.CreateTrace(*machines, 0)
 			if err != nil {

@@ -80,9 +80,37 @@ func TestGenInfoRunPipeline(t *testing.T) {
 		t.Fatalf("info: %v", err)
 	}
 	for _, algo := range strings.Split(algoUsage(), "|") {
-		if err := run([]string{"run", "-algo", algo, "-in", file, "-chunk", "4", "-phases", "-rounds", "-spans"}); err != nil {
+		args := []string{"run", "-algo", algo, "-in", file, "-chunk", "4"}
+		if algo != "greedy" { // greedy rejects the report flags
+			args = append(args, "-phases", "-rounds", "-spans")
+		}
+		if err := run(args); err != nil {
 			t.Fatalf("run %s: %v", algo, err)
 		}
+	}
+}
+
+// TestRunGreedyRejectsReportFlags: greedy runs no supersteps, so each flag
+// that reports a run's model statistics fails with an error naming it, and
+// -stats-out writes no file, instead of being ignored while the run exits 0.
+func TestRunGreedyRejectsReportFlags(t *testing.T) {
+	statsFile := filepath.Join(t.TempDir(), "g.json")
+	for _, tt := range []struct {
+		flag string
+		args []string
+	}{
+		{"-stats-out", []string{"-stats-out", statsFile}},
+		{"-phases", []string{"-phases"}},
+		{"-rounds", []string{"-rounds"}},
+		{"-spans", []string{"-spans"}},
+	} {
+		err := run(append([]string{"run", "-algo", "greedy", "-spec", "gnp:n=200,p=0.02"}, tt.args...))
+		if err == nil || !strings.HasPrefix(err.Error(), tt.flag+":") {
+			t.Errorf("greedy with %s: err = %v, want an error naming the flag", tt.flag, err)
+		}
+	}
+	if _, err := os.Stat(statsFile); !os.IsNotExist(err) {
+		t.Errorf("greedy wrote a -stats-out file (stat err = %v)", err)
 	}
 }
 

@@ -193,17 +193,17 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) Stats() mpc.Stats { return c.eng.Stats() }
 
 // Step executes one synchronous round under the per-pair bandwidth budget.
-func (c *Cluster) Step(name string, f func(x *Ctx)) error { return c.eng.Step(name, f) }
+func (c *Cluster) Step(name string, f func(x Ctx)) error { return c.eng.Step(name, f) }
 
 // StepFirst is Step with f run only on nodes [0, k), for a round in which
 // only a coordinator or a few aggregators send (mpc.Cluster.StepFirst).
-func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error {
+func (c *Cluster) StepFirst(name string, k int, f func(x Ctx)) error {
 	return c.eng.StepFirst(name, k, f)
 }
 
 // RouteStep executes one Lenzen-routed exchange: per-node send/receive
 // budgets of n·PairWords words, charged as LenzenRounds rounds.
-func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error {
+func (c *Cluster) RouteStep(name string, f func(x Ctx)) error {
 	return c.eng.RouteStep(name, LenzenRounds, f)
 }
 
@@ -238,7 +238,7 @@ func (c *Cluster) reduceToZero(name string, local func(v int) uint64, op func(a,
 		c.reduceWords = make([]uint64, c.n)
 	}
 	words := c.reduceWords
-	if err := c.Step(name, func(x *Ctx) {
+	if err := c.Step(name, func(x Ctx) {
 		v := x.Machine
 		if words[v] = local(v); words[v] != 0 {
 			x.SendOwned(0, words[v:v+1:v+1])
@@ -304,7 +304,7 @@ func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v int, vals
 		sb.words = sb.words[:0]
 	}
 	scatter := c.scatter
-	if err := c.Step(name+"/scatter", func(x *Ctx) {
+	if err := c.Step(name+"/scatter", func(x Ctx) {
 		sb := &scatter[x.Block()]
 		mine, end := sb.vals[:nExt:nExt], sb.ends[:nExt:nExt]
 		clear(mine)
@@ -332,7 +332,7 @@ func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v int, vals
 			}
 		}
 	}
-	if err := c.StepFirst(name+"/collect", nExt, func(x *Ctx) {
+	if err := c.StepFirst(name+"/collect", nExt, func(x Ctx) {
 		if partial[x.Machine] != 0 {
 			x.Send(0, uint64(partial[x.Machine]))
 		}

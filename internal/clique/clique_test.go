@@ -35,7 +35,7 @@ func TestNewClusterValidation(t *testing.T) {
 
 func TestStepDeliveryAndOrdering(t *testing.T) {
 	c := newTestClique(t, 5)
-	if err := c.Step("ring", func(x *Ctx) {
+	if err := c.Step("ring", func(x Ctx) {
 		x.Send((x.Machine+1)%5, uint64(x.Machine))
 	}); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestStepDeliveryAndOrdering(t *testing.T) {
 
 func TestInboxSortedBySender(t *testing.T) {
 	c := newTestClique(t, 8)
-	if err := c.Step("fanin", func(x *Ctx) {
+	if err := c.Step("fanin", func(x Ctx) {
 		if x.Machine != 0 {
 			x.Send(0, uint64(x.Machine))
 		}
@@ -77,7 +77,7 @@ func TestInboxSortedBySender(t *testing.T) {
 
 func TestPairBandwidthViolation(t *testing.T) {
 	c := newTestClique(t, 3)
-	if err := c.Step("burst", func(x *Ctx) {
+	if err := c.Step("burst", func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 7, 8) // two words on one pair link
 		}
@@ -90,7 +90,7 @@ func TestPairBandwidthViolation(t *testing.T) {
 	}
 	// Fan-in of one word per pair is legal (the clique's defining power).
 	c2 := newTestClique(t, 64)
-	if err := c2.Step("fanin", func(x *Ctx) {
+	if err := c2.Step("fanin", func(x Ctx) {
 		x.Send(0, 1)
 	}); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestStrictMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Step("burst", func(x *Ctx) {
+	err = c.Step("burst", func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 1, 2)
 		}
@@ -124,7 +124,7 @@ func TestRouteStepBudgets(t *testing.T) {
 	c := newTestClique(t, n)
 	// A many-words-to-one pattern within Lenzen budgets: node 1 sends n
 	// words to node 0.
-	if err := c.RouteStep("route", func(x *Ctx) {
+	if err := c.RouteStep("route", func(x Ctx) {
 		if x.Machine == 1 {
 			for i := 0; i < n; i++ {
 				x.Send(0, uint64(i))
@@ -142,7 +142,7 @@ func TestRouteStepBudgets(t *testing.T) {
 	}
 	// Exceeding the per-node budget must be flagged.
 	c2 := newTestClique(t, 3)
-	if err := c2.RouteStep("overflow", func(x *Ctx) {
+	if err := c2.RouteStep("overflow", func(x Ctx) {
 		if x.Machine == 1 {
 			for i := 0; i < 10; i++ { // 10 > n·PairWords = 3
 				x.Send(0, uint64(i))
@@ -278,7 +278,7 @@ func TestScatterAggregate(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []uint64 {
 		c := newTestClique(t, 16)
-		if err := c.Step("all-to-all", func(x *Ctx) {
+		if err := c.Step("all-to-all", func(x Ctx) {
 			for d := 0; d < 16; d++ {
 				if d != x.Machine {
 					x.Send(d, uint64(x.Machine*100+d))

@@ -19,7 +19,7 @@ func TestCliqueCancelAtBarrier(t *testing.T) {
 		if r == 2 {
 			cancel()
 		}
-		err = c.Step("ring", func(x *Ctx) {
+		err = c.Step("ring", func(x Ctx) {
 			x.Send((x.Machine+1)%6, uint64(x.Machine))
 		})
 		for v := 0; v < 6; v++ {
@@ -58,7 +58,7 @@ func TestCliqueRouteStepChecksContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RouteStep("never", func(x *Ctx) {}); !errors.Is(err, mpc.ErrCanceled) {
+	if err := c.RouteStep("never", func(x Ctx) {}); !errors.Is(err, mpc.ErrCanceled) {
 		t.Fatalf("RouteStep err = %v, want mpc.ErrCanceled", err)
 	}
 	if c.Stats().Rounds != 0 {

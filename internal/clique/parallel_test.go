@@ -26,7 +26,7 @@ func TestDuplicateSrcFanIn(t *testing.T) {
 		if routed {
 			step = c.RouteStep
 		}
-		if err := step("fanin", func(x *Ctx) {
+		if err := step("fanin", func(x Ctx) {
 			for k := 0; k < K; k++ {
 				x.Send(0, uint64(x.Machine), uint64(k))
 			}
@@ -66,7 +66,7 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("spawned", func(x *Ctx) {
+	if err := c.Step("spawned", func(x Ctx) {
 		var wg sync.WaitGroup
 		for dst := 0; dst < n; dst++ {
 			wg.Add(1)
@@ -106,7 +106,7 @@ func TestSpanSwitchDuringStep(t *testing.T) {
 	release := make(chan struct{})
 	switched := make(chan struct{})
 	var once sync.Once
-	if err := c.Step("mid", func(x *Ctx) {
+	if err := c.Step("mid", func(x Ctx) {
 		once.Do(func() {
 			go func() {
 				c.Span("late") // concurrent with the running round

@@ -25,7 +25,7 @@ func TestSendInvalidDestination(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					err = c.Step("bad-dst", func(x *Ctx) {
+					err = c.Step("bad-dst", func(x Ctx) {
 						x.Send((x.Machine+1)%n, uint64(x.Machine))
 						if x.Machine == bad {
 							if owned {

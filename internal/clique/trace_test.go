@@ -22,7 +22,7 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 	c, ring := newTracedClique(t, Config{PairWords: 8}, 4)
 	c.Span("sparsify")
 	for r := 0; r < 3; r++ {
-		if err := c.Step("work", func(x *Ctx) {
+		if err := c.Step("work", func(x Ctx) {
 			// Every node sends one word to node 0: receive-skewed on purpose.
 			x.Send(0, uint64(x.Machine))
 		}); err != nil {
@@ -78,11 +78,11 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 func TestCliqueTraceRoutedAndCharged(t *testing.T) {
 	c, ring := newTracedClique(t, Config{PairWords: 1}, 4)
 	c.Span("gather")
-	if err := c.RouteStep("route", func(x *Ctx) { x.Send((x.Machine+1)%4, 7) }); err != nil {
+	if err := c.RouteStep("route", func(x Ctx) { x.Send((x.Machine+1)%4, 7) }); err != nil {
 		t.Fatal(err)
 	}
 	c.Span("finish")
-	if err := c.Step("notify", func(x *Ctx) {}); err != nil {
+	if err := c.Step("notify", func(x Ctx) {}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -114,7 +114,7 @@ func TestCliqueTraceRecoveryDeltas(t *testing.T) {
 	plan := &mpc.FaultPlan{Crashes: []mpc.FaultEvent{{Round: 2, Machine: 1}}}
 	c, ring := newTracedClique(t, Config{PairWords: 4, Faults: plan}, 3)
 	for r := 0; r < 3; r++ {
-		if err := c.Step("s", func(x *Ctx) { x.Send(0, uint64(x.Machine)) }); err != nil {
+		if err := c.Step("s", func(x Ctx) { x.Send(0, uint64(x.Machine)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestCliqueStepNoAllocWithoutTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := func() {
-		if err := c.Step("bench", func(x *Ctx) { x.Send((x.Machine+1)%4, 1, 2) }); err != nil {
+		if err := c.Step("bench", func(x Ctx) { x.Send((x.Machine+1)%4, 1, 2) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -294,7 +294,7 @@ func (r *mpcReduction) MaxChunkBits() int {
 // sent as their two's-complement words, and transforms their sum once.
 func (r *mpcReduction) Extensions(s *hash.Seed, start, width int, eval ChunkEval) ([]int64, int64, error) {
 	nExt := 1 << uint(width)
-	sums, err := r.AllReduceSumUint("derand/eval", func(x *mpc.Ctx) []uint64 {
+	sums, err := r.AllReduceSumUint("derand/eval", func(x mpc.Ctx) []uint64 {
 		coef := r.scratch[x.Machine]
 		if cap(coef) < nExt {
 			coef = make([]int64, nExt)

@@ -10,16 +10,16 @@ type Ctx struct {
 	Lo, Hi  int
 }
 
-func (x *Ctx) Send(dst int, words ...uint64) {}
+func (x Ctx) Send(dst int, words ...uint64) {}
 
 // Cluster stands in for a simulator cluster: the analyzer keys on the
 // Step/StepFirst/RouteStep/runBlocks method names.
 type Cluster struct{ rounds int }
 
-func (c *Cluster) Step(name string, f func(x *Ctx)) error             { f(&Ctx{}); return nil }
-func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error { f(&Ctx{}); return nil }
-func (c *Cluster) RouteStep(name string, f func(x *Ctx)) error        { f(&Ctx{}); return nil }
-func (c *Cluster) runBlocks(k int, f func(lo, hi int))                { f(0, k) }
+func (c *Cluster) Step(name string, f func(x Ctx)) error             { f(Ctx{}); return nil }
+func (c *Cluster) StepFirst(name string, k int, f func(x Ctx)) error { f(Ctx{}); return nil }
+func (c *Cluster) RouteStep(name string, f func(x Ctx)) error        { f(Ctx{}); return nil }
+func (c *Cluster) runBlocks(k int, f func(lo, hi int))               { f(0, k) }
 
 type acc struct {
 	total int
@@ -29,7 +29,7 @@ type acc struct {
 func capturedScalar(c *Cluster) {
 	total := 0
 	count := 0
-	_ = c.Step("s", func(x *Ctx) {
+	_ = c.Step("s", func(x Ctx) {
 		total += x.Machine // want `step closure writes captured variable "total"`
 		count++            // want `step closure writes captured variable "count"`
 	})
@@ -39,14 +39,14 @@ func capturedScalar(c *Cluster) {
 func capturedMapAndSharedSlot(c *Cluster) {
 	seen := map[int]bool{}
 	flags := make([]bool, 8)
-	_ = c.Step("s", func(x *Ctx) {
+	_ = c.Step("s", func(x Ctx) {
 		seen[x.Machine] = true // want `step closure writes captured map "seen"`
 		flags[0] = true        // want `step closure writes captured slice "flags" at an index captured from outside`
 	})
 }
 
 func capturedStructAndPointer(c *Cluster, a *acc, p *int) {
-	_ = c.RouteStep("r", func(x *Ctx) {
+	_ = c.RouteStep("r", func(x Ctx) {
 		a.total = x.Machine // want `step closure writes field total of captured "a"`
 		*p = x.Machine      // want `step closure writes through captured pointer "p"`
 	})
@@ -57,7 +57,7 @@ func capturedStructAndPointer(c *Cluster, a *acc, p *int) {
 func prefixStep(c *Cluster) {
 	total := 0
 	sums := make([]int, 8)
-	_ = c.StepFirst("p", 4, func(x *Ctx) {
+	_ = c.StepFirst("p", 4, func(x Ctx) {
 		total += x.Machine // want `step closure writes captured variable "total"`
 		sums[x.Machine] = x.Machine
 	})
@@ -68,7 +68,7 @@ func prefixStep(c *Cluster) {
 // spawned inside the closure writing driver state is just as shared.
 func nestedLiteral(c *Cluster) {
 	sum := 0
-	_ = c.Step("s", func(x *Ctx) {
+	_ = c.Step("s", func(x Ctx) {
 		func() {
 			sum = x.Machine // want `step closure writes captured variable "sum"`
 		}()
@@ -82,7 +82,7 @@ func nestedLiteral(c *Cluster) {
 func machineIndexed(c *Cluster) {
 	out := make([]int, 8)
 	marks := make([]bool, 64)
-	_ = c.Step("s", func(x *Ctx) {
+	_ = c.Step("s", func(x Ctx) {
 		out[x.Machine] = x.Machine
 		for v := x.Lo; v < x.Hi; v++ {
 			marks[v] = true
@@ -98,7 +98,7 @@ func machineIndexed(c *Cluster) {
 func soleWriter(c *Cluster) {
 	var collected []uint64
 	total := 0
-	_ = c.Step("s", func(x *Ctx) {
+	_ = c.Step("s", func(x Ctx) {
 		if x.Machine == 0 {
 			collected = append(collected, 1)
 			total++
@@ -139,8 +139,8 @@ func blockOwned(c *Cluster) {
 // notAStep: writes inside closures passed to other methods are out of scope.
 func notAStep(c *Cluster) {
 	total := 0
-	helper := func(f func(x *Ctx)) { f(&Ctx{}) }
-	helper(func(x *Ctx) {
+	helper := func(f func(x Ctx)) { f(Ctx{}) }
+	helper(func(x Ctx) {
 		total += x.Machine
 	})
 	_ = total

@@ -60,7 +60,7 @@ func TestSendOwnedRangesMatchesSendOwnedLoop(t *testing.T) {
 		c, ring := newTracedCluster(t, Config{Machines: M, Parallelism: p}, 64)
 		var out outcome
 		for r := 0; r < rounds; r++ {
-			if err := c.Step(fmt.Sprintf("r%d", r), func(x *Ctx) {
+			if err := c.Step(fmt.Sprintf("r%d", r), func(x Ctx) {
 				pl := plans[r][x.Machine]
 				x.Send(0, uint64(x.Machine))
 				if batched {
@@ -120,7 +120,7 @@ func TestSendOwnedRangesInvalid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = c.Step("bad-ranges", func(x *Ctx) {
+				err = c.Step("bad-ranges", func(x Ctx) {
 					x.Send(0, uint64(x.Machine))
 					if x.Machine == bad {
 						x.SendOwnedRanges(tc.slab, tc.end)
@@ -152,8 +152,8 @@ func TestSendOwnedRangesLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leaked *Ctx
-	if err := c.Step("leak", func(x *Ctx) {
+	var leaked Ctx
+	if err := c.Step("leak", func(x Ctx) {
 		if x.Machine == 2 {
 			leaked = x
 		}
@@ -161,7 +161,7 @@ func TestSendOwnedRangesLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaked.SendOwnedRanges([]uint64{1, 2, 3, 4, 5}, []int{2, 2, 5})
-	err = c.Step("next", func(x *Ctx) {
+	err = c.Step("next", func(x Ctx) {
 		if len(x.Inbox()) != 0 {
 			t.Errorf("machine %d: stale batched send leaked into inbox: %v", x.Machine, x.Inbox())
 		}
@@ -215,7 +215,7 @@ func TestAbortAfterMergeEmptiesInboxes(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Round 1 fills every inbox and is left undrained.
-				if err := c.Step("fill", func(x *Ctx) {
+				if err := c.Step("fill", func(x Ctx) {
 					for d := 0; d < M; d++ {
 						x.Send(d, uint64(x.Machine))
 					}
@@ -224,7 +224,7 @@ func TestAbortAfterMergeEmptiesInboxes(t *testing.T) {
 				}
 				// Round 2 aborts after its merge: machine 0 sends past the
 				// strict budget, or the transport vetoes the exchange.
-				err = c.Step("abort", func(x *Ctx) {
+				err = c.Step("abort", func(x Ctx) {
 					if len(x.Inbox()) != M {
 						t.Errorf("machine %d sees %d messages of round 1, want %d", x.Machine, len(x.Inbox()), M)
 					}
@@ -240,7 +240,7 @@ func TestAbortAfterMergeEmptiesInboxes(t *testing.T) {
 						t.Fatalf("machine %d inbox %v after the aborted step", m, box)
 					}
 				}
-				if err := c.Step("after", func(x *Ctx) {
+				if err := c.Step("after", func(x Ctx) {
 					if len(x.Inbox()) != 0 {
 						t.Errorf("machine %d sees inbox %v after the aborted step", x.Machine, x.Inbox())
 					}
@@ -266,7 +266,7 @@ func TestStepReusesDeliveryArena(t *testing.T) {
 	}
 	payload := make([]uint64, 1)
 	step := func() {
-		if err := c.Step("k", func(x *Ctx) {
+		if err := c.Step("k", func(x Ctx) {
 			for i := 0; i < k; i++ {
 				x.SendOwned((x.Machine+i)%M, payload)
 			}
@@ -292,10 +292,9 @@ func TestStepReusesDeliveryArena(t *testing.T) {
 	}
 }
 
-// TestStepAllocsPerMachine pins what a superstep allocates per machine: at
-// M = 4096 a warmed-up Step allocates at most 40 bytes per machine, room for
-// the attempt's 32-byte contexts but not for state that grows with M beyond
-// them.
+// TestStepAllocsPerMachine pins what a superstep that sends allocates per
+// machine: at M = 4096 a warmed-up ring Step allocates at most 40 bytes per
+// machine, so no state that grows with M is made per step.
 func TestStepAllocsPerMachine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -307,7 +306,7 @@ func TestStepAllocsPerMachine(t *testing.T) {
 	}
 	slab := make([]uint64, M)
 	step := func() {
-		if err := c.Step("ring", func(x *Ctx) {
+		if err := c.Step("ring", func(x Ctx) {
 			m := x.Machine
 			slab[m] = uint64(m)
 			x.SendOwned((m+1)%M, slab[m:m+1:m+1])
@@ -327,5 +326,46 @@ func TestStepAllocsPerMachine(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perMachine := float64(after.TotalAlloc-before.TotalAlloc) / runs / M; perMachine > maxPerMachine {
 		t.Fatalf("a Step allocates %.1f bytes per machine, want at most %d", perMachine, maxPerMachine)
+	}
+}
+
+// TestStepBytesIndependentOfMachines pins that a full Step allocates nothing
+// per machine: a warm Step whose closure sends nothing allocates the same
+// heap bytes, within 1 KB, at M = 8 and at M = 4096, on one worker block and
+// on four. The contexts are values built in the worker loop; an attempt that
+// made a context per machine read about 131 KB per step at M = 4096.
+func TestStepBytesIndependentOfMachines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const slack = 1024
+	stepBytes := func(M, p int) int64 {
+		c, err := NewCluster(Config{Machines: M, Parallelism: p}, M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if err := c.Step("idle", func(Ctx) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			step()
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, p := range []int{1, 4} {
+		small, large := stepBytes(8, p), stepBytes(4096, p)
+		if large-small > slack || small-large > slack {
+			t.Errorf("p=%d: a Step allocates %d bytes at M = 8 and %d at M = 4096, want them within %d",
+				p, small, large, slack)
+		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // sent no words). A source that sent one message gets that delivered payload
 // itself, not a copy: payloads are read-only (DESIGN.md §8), and so is the
 // result.
-func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, error) {
-	err := c.Step(name, func(x *Ctx) {
+func (c *Cluster) Gather(name string, local func(x Ctx) []uint64) ([][]uint64, error) {
+	err := c.Step(name, func(x Ctx) {
 		payload := local(x)
 		if len(payload) > 0 || x.Machine != 0 {
 			x.SendOwned(0, payload)
@@ -52,7 +52,7 @@ func (c *Cluster) Gather(name string, local func(x *Ctx) []uint64) ([][]uint64, 
 // coordinator code can chain on it.
 func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
 	own := append(make([]uint64, 0, len(payload)), payload...)
-	err := c.StepFirst(name, 1, func(x *Ctx) {
+	err := c.StepFirst(name, 1, func(x Ctx) {
 		x.sendOwnedTo(1, c.Machines(), own)
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func (c *Cluster) Broadcast(name string, payload []uint64) ([]uint64, error) {
 // coordinator's per-vertex result (the residual solution's members) to the
 // machines that own the vertices.
 func (c *Cluster) ScatterToOwners(name string, items []int32) error {
-	err := c.StepFirst(name, 1, func(x *Ctx) {
+	err := c.StepFirst(name, 1, func(x Ctx) {
 		end := make([]int, c.Machines()) // items per owner, then fill cursors, then range ends
 		for _, v := range items {
 			end[c.Owner(int(v))]++
@@ -100,9 +100,9 @@ func (c *Cluster) ScatterToOwners(name string, items []int32) error {
 // whose slab is empty: it sends nothing). The parts are the delivered
 // payloads, read-only like every payload (DESIGN.md §8); local must send
 // nothing itself.
-func (c *Cluster) AllGather(name string, local func(x *Ctx) []uint64) ([][]uint64, error) {
+func (c *Cluster) AllGather(name string, local func(x Ctx) []uint64) ([][]uint64, error) {
 	M := c.Machines()
-	err := c.Step(name, func(x *Ctx) {
+	err := c.Step(name, func(x Ctx) {
 		slab := local(x)
 		if len(slab) == 0 {
 			return
@@ -123,7 +123,7 @@ func (c *Cluster) AllGather(name string, local func(x *Ctx) []uint64) ([][]uint6
 // AllReduceSumUint all-gathers a uint64 vector from every machine, and every
 // machine sums them coordinate-wise in machine order. Costs one round. All
 // machines must return vectors of equal length.
-func (c *Cluster) AllReduceSumUint(name string, local func(x *Ctx) []uint64) ([]uint64, error) {
+func (c *Cluster) AllReduceSumUint(name string, local func(x Ctx) []uint64) ([]uint64, error) {
 	parts, err := c.AllGather(name, local)
 	if err != nil {
 		return nil, err
@@ -148,8 +148,8 @@ func (c *Cluster) AllReduceSumUint(name string, local func(x *Ctx) []uint64) ([]
 
 // AllReduceMaxUint all-gathers a single uint64 from every machine, and every
 // machine takes the maximum. Costs one round.
-func (c *Cluster) AllReduceMaxUint(name string, local func(x *Ctx) uint64) (uint64, error) {
-	parts, err := c.AllGather(name, func(x *Ctx) []uint64 {
+func (c *Cluster) AllReduceMaxUint(name string, local func(x Ctx) uint64) (uint64, error) {
+	parts, err := c.AllGather(name, func(x Ctx) []uint64 {
 		return []uint64{local(x)}
 	})
 	if err != nil {

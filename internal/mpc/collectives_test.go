@@ -21,7 +21,7 @@ func newTestCluster(t *testing.T, machines, n int) *Cluster {
 
 func TestGather(t *testing.T) {
 	c := newTestCluster(t, 5, 50)
-	parts, err := c.Gather("g", func(x *Ctx) []uint64 {
+	parts, err := c.Gather("g", func(x Ctx) []uint64 {
 		return []uint64{uint64(x.Machine), uint64(x.Hi - x.Lo)}
 	})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestGatherReturnsDeliveredPayload(t *testing.T) {
 	c := newTestCluster(t, 4, 16)
 	one := []uint64{10, 11, 0, 0}[:2]
 	first := []uint64{20, 0, 0, 0}[:1]
-	parts, err := c.Gather("g", func(x *Ctx) []uint64 {
+	parts, err := c.Gather("g", func(x Ctx) []uint64 {
 		switch x.Machine {
 		case 1:
 			return one
@@ -168,7 +168,7 @@ func TestAllGather(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := c.AllGather("ag", func(x *Ctx) []uint64 { return slab(x.Machine) })
+		parts, err := c.AllGather("ag", func(x Ctx) []uint64 { return slab(x.Machine) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestAllGatherStrictViolationAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := c.AllGather("ag", func(x *Ctx) []uint64 { return []uint64{1, 2} })
+	parts, err := c.AllGather("ag", func(x Ctx) []uint64 { return []uint64{1, 2} })
 	if !errors.Is(err, ErrBudget) || parts != nil {
 		t.Fatalf("parts %v, err %v; want ErrBudget and no parts", parts, err)
 	}
@@ -254,7 +254,7 @@ func TestAllGatherStrictViolationAborts(t *testing.T) {
 
 func TestAllReduceSumUint(t *testing.T) {
 	c := newTestCluster(t, 6, 60)
-	sum, err := c.AllReduceSumUint("s", func(x *Ctx) []uint64 {
+	sum, err := c.AllReduceSumUint("s", func(x Ctx) []uint64 {
 		return []uint64{uint64(x.Hi - x.Lo), 1}
 	})
 	if err != nil {
@@ -270,7 +270,7 @@ func TestAllReduceSumUint(t *testing.T) {
 
 func TestAllReduceMaxUint(t *testing.T) {
 	c := newTestCluster(t, 5, 25)
-	maxVal, err := c.AllReduceMaxUint("m", func(x *Ctx) uint64 {
+	maxVal, err := c.AllReduceMaxUint("m", func(x Ctx) uint64 {
 		return uint64(x.Machine * 7)
 	})
 	if err != nil {
@@ -283,7 +283,7 @@ func TestAllReduceMaxUint(t *testing.T) {
 
 func TestAllReduceLengthMismatch(t *testing.T) {
 	c := newTestCluster(t, 3, 9)
-	_, err := c.AllReduceSumUint("bad", func(x *Ctx) []uint64 {
+	_, err := c.AllReduceSumUint("bad", func(x Ctx) []uint64 {
 		return make([]uint64, x.Machine+1)
 	})
 	if err == nil {
@@ -293,7 +293,7 @@ func TestAllReduceLengthMismatch(t *testing.T) {
 
 func TestSingleMachineCollectives(t *testing.T) {
 	c := newTestCluster(t, 1, 10)
-	sum, err := c.AllReduceSumUint("s", func(x *Ctx) []uint64 { return []uint64{42} })
+	sum, err := c.AllReduceSumUint("s", func(x Ctx) []uint64 { return []uint64{42} })
 	if err != nil || sum[0] != 42 {
 		t.Fatalf("single machine: %v %v", sum, err)
 	}

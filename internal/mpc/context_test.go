@@ -82,7 +82,7 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 			if r == 2 {
 				cancel()
 			}
-			err = c.Step("work", func(x *Ctx) {
+			err = c.Step("work", func(x Ctx) {
 				x.Send((x.Machine+1)%8, uint64(x.Machine))
 			})
 		}

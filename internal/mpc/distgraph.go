@@ -62,7 +62,7 @@ func (d *DistGraph) Graph() *graph.Graph { return d.g }
 // neighbours. One round; one word per (marked u, w in view.Row(u)),
 // batched into one message per machine pair.
 func (d *DistGraph) NotifyWithin(name string, marked *bitset.Set, view Adjacency) (*bitset.Set, error) {
-	err := d.c.Step(name, func(x *Ctx) {
+	err := d.c.Step(name, func(x Ctx) {
 		d.scatter(x, view, marked, recVertex, nil)
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func (d *DistGraph) GatherSubgraph(name string, include *bitset.Set, reuse Adjac
 	if err != nil {
 		return nil, nil, err
 	}
-	parts, err := d.c.Gather(name+"/ship", func(x *Ctx) []uint64 {
+	parts, err := d.c.Gather(name+"/ship", func(x Ctx) []uint64 {
 		var payload []uint64
 		for v := x.Lo; v < x.Hi; v++ {
 			for _, u := range nbrs.Row(v) {
@@ -190,7 +190,7 @@ func (d *DistGraph) RefreshWithin(name string, active, announce *bitset.Set, dir
 	if err := CheckReuse(reuse, last, d.g); err != nil {
 		return Adjacency{}, fmt.Errorf("mpc: %s: %w", name, err)
 	}
-	err := d.c.Step(name, func(x *Ctx) {
+	err := d.c.Step(name, func(x Ctx) {
 		d.announce(x, last, announce)
 	})
 	if err != nil {
@@ -251,7 +251,7 @@ func (d *DistGraph) ExchangeAlong(name string, active *bitset.Set, view Adjacenc
 	if len(view.Off) != d.c.N()+1 {
 		return Adjacency{}, fmt.Errorf("mpc: %s: view has %d row offsets, want %d", name, len(view.Off), d.c.N()+1)
 	}
-	err := d.c.Step(name, func(x *Ctx) {
+	err := d.c.Step(name, func(x Ctx) {
 		d.scatter(x, view, active, recValue, vals)
 	})
 	if err != nil {
@@ -315,7 +315,7 @@ const (
 // reciprocal multiply (blocks), which has no data-dependent branch to
 // mispredict on a random row. A record is v, or v<<32 | vals[u] for
 // recValue.
-func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record, vals []int32) {
+func (d *DistGraph) scatter(x Ctx, adj Adjacency, from *bitset.Set, rec record, vals []int32) {
 	owner := d.c.blocks
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
 	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {
@@ -354,7 +354,7 @@ func (d *DistGraph) scatter(x *Ctx, adj Adjacency, from *bitset.Set, rec record,
 // mispredict on a random row: the fill pass writes u at the last claimed
 // slot whether or not the entry claimed it. The records go out from the
 // machine's slab, sized by a count pass as in scatter.
-func (d *DistGraph) announce(x *Ctx, adj Adjacency, from *bitset.Set) {
+func (d *DistGraph) announce(x Ctx, adj Adjacency, from *bitset.Set) {
 	owner := d.c.blocks
 	pos := make([]int, d.c.Machines()) // words per destination, then fill cursors, then range ends
 	for u := nextIn(from, x.Lo, x.Hi); u < x.Hi; u = nextIn(from, u+1, x.Hi) {

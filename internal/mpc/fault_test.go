@@ -11,7 +11,7 @@ import (
 )
 
 // echoStep has every machine send its id to machine 0.
-func echoStep(x *Ctx) {
+func echoStep(x Ctx) {
 	x.Send(0, uint64(x.Machine))
 }
 
@@ -28,7 +28,7 @@ func TestPanicBecomesMachineError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Step("boom", func(x *Ctx) {
+	err = c.Step("boom", func(x Ctx) {
 		if x.Machine == 2 {
 			panic("injected bug")
 		}
@@ -49,7 +49,7 @@ func TestPanicBecomesMachineError(t *testing.T) {
 	}
 	// The failed superstep delivers nothing and the cluster survives: the
 	// next step runs normally with empty inboxes.
-	err = c.Step("after", func(x *Ctx) {
+	err = c.Step("after", func(x Ctx) {
 		if len(x.Inbox()) != 0 {
 			t.Errorf("machine %d inbox = %v after failed step", x.Machine, x.Inbox())
 		}
@@ -155,8 +155,8 @@ func TestLateSendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leaked *Ctx
-	if err := c.Step("leak", func(x *Ctx) {
+	var leaked Ctx
+	if err := c.Step("leak", func(x Ctx) {
 		if x.Machine == 1 {
 			leaked = x
 		}
@@ -164,7 +164,7 @@ func TestLateSendErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaked.Send(0, 42) // stale: dropped, recorded
-	err = c.Step("next", func(x *Ctx) {
+	err = c.Step("next", func(x Ctx) {
 		if x.Machine == 0 && len(x.Inbox()) != 0 {
 			t.Errorf("stale send leaked into inbox: %v", x.Inbox())
 		}
@@ -173,7 +173,7 @@ func TestLateSendErrors(t *testing.T) {
 		t.Fatalf("late send err = %v, want ErrStaleCtx", err)
 	}
 	// The error is one-shot: subsequent steps are clean.
-	if err := c.Step("clean", func(x *Ctx) {}); err != nil {
+	if err := c.Step("clean", func(x Ctx) {}); err != nil {
 		t.Fatalf("step after stale-send report: %v", err)
 	}
 }
@@ -188,12 +188,12 @@ type staleRun struct {
 }
 
 // ringStep has every machine send its id to the next machine.
-func ringStep(x *Ctx, M int) {
+func ringStep(x Ctx, M int) {
 	x.Send((x.Machine+1)%M, uint64(x.Machine))
 }
 
 // sendStale sends on a context whose step is over, with each send primitive.
-func sendStale(x *Ctx) {
+func sendStale(x Ctx) {
 	x.Send(0, 99)
 	x.SendOwned(2, []uint64{98, 97})
 	x.SendOwnedRanges([]uint64{96, 95, 94}, []int{1, 1, 3})
@@ -243,8 +243,8 @@ func TestStaleCtxSendsDuringNextRound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var leaked *Ctx
-				if err := c.Step("leak", func(x *Ctx) {
+				var leaked Ctx
+				if err := c.Step("leak", func(x Ctx) {
 					ringStep(x, M)
 					if x.Machine == 1 {
 						leaked = x
@@ -252,7 +252,7 @@ func TestStaleCtxSendsDuringNextRound(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Step("next", func(x *Ctx) {
+				if err := c.Step("next", func(x Ctx) {
 					ringStep(x, M)
 					if stale && x.Machine == 2 {
 						sendStale(leaked)
@@ -261,7 +261,7 @@ func TestStaleCtxSendsDuringNextRound(t *testing.T) {
 					t.Fatalf("round with stale sends: %v", err)
 				}
 				r := staleRun{stats: c.Stats(), boxes: drainAll(c)}
-				r.next = c.Step("after", func(x *Ctx) { ringStep(x, M) })
+				r.next = c.Step("after", func(x Ctx) { ringStep(x, M) })
 				return r
 			}, 1, 1)
 		})
@@ -283,14 +283,14 @@ func TestStaleCtxSendsDuringCrashRetry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Step("first", func(x *Ctx) { ringStep(x, M) }); err != nil {
+				if err := c.Step("first", func(x Ctx) { ringStep(x, M) }); err != nil {
 					t.Fatal(err)
 				}
 				// runs[m] counts machine m's executions of round 2: 1 is the
 				// aborted attempt, 2 the retry.
 				var runs [M]int
-				var leaked *Ctx
-				if err := c.Step("crashy", func(x *Ctx) {
+				var leaked Ctx
+				if err := c.Step("crashy", func(x Ctx) {
 					runs[x.Machine]++
 					ringStep(x, M)
 					if x.Machine == 1 && runs[1] == 1 {
@@ -309,7 +309,7 @@ func TestStaleCtxSendsDuringCrashRetry(t *testing.T) {
 				if r.stats.RecoveredCrashes != 1 {
 					t.Fatalf("RecoveredCrashes = %d, want 1", r.stats.RecoveredCrashes)
 				}
-				r.next = c.Step("after", func(x *Ctx) { ringStep(x, M) })
+				r.next = c.Step("after", func(x Ctx) { ringStep(x, M) })
 				return r
 			}, 1, 2)
 		})
@@ -321,7 +321,7 @@ func TestStrictAbortDeliversNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Step("burst", func(x *Ctx) {
+	err = c.Step("burst", func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 1, 2, 3)
 		}

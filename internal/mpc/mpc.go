@@ -595,13 +595,14 @@ func (c *Cluster) snapshotRecovery() recoverySnapshot {
 // primitive for the current step. In the congested clique the machine is
 // the vertex's node (one machine per vertex, Lo = Machine, Hi = Machine+1).
 //
-// A Ctx is the machine's identity plus its worker's outbox, 32 bytes: the
-// attempt's per-machine sent words and crash flags live in the Cluster, and
-// a panic is recorded on the outbox. Every attempt gets fresh contexts, so
-// one leaked past its step still reaches its own sealed outbox: it is valid
-// only for the duration of its step, and once the step commits (or
-// aborts), late Send calls are dropped and surfaced as an error from the
-// next Step, instead of corrupting the next round's traffic.
+// A Ctx is a value, 32 bytes: the machine's identity plus its worker's
+// outbox (sent words and crash flags live in the Cluster, a panic on the
+// outbox). Each worker builds its machines' contexts as it runs them, so a
+// step allocates nothing per machine. A Ctx is valid only during its step:
+// a copy kept past it (or its aborted attempt) still reaches its own
+// outbox, sealed at the barrier, so its late Send calls are dropped and
+// surfaced as an error from the next Step instead of corrupting the next
+// round's traffic.
 type Ctx struct {
 	Machine int
 	Lo, Hi  int
@@ -664,13 +665,13 @@ const minLogCap = 16
 // The slice is a window of the cluster's delivery arena, which the next
 // superstep's merge overwrites: it is valid only until this step's closures
 // return, and must not be kept past them (DESIGN.md §8, "Inbox lifetime").
-func (x *Ctx) Inbox() []Message { return x.ob.c.inboxes[x.Machine] }
+func (x Ctx) Inbox() []Message { return x.ob.c.inboxes[x.Machine] }
 
 // Block returns the index, in [0, Blocks()), of the worker block running
 // this machine in this step. A block's closures run one at a time, in
 // ascending machine order, so state indexed by Block is written by one
 // goroutine per step: per-block scratch that a step's machines reuse.
-func (x *Ctx) Block() int { return x.ob.block }
+func (x Ctx) Block() int { return x.ob.block }
 
 // Send queues a message of machine words to machine dst, delivered at the
 // end of the step. The payload is copied into a word chunk of the sending
@@ -678,7 +679,7 @@ func (x *Ctx) Block() int { return x.ob.block }
 // it (see SendOwned for the read-only rule that makes sharing safe). A dst
 // outside [0, M) panics in the sender's closure, which the step returns as
 // the sender's *MachineError.
-func (x *Ctx) Send(dst int, payload ...uint64) {
+func (x Ctx) Send(dst int, payload ...uint64) {
 	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
 		x.logSend(ob, dst, ob.copyWords(payload))
 	}
@@ -696,7 +697,7 @@ func (x *Ctx) Send(dst int, payload ...uint64) {
 // slab. Sending on an invalidated context (after its step completed) drops
 // the payload and records ErrStaleCtx, returned by the cluster's next Step.
 // A dst outside [0, M) panics as in Send.
-func (x *Ctx) SendOwned(dst int, payload []uint64) {
+func (x Ctx) SendOwned(dst int, payload []uint64) {
 	if ob := x.lockOutbox(dst, len(payload)); ob != nil {
 		x.logSend(ob, dst, payload)
 	}
@@ -710,7 +711,7 @@ func (x *Ctx) SendOwned(dst int, payload []uint64) {
 // A len(end) > M, or an end that decreases or runs past the slab, panics in
 // the sender's closure as in Send; a call on an invalidated context drops
 // every range and records ErrStaleCtx with their total word count.
-func (x *Ctx) SendOwnedRanges(slab []uint64, end []int) {
+func (x Ctx) SendOwnedRanges(slab []uint64, end []int) {
 	if len(end) == 0 {
 		return
 	}
@@ -739,7 +740,7 @@ func (x *Ctx) SendOwnedRanges(slab []uint64, end []int) {
 // SendOwned loop over those destinations in ascending order, delivered,
 // counted and traced identically. A call on an invalidated context drops
 // every copy and records ErrStaleCtx with their total word count.
-func (x *Ctx) sendOwnedTo(lo, hi int, payload []uint64) {
+func (x Ctx) sendOwnedTo(lo, hi int, payload []uint64) {
 	ob := x.lockOutbox(hi-1, (hi-lo)*len(payload))
 	if ob == nil {
 		return
@@ -756,7 +757,7 @@ func (x *Ctx) sendOwnedTo(lo, hi int, payload []uint64) {
 // send on a sealed outbox. An out-of-range dst panics here, inside the
 // sender's closure. The senders share it but append separately, so
 // Send's variadic payload never escapes and costs its caller no allocation.
-func (x *Ctx) lockOutbox(dst, words int) *stepOutbox {
+func (x Ctx) lockOutbox(dst, words int) *stepOutbox {
 	ob := x.ob
 	ob.mu.Lock()
 	if ob.sealed {
@@ -773,7 +774,7 @@ func (x *Ctx) lockOutbox(dst, words int) *stepOutbox {
 
 // logSend appends one send to the locked outbox's log, counts its words
 // against the sender, and unlocks the outbox.
-func (x *Ctx) logSend(ob *stepOutbox, dst int, payload []uint64) {
+func (x Ctx) logSend(ob *stepOutbox, dst int, payload []uint64) {
 	ob.c.sentW[x.Machine] += len(payload)
 	ob.push(sentMsg{dst: int32(dst), src: int32(x.Machine), payload: payload})
 	ob.mu.Unlock()
@@ -836,14 +837,14 @@ func (c *Cluster) takeLateErr() error {
 
 // attempt is the transient state of one superstep execution attempt: the
 // outbox buffers of the worker blocks that ran, the machines the fault plan
-// crashed, and the lowest-machine panic. Its contexts, 32 bytes each and
-// made in one allocation for the machines its closure runs on (all M in a
-// Step, the first k in a StepFirst), are reachable only through the
-// closures that received them. The outboxes and their Send word chunks live
-// and die with the attempt; only the header logs return to the Cluster once
-// the attempt is merged or discarded (release), emptied, so a crash retry or
-// the next superstep starts from empty logs and can never deliver stale
-// traffic.
+// crashed, and the lowest-machine panic. It holds no contexts: each worker
+// builds the Ctx values of the machines it runs (all M in a Step, the first
+// k in a StepFirst), and every one carries a pointer to its block's outbox,
+// so a copy kept past the attempt reaches that outbox once sealed. The
+// outboxes and their Send word chunks live and die with the attempt; only
+// the header logs return to the Cluster once the attempt is merged or
+// discarded (release), emptied, so a crash retry or the next superstep
+// starts from empty logs and can never deliver stale traffic.
 type attempt struct {
 	outs    []*stepOutbox // one per worker block that ran, in ascending order
 	crashed []int
@@ -1021,7 +1022,7 @@ func (c *Cluster) runBlocks(k int, f func(lo, hi int)) {
 // attempt carries the outboxes, the machines crashed by the fault plan, and
 // the lowest-machine MachineError if any step function panicked: each worker
 // keeps its block's first, and blocks ascend.
-func (c *Cluster) runAttempt(round, k int, f func(x *Ctx)) *attempt {
+func (c *Cluster) runAttempt(round, k int, f func(x Ctx)) *attempt {
 	at := &attempt{}
 	clear(c.sentW)
 	if c.cfg.Faults.Enabled() {
@@ -1032,7 +1033,7 @@ func (c *Cluster) runAttempt(round, k int, f func(x *Ctx)) *attempt {
 			}
 		}
 	}
-	run := func(x *Ctx) {
+	run := func(x Ctx) {
 		defer func() {
 			if r := recover(); r != nil && x.ob.merr == nil {
 				x.ob.merr = &MachineError{Machine: x.Machine, Round: round, Panic: r, Stack: debug.Stack()}
@@ -1040,7 +1041,6 @@ func (c *Cluster) runAttempt(round, k int, f func(x *Ctx)) *attempt {
 		}()
 		f(x)
 	}
-	ctxs := make([]Ctx, k)
 	_, per := c.poolBlocks()
 	used := (k + per - 1) / per
 	for len(c.logs) < used {
@@ -1048,17 +1048,13 @@ func (c *Cluster) runAttempt(round, k int, f func(x *Ctx)) *attempt {
 	}
 	at.outs = make([]*stepOutbox, used)
 	for w := range at.outs {
-		ob := &stepOutbox{log: c.logs[w], c: c, round: round, block: w}
-		at.outs[w] = ob
-		for m := w * per; m < min((w+1)*per, k); m++ {
-			lo, hi := c.Range(m)
-			ctxs[m] = Ctx{Machine: m, Lo: lo, Hi: hi, ob: ob}
-		}
+		at.outs[w] = &stepOutbox{log: c.logs[w], c: c, round: round, block: w}
 	}
-	c.runBlocks(k, func(lo, hi int) {
-		for m := lo; m < hi; m++ {
+	c.runBlocks(k, func(first, end int) {
+		for m := first; m < end; m++ {
 			if !c.down[m] {
-				run(&ctxs[m])
+				lo, hi := c.Range(m)
+				run(Ctx{Machine: m, Lo: lo, Hi: hi, ob: at.outs[m/per]})
 			}
 		}
 	})
@@ -1086,17 +1082,17 @@ func (c *Cluster) runAttempt(round, k int, f func(x *Ctx)) *attempt {
 //     is returned, nothing is delivered, every inbox is left empty (the
 //     merge already overwrote the previous round's), and the contexts are
 //     invalidated. A transport veto leaves the inboxes empty the same way.
-func (c *Cluster) Step(name string, f func(x *Ctx)) error {
+func (c *Cluster) Step(name string, f func(x Ctx)) error {
 	return c.step(name, 1, false, c.cfg.Machines, f)
 }
 
 // StepFirst is Step with f run only on machines [0, k): the round of a
 // coordinator or of a few aggregators, which costs the host those k
-// machines' contexts and closures instead of M. Every other machine sends
-// nothing and still receives. Crash decisions, recovery, metering, the
-// trace event and the seal are those of Step with an f that does nothing
-// from machine k on. A k outside [0, M] is an error.
-func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error {
+// machines' closures, and outboxes for their worker blocks, instead of M.
+// Every other machine sends nothing and still receives. Crash decisions,
+// recovery, metering, the trace event and the seal are those of Step with
+// an f that does nothing from machine k on. A k outside [0, M] is an error.
+func (c *Cluster) StepFirst(name string, k int, f func(x Ctx)) error {
 	if k < 0 || k > c.cfg.Machines {
 		return fmt.Errorf("mpc: step %q runs %d machines, outside [0, %d]", name, k, c.cfg.Machines)
 	}
@@ -1107,7 +1103,7 @@ func (c *Cluster) StepFirst(name string, k int, f func(x *Ctx)) error {
 // costs rounds model rounds (the congested clique's Lenzen routing): the
 // superstep is charged rounds rounds, and the budget policy meters it as
 // routed. The MPC policy meters a routed exchange exactly like a Step.
-func (c *Cluster) RouteStep(name string, rounds int, f func(x *Ctx)) error {
+func (c *Cluster) RouteStep(name string, rounds int, f func(x Ctx)) error {
 	if rounds < 1 {
 		return fmt.Errorf("mpc: routed step %q charged %d rounds < 1", name, rounds)
 	}
@@ -1115,7 +1111,7 @@ func (c *Cluster) RouteStep(name string, rounds int, f func(x *Ctx)) error {
 }
 
 // step runs one superstep charged rounds rounds, with f on machines [0, k).
-func (c *Cluster) step(name string, rounds int, routed bool, k int, f func(x *Ctx)) error {
+func (c *Cluster) step(name string, rounds int, routed bool, k int, f func(x Ctx)) error {
 	if err := c.takeLateErr(); err != nil {
 		return err
 	}

@@ -147,7 +147,7 @@ func TestStepDeliversMessagesDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every machine sends its id*10+k for k=0,1 to machine (id+1)%M.
-		err = c.Step("send", func(x *Ctx) {
+		err = c.Step("send", func(x Ctx) {
 			dst := (x.Machine + 1) % M
 			x.Send(dst, uint64(x.Machine*10))
 			x.Send(dst, uint64(x.Machine*10+1))
@@ -156,7 +156,7 @@ func TestStepDeliversMessagesDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seen []uint64
-		err = c.Step("recv", func(x *Ctx) {
+		err = c.Step("recv", func(x Ctx) {
 			if x.Machine == 0 {
 				for _, msg := range x.Inbox() {
 					seen = append(seen, msg.Payload...)
@@ -191,12 +191,12 @@ func TestInboxSortedBySender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("fan-in", func(x *Ctx) {
+	if err := c.Step("fan-in", func(x Ctx) {
 		x.Send(0, uint64(x.Machine))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("check", func(x *Ctx) {
+	if err := c.Step("check", func(x Ctx) {
 		if x.Machine != 0 {
 			return
 		}
@@ -215,7 +215,7 @@ func TestBandwidthAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("burst", func(x *Ctx) {
+	if err := c.Step("burst", func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 1, 2, 3, 4, 5, 6) // 6 words > budget 4
 		}
@@ -239,7 +239,7 @@ func TestStrictModeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Step("burst", func(x *Ctx) {
+	err = c.Step("burst", func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 1, 2, 3)
 		}
@@ -282,7 +282,7 @@ func TestInStepResidentViolationRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overflow := func(x *Ctx) {
+	overflow := func(x Ctx) {
 		if x.Machine == 0 {
 			x.Send(1, 1, 2, 3, 4, 5)
 			if err := c.AddResident(0, 5); err != nil {
@@ -290,7 +290,7 @@ func TestInStepResidentViolationRound(t *testing.T) {
 			}
 		}
 	}
-	if err := c.Step("quiet", func(*Ctx) {}); err != nil {
+	if err := c.Step("quiet", func(Ctx) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Step("overflow", overflow); err != nil {

@@ -47,7 +47,7 @@ func TestDuplicateSrcFanIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Step("fanin", func(x *Ctx) {
+		if err := c.Step("fanin", func(x Ctx) {
 			for k := 0; k < K; k++ {
 				// Distinct payloads encode (src, send sequence) so ordering
 				// violations are visible, not just miscounts.
@@ -57,7 +57,7 @@ func TestDuplicateSrcFanIn(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []Message
-		if err := c.Step("inspect", func(x *Ctx) {
+		if err := c.Step("inspect", func(x Ctx) {
 			if x.Machine == 0 {
 				got = append([]Message(nil), x.Inbox()...)
 			}
@@ -98,7 +98,7 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("spawned", func(x *Ctx) {
+	if err := c.Step("spawned", func(x Ctx) {
 		var wg sync.WaitGroup
 		for dst := 0; dst < M; dst++ {
 			wg.Add(1)
@@ -111,7 +111,7 @@ func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("inspect", func(x *Ctx) {
+	if err := c.Step("inspect", func(x Ctx) {
 		inbox := x.Inbox()
 		if len(inbox) != M {
 			panic(fmt.Sprintf("machine %d: got %d messages, want %d", x.Machine, len(inbox), M))
@@ -135,8 +135,8 @@ func TestCrossMachineSendIsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *Ctx
-	if err := c.Step("cross", func(x *Ctx) {
+	var first Ctx
+	if err := c.Step("cross", func(x Ctx) {
 		if x.Machine == 1 {
 			first = x
 			x.Send(0, 10)
@@ -173,7 +173,7 @@ func TestSpanSwitchDuringStep(t *testing.T) {
 	release := make(chan struct{})
 	switched := make(chan struct{})
 	var once sync.Once
-	if err := c.Step("mid", func(x *Ctx) {
+	if err := c.Step("mid", func(x Ctx) {
 		once.Do(func() {
 			go func() {
 				c.Span("late") // concurrent with the running step

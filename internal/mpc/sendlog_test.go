@@ -24,7 +24,7 @@ func TestSendInvalidDestination(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					err = c.Step("bad-dst", func(x *Ctx) {
+					err = c.Step("bad-dst", func(x Ctx) {
 						x.Send((x.Machine+1)%M, uint64(x.Machine))
 						if x.Machine == bad {
 							if owned {
@@ -42,7 +42,7 @@ func TestSendInvalidDestination(t *testing.T) {
 					if st := c.Stats(); st.Rounds != 0 || st.Messages != 0 || st.Words != 0 {
 						t.Fatalf("failed step was committed: %+v", st)
 					}
-					if err := c.Step("after", func(x *Ctx) {
+					if err := c.Step("after", func(x Ctx) {
 						if len(x.Inbox()) != 0 {
 							panic(fmt.Sprintf("machine %d inbox %v after the failed step", x.Machine, x.Inbox()))
 						}
@@ -108,7 +108,7 @@ func randomMergeRounds(M int, rng *rand.Rand) []mergeRound {
 // run executes machine m's planned sends. Owned payloads are sub-slices of
 // one slab built by this attempt; a spawning machine gives each goroutine a
 // disjoint set of destinations, so per-(src, dst) send order stays defined.
-func (rd *mergeRound) run(x *Ctx) {
+func (rd *mergeRound) run(x Ctx) {
 	sends := rd.sends[x.Machine]
 	var slab []uint64
 	for _, s := range sends {
@@ -252,7 +252,7 @@ func TestStepAllocsIndependentOfMessageCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		step := func() {
-			if err := c.Step("k", func(x *Ctx) {
+			if err := c.Step("k", func(x Ctx) {
 				for i := 0; i < k; i++ {
 					if owned {
 						x.SendOwned((x.Machine+i)%M, payload)

@@ -32,7 +32,7 @@ func prefixRounds(t *testing.T, cfg Config, k int, first bool) prefixRun {
 	M := cfg.Machines
 	var run prefixRun
 	for r := 1; r <= 4; r++ {
-		send := func(x *Ctx) {
+		send := func(x Ctx) {
 			m := x.Machine
 			x.Send((3*m+r)%M, uint64(m), uint64(r), uint64(x.Block()))
 			for _, msg := range x.Inbox() {
@@ -42,7 +42,7 @@ func prefixRounds(t *testing.T, cfg Config, k int, first bool) prefixRun {
 		if first {
 			err = c.StepFirst("prefix", k, send)
 		} else {
-			err = c.Step("prefix", func(x *Ctx) {
+			err = c.Step("prefix", func(x Ctx) {
 				if x.Machine < k {
 					send(x)
 				}
@@ -124,8 +124,8 @@ func TestStaleCtxFromPrefixStep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var leaked *Ctx
-				if err := c.StepFirst("leak", 2, func(x *Ctx) {
+				var leaked Ctx
+				if err := c.StepFirst("leak", 2, func(x Ctx) {
 					ringStep(x, M)
 					if x.Machine == 1 {
 						leaked = x
@@ -133,7 +133,7 @@ func TestStaleCtxFromPrefixStep(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Step("next", func(x *Ctx) {
+				if err := c.Step("next", func(x Ctx) {
 					ringStep(x, M)
 					if stale && x.Machine == 2 {
 						sendStale(leaked)
@@ -142,7 +142,7 @@ func TestStaleCtxFromPrefixStep(t *testing.T) {
 					t.Fatalf("round with stale sends: %v", err)
 				}
 				r := staleRun{stats: c.Stats(), boxes: drainAll(c)}
-				r.next = c.Step("after", func(x *Ctx) { ringStep(x, M) })
+				r.next = c.Step("after", func(x Ctx) { ringStep(x, M) })
 				return r
 			}, 1, 1)
 		})

@@ -22,7 +22,7 @@ func TestTraceEventsMatchStats(t *testing.T) {
 	c, ring := newTracedCluster(t, Config{Machines: 4}, 64)
 	c.Span("sparsify")
 	for r := 0; r < 3; r++ {
-		if err := c.Step("work", func(x *Ctx) {
+		if err := c.Step("work", func(x Ctx) {
 			// Machine m sends m words to machine 0: skewed on purpose.
 			payload := make([]uint64, x.Machine)
 			x.SendOwned(0, payload)
@@ -84,7 +84,7 @@ func TestTraceEventsMatchStats(t *testing.T) {
 func TestTraceSpanTransitions(t *testing.T) {
 	c, ring := newTracedCluster(t, Config{Machines: 2}, 8)
 	step := func() {
-		if err := c.Step("s", func(x *Ctx) { x.Send(0, 1) }); err != nil {
+		if err := c.Step("s", func(x Ctx) { x.Send(0, 1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestTraceRecoveryDeltas(t *testing.T) {
 	plan := &FaultPlan{Crashes: []FaultEvent{{Round: 2, Machine: 1}}}
 	c, ring := newTracedCluster(t, Config{Machines: 2, Faults: plan}, 8)
 	for r := 0; r < 3; r++ {
-		if err := c.Step("s", func(x *Ctx) { x.Send(0, uint64(x.Machine)) }); err != nil {
+		if err := c.Step("s", func(x Ctx) { x.Send(0, uint64(x.Machine)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,19 +160,19 @@ func TestStepNoAllocWithoutTracer(t *testing.T) {
 	payload := make([]uint64, 8)
 	// Warm up the log/violation slices so append doesn't grow mid-measure.
 	for i := 0; i < 64; i++ {
-		if err := c.Step("warm", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
+		if err := c.Step("warm", func(x Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	withoutTracer := testing.AllocsPerRun(32, func() {
-		if err := c.Step("bench", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
+		if err := c.Step("bench", func(x Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
 			t.Fatal(err)
 		}
 	})
 	ring := trace.NewRing(8)
 	c.SetTracer(ring)
 	withTracer := testing.AllocsPerRun(32, func() {
-		if err := c.Step("bench", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
+		if err := c.Step("bench", func(x Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -31,7 +31,7 @@ func TestTransportErrorWrapsCause(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			step := func(x *Ctx) { x.Send((x.Machine+1)%4, uint64(x.Machine)) }
+			step := func(x Ctx) { x.Send((x.Machine+1)%4, uint64(x.Machine)) }
 			for r := 1; r <= 2; r++ {
 				if err := c.Step("ok", step); err != nil {
 					t.Fatalf("round %d: %v", r, err)

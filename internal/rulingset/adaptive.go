@@ -86,7 +86,7 @@ type levelSize struct{ n, ends, delta int }
 // their edge ends and their longest row, and every machine sums and takes
 // the maximum of the same parts.
 func measureLevel(c *mpc.Cluster, active *bitset.Set, view mpc.Adjacency) (levelSize, error) {
-	parts, err := c.AllGather("adaptive/size", func(x *mpc.Ctx) []uint64 {
+	parts, err := c.AllGather("adaptive/size", func(x mpc.Ctx) []uint64 {
 		var n, ends, delta uint64
 		for v := x.Lo; v < x.Hi; v++ {
 			if !active.Contains(v) {

@@ -109,7 +109,7 @@ func (m cliqueModel) view(active, _ *bitset.Set, _, _ int, last, reuse mpc.Adjac
 // dominate has every marked node send one word to each neighbor in its view
 // row.
 func (m cliqueModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, error) {
-	if err := m.c.Step("dominate", func(x *clique.Ctx) {
+	if err := m.c.Step("dominate", func(x clique.Ctx) {
 		if !marks.Contains(x.Machine) {
 			return
 		}
@@ -149,7 +149,7 @@ func (m cliqueModel) neighborsIn(name string, set *bitset.Set, rows, reuse mpc.A
 	if err := mpc.CheckReuse(reuse, rows, m.g); err != nil {
 		return mpc.Adjacency{}, fmt.Errorf("rulingset: %s: %w", name, err)
 	}
-	if err := m.c.Step(name, func(x *clique.Ctx) {
+	if err := m.c.Step(name, func(x clique.Ctx) {
 		if !set.Contains(x.Machine) {
 			return
 		}
@@ -188,7 +188,7 @@ func (m cliqueModel) gatherResidual(cand *bitset.Set, _ mpc.Adjacency) (*graph.G
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.c.RouteStep("residual/route", func(x *clique.Ctx) {
+	if err := m.c.RouteStep("residual/route", func(x clique.Ctx) {
 		for _, u := range candNbrs.Row(x.Machine) {
 			if int(u) > x.Machine {
 				x.Send(0, uint64(uint32(x.Machine))<<32|uint64(uint32(u)))
@@ -217,7 +217,7 @@ func (m cliqueModel) gatherResidual(cand *bitset.Set, _ mpc.Adjacency) (*graph.G
 // announceMembers notifies the members individually (one word per pair
 // from node 0).
 func (m cliqueModel) announceMembers(members []int32) error {
-	if err := m.c.StepFirst("residual/notify", 1, func(x *clique.Ctx) {
+	if err := m.c.StepFirst("residual/notify", 1, func(x clique.Ctx) {
 		for _, v := range members {
 			if v != 0 {
 				x.Send(int(v), 1)

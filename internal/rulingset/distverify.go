@@ -59,7 +59,7 @@ func VerifyDistributed(d *mpc.DistGraph, members []int32, beta int) (int, error)
 	}
 
 	// Count uncovered vertices through the cluster.
-	counts, err := c.AllReduceSumUint("verify/uncovered", func(x *mpc.Ctx) []uint64 {
+	counts, err := c.AllReduceSumUint("verify/uncovered", func(x mpc.Ctx) []uint64 {
 		var local uint64
 		for v := x.Lo; v < x.Hi; v++ {
 			if !covered.Contains(v) {

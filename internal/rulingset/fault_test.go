@@ -110,7 +110,7 @@ func TestFaultPanicSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepErr := c.Step("boom", func(x *mpc.Ctx) {
+	stepErr := c.Step("boom", func(x mpc.Ctx) {
 		if x.Machine == 1 {
 			panic("bug in machine code")
 		}

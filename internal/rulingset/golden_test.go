@@ -217,7 +217,7 @@ func cliqueViolationScript(t *testing.T) (stats, tr []byte) {
 		t.Fatal(err)
 	}
 	c.Span("pairs")
-	if err := c.Step("pairs", func(x *clique.Ctx) {
+	if err := c.Step("pairs", func(x clique.Ctx) {
 		// Every node sends two words to its two successors: 2n pair
 		// violations, reported destination by destination.
 		for d := 1; d <= 2; d++ {
@@ -226,7 +226,7 @@ func cliqueViolationScript(t *testing.T) (stats, tr []byte) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Step("fanin", func(x *clique.Ctx) {
+	if err := c.Step("fanin", func(x clique.Ctx) {
 		// n+1 words into node 0: a receive overflow plus one doubled pair.
 		x.Send(0, uint64(x.Machine))
 		if x.Machine == 5 {
@@ -236,7 +236,7 @@ func cliqueViolationScript(t *testing.T) (stats, tr []byte) {
 		t.Fatal(err)
 	}
 	c.Span("route")
-	if err := c.RouteStep("route", func(x *clique.Ctx) {
+	if err := c.RouteStep("route", func(x clique.Ctx) {
 		if x.Machine >= 2 {
 			for i := 0; i < n+x.Machine; i++ {
 				x.Send((x.Machine+i)%n, uint64(i))
@@ -269,7 +269,7 @@ func mpcViolationScript(t *testing.T) (stats, tr []byte) {
 		t.Fatal(err)
 	}
 	c.Span("scatter")
-	if err := c.Step("scatter", func(x *mpc.Ctx) {
+	if err := c.Step("scatter", func(x mpc.Ctx) {
 		// Machine 0 sends two words to each peer: six sent words, a send
 		// overflow, while every peer receives only two.
 		if x.Machine == 0 {
@@ -281,7 +281,7 @@ func mpcViolationScript(t *testing.T) (stats, tr []byte) {
 		t.Fatal(err)
 	}
 	c.Span("fanin")
-	if err := c.Step("fanin", func(x *mpc.Ctx) {
+	if err := c.Step("fanin", func(x mpc.Ctx) {
 		// Every peer sends two words to machine 0: a receive overflow.
 		if x.Machine > 0 {
 			x.Send(0, uint64(x.Machine), 7)
@@ -290,7 +290,7 @@ func mpcViolationScript(t *testing.T) (stats, tr []byte) {
 		t.Fatal(err)
 	}
 	c.Span("resident")
-	if err := c.Step("resident", func(x *mpc.Ctx) {
+	if err := c.Step("resident", func(x mpc.Ctx) {
 		// Machines 1 and 3 grow past the budget from inside the step; the
 		// overflows are flushed in machine order at the barrier.
 		if x.Machine%2 == 1 {

@@ -114,7 +114,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 			if nbrDeg, err = d.ExchangeAlong("luby/degrees", active, view, deg); err != nil {
 				return Result{}, err
 			}
-			maxDeg, err := c.AllReduceMaxUint("luby/maxdeg", func(x *mpc.Ctx) uint64 {
+			maxDeg, err := c.AllReduceMaxUint("luby/maxdeg", func(x mpc.Ctx) uint64 {
 				var local uint64
 				for v := x.Lo; v < x.Hi; v++ {
 					if active.Contains(v) && uint64(deg[v]) > local {

@@ -29,7 +29,7 @@ func DetRuling2(g *graph.Graph, o Options) (Result, error) {
 // collectives (one all-reduce round).
 func maxDegree(d *mpc.DistGraph) (uint64, error) {
 	g := d.Graph()
-	return d.Cluster().AllReduceMaxUint("maxdeg", func(x *mpc.Ctx) uint64 {
+	return d.Cluster().AllReduceMaxUint("maxdeg", func(x mpc.Ctx) uint64 {
 		var local uint64
 		for v := x.Lo; v < x.Hi; v++ {
 			if dv := uint64(g.Degree(v)); dv > local {

@@ -121,7 +121,7 @@ func (m mpcModel) dominate(marks *bitset.Set, view mpc.Adjacency) (*bitset.Set, 
 }
 
 func (m mpcModel) countActive(active *bitset.Set) (int, error) {
-	counts, err := m.d.Cluster().AllReduceSumUint(m.prefix+"/active", func(x *mpc.Ctx) []uint64 {
+	counts, err := m.d.Cluster().AllReduceSumUint(m.prefix+"/active", func(x mpc.Ctx) []uint64 {
 		return []uint64{uint64(active.CountRange(x.Lo, x.Hi))}
 	})
 	if err != nil {
